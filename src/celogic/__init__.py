@@ -33,7 +33,7 @@ from .kripke import (
     satisfies,
 )
 from .prove import Invalid, Valid, Verdict, prove_cel, prove_el
-from .reduction import ReductionTrace, reduce_full, reduce_once
+from .reduction import ReductionTrace, reduce_full, reduce_once, reduce_result
 from .epistemology import (
     ANTI_SCEPTIC,
     CONTEXTUALIST,
@@ -104,6 +104,7 @@ __all__ = [
     "prove_el",
     "reduce_full",
     "reduce_once",
+    "reduce_result",
     "ReductionTrace",
     "Rel",
     "render_context",

@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 valid/true/agreement, 1 invalid/false/mismatch, 2 usage or
-input error, 3 search budget exhausted. Errors go to stderr prefixed with
-``error:``.
+input error, 3 search budget exhausted or formula nested too deeply. Errors
+go to stderr prefixed with ``error:``.
 """
 
 from __future__ import annotations
@@ -296,6 +296,11 @@ def main(argv=None) -> int:
         return args.fn(args)
     except dlg.BudgetExhaustedError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_BUDGET
+    except RecursionError:
+        # the recursive walkers ran out of stack: a resource limit, which
+        # must not surface as exit 1 ("invalid")
+        print("error: formula nested too deeply", file=sys.stderr)
         return EXIT_BUDGET
     except (FormulaSyntaxError, UntaggedOperatorError, CliError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

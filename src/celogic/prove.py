@@ -17,7 +17,9 @@ import heapq
 from dataclasses import dataclass
 
 from .kripke import ContextEnv, KripkeModel, satisfies
-from .reduction import needed_context_names, reduce_full
+# reduce_full is not called here; it stays a module attribute because
+# perfbench/tracing.py wraps prove.reduce_full by name.
+from .reduction import needed_context_names, reduce_full, reduce_result  # noqa: F401
 from .syntax import (
     And,
     Atom,
@@ -338,12 +340,12 @@ def prove_cel(f: Formula, env: ContextEnv | None = None) -> Verdict:
     re-checked against the original formula before being returned."""
     env = env or ContextEnv()
     needed = set(needed_context_names(f))
-    trace = reduce_full(f)
-    reduced_atoms = formula_info(trace.result).atoms
+    reduced = reduce_result(f)
+    reduced_atoms = formula_info(reduced).atoms
     needed |= {name for name in env.bindings if name in reduced_atoms}
     full_env = env.completed(needed)
     ctx_bodies = {name: full_env.resolve(name) for name in needed}
-    verdict = prove_el(trace.result, ctx_bodies)
+    verdict = prove_el(reduced, ctx_bodies)
     if isinstance(verdict, Invalid):
         if satisfies(verdict.model, verdict.world, full_env, f):
             raise ProverError(

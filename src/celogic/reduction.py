@@ -9,6 +9,12 @@ mean (explicit bodies or fresh stand-in atoms).
 Disjunction, implication, equivalence and the possibility dual have no named
 rewrite schema of their own; their forms are derived from the game rules for
 relativized formulas and are tagged "derived-*" in traces.
+
+Two entry points share the one rewrite table, ``_rewrite_redex``.
+``reduce_full`` gives the canonical step trace; it searches for each redex
+from the root again and so takes time quadratic in the number of steps.
+``reduce_result`` gives only the normal form, in one top-down pass, and is
+the path ``prove_cel`` uses.
 """
 
 from __future__ import annotations
@@ -162,10 +168,20 @@ def reduce_once(f: Formula) -> tuple[Formula, str, tuple[int, ...]] | None:
     return _replace(f, path, rewritten), axiom, path
 
 
+def _default_step_budget(f: Formula) -> int:
+    return 4 * node_count(f) ** 2
+
+
+def _budget_error(step_budget: int) -> ReductionBudgetError:
+    return ReductionBudgetError(
+        f"no fixpoint within {step_budget} steps; this indicates a rewrite bug"
+    )
+
+
 def reduce_full(f: Formula, step_budget: int | None = None) -> ReductionTrace:
     """Iterate reduce_once to the relativization-free fixpoint, with trace."""
     if step_budget is None:
-        step_budget = 4 * node_count(f) ** 2
+        step_budget = _default_step_budget(f)
     steps: list[ReductionStep] = []
     current = f
     for _ in range(step_budget + 1):
@@ -175,9 +191,44 @@ def reduce_full(f: Formula, step_budget: int | None = None) -> ReductionTrace:
         after, axiom, path = result
         steps.append(ReductionStep(current, axiom, path, after))
         current = after
-    raise ReductionBudgetError(
-        f"no fixpoint within {step_budget} steps; this indicates a rewrite bug"
-    )
+    raise _budget_error(step_budget)
+
+
+def reduce_result(f: Formula) -> Formula:
+    """The normal form ``reduce_full(f).result``, in one top-down pass.
+
+    A Rel node is rewritten until it is not a Rel, then its children are
+    reduced left to right. Rewrites at disjoint positions commute, so this
+    applies the same rewrites as the leftmost-outermost trace and reaches
+    the same formula; it also raises the same errors, including
+    ReductionBudgetError after the default step budget. Subtrees free of
+    relativization are returned as they are, not copied.
+    """
+    step_budget = _default_step_budget(f)
+    steps = 0
+
+    def go(g: Formula) -> Formula:
+        nonlocal steps
+        while isinstance(g, Rel):
+            g, _ = _rewrite_redex(g.body, g.context)
+            steps += 1
+            if steps > step_budget:
+                raise _budget_error(step_budget)
+        match g:
+            case Not(body):
+                new = go(body)
+                return g if new is body else Not(new)
+            case Know(agent, variant, body) | Poss(agent, variant, body):
+                new = go(body)
+                return g if new is body else type(g)(agent, variant, new)
+            case And(l, r) | Or(l, r) | Imp(l, r) | Iff(l, r):
+                new_l, new_r = go(l), go(r)
+                if new_l is l and new_r is r:
+                    return g
+                return type(g)(new_l, new_r)
+        return g
+
+    return go(f)
 
 
 def reduction_measure(f: Formula) -> int:

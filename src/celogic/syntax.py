@@ -170,23 +170,6 @@ def make_context(literals) -> ContextFormula:
     return ContextFormula(tuple(sorted(seen)))
 
 
-def context_body_formula(cf: ContextFormula) -> Formula:
-    """The literal conjunction as a Formula; top/bottom use a reserved atom."""
-    if cf.is_top:
-        a = Atom("_true")
-        return Or(a, Not(a))
-    if cf.is_bot:
-        a = Atom("_true")
-        return And(a, Not(a))
-    parts: list[Formula] = [
-        Atom(n) if positive else Not(Atom(n)) for n, positive in cf.literals
-    ]
-    out = parts[0]
-    for p in parts[1:]:
-        out = And(out, p)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Tokenizer
 
@@ -481,14 +464,22 @@ class FormulaInfo:
 
 
 def subformulas(f: Formula):
-    """All subtrees of f, preorder."""
-    yield f
-    match f:
-        case Not(body) | Know(_, _, body) | Poss(_, _, body) | Rel(body, _):
-            yield from subformulas(body)
-        case And(l, r) | Or(l, r) | Imp(l, r) | Iff(l, r):
-            yield from subformulas(l)
-            yield from subformulas(r)
+    """All subtrees of f, preorder.
+
+    An explicit stack, not nested generators: each subtree costs O(1) to
+    yield however deep it sits, and deep input does not hit the recursion
+    limit here.
+    """
+    stack = [f]
+    while stack:
+        g = stack.pop()
+        yield g
+        match g:
+            case Not(body) | Know(_, _, body) | Poss(_, _, body) | Rel(body, _):
+                stack.append(body)
+            case And(l, r) | Or(l, r) | Imp(l, r) | Iff(l, r):
+                stack.append(r)
+                stack.append(l)
 
 
 def node_count(f: Formula) -> int:

@@ -132,6 +132,21 @@ class TestReduce:
         assert data["steps"][0]["axiom"] == "2.2-Contextual Knowledge"
 
 
+class TestDeepInput:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("prove", "(" + "~" * 300 + "p)^ci -> p"),
+            ("prove", "~" * 700 + "p"),
+            ("reduce", "~" * 700 + "p"),
+        ],
+    )
+    def test_nested_too_deeply_exits_three(self, capsys, argv):
+        code, _, err = run(capsys, *argv)
+        assert code == 3
+        assert err == "error: formula nested too deeply\n"
+
+
 class TestDialogue:
     def test_winning_thesis(self, capsys):
         code, out, _ = run(capsys, "dialogue", "K{i,1.1} a -> K{i,1.1} K{i,1.1} a")

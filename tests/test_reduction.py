@@ -1,7 +1,10 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from celogic.epistemology import SUITE_ROWS
 from celogic.kripke import ContextEnv, enumerate_models, satisfies
 from celogic.reduction import (
     AXIOM_ATOMS,
@@ -10,10 +13,12 @@ from celogic.reduction import (
     needed_context_names,
     reduce_full,
     reduce_once,
+    reduce_result,
     reduction_measure,
 )
 from celogic.syntax import (
     Atom,
+    Iff,
     Imp,
     Know,
     Rel,
@@ -24,7 +29,7 @@ from celogic.syntax import (
     render_formula,
 )
 
-from corpus import hygiene_corpus, random_formula
+from corpus import cross_semantics_corpus, hygiene_corpus, random_formula
 
 
 class TestReduceOnce:
@@ -113,6 +118,55 @@ class TestReduceFull:
         assert "derived-poss" in names
         names = {s.axiom for s in reduce_full(parse_formula("(p <-> q)^ci")).steps}
         assert "derived-iff" in names
+
+
+class TestReduceResult:
+    def test_matches_reduce_full_on_the_corpora(self):
+        suite = [parse_formula(row.formula) for row in SUITE_ROWS]
+        for f in hygiene_corpus() + cross_semantics_corpus() + suite:
+            assert reduce_result(f) == reduce_full(f).result
+
+    def test_matches_reduce_full_on_step_biconditionals(self):
+        # reduce_full(Iff(a, b)).result is the Iff of the two normal forms
+        # (the root is no redex, and every redex of a precedes those of b),
+        # and every step's before and after share the trace's normal form,
+        # so the reference is Iff(result, result) without re-reducing.
+        for f in hygiene_corpus():
+            trace = reduce_full(f)
+            expected = Iff(trace.result, trace.result)
+            for step in trace.steps:
+                assert reduce_result(Iff(step.before, step.after)) == expected
+
+    def test_plain_input_is_returned_as_is(self):
+        f = parse_formula("K{i,1.1} a -> a & ~b")
+        assert reduce_result(f) is f
+
+    def test_untagged_operator_under_relativization(self):
+        f = Rel(Know("j", None, Atom("p")), "ci")
+        with pytest.raises(UntaggedOperatorError):
+            reduce_full(f)
+        with pytest.raises(UntaggedOperatorError):
+            reduce_result(f)
+
+    def test_same_budget_error_as_reduce_full(self):
+        # each equivalence doubles its operands under a relativization, so
+        # nine of them exceed the default budget of 4 * nodes**2 steps
+        f = parse_formula("(" + " <-> ".join(["p"] * 9) + ")^ci")
+        with pytest.raises(ReductionBudgetError):
+            reduce_full(f)
+        with pytest.raises(ReductionBudgetError):
+            reduce_result(f)
+
+
+@given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(0, 4))
+@settings(max_examples=200, deadline=None)
+def test_reduce_result_matches_reduce_full_property(seed, depth):
+    f = random_formula(random.Random(seed), depth)
+    trace = reduce_full(f)
+    assert reduce_result(f) == trace.result
+    for step in trace.steps:
+        g = Iff(step.before, step.after)
+        assert reduce_result(g) == reduce_full(g).result
 
 
 class TestProperties:

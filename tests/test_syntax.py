@@ -18,15 +18,18 @@ from celogic.syntax import (
     Poss,
     Rel,
     TOP,
+    Formula,
     formula_info,
     make_context,
+    node_count,
     parse_context,
     parse_formula,
     render_context,
     render_formula,
+    subformulas,
 )
 
-from corpus import random_formula
+from corpus import hygiene_corpus, random_formula
 
 
 class TestParseFormula:
@@ -194,6 +197,28 @@ def formulas(draw, max_depth=4):
 @settings(max_examples=300, deadline=None)
 def test_parse_render_round_trip_property(f):
     assert parse_formula(render_formula(f)) == f
+
+
+def _preorder(f: Formula) -> list[Formula]:
+    """Reference preorder by plain recursion."""
+    match f:
+        case Not(body) | Know(_, _, body) | Poss(_, _, body) | Rel(body, _):
+            return [f] + _preorder(body)
+        case And(l, r) | Or(l, r) | Imp(l, r) | Iff(l, r):
+            return [f] + _preorder(l) + _preorder(r)
+    return [f]
+
+
+class TestSubformulas:
+    def test_preorder_on_the_hygiene_corpus(self):
+        for f in hygiene_corpus():
+            assert list(subformulas(f)) == _preorder(f)
+
+    def test_deep_input(self):
+        f = Atom("p")
+        for _ in range(5000):
+            f = Not(f)
+        assert node_count(f) == 5001
 
 
 class TestFormulaInfo:
