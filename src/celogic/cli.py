@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 valid/true/agreement, 1 invalid/false/mismatch, 2 usage or
-input error, 3 search budget exhausted or formula nested too deeply. Errors
-go to stderr prefixed with ``error:``.
+input error, 3 search or reduction budget exhausted, or formula nested too
+deeply. Errors go to stderr prefixed with ``error:``.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from .kripke import (
     satisfies,
 )
 from .prove import Invalid, Valid, prove_cel, verdict_to_json
-from .reduction import reduce_full
+from .reduction import ReductionBudgetError, reduce_full
 from .epistemology import run_suite
 from .syntax import (
     And,
@@ -186,9 +186,12 @@ def _cmd_dialogue(args) -> int:
     budget = args.budget or dlg.DEFAULT_SEARCH_BUDGET
     result = dlg.has_winning_strategy(f, env, budget=budget)
     if result.verdict:
+        # the tree is built on this read, which can still stop on the budget,
+        # so it is built before anything is printed
+        tree = json.dumps(result.strategy, indent=2) if args.format == "json" else None
         print("P has a winning strategy")
-        if args.format == "json":
-            print(json.dumps(result.strategy, indent=2))
+        if tree is not None:
+            print(tree)
         return EXIT_OK
     print("O wins: no winning strategy for P")
     if args.format == "json":
@@ -294,7 +297,7 @@ def main(argv=None) -> int:
                 return EXIT_USAGE
     try:
         return args.fn(args)
-    except dlg.BudgetExhaustedError as exc:
+    except (dlg.BudgetExhaustedError, ReductionBudgetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
     except RecursionError:

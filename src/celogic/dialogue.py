@@ -36,7 +36,8 @@ from __future__ import annotations
 
 import json
 import sys
-from dataclasses import dataclass
+from contextlib import contextmanager
+from dataclasses import dataclass, field
 from typing import Iterable
 
 from .kripke import ContextEnv
@@ -256,6 +257,12 @@ class GameState:
     introduced: frozenset[Label]
     o_fresh: int
     turn: str
+    # Ledgers that apply_move keeps, so that legality never re-scans the
+    # history. They follow from ``moves`` and are not part of the position.
+    assertion_index: dict[Assertion, int] = field(compare=False, repr=False)
+    attack_index: dict[AttackRecord, int] = field(compare=False, repr=False)
+    rights_used: frozenset = field(compare=False, repr=False)
+    answered: frozenset[AttackRecord] = field(compare=False, repr=False)
 
     def position_key(self):
         return (self.assertions, self.attacks, self.defences, self.turn)
@@ -293,6 +300,10 @@ def initial_state(
         introduced=frozenset({ROOT}),
         o_fresh=0,
         turn=O,
+        assertion_index={(P, ROOT, normalized): 0},
+        attack_index={},
+        rights_used=frozenset(),
+        answered=frozenset(),
     )
 
 
@@ -510,18 +521,9 @@ def _attack_right_key(actor: str, payload: Payload):
     return payload
 
 
-def _attack_rights_used(state: GameState) -> set:
-    return {
-        (attacker, target, _attack_right_key(attacker, payload))
-        for attacker, target, payload in state.attacks
-    }
-
-
 def _defence_blocked(state: GameState, actor: str, attack: AttackRecord) -> bool:
     """O answers each attack at most once; P returns per new payload."""
-    if actor != O:
-        return False
-    return any(rec == attack for rec, _ in state.defences)
+    return actor == O and attack in state.answered
 
 
 def _reassertion_blocked(
@@ -611,7 +613,7 @@ def validate_move(state: GameState, move: Move) -> None:
                 f"{self_describing} does not attack {render_formula(target[2])}",
             )
         right = (move.actor, target, _attack_right_key(move.actor, move.payload))
-        if right in _attack_rights_used(state):
+        if right in state.rights_used:
             raise IllegalMoveError("PL-2", "this attack was already made")
         if _reassertion_blocked(state, move.actor, move.payload):
             raise IllegalMoveError(
@@ -663,15 +665,26 @@ def validate_move(state: GameState, move: Move) -> None:
 def apply_move(state: GameState, move: Move) -> GameState:
     """Validate and append a move, updating commitments and ledgers."""
     validate_move(state, move)
+    index = len(state.moves)
     assertions = state.assertions
     attacks = state.attacks
     defences = state.defences
     introduced = state.introduced
     o_fresh = state.o_fresh
+    assertion_index = state.assertion_index
+    attack_index = state.attack_index
+    rights_used = state.rights_used
+    answered = state.answered
 
     if move.kind == "attack":
         target = _assertion_of_move(state, move.target)
-        attacks = attacks | {(move.actor, target, move.payload)}
+        record = (move.actor, target, move.payload)
+        attacks = attacks | {record}
+        # the repetition rule makes every attack record new
+        attack_index = {**attack_index, record: index}
+        rights_used = rights_used | {
+            (move.actor, target, _attack_right_key(move.actor, move.payload))
+        }
         if isinstance(move.payload, RequestPayload):
             if move.payload.label is not None and move.payload.label not in introduced:
                 introduced = introduced | {move.payload.label}
@@ -679,14 +692,17 @@ def apply_move(state: GameState, move: Move) -> GameState:
     else:
         attack = _attack_record_of_move(state, move.target)
         defences = defences | {(attack, move.payload)}
+        if attack not in answered:
+            answered = answered | {attack}
 
     if isinstance(move.payload, AssertPayload):
         if move.payload.label not in introduced:
             introduced = introduced | {move.payload.label}
             o_fresh += 1
-        assertions = assertions | {
-            (move.actor, move.payload.label, move.payload.formula)
-        }
+        assertion = (move.actor, move.payload.label, move.payload.formula)
+        if assertion not in assertion_index:
+            assertions = assertions | {assertion}
+            assertion_index = {**assertion_index, assertion: index}
 
     return GameState(
         rules=state.rules,
@@ -697,6 +713,10 @@ def apply_move(state: GameState, move: Move) -> GameState:
         introduced=introduced,
         o_fresh=o_fresh,
         turn=_opponent(state.turn),
+        assertion_index=assertion_index,
+        attack_index=attack_index,
+        rights_used=rights_used,
+        answered=answered,
     )
 
 
@@ -717,22 +737,11 @@ def legal_moves(state: GameState, recent_defence_only: bool = False) -> list[Mov
     actor = state.turn
     moves: list[Move] = []
 
-    first_move_of_assertion: dict[Assertion, int] = {}
-    first_move_of_attack: dict[AttackRecord, int] = {}
-    for i in range(len(state.moves)):
-        a = _assertion_of_move(state, i)
-        if a is not None and a not in first_move_of_assertion:
-            first_move_of_assertion[a] = i
-        r = _attack_record_of_move(state, i)
-        if r is not None and r not in first_move_of_attack:
-            first_move_of_attack[r] = i
-
-    rights_used = _attack_rights_used(state)
-    for target, index in first_move_of_assertion.items():
+    for target, index in state.assertion_index.items():
         if target[0] == actor:
             continue
         for payload in _attack_payloads(state, actor, target):
-            if (actor, target, _attack_right_key(actor, payload)) in rights_used:
+            if (actor, target, _attack_right_key(actor, payload)) in state.rights_used:
                 continue
             if _reassertion_blocked(state, actor, payload):
                 continue
@@ -743,7 +752,7 @@ def legal_moves(state: GameState, recent_defence_only: bool = False) -> list[Mov
             moves.append(Move(actor, "attack", index, payload))
 
     defence_groups: list[tuple[int, list[Move]]] = []
-    for attack, index in first_move_of_attack.items():
+    for attack, index in state.attack_index.items():
         if attack[0] != _opponent(actor) or attack[1][0] != actor:
             continue
         if _defence_blocked(state, actor, attack):
@@ -773,12 +782,42 @@ def legal_moves(state: GameState, recent_defence_only: bool = False) -> list[Mov
 # Strategy search
 
 
+@contextmanager
+def _deep_recursion():
+    """Room for the recursive search and strategy walk on long plays."""
+    limit = sys.getrecursionlimit()
+    if limit < 40_000:
+        sys.setrecursionlimit(40_000)
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(limit)
+
+
 @dataclass
 class StrategyResult:
+    """Outcome of the game search.
+
+    On a win, ``strategy`` is built from the winning phase's memo the first
+    time it is read and then cached; until then the result holds that
+    search. Reading it can raise BudgetExhaustedError when unfolding the
+    tree meets positions the search never visited and the budget runs out.
+    """
+
     verdict: bool
-    strategy: dict | None
     refutation: tuple[Move, ...] | None
     positions: int
+    _search: _Search | None = field(default=None, repr=False, compare=False)
+    _root: GameState | None = field(default=None, repr=False, compare=False)
+    _strategy: dict | None = field(default=None, init=False, repr=False, compare=False)
+
+    @property
+    def strategy(self) -> dict | None:
+        if self._search is not None:
+            with _deep_recursion():
+                self._strategy = self._search.strategy_tree(self._root)
+            self._search = self._root = None
+        return self._strategy
 
 
 class _Search:
@@ -860,19 +899,19 @@ def has_winning_strategy(
 ) -> StrategyResult:
     """AND-OR search: does P have a winning strategy for the thesis?
 
-    Returns the strategy tree (P's choice at every reachable O history) on a
-    win, or a play that O wins otherwise. Raises BudgetExhaustedError when the
-    position budget runs out; that outcome is unknown, never false.
+    On a win the result's ``strategy`` is the strategy tree (P's choice at
+    every reachable O history). It is built when first read: until then the
+    result holds the winning phase's memo, so a caller that needs only the
+    verdict never pays for the tree. Otherwise ``refutation`` is a play that
+    O wins. Raises BudgetExhaustedError when the position budget runs out;
+    that outcome is unknown, never false.
 
     Searches in two phases: first with P's defence options narrowed to the
     most recent open attack (a pure handicap on P, so a win stands), then,
     only if that fails, with P's full classical rights.
     """
     state = initial_state(thesis, env, fresh_slack)
-    limit = sys.getrecursionlimit()
-    if limit < 40_000:
-        sys.setrecursionlimit(40_000)
-    try:
+    with _deep_recursion():
         spent = 0
         for disciplined in (True, False):
             search = _Search(budget - spent, disciplined)
@@ -882,12 +921,8 @@ def has_winning_strategy(
                 raise BudgetExhaustedError(spent + search.positions) from None
             spent += search.positions
             if verdict:
-                return StrategyResult(
-                    True, search.strategy_tree(state), None, spent
-                )
-        return StrategyResult(False, None, search.refuting_play(state), spent)
-    finally:
-        sys.setrecursionlimit(limit)
+                return StrategyResult(True, None, spent, search, state)
+        return StrategyResult(False, search.refuting_play(state), spent)
 
 
 # ---------------------------------------------------------------------------

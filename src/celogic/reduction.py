@@ -49,7 +49,7 @@ def knowledge_axiom_name(variant: str) -> str:
 
 
 class ReductionBudgetError(RuntimeError):
-    """The rewrite loop exceeded its step budget (an engine bug, not input)."""
+    """The rewrite loop exceeded its step budget: a resource limit."""
 
 
 @dataclass(frozen=True)
@@ -174,7 +174,9 @@ def _default_step_budget(f: Formula) -> int:
 
 def _budget_error(step_budget: int) -> ReductionBudgetError:
     return ReductionBudgetError(
-        f"no fixpoint within {step_budget} steps; this indicates a rewrite bug"
+        f"no fixpoint within {step_budget} steps; derived-iff doubles both"
+        " operands, so equivalences nested under one relativization grow"
+        " exponentially"
     )
 
 

@@ -460,7 +460,6 @@ class FormulaInfo:
     contexts: frozenset[str]
     modal_depth: int
     is_el: bool
-    is_absolute: bool
 
 
 def subformulas(f: Formula):
@@ -519,5 +518,4 @@ def formula_info(f: Formula) -> FormulaInfo:
         contexts=frozenset(contexts),
         modal_depth=modal_depth(f),
         is_el=not has_rel,
-        is_absolute=not has_rel,
     )

@@ -64,6 +64,16 @@ class TestProve:
         assert code == 1
         assert out.startswith("graph model")
 
+    def test_reduction_budget_exits_three(self, capsys):
+        # derived-iff doubles both operands: nine nested equivalences under
+        # one relativization exceed the default reduction step budget
+        chain = " <-> ".join(["p"] * 9)
+        code, out, err = run(capsys, "prove", f"({chain})^ci")
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: no fixpoint within")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
 
 class TestParse:
     def test_ast_dump(self, capsys):
@@ -166,6 +176,16 @@ class TestDialogue:
         )
         assert code == 3
         assert err.startswith("error:")
+
+    def test_budget_stop_while_building_the_strategy_prints_no_verdict(self, capsys):
+        # the search wins within 124 positions; unfolding its tree needs more
+        thesis = "((K{j,1.1} p & K{j,1.1} (p -> q)) -> K{j,1.1} q)^ci"
+        code, out, err = run(
+            capsys, "--format", "json", "dialogue", "--budget", "124", thesis
+        )
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: search budget exhausted")
 
     def test_budget_env_variable(self, capsys, monkeypatch):
         monkeypatch.setenv("CEL_BUDGET", "3")

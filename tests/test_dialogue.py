@@ -1,3 +1,4 @@
+import hashlib
 import json
 import pathlib
 import random
@@ -10,6 +11,9 @@ from celogic.dialogue import (
     IllegalMoveError,
     Move,
     RequestPayload,
+    _assertion_of_move,
+    _attack_record_of_move,
+    _attack_right_key,
     apply_move,
     game_form,
     has_winning_strategy,
@@ -23,6 +27,7 @@ from celogic.dialogue import (
     render_transcript_markdown,
     replay_script,
 )
+from celogic.epistemology import SUITE_ROWS
 from celogic.kripke import ContextEnv
 from celogic.syntax import (
     Atom,
@@ -35,6 +40,8 @@ from celogic.syntax import (
     formula_info,
     parse_formula,
 )
+
+from corpus import random_formula
 
 PLAYS_DIR = pathlib.Path(__file__).parent / "data" / "plays"
 PLAY_FILES = sorted(PLAYS_DIR.glob("*.json"))
@@ -221,6 +228,26 @@ class TestWinningStrategy:
         for text in ["(~q)^ci -> (ci -> ~(q)^ci)", "(ci -> ~(q)^ci) -> (~q)^ci"]:
             assert has_winning_strategy(parse_formula(text)).verdict is True
 
+    def test_strategy_is_built_once_on_read(self):
+        result = has_winning_strategy(
+            parse_formula("K{i,1.1} a -> K{i,1.1} K{i,1.1} a")
+        )
+        positions = result.positions
+        tree = result.strategy
+        assert tree["turn"] == "O"
+        assert result.strategy is tree
+        assert result.positions == positions
+
+    def test_strategy_past_the_budget_raises_on_read(self):
+        # unfolding this strategy meets positions the search never visited:
+        # histories that reach a searched position in another move order
+        f = parse_formula("((K{j,1.1} p & K{j,1.1} (p -> q)) -> K{j,1.1} q)^ci")
+        spent = has_winning_strategy(f).positions
+        result = has_winning_strategy(f, budget=spent)
+        assert result.verdict is True and result.positions == spent
+        with pytest.raises(BudgetExhaustedError):
+            result.strategy
+
 
 def _follow_strategy(thesis, tree, rng):
     """Play the strategy against a random O policy; P must leave O stuck."""
@@ -263,6 +290,82 @@ def test_strategy_beats_random_opponents():
     for round_index in range(250):
         for thesis, tree in plans:
             _follow_strategy(thesis, tree, rng)
+
+
+def _game_theses():
+    """Every SUITE_ROWS thesis, then every recorded play's thesis."""
+    theses = [parse_formula(row.formula) for row in SUITE_ROWS]
+    for path in PLAY_FILES:
+        data = load_play(path)
+        theses.append(parse_formula(data["thesis"], data.get("default_variant")))
+    return theses
+
+
+# sha256 over the game's whole output on _game_theses(): verdict, positions
+# searched, the strategy tree and the refutation, byte for byte. A change to
+# the search's speed must leave it as it is.
+GAME_OUTPUT_SHA256 = "340a91d2364ce0fca511b3eca9cac7f8507e6111bbc4ddf3214a83ecf837f394"
+
+
+def test_game_output_is_pinned():
+    digest = hashlib.sha256()
+    for thesis in _game_theses():
+        result = has_winning_strategy(thesis)
+        refutation = result.refutation
+        if refutation is not None:
+            refutation = [move_to_json(m) for m in refutation]
+        strategy = json.dumps(result.strategy)
+        record = [result.verdict, result.positions, strategy, refutation]
+        digest.update(json.dumps(record).encode())
+    assert digest.hexdigest() == GAME_OUTPUT_SHA256
+
+
+def _scanned_ledgers(state):
+    """The reference for the ledgers apply_move keeps: the same four
+    ledgers from a full scan of the history."""
+    first_move_of_assertion = {}
+    first_move_of_attack = {}
+    for i in range(len(state.moves)):
+        a = _assertion_of_move(state, i)
+        if a is not None and a not in first_move_of_assertion:
+            first_move_of_assertion[a] = i
+        r = _attack_record_of_move(state, i)
+        if r is not None and r not in first_move_of_attack:
+            first_move_of_attack[r] = i
+    rights_used = {
+        (attacker, target, _attack_right_key(attacker, payload))
+        for attacker, target, payload in state.attacks
+    }
+    answered = {rec for rec, _ in state.defences}
+    return first_move_of_assertion, first_move_of_attack, rights_used, answered
+
+
+LEDGER_RANDOM_THESES = 40
+LEDGER_PLAYS_PER_THESIS = 3
+
+
+def test_ledgers_match_a_scan_of_the_history():
+    rng = random.Random(11)
+    theses = [parse_formula(row.formula) for row in SUITE_ROWS]
+    theses += [random_formula(rng, 3) for _ in range(LEDGER_RANDOM_THESES)]
+    checked = 0
+    for thesis in theses:
+        for _ in range(LEDGER_PLAYS_PER_THESIS):
+            state = initial_state(thesis)
+            while True:
+                assertions, attacks, rights_used, answered = _scanned_ledgers(state)
+                # insertion order too: legal_moves walks the ledgers in it
+                assert list(state.assertion_index.items()) == list(assertions.items())
+                assert list(state.attack_index.items()) == list(attacks.items())
+                assert state.rights_used == rights_used
+                assert state.answered == answered
+                assert state.assertion_index.keys() == state.assertions
+                checked += 1
+                moves = legal_moves(state)
+                if not moves:
+                    break
+                state = apply_move(state, rng.choice(moves))
+    assert checked > 10 * len(theses)
 
 
 class TestTranscript:

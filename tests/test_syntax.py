@@ -224,7 +224,7 @@ class TestSubformulas:
 class TestFormulaInfo:
     def test_atom(self):
         info = formula_info(Atom("p"))
-        assert info.is_el and info.is_absolute and info.modal_depth == 0
+        assert info.is_el and info.modal_depth == 0
 
     def test_two_agent_thesis(self):
         f = parse_formula("K{i,1.1} K{j,1.1} a -> (K{i,1.1} a & K{j,1.1} a)")
@@ -237,7 +237,6 @@ class TestFormulaInfo:
         f = Rel(Know("k", "2.2", Atom("p")), "ci")
         info = formula_info(f)
         assert not info.is_el
-        assert not info.is_absolute
         assert info.contexts == {"ci"}
         # the agent's own context only enters at rewrite time
         from celogic.reduction import needed_context_names
