@@ -55,7 +55,6 @@ from .syntax import (
     UntaggedOperatorError,
     agent_context,
     formula_info,
-    modal_depth,
     parse_formula,
     render_formula,
     variant_contexts_names,
@@ -288,7 +287,7 @@ def initial_state(
         env_bindings=tuple(sorted(env.bindings.items())),
         env_auto=env.auto_bind,
         ctx_names=frozenset(ctx_names),
-        fresh_cap=modal_depth(normalized) + fresh_slack,
+        fresh_cap=info.modal_depth + fresh_slack,
     )
     move = Move(P, "thesis", None, AssertPayload(ROOT, normalized))
     return GameState(

@@ -497,14 +497,15 @@ def find_countermodel(
 
     env = env or ContextEnv()
     info = formula_info(f)
+    needed = needed_context_names(f)
     if agents is None:
         agents = sorted(info.agents)
     if atoms is None:
         atom_set = set(info.atoms)
-        for name in needed_context_names(f):
+        for name in needed:
             atom_set |= {a for a, _ in env.resolve(name).literals}
         atoms = sorted(atom_set)
-    full_env = env.completed(needed_context_names(f))
+    full_env = env.completed(needed)
     fn = compile_formula(f, full_env)
     for model in enumerate_models(max_worlds, agents, atoms, ceiling=ceiling):
         mask = fn(_ModelCtx(model))

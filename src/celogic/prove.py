@@ -9,12 +9,19 @@ keeps saturation finite without an explicit duplicate-label merge.
 
 Scheduling is deterministic: oldest item first within a priority band, and
 non-branching rules before branching rules before modal rules.
+
+The search records its proof log as raw data: each step as (sign, label,
+formula, rule), each closure as (label, formula), each branch point as its
+signed formula and its cases. Nothing is rendered while it runs; a Valid
+verdict renders the log to strings the first time its ``proof`` is read,
+so a caller that only wants the verdict never pays for the log.
 """
 
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 from .kripke import ContextEnv, KripkeModel, satisfies
 # reduce_full is not called here; it stays a module attribute because
@@ -47,11 +54,19 @@ class ProverError(RuntimeError):
 
 @dataclass(frozen=True)
 class Valid:
-    proof: dict
+    """A closed tableau for ``goal``, kept as the search recorded it."""
+
+    goal: Formula
+    tableau: tuple = field(repr=False)
 
     @property
     def is_valid(self) -> bool:
         return True
+
+    @cached_property
+    def proof(self) -> dict:
+        """The tableau log as JSON-ready data, rendered on first read."""
+        return {"goal": render_formula(self.goal), "tableau": _log_json(self.tableau)}
 
 
 @dataclass(frozen=True)
@@ -78,6 +93,23 @@ _PRIO_ALPHA, _PRIO_BETA, _PRIO_UNIVERSAL, _PRIO_WITNESS = range(4)
 
 def _signed(sign: bool, label: int, f: Formula) -> str:
     return f"{'T' if sign else 'F'} w{label + 1}: {render_formula(f)}"
+
+
+def _log_json(node: tuple) -> dict:
+    """Render a raw log node: (steps, (label, formula)) closes on that fact,
+    (steps, (sign, label, formula), cases) branches on that signed formula."""
+    steps, *rest = node
+    out = {"steps": [f"{_signed(sg, lab, g)}  [{rule}]" for sg, lab, g, rule in steps]}
+    if len(rest) == 1:
+        label, f = rest[0]
+        out["closed"] = {"world": f"w{label + 1}", "on": render_formula(f)}
+    else:
+        (sign, label, f), cases = rest
+        out["branch"] = {
+            "on": _signed(sign, label, f),
+            "cases": [_log_json(case) for case in cases],
+        }
+    return out
 
 
 class _Branch:
@@ -166,16 +198,9 @@ class _Branch:
         return label
 
 
-def _closure_leaf(steps: list, label: int, f: Formula) -> dict:
-    return {
-        "steps": steps,
-        "closed": {"world": f"w{label + 1}", "on": render_formula(f)},
-    }
-
-
 def _explore(branch: _Branch):
-    """Expand to saturation; ('closed', proof) or ('open', branch)."""
-    steps: list[str] = []
+    """Expand to saturation; ('closed', raw log node) or ('open', branch)."""
+    steps: list[tuple[bool, int, Formula, str]] = []
     while branch.queue:
         _, _, label, sign, f = heapq.heappop(branch.queue)
         additions: list[tuple[int, bool, Formula]] = []
@@ -187,15 +212,15 @@ def _explore(branch: _Branch):
                 rule = f"context {name}"
                 if sign:
                     if body.is_bot:
-                        steps.append(f"{_signed(sign, label, f)}  [{rule}]")
-                        return "closed", _closure_leaf(steps, label, f)
+                        steps.append((sign, label, f, rule))
+                        return "closed", (steps, (label, f))
                     additions = [
                         (label, positive, Atom(a)) for a, positive in body.literals
                     ]
                 else:
                     if body.is_top:
-                        steps.append(f"{_signed(sign, label, f)}  [{rule}]")
-                        return "closed", _closure_leaf(steps, label, f)
+                        steps.append((sign, label, f, rule))
+                        return "closed", (steps, (label, f))
                     lits = [
                         (label, not positive, Atom(a)) for a, positive in body.literals
                     ]
@@ -255,12 +280,12 @@ def _explore(branch: _Branch):
                         (new, usign, uf) for usign, uf in branch.universals[cid]
                     ]
                     additions.append((new, body_sign, body))
-        steps.append(f"{_signed(sign, label, f)}  [{rule}]")
+        steps.append((sign, label, f, rule))
         if alternatives is None:
             for lab, sg, g in additions:
                 closed = branch.add(lab, sg, g)
                 if closed is not None:
-                    return "closed", _closure_leaf(steps, closed[0], closed[1])
+                    return "closed", (steps, closed)
         else:
             cases = []
             for alt in alternatives:
@@ -269,7 +294,7 @@ def _explore(branch: _Branch):
                 for lab, sg, g in alt:
                     closed = child.add(lab, sg, g)
                     if closed is not None:
-                        cases.append(_closure_leaf([], closed[0], closed[1]))
+                        cases.append(([], closed))
                         break
                 if closed is not None:
                     continue
@@ -277,10 +302,7 @@ def _explore(branch: _Branch):
                 if status == "open":
                     return "open", payload
                 cases.append(payload)
-            return "closed", {
-                "steps": steps,
-                "branch": {"on": _signed(sign, label, f), "cases": cases},
-            }
+            return "closed", (steps, (sign, label, f), cases)
     return "open", branch
 
 
@@ -325,7 +347,7 @@ def prove_el(
     branch.add(0, False, f)
     status, payload = _explore(branch)
     if status == "closed":
-        return Valid(proof={"goal": render_formula(f), "tableau": payload})
+        return Valid(goal=f, tableau=payload)
     model = _extract_model(payload, info.agents)
     world = "w1"
     env = ContextEnv(ctx)
@@ -341,8 +363,10 @@ def prove_cel(f: Formula, env: ContextEnv | None = None) -> Verdict:
     env = env or ContextEnv()
     needed = set(needed_context_names(f))
     reduced = reduce_result(f)
-    reduced_atoms = formula_info(reduced).atoms
-    needed |= {name for name in env.bindings if name in reduced_atoms}
+    if env.bindings:
+        # a bound name may also stand as a plain atom in the formula
+        reduced_atoms = formula_info(reduced).atoms
+        needed |= {name for name in env.bindings if name in reduced_atoms}
     full_env = env.completed(needed)
     ctx_bodies = {name: full_env.resolve(name) for name in needed}
     verdict = prove_el(reduced, ctx_bodies)

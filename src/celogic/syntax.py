@@ -485,37 +485,39 @@ def node_count(f: Formula) -> int:
     return sum(1 for _ in subformulas(f))
 
 
-def modal_depth(f: Formula) -> int:
-    match f:
-        case Atom():
-            return 0
-        case Not(body) | Rel(body, _):
-            return modal_depth(body)
-        case Know(_, _, body) | Poss(_, _, body):
-            return 1 + modal_depth(body)
-        case And(l, r) | Or(l, r) | Imp(l, r) | Iff(l, r):
-            return max(modal_depth(l), modal_depth(r))
-    raise TypeError(f"not a formula: {f!r}")
-
-
 def formula_info(f: Formula) -> FormulaInfo:
+    """One explicit-stack walk over f; each entry carries the number of
+    K/P operators above it, so the modal depth is the largest such count
+    at an atom."""
     atoms: set[str] = set()
     agents: set[str] = set()
     contexts: set[str] = set()
-    has_rel = False
-    for g in subformulas(f):
+    depth = 0
+    stack = [(f, 0)]
+    while stack:
+        g, d = stack.pop()
         match g:
             case Atom(name):
                 atoms.add(name)
-            case Know(agent, _, _) | Poss(agent, _, _):
+                if d > depth:
+                    depth = d
+            case Not(body):
+                stack.append((body, d))
+            case And(l, r) | Or(l, r) | Imp(l, r) | Iff(l, r):
+                stack.append((r, d))
+                stack.append((l, d))
+            case Know(agent, _, body) | Poss(agent, _, body):
                 agents.add(agent)
-            case Rel(_, context):
-                has_rel = True
+                stack.append((body, d + 1))
+            case Rel(body, context):
                 contexts.add(context)
+                stack.append((body, d))
+            case _:
+                raise TypeError(f"not a formula: {g!r}")
     return FormulaInfo(
         atoms=frozenset(atoms),
         agents=frozenset(agents),
         contexts=frozenset(contexts),
-        modal_depth=modal_depth(f),
-        is_el=not has_rel,
+        modal_depth=depth,
+        is_el=not contexts,
     )

@@ -1,5 +1,10 @@
+import hashlib
+import json
+
 import pytest
 
+from celogic import prove
+from celogic.epistemology import SUITE_ROWS
 from celogic.kripke import ContextEnv, check_model, find_countermodel, satisfies
 from celogic.prove import (
     Invalid,
@@ -9,8 +14,10 @@ from celogic.prove import (
     prove_el,
     verdict_to_json,
 )
-from celogic.reduction import needed_context_names
-from celogic.syntax import parse_context, parse_formula
+from celogic.reduction import needed_context_names, reduce_full
+from celogic.syntax import Iff, parse_context, parse_formula
+
+from corpus import cross_semantics_corpus, hygiene_corpus
 
 
 class TestProveEl:
@@ -116,3 +123,59 @@ class TestProveCel:
 
         model = KripkeModel.from_json(data["model"])
         assert data["world"] in model.worlds
+
+
+PINNED_STEP_TRACES = 150
+
+
+def _pinned_formulas():
+    """The hygiene corpus, the cross corpus, every SUITE_ROWS thesis, then
+    the step biconditionals of the first PINNED_STEP_TRACES hygiene traces."""
+    hygiene = hygiene_corpus()
+    formulas = hygiene + cross_semantics_corpus()
+    formulas += [parse_formula(row.formula) for row in SUITE_ROWS]
+    for f in hygiene[:PINNED_STEP_TRACES]:
+        formulas += [Iff(s.before, s.after) for s in reduce_full(f).steps]
+    return formulas
+
+
+# sha256 over verdict_to_json(prove_cel(f)) on _pinned_formulas(), proof
+# logs and counter-models included, byte for byte. A change to the
+# prover's speed must leave it as it is.
+PROVER_OUTPUT_SHA256 = "d67367bac97bab46fbab2ca4161b873377727c2c72ad9456befa75f50c17cf61"
+
+
+def test_prover_output_is_pinned():
+    digest = hashlib.sha256()
+    for f in _pinned_formulas():
+        digest.update(json.dumps(verdict_to_json(prove_cel(f, ContextEnv()))).encode())
+    assert digest.hexdigest() == PROVER_OUTPUT_SHA256
+
+
+class TestLazyProofLog:
+    THESIS = "(K{i,2.2} a)^ci -> (K{i,2.2} K{i,2.2} a)^cj"
+
+    def _count_renders(self, monkeypatch):
+        calls = []
+        render = prove.render_formula
+
+        def counted(f):
+            calls.append(f)
+            return render(f)
+
+        monkeypatch.setattr(prove, "render_formula", counted)
+        return calls
+
+    def test_the_verdict_renders_nothing(self, monkeypatch):
+        calls = self._count_renders(monkeypatch)
+        assert isinstance(prove_cel(parse_formula(self.THESIS)), Valid)
+        assert calls == []
+
+    def test_the_log_is_built_once_on_read(self, monkeypatch):
+        calls = self._count_renders(monkeypatch)
+        v = prove_cel(parse_formula(self.THESIS))
+        proof = v.proof
+        rendered = len(calls)
+        assert rendered > 0
+        assert v.proof is proof
+        assert len(calls) == rendered

@@ -29,7 +29,7 @@ from celogic.syntax import (
     subformulas,
 )
 
-from corpus import hygiene_corpus, random_formula
+from corpus import cross_semantics_corpus, hygiene_corpus, random_formula
 
 
 class TestParseFormula:
@@ -221,7 +221,29 @@ class TestSubformulas:
         assert node_count(f) == 5001
 
 
+def _modal_depth(f: Formula) -> int:
+    """Reference modal depth by plain recursion."""
+    match f:
+        case Know(_, _, body) | Poss(_, _, body):
+            return 1 + _modal_depth(body)
+        case Not(body) | Rel(body, _):
+            return _modal_depth(body)
+        case And(l, r) | Or(l, r) | Imp(l, r) | Iff(l, r):
+            return max(_modal_depth(l), _modal_depth(r))
+    return 0
+
+
 class TestFormulaInfo:
+    def test_modal_depth_matches_recursion_on_the_corpora(self):
+        for f in hygiene_corpus() + cross_semantics_corpus():
+            assert formula_info(f).modal_depth == _modal_depth(f)
+
+    def test_deep_knowledge_chain(self):
+        f = Atom("p")
+        for _ in range(5000):
+            f = Know("i", "1.1", f)
+        assert formula_info(f).modal_depth == 5000
+
     def test_atom(self):
         info = formula_info(Atom("p"))
         assert info.is_el and info.modal_depth == 0
