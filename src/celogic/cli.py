@@ -24,15 +24,11 @@ from .prove import Invalid, Valid, prove_cel, verdict_to_json
 from .reduction import ReductionBudgetError, reduce_full
 from .epistemology import run_suite
 from .syntax import (
-    And,
     Atom,
     Formula,
     FormulaSyntaxError,
-    Iff,
-    Imp,
     Know,
     Not,
-    Or,
     Poss,
     Rel,
     UntaggedOperatorError,
@@ -77,50 +73,34 @@ def _parse(text: str, default_variant: str) -> Formula:
 
 
 def _ast_dump(f: Formula, indent: int = 0) -> str:
-    pad = "  " * indent
     match f:
         case Atom(name):
-            return f"{pad}Atom {name}"
-        case Not(body):
-            return f"{pad}Not\n" + _ast_dump(body, indent + 1)
-        case And(l, r) | Or(l, r) | Imp(l, r) | Iff(l, r):
-            kind = type(f).__name__
-            return (
-                f"{pad}{kind}\n"
-                + _ast_dump(l, indent + 1)
-                + "\n"
-                + _ast_dump(r, indent + 1)
-            )
-        case Know(agent, variant, body) | Poss(agent, variant, body):
-            kind = type(f).__name__
-            tag = variant or "untagged"
-            return f"{pad}{kind} {agent} {tag}\n" + _ast_dump(body, indent + 1)
-        case Rel(body, context):
-            return f"{pad}Rel ^{context}\n" + _ast_dump(body, indent + 1)
-    raise TypeError(f"not a formula: {f!r}")
+            head = f"Atom {name}"
+        case Know(agent, variant, _) | Poss(agent, variant, _):
+            head = f"{type(f).__name__} {agent} {variant or 'untagged'}"
+        case Rel(_, context):
+            head = f"Rel ^{context}"
+        case _:
+            head = type(f).__name__
+    lines = ["  " * indent + head]
+    lines += [_ast_dump(g, indent + 1) for g in f.children()]
+    return "\n".join(lines)
 
 
 def _ast_json(f: Formula) -> dict:
+    kids = [_ast_json(g) for g in f.children()]
     match f:
         case Atom(name):
-            return {"atom": name}
-        case Not(body):
-            return {"not": _ast_json(body)}
-        case And(l, r):
-            return {"and": [_ast_json(l), _ast_json(r)]}
-        case Or(l, r):
-            return {"or": [_ast_json(l), _ast_json(r)]}
-        case Imp(l, r):
-            return {"imp": [_ast_json(l), _ast_json(r)]}
-        case Iff(l, r):
-            return {"iff": [_ast_json(l), _ast_json(r)]}
-        case Know(agent, variant, body):
-            return {"know": {"agent": agent, "variant": variant, "body": _ast_json(body)}}
-        case Poss(agent, variant, body):
-            return {"poss": {"agent": agent, "variant": variant, "body": _ast_json(body)}}
-        case Rel(body, context):
-            return {"rel": {"context": context, "body": _ast_json(body)}}
-    raise TypeError(f"not a formula: {f!r}")
+            value = name
+        case Not():
+            value = kids[0]
+        case Know(agent, variant, _) | Poss(agent, variant, _):
+            value = {"agent": agent, "variant": variant, "body": kids[0]}
+        case Rel(_, context):
+            value = {"context": context, "body": kids[0]}
+        case _:
+            value = kids
+    return {type(f).__name__.lower(): value}
 
 
 def _cmd_parse(args) -> int:

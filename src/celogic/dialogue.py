@@ -197,27 +197,13 @@ def move_from_json(data: dict, agents: Iterable[str]) -> Move:
 
 
 def game_form(f: Formula) -> Formula:
-    match f:
-        case Atom(_):
-            return f
-        case Not(body):
-            return Not(game_form(body))
-        case And(l, r):
-            return And(game_form(l), game_form(r))
-        case Or(l, r):
-            return Or(game_form(l), game_form(r))
-        case Imp(l, r):
-            return Imp(game_form(l), game_form(r))
-        case Iff(l, r):
-            a, b = game_form(l), game_form(r)
+    g = f.rebuild(*map(game_form, f.children()))
+    match g:
+        case Iff(a, b):
             return And(Imp(a, b), Imp(b, a))
-        case Know(agent, variant, body):
-            return Know(agent, variant, game_form(body))
-        case Poss(agent, variant, body):
-            return Poss(agent, variant, game_form(body))
-        case Rel(body, context):
-            return _rel(game_form(body), context)
-    raise TypeError(f"not a formula: {f!r}")
+        case Rel(Poss() as body, context):
+            return _rel(body, context)
+    return g
 
 
 def _rel(body: Formula, context: str) -> Formula:
@@ -307,20 +293,10 @@ def initial_state(
 
 
 def _untagged_under_rel(f: Formula, under: bool) -> bool:
-    match f:
-        case Atom(_):
-            return False
-        case Rel(body, _):
-            return _untagged_under_rel(body, True)
-        case Know(_, variant, body) | Poss(_, variant, body):
-            if under and variant is None:
-                return True
-            return _untagged_under_rel(body, under)
-        case Not(body):
-            return _untagged_under_rel(body, under)
-        case And(l, r) | Or(l, r) | Imp(l, r) | Iff(l, r):
-            return _untagged_under_rel(l, under) or _untagged_under_rel(r, under)
-    raise TypeError(f"not a formula: {f!r}")
+    if under and isinstance(f, (Know, Poss)) and f.variant is None:
+        return True
+    under = under or isinstance(f, Rel)
+    return any(_untagged_under_rel(g, under) for g in f.children())
 
 
 # ---------------------------------------------------------------------------

@@ -19,17 +19,10 @@ from .kripke import ContextEnv
 from .prove import Valid, prove_cel
 from .reduction import needed_context_names
 from .syntax import (
-    And,
-    Atom,
     ContextFormula,
     Formula,
-    Iff,
-    Imp,
     Know,
-    Not,
-    Or,
     Poss,
-    Rel,
     TOP,
     parse_formula,
     render_formula,
@@ -60,26 +53,10 @@ DEFAULT_ANTI_BINDING = ContextFormula((("_anti", True),))
 
 
 def _retag(f: Formula, variant: str) -> Formula:
-    match f:
-        case Atom(_):
-            return f
-        case Not(body):
-            return Not(_retag(body, variant))
-        case And(l, r):
-            return And(_retag(l, variant), _retag(r, variant))
-        case Or(l, r):
-            return Or(_retag(l, variant), _retag(r, variant))
-        case Imp(l, r):
-            return Imp(_retag(l, variant), _retag(r, variant))
-        case Iff(l, r):
-            return Iff(_retag(l, variant), _retag(r, variant))
-        case Know(agent, tag, body):
-            return Know(agent, tag or variant, _retag(body, variant))
-        case Poss(agent, tag, body):
-            return Poss(agent, tag or variant, _retag(body, variant))
-        case Rel(body, context):
-            return Rel(_retag(body, variant), context)
-    raise TypeError(f"not a formula: {f!r}")
+    f = f.rebuild(*(_retag(g, variant) for g in f.children()))
+    if isinstance(f, (Know, Poss)) and f.variant is None:
+        return type(f)(f.agent, variant, f.body)
+    return f
 
 
 def context_implies(premise: ContextFormula, conclusion: ContextFormula) -> bool:

@@ -77,46 +77,12 @@ class ReductionTrace:
         return [s.to_json() for s in self.steps]
 
 
-def _children(f: Formula) -> tuple[Formula, ...]:
-    match f:
-        case Not(body) | Know(_, _, body) | Poss(_, _, body) | Rel(body, _):
-            return (body,)
-        case And(l, r) | Or(l, r) | Imp(l, r) | Iff(l, r):
-            return (l, r)
-        case _:
-            return ()
-
-
 def _replace(f: Formula, path: tuple[int, ...], replacement: Formula) -> Formula:
     if not path:
         return replacement
-    i, rest = path[0], path[1:]
-    match f:
-        case Not(body):
-            return Not(_replace(body, rest, replacement))
-        case Know(agent, variant, body):
-            return Know(agent, variant, _replace(body, rest, replacement))
-        case Poss(agent, variant, body):
-            return Poss(agent, variant, _replace(body, rest, replacement))
-        case Rel(body, context):
-            return Rel(_replace(body, rest, replacement), context)
-        case And(l, r):
-            return And(_replace(l, rest, replacement), r) if i == 0 else And(
-                l, _replace(r, rest, replacement)
-            )
-        case Or(l, r):
-            return Or(_replace(l, rest, replacement), r) if i == 0 else Or(
-                l, _replace(r, rest, replacement)
-            )
-        case Imp(l, r):
-            return Imp(_replace(l, rest, replacement), r) if i == 0 else Imp(
-                l, _replace(r, rest, replacement)
-            )
-        case Iff(l, r):
-            return Iff(_replace(l, rest, replacement), r) if i == 0 else Iff(
-                l, _replace(r, rest, replacement)
-            )
-    raise TypeError(f"not a formula: {f!r}")
+    kids = list(f.children())
+    kids[path[0]] = _replace(kids[path[0]], path[1:], replacement)
+    return f.rebuild(*kids)
 
 
 def _rewrite_redex(body: Formula, c: str) -> tuple[Formula, str]:
@@ -151,7 +117,7 @@ def _find_redex(f: Formula, path: tuple[int, ...]):
     """Leftmost-outermost Rel node: preorder, node before children."""
     if isinstance(f, Rel):
         return f, path
-    for i, child in enumerate(_children(f)):
+    for i, child in enumerate(f.children()):
         found = _find_redex(child, path + (i,))
         if found is not None:
             return found
@@ -206,29 +172,19 @@ def reduce_result(f: Formula) -> Formula:
     ReductionBudgetError after the default step budget. Subtrees free of
     relativization are returned as they are, not copied.
     """
-    step_budget = _default_step_budget(f)
+    step_budget = 0  # worked out at the first rewrite; Rel-free input needs none
     steps = 0
 
     def go(g: Formula) -> Formula:
-        nonlocal steps
+        nonlocal steps, step_budget
         while isinstance(g, Rel):
+            if not steps:
+                step_budget = _default_step_budget(f)
             g, _ = _rewrite_redex(g.body, g.context)
             steps += 1
             if steps > step_budget:
                 raise _budget_error(step_budget)
-        match g:
-            case Not(body):
-                new = go(body)
-                return g if new is body else Not(new)
-            case Know(agent, variant, body) | Poss(agent, variant, body):
-                new = go(body)
-                return g if new is body else type(g)(agent, variant, new)
-            case And(l, r) | Or(l, r) | Imp(l, r) | Iff(l, r):
-                new_l, new_r = go(l), go(r)
-                if new_l is l and new_r is r:
-                    return g
-                return type(g)(new_l, new_r)
-        return g
+        return g.rebuild(*map(go, g.children()))
 
     return go(f)
 
@@ -269,7 +225,7 @@ def needed_context_names(f: Formula) -> frozenset[str]:
             case Rel(body, c):
                 under(body, c)
             case _:
-                for child in _children(g):
+                for child in g.children():
                     go(child)
 
     def under(body: Formula, c: str):

@@ -15,6 +15,13 @@ A knowledge/possibility operator written without a variant tag parses as
 "untagged" (variant None) unless a default variant is supplied; untagged
 operators are rejected by the semantic layers, which need the tag to pick
 the context interaction mode.
+
+Every formula node has the same two methods, which structural walks are
+written over. ``f.children()`` is the tuple of f's immediate subformulas,
+left to right (``()`` for an atom). ``f.rebuild(*kids)`` is a node of f's
+kind, with f's agent, variant or context, over the given kids; when every
+kid is the old child itself it returns f, not a copy, so a walk that
+changes nothing gives back the very same tree.
 """
 
 from __future__ import annotations
@@ -74,55 +81,89 @@ def variant_contexts_names(
 
 @dataclass(frozen=True)
 class Formula:
-    pass
+    """A formula node; see the module docstring for ``children()`` and
+    ``rebuild(*kids)``."""
 
 
 @dataclass(frozen=True)
 class Atom(Formula):
     name: str
 
+    def children(self) -> tuple[Formula, ...]:
+        return ()
+
+    def rebuild(self) -> Formula:
+        return self
+
 
 @dataclass(frozen=True)
 class Not(Formula):
     body: Formula
 
+    def children(self) -> tuple[Formula, ...]:
+        return (self.body,)
+
+    def rebuild(self, body: Formula) -> Formula:
+        return self if body is self.body else Not(body)
+
 
 @dataclass(frozen=True)
-class And(Formula):
+class _Binary(Formula):
     left: Formula
     right: Formula
 
+    def children(self) -> tuple[Formula, ...]:
+        return (self.left, self.right)
 
-@dataclass(frozen=True)
-class Or(Formula):
-    left: Formula
-    right: Formula
-
-
-@dataclass(frozen=True)
-class Imp(Formula):
-    left: Formula
-    right: Formula
+    def rebuild(self, left: Formula, right: Formula) -> Formula:
+        if left is self.left and right is self.right:
+            return self
+        return type(self)(left, right)
 
 
 @dataclass(frozen=True)
-class Iff(Formula):
-    left: Formula
-    right: Formula
+class And(_Binary):
+    pass
 
 
 @dataclass(frozen=True)
-class Know(Formula):
+class Or(_Binary):
+    pass
+
+
+@dataclass(frozen=True)
+class Imp(_Binary):
+    pass
+
+
+@dataclass(frozen=True)
+class Iff(_Binary):
+    pass
+
+
+@dataclass(frozen=True)
+class _Modal(Formula):
     agent: str
     variant: str | None
     body: Formula
 
+    def children(self) -> tuple[Formula, ...]:
+        return (self.body,)
+
+    def rebuild(self, body: Formula) -> Formula:
+        if body is self.body:
+            return self
+        return type(self)(self.agent, self.variant, body)
+
 
 @dataclass(frozen=True)
-class Poss(Formula):
-    agent: str
-    variant: str | None
-    body: Formula
+class Know(_Modal):
+    pass
+
+
+@dataclass(frozen=True)
+class Poss(_Modal):
+    pass
 
 
 @dataclass(frozen=True)
@@ -131,6 +172,12 @@ class Rel(Formula):
 
     body: Formula
     context: str
+
+    def children(self) -> tuple[Formula, ...]:
+        return (self.body,)
+
+    def rebuild(self, body: Formula) -> Formula:
+        return self if body is self.body else Rel(body, self.context)
 
 
 # ---------------------------------------------------------------------------
@@ -473,12 +520,7 @@ def subformulas(f: Formula):
     while stack:
         g = stack.pop()
         yield g
-        match g:
-            case Not(body) | Know(_, _, body) | Poss(_, _, body) | Rel(body, _):
-                stack.append(body)
-            case And(l, r) | Or(l, r) | Imp(l, r) | Iff(l, r):
-                stack.append(r)
-                stack.append(l)
+        stack.extend(reversed(g.children()))
 
 
 def node_count(f: Formula) -> int:
@@ -497,23 +539,18 @@ def formula_info(f: Formula) -> FormulaInfo:
     while stack:
         g, d = stack.pop()
         match g:
-            case Atom(name):
-                atoms.add(name)
+            case Atom():
+                atoms.add(g.name)
                 if d > depth:
                     depth = d
-            case Not(body):
-                stack.append((body, d))
-            case And(l, r) | Or(l, r) | Imp(l, r) | Iff(l, r):
-                stack.append((r, d))
-                stack.append((l, d))
-            case Know(agent, _, body) | Poss(agent, _, body):
-                agents.add(agent)
-                stack.append((body, d + 1))
-            case Rel(body, context):
-                contexts.add(context)
-                stack.append((body, d))
-            case _:
-                raise TypeError(f"not a formula: {g!r}")
+                continue
+            case Know() | Poss():
+                agents.add(g.agent)
+                d += 1
+            case Rel():
+                contexts.add(g.context)
+        for k in reversed(g.children()):
+            stack.append((k, d))
     return FormulaInfo(
         atoms=frozenset(atoms),
         agents=frozenset(agents),

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from celogic import reduction
 from celogic.epistemology import SUITE_ROWS
 from celogic.kripke import ContextEnv, enumerate_models, satisfies
 from celogic.reduction import (
@@ -27,6 +28,7 @@ from celogic.syntax import (
     parse_context,
     parse_formula,
     render_formula,
+    subformulas,
 )
 
 from corpus import cross_semantics_corpus, hygiene_corpus, random_formula
@@ -139,6 +141,20 @@ class TestReduceResult:
 
     def test_plain_input_is_returned_as_is(self):
         f = parse_formula("K{i,1.1} a -> a & ~b")
+        assert reduce_result(f) is f
+
+    def test_plain_input_works_out_no_budget(self, monkeypatch):
+        # the budget walks the whole formula; input without a relativization
+        # is never rewritten and so must not pay for that walk
+        def no_count(f):
+            raise AssertionError("node_count called on relativization-free input")
+
+        monkeypatch.setattr(reduction, "node_count", no_count)
+        f = next(
+            g
+            for g in hygiene_corpus()
+            if not any(isinstance(h, Rel) for h in subformulas(g))
+        )
         assert reduce_result(f) is f
 
     def test_untagged_operator_under_relativization(self):

@@ -1,4 +1,8 @@
+import dataclasses
+import hashlib
+import json
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -19,6 +23,7 @@ from celogic.syntax import (
     Rel,
     TOP,
     Formula,
+    UntaggedOperatorError,
     formula_info,
     make_context,
     node_count,
@@ -28,6 +33,10 @@ from celogic.syntax import (
     render_formula,
     subformulas,
 )
+
+from celogic import cli, dialogue
+from celogic.epistemology import PRESETS, SUITE_ROWS, apply_preset
+from celogic.reduction import reduce_full
 
 from corpus import cross_semantics_corpus, hygiene_corpus, random_formula
 
@@ -264,3 +273,90 @@ class TestFormulaInfo:
         from celogic.reduction import needed_context_names
 
         assert "ck" in needed_context_names(f)
+
+
+def _pinned_corpus() -> list[Formula]:
+    suite = [parse_formula(row.formula) for row in SUITE_ROWS]
+    return hygiene_corpus() + cross_semantics_corpus() + suite
+
+
+def _untagged(f: Formula) -> Formula:
+    """f with every K/P variant tag dropped."""
+    return parse_formula(
+        re.sub(r"\{(\w+),[12]\.[12]\}", r"{\1}", render_formula(f))
+    )
+
+
+def _walk_record(f: Formula) -> list:
+    u = _untagged(f)
+    try:
+        dialogue.initial_state(u)
+        untagged_error = False
+    except UntaggedOperatorError:
+        untagged_error = True
+    return [
+        reduce_full(f).to_json(),
+        cli._ast_dump(f),
+        cli._ast_json(f),
+        render_formula(dialogue.game_form(f)),
+        [render_formula(apply_preset(u, p)[0]) for p in PRESETS.values()],
+        untagged_error,
+    ]
+
+
+# sha256 over json.dumps(_walk_record(f)) on _pinned_corpus(): the outputs
+# of every structural walker (reduction trace, AST dumps, game form, preset
+# retagging, the untagged-under-relativization check), byte for byte.
+STRUCTURAL_WALKS_SHA256 = "73349610e3049a1c9186dc9302da9a6a6a0b08fba75cef238924fa3a7d24e3eb"
+
+
+def test_structural_walks_are_pinned():
+    digest = hashlib.sha256()
+    for f in _pinned_corpus():
+        digest.update(json.dumps(_walk_record(f)).encode())
+    assert digest.hexdigest() == STRUCTURAL_WALKS_SHA256
+
+
+_P, _Q, _R = Atom("p"), Atom("q"), Atom("r")
+
+# one case per node kind: the node, the index of the child to change to r,
+# and the node built by hand with that child changed
+_REBUILDS = [
+    (Not(_P), 0, Not(_R)),
+    (And(_P, _Q), 1, And(_P, _R)),
+    (Or(_P, _Q), 0, Or(_R, _Q)),
+    (Imp(_P, _Q), 1, Imp(_P, _R)),
+    (Iff(_P, _Q), 0, Iff(_R, _Q)),
+    (Know("i", "1.2", _P), 0, Know("i", "1.2", _R)),
+    (Poss("j", "2.1", _P), 0, Poss("j", "2.1", _R)),
+    (Rel(_P, "ci"), 0, Rel(_R, "ci")),
+]
+_KINDS = [type(c[0]).__name__ for c in _REBUILDS]
+
+
+class TestNodeProtocol:
+    @pytest.mark.parametrize(
+        "node", [_P] + [c[0] for c in _REBUILDS], ids=["Atom"] + _KINDS
+    )
+    def test_rebuild_from_its_own_children_is_the_node(self, node):
+        assert node.rebuild(*node.children()) is node
+
+    @pytest.mark.parametrize("node, index, expected", _REBUILDS, ids=_KINDS)
+    def test_rebuild_with_one_changed_child(self, node, index, expected):
+        kids = list(node.children())
+        kids[index] = _R
+        new = node.rebuild(*kids)
+        assert type(new) is type(node)
+        assert new == expected
+        assert new.children() == tuple(kids)
+        for field in dataclasses.fields(node):
+            if not isinstance(getattr(node, field.name), Formula):
+                assert getattr(new, field.name) == getattr(node, field.name)
+
+    def test_atom_has_no_children(self):
+        assert _P.children() == ()
+
+    def test_every_subtree_of_the_corpora_rebuilds_to_itself(self):
+        for f in _pinned_corpus():
+            for g in subformulas(f):
+                assert g.rebuild(*g.children()) is g
