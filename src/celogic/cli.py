@@ -21,7 +21,7 @@ from .kripke import (
     satisfies,
 )
 from .prove import Invalid, Valid, prove_cel, verdict_to_json
-from .reduction import ReductionBudgetError, reduce_full
+from .reduction import ReductionBudgetError, needed_context_names, reduce_full
 from .epistemology import run_suite
 from .syntax import (
     Atom,
@@ -68,10 +68,6 @@ def _load_model(path: str) -> KripkeModel:
     return model
 
 
-def _parse(text: str, default_variant: str) -> Formula:
-    return parse_formula(text, default_variant)
-
-
 def _ast_dump(f: Formula, indent: int = 0) -> str:
     match f:
         case Atom(name):
@@ -104,7 +100,7 @@ def _ast_json(f: Formula) -> dict:
 
 
 def _cmd_parse(args) -> int:
-    f = _parse(args.formula, args.default_variant)
+    f = parse_formula(args.formula, args.default_variant)
     if args.format == "json":
         print(json.dumps(_ast_json(f), indent=2))
     else:
@@ -113,11 +109,9 @@ def _cmd_parse(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    f = _parse(args.formula, args.default_variant)
+    f = parse_formula(args.formula, args.default_variant)
     model = _load_model(args.model)
     env = _load_env(args.env)
-    from .reduction import needed_context_names
-
     value = satisfies(model, args.world, env.completed(needed_context_names(f)), f)
     if args.format == "json":
         print(json.dumps({"world": args.world, "value": value}))
@@ -127,7 +121,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_reduce(args) -> int:
-    f = _parse(args.formula, args.default_variant)
+    f = parse_formula(args.formula, args.default_variant)
     trace = reduce_full(f)
     if args.format == "json":
         print(json.dumps({"steps": trace.to_json(), "result": render_formula(trace.result)}, indent=2))
@@ -141,7 +135,7 @@ def _cmd_reduce(args) -> int:
 
 
 def _cmd_prove(args) -> int:
-    f = _parse(args.formula, args.default_variant)
+    f = parse_formula(args.formula, args.default_variant)
     env = _load_env(args.env)
     verdict = prove_cel(f, env)
     if args.format == "json":
@@ -161,7 +155,7 @@ def _cmd_prove(args) -> int:
 
 
 def _cmd_dialogue(args) -> int:
-    f = _parse(args.formula, args.default_variant)
+    f = parse_formula(args.formula, args.default_variant)
     env = _load_env(args.env)
     budget = args.budget or dlg.DEFAULT_SEARCH_BUDGET
     result = dlg.has_winning_strategy(f, env, budget=budget)
@@ -182,7 +176,7 @@ def _cmd_dialogue(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    f = _parse(args.formula, args.default_variant)
+    f = parse_formula(args.formula, args.default_variant)
     env = _load_env(args.env)
     found = find_countermodel(f, env, max_worlds=args.max_worlds)
     if found is None:
@@ -267,14 +261,19 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
-    if getattr(args, "budget", None) is None and hasattr(args, "budget"):
+    if hasattr(args, "budget"):
+        source = "--budget"
         env_budget = os.environ.get("CEL_BUDGET")
-        if env_budget is not None:
+        if args.budget is None and env_budget is not None:
+            source = "CEL_BUDGET"
             try:
                 args.budget = int(env_budget)
             except ValueError:
                 print("error: CEL_BUDGET must be an integer", file=sys.stderr)
                 return EXIT_USAGE
+        if args.budget is not None and args.budget < 1:
+            print(f"error: {source} must be a positive integer", file=sys.stderr)
+            return EXIT_USAGE
     try:
         return args.fn(args)
     except (dlg.BudgetExhaustedError, ReductionBudgetError) as exc:

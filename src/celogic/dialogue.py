@@ -41,6 +41,7 @@ from dataclasses import dataclass, field
 from typing import Iterable
 
 from .kripke import ContextEnv
+from .reduction import needed_context_names, primitive_form
 from .syntax import (
     And,
     Atom,
@@ -52,7 +53,6 @@ from .syntax import (
     Or,
     Poss,
     Rel,
-    UntaggedOperatorError,
     agent_context,
     formula_info,
     parse_formula,
@@ -191,25 +191,25 @@ def move_from_json(data: dict, agents: Iterable[str]) -> Move:
 # ---------------------------------------------------------------------------
 # Game formulas
 
-# Equivalences are played as the conjunction of both implications, and a
-# relativized possibility operator as its relativized knowledge dual; both
-# match the compilation rules, so the game and the model semantics agree.
+# Equivalences are played as both implications, and a relativized
+# possibility operator as its relativized knowledge dual: the reduction's own
+# derived-iff and derived-poss expansions (primitive_form), so the game and
+# the model semantics agree. Unrelativized P keeps its own particle rule.
 
 
 def game_form(f: Formula) -> Formula:
     g = f.rebuild(*map(game_form, f.children()))
     match g:
-        case Iff(a, b):
-            return And(Imp(a, b), Imp(b, a))
+        case Iff():
+            return primitive_form(g)
         case Rel(Poss() as body, context):
-            return _rel(body, context)
+            return Rel(primitive_form(body), context)
     return g
 
 
 def _rel(body: Formula, context: str) -> Formula:
-    if isinstance(body, Poss):
-        return Rel(Not(Know(body.agent, body.variant, Not(body.body))), context)
-    return Rel(body, context)
+    # body is part of a game form, so primitive_form only expands a P
+    return Rel(primitive_form(body), context)
 
 
 # ---------------------------------------------------------------------------
@@ -262,10 +262,7 @@ def initial_state(
 ) -> GameState:
     env = env or ContextEnv()
     normalized = game_form(thesis)
-    if _untagged_under_rel(normalized, False):
-        raise UntaggedOperatorError(
-            "dialogue theses need variant tags on operators under relativization"
-        )
+    needed_context_names(normalized)  # raises UntaggedOperatorError if untagged
     info = formula_info(normalized)
     ctx_names = set(info.contexts) | {agent_context(a) for a in info.agents}
     ctx_names |= set(env.bindings)
@@ -290,13 +287,6 @@ def initial_state(
         rights_used=frozenset(),
         answered=frozenset(),
     )
-
-
-def _untagged_under_rel(f: Formula, under: bool) -> bool:
-    if under and isinstance(f, (Know, Poss)) and f.variant is None:
-        return True
-    under = under or isinstance(f, Rel)
-    return any(_untagged_under_rel(g, under) for g in f.children())
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .dialogue import has_winning_strategy
+from .dialogue import DEFAULT_SEARCH_BUDGET, has_winning_strategy
 from .kripke import ContextEnv
 from .prove import Valid, prove_cel
 from .reduction import needed_context_names
@@ -243,8 +243,6 @@ def run_suite(budget: int | None = None) -> SuiteReport:
     Every row runs under the fresh-atom context policy, so each verdict is a
     schema verdict. Mismatches are reported, not raised.
     """
-    from .dialogue import DEFAULT_SEARCH_BUDGET
-
     budget = budget or DEFAULT_SEARCH_BUDGET
     rows = []
     for row in SUITE_ROWS:

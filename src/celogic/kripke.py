@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 from typing import Callable, Iterator
 
+from .reduction import needed_context_names
 from .syntax import (
     And,
     Atom,
@@ -493,8 +494,6 @@ def find_countermodel(
     validity. Agents and atoms default to those of the formula, plus the
     atoms needed to stand in for its (resolved) contexts.
     """
-    from .reduction import needed_context_names
-
     env = env or ContextEnv()
     info = formula_info(f)
     needed = needed_context_names(f)

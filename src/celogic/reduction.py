@@ -10,11 +10,13 @@ Disjunction, implication, equivalence and the possibility dual have no named
 rewrite schema of their own; their forms are derived from the game rules for
 relativized formulas and are tagged "derived-*" in traces.
 
-Two entry points share the one rewrite table, ``_rewrite_redex``.
-``reduce_full`` gives the canonical step trace; it searches for each redex
-from the root again and so takes time quadratic in the number of steps.
-``reduce_result`` gives only the normal form, in one top-down pass, and is
-the path ``prove_cel`` uses.
+The schemata are stated once, in ``_rewrite_redex`` (``primitive_form``
+holds the two derived expansions the dialogue game shares). One top-down
+pass, ``_reduce``, applies them for every entry point: ``reduce_full``
+records the canonical step trace, ``reduce_result`` (used by ``prove_cel``)
+gives only the normal form, and ``reduce_once`` stops after one step. No
+redex is searched for from the root, so a recorded step costs time in the
+depth of the formula, not its size.
 """
 
 from __future__ import annotations
@@ -106,87 +108,100 @@ def _rewrite_redex(body: Formula, c: str) -> tuple[Formula, str]:
             return Imp(Atom(c), Or(Rel(l, c), Rel(r, c))), "derived-or"
         case Imp(l, r):
             return Imp(Atom(c), Imp(Rel(l, c), Rel(r, c))), "derived-imp"
-        case Iff(l, r):
-            return Rel(And(Imp(l, r), Imp(r, l)), c), "derived-iff"
-        case Poss(agent, variant, inner):
-            return Rel(Not(Know(agent, variant, Not(inner))), c), "derived-poss"
+        case Iff():
+            return Rel(primitive_form(body), c), "derived-iff"
+        case Poss():
+            return Rel(primitive_form(body), c), "derived-poss"
     raise TypeError(f"not a formula: {body!r}")
 
 
-def _find_redex(f: Formula, path: tuple[int, ...]):
-    """Leftmost-outermost Rel node: preorder, node before children."""
-    if isinstance(f, Rel):
-        return f, path
-    for i, child in enumerate(f.children()):
-        found = _find_redex(child, path + (i,))
-        if found is not None:
-            return found
-    return None
+def primitive_form(f: Formula) -> Formula:
+    """An equivalence as both implications, a possibility operator as its
+    knowledge dual ``~K~``; any other node as it is."""
+    match f:
+        case Iff(l, r):
+            return And(Imp(l, r), Imp(r, l))
+        case Poss(agent, variant, body):
+            return Not(Know(agent, variant, Not(body)))
+    return f
+
+
+def _reduce(
+    f: Formula, step_budget: int | None, trace: list[ReductionStep] | None
+) -> Formula:
+    """The normal form of f, in one leftmost-outermost pass.
+
+    A Rel node is rewritten until it is not a Rel, then its children are
+    reduced left to right; all that precedes a node in preorder is then
+    Rel-free, so each rewrite is at the leftmost-outermost redex. Steps are
+    appended to ``trace`` if given. More than ``step_budget`` rewrites
+    (default ``4 * node_count(f) ** 2``, worked out at the first rewrite)
+    raise ReductionBudgetError. Rel-free subtrees are kept, not copied.
+    """
+    steps = 0
+
+    def rewrite(g: Rel) -> tuple[Formula, str]:
+        nonlocal steps, step_budget
+        rewritten = _rewrite_redex(g.body, g.context)
+        if step_budget is None:
+            step_budget = 4 * node_count(f) ** 2
+        if steps == step_budget:
+            raise ReductionBudgetError(
+                f"no fixpoint within {step_budget} steps; derived-iff doubles"
+                " both operands, so equivalences nested under one"
+                " relativization grow exponentially"
+            )
+        steps += 1
+        return rewritten
+
+    if trace is None:
+
+        def go(g: Formula) -> Formula:
+            while isinstance(g, Rel):
+                g, _ = rewrite(g)
+            return g.rebuild(*map(go, g.children()))
+
+        return go(f)
+
+    path: list[int] = []
+
+    def record(g: Formula) -> None:
+        while isinstance(g, Rel):
+            g, axiom = rewrite(g)
+            before = trace[-1].after if trace else f
+            at = tuple(path)
+            trace.append(ReductionStep(before, axiom, at, _replace(before, at, g)))
+        for i, child in enumerate(g.children()):
+            path.append(i)
+            record(child)
+            path.pop()
+
+    record(f)
+    return trace[-1].after if trace else f
+
+
+def reduce_full(f: Formula, step_budget: int | None = None) -> ReductionTrace:
+    """The relativization-free normal form of f, with its step trace."""
+    steps: list[ReductionStep] = []
+    result = _reduce(f, step_budget, steps)
+    return ReductionTrace(tuple(steps), result)
+
+
+def reduce_result(f: Formula) -> Formula:
+    """The normal form ``reduce_full(f).result``, without the trace; it
+    raises the same errors."""
+    return _reduce(f, None, None)
 
 
 def reduce_once(f: Formula) -> tuple[Formula, str, tuple[int, ...]] | None:
     """Rewrite the leftmost-outermost relativization; None if f has none."""
-    found = _find_redex(f, ())
-    if found is None:
-        return None
-    redex, path = found
-    rewritten, axiom = _rewrite_redex(redex.body, redex.context)
-    return _replace(f, path, rewritten), axiom, path
-
-
-def _default_step_budget(f: Formula) -> int:
-    return 4 * node_count(f) ** 2
-
-
-def _budget_error(step_budget: int) -> ReductionBudgetError:
-    return ReductionBudgetError(
-        f"no fixpoint within {step_budget} steps; derived-iff doubles both"
-        " operands, so equivalences nested under one relativization grow"
-        " exponentially"
-    )
-
-
-def reduce_full(f: Formula, step_budget: int | None = None) -> ReductionTrace:
-    """Iterate reduce_once to the relativization-free fixpoint, with trace."""
-    if step_budget is None:
-        step_budget = _default_step_budget(f)
     steps: list[ReductionStep] = []
-    current = f
-    for _ in range(step_budget + 1):
-        result = reduce_once(current)
-        if result is None:
-            return ReductionTrace(tuple(steps), current)
-        after, axiom, path = result
-        steps.append(ReductionStep(current, axiom, path, after))
-        current = after
-    raise _budget_error(step_budget)
-
-
-def reduce_result(f: Formula) -> Formula:
-    """The normal form ``reduce_full(f).result``, in one top-down pass.
-
-    A Rel node is rewritten until it is not a Rel, then its children are
-    reduced left to right. Rewrites at disjoint positions commute, so this
-    applies the same rewrites as the leftmost-outermost trace and reaches
-    the same formula; it also raises the same errors, including
-    ReductionBudgetError after the default step budget. Subtrees free of
-    relativization are returned as they are, not copied.
-    """
-    step_budget = 0  # worked out at the first rewrite; Rel-free input needs none
-    steps = 0
-
-    def go(g: Formula) -> Formula:
-        nonlocal steps, step_budget
-        while isinstance(g, Rel):
-            if not steps:
-                step_budget = _default_step_budget(f)
-            g, _ = _rewrite_redex(g.body, g.context)
-            steps += 1
-            if steps > step_budget:
-                raise _budget_error(step_budget)
-        return g.rebuild(*map(go, g.children()))
-
-    return go(f)
+    try:
+        _reduce(f, 1, steps)
+    except (ReductionBudgetError, UntaggedOperatorError):
+        if not steps:  # an error at the second redex is the next step's
+            raise
+    return (steps[0].after, steps[0].axiom, steps[0].path) if steps else None
 
 
 def reduction_measure(f: Formula) -> int:
@@ -214,38 +229,24 @@ def reduction_measure(f: Formula) -> int:
 def needed_context_names(f: Formula) -> frozenset[str]:
     """Context names that appear as guards somewhere along f's reduction.
 
-    Computed structurally (mirroring the rewrite rules) so it works without
-    running the reduction; includes the agent contexts implied by variant
-    tags under relativization.
+    Found in one walk that carries the relativizing context, without running
+    the reduction: every Rel's name, and under a Rel both context names a
+    knowledge or possibility operator's variant tag picks.
     """
     out: set[str] = set()
 
-    def go(g: Formula):
-        match g:
-            case Rel(body, c):
-                under(body, c)
-            case _:
-                for child in g.children():
-                    go(child)
+    def go(g: Formula, current: str | None) -> None:
+        if isinstance(g, Rel):
+            out.add(g.context)
+            go(g.body, g.context)
+        elif current is not None and isinstance(g, (Know, Poss)):
+            cx, cy = variant_contexts_names(g.variant, current, g.agent)
+            out.add(cx)
+            out.add(cy)
+            go(g.body, cy)
+        else:
+            for child in g.children():
+                go(child, current)
 
-    def under(body: Formula, c: str):
-        out.add(c)
-        match body:
-            case Atom(_):
-                pass
-            case Rel(inner, k):
-                under(inner, k)
-            case Not(inner):
-                under(inner, c)
-            case And(l, r) | Or(l, r) | Imp(l, r) | Iff(l, r):
-                under(l, c)
-                under(r, c)
-            case Know(agent, variant, inner):
-                cx, cy = variant_contexts_names(variant, c, agent)
-                out.add(cx)
-                under(inner, cy)
-            case Poss(agent, variant, inner):
-                under(Not(Know(agent, variant, Not(inner))), c)
-
-    go(f)
+    go(f, None)
     return frozenset(out)

@@ -192,6 +192,23 @@ class TestDialogue:
         code, _, _ = run(capsys, "dialogue", "K{i,1.1} a -> K{i,1.1} K{i,1.1} a")
         assert code == 3
 
+    @pytest.mark.parametrize("budget", ["0", "-5"])
+    def test_non_positive_budget_is_a_usage_error(self, capsys, budget):
+        code, out, err = run(capsys, "dialogue", "--budget", budget, "p -> p")
+        assert code == 2
+        assert out == ""
+        assert err == "error: --budget must be a positive integer\n"
+
+    @pytest.mark.parametrize("budget", ["0", "-5"])
+    def test_non_positive_budget_env_variable_is_a_usage_error(
+        self, capsys, monkeypatch, budget
+    ):
+        monkeypatch.setenv("CEL_BUDGET", budget)
+        code, out, err = run(capsys, "dialogue", "p -> p")
+        assert code == 2
+        assert out == ""
+        assert err == "error: CEL_BUDGET must be a positive integer\n"
+
 
 class TestOracle:
     def test_found_countermodel_exits_one(self, capsys):
@@ -211,6 +228,12 @@ class TestSuite:
         code, out, _ = run(capsys, "suite")
         assert code == 0
         assert "all verdicts agree" in out
+
+    def test_non_positive_budget_is_a_usage_error(self, capsys):
+        code, out, err = run(capsys, "suite", "--budget", "0")
+        assert code == 2
+        assert out == ""
+        assert err == "error: --budget must be a positive integer\n"
 
     def test_suite_json(self, capsys):
         code, out, _ = run(capsys, "--format", "json", "suite")

@@ -18,20 +18,179 @@ from celogic.reduction import (
     reduction_measure,
 )
 from celogic.syntax import (
+    And,
     Atom,
     Iff,
     Imp,
     Know,
+    Not,
+    Or,
+    Poss,
     Rel,
     UntaggedOperatorError,
     formula_info,
+    node_count,
     parse_context,
     parse_formula,
     render_formula,
     subformulas,
+    variant_contexts_names,
 )
 
 from corpus import cross_semantics_corpus, hygiene_corpus, random_formula
+
+
+# ---------------------------------------------------------------------------
+# Reference implementations, kept to compare the one reduction pass against:
+# a search for the leftmost-outermost redex from the root at every step, and
+# a context walk that restates the rewrite rules. The reduction references
+# apply the library's rewrite table, so they check the order of the steps
+# and the budget, not the schemata.
+
+
+def _reference_find_redex(f, path):
+    if isinstance(f, Rel):
+        return f, path
+    for i, child in enumerate(f.children()):
+        found = _reference_find_redex(child, path + (i,))
+        if found is not None:
+            return found
+    return None
+
+
+def reference_reduce_once(f):
+    found = _reference_find_redex(f, ())
+    if found is None:
+        return None
+    redex, path = found
+    rewritten, axiom = reduction._rewrite_redex(redex.body, redex.context)
+    return reduction._replace(f, path, rewritten), axiom, path
+
+
+def reference_reduce_full(f, step_budget=None):
+    """(steps, result) as (before, axiom, path, after) tuples."""
+    if step_budget is None:
+        step_budget = 4 * node_count(f) ** 2
+    steps = []
+    current = f
+    for _ in range(step_budget + 1):
+        result = reference_reduce_once(current)
+        if result is None:
+            return steps, current
+        after, axiom, path = result
+        steps.append((current, axiom, path, after))
+        current = after
+    raise ReductionBudgetError(
+        f"no fixpoint within {step_budget} steps; derived-iff doubles both"
+        " operands, so equivalences nested under one relativization grow"
+        " exponentially"
+    )
+
+
+def reference_needed_context_names(f):
+    out = set()
+
+    def go(g):
+        match g:
+            case Rel(body, c):
+                under(body, c)
+            case _:
+                for child in g.children():
+                    go(child)
+
+    def under(body, c):
+        out.add(c)
+        match body:
+            case Atom(_):
+                pass
+            case Rel(inner, k):
+                under(inner, k)
+            case Not(inner):
+                under(inner, c)
+            case And(l, r) | Or(l, r) | Imp(l, r) | Iff(l, r):
+                under(l, c)
+                under(r, c)
+            case Know(agent, variant, inner):
+                cx, cy = variant_contexts_names(variant, c, agent)
+                out.add(cx)
+                under(inner, cy)
+            case Poss(agent, variant, inner):
+                under(Not(Know(agent, variant, Not(inner))), c)
+
+    go(f)
+    return frozenset(out)
+
+
+def _outcome(fn):
+    """fn's value, or its error type and message."""
+    try:
+        return "value", fn()
+    except Exception as exc:  # compared, never swallowed
+        return type(exc).__name__, str(exc)
+
+
+def _step_tuples(trace):
+    return [(s.before, s.axiom, s.path, s.after) for s in trace.steps], trace.result
+
+
+def assert_matches_reference(f):
+    expected = _outcome(lambda: reference_reduce_full(f))
+    assert _outcome(lambda: _step_tuples(reduce_full(f))) == expected
+    assert _outcome(lambda: reduce_once(f)) == _outcome(
+        lambda: reference_reduce_once(f)
+    )
+    if expected[0] == "value":
+        for before, _, _, _ in expected[1][0]:
+            assert reduce_once(before) == reference_reduce_once(before)
+    assert _outcome(lambda: needed_context_names(f)) == _outcome(
+        lambda: reference_needed_context_names(f)
+    )
+
+
+def _corpora():
+    suite = [parse_formula(row.formula) for row in SUITE_ROWS]
+    return hygiene_corpus() + cross_semantics_corpus() + suite
+
+
+class TestAgainstReference:
+    def test_corpora(self):
+        for f in _corpora():
+            assert_matches_reference(f)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "((p & q)^ci)^cj",
+            "(" + " <-> ".join(["p"] * 9) + ")^ci",
+            # an untagged operator at the first redex past the budget: the
+            # rewrite's own error comes before the budget's
+            "(p & K{j} q)^ci",
+        ],
+    )
+    def test_explicit_budgets(self, text):
+        f = parse_formula(text)
+        for budget in range(13):
+            expected = _outcome(lambda: reference_reduce_full(f, budget))
+            assert _outcome(lambda: _step_tuples(reduce_full(f, budget))) == expected
+
+    def test_untagged_operators(self):
+        for text in ["(K{j} p)^ci", "(p & P{i} q)^cj", "~(~P{i} q)^ck", "K{i} (p)^ci"]:
+            assert_matches_reference(parse_formula(text))
+
+    def test_reduce_full_does_not_go_through_reduce_once(self, monkeypatch):
+        def no_once(f):
+            raise AssertionError("reduce_full called reduce_once")
+
+        monkeypatch.setattr(reduction, "reduce_once", no_once)
+        trace = reduce_full(parse_formula("((p & q)^ck)^ci"))
+        assert trace.result == parse_formula("ci -> (ck -> p) & (ck -> q)")
+        assert [s.path for s in trace.steps] == [(), (1,), (1, 0), (1, 1)]
+
+
+@given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(0, 5))
+@settings(max_examples=150, deadline=None)
+def test_matches_reference_property(seed, depth):
+    assert_matches_reference(random_formula(random.Random(seed), depth))
 
 
 class TestReduceOnce:
