@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Exit codes: 0 valid/true/agreement, 1 invalid/false/mismatch, 2 usage or
-input error, 3 search or reduction budget exhausted, or formula nested too
-deeply. Errors go to stderr prefixed with ``error:``.
+input error, 3 search or reduction budget exhausted, oracle model space over
+its ceiling, or formula nested too deeply. Errors go to stderr prefixed with
+``error:``.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import sys
 from . import dialogue as dlg
 from .kripke import (
     ContextEnv,
+    EnumerationCeilingError,
     KripkeModel,
     check_model,
     find_countermodel,
@@ -276,7 +278,9 @@ def main(argv=None) -> int:
             return EXIT_USAGE
     try:
         return args.fn(args)
-    except (dlg.BudgetExhaustedError, ReductionBudgetError) as exc:
+    except (
+        dlg.BudgetExhaustedError, ReductionBudgetError, EnumerationCeilingError
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
     except RecursionError:

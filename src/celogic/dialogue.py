@@ -34,7 +34,6 @@ assertions, attack records and defence records), memoized on the position.
 
 from __future__ import annotations
 
-import json
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, field

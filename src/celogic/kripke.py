@@ -1,16 +1,19 @@
 """Kripke models over agent partitions, direct satisfaction, and the
-brute-force enumeration oracle.
+bounded enumeration oracle.
 
 Relations are stored as partitions (one equivalence class list per agent), so
 reflexivity, symmetry and transitivity hold by construction. Satisfaction is
-evaluated by compiling a formula once into a truth-mask function: each world
-is a bit, each subformula evaluates to an integer bitmask over the model's
-worlds. That keeps bulk oracle sweeps (thousands of models per formula)
-cheap without a second semantics.
+evaluated by compiling a formula once into a truth-mask function: each
+subformula evaluates to an integer bitmask. Over one model (_ModelCtx) bit w
+is world w. Over one frame (_FrameCtx: a world count and a partition per
+agent) bit w*V + v is world w under the v-th of its V valuations, so the
+oracle evaluates each frame once instead of each model (bit-slicing), through
+the same compiled closures rather than a second semantics.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 from typing import Callable, Iterator
 
@@ -221,6 +224,13 @@ def eval_context(model: KripkeModel, world: str, env: ContextEnv, name: str) -> 
 # Mask-compiled satisfaction
 
 
+class _Classes(dict):
+    """Agent -> equivalence classes; asking for a missing agent is an error."""
+
+    def __missing__(self, agent):
+        raise ModelError(f"model lacks agent {agent!r}")
+
+
 class _ModelCtx:
     """Per-model evaluation tables: valuation masks and class masks."""
 
@@ -231,10 +241,52 @@ class _ModelCtx:
         self.val = {
             atom: _mask_of(ws, index) for atom, ws in model.valuation.items()
         }
-        self.classes = {
+        self.classes = _Classes({
             agent: [_mask_of(cl, index) for cl in classes]
             for agent, classes in model.relations.items()
-        }
+        })
+
+    def know(self, classes: list[int], bm: int) -> int:
+        out = 0
+        for cm in classes:
+            if bm & cm == cm:
+                out |= cm
+        return out
+
+    def poss(self, classes: list[int], bm: int) -> int:
+        out = 0
+        for cm in classes:
+            if bm & cm:
+                out |= cm
+        return out
+
+
+class _FrameCtx:
+    """One frame under all its V valuations at once: bit w*V + v is world w
+    under valuation v. A class is held as the offsets w*V of its worlds; Know
+    ANDs the class's V-bit slices and spreads the result back to each."""
+
+    def __init__(self, worlds: tuple, V: int, val: dict[str, int], relations):
+        self.slice = (1 << V) - 1
+        self.full = (1 << len(worlds) * V) - 1
+        self.val = val
+        self.classes = _Classes({
+            agent: [tuple(worlds.index(w) * V for w in cl) for cl in classes]
+            for agent, classes in relations.items()
+        })
+
+    def know(self, classes: list[tuple[int, ...]], bm: int) -> int:
+        out = 0
+        for offsets in classes:
+            a = self.slice
+            for o in offsets:
+                a &= bm >> o
+            for o in offsets:
+                out |= a << o
+        return out
+
+    def poss(self, classes: list[tuple[int, ...]], bm: int) -> int:
+        return self.full & ~self.know(classes, self.full & ~bm)
 
 
 def _mask_of(worlds, index) -> int:
@@ -264,7 +316,8 @@ def _context_mask_fn(env: ContextEnv, name: str) -> Callable[[_ModelCtx], int]:
 
 
 def compile_formula(f: Formula, env: ContextEnv) -> Callable[[_ModelCtx], int]:
-    """Compile a formula into a truth-mask function over model contexts.
+    """Compile a formula into a truth-mask function over evaluation contexts:
+    a _ModelCtx (one model) or a _FrameCtx (one frame, every valuation).
 
     An atom whose name is explicitly bound in the environment denotes its
     context body (this is how context names surviving reduction keep their
@@ -302,32 +355,11 @@ def compile_formula(f: Formula, env: ContextEnv) -> Callable[[_ModelCtx], int]:
                 return lambda ctx: ctx.full & ~(a(ctx) ^ b(ctx))
             case Know(agent, _, body):
                 b = go(body)
-
-                def know(ctx: _ModelCtx, agent=agent, b=b) -> int:
-                    if agent not in ctx.classes:
-                        raise ModelError(f"model lacks agent {agent!r}")
-                    bm = b(ctx)
-                    out = 0
-                    for cm in ctx.classes[agent]:
-                        if bm & cm == cm:
-                            out |= cm
-                    return out
-
-                return know
+                # classes first: a missing agent is reported outermost first
+                return lambda ctx: ctx.know(ctx.classes[agent], b(ctx))
             case Poss(agent, _, body):
                 b = go(body)
-
-                def poss(ctx: _ModelCtx, agent=agent, b=b) -> int:
-                    if agent not in ctx.classes:
-                        raise ModelError(f"model lacks agent {agent!r}")
-                    bm = b(ctx)
-                    out = 0
-                    for cm in ctx.classes[agent]:
-                        if bm & cm:
-                            out |= cm
-                    return out
-
-                return poss
+                return lambda ctx: ctx.poss(ctx.classes[agent], b(ctx))
             case Rel(body, context):
                 return build_rel(body, context)
         raise TypeError(f"not a formula: {g!r}")
@@ -428,6 +460,33 @@ def set_partitions(items: tuple):
     yield from rec(1, 0)
 
 
+def _check_space(max_worlds: int, agents: list, atoms: list, ceiling: int) -> None:
+    if max_worlds < 1:
+        raise ValueError("max_worlds must be at least 1")
+    total = model_space_size(max_worlds, len(agents), len(atoms))
+    if total > ceiling:
+        raise EnumerationCeilingError(
+            f"{total} models exceed the ceiling of {ceiling}"
+        )
+
+
+def _frames(worlds: tuple, agents: list):
+    """Agent -> partition of worlds, each frame in the documented order."""
+    partitions = list(set_partitions(worlds))
+    for chosen in itertools.product(partitions, repeat=len(agents)):
+        yield dict(zip(agents, chosen))
+
+
+def _frame_model(worlds: tuple, relations: dict, atoms: list, v: int) -> KripkeModel:
+    """Valuation v of a frame: atoms[i] holds at world w iff bit
+    n*(k-1-i) + w of v is set, so atoms[0] varies slowest."""
+    n, k = len(worlds), len(atoms)
+    return KripkeModel(worlds, relations, {
+        atom: [w for j, w in enumerate(worlds) if v >> n * (k - 1 - i) + j & 1]
+        for i, atom in enumerate(atoms)
+    })
+
+
 def enumerate_models(
     max_worlds: int,
     agents,
@@ -443,41 +502,31 @@ def enumerate_models(
     """
     agents = list(agents)
     atoms = list(atoms)
-    if max_worlds < 1:
-        raise ValueError("max_worlds must be at least 1")
-    total = model_space_size(max_worlds, len(agents), len(atoms))
-    if total > ceiling:
-        raise EnumerationCeilingError(
-            f"{total} models exceed the ceiling of {ceiling}"
-        )
+    _check_space(max_worlds, agents, atoms, ceiling)
     for n in range(1, max_worlds + 1):
         worlds = tuple(f"w{i + 1}" for i in range(n))
-        partitions = list(set_partitions(worlds))
-        yield from _models_for(worlds, agents, atoms, partitions)
+        for relations in _frames(worlds, agents):
+            for v in range(1 << n * len(atoms)):
+                yield _frame_model(worlds, relations, atoms, v)
 
 
-def _models_for(worlds, agents, atoms, partitions):
-    n = len(worlds)
+def _atom_masks(n: int, atoms: list) -> tuple[int, dict[str, int]]:
+    """V = 2**(n*k) and each atom's _FrameCtx mask, in _frame_model's layout.
 
-    def rec_agents(i: int, chosen):
-        if i == len(agents):
-            yield from rec_atoms(dict(zip(agents, chosen)))
-            return
-        for p in partitions:
-            yield from rec_agents(i + 1, chosen + [p])
-
-    def rec_atoms(relations):
-        def rec(i: int, val):
-            if i == len(atoms):
-                yield KripkeModel(worlds, relations, dict(val))
-                return
-            for mask in range(1 << n):
-                ws = frozenset(w for j, w in enumerate(worlds) if mask >> j & 1)
-                yield from rec(i + 1, val + [(atoms[i], ws)])
-
-        yield from rec(0, [])
-
-    yield from rec_agents(0, [])
+    Over v, bit b of v is runs of p = 2**b zeros then p ones: one period,
+    doubled until it spans V bits.
+    """
+    V = 1 << n * len(atoms)
+    val = {}
+    for i, atom in enumerate(atoms):
+        val[atom] = 0
+        for w in range(n):
+            p = 1 << n * (len(atoms) - 1 - i) + w
+            m, width = ((1 << p) - 1) << p, 2 * p
+            while width < V:
+                m, width = m | m << width, 2 * width
+            val[atom] |= m << w * V
+    return V, val
 
 
 def find_countermodel(
@@ -488,7 +537,13 @@ def find_countermodel(
     atoms=None,
     ceiling: int = DEFAULT_ENUMERATION_CEILING,
 ) -> tuple[KripkeModel, str] | None:
-    """First (model, world) falsifying f, scanning the documented order.
+    """First (model, world) falsifying f in enumerate_models' order.
+
+    Scans frames, not models: world count ascending, then one partition per
+    agent (agents cycling fastest on the right), each frame evaluated once
+    over all its V valuations, bit w*V + v for world w under valuation v.
+    The answer is the first frame's lowest failing valuation, then the lowest
+    failing world under it: the first hit a scan model by model would give.
 
     None means no counter-model within the bound; that does not certify
     validity. Agents and atoms default to those of the formula, plus the
@@ -504,13 +559,19 @@ def find_countermodel(
         for name in needed:
             atom_set |= {a for a, _ in env.resolve(name).literals}
         atoms = sorted(atom_set)
-    full_env = env.completed(needed)
-    fn = compile_formula(f, full_env)
-    for model in enumerate_models(max_worlds, agents, atoms, ceiling=ceiling):
-        mask = fn(_ModelCtx(model))
-        full = (1 << len(model.worlds)) - 1
-        if mask != full:
-            for i, w in enumerate(model.worlds):
-                if not mask >> i & 1:
-                    return model, w
+    agents, atoms = list(agents), list(atoms)
+    fn = compile_formula(f, env.completed(needed))
+    _check_space(max_worlds, agents, atoms, ceiling)
+    for n in range(1, max_worlds + 1):
+        worlds = tuple(f"w{i + 1}" for i in range(n))
+        V, val = _atom_masks(n, atoms)
+        for relations in _frames(worlds, agents):
+            ctx = _FrameCtx(worlds, V, val, relations)
+            fail = ctx.full & ~fn(ctx)
+            if fail:
+                # lowest failing valuation, then the lowest world failing in it
+                slices = [fail >> w * V & ctx.slice for w in range(n)]
+                v = min((s & -s).bit_length() - 1 for s in slices if s)
+                w = next(w for w, s in enumerate(slices) if s >> v & 1)
+                return _frame_model(worlds, relations, atoms, v), worlds[w]
     return None

@@ -222,6 +222,15 @@ class TestOracle:
         assert code == 0
         assert "no counter-model" in out
 
+    def test_model_space_over_the_ceiling_exits_three(self, capsys):
+        code, out, err = run(
+            capsys, "oracle", "K{i,1.1} p & K{j,1.1} q & r -> s", "--max-worlds", "5"
+        )
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: ") and "exceed the ceiling" in err
+        assert err.count("\n") == 1
+
 
 class TestSuite:
     def test_suite_agreement_exits_zero(self, capsys):

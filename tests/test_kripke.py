@@ -2,21 +2,32 @@ import itertools
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from celogic.epistemology import SUITE_ROWS
 from celogic.kripke import (
+    DEFAULT_ENUMERATION_CEILING,
     ContextEnv,
     EnumerationCeilingError,
     KripkeModel,
+    ModelError,
     UnresolvedContextError,
+    _FrameCtx,
+    _ModelCtx,
+    _atom_masks,
     bell_number,
     check_model,
+    compile_formula,
     enumerate_models,
     eval_context,
     find_countermodel,
     model_space_size,
     satisfies,
     set_partitions,
+    truth_mask,
 )
+from celogic.reduction import needed_context_names
 from celogic.syntax import (
     Atom,
     BOT,
@@ -25,11 +36,12 @@ from celogic.syntax import (
     Not,
     Poss,
     TOP,
+    formula_info,
     parse_context,
     parse_formula,
 )
 
-from corpus import random_formula
+from corpus import cross_semantics_corpus, random_formula
 import random
 
 
@@ -226,3 +238,191 @@ def test_cross_semantics_spot_sample():
         for m in models:
             for w in m.worlds:
                 assert satisfies(m, w, env, f) == satisfies(m, w, env, g)
+
+
+# ---------------------------------------------------------------------------
+# The frame scan against the model-by-model scan it replaced
+
+
+def reference_models(max_worlds, agents, atoms):
+    """enumerate_models as it was written before it shared _frame_model with
+    the oracle: recursion over agents' partitions, then atoms' bitmasks."""
+    for n in range(1, max_worlds + 1):
+        worlds = tuple(f"w{i + 1}" for i in range(n))
+        partitions = list(set_partitions(worlds))
+
+        def rec_atoms(relations, i, val):
+            if i == len(atoms):
+                yield KripkeModel(worlds, relations, dict(val))
+                return
+            for mask in range(1 << n):
+                ws = frozenset(w for j, w in enumerate(worlds) if mask >> j & 1)
+                yield from rec_atoms(relations, i + 1, val + [(atoms[i], ws)])
+
+        for chosen in itertools.product(partitions, repeat=len(agents)):
+            yield from rec_atoms(dict(zip(agents, chosen)), 0, [])
+
+
+def oracle_signature(f, env):
+    """The agents and atoms find_countermodel scans by default."""
+    atoms = set(formula_info(f).atoms)
+    for name in needed_context_names(f):
+        atoms |= {a for a, _ in env.resolve(name).literals}
+    return sorted(formula_info(f).agents), sorted(atoms)
+
+
+def reference_find_countermodel(
+    f, env=None, max_worlds=3, agents=None, atoms=None,
+    ceiling=DEFAULT_ENUMERATION_CEILING,
+):
+    """The per-model scan: every model in order, the lowest failing world."""
+    env = env or ContextEnv()
+    default_agents, default_atoms = oracle_signature(f, env)
+    agents = default_agents if agents is None else agents
+    atoms = default_atoms if atoms is None else atoms
+    fn = compile_formula(f, env.completed(needed_context_names(f)))
+    for model in enumerate_models(max_worlds, agents, atoms, ceiling=ceiling):
+        mask = fn(_ModelCtx(model))
+        for i, w in enumerate(model.worlds):
+            if not mask >> i & 1:
+                return model, w
+    return None
+
+
+def outcome(search, f, **kwargs):
+    try:
+        found = search(f, **kwargs)
+    except (ModelError, EnumerationCeilingError) as exc:
+        return type(exc).__name__, str(exc)
+    return None if found is None else (found[0].to_json(), found[1])
+
+
+def assert_same_as_reference(f, **kwargs):
+    expected = outcome(reference_find_countermodel, f, **kwargs)
+    assert outcome(find_countermodel, f, **kwargs) == expected
+    return expected
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        (1, [], []),
+        (2, [], ["p"]),
+        (3, ["i"], []),
+        (3, ["i", "j"], ["p", "q"]),
+        (2, ["j", "i", "k"], ["b", "a"]),
+        (2, ["i", "i"], ["p", "q", "p"]),
+    ],
+)
+def test_enumerate_models_keeps_the_documented_order(args):
+    assert [m.to_json() for m in enumerate_models(*args)] == [
+        m.to_json() for m in reference_models(*args)
+    ]
+
+
+@pytest.mark.parametrize("max_worlds", [1, 2, 3])
+def test_oracle_matches_the_model_scan_on_the_corpora(max_worlds):
+    formulas = [parse_formula(r.formula) for r in SUITE_ROWS]
+    formulas += cross_semantics_corpus()
+    found = [assert_same_as_reference(f, max_worlds=max_worlds) for f in formulas]
+    # both outcomes occur, so the comparison covers a scan to the end and a hit
+    assert None in found
+    assert any(isinstance(x, tuple) for x in found)
+
+
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+@settings(max_examples=100, deadline=None)
+def test_oracle_matches_the_model_scan_property(seed):
+    f = random_formula(random.Random(seed), 3)
+    assert_same_as_reference(f, max_worlds=2)
+
+
+class TestOracleEdges:
+    def test_an_omitted_agent_is_a_model_error(self):
+        f = parse_formula("K{i,1.1} p -> P{j,1.1} p")
+        found = assert_same_as_reference(f, agents=["i"], max_worlds=2)
+        assert found == ("ModelError", "model lacks agent 'j'")
+
+    def test_the_outermost_missing_agent_is_named(self):
+        f = parse_formula("K{i,1.1} K{j,1.1} p | P{k,1.1} P{j,1.1} p")
+        cases = [([], "i"), (["j"], "i"), (["i"], "j"), (["i", "j"], "k")]
+        for agents, missing in cases:
+            found = assert_same_as_reference(f, agents=agents, max_worlds=2)
+            assert found == ("ModelError", f"model lacks agent {missing!r}")
+        with pytest.raises(ModelError, match="'i'"):
+            satisfies(KripkeModel(["w1"], {}, {}), "w1", ContextEnv(), f)
+
+    def test_an_omitted_atom_is_false_everywhere(self):
+        for text in ["q -> K{i,1.1} p", "p | ~q", "K{i,1.1} (p -> q)"]:
+            assert_same_as_reference(parse_formula(text), atoms=["p"])
+
+    def test_zero_agents(self):
+        assert assert_same_as_reference(parse_formula("p & q -> p")) is None
+        model, world = assert_same_as_reference(parse_formula("p -> q | r"))
+        assert world == "w1" and model["agents"] == {}
+
+    def test_no_atoms(self):
+        f = parse_formula("K{i,1.1} p -> p")
+        assert assert_same_as_reference(f, atoms=[]) is None
+        model, world = assert_same_as_reference(parse_formula("P{i,1.1} p"), atoms=())
+        assert model["valuation"] == {}
+        assert assert_same_as_reference(Atom("c"), env=ContextEnv({"c": TOP})) is None
+        assert assert_same_as_reference(Atom("c"), env=ContextEnv({"c": BOT}))
+
+    def test_the_ceiling_is_the_same(self):
+        f = parse_formula("K{i,1.1} p & K{j,1.1} q -> p & q & (r | ~r)")
+        size = model_space_size(3, 2, 3)
+        assert assert_same_as_reference(f, ceiling=size) is None
+        assert assert_same_as_reference(f, ceiling=size - 1) == (
+            "EnumerationCeilingError",
+            f"{size} models exceed the ceiling of {size - 1}",
+        )
+
+
+def test_frame_mask_layout():
+    """Bit w*V + v of a frame's mask is bit w of the v-th model's mask."""
+    f = parse_formula(
+        "K{i,1.1} (p -> P{j,1.1} (q & K{i,1.1} ~p)) | P{j,1.1} K{i,1.1} q"
+    )
+    env = ContextEnv()
+    fn = compile_formula(f, env)
+    models = [
+        m for m in enumerate_models(3, ["i", "j"], ["p", "q"]) if len(m.worlds) == 3
+    ]
+    V, val = _atom_masks(3, ["p", "q"])
+    assert V == 64 and len(models) == 25 * V
+    seen = set()
+    for start in range(0, len(models), V):
+        frame = models[start : start + V]
+        assert all(m.relations == frame[0].relations for m in frame)
+        mask = fn(_FrameCtx(frame[0].worlds, V, val, frame[0].relations))
+        for v, model in enumerate(frame):
+            expected = truth_mask(model, env, f)
+            for w in range(3):
+                bit = mask >> w * V + v & 1
+                assert bit == expected >> w & 1
+                seen.add(bit)
+    assert seen == {0, 1}
+
+
+def test_suite_rows_at_four_worlds():
+    """Valid rows have no counter-model within four worlds and invalid rows
+    get a falsifying one; a row over the ceiling must say so."""
+    checked = over = 0
+    for row in SUITE_ROWS:
+        f = parse_formula(row.formula)
+        env = ContextEnv()
+        agents, atoms = oracle_signature(f, env)
+        if model_space_size(4, len(agents), len(atoms)) > DEFAULT_ENUMERATION_CEILING:
+            with pytest.raises(EnumerationCeilingError):
+                find_countermodel(f, env, max_worlds=4)
+            over += 1
+            continue
+        found = find_countermodel(f, env, max_worlds=4)
+        if row.expected:
+            assert found is None, row.formula
+        else:
+            full_env = env.completed(needed_context_names(f))
+            assert not satisfies(*found[:2], full_env, f), row.formula
+        checked += 1
+    assert checked > over > 0
