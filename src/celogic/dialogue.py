@@ -221,9 +221,18 @@ class GameRules:
     env_auto: bool
     ctx_names: frozenset[str]
     fresh_cap: int
+    # One game's rules object is shared by all its states, so it also keeps
+    # what follows from the rules alone: the ContextEnv, and the payload
+    # candidates per attacked assertion and per attack record.
+    attack_payloads: dict = field(default_factory=dict, compare=False, repr=False)
+    defence_payloads: dict = field(default_factory=dict, compare=False, repr=False)
+
+    def __post_init__(self):
+        env = ContextEnv(dict(self.env_bindings), auto_bind=self.env_auto)
+        object.__setattr__(self, "_env", env)
 
     def env(self) -> ContextEnv:
-        return ContextEnv(dict(self.env_bindings), auto_bind=self.env_auto)
+        return self._env
 
 
 Assertion = tuple[str, Label, Formula]  # actor, world, formula
@@ -324,10 +333,12 @@ def _fresh_successor(introduced: frozenset[Label], agent: str, world: Label) -> 
 
 def _world_options(state: GameState, actor: str, agent: str, world: Label):
     """Worlds available for an agent-indexed choice at ``world``: the
-    introduced cluster, plus one fresh successor when O still may introduce."""
+    introduced cluster, plus one fresh successor when O still may introduce,
+    in the order of their printed names (the order legal_moves lists them)."""
     options = sorted(_cluster(state.introduced, agent, world))
     if actor == O and state.o_fresh < state.rules.fresh_cap:
         options.append(_fresh_successor(state.introduced, agent, world))
+    options.sort(key=render_label)
     return options
 
 
@@ -378,14 +389,38 @@ def _check_assertable(
 # Particle rules
 
 
+def _payload_sort_key(payload: Payload):
+    if isinstance(payload, AssertPayload):
+        return (0, render_label(payload.label), render_formula(payload.formula))
+    return (1, payload.kind, payload.agent or "", render_label(payload.label or ()))
+
+
 def _attack_payloads(state: GameState, actor: str, target: Assertion):
     """Payload candidates for attacking the target assertion (before the
-    per-record and assertability filters)."""
+    per-record and assertability filters), in the order legal_moves lists
+    them. Only a Know target's candidates depend on the position; the rest
+    are worked out once per game."""
+    _, world, f = target
+    if isinstance(f, Know):
+        return [
+            RequestPayload("?_K", f.agent, w)
+            for w in _world_options(state, actor, f.agent, world)
+        ]
+    cache = state.rules.attack_payloads
+    payloads = cache.get(target)
+    if payloads is None:
+        payloads = _fixed_attack_payloads(state.rules, target)
+        payloads = tuple(sorted(payloads, key=_payload_sort_key))
+        cache[target] = payloads
+    return payloads
+
+
+def _fixed_attack_payloads(rules: GameRules, target: Assertion) -> list[Payload]:
     _, world, f = target
     match f:
         case Atom(name):
-            if name in state.rules.ctx_names:
-                body = state.rules.env().resolve(name)
+            if name in rules.ctx_names:
+                body = rules.env().resolve(name)
                 if len(body.literals) >= 2:
                     return [RequestPayload("?_L"), RequestPayload("?_R")]
             return []
@@ -397,11 +432,6 @@ def _attack_payloads(state: GameState, actor: str, target: Assertion):
             return [RequestPayload("?")]
         case Imp(l, _):
             return [AssertPayload(world, l)]
-        case Know(agent, _, _):
-            return [
-                RequestPayload("?_K", agent, w)
-                for w in _world_options(state, actor, agent, world)
-            ]
         case Poss(agent, _, _):
             return [RequestPayload("?_P", agent)]
         case Rel(body, c):
@@ -416,18 +446,36 @@ def _attack_payloads(state: GameState, actor: str, target: Assertion):
     raise TypeError(f"not a formula: {f!r}")
 
 
-def _context_literal_formulas(state: GameState, name: str) -> list[Formula]:
-    body = state.rules.env().resolve(name)
+def _context_literal_formulas(rules: GameRules, name: str) -> list[Formula]:
+    body = rules.env().resolve(name)
     return [Atom(a) if positive else Not(Atom(a)) for a, positive in body.literals]
 
 
 def _defence_payloads(state: GameState, actor: str, attack: AttackRecord):
-    """Payload candidates for defending against the attack."""
+    """Payload candidates for defending against the attack, in the order
+    legal_moves lists them. Only a Poss defence's candidates depend on the
+    position; the rest are worked out once per game."""
+    _, (_, world, f), _ = attack
+    if isinstance(f, Poss):
+        return [
+            AssertPayload(w, f.body)
+            for w in _world_options(state, actor, f.agent, world)
+        ]
+    cache = state.rules.defence_payloads
+    payloads = cache.get(attack)
+    if payloads is None:
+        payloads = _fixed_defence_payloads(state.rules, attack)
+        payloads = tuple(sorted(payloads, key=_payload_sort_key))
+        cache[attack] = payloads
+    return payloads
+
+
+def _fixed_defence_payloads(rules: GameRules, attack: AttackRecord) -> list[Payload]:
     _, (_, world, f), payload = attack
     match f:
         case Atom(name):
             # compound context under ?_L / ?_R
-            lits = _context_literal_formulas(state, name)
+            lits = _context_literal_formulas(rules, name)
             if payload == RequestPayload("?_L"):
                 return [AssertPayload(world, lits[0])]
             rest = lits[1]
@@ -445,11 +493,6 @@ def _defence_payloads(state: GameState, actor: str, attack: AttackRecord):
             return [AssertPayload(world, r)]
         case Know(_, _, body):
             return [AssertPayload(payload.label, body)]
-        case Poss(agent, _, body):
-            return [
-                AssertPayload(w, body)
-                for w in _world_options(state, actor, agent, world)
-            ]
         case Rel(body, c):
             match body:
                 case Atom(_):
@@ -684,14 +727,14 @@ def apply_move(state: GameState, move: Move) -> GameState:
     )
 
 
-def _payload_sort_key(payload: Payload):
-    if isinstance(payload, AssertPayload):
-        return (0, render_label(payload.label), render_formula(payload.formula))
-    return (1, payload.kind, payload.agent or "", render_label(payload.label or ()))
-
-
 def legal_moves(state: GameState, recent_defence_only: bool = False) -> list[Move]:
-    """Every move the player to move may make, in a canonical order.
+    """Every move the player to move may make, in a canonical order: attacks
+    before defences, by the index of the move they answer, then by payload
+    (its printed label and formula, or its request).
+
+    The ledgers hold targets and attacks in the order of their moves, and
+    the payload candidates come in payload order, so the moves are listed
+    in that order without a sort.
 
     With ``recent_defence_only`` the defence options are narrowed to the most
     recent enemy attack that still admits some defence. That is a search
@@ -699,13 +742,17 @@ def legal_moves(state: GameState, recent_defence_only: bool = False) -> list[Mov
     found under it is a win under the full rules.
     """
     actor = state.turn
+    rights_used = state.rights_used
     moves: list[Move] = []
 
     for target, index in state.assertion_index.items():
         if target[0] == actor:
             continue
+        # O attacks an assertion once, whatever the payload
+        if actor == O and (O, target, None) in rights_used:
+            continue
         for payload in _attack_payloads(state, actor, target):
-            if (actor, target, _attack_right_key(actor, payload)) in state.rights_used:
+            if actor == P and (P, target, payload) in rights_used:
                 continue
             if _reassertion_blocked(state, actor, payload):
                 continue
@@ -715,9 +762,10 @@ def legal_moves(state: GameState, recent_defence_only: bool = False) -> list[Mov
                 continue
             moves.append(Move(actor, "attack", index, payload))
 
+    opponent = _opponent(actor)
     defence_groups: list[tuple[int, list[Move]]] = []
     for attack, index in state.attack_index.items():
-        if attack[0] != _opponent(actor) or attack[1][0] != actor:
+        if attack[0] != opponent or attack[1][0] != actor:
             continue
         if _defence_blocked(state, actor, attack):
             continue
@@ -737,8 +785,6 @@ def legal_moves(state: GameState, recent_defence_only: bool = False) -> list[Mov
         defence_groups = [max(defence_groups, key=lambda g: g[0])]
     for _, group in defence_groups:
         moves.extend(group)
-
-    moves.sort(key=lambda m: (m.kind, m.target, _payload_sort_key(m.payload)))
     return moves
 
 

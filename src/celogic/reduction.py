@@ -126,6 +126,9 @@ def primitive_form(f: Formula) -> Formula:
     return f
 
 
+_LEAST_DEFAULT_BUDGET = 4 * 2**2
+
+
 def _reduce(
     f: Formula, step_budget: int | None, trace: list[ReductionStep] | None
 ) -> Formula:
@@ -135,15 +138,19 @@ def _reduce(
     reduced left to right; all that precedes a node in preorder is then
     Rel-free, so each rewrite is at the leftmost-outermost redex. Steps are
     appended to ``trace`` if given. More than ``step_budget`` rewrites
-    (default ``4 * node_count(f) ** 2``, worked out at the first rewrite)
-    raise ReductionBudgetError. Rel-free subtrees are kept, not copied.
+    (default ``4 * node_count(f) ** 2``) raise ReductionBudgetError.
+    Rel-free subtrees are kept, not copied.
+
+    A formula with a Rel has at least two nodes, so the default budget is
+    at least ``_LEAST_DEFAULT_BUDGET``; the walk that sizes it is made only
+    once that many rewrites are done, and most reductions never make it.
     """
     steps = 0
 
     def rewrite(g: Rel) -> tuple[Formula, str]:
         nonlocal steps, step_budget
         rewritten = _rewrite_redex(g.body, g.context)
-        if step_budget is None:
+        if step_budget is None and steps == _LEAST_DEFAULT_BUDGET:
             step_budget = 4 * node_count(f) ** 2
         if steps == step_budget:
             raise ReductionBudgetError(

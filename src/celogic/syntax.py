@@ -27,7 +27,8 @@ changes nothing gives back the very same tree.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from operator import attrgetter
 
 VARIANTS = ("1.1", "1.2", "2.1", "2.2")
 
@@ -82,10 +83,48 @@ def variant_contexts_names(
 @dataclass(frozen=True)
 class Formula:
     """A formula node; see the module docstring for ``children()`` and
-    ``rebuild(*kids)``."""
+    ``rebuild(*kids)``.
+
+    A node keeps its hash once worked out (see ``_node``), so the sets and
+    memos that hold formulas do not re-hash whole trees. The kept hash is
+    left out of pickles and copies: string hashes are seeded per process.
+    """
+
+    _hash = None
+
+    def __getstate__(self):
+        state = dict(self.__dict__)
+        state.pop("_hash", None)
+        return state
 
 
-@dataclass(frozen=True)
+def _node(cls):
+    """A frozen dataclass formula node whose hash, the dataclass's hash of
+    the field tuple, is worked out on first use and then kept.
+
+    The field tuple is read by ``attrgetter``, not by the dataclass's own
+    ``__hash__``, so a first hash costs one Python frame per tree level and
+    deep input meets the recursion limit no sooner than with a plain
+    dataclass hash.
+    """
+    cls = dataclass(frozen=True)(cls)
+    names = [f.name for f in fields(cls)]
+    field_values = attrgetter(*names)
+    single = len(names) == 1
+
+    def __hash__(self):
+        h = self._hash
+        if h is None:
+            values = field_values(self)
+            h = hash((values,) if single else values)
+            object.__setattr__(self, "_hash", h)
+        return h
+
+    cls.__hash__ = __hash__
+    return cls
+
+
+@_node
 class Atom(Formula):
     name: str
 
@@ -96,7 +135,7 @@ class Atom(Formula):
         return self
 
 
-@dataclass(frozen=True)
+@_node
 class Not(Formula):
     body: Formula
 
@@ -107,7 +146,7 @@ class Not(Formula):
         return self if body is self.body else Not(body)
 
 
-@dataclass(frozen=True)
+@_node
 class _Binary(Formula):
     left: Formula
     right: Formula
@@ -121,27 +160,27 @@ class _Binary(Formula):
         return type(self)(left, right)
 
 
-@dataclass(frozen=True)
+@_node
 class And(_Binary):
     pass
 
 
-@dataclass(frozen=True)
+@_node
 class Or(_Binary):
     pass
 
 
-@dataclass(frozen=True)
+@_node
 class Imp(_Binary):
     pass
 
 
-@dataclass(frozen=True)
+@_node
 class Iff(_Binary):
     pass
 
 
-@dataclass(frozen=True)
+@_node
 class _Modal(Formula):
     agent: str
     variant: str | None
@@ -156,17 +195,17 @@ class _Modal(Formula):
         return type(self)(self.agent, self.variant, body)
 
 
-@dataclass(frozen=True)
+@_node
 class Know(_Modal):
     pass
 
 
-@dataclass(frozen=True)
+@_node
 class Poss(_Modal):
     pass
 
 
-@dataclass(frozen=True)
+@_node
 class Rel(Formula):
     """Context relativization: the body read against the named context."""
 

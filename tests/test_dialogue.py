@@ -14,6 +14,10 @@ from celogic.dialogue import (
     _assertion_of_move,
     _attack_record_of_move,
     _attack_right_key,
+    _check_assertable,
+    _cluster,
+    _fresh_successor,
+    _reassertion_blocked,
     apply_move,
     game_form,
     has_winning_strategy,
@@ -23,6 +27,7 @@ from celogic.dialogue import (
     move_to_json,
     parse_label,
     render_label,
+    render_payload,
     render_transcript,
     render_transcript_markdown,
     replay_script,
@@ -30,15 +35,21 @@ from celogic.dialogue import (
 from celogic.epistemology import SUITE_ROWS
 from celogic.kripke import ContextEnv
 from celogic.syntax import (
+    And,
     Atom,
     Iff,
     Imp,
     Know,
+    Not,
+    Or,
     Poss,
     Rel,
     UntaggedOperatorError,
     formula_info,
+    parse_context,
     parse_formula,
+    render_formula,
+    variant_contexts_names,
 )
 
 from corpus import random_formula
@@ -400,3 +411,224 @@ class TestTranscript:
         text = render_transcript(state)
         row = next(l for l in text.splitlines() if l.startswith("(9)"))
         assert "(20)" in row
+
+
+# ---------------------------------------------------------------------------
+# legal_moves against an uncached reference: the particle rules worked out
+# afresh at every position (with a ContextEnv built afresh from the rules),
+# every candidate filtered by the same rules, and the moves sorted by their
+# printed payloads.
+
+
+def _reference_env(rules):
+    return ContextEnv(dict(rules.env_bindings), auto_bind=rules.env_auto)
+
+
+def _reference_world_options(state, actor, agent, world):
+    options = sorted(_cluster(state.introduced, agent, world))
+    if actor == "O" and state.o_fresh < state.rules.fresh_cap:
+        options.append(_fresh_successor(state.introduced, agent, world))
+    return options
+
+
+def _reference_attack_payloads(state, actor, target):
+    _, world, f = target
+    match f:
+        case Atom(name):
+            if name in state.rules.ctx_names:
+                if len(_reference_env(state.rules).resolve(name).literals) >= 2:
+                    return [RequestPayload("?_L"), RequestPayload("?_R")]
+            return []
+        case Not(body):
+            return [AssertPayload(world, body)]
+        case And():
+            return [RequestPayload("?_L"), RequestPayload("?_R")]
+        case Or():
+            return [RequestPayload("?")]
+        case Imp(l, _):
+            return [AssertPayload(world, l)]
+        case Know(agent, _, _):
+            return [
+                RequestPayload("?_K", agent, w)
+                for w in _reference_world_options(state, actor, agent, world)
+            ]
+        case Poss(agent, _, _):
+            return [RequestPayload("?_P", agent)]
+        case Rel(And(), _):
+            return [RequestPayload("?_L"), RequestPayload("?_R")]
+        case Rel(Know(agent, variant, _), c):
+            cx = variant_contexts_names(variant, c, agent)[0]
+            return [AssertPayload(world, Atom(cx))]
+        case Rel(_, c):
+            return [AssertPayload(world, Atom(c))]
+
+
+def _reference_rel(body, c):
+    if isinstance(body, Poss):
+        body = Not(Know(body.agent, body.variant, Not(body.body)))
+    return Rel(body, c)
+
+
+def _reference_defence_payloads(state, actor, attack):
+    _, (_, world, f), payload = attack
+    left = payload == RequestPayload("?_L")
+    match f:
+        case Atom(name):
+            lits = [
+                Atom(a) if positive else Not(Atom(a))
+                for a, positive in _reference_env(state.rules).resolve(name).literals
+            ]
+            if left:
+                return [AssertPayload(world, lits[0])]
+            rest = lits[1]
+            for extra in lits[2:]:
+                rest = And(rest, extra)
+            return [AssertPayload(world, rest)]
+        case Not():
+            return []
+        case And(l, r):
+            return [AssertPayload(world, l if left else r)]
+        case Or(l, r):
+            return [AssertPayload(world, l), AssertPayload(world, r)]
+        case Imp(_, r):
+            return [AssertPayload(world, r)]
+        case Know(_, _, body):
+            return [AssertPayload(payload.label, body)]
+        case Poss(agent, _, body):
+            return [
+                AssertPayload(w, body)
+                for w in _reference_world_options(state, actor, agent, world)
+            ]
+        case Rel(Atom() | Rel() as body, _):
+            return [AssertPayload(world, body)]
+        case Rel(Not(inner), c):
+            return [AssertPayload(world, Not(_reference_rel(inner, c)))]
+        case Rel(And(l, r), c):
+            return [AssertPayload(world, _reference_rel(l if left else r, c))]
+        case Rel(Or(l, r), c):
+            body = Or(_reference_rel(l, c), _reference_rel(r, c))
+            return [AssertPayload(world, body)]
+        case Rel(Imp(l, r), c):
+            body = Imp(_reference_rel(l, c), _reference_rel(r, c))
+            return [AssertPayload(world, body)]
+        case Rel(Know(agent, variant, inner), c):
+            cy = variant_contexts_names(variant, c, agent)[1]
+            body = Know(agent, variant, _reference_rel(inner, cy))
+            return [AssertPayload(world, body)]
+
+
+def _reference_sort_key(move):
+    p = move.payload
+    if isinstance(p, AssertPayload):
+        payload_key = (0, render_label(p.label), render_formula(p.formula))
+    else:
+        payload_key = (1, p.kind, p.agent or "", render_label(p.label or ()))
+    return (move.kind, move.target, payload_key)
+
+
+def reference_legal_moves(state, recent_defence_only=False):
+    actor = state.turn
+    opponent = "O" if actor == "P" else "P"
+    moves = []
+    for target, index in state.assertion_index.items():
+        if target[0] == actor:
+            continue
+        for payload in _reference_attack_payloads(state, actor, target):
+            if (actor, target, _attack_right_key(actor, payload)) in state.rights_used:
+                continue
+            if _reassertion_blocked(state, actor, payload):
+                continue
+            if isinstance(payload, AssertPayload) and _check_assertable(
+                state, actor, payload.label, payload.formula
+            ):
+                continue
+            moves.append(Move(actor, "attack", index, payload))
+    groups = []
+    for attack, index in state.attack_index.items():
+        if attack[0] != opponent or attack[1][0] != actor:
+            continue
+        if actor == "O" and attack in state.answered:
+            continue
+        group = [
+            Move(actor, "defend", index, payload)
+            for payload in _reference_defence_payloads(state, actor, attack)
+            if (attack, payload) not in state.defences
+            and not _reassertion_blocked(state, actor, payload)
+            and not _check_assertable(state, actor, payload.label, payload.formula)
+        ]
+        if group:
+            groups.append((index, group))
+    if recent_defence_only and groups:
+        groups = [max(groups, key=lambda g: g[0])]
+    for _, group in groups:
+        moves.extend(group)
+    moves.sort(key=_reference_sort_key)
+    return moves
+
+
+def _play_against_reference(thesis, env, rng, plays):
+    """Seeded random plays of the thesis; at every position both players'
+    move lists, narrowed and not, equal the reference's. Returns the number
+    of positions checked."""
+    checked = 0
+    for _ in range(plays):
+        state = initial_state(thesis, env)
+        while True:
+            for narrow in (False, True):
+                expected = reference_legal_moves(state, narrow)
+                assert legal_moves(state, narrow) == expected
+            checked += 1
+            moves = legal_moves(state)
+            if not moves:
+                break
+            state = apply_move(state, rng.choice(moves))
+    return checked
+
+
+REFERENCE_RANDOM_THESES = 40
+REFERENCE_PLAYS_PER_THESIS = 3
+
+
+def test_legal_moves_match_the_uncached_reference():
+    rng = random.Random(23)
+    theses = [parse_formula(row.formula) for row in SUITE_ROWS]
+    theses += [random_formula(rng, 3) for _ in range(REFERENCE_RANDOM_THESES)]
+    checked = sum(
+        _play_against_reference(t, None, rng, REFERENCE_PLAYS_PER_THESIS)
+        for t in theses
+    )
+    assert checked > 10 * len(theses)
+
+
+def _context_projections(thesis, env):
+    """After O asserts ci against the thesis (p)^ci: each of P's attacks on
+    that assertion, with O's answers to it."""
+    state = initial_state(thesis, env)
+    state = apply_move(state, Move("O", "attack", 0, AssertPayload((), Atom("ci"))))
+    out = []
+    for move in legal_moves(state):
+        if move.kind == "attack":
+            after = apply_move(state, move)
+            answers = [render_payload(m.payload) for m in legal_moves(after)]
+            out.append((render_payload(move.payload), answers))
+    return out
+
+
+def test_legal_moves_follow_each_games_context_bindings():
+    # The payloads on a context name come from the game's own bindings: a
+    # compound ci is attacked by ?_L/?_R and each projection is answered
+    # with its literals, an atomic stand-in is not attacked at all. One
+    # game's payloads must not leak into a later game's.
+    thesis = parse_formula("(p)^ci")
+    cases = [
+        ("p & q", [("?_L", ["1: p"]), ("?_R", ["1: q"])]),
+        ("q & ~r", [("?_L", ["1: q"]), ("?_R", ["1: ~r"])]),
+        ("~r & q & p", [("?_L", ["1: p"]), ("?_R", ["1: q & ~r"])]),
+        (None, []),
+        ("p & q", [("?_L", ["1: p"]), ("?_R", ["1: q"])]),
+    ]
+    rng = random.Random(5)
+    for body, expected in cases:
+        env = ContextEnv({"ci": parse_context(body)} if body else {})
+        assert _context_projections(thesis, env) == expected
+        _play_against_reference(thesis, env, rng, 5)

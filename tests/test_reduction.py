@@ -147,6 +147,14 @@ def assert_matches_reference(f):
     )
 
 
+def _rel_chain(depth):
+    """p under ``depth`` nested relativizations: one rewrite each."""
+    f = Atom("p")
+    for _ in range(depth):
+        f = Rel(f, "ci")
+    return f
+
+
 def _corpora():
     suite = [parse_formula(row.formula) for row in SUITE_ROWS]
     return hygiene_corpus() + cross_semantics_corpus() + suite
@@ -315,6 +323,48 @@ class TestReduceResult:
             if not any(isinstance(h, Rel) for h in subformulas(g))
         )
         assert reduce_result(f) is f
+        # nor does input whose reduction takes at most 16 rewrites: the
+        # default budget of any input with a Rel is at least 4 * 2**2
+        short = 0
+        for g in hygiene_corpus():
+            outcome = _outcome(lambda: reduce_full(g, 16))
+            if outcome[0] == "value" and outcome[1].steps:
+                assert reduce_result(g) == outcome[1].result
+                short += 1
+        assert short > 500
+
+    @pytest.mark.parametrize(
+        "f, walks",
+        [
+            (_rel_chain(1), 0),
+            (_rel_chain(16), 0),
+            (_rel_chain(17), 1),
+            (_rel_chain(40), 1),
+            (parse_formula("(" + " <-> ".join(["p"] * 9) + ")^ci"), 1),
+        ],
+        ids=["1-rel", "16-rels", "17-rels", "40-rels", "nine-iffs"],
+    )
+    def test_budget_is_sized_at_the_seventeenth_rewrite(self, monkeypatch, f, walks):
+        # the same value, or the same error and message, as with the default
+        # budget given up front; the sizing walk is made once, and only by a
+        # reduction that gets past 16 rewrites
+        default = 4 * node_count(f) ** 2
+        expected = _outcome(lambda: _step_tuples(reduce_full(f, default)))
+        calls = []
+
+        def counted(g):
+            calls.append(g)
+            return node_count(g)
+
+        monkeypatch.setattr(reduction, "node_count", counted)
+        assert _outcome(lambda: _step_tuples(reduce_full(f))) == expected
+        assert len(calls) == walks
+        result = _outcome(lambda: reduce_result(f))
+        if expected[0] == "value":
+            assert result == ("value", expected[1][1])
+        else:
+            assert result == expected
+        assert len(calls) == 2 * walks
 
     def test_untagged_operator_under_relativization(self):
         f = Rel(Know("j", None, Atom("p")), "ci")

@@ -1,8 +1,14 @@
+import copy
 import dataclasses
 import hashlib
 import json
+import os
+import pathlib
+import pickle
 import random
 import re
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -34,6 +40,7 @@ from celogic.syntax import (
     subformulas,
 )
 
+import celogic
 from celogic import cli, dialogue
 from celogic.epistemology import PRESETS, SUITE_ROWS, apply_preset
 from celogic.reduction import reduce_full
@@ -360,3 +367,114 @@ class TestNodeProtocol:
         for f in _pinned_corpus():
             for g in subformulas(f):
                 assert g.rebuild(*g.children()) is g
+
+
+# ---------------------------------------------------------------------------
+# The kept hash
+
+
+class _Hashed:
+    """Stands in a tuple for a value whose hash is already known."""
+
+    def __init__(self, value: int):
+        self.value = value
+
+    def __hash__(self):
+        return self.value
+
+
+def reference_hash(f: Formula) -> int:
+    """The dataclass hash of f, the hash of its field tuple, worked out from
+    scratch: each child's hash is recomputed the same way, never read back."""
+    values = []
+    for field in dataclasses.fields(f):
+        value = getattr(f, field.name)
+        if isinstance(value, Formula):
+            value = _Hashed(reference_hash(value))
+        values.append(value)
+    return hash(tuple(values))
+
+
+def _fresh_copy(f: Formula) -> Formula:
+    """An equal tree built node by node, sharing no node with f."""
+    return type(f)(
+        *(
+            _fresh_copy(getattr(f, field.name))
+            if isinstance(getattr(f, field.name), Formula)
+            else getattr(f, field.name)
+            for field in dataclasses.fields(f)
+        )
+    )
+
+
+_PICKLE_TEXT = "(K{i,1.2} (p & q))^ci -> P{j,2.1} ~r <-> (s | t)^ck"
+
+_LOAD_IN_CHILD = """
+import pickle, sys
+from celogic.syntax import parse_formula
+loaded = pickle.loads(sys.stdin.buffer.read())
+fresh = parse_formula(sys.argv[1])
+print(hash("p"), hash(loaded) == hash(fresh), loaded in {fresh}, fresh in {loaded})
+"""
+
+
+class TestKeptHash:
+    def test_every_subtree_hashes_as_its_field_tuple(self):
+        checked = 0
+        for f in _pinned_corpus():
+            for g in subformulas(f):
+                expected = reference_hash(g)
+                assert hash(g) == expected
+                assert hash(g) == expected
+                copy = _fresh_copy(g)
+                assert copy == g and copy is not g
+                assert hash(copy) == expected
+                checked += 1
+        assert checked > 10_000
+
+    def test_hash_is_kept_on_first_use_only(self):
+        f = parse_formula("K{i,1.1} (p & q) -> (p)^ci")
+        assert all(g._hash is None for g in subformulas(f))
+        value = hash(f)
+        assert f._hash == value
+        # the kept hash is no field: equality and repr ignore it
+        assert f == _fresh_copy(f)
+        assert repr(f) == repr(_fresh_copy(f))
+        assert "_hash" not in [field.name for field in dataclasses.fields(f)]
+
+    def test_copies_do_not_carry_the_kept_hash(self):
+        f = parse_formula(_PICKLE_TEXT)
+        hash(f)
+        shallow = copy.copy(f)
+        assert shallow == f and shallow._hash is None
+        assert hash(shallow) == hash(f)
+        for copied in (copy.deepcopy(f), pickle.loads(pickle.dumps(f))):
+            assert copied == f
+            assert all(g._hash is None for g in subformulas(copied))
+            assert hash(copied) == hash(f)
+
+    def test_pickled_formula_hashes_afresh_under_another_seed(self):
+        # string hashes are seeded per process: a hash kept from this
+        # process would put the loaded formula in the wrong set bucket there
+        f = parse_formula(_PICKLE_TEXT)
+        hash(f)
+        data = pickle.dumps(f)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(pathlib.Path(celogic.__file__).parent.parent)]
+            + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+        )
+        seeds_seen = set()
+        for seed in ("1", "2"):
+            env["PYTHONHASHSEED"] = seed
+            out = subprocess.run(
+                [sys.executable, "-c", _LOAD_IN_CHILD, _PICKLE_TEXT],
+                input=data,
+                env=env,
+                capture_output=True,
+                check=True,
+            ).stdout.decode().split()
+            assert out[1:] == ["True", "True", "True"]
+            seeds_seen.add(int(out[0]))
+        # at least one child hashed strings differently from this process
+        assert seeds_seen - {hash("p")}
