@@ -28,8 +28,17 @@ Context names behave like atoms for assertion bookkeeping but live under the
 context formality rule rather than the atom rule; asserting a compound
 context additionally grants its positive literals at that world.
 
+Each structural rule is stated once (``_attack_problem``,
+``_defence_problem`` and ``_check_assertable``): ``legal_moves`` lists the
+particle rules' candidates that pass them, and ``validate_move`` raises what
+they find, naming the broken rule. So the two agree: ``validate_move``
+accepts exactly the moves that ``legal_moves`` lists.
+
 Winning strategies are decided by AND-OR search over positions (sets of
 assertions, attack records and defence records), memoized on the position.
+The search steps through the moves ``legal_moves`` lists without validating
+them again; ``apply_move``, ``replay`` and ``replay_script`` validate every
+move.
 """
 
 from __future__ import annotations
@@ -88,27 +97,31 @@ def render_label(label: Label) -> str:
 
 
 def parse_label(text: str, agents: Iterable[str]) -> Label:
-    """Parse a world name like ``1i1j2`` against the known agent names."""
+    """Parse a world name like ``1i1j2`` against the known agent names.
+
+    Each step takes the longest agent name after which the rest still reads,
+    so with agents ``i`` and ``i1`` the name ``1i1`` is one step of ``i``."""
     if not text.startswith("1"):
         raise ValueError(f"world name must start with 1: {text!r}")
-    rest = text[1:]
     names = sorted(agents, key=len, reverse=True)
-    steps = []
-    while rest:
-        for name in names:
-            if rest.startswith(name):
-                rest = rest[len(name):]
-                digits = ""
-                while rest and rest[0].isdigit():
-                    digits += rest[0]
-                    rest = rest[1:]
-                if not digits:
-                    raise ValueError(f"missing successor index in {text!r}")
-                steps.append((name, int(digits)))
-                break
-        else:
-            raise ValueError(f"cannot read world name {text!r}")
-    return tuple(steps)
+
+    def read(rest: str) -> Label | None:
+        if not rest:
+            return ()
+        for name in filter(rest.startswith, names):
+            end = len(name)
+            while end < len(rest) and rest[end].isdigit():
+                end += 1
+            if end > len(name):
+                later = read(rest[end:])
+                if later is not None:
+                    return ((name, int(rest[len(name):end])),) + later
+        return None
+
+    label = read(text[1:])
+    if label is None:
+        raise ValueError(f"cannot read world name {text!r}")
+    return label
 
 
 # ---------------------------------------------------------------------------
@@ -215,24 +228,19 @@ def _rel(body: Formula, context: str) -> Formula:
 # Game state
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GameRules:
-    env_bindings: tuple  # frozen ContextEnv content: ((name, ContextFormula), ...)
-    env_auto: bool
+    """One game's rules, shared by all its states: the context bindings (a
+    copy of the caller's, so later edits to that do not reach the game), the
+    context names and O's fresh-world cap. It also keeps what follows from
+    the rules alone: the payload candidates per attacked assertion and per
+    attack record."""
+
+    env: ContextEnv
     ctx_names: frozenset[str]
     fresh_cap: int
-    # One game's rules object is shared by all its states, so it also keeps
-    # what follows from the rules alone: the ContextEnv, and the payload
-    # candidates per attacked assertion and per attack record.
-    attack_payloads: dict = field(default_factory=dict, compare=False, repr=False)
-    defence_payloads: dict = field(default_factory=dict, compare=False, repr=False)
-
-    def __post_init__(self):
-        env = ContextEnv(dict(self.env_bindings), auto_bind=self.env_auto)
-        object.__setattr__(self, "_env", env)
-
-    def env(self) -> ContextEnv:
-        return self._env
+    attack_payloads: dict = field(default_factory=dict, repr=False)
+    defence_payloads: dict = field(default_factory=dict, repr=False)
 
 
 Assertion = tuple[str, Label, Formula]  # actor, world, formula
@@ -244,18 +252,30 @@ DefenceRecord = tuple[AttackRecord, AssertPayload]
 class GameState:
     rules: GameRules
     moves: tuple[Move, ...]
-    assertions: frozenset[Assertion]
-    attacks: frozenset[AttackRecord]
     defences: frozenset[DefenceRecord]
     introduced: frozenset[Label]
-    o_fresh: int
     turn: str
-    # Ledgers that apply_move keeps, so that legality never re-scans the
-    # history. They follow from ``moves`` and are not part of the position.
+    # Ledgers kept move by move, so that legality never re-scans the
+    # history. They follow from ``moves``: each assertion and each attack
+    # record with the index of its first move, the assertions O has
+    # attacked, and the attack records that have been answered.
     assertion_index: dict[Assertion, int] = field(compare=False, repr=False)
     attack_index: dict[AttackRecord, int] = field(compare=False, repr=False)
-    rights_used: frozenset = field(compare=False, repr=False)
+    rights_used: frozenset[Assertion] = field(compare=False, repr=False)
     answered: frozenset[AttackRecord] = field(compare=False, repr=False)
+
+    @property
+    def assertions(self) -> frozenset[Assertion]:
+        return frozenset(self.assertion_index)
+
+    @property
+    def attacks(self) -> frozenset[AttackRecord]:
+        return frozenset(self.attack_index)
+
+    @property
+    def o_fresh(self) -> int:
+        """Worlds O has introduced; only O introduces worlds."""
+        return len(self.introduced) - 1
 
     def position_key(self):
         return (self.assertions, self.attacks, self.defences, self.turn)
@@ -275,8 +295,7 @@ def initial_state(
     ctx_names = set(info.contexts) | {agent_context(a) for a in info.agents}
     ctx_names |= set(env.bindings)
     rules = GameRules(
-        env_bindings=tuple(sorted(env.bindings.items())),
-        env_auto=env.auto_bind,
+        env=ContextEnv(env.bindings, auto_bind=env.auto_bind),
         ctx_names=frozenset(ctx_names),
         fresh_cap=info.modal_depth + fresh_slack,
     )
@@ -284,11 +303,8 @@ def initial_state(
     return GameState(
         rules=rules,
         moves=(move,),
-        assertions=frozenset({(P, ROOT, normalized)}),
-        attacks=frozenset(),
         defences=frozenset(),
         introduced=frozenset({ROOT}),
-        o_fresh=0,
         turn=O,
         assertion_index={(P, ROOT, normalized): 0},
         attack_index={},
@@ -345,9 +361,9 @@ def _world_options(state: GameState, actor: str, agent: str, world: Label):
 def _granted_atoms(state: GameState, actor: str, world: Label) -> set[str]:
     """Atoms the actor stands committed to at ``world``: directly asserted
     atoms plus positive literals of contexts asserted there."""
-    env = state.rules.env()
+    env = state.rules.env
     granted: set[str] = set()
-    for a, w, f in state.assertions:
+    for a, w, f in state.assertion_index:
         if a != actor or w != world or not isinstance(f, Atom):
             continue
         granted.add(f.name)
@@ -361,7 +377,20 @@ def _granted_atoms(state: GameState, actor: str, world: Label) -> set[str]:
 def _check_assertable(
     state: GameState, actor: str, world: Label, f: Formula
 ) -> tuple[str, str] | None:
-    """None if the actor may assert f at world; else (rule, reason)."""
+    """None if the actor may assert f at world; else (rule, reason).
+
+    P may not restate a complex formula already on P's record. Commitments
+    are kept as sets, so a restatement would not open a fresh line of attack
+    for O the way a fresh utterance does; letting P repeat complex content
+    shields demands that are already pending. Atoms and context names are
+    exempt (they cannot be attacked, so nothing is shielded, and P may
+    genuinely have to point at a conceded atom twice: once per demand). O
+    may always restate: answering a second projection of the same demand
+    with the same content is legitimate.
+    """
+    if actor == P and not isinstance(f, Atom):
+        if (P, world, f) in state.assertion_index:
+            return ("PL-2", "restating one's own assertion changes nothing for P")
     if world not in state.introduced:
         if actor == P:
             return ("ML-frw", f"P cannot introduce world {render_label(world)}")
@@ -372,7 +401,7 @@ def _check_assertable(
         return None
     if isinstance(f, Atom):
         if f.name in state.rules.ctx_names:
-            if actor == P and (O, world, f) not in state.assertions:
+            if actor == P and (O, world, f) not in state.assertion_index:
                 return (
                     "ML-frc",
                     f"context {f.name} not introduced by O at {render_label(world)}",
@@ -420,7 +449,7 @@ def _fixed_attack_payloads(rules: GameRules, target: Assertion) -> list[Payload]
     match f:
         case Atom(name):
             if name in rules.ctx_names:
-                body = rules.env().resolve(name)
+                body = rules.env.resolve(name)
                 if len(body.literals) >= 2:
                     return [RequestPayload("?_L"), RequestPayload("?_R")]
             return []
@@ -447,7 +476,7 @@ def _fixed_attack_payloads(rules: GameRules, target: Assertion) -> list[Payload]
 
 
 def _context_literal_formulas(rules: GameRules, name: str) -> list[Formula]:
-    body = rules.env().resolve(name)
+    body = rules.env.resolve(name)
     return [Atom(a) if positive else Not(Atom(a)) for a, positive in body.literals]
 
 
@@ -520,38 +549,39 @@ def _fixed_defence_payloads(rules: GameRules, attack: AttackRecord) -> list[Payl
 # Legality and application
 
 
-def _attack_right_key(actor: str, payload: Payload):
-    """Attack identity for the repetition bound: O attacks a given assertion
-    once (whatever the payload), P once per distinct payload."""
+def _attack_problem(
+    state: GameState, actor: str, target: Assertion, payload: Payload | None
+) -> tuple[str, str] | None:
+    """None if the actor may attack the target with this payload (one of
+    the target's particle-rule candidates); else (rule, reason). O attacks
+    a given assertion at most once, whatever the payload; P once per
+    distinct payload. A payload of None asks only what holds for every
+    payload."""
     if actor == O:
-        return None
-    return payload
+        spent = target in state.rights_used
+    else:
+        spent = (P, target, payload) in state.attack_index
+    if spent:
+        return ("PL-2", "this attack was already made")
+    if isinstance(payload, AssertPayload):
+        return _check_assertable(state, actor, payload.label, payload.formula)
+    return None
 
 
-def _defence_blocked(state: GameState, actor: str, attack: AttackRecord) -> bool:
-    """O answers each attack at most once; P returns per new payload."""
-    return actor == O and attack in state.answered
-
-
-def _reassertion_blocked(
-    state: GameState, actor: str, payload: Payload
-) -> bool:
-    """P may not restate a complex formula already on P's record.
-
-    Commitments are kept as sets, so a restatement would not open a fresh
-    line of attack for O the way a fresh utterance does; letting P repeat
-    complex content shields demands that are already pending. Atoms and
-    context names are exempt (they cannot be attacked, so nothing is
-    shielded, and P may genuinely have to point at a conceded atom twice:
-    once per demand). O may always restate: answering a second projection
-    of the same demand with the same content is legitimate.
-    """
-    if actor != P or not isinstance(payload, AssertPayload):
-        return False
-    f = payload.formula
-    if isinstance(f, Atom):
-        return False
-    return (P, payload.label, f) in state.assertions
+def _defence_problem(
+    state: GameState, actor: str, attack: AttackRecord, payload: AssertPayload | None
+) -> tuple[str, str] | None:
+    """None if the actor may answer the attack with this payload (one of the
+    attack's particle-rule candidates); else (rule, reason). O answers a
+    given attack at most once; P may return to it with a new payload. A
+    payload of None asks only what holds for every payload."""
+    if (attack, payload) in state.defences:
+        return ("PL-2", "this defence was already given")
+    if actor == O and attack in state.answered:
+        return ("PL-2", "O has already answered this attack")
+    if payload is not None:
+        return _check_assertable(state, actor, payload.label, payload.formula)
+    return None
 
 
 def _assertion_of_move(state: GameState, index: int) -> Assertion | None:
@@ -619,52 +649,30 @@ def validate_move(state: GameState, move: Move) -> None:
                 "particle mismatch",
                 f"{self_describing} does not attack {render_formula(target[2])}",
             )
-        right = (move.actor, target, _attack_right_key(move.actor, move.payload))
-        if right in state.rights_used:
-            raise IllegalMoveError("PL-2", "this attack was already made")
-        if _reassertion_blocked(state, move.actor, move.payload):
+        problem = _attack_problem(state, move.actor, target, move.payload)
+    else:
+        attack = _attack_record_of_move(state, move.target)
+        if attack is None:
+            raise IllegalMoveError("PL-0", "defences answer attacks")
+        if attack[0] != _opponent(move.actor):
+            raise IllegalMoveError("PL-0", "cannot defend against one's own attack")
+        if attack[1][0] != move.actor:
             raise IllegalMoveError(
-                "PL-2", "restating one's own assertion changes nothing for P"
+                "PL-0", "that attack is not directed at this player"
             )
-        if isinstance(move.payload, AssertPayload):
-            problem = _check_assertable(
-                state, move.actor, move.payload.label, move.payload.formula
+        candidates = _defence_payloads(state, move.actor, attack)
+        if not candidates:
+            raise IllegalMoveError(
+                "particle mismatch",
+                f"{render_formula(attack[1][2])} admits no defence",
             )
-            if problem:
-                raise IllegalMoveError(*problem)
-        return
-
-    # defence
-    attack = _attack_record_of_move(state, move.target)
-    if attack is None:
-        raise IllegalMoveError("PL-0", "defences answer attacks")
-    if attack[0] != _opponent(move.actor):
-        raise IllegalMoveError("PL-0", "cannot defend against one's own attack")
-    if attack[1][0] != move.actor:
-        raise IllegalMoveError("PL-0", "that attack is not directed at this player")
-    candidates = _defence_payloads(state, move.actor, attack)
-    if not candidates:
-        raise IllegalMoveError(
-            "particle mismatch",
-            f"{render_formula(attack[1][2])} admits no defence",
-        )
-    if move.payload not in candidates:
-        raise IllegalMoveError(
-            "particle mismatch",
-            f"{render_payload(move.payload)} does not answer "
-            f"{render_payload(attack[2])} on {render_formula(attack[1][2])}",
-        )
-    if (attack, move.payload) in state.defences:
-        raise IllegalMoveError("PL-2", "this defence was already given")
-    if _defence_blocked(state, move.actor, attack):
-        raise IllegalMoveError("PL-2", "O has already answered this attack")
-    if _reassertion_blocked(state, move.actor, move.payload):
-        raise IllegalMoveError(
-            "PL-2", "restating one's own assertion changes nothing for P"
-        )
-    problem = _check_assertable(
-        state, move.actor, move.payload.label, move.payload.formula
-    )
+        if move.payload not in candidates:
+            raise IllegalMoveError(
+                "particle mismatch",
+                f"{render_payload(move.payload)} does not answer "
+                f"{render_payload(attack[2])} on {render_formula(attack[1][2])}",
+            )
+        problem = _defence_problem(state, move.actor, attack, move.payload)
     if problem:
         raise IllegalMoveError(*problem)
 
@@ -672,12 +680,14 @@ def validate_move(state: GameState, move: Move) -> None:
 def apply_move(state: GameState, move: Move) -> GameState:
     """Validate and append a move, updating commitments and ledgers."""
     validate_move(state, move)
+    return _step(state, move)
+
+
+def _step(state: GameState, move: Move) -> GameState:
+    """Append a move that validate_move accepts, updating the ledgers."""
     index = len(state.moves)
-    assertions = state.assertions
-    attacks = state.attacks
     defences = state.defences
     introduced = state.introduced
-    o_fresh = state.o_fresh
     assertion_index = state.assertion_index
     attack_index = state.attack_index
     rights_used = state.rights_used
@@ -685,17 +695,13 @@ def apply_move(state: GameState, move: Move) -> GameState:
 
     if move.kind == "attack":
         target = _assertion_of_move(state, move.target)
-        record = (move.actor, target, move.payload)
-        attacks = attacks | {record}
         # the repetition rule makes every attack record new
-        attack_index = {**attack_index, record: index}
-        rights_used = rights_used | {
-            (move.actor, target, _attack_right_key(move.actor, move.payload))
-        }
+        attack_index = {**attack_index, (move.actor, target, move.payload): index}
+        if move.actor == O:
+            rights_used = rights_used | {target}
         if isinstance(move.payload, RequestPayload):
             if move.payload.label is not None and move.payload.label not in introduced:
                 introduced = introduced | {move.payload.label}
-                o_fresh += 1
     else:
         attack = _attack_record_of_move(state, move.target)
         defences = defences | {(attack, move.payload)}
@@ -705,20 +711,15 @@ def apply_move(state: GameState, move: Move) -> GameState:
     if isinstance(move.payload, AssertPayload):
         if move.payload.label not in introduced:
             introduced = introduced | {move.payload.label}
-            o_fresh += 1
         assertion = (move.actor, move.payload.label, move.payload.formula)
         if assertion not in assertion_index:
-            assertions = assertions | {assertion}
             assertion_index = {**assertion_index, assertion: index}
 
     return GameState(
         rules=state.rules,
         moves=state.moves + (move,),
-        assertions=assertions,
-        attacks=attacks,
         defences=defences,
         introduced=introduced,
-        o_fresh=o_fresh,
         turn=_opponent(state.turn),
         assertion_index=assertion_index,
         attack_index=attack_index,
@@ -730,7 +731,8 @@ def apply_move(state: GameState, move: Move) -> GameState:
 def legal_moves(state: GameState, recent_defence_only: bool = False) -> list[Move]:
     """Every move the player to move may make, in a canonical order: attacks
     before defences, by the index of the move they answer, then by payload
-    (its printed label and formula, or its request).
+    (its printed label and formula, or its request). These are exactly the
+    moves validate_move accepts, each naming the first move of its target.
 
     The ledgers hold targets and attacks in the order of their moves, and
     the payload candidates come in payload order, so the moves are listed
@@ -742,42 +744,24 @@ def legal_moves(state: GameState, recent_defence_only: bool = False) -> list[Mov
     found under it is a win under the full rules.
     """
     actor = state.turn
-    rights_used = state.rights_used
     moves: list[Move] = []
 
     for target, index in state.assertion_index.items():
-        if target[0] == actor:
-            continue
-        # O attacks an assertion once, whatever the payload
-        if actor == O and (O, target, None) in rights_used:
+        if target[0] == actor or _attack_problem(state, actor, target, None):
             continue
         for payload in _attack_payloads(state, actor, target):
-            if actor == P and (P, target, payload) in rights_used:
-                continue
-            if _reassertion_blocked(state, actor, payload):
-                continue
-            if isinstance(payload, AssertPayload) and _check_assertable(
-                state, actor, payload.label, payload.formula
-            ):
-                continue
-            moves.append(Move(actor, "attack", index, payload))
+            if not _attack_problem(state, actor, target, payload):
+                moves.append(Move(actor, "attack", index, payload))
 
-    opponent = _opponent(actor)
     defence_groups: list[tuple[int, list[Move]]] = []
     for attack, index in state.attack_index.items():
-        if attack[0] != opponent or attack[1][0] != actor:
+        if attack[0] == actor or _defence_problem(state, actor, attack, None):
             continue
-        if _defence_blocked(state, actor, attack):
-            continue
-        group: list[Move] = []
-        for payload in _defence_payloads(state, actor, attack):
-            if (attack, payload) in state.defences:
-                continue
-            if _reassertion_blocked(state, actor, payload):
-                continue
-            if _check_assertable(state, actor, payload.label, payload.formula):
-                continue
-            group.append(Move(actor, "defend", index, payload))
+        group = [
+            Move(actor, "defend", index, payload)
+            for payload in _defence_payloads(state, actor, attack)
+            if not _defence_problem(state, actor, attack, payload)
+        ]
         if group:
             defence_groups.append((index, group))
 
@@ -831,6 +815,10 @@ class StrategyResult:
 
 
 class _Search:
+    """AND-OR search over positions, memoized on the position. It steps
+    through the moves legal_moves lists without validating them again:
+    they are exactly the moves validate_move accepts."""
+
     def __init__(self, budget: int, disciplined: bool):
         self.budget = budget
         self.positions = 0
@@ -854,9 +842,9 @@ class _Search:
         if not moves:
             result = state.turn == O
         elif state.turn == P:
-            result = any(self.win(apply_move(state, m)) for m in moves)
+            result = any(self.win(_step(state, m)) for m in moves)
         else:
-            result = all(self.win(apply_move(state, m)) for m in moves)
+            result = all(self.win(_step(state, m)) for m in moves)
         self.memo[key] = result
         return result
 
@@ -866,7 +854,7 @@ class _Search:
             return {"turn": state.turn, "end": "opponent cannot move"}
         if state.turn == P:
             for m in moves:
-                child = apply_move(state, m)
+                child = _step(state, m)
                 if self.win(child):
                     return {
                         "turn": P,
@@ -879,7 +867,7 @@ class _Search:
             "children": [
                 {
                     "move": move_to_json(m),
-                    "next": self.strategy_tree(apply_move(state, m)),
+                    "next": self.strategy_tree(_step(state, m)),
                 }
                 for m in moves
             ],
@@ -891,11 +879,11 @@ class _Search:
             return state.moves
         if state.turn == O:
             for m in moves:
-                child = apply_move(state, m)
+                child = _step(state, m)
                 if not self.win(child):
                     return self.refuting_play(child)
             raise AssertionError("no refuting move at a losing P position")
-        return self.refuting_play(apply_move(state, moves[0]))
+        return self.refuting_play(_step(state, moves[0]))
 
 
 DEFAULT_SEARCH_BUDGET = 500_000

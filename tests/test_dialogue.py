@@ -13,11 +13,9 @@ from celogic.dialogue import (
     RequestPayload,
     _assertion_of_move,
     _attack_record_of_move,
-    _attack_right_key,
     _check_assertable,
     _cluster,
     _fresh_successor,
-    _reassertion_blocked,
     apply_move,
     game_form,
     has_winning_strategy,
@@ -31,6 +29,7 @@ from celogic.dialogue import (
     render_transcript,
     render_transcript_markdown,
     replay_script,
+    validate_move,
 )
 from celogic.epistemology import SUITE_ROWS
 from celogic.kripke import ContextEnv
@@ -76,6 +75,39 @@ class TestLabels:
             parse_label("2i1", ["i"])
         with pytest.raises(ValueError):
             parse_label("1x1", ["i"])
+        with pytest.raises(ValueError):
+            parse_label("1i1i", ["i", "i1"])
+
+    def test_parse_falls_back_to_a_shorter_agent_name(self):
+        agents = ["i", "i1"]
+        assert parse_label("1i1", agents) == (("i", 1),)
+        assert parse_label("1i1i11", agents) == (("i", 1), ("i1", 1))
+        # the longest name is kept wherever the rest reads after it
+        assert parse_label("1i11", agents) == (("i1", 1),)
+        assert parse_label("1i12", agents) == (("i1", 2),)
+
+    def test_labels_of_random_plays_read_back(self):
+        agents = ("i", "i1")
+        rng = random.Random(31)
+        labels = set()
+        for _ in range(40):
+            thesis = random_formula(rng, 3, agents=agents, contexts=("ci", "ci1"))
+            state = initial_state(thesis)
+            while moves := legal_moves(state):
+                state = apply_move(state, rng.choice(moves))
+            labels |= state.introduced
+        assert {agent for label in labels for agent, _ in label} == set(agents)
+        for label in labels:
+            assert parse_label(render_label(label), agents) == label
+
+    def test_refutation_naming_a_shorter_agent_replays(self):
+        thesis = "a & K{i1,1.1} a -> K{i,1.1} a"
+        result = has_winning_strategy(parse_formula(thesis))
+        assert result.verdict is False
+        moves = [move_to_json(m) for m in result.refutation[1:]]
+        assert any(m["payload"].get("request", {}).get("label") == "1i1" for m in moves)
+        state = replay_script({"thesis": thesis, "moves": moves})
+        assert state.moves == result.refutation
 
 
 class TestGameForm:
@@ -332,23 +364,42 @@ def test_game_output_is_pinned():
 
 
 def _scanned_ledgers(state):
-    """The reference for the ledgers apply_move keeps: the same four
-    ledgers from a full scan of the history."""
+    """The reference for what apply_move keeps: the ledgers, the worlds, the
+    defences and the position from a full scan of the history."""
     first_move_of_assertion = {}
     first_move_of_attack = {}
-    for i in range(len(state.moves)):
+    defences = set()
+    introduced = {()}
+    o_fresh = 0
+    for i, move in enumerate(state.moves):
         a = _assertion_of_move(state, i)
         if a is not None and a not in first_move_of_assertion:
             first_move_of_assertion[a] = i
         r = _attack_record_of_move(state, i)
         if r is not None and r not in first_move_of_attack:
             first_move_of_attack[r] = i
-    rights_used = {
-        (attacker, target, _attack_right_key(attacker, payload))
-        for attacker, target, payload in state.attacks
+        if move.kind == "defend":
+            defences.add((_attack_record_of_move(state, move.target), move.payload))
+        label = move.payload.label
+        if label is not None and label not in introduced:
+            introduced.add(label)
+            o_fresh += move.actor == "O"
+    return {
+        "assertion_index": first_move_of_assertion,
+        "attack_index": first_move_of_attack,
+        # O's one right per target: the targets of O's attack records
+        "rights_used": {t for a, t, _ in first_move_of_attack if a == "O"},
+        "answered": {rec for rec, _ in defences},
+        "defences": defences,
+        "introduced": introduced,
+        "o_fresh": o_fresh,
+        "position_key": (
+            frozenset(first_move_of_assertion),
+            frozenset(first_move_of_attack),
+            frozenset(defences),
+            "O" if len(state.moves) % 2 else "P",
+        ),
     }
-    answered = {rec for rec, _ in state.defences}
-    return first_move_of_assertion, first_move_of_attack, rights_used, answered
 
 
 LEDGER_RANDOM_THESES = 40
@@ -364,13 +415,20 @@ def test_ledgers_match_a_scan_of_the_history():
         for _ in range(LEDGER_PLAYS_PER_THESIS):
             state = initial_state(thesis)
             while True:
-                assertions, attacks, rights_used, answered = _scanned_ledgers(state)
+                scan = _scanned_ledgers(state)
                 # insertion order too: legal_moves walks the ledgers in it
-                assert list(state.assertion_index.items()) == list(assertions.items())
-                assert list(state.attack_index.items()) == list(attacks.items())
-                assert state.rights_used == rights_used
-                assert state.answered == answered
-                assert state.assertion_index.keys() == state.assertions
+                assert list(state.assertion_index.items()) == list(
+                    scan["assertion_index"].items()
+                )
+                assert list(state.attack_index.items()) == list(
+                    scan["attack_index"].items()
+                )
+                assert state.assertions == scan["assertion_index"].keys()
+                assert state.attacks == scan["attack_index"].keys()
+                for name in ("rights_used", "answered", "defences", "introduced"):
+                    assert getattr(state, name) == scan[name], name
+                assert state.o_fresh == scan["o_fresh"]
+                assert state.position_key() == scan["position_key"]
                 checked += 1
                 moves = legal_moves(state)
                 if not moves:
@@ -415,13 +473,9 @@ class TestTranscript:
 
 # ---------------------------------------------------------------------------
 # legal_moves against an uncached reference: the particle rules worked out
-# afresh at every position (with a ContextEnv built afresh from the rules),
-# every candidate filtered by the same rules, and the moves sorted by their
-# printed payloads.
-
-
-def _reference_env(rules):
-    return ContextEnv(dict(rules.env_bindings), auto_bind=rules.env_auto)
+# afresh at every position, every candidate filtered by the reference's own
+# repetition and restatement rules and by the formality rules, and the moves
+# sorted by their printed payloads.
 
 
 def _reference_world_options(state, actor, agent, world):
@@ -436,7 +490,7 @@ def _reference_attack_payloads(state, actor, target):
     match f:
         case Atom(name):
             if name in state.rules.ctx_names:
-                if len(_reference_env(state.rules).resolve(name).literals) >= 2:
+                if len(state.rules.env.resolve(name).literals) >= 2:
                     return [RequestPayload("?_L"), RequestPayload("?_R")]
             return []
         case Not(body):
@@ -476,7 +530,7 @@ def _reference_defence_payloads(state, actor, attack):
         case Atom(name):
             lits = [
                 Atom(a) if positive else Not(Atom(a))
-                for a, positive in _reference_env(state.rules).resolve(name).literals
+                for a, positive in state.rules.env.resolve(name).literals
             ]
             if left:
                 return [AssertPayload(world, lits[0])]
@@ -526,6 +580,32 @@ def _reference_sort_key(move):
     return (move.kind, move.target, payload_key)
 
 
+def _reference_right_spent(state, actor, target, payload):
+    """O attacks an assertion once, whatever the payload; P once per payload."""
+    return any(
+        attacker == actor and attacked == target and (actor == "O" or p == payload)
+        for attacker, attacked, p in state.attacks
+    )
+
+
+def _reference_restates(state, actor, payload):
+    """P may not restate a complex formula already on P's record."""
+    return (
+        actor == "P"
+        and isinstance(payload, AssertPayload)
+        and not isinstance(payload.formula, Atom)
+        and ("P", payload.label, payload.formula) in state.assertions
+    )
+
+
+def _reference_allowed(state, actor, payload):
+    if _reference_restates(state, actor, payload):
+        return False
+    if isinstance(payload, AssertPayload):
+        return not _check_assertable(state, actor, payload.label, payload.formula)
+    return True
+
+
 def reference_legal_moves(state, recent_defence_only=False):
     actor = state.turn
     opponent = "O" if actor == "P" else "P"
@@ -534,27 +614,22 @@ def reference_legal_moves(state, recent_defence_only=False):
         if target[0] == actor:
             continue
         for payload in _reference_attack_payloads(state, actor, target):
-            if (actor, target, _attack_right_key(actor, payload)) in state.rights_used:
+            if _reference_right_spent(state, actor, target, payload):
                 continue
-            if _reassertion_blocked(state, actor, payload):
-                continue
-            if isinstance(payload, AssertPayload) and _check_assertable(
-                state, actor, payload.label, payload.formula
-            ):
-                continue
-            moves.append(Move(actor, "attack", index, payload))
+            if _reference_allowed(state, actor, payload):
+                moves.append(Move(actor, "attack", index, payload))
+    answered = {rec for rec, _ in state.defences}
     groups = []
     for attack, index in state.attack_index.items():
         if attack[0] != opponent or attack[1][0] != actor:
             continue
-        if actor == "O" and attack in state.answered:
+        if actor == "O" and attack in answered:
             continue
         group = [
             Move(actor, "defend", index, payload)
             for payload in _reference_defence_payloads(state, actor, attack)
             if (attack, payload) not in state.defences
-            and not _reassertion_blocked(state, actor, payload)
-            and not _check_assertable(state, actor, payload.label, payload.formula)
+            and _reference_allowed(state, actor, payload)
         ]
         if group:
             groups.append((index, group))
@@ -632,3 +707,54 @@ def test_legal_moves_follow_each_games_context_bindings():
         env = ContextEnv({"ci": parse_context(body)} if body else {})
         assert _context_projections(thesis, env) == expected
         _play_against_reference(thesis, env, rng, 5)
+
+
+def _candidate_moves(state):
+    """Every move the reference particle rules offer the player to move: each
+    attack payload on every assertion and each defence payload against every
+    attack, naming the first move of its target."""
+    actor = state.turn
+    for target, index in state.assertion_index.items():
+        for payload in _reference_attack_payloads(state, actor, target):
+            yield Move(actor, "attack", index, payload)
+    for attack, index in state.attack_index.items():
+        for payload in _reference_defence_payloads(state, actor, attack):
+            yield Move(actor, "defend", index, payload)
+
+
+def test_validate_move_accepts_exactly_the_listed_moves():
+    # What lets the search step through listed moves without validating them.
+    rng = random.Random(29)
+    theses = [parse_formula(row.formula) for row in SUITE_ROWS]
+    theses += [random_formula(rng, 3) for _ in range(REFERENCE_RANDOM_THESES)]
+    # P attacks both of O's implications with p -> p, and may not restate it
+    theses.append(parse_formula("((p -> p) -> q) & ((p -> p) -> r) -> s"))
+    checked = 0
+    rejected = set()
+    for thesis in theses:
+        for _ in range(REFERENCE_PLAYS_PER_THESIS):
+            state = initial_state(thesis)
+            while True:
+                listed = legal_moves(state)
+                candidates = list(_candidate_moves(state))
+                assert set(listed) <= set(candidates)
+                for move in candidates:
+                    try:
+                        validate_move(state, move)
+                    except IllegalMoveError as exc:
+                        assert move not in listed, move
+                        rejected.add(str(exc) if exc.rule == "PL-2" else exc.rule)
+                    else:
+                        assert move in listed, move
+                    checked += 1
+                if not listed:
+                    break
+                state = apply_move(state, rng.choice(listed))
+    assert checked > 50 * len(theses)
+    assert {"PL-0", "PL-3", "ML-frc"} <= rejected
+    assert {
+        "PL-2: this attack was already made",
+        "PL-2: this defence was already given",
+        "PL-2: O has already answered this attack",
+        "PL-2: restating one's own assertion changes nothing for P",
+    } <= rejected
