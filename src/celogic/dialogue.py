@@ -28,6 +28,11 @@ Context names behave like atoms for assertion bookkeeping but live under the
 context formality rule rather than the atom rule; asserting a compound
 context additionally grants its positive literals at that world.
 
+The particle rules are one table (``_particle_rule``): for each asserted
+formula, each way of attacking it with the defences that answer that
+attack. A game works out an assertion's table once; only the worlds a Know
+attack may name and a Poss defence may use come from the position.
+
 Each structural rule is stated once (``_attack_problem``,
 ``_defence_problem`` and ``_check_assertable``): ``legal_moves`` lists the
 particle rules' candidates that pass them, and ``validate_move`` raises what
@@ -46,6 +51,7 @@ from __future__ import annotations
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import reduce
 from typing import Iterable
 
 from .kripke import ContextEnv
@@ -232,15 +238,14 @@ def _rel(body: Formula, context: str) -> Formula:
 class GameRules:
     """One game's rules, shared by all its states: the context bindings (a
     copy of the caller's, so later edits to that do not reach the game), the
-    context names and O's fresh-world cap. It also keeps what follows from
-    the rules alone: the payload candidates per attacked assertion and per
-    attack record."""
+    context names and O's fresh-world cap (one more than the thesis's modal
+    depth). It also keeps what follows from the rules alone: each asserted
+    formula's particle rule, one table of its attacks with their defences."""
 
     env: ContextEnv
     ctx_names: frozenset[str]
     fresh_cap: int
-    attack_payloads: dict = field(default_factory=dict, repr=False)
-    defence_payloads: dict = field(default_factory=dict, repr=False)
+    particle_rules: dict = field(default_factory=dict, repr=False)
 
 
 Assertion = tuple[str, Label, Formula]  # actor, world, formula
@@ -285,9 +290,7 @@ class GameState:
         return self.moves[0].payload.formula
 
 
-def initial_state(
-    thesis: Formula, env: ContextEnv | None = None, fresh_slack: int = 1
-) -> GameState:
+def initial_state(thesis: Formula, env: ContextEnv | None = None) -> GameState:
     env = env or ContextEnv()
     normalized = game_form(thesis)
     needed_context_names(normalized)  # raises UntaggedOperatorError if untagged
@@ -297,7 +300,7 @@ def initial_state(
     rules = GameRules(
         env=ContextEnv(env.bindings, auto_bind=env.auto_bind),
         ctx_names=frozenset(ctx_names),
-        fresh_cap=info.modal_depth + fresh_slack,
+        fresh_cap=info.modal_depth + 1,
     )
     move = Move(P, "thesis", None, AssertPayload(ROOT, normalized))
     return GameState(
@@ -391,14 +394,6 @@ def _check_assertable(
     if actor == P and not isinstance(f, Atom):
         if (P, world, f) in state.assertion_index:
             return ("PL-2", "restating one's own assertion changes nothing for P")
-    if world not in state.introduced:
-        if actor == P:
-            return ("ML-frw", f"P cannot introduce world {render_label(world)}")
-        # O introduces the world by asserting there (possibility defences);
-        # candidate generation keeps such worlds within the fresh cap.
-        if state.o_fresh >= state.rules.fresh_cap:
-            return ("world cap", "O's fresh-world budget is spent")
-        return None
     if isinstance(f, Atom):
         if f.name in state.rules.ctx_names:
             if actor == P and (O, world, f) not in state.assertion_index:
@@ -418,131 +413,95 @@ def _check_assertable(
 # Particle rules
 
 
-def _payload_sort_key(payload: Payload):
-    if isinstance(payload, AssertPayload):
-        return (0, render_label(payload.label), render_formula(payload.formula))
-    return (1, payload.kind, payload.agent or "", render_label(payload.label or ()))
+ParticleRule = dict[Payload, tuple[AssertPayload, ...]]
+
+
+def _particle_rule(rules: GameRules, target: Assertion) -> ParticleRule:
+    """The target's particle rule, worked out once per game: each attack
+    payload, in payload order, mapped to the defence payloads that answer
+    it, in payload order. Only a Know's attacks and a Poss's defences depend
+    on the position: the table leaves them empty, and ``_attack_payloads``
+    and ``_defence_payloads`` work them out per call."""
+    rule = rules.particle_rules.get(target)
+    if rule is None:
+        rule = rules.particle_rules[target] = _particle_table(rules, target)
+    return rule
+
+
+def _particle_table(rules: GameRules, target: Assertion) -> ParticleRule:
+    _, world, f = target
+
+    def said(*formulas: Formula) -> tuple[AssertPayload, ...]:
+        return tuple(AssertPayload(world, g) for g in formulas)
+
+    left, right = RequestPayload("?_L"), RequestPayload("?_R")
+    match f:
+        case Atom(name) if name in rules.ctx_names:
+            # a compound context is played as the conjunction of its literals
+            literals = rules.env.resolve(name).literals
+            lits = [Atom(a) if positive else Not(Atom(a)) for a, positive in literals]
+            if len(lits) < 2:
+                return {}
+            return {left: said(lits[0]), right: said(reduce(And, lits[1:]))}
+        case Atom():
+            return {}
+        case Not(body):
+            return {AssertPayload(world, body): ()}
+        case And(l, r):
+            return {left: said(l), right: said(r)}
+        case Or(l, r):
+            return {RequestPayload("?"): said(*sorted((l, r), key=render_formula))}
+        case Imp(l, r):
+            return {AssertPayload(world, l): said(r)}
+        case Know():
+            return {}
+        case Poss(agent, _, _):
+            return {RequestPayload("?_P", agent): ()}
+        case Rel(And(l, r), c):
+            return {left: said(_rel(l, c)), right: said(_rel(r, c))}
+        case Rel(Know(agent, variant, inner), c):
+            cx, cy = variant_contexts_names(variant, c, agent)
+            answer = Know(agent, variant, _rel(inner, cy))
+            return {AssertPayload(world, Atom(cx)): said(answer)}
+        case Rel(Atom() | Rel() as body, c):
+            answer = body
+        case Rel(Not(inner), c):
+            answer = Not(_rel(inner, c))
+        case Rel(Or(l, r), c):
+            answer = Or(_rel(l, c), _rel(r, c))
+        case Rel(Imp(l, r), c):
+            answer = Imp(_rel(l, c), _rel(r, c))
+        case _:
+            raise TypeError(f"not a game formula: {f!r}")
+    return {AssertPayload(world, Atom(c)): said(answer)}
 
 
 def _attack_payloads(state: GameState, actor: str, target: Assertion):
     """Payload candidates for attacking the target assertion (before the
     per-record and assertability filters), in the order legal_moves lists
-    them. Only a Know target's candidates depend on the position; the rest
-    are worked out once per game."""
+    them."""
     _, world, f = target
     if isinstance(f, Know):
         return [
             RequestPayload("?_K", f.agent, w)
             for w in _world_options(state, actor, f.agent, world)
         ]
-    cache = state.rules.attack_payloads
-    payloads = cache.get(target)
-    if payloads is None:
-        payloads = _fixed_attack_payloads(state.rules, target)
-        payloads = tuple(sorted(payloads, key=_payload_sort_key))
-        cache[target] = payloads
-    return payloads
-
-
-def _fixed_attack_payloads(rules: GameRules, target: Assertion) -> list[Payload]:
-    _, world, f = target
-    match f:
-        case Atom(name):
-            if name in rules.ctx_names:
-                body = rules.env.resolve(name)
-                if len(body.literals) >= 2:
-                    return [RequestPayload("?_L"), RequestPayload("?_R")]
-            return []
-        case Not(body):
-            return [AssertPayload(world, body)]
-        case And(_, _):
-            return [RequestPayload("?_L"), RequestPayload("?_R")]
-        case Or(_, _):
-            return [RequestPayload("?")]
-        case Imp(l, _):
-            return [AssertPayload(world, l)]
-        case Poss(agent, _, _):
-            return [RequestPayload("?_P", agent)]
-        case Rel(body, c):
-            match body:
-                case And(_, _):
-                    return [RequestPayload("?_L"), RequestPayload("?_R")]
-                case Know(agent, variant, _):
-                    cx, _ = variant_contexts_names(variant, c, agent)
-                    return [AssertPayload(world, Atom(cx))]
-                case _:
-                    return [AssertPayload(world, Atom(c))]
-    raise TypeError(f"not a formula: {f!r}")
-
-
-def _context_literal_formulas(rules: GameRules, name: str) -> list[Formula]:
-    body = rules.env.resolve(name)
-    return [Atom(a) if positive else Not(Atom(a)) for a, positive in body.literals]
+    return _particle_rule(state.rules, target).keys()
 
 
 def _defence_payloads(state: GameState, actor: str, attack: AttackRecord):
     """Payload candidates for defending against the attack, in the order
-    legal_moves lists them. Only a Poss defence's candidates depend on the
-    position; the rest are worked out once per game."""
-    _, (_, world, f), _ = attack
+    legal_moves lists them."""
+    _, target, payload = attack
+    _, world, f = target
+    if isinstance(f, Know):
+        return (AssertPayload(payload.label, f.body),)
     if isinstance(f, Poss):
         return [
             AssertPayload(w, f.body)
             for w in _world_options(state, actor, f.agent, world)
         ]
-    cache = state.rules.defence_payloads
-    payloads = cache.get(attack)
-    if payloads is None:
-        payloads = _fixed_defence_payloads(state.rules, attack)
-        payloads = tuple(sorted(payloads, key=_payload_sort_key))
-        cache[attack] = payloads
-    return payloads
-
-
-def _fixed_defence_payloads(rules: GameRules, attack: AttackRecord) -> list[Payload]:
-    _, (_, world, f), payload = attack
-    match f:
-        case Atom(name):
-            # compound context under ?_L / ?_R
-            lits = _context_literal_formulas(rules, name)
-            if payload == RequestPayload("?_L"):
-                return [AssertPayload(world, lits[0])]
-            rest = lits[1]
-            for extra in lits[2:]:
-                rest = And(rest, extra)
-            return [AssertPayload(world, rest)]
-        case Not(_):
-            return []
-        case And(l, r):
-            chosen = l if payload == RequestPayload("?_L") else r
-            return [AssertPayload(world, chosen)]
-        case Or(l, r):
-            return [AssertPayload(world, l), AssertPayload(world, r)]
-        case Imp(_, r):
-            return [AssertPayload(world, r)]
-        case Know(_, _, body):
-            return [AssertPayload(payload.label, body)]
-        case Rel(body, c):
-            match body:
-                case Atom(_):
-                    return [AssertPayload(world, body)]
-                case Rel(_, _):
-                    return [AssertPayload(world, body)]
-                case Not(inner):
-                    return [AssertPayload(world, Not(_rel(inner, c)))]
-                case And(l, r):
-                    chosen = l if payload == RequestPayload("?_L") else r
-                    return [AssertPayload(world, _rel(chosen, c))]
-                case Or(l, r):
-                    return [AssertPayload(world, Or(_rel(l, c), _rel(r, c)))]
-                case Imp(l, r):
-                    return [AssertPayload(world, Imp(_rel(l, c), _rel(r, c)))]
-                case Know(agent, variant, inner):
-                    _, cy = variant_contexts_names(variant, c, agent)
-                    return [
-                        AssertPayload(world, Know(agent, variant, _rel(inner, cy)))
-                    ]
-    raise TypeError(f"unexpected attacked formula: {f!r}")
+    return _particle_rule(state.rules, target)[payload]
 
 
 # ---------------------------------------------------------------------------
@@ -728,7 +687,7 @@ def _step(state: GameState, move: Move) -> GameState:
     )
 
 
-def legal_moves(state: GameState, recent_defence_only: bool = False) -> list[Move]:
+def legal_moves(state: GameState) -> list[Move]:
     """Every move the player to move may make, in a canonical order: attacks
     before defences, by the index of the move they answer, then by payload
     (its printed label and formula, or its request). These are exactly the
@@ -737,11 +696,6 @@ def legal_moves(state: GameState, recent_defence_only: bool = False) -> list[Mov
     The ledgers hold targets and attacks in the order of their moves, and
     the payload candidates come in payload order, so the moves are listed
     in that order without a sort.
-
-    With ``recent_defence_only`` the defence options are narrowed to the most
-    recent enemy attack that still admits some defence. That is a search
-    discipline, not a game rule: it can only restrict the player, so a win
-    found under it is a win under the full rules.
     """
     actor = state.turn
     moves: list[Move] = []
@@ -753,22 +707,12 @@ def legal_moves(state: GameState, recent_defence_only: bool = False) -> list[Mov
             if not _attack_problem(state, actor, target, payload):
                 moves.append(Move(actor, "attack", index, payload))
 
-    defence_groups: list[tuple[int, list[Move]]] = []
     for attack, index in state.attack_index.items():
         if attack[0] == actor or _defence_problem(state, actor, attack, None):
             continue
-        group = [
-            Move(actor, "defend", index, payload)
-            for payload in _defence_payloads(state, actor, attack)
-            if not _defence_problem(state, actor, attack, payload)
-        ]
-        if group:
-            defence_groups.append((index, group))
-
-    if recent_defence_only and defence_groups:
-        defence_groups = [max(defence_groups, key=lambda g: g[0])]
-    for _, group in defence_groups:
-        moves.extend(group)
+        for payload in _defence_payloads(state, actor, attack):
+            if not _defence_problem(state, actor, attack, payload):
+                moves.append(Move(actor, "defend", index, payload))
     return moves
 
 
@@ -826,8 +770,17 @@ class _Search:
         self.memo: dict = {}
 
     def moves(self, state: GameState) -> list[Move]:
+        """The legal moves; when disciplined, P's defences are narrowed to
+        the most recent attack that admits one. That is a search discipline,
+        not a game rule: it only restricts P, so a win found under it is a
+        win under the full rules. Defences come last, by the index of the
+        attack they answer, so the last move names that attack."""
+        moves = legal_moves(state)
         narrow = self.disciplined and state.turn == P
-        return legal_moves(state, recent_defence_only=narrow)
+        if narrow and moves and moves[-1].kind == "defend":
+            last = moves[-1].target
+            moves = [m for m in moves if m.kind == "attack" or m.target == last]
+        return moves
 
     def win(self, state: GameState) -> bool:
         """True iff P has a winning strategy from this position."""
@@ -893,7 +846,6 @@ def has_winning_strategy(
     thesis: Formula,
     env: ContextEnv | None = None,
     budget: int = DEFAULT_SEARCH_BUDGET,
-    fresh_slack: int = 1,
 ) -> StrategyResult:
     """AND-OR search: does P have a winning strategy for the thesis?
 
@@ -908,7 +860,7 @@ def has_winning_strategy(
     most recent open attack (a pure handicap on P, so a win stands), then,
     only if that fails, with P's full classical rights.
     """
-    state = initial_state(thesis, env, fresh_slack)
+    state = initial_state(thesis, env)
     with _deep_recursion():
         spent = 0
         for disciplined in (True, False):
@@ -1000,15 +952,3 @@ def render_transcript(moves, winner: str | None = None) -> str:
         lines.append(f"{winner} wins the play")
     return "\n".join(lines)
 
-
-def render_transcript_markdown(moves, winner: str | None = None) -> str:
-    if isinstance(moves, GameState):
-        moves = moves.moves
-    rows = _transcript_rows(moves)
-    lines = ["| | O | | | P | |", "|---|---|---|---|---|---|"]
-    for r in rows:
-        lines.append("| " + " | ".join(r) + " |")
-    if winner:
-        lines.append("")
-        lines.append(f"**{winner} wins the play**")
-    return "\n".join(lines)

@@ -11,6 +11,7 @@ from celogic.dialogue import (
     IllegalMoveError,
     Move,
     RequestPayload,
+    _Search,
     _assertion_of_move,
     _attack_record_of_move,
     _check_assertable,
@@ -27,7 +28,6 @@ from celogic.dialogue import (
     render_label,
     render_payload,
     render_transcript,
-    render_transcript_markdown,
     replay_script,
     validate_move,
 )
@@ -245,6 +245,71 @@ class TestApplyMove:
         with pytest.raises(IllegalMoveError, match="particle mismatch"):
             apply_move(s, Move("O", "attack", 0, RequestPayload("?_L")))
 
+    def test_world_rejections_are_pinned(self):
+        def said(world, text):
+            return AssertPayload(parse_label(world, ["i"]), parse_formula(text))
+
+        def ask(world):
+            return RequestPayload("?_K", "i", parse_label(world, ["i"]))
+
+        # Depth 1 gives O two fresh worlds. P's two K defences of the
+        # disjunction let O spend both, by ?_K or by answering ?_P{i}.
+        thesis = "P{i,1.1} a -> K{i,1.1} b | K{i,1.1} c"
+        opening = [
+            Move("O", "attack", 0, said("1", "P{i,1.1} a")),
+            Move("P", "defend", 1, said("1", "K{i,1.1} b | K{i,1.1} c")),
+            Move("O", "attack", 2, RequestPayload("?")),
+        ]
+        cap_spent_before_k = opening + [
+            Move("P", "defend", 3, said("1", "K{i,1.1} b")),
+            Move("O", "attack", 4, ask("1i1")),
+            Move("P", "attack", 1, RequestPayload("?_P", "i")),
+            Move("O", "defend", 6, said("1i2", "a")),
+            Move("P", "defend", 3, said("1", "K{i,1.1} c")),
+        ]
+        cap_spent_before_p = opening + [
+            Move("P", "defend", 3, said("1", "K{i,1.1} c")),
+            Move("O", "attack", 4, ask("1i1")),
+            Move("P", "defend", 3, said("1", "K{i,1.1} b")),
+            Move("O", "attack", 6, ask("1i2")),
+            Move("P", "attack", 1, RequestPayload("?_P", "i")),
+        ]
+        cases = [
+            (
+                "K{i,1.1} a -> K{i,1.1} a",
+                [Move("O", "attack", 0, said("1", "K{i,1.1} a"))],
+                Move("P", "attack", 1, ask("1i1")),
+                "ML-frw: P cannot introduce ?_K{i}/1i1",
+            ),
+            (
+                thesis,
+                cap_spent_before_k,
+                Move("O", "attack", 8, ask("1i3")),
+                "world cap: O's fresh-world budget is spent",
+            ),
+            (
+                "P{i,1.1} a",
+                [Move("O", "attack", 0, RequestPayload("?_P", "i"))],
+                Move("P", "defend", 1, said("1i1", "a")),
+                "particle mismatch: 1i1: a does not answer ?_P{i} on P{i,1.1} a",
+            ),
+            (
+                thesis,
+                cap_spent_before_p,
+                Move("O", "defend", 8, said("1i3", "a")),
+                "particle mismatch: 1i3: a does not answer ?_P{i} on P{i,1.1} a",
+            ),
+        ]
+        for text, prefix, move, message in cases:
+            state = initial_state(parse_formula(text))
+            for m in prefix:
+                state = apply_move(state, m)
+            if text == thesis:
+                assert state.o_fresh == state.rules.fresh_cap == 2
+            with pytest.raises(IllegalMoveError) as exc:
+                apply_move(state, move)
+            assert str(exc.value) == message
+
 
 class TestWinningStrategy:
     @pytest.mark.parametrize("path", PLAY_FILES, ids=lambda p: p.stem)
@@ -456,13 +521,6 @@ class TestTranscript:
         text = render_transcript(state)
         assert "(0)" in text and "1: p" in text
 
-    def test_markdown_table(self):
-        data = load_play(PLAYS_DIR / "cross-introspection-22.json")
-        state = replay_script(data)
-        md = render_transcript_markdown(state, winner="P")
-        assert md.startswith("| | O | | | P | |")
-        assert "**P wins the play**" in md
-
     def test_deferred_defence_sits_on_attack_row(self):
         data = load_play(PLAYS_DIR / "factivity-11.json")
         state = replay_script(data)
@@ -643,15 +701,16 @@ def reference_legal_moves(state, recent_defence_only=False):
 
 def _play_against_reference(thesis, env, rng, plays):
     """Seeded random plays of the thesis; at every position both players'
-    move lists, narrowed and not, equal the reference's. Returns the number
-    of positions checked."""
+    move lists equal the reference's, and so do the search's narrowed ones
+    (it narrows only P's). Returns the number of positions checked."""
+    narrowing = _Search(0, disciplined=True)
     checked = 0
     for _ in range(plays):
         state = initial_state(thesis, env)
         while True:
-            for narrow in (False, True):
-                expected = reference_legal_moves(state, narrow)
-                assert legal_moves(state, narrow) == expected
+            assert legal_moves(state) == reference_legal_moves(state)
+            expected = reference_legal_moves(state, state.turn == "P")
+            assert narrowing.moves(state) == expected
             checked += 1
             moves = legal_moves(state)
             if not moves:
