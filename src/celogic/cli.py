@@ -161,20 +161,24 @@ def _cmd_dialogue(args) -> int:
     env = _load_env(args.env)
     budget = args.budget or dlg.DEFAULT_SEARCH_BUDGET
     result = dlg.has_winning_strategy(f, env, budget=budget)
-    if result.verdict:
-        # the tree is built on this read, which can still stop on the budget,
-        # so it is built before anything is printed
-        tree = json.dumps(result.strategy, indent=2) if args.format == "json" else None
-        print("P has a winning strategy")
-        if tree is not None:
-            print(tree)
-        return EXIT_OK
-    print("O wins: no winning strategy for P")
     if args.format == "json":
-        print(json.dumps([dlg.move_to_json(m) for m in result.refutation], indent=2))
+        # one document, shaped like prove's: the verdict, then its witness.
+        # The tree is built on this read, which can still stop on the
+        # budget, so it is built before anything is printed.
+        if result.verdict:
+            doc = {"valid": True, "strategy": result.strategy}
+        else:
+            doc = {
+                "valid": False,
+                "refutation": [dlg.move_to_json(m) for m in result.refutation],
+            }
+        print(json.dumps(doc, indent=2))
+    elif result.verdict:
+        print("P has a winning strategy")
     else:
+        print("O wins: no winning strategy for P")
         print(dlg.render_transcript(result.refutation, winner="O"))
-    return EXIT_NEGATIVE
+    return EXIT_OK if result.verdict else EXIT_NEGATIVE
 
 
 def _cmd_oracle(args) -> int:

@@ -17,7 +17,8 @@ and defended) with the structural rules:
   distinct payload (P can need several instantiations of a single concession
   by O, and may return to an attack to defend it the other way);
 - atoms are never attacked, and P may only state an atom at a world where O
-  has already stated it;
+  has already stated it; this holds for the thesis too, so P loses an
+  atomic thesis at once;
 - P may only use worlds already introduced, while O may introduce fresh
   successor worlds (bounded by a cap derived from the thesis's modal depth);
   within a cluster of worlds connected by one agent's steps, any given world
@@ -50,7 +51,7 @@ from __future__ import annotations
 
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import reduce
 from typing import Iterable
 
@@ -861,6 +862,11 @@ def has_winning_strategy(
     only if that fails, with P's full classical rights.
     """
     state = initial_state(thesis, env)
+    # the structural rules apply to the thesis too, at the position before
+    # it: P may not state an atom or a context name that O has not, so O
+    # wins an atomic thesis with the one-move play
+    if _check_assertable(replace(state, assertion_index={}), P, ROOT, state.thesis):
+        return StrategyResult(False, state.moves, 1)
     with _deep_recursion():
         spent = 0
         for disciplined in (True, False):

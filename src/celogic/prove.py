@@ -26,7 +26,12 @@ from functools import cached_property
 from .kripke import ContextEnv, KripkeModel, satisfies
 # reduce_full is not called here; it stays a module attribute because
 # perfbench/tracing.py wraps prove.reduce_full by name.
-from .reduction import needed_context_names, reduce_full, reduce_result  # noqa: F401
+from .reduction import (  # noqa: F401
+    is_relativization_free,
+    needed_context_names,
+    reduce_full,
+    reduce_result,
+)
 from .syntax import (
     And,
     Atom,
@@ -337,8 +342,7 @@ def prove_el(
     literal conjunctions inside the tableau (the reduce-then-prove pipeline
     uses this; plain callers can ignore it).
     """
-    info = formula_info(f)
-    if not info.is_el:
+    if not is_relativization_free(f):
         raise NonEpistemicFragmentError(
             "prove_el needs a relativization-free formula; reduce it first"
         )
@@ -348,7 +352,7 @@ def prove_el(
     status, payload = _explore(branch)
     if status == "closed":
         return Valid(goal=f, tableau=payload)
-    model = _extract_model(payload, info.agents)
+    model = _extract_model(payload, formula_info(f).agents)
     world = "w1"
     env = ContextEnv(ctx)
     if satisfies(model, world, env, f):
@@ -369,6 +373,7 @@ def prove_cel(f: Formula, env: ContextEnv | None = None) -> Verdict:
         needed |= {name for name in env.bindings if name in reduced_atoms}
     full_env = env.completed(needed)
     ctx_bodies = {name: full_env.resolve(name) for name in needed}
+    # a normal form keeps that it is Rel-free, so prove_el's check is free
     verdict = prove_el(reduced, ctx_bodies)
     if isinstance(verdict, Invalid):
         if satisfies(verdict.model, verdict.world, full_env, f):

@@ -17,6 +17,14 @@ records the canonical step trace, ``reduce_result`` (used by ``prove_cel``)
 gives only the normal form, and ``reduce_once`` stops after one step. No
 redex is searched for from the root, so a recorded step costs time in the
 depth of the formula, not its size.
+
+``reduce_result`` keeps on each node it reduces that node's normal form and
+the number of rewrites it took, so a later call on a tree that shares the
+node (the next step of a trace, a biconditional of two steps) returns it at
+once. The result, the default budget ``4 * node_count ** 2`` and every
+error, message included, are exactly those of a call on a fresh tree.
+``reduce_full`` and ``reduce_once`` never read or keep these forms: a trace
+is never cached.
 """
 
 from __future__ import annotations
@@ -37,6 +45,7 @@ from .syntax import (
     UntaggedOperatorError,
     node_count,
     render_formula,
+    subformulas,
     variant_contexts_names,
 )
 
@@ -128,6 +137,9 @@ def primitive_form(f: Formula) -> Formula:
 
 _LEAST_DEFAULT_BUDGET = 4 * 2**2
 
+# kept by a Rel-free node: its normal form is itself, after no rewrite
+_REL_FREE = object()
+
 
 def _reduce(
     f: Formula, step_budget: int | None, trace: list[ReductionStep] | None
@@ -139,34 +151,71 @@ def _reduce(
     Rel-free, so each rewrite is at the leftmost-outermost redex. Steps are
     appended to ``trace`` if given. More than ``step_budget`` rewrites
     (default ``4 * node_count(f) ** 2``) raise ReductionBudgetError.
-    Rel-free subtrees are kept, not copied.
+    Rel-free subtrees are shared, not copied.
 
     A formula with a Rel has at least two nodes, so the default budget is
     at least ``_LEAST_DEFAULT_BUDGET``; the walk that sizes it is made only
     once that many rewrites are done, and most reductions never make it.
+
+    Without a trace, each node the walk finishes keeps, in its ``_normal``
+    slot, its normal form and the number of rewrites that took; a Rel-free
+    node, each normal form included, keeps ``_REL_FREE`` instead and so
+    allocates nothing. A kept node is returned at once, its rewrites
+    counted as done. A normal form depends on the subtree alone, so the
+    result, the step count and whether the budget error is raised, with
+    what message, are those of a walk that kept nothing. Traces are never
+    cached: the walk with a trace records every step, so it neither reads
+    nor keeps forms.
     """
     steps = 0
 
-    def rewrite(g: Rel) -> tuple[Formula, str]:
-        nonlocal steps, step_budget
-        rewritten = _rewrite_redex(g.body, g.context)
-        if step_budget is None and steps == _LEAST_DEFAULT_BUDGET:
+    def over_budget(n: int) -> bool:
+        """Whether n rewrites pass the budget; the default budget is sized
+        the first time n passes the least it can be."""
+        nonlocal step_budget
+        if step_budget is None:
+            if n <= _LEAST_DEFAULT_BUDGET:
+                return False
             step_budget = 4 * node_count(f) ** 2
-        if steps == step_budget:
-            raise ReductionBudgetError(
-                f"no fixpoint within {step_budget} steps; derived-iff doubles"
-                " both operands, so equivalences nested under one"
-                " relativization grow exponentially"
-            )
+        return n > step_budget
+
+    def budget_error() -> ReductionBudgetError:
+        return ReductionBudgetError(
+            f"no fixpoint within {step_budget} steps; derived-iff doubles"
+            " both operands, so equivalences nested under one"
+            " relativization grow exponentially"
+        )
+
+    def rewrite(g: Rel) -> tuple[Formula, str]:
+        nonlocal steps
+        rewritten = _rewrite_redex(g.body, g.context)
+        if over_budget(steps + 1):
+            raise budget_error()
         steps += 1
         return rewritten
 
     if trace is None:
 
         def go(g: Formula) -> Formula:
-            while isinstance(g, Rel):
-                g, _ = rewrite(g)
-            return g.rebuild(*map(go, g.children()))
+            nonlocal steps
+            kept = getattr(g, "_normal", None)
+            if kept is not None:
+                if kept is _REL_FREE:
+                    return g
+                out, count = kept
+                steps += count
+                if over_budget(steps):
+                    raise budget_error()
+                return out
+            start = steps
+            h = g
+            while isinstance(h, Rel):
+                h, _ = rewrite(h)
+            out = h.rebuild(*map(go, h.children()))
+            if out is not g:
+                object.__setattr__(g, "_normal", (out, steps - start))
+            object.__setattr__(out, "_normal", _REL_FREE)
+            return out
 
         return go(f)
 
@@ -198,6 +247,15 @@ def reduce_result(f: Formula) -> Formula:
     """The normal form ``reduce_full(f).result``, without the trace; it
     raises the same errors."""
     return _reduce(f, None, None)
+
+
+def is_relativization_free(f: Formula) -> bool:
+    """Whether f has no Rel node: read off the form ``reduce_result`` keeps
+    on f if it has finished f (a normal form keeps itself), else one walk."""
+    kept = getattr(f, "_normal", None)
+    if kept is not None:
+        return kept is _REL_FREE
+    return not any(isinstance(g, Rel) for g in subformulas(f))
 
 
 def reduce_once(f: Formula) -> tuple[Formula, str, tuple[int, ...]] | None:

@@ -85,40 +85,40 @@ class Formula:
     """A formula node; see the module docstring for ``children()`` and
     ``rebuild(*kids)``.
 
-    A node keeps its hash once worked out (see ``_node``), so the sets and
-    memos that hold formulas do not re-hash whole trees. The kept hash is
-    left out of pickles and copies: string hashes are seeded per process.
+    Nodes are slotted. Besides its fields a node has two slots, unset until
+    first use, for facts derived from it: ``_hash``, its hash once worked
+    out (see ``_node``), so the sets and memos that hold formulas do not
+    re-hash whole trees; and ``_normal``, kept by ``reduction.reduce_result``
+    (see there). Pickles and copies carry the fields only, through the
+    dataclass's own ``__getstate__``: string hashes are seeded per process,
+    and a kept normal form would drag its whole tree along.
     """
 
-    _hash = None
-
-    def __getstate__(self):
-        state = dict(self.__dict__)
-        state.pop("_hash", None)
-        return state
+    __slots__ = ("_hash", "_normal")
 
 
 def _node(cls):
-    """A frozen dataclass formula node whose hash, the dataclass's hash of
-    the field tuple, is worked out on first use and then kept.
+    """A frozen, slotted dataclass formula node whose hash, the dataclass's
+    hash of the field tuple, is worked out on first use and then kept.
 
     The field tuple is read by ``attrgetter``, not by the dataclass's own
     ``__hash__``, so a first hash costs one Python frame per tree level and
     deep input meets the recursion limit no sooner than with a plain
     dataclass hash.
     """
-    cls = dataclass(frozen=True)(cls)
+    cls = dataclass(frozen=True, slots=True)(cls)
     names = [f.name for f in fields(cls)]
     field_values = attrgetter(*names)
     single = len(names) == 1
 
     def __hash__(self):
-        h = self._hash
-        if h is None:
+        try:
+            return self._hash
+        except AttributeError:
             values = field_values(self)
             h = hash((values,) if single else values)
             object.__setattr__(self, "_hash", h)
-        return h
+            return h
 
     cls.__hash__ = __hash__
     return cls

@@ -170,6 +170,40 @@ class TestDialogue:
         assert code == 1
         assert "O wins the play" in out
 
+    @pytest.mark.parametrize("thesis", ["p", "ci"])
+    def test_atomic_thesis_exits_one(self, capsys, thesis):
+        code, out, _ = run(capsys, "dialogue", thesis)
+        assert code == 1
+        assert out.startswith("O wins: no winning strategy for P")
+
+    def test_atomic_thesis_with_a_bound_context_exits_one(self, capsys, tmp_path):
+        path = tmp_path / "env.json"
+        path.write_text(json.dumps({"ci": "p"}))
+        code, out, _ = run(capsys, "dialogue", "--env", str(path), "ci")
+        assert code == 1
+        assert "O wins the play" in out
+
+    def test_json_winning_thesis_is_one_document(self, capsys):
+        code, out, _ = run(
+            capsys, "--format", "json", "dialogue", "K{i,1.1} a -> K{i,1.1} K{i,1.1} a"
+        )
+        assert code == 0
+        data = json.loads(out)
+        assert data["valid"] is True and data["strategy"]["turn"] == "O"
+
+    def test_json_losing_thesis_is_one_document(self, capsys):
+        code, out, _ = run(
+            capsys,
+            "--format",
+            "json",
+            "dialogue",
+            "(K{i,1.2} a)^ci -> (K{i,1.2} K{i,1.2} a)^cj",
+        )
+        assert code == 1
+        data = json.loads(out)
+        assert data["valid"] is False
+        assert data["refutation"][0]["kind"] == "thesis"
+
     def test_budget_exhaustion_exits_three(self, capsys):
         code, _, err = run(
             capsys, "dialogue", "--budget", "3", "K{i,1.1} a -> K{i,1.1} K{i,1.1} a"

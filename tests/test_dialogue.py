@@ -33,6 +33,7 @@ from celogic.dialogue import (
 )
 from celogic.epistemology import SUITE_ROWS
 from celogic.kripke import ContextEnv
+from celogic.prove import prove_cel
 from celogic.syntax import (
     And,
     Atom,
@@ -138,8 +139,8 @@ class TestInitialState:
     def test_atomic_thesis_leaves_o_without_moves(self):
         s = initial_state(Atom("p"))
         assert legal_moves(s) == []
-        # so the search decides for P immediately
-        assert has_winning_strategy(Atom("p")).verdict is True
+        # but P may not state an atom O has not stated, so P loses at once
+        assert has_winning_strategy(Atom("p")).verdict is False
 
     def test_untagged_operator_under_relativization_rejected(self):
         with pytest.raises(UntaggedOperatorError):
@@ -355,6 +356,37 @@ class TestWinningStrategy:
         assert result.verdict is True and result.positions == spent
         with pytest.raises(BudgetExhaustedError):
             result.strategy
+
+
+# Theses on which the game has disagreed with the tableau, with their
+# context bindings. Defect A: P won every atomic thesis, since O has no move
+# against an atom. Defect B: O wins each classical tautology below on tempo,
+# with a delayed defence that leaves P without an answer; a strict xfail
+# fails as soon as the game agrees.
+_DEFECT_B = pytest.mark.xfail(
+    strict=True, reason="defect B: O wins some tautologies on tempo"
+)
+_DISAGREEMENT_ROWS = [
+    ("p", {}),
+    ("ci", {}),
+    ("ci", {"ci": "p"}),
+    pytest.param("~(q <-> ~q)", {}, marks=_DEFECT_B),
+    pytest.param("K{j,1.2} ~(q <-> ~q)", {}, marks=_DEFECT_B),
+    pytest.param("((p -> q) -> p) -> p", {}, marks=_DEFECT_B),
+    pytest.param("((q)^ci <-> ~q) -> (K{j,1.1} q)^ci", {}, marks=_DEFECT_B),
+    pytest.param("(~p -> p) -> (q <-> q) -> P{j,2.1} p", {}, marks=_DEFECT_B),
+]
+
+
+@pytest.mark.parametrize("thesis, bindings", _DISAGREEMENT_ROWS)
+def test_game_agrees_with_the_tableau(thesis, bindings):
+    f = parse_formula(thesis)
+    env = ContextEnv.from_json(bindings)
+    result = has_winning_strategy(f, env)
+    assert result.verdict == prove_cel(f, env).is_valid
+    if isinstance(f, Atom):
+        # the formal rule refutes an atomic thesis with the one-move play
+        assert result.refutation == initial_state(f, env).moves
 
 
 def _follow_strategy(thesis, tree, rng):

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 
 import pytest
@@ -11,6 +13,7 @@ from celogic.reduction import (
     AXIOM_ATOMS,
     AXIOM_ITERATION,
     ReductionBudgetError,
+    is_relativization_free,
     needed_context_names,
     reduce_full,
     reduce_once,
@@ -392,6 +395,162 @@ def test_reduce_result_matches_reduce_full_property(seed, depth):
     for step in trace.steps:
         g = Iff(step.before, step.after)
         assert reduce_result(g) == reduce_full(g).result
+
+
+# ---------------------------------------------------------------------------
+# Kept normal forms: reduce_result keeps each finished node's normal form and
+# rewrite count on the node. A warmed tree must give what a fresh one gives,
+# value or error, down to the budget error's message.
+
+
+def _fresh(f):
+    """An equal tree that shares no node with f and keeps nothing."""
+    return pickle.loads(pickle.dumps(f))
+
+
+def _warming_order(f):
+    """f, then each step's biconditional and negated result: each tree
+    shares nodes with those before it, so reducing them in this order
+    reads forms kept by the earlier reductions."""
+    targets = [f]
+    trace = _outcome(lambda: reduce_full(f))
+    if trace[0] == "value":
+        for step in trace[1].steps:
+            targets += [Iff(step.before, step.after), Not(step.after)]
+    return targets
+
+
+def assert_kept_forms_exact(f):
+    """reduce_result on each warmed tree gives what it gives on a fresh
+    copy, and reduce_full after it gives the same trace: the trace path
+    never reads a kept form."""
+    targets = _warming_order(f)
+    for g in targets:
+        fresh = _fresh(g)
+        assert _outcome(lambda: reduce_result(g)) == _outcome(
+            lambda: reduce_result(fresh)
+        )
+    for g in targets[:3]:
+        assert _outcome(lambda: _step_tuples(reduce_full(g))) == _outcome(
+            lambda: _step_tuples(reduce_full(_fresh(g)))
+        )
+
+
+def assert_kept_forms_match_the_trace(f):
+    """As assert_kept_forms_exact's reduce_result half, with each step's
+    outcome worked out from f's trace instead of a fresh reduction:
+    reducing a step's before takes the rewrites from that step on and an
+    after those from the next step on, both to the trace's result, and the
+    default budget is ``4 * node_count ** 2``. Cheap enough for every step
+    of long traces."""
+    f, *targets = _warming_order(f)
+    assert _outcome(lambda: reduce_result(f)) == _outcome(
+        lambda: reduce_result(_fresh(f))
+    )
+    if not targets:
+        return
+    result = reduce_full(_fresh(f)).result
+    n = len(targets) // 2
+    # sizes[k] is the node count of step k's before, sizes[k + 1] its after's
+    sizes = [node_count(f)] + [node_count(g.body) for g in targets[1::2]]
+    for k in range(n):
+        iff, negated = targets[2 * k : 2 * k + 2]
+        for g, nodes, rewrites, form in (
+            (iff, 1 + sizes[k] + sizes[k + 1], 2 * (n - k) - 1, Iff(result, result)),
+            (negated, 1 + sizes[k + 1], n - k - 1, Not(result)),
+        ):
+            budget = 4 * nodes**2
+            expected = (
+                ("value", form)
+                if rewrites <= budget
+                else ("ReductionBudgetError", _budget_message(budget))
+            )
+            assert _outcome(lambda: reduce_result(g)) == expected
+
+
+_NINE_IFFS = "(" + " <-> ".join(["p"] * 9) + ")^ci"
+
+
+def _budget_message(budget):
+    return (
+        f"no fixpoint within {budget} steps; derived-iff doubles both operands,"
+        " so equivalences nested under one relativization grow exponentially"
+    )
+
+
+class TestKeptForms:
+    def test_hygiene_corpus(self):
+        for f in hygiene_corpus():
+            assert_kept_forms_match_the_trace(f)
+
+    def test_cross_corpus_and_suite(self):
+        suite = [parse_formula(row.formula) for row in SUITE_ROWS]
+        for f in cross_semantics_corpus() + suite:
+            assert_kept_forms_exact(f)
+            assert_kept_forms_match_the_trace(_fresh(f))
+
+    def test_copies_keep_nothing(self):
+        f = parse_formula("(K{i,1.2} (p & q))^ci -> P{j,2.1} ~r <-> (s | t)^ck")
+        reduce_result(f)
+        assert f._normal[0] == reduce_full(f).result
+        shallow = copy.copy(f)
+        assert shallow == f and getattr(shallow, "_normal", None) is None
+        for copied in (_fresh(f), copy.deepcopy(f)):
+            assert copied == f
+            assert all(getattr(g, "_normal", None) is None for g in subformulas(copied))
+
+    def test_kept_rewrites_count_against_the_budget(self):
+        # g alone needs more rewrites than its budget allows, but inside
+        # And(big, g) the budget is sized on 817 nodes, so g is reduced and
+        # kept there; its kept rewrites must still exceed the budgets of
+        # Not(g) and of g
+        g = parse_formula(_NINE_IFFS)
+        big = parse_formula(" & ".join(["q"] * 400))
+        fresh = [_outcome(lambda: reduce_result(_fresh(h))) for h in (Not(g), g)]
+        assert fresh == [
+            ("ReductionBudgetError", _budget_message(1444)),
+            ("ReductionBudgetError", _budget_message(1296)),
+        ]
+        assert _outcome(lambda: reduce_result(And(big, g)))[0] == "value"
+        assert isinstance(g._normal, tuple) and g._normal[1] > 1444
+        assert [_outcome(lambda: reduce_result(h)) for h in (Not(g), g)] == fresh
+
+    def test_budget_is_sized_on_a_kept_count(self, monkeypatch):
+        # a kept count past 16 sizes the default budget, as the 17th
+        # rewrite would; a count that stays within 16 does not
+        long, short = _rel_chain(17), _rel_chain(16)
+        reduce_result(long)
+        reduce_result(short)
+        expected = [reduce_full(Not(_rel_chain(n))).result for n in (16, 17)]
+        calls = []
+
+        def counted(g):
+            calls.append(g)
+            return node_count(g)
+
+        monkeypatch.setattr(reduction, "node_count", counted)
+        assert reduce_result(Not(short)) == expected[0]
+        assert calls == []
+        assert reduce_result(Not(long)) == expected[1]
+        assert len(calls) == 1
+
+    def test_relativization_free_is_read_off_a_kept_form(self, monkeypatch):
+        f = parse_formula("(K{i,1.2} p)^ci -> q")
+        reduced = reduce_result(f)
+        no_walk = lambda g: pytest.fail("walked a tree with a kept form")
+        monkeypatch.setattr(reduction, "subformulas", no_walk)
+        assert is_relativization_free(reduced) and is_relativization_free(f.right)
+        assert not is_relativization_free(f)
+        monkeypatch.undo()
+        # a fresh copy keeps nothing, so it is walked
+        assert is_relativization_free(_fresh(reduced))
+        assert not is_relativization_free(_fresh(f))
+
+
+@given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(0, 5))
+@settings(max_examples=150, deadline=None)
+def test_kept_forms_exact_property(seed, depth):
+    assert_kept_forms_exact(random_formula(random.Random(seed), depth))
 
 
 class TestProperties:

@@ -434,7 +434,7 @@ class TestKeptHash:
 
     def test_hash_is_kept_on_first_use_only(self):
         f = parse_formula("K{i,1.1} (p & q) -> (p)^ci")
-        assert all(g._hash is None for g in subformulas(f))
+        assert all(getattr(g, "_hash", None) is None for g in subformulas(f))
         value = hash(f)
         assert f._hash == value
         # the kept hash is no field: equality and repr ignore it
@@ -446,11 +446,11 @@ class TestKeptHash:
         f = parse_formula(_PICKLE_TEXT)
         hash(f)
         shallow = copy.copy(f)
-        assert shallow == f and shallow._hash is None
+        assert shallow == f and getattr(shallow, "_hash", None) is None
         assert hash(shallow) == hash(f)
         for copied in (copy.deepcopy(f), pickle.loads(pickle.dumps(f))):
             assert copied == f
-            assert all(g._hash is None for g in subformulas(copied))
+            assert all(getattr(g, "_hash", None) is None for g in subformulas(copied))
             assert hash(copied) == hash(f)
 
     def test_pickled_formula_hashes_afresh_under_another_seed(self):
