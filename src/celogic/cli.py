@@ -2,8 +2,8 @@
 
 Exit codes: 0 valid/true/agreement, 1 invalid/false/mismatch, 2 usage or
 input error, 3 search or reduction budget exhausted, oracle model space over
-its ceiling, or formula nested too deeply. Errors go to stderr prefixed with
-``error:``.
+its ceiling, formula nested too deeply, or a failed internal check. Errors
+go to stderr prefixed with ``error:``.
 """
 
 from __future__ import annotations
@@ -22,8 +22,8 @@ from .kripke import (
     find_countermodel,
     satisfies,
 )
-from .prove import Invalid, Valid, prove_cel, verdict_to_json
-from .reduction import ReductionBudgetError, needed_context_names, reduce_full
+from .prove import Invalid, ProverError, Valid, prove_cel, verdict_to_json
+from .reduction import ReductionBudgetError, reduce_full
 from .epistemology import run_suite
 from .syntax import (
     Atom,
@@ -54,7 +54,7 @@ def _load_env(path: str | None) -> ContextEnv:
     try:
         with open(path) as fh:
             return ContextEnv.from_json(json.load(fh))
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
         raise CliError(f"cannot read context file {path}: {exc}") from exc
 
 
@@ -62,7 +62,7 @@ def _load_model(path: str) -> KripkeModel:
     try:
         with open(path) as fh:
             model = KripkeModel.from_json(json.load(fh))
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
         raise CliError(f"cannot read model file {path}: {exc}") from exc
     violations = check_model(model)
     if violations:
@@ -114,7 +114,7 @@ def _cmd_eval(args) -> int:
     f = parse_formula(args.formula, args.default_variant)
     model = _load_model(args.model)
     env = _load_env(args.env)
-    value = satisfies(model, args.world, env.completed(needed_context_names(f)), f)
+    value = satisfies(model, args.world, env.for_formula(f), f)
     if args.format == "json":
         print(json.dumps({"world": args.world, "value": value}))
     else:
@@ -283,7 +283,8 @@ def main(argv=None) -> int:
     try:
         return args.fn(args)
     except (
-        dlg.BudgetExhaustedError, ReductionBudgetError, EnumerationCeilingError
+        dlg.BudgetExhaustedError, ReductionBudgetError, EnumerationCeilingError,
+        ProverError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET

@@ -25,9 +25,10 @@ and defended) with the structural rules:
   may be chosen;
 - P may only assert a context name at a world where O has asserted it first.
 
-Context names behave like atoms for assertion bookkeeping but live under the
-context formality rule rather than the atom rule; asserting a compound
-context additionally grants its positive literals at that world.
+Context names (``GameRules.env``) behave like atoms for assertion
+bookkeeping but live under the context formality rule rather than the atom
+rule; asserting a compound context additionally grants its positive
+literals at that world.
 
 The particle rules are one table (``_particle_rule``): for each asserted
 formula, each way of attacking it with the defences that answer that
@@ -56,7 +57,7 @@ from functools import reduce
 from typing import Iterable
 
 from .kripke import ContextEnv
-from .reduction import needed_context_names, primitive_form
+from .reduction import primitive_form
 from .syntax import (
     And,
     Atom,
@@ -68,7 +69,6 @@ from .syntax import (
     Or,
     Poss,
     Rel,
-    agent_context,
     formula_info,
     parse_formula,
     render_formula,
@@ -237,14 +237,15 @@ def _rel(body: Formula, context: str) -> Formula:
 
 @dataclass(frozen=True, eq=False)
 class GameRules:
-    """One game's rules, shared by all its states: the context bindings (a
-    copy of the caller's, so later edits to that do not reach the game), the
-    context names and O's fresh-world cap (one more than the thesis's modal
-    depth). It also keeps what follows from the rules alone: each asserted
-    formula's particle rule, one table of its attacks with their defences."""
+    """One game's rules, shared by all its states: the context bindings
+    (``ContextEnv.for_formula``'s env for the thesis, so an atom is a
+    context name exactly when bound there: a guard of the thesis or a bound
+    name it uses as an atom; body literals are atoms) and O's fresh-world
+    cap (one more than the thesis's modal depth). It also keeps what follows
+    from the rules alone: each asserted formula's particle rule, one table
+    of its attacks with their defences."""
 
     env: ContextEnv
-    ctx_names: frozenset[str]
     fresh_cap: int
     particle_rules: dict = field(default_factory=dict, repr=False)
 
@@ -292,16 +293,10 @@ class GameState:
 
 
 def initial_state(thesis: Formula, env: ContextEnv | None = None) -> GameState:
-    env = env or ContextEnv()
     normalized = game_form(thesis)
-    needed_context_names(normalized)  # raises UntaggedOperatorError if untagged
-    info = formula_info(normalized)
-    ctx_names = set(info.contexts) | {agent_context(a) for a in info.agents}
-    ctx_names |= set(env.bindings)
     rules = GameRules(
-        env=ContextEnv(env.bindings, auto_bind=env.auto_bind),
-        ctx_names=frozenset(ctx_names),
-        fresh_cap=info.modal_depth + 1,
+        env=(env or ContextEnv()).for_formula(normalized),
+        fresh_cap=formula_info(normalized).modal_depth + 1,
     )
     move = Move(P, "thesis", None, AssertPayload(ROOT, normalized))
     return GameState(
@@ -365,14 +360,14 @@ def _world_options(state: GameState, actor: str, agent: str, world: Label):
 def _granted_atoms(state: GameState, actor: str, world: Label) -> set[str]:
     """Atoms the actor stands committed to at ``world``: directly asserted
     atoms plus positive literals of contexts asserted there."""
-    env = state.rules.env
+    bindings = state.rules.env.bindings
     granted: set[str] = set()
     for a, w, f in state.assertion_index:
         if a != actor or w != world or not isinstance(f, Atom):
             continue
         granted.add(f.name)
-        if f.name in state.rules.ctx_names:
-            for lit, positive in env.resolve(f.name).literals:
+        if f.name in bindings:
+            for lit, positive in bindings[f.name].literals:
                 if positive:
                     granted.add(lit)
     return granted
@@ -396,7 +391,7 @@ def _check_assertable(
         if (P, world, f) in state.assertion_index:
             return ("PL-2", "restating one's own assertion changes nothing for P")
     if isinstance(f, Atom):
-        if f.name in state.rules.ctx_names:
+        if f.name in state.rules.env.bindings:
             if actor == P and (O, world, f) not in state.assertion_index:
                 return (
                     "ML-frc",
@@ -437,9 +432,9 @@ def _particle_table(rules: GameRules, target: Assertion) -> ParticleRule:
 
     left, right = RequestPayload("?_L"), RequestPayload("?_R")
     match f:
-        case Atom(name) if name in rules.ctx_names:
+        case Atom(name) if name in rules.env.bindings:
             # a compound context is played as the conjunction of its literals
-            literals = rules.env.resolve(name).literals
+            literals = rules.env.bindings[name].literals
             lits = [Atom(a) if positive else Not(Atom(a)) for a, positive in literals]
             if len(lits) < 2:
                 return {}

@@ -45,10 +45,6 @@ class ModelError(ValueError):
     """The model cannot support the requested evaluation."""
 
 
-class UnresolvedContextError(KeyError):
-    """A context name had no binding and auto-binding was disabled."""
-
-
 class EnumerationCeilingError(RuntimeError):
     """The requested model space exceeds the configured ceiling."""
 
@@ -163,25 +159,19 @@ def check_model(model: KripkeModel) -> list[str]:
 class ContextEnv:
     """Binding of context names to context formulas.
 
-    Unbound names auto-resolve to a reserved fresh atom (``_ctx_<name>``)
-    unless auto-binding is disabled. Validity of normal modal logics is
-    closed under uniform substitution, so schema verdicts computed with an
-    atomic stand-in agree with verdicts quantified over all literal
+    An unbound name always resolves to a reserved fresh atom
+    (``_ctx_<name>``); there is no switch. Validity of normal modal logics
+    is closed under uniform substitution, so schema verdicts computed with
+    an atomic stand-in agree with verdicts quantified over all literal
     conjunction instances.
     """
 
-    def __init__(self, bindings=None, auto_bind: bool = True):
+    def __init__(self, bindings=None):
         self.bindings: dict[str, ContextFormula] = dict(bindings or {})
-        self.auto_bind = auto_bind
-
-    def binds(self, name: str) -> bool:
-        return name in self.bindings
 
     def resolve(self, name: str) -> ContextFormula:
         if name in self.bindings:
             return self.bindings[name]
-        if not self.auto_bind:
-            raise UnresolvedContextError(name)
         return ContextFormula(((FRESH_CONTEXT_PREFIX + name, True),))
 
     def completed(self, names) -> "ContextEnv":
@@ -189,22 +179,38 @@ class ContextEnv:
         bindings = dict(self.bindings)
         for name in names:
             bindings[name] = self.resolve(name)
-        return ContextEnv(bindings, auto_bind=self.auto_bind)
+        return ContextEnv(bindings)
+
+    def for_formula(self, f: Formula) -> "ContextEnv":
+        """The env every engine reads f under: it binds exactly f's context
+        names, its guards (``needed_context_names``) and the bound names it
+        uses as atoms, to their bodies or fresh stand-ins. Every other name,
+        body literals included, is a plain atom. A body literal that is one
+        of f's context names raises ValueError: the tableau and the game
+        would expand it, ``compile_formula`` reads it from the valuation."""
+        names = needed_context_names(f)
+        if self.bindings:
+            names = names | (self.bindings.keys() & formula_info(f).atoms)
+        bindings = {name: self.resolve(name) for name in sorted(names)}
+        for name, cf in bindings.items():
+            for atom, _ in cf.literals:
+                if atom in bindings:
+                    raise ValueError(
+                        f"context {name} has the context name {atom} in its body"
+                    )
+        return ContextEnv(bindings)
 
     def to_json(self) -> dict:
         return {name: render_context(cf) for name, cf in sorted(self.bindings.items())}
 
     @classmethod
-    def from_json(cls, data, auto_bind: bool = True) -> "ContextEnv":
+    def from_json(cls, data) -> "ContextEnv":
         if isinstance(data, str):
             data = json.loads(data)
-        return cls(
-            {name: parse_context(text) for name, text in data.items()},
-            auto_bind=auto_bind,
-        )
+        return cls({name: parse_context(text) for name, text in data.items()})
 
     def __repr__(self):
-        return f"ContextEnv({self.to_json()!r}, auto_bind={self.auto_bind})"
+        return f"ContextEnv({self.to_json()!r})"
 
 
 def eval_context(model: KripkeModel, world: str, env: ContextEnv, name: str) -> bool:
@@ -319,9 +325,9 @@ def compile_formula(f: Formula, env: ContextEnv) -> Callable[[_ModelCtx], int]:
     """Compile a formula into a truth-mask function over evaluation contexts:
     a _ModelCtx (one model) or a _FrameCtx (one frame, every valuation).
 
-    An atom whose name is explicitly bound in the environment denotes its
-    context body (this is how context names surviving reduction keep their
-    meaning); all other atoms read the valuation.
+    An atom whose name is bound in the environment denotes its context body
+    (this is how context names surviving reduction keep their meaning); all
+    other atoms, body literals included, read the valuation.
     """
     memo: dict[Formula, Callable[[_ModelCtx], int]] = {}
 
@@ -335,7 +341,7 @@ def compile_formula(f: Formula, env: ContextEnv) -> Callable[[_ModelCtx], int]:
     def build(g: Formula) -> Callable[[_ModelCtx], int]:
         match g:
             case Atom(name):
-                if env.binds(name):
+                if name in env.bindings:
                     return _context_mask_fn(env, name)
                 return lambda ctx: ctx.val.get(name, 0)
             case Not(body):
@@ -546,21 +552,22 @@ def find_countermodel(
     failing world under it: the first hit a scan model by model would give.
 
     None means no counter-model within the bound; that does not certify
-    validity. Agents and atoms default to those of the formula, plus the
-    atoms needed to stand in for its (resolved) contexts.
+    validity. f is read under ``env.for_formula(f)``: its guards and the
+    bound names it uses as atoms are its context names, a body literal that
+    is one of them raises ValueError. Agents and atoms default to those of
+    the formula, plus the literals of its context names' bodies.
     """
-    env = env or ContextEnv()
+    env = (env or ContextEnv()).for_formula(f)
     info = formula_info(f)
-    needed = needed_context_names(f)
     if agents is None:
         agents = sorted(info.agents)
     if atoms is None:
         atom_set = set(info.atoms)
-        for name in needed:
-            atom_set |= {a for a, _ in env.resolve(name).literals}
+        for cf in env.bindings.values():
+            atom_set |= {a for a, _ in cf.literals}
         atoms = sorted(atom_set)
     agents, atoms = list(agents), list(atoms)
-    fn = compile_formula(f, env.completed(needed))
+    fn = compile_formula(f, env)
     _check_space(max_worlds, agents, atoms, ceiling)
     for n in range(1, max_worlds + 1):
         worlds = tuple(f"w{i + 1}" for i in range(n))

@@ -28,7 +28,6 @@ from .kripke import ContextEnv, KripkeModel, satisfies
 # perfbench/tracing.py wraps prove.reduce_full by name.
 from .reduction import (  # noqa: F401
     is_relativization_free,
-    needed_context_names,
     reduce_full,
     reduce_result,
 )
@@ -362,21 +361,15 @@ def prove_el(
 
 def prove_cel(f: Formula, env: ContextEnv | None = None) -> Verdict:
     """Decide validity of a relativized formula: compile away relativization,
-    resolve context names, then run the tableau. Invalid witnesses are
-    re-checked against the original formula before being returned."""
-    env = env or ContextEnv()
-    needed = set(needed_context_names(f))
-    reduced = reduce_result(f)
-    if env.bindings:
-        # a bound name may also stand as a plain atom in the formula
-        reduced_atoms = formula_info(reduced).atoms
-        needed |= {name for name in env.bindings if name in reduced_atoms}
-    full_env = env.completed(needed)
-    ctx_bodies = {name: full_env.resolve(name) for name in needed}
+    then run the tableau, which expands f's context names (its guards and
+    the bound names it uses as atoms, ``ContextEnv.for_formula``; a body
+    literal that is one of them raises ValueError) to their bodies. Invalid
+    witnesses are re-checked against the original formula."""
+    env = (env or ContextEnv()).for_formula(f)
     # a normal form keeps that it is Rel-free, so prove_el's check is free
-    verdict = prove_el(reduced, ctx_bodies)
+    verdict = prove_el(reduce_result(f), env.bindings)
     if isinstance(verdict, Invalid):
-        if satisfies(verdict.model, verdict.world, full_env, f):
+        if satisfies(verdict.model, verdict.world, env, f):
             raise ProverError(
                 "counter-model does not falsify the original formula"
             )

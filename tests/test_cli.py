@@ -283,3 +283,57 @@ class TestSuite:
         assert code == 0
         rows = json.loads(out)
         assert all(row["agree"] for row in rows)
+
+
+class TestContextNames:
+    """Every command reads a formula's context names the one way
+    (``ContextEnv.for_formula``)."""
+
+    def test_oracle_reads_the_body_of_a_bound_name_used_as_an_atom(
+        self, capsys, tmp_path
+    ):
+        path = tmp_path / "env.json"
+        path.write_text(json.dumps({"ci": "p"}))
+        code, out, _ = run(capsys, "oracle", "--env", str(path), "ci -> q")
+        assert code == 1
+        assert json.loads(out)["model"]["valuation"]["p"] == ["w1"]
+
+    @pytest.mark.parametrize("command", ["prove", "dialogue", "oracle", "eval"])
+    def test_a_body_literal_that_is_a_context_name_exits_two(
+        self, capsys, tmp_path, model_file, command
+    ):
+        path = tmp_path / "env.json"
+        path.write_text(json.dumps({"ci": "cj & p", "cj": "q"}))
+        argv = [command, "--env", str(path), "(~(p)^cj)^ci"]
+        if command == "eval":
+            argv += ["--model", model_file, "--world", "w1"]
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "cj" in err
+        assert err.count("\n") == 1
+
+
+class TestInputErrors:
+    def test_failed_internal_check_exits_three(self, capsys, monkeypatch):
+        # a counter-model that the check finds true is an internal fault
+        monkeypatch.setattr("celogic.prove.satisfies", lambda *args: True)
+        code, out, err = run(capsys, "prove", "a -> K{i,1.1} a")
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("content", ['["ci"]', '{"ci": 3}', "[1]"])
+    @pytest.mark.parametrize("option", ["--env", "--model"])
+    def test_file_of_the_wrong_shape_exits_two(
+        self, capsys, tmp_path, model_file, option, content
+    ):
+        path = tmp_path / "bad.json"
+        path.write_text(content)
+        argv = ["eval", "p", "--world", "w1", "--model", model_file]
+        argv += [option, str(path)]
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: cannot read ")
+        assert err.count("\n") == 1

@@ -579,8 +579,8 @@ def _reference_attack_payloads(state, actor, target):
     _, world, f = target
     match f:
         case Atom(name):
-            if name in state.rules.ctx_names:
-                if len(state.rules.env.resolve(name).literals) >= 2:
+            if name in state.rules.env.bindings:
+                if len(state.rules.env.bindings[name].literals) >= 2:
                     return [RequestPayload("?_L"), RequestPayload("?_R")]
             return []
         case Not(body):
@@ -620,7 +620,7 @@ def _reference_defence_payloads(state, actor, attack):
         case Atom(name):
             lits = [
                 Atom(a) if positive else Not(Atom(a))
-                for a, positive in state.rules.env.resolve(name).literals
+                for a, positive in state.rules.env.bindings[name].literals
             ]
             if left:
                 return [AssertPayload(world, lits[0])]

@@ -48,7 +48,6 @@ class TestPresets:
         tagged, env = apply_preset(f, CONTEXTUALIST)
         assert tagged == Know("i", "1.2", parse_formula("a"))
         assert env.bindings == {}
-        assert env.auto_bind
 
     def test_existing_tags_survive(self):
         f = parse_formula("K{i,2.1} a & K{j} b")

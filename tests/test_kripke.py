@@ -12,7 +12,6 @@ from celogic.kripke import (
     EnumerationCeilingError,
     KripkeModel,
     ModelError,
-    UnresolvedContextError,
     _FrameCtx,
     _ModelCtx,
     _atom_masks,
@@ -98,11 +97,6 @@ class TestEvalContext:
     def test_bot_nowhere(self):
         env = ContextEnv({"ci": BOT})
         assert not eval_context(single_world_model(), "w1", env, "ci")
-
-    def test_unresolved_without_auto_bind(self):
-        env = ContextEnv(auto_bind=False)
-        with pytest.raises(UnresolvedContextError):
-            eval_context(single_world_model(), "w1", env, "cx")
 
     def test_auto_bind_fresh_atom(self):
         m = KripkeModel(["w1"], {"i": [["w1"]]}, {"_ctx_ci": ["w1"]})
