@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 valid/true/agreement, 1 invalid/false/mismatch, 2 usage or
-input error, 3 search or reduction budget exhausted, oracle model space over
-its ceiling, formula nested too deeply, or a failed internal check. Errors
+input error, 3 search budget exhausted, oracle model space over its
+ceiling, formula nested too deeply, or a failed internal check. Errors
 go to stderr prefixed with ``error:``.
 """
 
@@ -23,7 +23,7 @@ from .kripke import (
     satisfies,
 )
 from .prove import Invalid, ProverError, Valid, prove_cel, verdict_to_json
-from .reduction import ReductionBudgetError, reduce_full
+from .reduction import reduce_full
 from .epistemology import run_suite
 from .syntax import (
     Atom,
@@ -283,8 +283,7 @@ def main(argv=None) -> int:
     try:
         return args.fn(args)
     except (
-        dlg.BudgetExhaustedError, ReductionBudgetError, EnumerationCeilingError,
-        ProverError,
+        dlg.BudgetExhaustedError, EnumerationCeilingError, ProverError
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET

@@ -210,10 +210,10 @@ def move_from_json(data: dict, agents: Iterable[str]) -> Move:
 # ---------------------------------------------------------------------------
 # Game formulas
 
-# Equivalences are played as both implications, and a relativized
-# possibility operator as its relativized knowledge dual: the reduction's own
-# derived-iff and derived-poss expansions (primitive_form), so the game and
-# the model semantics agree. Unrelativized P keeps its own particle rule.
+# Equivalences are played as both implications (primitive_form, as the model
+# semantics reads them), and a relativized possibility operator as its
+# relativized knowledge dual: the reduction's own derived-poss expansion.
+# Unrelativized P keeps its own particle rule.
 
 
 def game_form(f: Formula) -> Formula:

@@ -554,15 +554,17 @@ def find_countermodel(
     None means no counter-model within the bound; that does not certify
     validity. f is read under ``env.for_formula(f)``: its guards and the
     bound names it uses as atoms are its context names, a body literal that
-    is one of them raises ValueError. Agents and atoms default to those of
-    the formula, plus the literals of its context names' bodies.
+    is one of them raises ValueError. Agents default to those of the
+    formula; atoms to its atoms that are not context names (those are read
+    as their bodies, never from the valuation), plus the literals of the
+    context names' bodies.
     """
     env = (env or ContextEnv()).for_formula(f)
     info = formula_info(f)
     if agents is None:
         agents = sorted(info.agents)
     if atoms is None:
-        atom_set = set(info.atoms)
+        atom_set = info.atoms - env.bindings.keys()
         for cf in env.bindings.values():
             atom_set |= {a for a, _ in cf.literals}
         atoms = sorted(atom_set)

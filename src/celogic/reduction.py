@@ -7,22 +7,28 @@ carrying the context's name; the environment decides later what those names
 mean (explicit bodies or fresh stand-in atoms).
 
 Disjunction, implication, equivalence and the possibility dual have no named
-rewrite schema of their own; their forms are derived from the game rules for
-relativized formulas and are tagged "derived-*" in traces.
+rewrite schema of their own; their derived forms are tagged "derived-*" in
+traces. The three binary connectives share one form, ``c -> ((l)^c op
+(r)^c)``; for ``<->`` it is what ``compile_formula``'s expansion into both
+implications works out to. The possibility operator becomes its knowledge
+dual (``primitive_form``).
 
-The schemata are stated once, in ``_rewrite_redex`` (``primitive_form``
-holds the two derived expansions the dialogue game shares). One top-down
-pass, ``_reduce``, applies them for every entry point: ``reduce_full``
-records the canonical step trace, ``reduce_result`` (used by ``prove_cel``)
-gives only the normal form, and ``reduce_once`` stops after one step. No
-redex is searched for from the root, so a recorded step costs time in the
-depth of the formula, not its size.
+No schema copies a subformula: each node is swept by at most one
+relativization, and a possibility operator costs at most four rewrites, so
+a reduction takes at most ``4 * node_count(f)`` rewrites and needs no
+budget. ``reduce_full`` still takes an explicit ``step_budget``.
 
-``reduce_result`` keeps on each node it reduces that node's normal form and
-the number of rewrites it took, so a later call on a tree that shares the
-node (the next step of a trace, a biconditional of two steps) returns it at
-once. The result, the default budget ``4 * node_count ** 2`` and every
-error, message included, are exactly those of a call on a fresh tree.
+The schemata are stated once, in ``_rewrite_redex``. One top-down pass,
+``_reduce``, applies them for every entry point: ``reduce_full`` records the
+canonical step trace, ``reduce_result`` (used by ``prove_cel``) gives only
+the normal form, and ``reduce_once`` stops after one step. No redex is
+searched for from the root, so a recorded step costs time in the depth of
+the formula, not its size.
+
+``reduce_result`` keeps on each node it reduces that node's normal form, so
+a later call on a tree that shares the node (the next step of a trace, a
+biconditional of two steps) returns it at once. The result and every error,
+message included, are exactly those of a call on a fresh tree.
 ``reduce_full`` and ``reduce_once`` never read or keep these forms: a trace
 is never cached.
 """
@@ -43,7 +49,6 @@ from .syntax import (
     Poss,
     Rel,
     UntaggedOperatorError,
-    node_count,
     render_formula,
     subformulas,
     variant_contexts_names,
@@ -113,12 +118,9 @@ def _rewrite_redex(body: Formula, c: str) -> tuple[Formula, str]:
                 Imp(Atom(cx), Know(agent, variant, Rel(inner, cy))),
                 knowledge_axiom_name(variant),
             )
-        case Or(l, r):
-            return Imp(Atom(c), Or(Rel(l, c), Rel(r, c))), "derived-or"
-        case Imp(l, r):
-            return Imp(Atom(c), Imp(Rel(l, c), Rel(r, c))), "derived-imp"
-        case Iff():
-            return Rel(primitive_form(body), c), "derived-iff"
+        case Or(l, r) | Imp(l, r) | Iff(l, r):
+            derived = f"derived-{type(body).__name__.lower()}"
+            return Imp(Atom(c), body.rebuild(Rel(l, c), Rel(r, c))), derived
         case Poss():
             return Rel(primitive_form(body), c), "derived-poss"
     raise TypeError(f"not a formula: {body!r}")
@@ -126,7 +128,8 @@ def _rewrite_redex(body: Formula, c: str) -> tuple[Formula, str]:
 
 def primitive_form(f: Formula) -> Formula:
     """An equivalence as both implications, a possibility operator as its
-    knowledge dual ``~K~``; any other node as it is."""
+    knowledge dual ``~K~``; any other node as it is. The reduction uses only
+    the second (derived-poss); the dialogue game plays both."""
     match f:
         case Iff(l, r):
             return And(Imp(l, r), Imp(r, l))
@@ -135,9 +138,7 @@ def primitive_form(f: Formula) -> Formula:
     return f
 
 
-_LEAST_DEFAULT_BUDGET = 4 * 2**2
-
-# kept by a Rel-free node: its normal form is itself, after no rewrite
+# kept by a Rel-free node: its normal form is itself
 _REL_FREE = object()
 
 
@@ -149,71 +150,30 @@ def _reduce(
     A Rel node is rewritten until it is not a Rel, then its children are
     reduced left to right; all that precedes a node in preorder is then
     Rel-free, so each rewrite is at the leftmost-outermost redex. Steps are
-    appended to ``trace`` if given. More than ``step_budget`` rewrites
-    (default ``4 * node_count(f) ** 2``) raise ReductionBudgetError.
-    Rel-free subtrees are shared, not copied.
+    appended to ``trace`` if given, and more than ``step_budget`` of them
+    raise ReductionBudgetError; with no budget the pass runs to the normal
+    form, which takes at most ``4 * node_count(f)`` rewrites. Rel-free
+    subtrees are shared, not copied.
 
-    A formula with a Rel has at least two nodes, so the default budget is
-    at least ``_LEAST_DEFAULT_BUDGET``; the walk that sizes it is made only
-    once that many rewrites are done, and most reductions never make it.
-
-    Without a trace, each node the walk finishes keeps, in its ``_normal``
-    slot, its normal form and the number of rewrites that took; a Rel-free
-    node, each normal form included, keeps ``_REL_FREE`` instead and so
-    allocates nothing. A kept node is returned at once, its rewrites
-    counted as done. A normal form depends on the subtree alone, so the
-    result, the step count and whether the budget error is raised, with
-    what message, are those of a walk that kept nothing. Traces are never
-    cached: the walk with a trace records every step, so it neither reads
-    nor keeps forms.
+    Without a trace, each node the walk finishes keeps its normal form in
+    its ``_normal`` slot; a Rel-free node, each normal form included, keeps
+    ``_REL_FREE`` instead and so allocates nothing. A kept node is returned
+    at once. A normal form depends on the subtree alone, so the result is
+    that of a walk that kept nothing. Traces are never cached: the walk
+    with a trace records every step, so it neither reads nor keeps forms.
     """
-    steps = 0
-
-    def over_budget(n: int) -> bool:
-        """Whether n rewrites pass the budget; the default budget is sized
-        the first time n passes the least it can be."""
-        nonlocal step_budget
-        if step_budget is None:
-            if n <= _LEAST_DEFAULT_BUDGET:
-                return False
-            step_budget = 4 * node_count(f) ** 2
-        return n > step_budget
-
-    def budget_error() -> ReductionBudgetError:
-        return ReductionBudgetError(
-            f"no fixpoint within {step_budget} steps; derived-iff doubles"
-            " both operands, so equivalences nested under one"
-            " relativization grow exponentially"
-        )
-
-    def rewrite(g: Rel) -> tuple[Formula, str]:
-        nonlocal steps
-        rewritten = _rewrite_redex(g.body, g.context)
-        if over_budget(steps + 1):
-            raise budget_error()
-        steps += 1
-        return rewritten
-
     if trace is None:
 
         def go(g: Formula) -> Formula:
-            nonlocal steps
             kept = getattr(g, "_normal", None)
             if kept is not None:
-                if kept is _REL_FREE:
-                    return g
-                out, count = kept
-                steps += count
-                if over_budget(steps):
-                    raise budget_error()
-                return out
-            start = steps
+                return g if kept is _REL_FREE else kept
             h = g
             while isinstance(h, Rel):
-                h, _ = rewrite(h)
+                h, _ = _rewrite_redex(h.body, h.context)
             out = h.rebuild(*map(go, h.children()))
             if out is not g:
-                object.__setattr__(g, "_normal", (out, steps - start))
+                object.__setattr__(g, "_normal", out)
             object.__setattr__(out, "_normal", _REL_FREE)
             return out
 
@@ -223,7 +183,9 @@ def _reduce(
 
     def record(g: Formula) -> None:
         while isinstance(g, Rel):
-            g, axiom = rewrite(g)
+            g, axiom = _rewrite_redex(g.body, g.context)
+            if len(trace) == step_budget:
+                raise ReductionBudgetError(f"no fixpoint within {step_budget} steps")
             before = trace[-1].after if trace else f
             at = tuple(path)
             trace.append(ReductionStep(before, axiom, at, _replace(before, at, g)))
@@ -237,7 +199,8 @@ def _reduce(
 
 
 def reduce_full(f: Formula, step_budget: int | None = None) -> ReductionTrace:
-    """The relativization-free normal form of f, with its step trace."""
+    """The relativization-free normal form of f, with its step trace; more
+    than ``step_budget`` steps, if given, raise ReductionBudgetError."""
     steps: list[ReductionStep] = []
     result = _reduce(f, step_budget, steps)
     return ReductionTrace(tuple(steps), result)
@@ -272,8 +235,8 @@ def reduce_once(f: Formula) -> tuple[Formula, str, tuple[int, ...]] | None:
 def reduction_measure(f: Formula) -> int:
     """Termination measure: strictly decreases at every rewrite step.
 
-    Relativization multiplies its body's weight; equivalence and the
-    possibility operator are weighted for their pre-expansion steps.
+    Relativization multiplies its body's weight; the possibility operator
+    is weighted for its pre-expansion step.
     """
     match f:
         case Atom(_):
@@ -282,10 +245,8 @@ def reduction_measure(f: Formula) -> int:
             return 1 + reduction_measure(body)
         case Poss(_, _, body):
             return 4 + reduction_measure(body)
-        case And(l, r) | Or(l, r) | Imp(l, r):
+        case And(l, r) | Or(l, r) | Imp(l, r) | Iff(l, r):
             return 1 + reduction_measure(l) + reduction_measure(r)
-        case Iff(l, r):
-            return 4 + 2 * (reduction_measure(l) + reduction_measure(r))
         case Rel(body, _):
             return 5 * reduction_measure(body)
     raise TypeError(f"not a formula: {f!r}")

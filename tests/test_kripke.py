@@ -258,11 +258,14 @@ def reference_models(max_worlds, agents, atoms):
 
 
 def oracle_signature(f, env):
-    """The agents and atoms find_countermodel scans by default."""
-    atoms = set(formula_info(f).atoms)
-    for name in needed_context_names(f):
+    """The agents and atoms find_countermodel scans by default: f's atoms
+    that are not its context names, and the literals of those names' bodies."""
+    info = formula_info(f)
+    names = needed_context_names(f) | (env.bindings.keys() & info.atoms)
+    atoms = set(info.atoms - names)
+    for name in names:
         atoms |= {a for a, _ in env.resolve(name).literals}
-    return sorted(formula_info(f).agents), sorted(atoms)
+    return sorted(info.agents), sorted(atoms)
 
 
 def reference_find_countermodel(
@@ -331,6 +334,34 @@ def test_oracle_matches_the_model_scan_property(seed):
     assert_same_as_reference(f, max_worlds=2)
 
 
+def test_scanning_context_names_finds_the_same_model():
+    """A context name is read as its body, never from the valuation, so
+    scanning it too finds the same first counter-model, with one all-false
+    entry more per name: a name's bits are 0 in the lowest failing
+    valuation."""
+    bound = ContextEnv({"ci": parse_context("p"), "cj": parse_context("q & ~p")})
+    rng = random.Random(13)
+    formulas = [random_formula(rng, 3, atoms=("p", "q", "ci", "cj")) for _ in range(300)]
+    scanned = 0
+    for f in formulas:
+        for env in (ContextEnv(), bound):
+            names = env.for_formula(f).bindings.keys() & formula_info(f).atoms
+            found = find_countermodel(f, env, max_worlds=2)
+            _, atoms = oracle_signature(f, env)
+            wide = find_countermodel(
+                f, env, max_worlds=2, atoms=sorted(set(atoms) | names)
+            )
+            if found is None:
+                assert wide is None
+                continue
+            model = wide[0].to_json()
+            dead = [model["valuation"].pop(name) for name in sorted(names)]
+            assert dead == [[]] * len(names)
+            assert (model, wide[1]) == (found[0].to_json(), found[1])
+            scanned += bool(names)
+    assert scanned > 50
+
+
 class TestOracleEdges:
     def test_an_omitted_agent_is_a_model_error(self):
         f = parse_formula("K{i,1.1} p -> P{j,1.1} p")
@@ -361,7 +392,12 @@ class TestOracleEdges:
         model, world = assert_same_as_reference(parse_formula("P{i,1.1} p"), atoms=())
         assert model["valuation"] == {}
         assert assert_same_as_reference(Atom("c"), env=ContextEnv({"c": TOP})) is None
-        assert assert_same_as_reference(Atom("c"), env=ContextEnv({"c": BOT}))
+        # a context name is read as its body, never from the valuation, so
+        # it is not scanned
+        model, _ = assert_same_as_reference(Atom("c"), env=ContextEnv({"c": BOT}))
+        assert model["valuation"] == {}
+        model, _ = assert_same_as_reference(parse_formula("ci -> (p)^ci"))
+        assert model["valuation"] == {"_ctx_ci": ["w1"], "p": []}
 
     def test_the_ceiling_is_the_same(self):
         f = parse_formula("K{i,1.1} p & K{j,1.1} q -> p & q & (r | ~r)")

@@ -142,7 +142,7 @@ def _pinned_formulas():
 # sha256 over verdict_to_json(prove_cel(f)) on _pinned_formulas(), proof
 # logs and counter-models included, byte for byte. A change to the
 # prover's speed must leave it as it is.
-PROVER_OUTPUT_SHA256 = "d67367bac97bab46fbab2ca4161b873377727c2c72ad9456befa75f50c17cf61"
+PROVER_OUTPUT_SHA256 = "3d5b4b8122b2cf59fd8a8a22b3b8f95727f1175df68d4960ee85dae995940412"
 
 
 def test_prover_output_is_pinned():

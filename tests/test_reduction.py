@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from celogic import reduction
 from celogic.epistemology import SUITE_ROWS
 from celogic.kripke import ContextEnv, enumerate_models, satisfies
+from celogic.prove import prove_cel
 from celogic.reduction import (
     AXIOM_ATOMS,
     AXIOM_ITERATION,
@@ -72,22 +73,15 @@ def reference_reduce_once(f):
 
 def reference_reduce_full(f, step_budget=None):
     """(steps, result) as (before, axiom, path, after) tuples."""
-    if step_budget is None:
-        step_budget = 4 * node_count(f) ** 2
     steps = []
     current = f
-    for _ in range(step_budget + 1):
-        result = reference_reduce_once(current)
-        if result is None:
-            return steps, current
+    while (result := reference_reduce_once(current)) is not None:
+        if len(steps) == step_budget:
+            raise ReductionBudgetError(f"no fixpoint within {step_budget} steps")
         after, axiom, path = result
         steps.append((current, axiom, path, after))
         current = after
-    raise ReductionBudgetError(
-        f"no fixpoint within {step_budget} steps; derived-iff doubles both"
-        " operands, so equivalences nested under one relativization grow"
-        " exponentially"
-    )
+    return steps, current
 
 
 def reference_needed_context_names(f):
@@ -150,12 +144,8 @@ def assert_matches_reference(f):
     )
 
 
-def _rel_chain(depth):
-    """p under ``depth`` nested relativizations: one rewrite each."""
-    f = Atom("p")
-    for _ in range(depth):
-        f = Rel(f, "ci")
-    return f
+# nine p's under <->, one relativization: p, so the whole is ci -> p
+_NINE_IFFS = "(" + " <-> ".join(["p"] * 9) + ")^ci"
 
 
 def _corpora():
@@ -172,7 +162,7 @@ class TestAgainstReference:
         "text",
         [
             "((p & q)^ci)^cj",
-            "(" + " <-> ".join(["p"] * 9) + ")^ci",
+            _NINE_IFFS,
             # an untagged operator at the first redex past the budget: the
             # rewrite's own error comes before the budget's
             "(p & K{j} q)^ci",
@@ -233,6 +223,15 @@ class TestReduceOnce:
     def test_untagged_operator_under_relativization(self):
         with pytest.raises(UntaggedOperatorError):
             reduce_once(Rel(Know("j", None, Atom("p")), "ci"))
+
+    def test_derived_iff_is_linear(self):
+        # each operand is relativized once, not copied into two implications
+        rewritten, axiom, path = reduce_once(parse_formula("(p <-> q & r)^ci"))
+        assert rewritten == Imp(
+            Atom("ci"),
+            Iff(Rel(Atom("p"), "ci"), Rel(And(Atom("q"), Atom("r")), "ci")),
+        )
+        assert (axiom, path) == ("derived-iff", ())
 
 
 class TestReduceFull:
@@ -313,62 +312,6 @@ class TestReduceResult:
         f = parse_formula("K{i,1.1} a -> a & ~b")
         assert reduce_result(f) is f
 
-    def test_plain_input_works_out_no_budget(self, monkeypatch):
-        # the budget walks the whole formula; input without a relativization
-        # is never rewritten and so must not pay for that walk
-        def no_count(f):
-            raise AssertionError("node_count called on relativization-free input")
-
-        monkeypatch.setattr(reduction, "node_count", no_count)
-        f = next(
-            g
-            for g in hygiene_corpus()
-            if not any(isinstance(h, Rel) for h in subformulas(g))
-        )
-        assert reduce_result(f) is f
-        # nor does input whose reduction takes at most 16 rewrites: the
-        # default budget of any input with a Rel is at least 4 * 2**2
-        short = 0
-        for g in hygiene_corpus():
-            outcome = _outcome(lambda: reduce_full(g, 16))
-            if outcome[0] == "value" and outcome[1].steps:
-                assert reduce_result(g) == outcome[1].result
-                short += 1
-        assert short > 500
-
-    @pytest.mark.parametrize(
-        "f, walks",
-        [
-            (_rel_chain(1), 0),
-            (_rel_chain(16), 0),
-            (_rel_chain(17), 1),
-            (_rel_chain(40), 1),
-            (parse_formula("(" + " <-> ".join(["p"] * 9) + ")^ci"), 1),
-        ],
-        ids=["1-rel", "16-rels", "17-rels", "40-rels", "nine-iffs"],
-    )
-    def test_budget_is_sized_at_the_seventeenth_rewrite(self, monkeypatch, f, walks):
-        # the same value, or the same error and message, as with the default
-        # budget given up front; the sizing walk is made once, and only by a
-        # reduction that gets past 16 rewrites
-        default = 4 * node_count(f) ** 2
-        expected = _outcome(lambda: _step_tuples(reduce_full(f, default)))
-        calls = []
-
-        def counted(g):
-            calls.append(g)
-            return node_count(g)
-
-        monkeypatch.setattr(reduction, "node_count", counted)
-        assert _outcome(lambda: _step_tuples(reduce_full(f))) == expected
-        assert len(calls) == walks
-        result = _outcome(lambda: reduce_result(f))
-        if expected[0] == "value":
-            assert result == ("value", expected[1][1])
-        else:
-            assert result == expected
-        assert len(calls) == 2 * walks
-
     def test_untagged_operator_under_relativization(self):
         f = Rel(Know("j", None, Atom("p")), "ci")
         with pytest.raises(UntaggedOperatorError):
@@ -376,14 +319,13 @@ class TestReduceResult:
         with pytest.raises(UntaggedOperatorError):
             reduce_result(f)
 
-    def test_same_budget_error_as_reduce_full(self):
-        # each equivalence doubles its operands under a relativization, so
-        # nine of them exceed the default budget of 4 * nodes**2 steps
-        f = parse_formula("(" + " <-> ".join(["p"] * 9) + ")^ci")
-        with pytest.raises(ReductionBudgetError):
-            reduce_full(f)
-        with pytest.raises(ReductionBudgetError):
-            reduce_result(f)
+    def test_nested_equivalences_reduce_linearly(self):
+        # eight derived-iff steps and nine Atoms steps
+        f = parse_formula(_NINE_IFFS)
+        trace = reduce_full(f)
+        assert len(trace.steps) == 17
+        assert reduce_result(f) == trace.result
+        assert prove_cel(Iff(trace.result, parse_formula("ci -> p"))).is_valid
 
 
 @given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(0, 4))
@@ -398,9 +340,8 @@ def test_reduce_result_matches_reduce_full_property(seed, depth):
 
 
 # ---------------------------------------------------------------------------
-# Kept normal forms: reduce_result keeps each finished node's normal form and
-# rewrite count on the node. A warmed tree must give what a fresh one gives,
-# value or error, down to the budget error's message.
+# Kept normal forms: reduce_result keeps each finished node's normal form on
+# the node. A warmed tree must give what a fresh one gives, value or error.
 
 
 def _fresh(f):
@@ -438,11 +379,9 @@ def assert_kept_forms_exact(f):
 
 def assert_kept_forms_match_the_trace(f):
     """As assert_kept_forms_exact's reduce_result half, with each step's
-    outcome worked out from f's trace instead of a fresh reduction:
-    reducing a step's before takes the rewrites from that step on and an
-    after those from the next step on, both to the trace's result, and the
-    default budget is ``4 * node_count ** 2``. Cheap enough for every step
-    of long traces."""
+    outcome worked out from f's trace instead of a fresh reduction: a
+    step's before and after both reduce to the trace's result. Cheap
+    enough for every step of long traces."""
     f, *targets = _warming_order(f)
     assert _outcome(lambda: reduce_result(f)) == _outcome(
         lambda: reduce_result(_fresh(f))
@@ -450,32 +389,9 @@ def assert_kept_forms_match_the_trace(f):
     if not targets:
         return
     result = reduce_full(_fresh(f)).result
-    n = len(targets) // 2
-    # sizes[k] is the node count of step k's before, sizes[k + 1] its after's
-    sizes = [node_count(f)] + [node_count(g.body) for g in targets[1::2]]
-    for k in range(n):
-        iff, negated = targets[2 * k : 2 * k + 2]
-        for g, nodes, rewrites, form in (
-            (iff, 1 + sizes[k] + sizes[k + 1], 2 * (n - k) - 1, Iff(result, result)),
-            (negated, 1 + sizes[k + 1], n - k - 1, Not(result)),
-        ):
-            budget = 4 * nodes**2
-            expected = (
-                ("value", form)
-                if rewrites <= budget
-                else ("ReductionBudgetError", _budget_message(budget))
-            )
-            assert _outcome(lambda: reduce_result(g)) == expected
-
-
-_NINE_IFFS = "(" + " <-> ".join(["p"] * 9) + ")^ci"
-
-
-def _budget_message(budget):
-    return (
-        f"no fixpoint within {budget} steps; derived-iff doubles both operands,"
-        " so equivalences nested under one relativization grow exponentially"
-    )
+    for iff, negated in zip(targets[::2], targets[1::2]):
+        assert reduce_result(iff) == Iff(result, result)
+        assert reduce_result(negated) == Not(result)
 
 
 class TestKeptForms:
@@ -492,47 +408,12 @@ class TestKeptForms:
     def test_copies_keep_nothing(self):
         f = parse_formula("(K{i,1.2} (p & q))^ci -> P{j,2.1} ~r <-> (s | t)^ck")
         reduce_result(f)
-        assert f._normal[0] == reduce_full(f).result
+        assert f._normal == reduce_full(f).result
         shallow = copy.copy(f)
         assert shallow == f and getattr(shallow, "_normal", None) is None
         for copied in (_fresh(f), copy.deepcopy(f)):
             assert copied == f
             assert all(getattr(g, "_normal", None) is None for g in subformulas(copied))
-
-    def test_kept_rewrites_count_against_the_budget(self):
-        # g alone needs more rewrites than its budget allows, but inside
-        # And(big, g) the budget is sized on 817 nodes, so g is reduced and
-        # kept there; its kept rewrites must still exceed the budgets of
-        # Not(g) and of g
-        g = parse_formula(_NINE_IFFS)
-        big = parse_formula(" & ".join(["q"] * 400))
-        fresh = [_outcome(lambda: reduce_result(_fresh(h))) for h in (Not(g), g)]
-        assert fresh == [
-            ("ReductionBudgetError", _budget_message(1444)),
-            ("ReductionBudgetError", _budget_message(1296)),
-        ]
-        assert _outcome(lambda: reduce_result(And(big, g)))[0] == "value"
-        assert isinstance(g._normal, tuple) and g._normal[1] > 1444
-        assert [_outcome(lambda: reduce_result(h)) for h in (Not(g), g)] == fresh
-
-    def test_budget_is_sized_on_a_kept_count(self, monkeypatch):
-        # a kept count past 16 sizes the default budget, as the 17th
-        # rewrite would; a count that stays within 16 does not
-        long, short = _rel_chain(17), _rel_chain(16)
-        reduce_result(long)
-        reduce_result(short)
-        expected = [reduce_full(Not(_rel_chain(n))).result for n in (16, 17)]
-        calls = []
-
-        def counted(g):
-            calls.append(g)
-            return node_count(g)
-
-        monkeypatch.setattr(reduction, "node_count", counted)
-        assert reduce_result(Not(short)) == expected[0]
-        assert calls == []
-        assert reduce_result(Not(long)) == expected[1]
-        assert len(calls) == 1
 
     def test_relativization_free_is_read_off_a_kept_form(self, monkeypatch):
         f = parse_formula("(K{i,1.2} p)^ci -> q")
@@ -553,7 +434,24 @@ def test_kept_forms_exact_property(seed, depth):
     assert_kept_forms_exact(random_formula(random.Random(seed), depth))
 
 
+def assert_rewrites_are_linear(f):
+    # no schema copies a subformula: each node is swept by at most one
+    # relativization and a possibility operator takes at most four rewrites
+    assert len(reduce_full(f).steps) <= 4 * node_count(f)
+
+
+@given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(0, 6))
+@settings(max_examples=200, deadline=None)
+def test_rewrites_are_linear_property(seed, depth):
+    assert_rewrites_are_linear(random_formula(random.Random(seed), depth))
+
+
 class TestProperties:
+    def test_rewrites_are_linear_on_the_corpora(self):
+        for f in _corpora():
+            assert_rewrites_are_linear(f)
+        assert_rewrites_are_linear(parse_formula(_NINE_IFFS))
+
     def test_measure_strictly_decreases(self):
         for f in hygiene_corpus():
             measure = reduction_measure(f)

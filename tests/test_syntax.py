@@ -314,7 +314,7 @@ def _walk_record(f: Formula) -> list:
 # sha256 over json.dumps(_walk_record(f)) on _pinned_corpus(): the outputs
 # of every structural walker (reduction trace, AST dumps, game form, preset
 # retagging, the untagged-under-relativization check), byte for byte.
-STRUCTURAL_WALKS_SHA256 = "73349610e3049a1c9186dc9302da9a6a6a0b08fba75cef238924fa3a7d24e3eb"
+STRUCTURAL_WALKS_SHA256 = "9e1fd51e5a8ad87b1884341d92d88d972667a32f2f33161b1304873549a1fe06"
 
 
 def test_structural_walks_are_pinned():
