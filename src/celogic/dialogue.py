@@ -732,10 +732,10 @@ def _deep_recursion():
 class StrategyResult:
     """Outcome of the game search.
 
-    On a win, ``strategy`` is built from the winning phase's memo the first
-    time it is read and then cached; until then the result holds that
-    search. Reading it can raise BudgetExhaustedError when unfolding the
-    tree meets positions the search never visited and the budget runs out.
+    On a win, ``strategy`` is built from the search's memo the first time
+    it is read and then cached; until then the result holds that search.
+    Reading it can raise BudgetExhaustedError when unfolding the tree meets
+    positions the search never visited and the budget runs out.
     """
 
     verdict: bool
@@ -759,23 +759,22 @@ class _Search:
     through the moves legal_moves lists without validating them again:
     they are exactly the moves validate_move accepts."""
 
-    def __init__(self, budget: int, disciplined: bool):
+    def __init__(self, budget: int):
         self.budget = budget
         self.positions = 0
-        self.disciplined = disciplined
         self.memo: dict = {}
 
     def moves(self, state: GameState) -> list[Move]:
-        """The legal moves; when disciplined, P's defences are narrowed to
-        the most recent attack that admits one. That is a search discipline,
-        not a game rule: it only restricts P, so a win found under it is a
-        win under the full rules. Defences come last, by the index of the
-        attack they answer, so the last move names that attack."""
+        """The legal moves in the order the search tries them: at P's turn,
+        P's defences of the latest attack that admits one come before P's
+        other defences, since P's wins mostly answer the latest attack. No
+        move is dropped, so no position's value depends on the order.
+        Defences come last, by the index of the attack they answer, so the
+        last move names that attack."""
         moves = legal_moves(state)
-        narrow = self.disciplined and state.turn == P
-        if narrow and moves and moves[-1].kind == "defend":
+        if state.turn == P and moves and moves[-1].kind == "defend":
             last = moves[-1].target
-            moves = [m for m in moves if m.kind == "attack" or m.target == last]
+            moves.sort(key=lambda m: m.kind == "defend" and m.target != last)
         return moves
 
     def win(self, state: GameState) -> bool:
@@ -823,7 +822,9 @@ class _Search:
         }
 
     def refuting_play(self, state: GameState) -> tuple[Move, ...]:
-        moves = self.moves(state)
+        """O's first refuting move at each O turn and P's first move at each
+        P turn, in legal_moves' order; every position on it is in the memo."""
+        moves = legal_moves(state)
         if not moves:
             return state.moves
         if state.turn == O:
@@ -847,14 +848,10 @@ def has_winning_strategy(
 
     On a win the result's ``strategy`` is the strategy tree (P's choice at
     every reachable O history). It is built when first read: until then the
-    result holds the winning phase's memo, so a caller that needs only the
-    verdict never pays for the tree. Otherwise ``refutation`` is a play that
-    O wins. Raises BudgetExhaustedError when the position budget runs out;
-    that outcome is unknown, never false.
-
-    Searches in two phases: first with P's defence options narrowed to the
-    most recent open attack (a pure handicap on P, so a win stands), then,
-    only if that fails, with P's full classical rights.
+    result holds the search's memo, so a caller that needs only the verdict
+    never pays for the tree. Otherwise ``refutation`` is a play that O wins.
+    Raises BudgetExhaustedError when the position budget runs out; that
+    outcome is unknown, never false.
     """
     state = initial_state(thesis, env)
     # the structural rules apply to the thesis too, at the position before
@@ -862,18 +859,11 @@ def has_winning_strategy(
     # wins an atomic thesis with the one-move play
     if _check_assertable(replace(state, assertion_index={}), P, ROOT, state.thesis):
         return StrategyResult(False, state.moves, 1)
+    search = _Search(budget)
     with _deep_recursion():
-        spent = 0
-        for disciplined in (True, False):
-            search = _Search(budget - spent, disciplined)
-            try:
-                verdict = search.win(state)
-            except BudgetExhaustedError:
-                raise BudgetExhaustedError(spent + search.positions) from None
-            spent += search.positions
-            if verdict:
-                return StrategyResult(True, None, spent, search, state)
-        return StrategyResult(False, search.refuting_play(state), spent)
+        if search.win(state):
+            return StrategyResult(True, None, search.positions, search, state)
+        return StrategyResult(False, search.refuting_play(state), search.positions)
 
 
 # ---------------------------------------------------------------------------

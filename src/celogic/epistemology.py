@@ -11,7 +11,6 @@ machinery but carries no named preset.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .dialogue import DEFAULT_SEARCH_BUDGET, has_winning_strategy
@@ -60,21 +59,13 @@ def _retag(f: Formula, variant: str) -> Formula:
 
 
 def context_implies(premise: ContextFormula, conclusion: ContextFormula) -> bool:
-    """Truth-table check that every assignment satisfying the premise body
-    satisfies the conclusion body."""
-    if premise.is_bot or conclusion.is_top:
-        return True
-    atoms = sorted(
-        {a for a, _ in premise.literals} | {a for a, _ in conclusion.literals}
+    """Whether every assignment satisfying the premise body satisfies the
+    conclusion body. Both are canonical conjunctions of literals, so that
+    holds exactly when the premise is bottom or the conclusion's literals
+    are among the premise's."""
+    return premise.is_bot or (
+        not conclusion.is_bot and set(conclusion.literals) <= set(premise.literals)
     )
-    for values in itertools.product((False, True), repeat=len(atoms)):
-        row = dict(zip(atoms, values))
-        if premise.is_top or all(row[a] == pos for a, pos in premise.literals):
-            if conclusion.is_bot or not all(
-                row[a] == pos for a, pos in conclusion.literals
-            ):
-                return False
-    return True
 
 
 def apply_preset(

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from celogic.epistemology import (
@@ -14,10 +16,12 @@ from celogic.epistemology import (
 from celogic.kripke import ContextEnv
 from celogic.prove import Valid, prove_cel
 from celogic.syntax import (
+    BOT,
     Iff,
     Know,
     Rel,
     TOP,
+    make_context,
     parse_context,
     parse_formula,
 )
@@ -120,6 +124,32 @@ class TestContextImplies:
         assert context_implies(parse_context("false"), parse_context("p"))
         assert context_implies(parse_context("p & ~p"), parse_context("q"))
         assert context_implies(parse_context("p"), TOP)
+
+    def test_agrees_with_brute_force_on_two_atoms(self):
+        # every context over p and q: each atom absent, positive or
+        # negative (the empty set is TOP), and BOT
+        contexts = [BOT] + [
+            make_context(
+                (atom, sign) for atom, sign in zip("pq", signs) if sign is not None
+            )
+            for signs in itertools.product((None, True, False), repeat=2)
+        ]
+        assert len(set(contexts)) == 10 and TOP in contexts
+        rows = [dict(zip("pq", v)) for v in itertools.product((False, True), repeat=2)]
+
+        def holds(context, row):
+            return not context.is_bot and all(
+                row[atom] == sign for atom, sign in context.literals
+            )
+
+        for premise, conclusion in itertools.product(contexts, repeat=2):
+            expected = all(
+                holds(conclusion, row) for row in rows if holds(premise, row)
+            )
+            assert context_implies(premise, conclusion) == expected, (
+                premise,
+                conclusion,
+            )
 
 
 class TestSuite:
