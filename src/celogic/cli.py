@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from . import dialogue as dlg
@@ -267,19 +266,9 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
-    if hasattr(args, "budget"):
-        source = "--budget"
-        env_budget = os.environ.get("CEL_BUDGET")
-        if args.budget is None and env_budget is not None:
-            source = "CEL_BUDGET"
-            try:
-                args.budget = int(env_budget)
-            except ValueError:
-                print("error: CEL_BUDGET must be an integer", file=sys.stderr)
-                return EXIT_USAGE
-        if args.budget is not None and args.budget < 1:
-            print(f"error: {source} must be a positive integer", file=sys.stderr)
-            return EXIT_USAGE
+    if getattr(args, "budget", None) is not None and args.budget < 1:
+        print("error: --budget must be a positive integer", file=sys.stderr)
+        return EXIT_USAGE
     try:
         return args.fn(args)
     except (

@@ -7,8 +7,11 @@ read off an open saturated branch is a partition model directly. A signed
 box/diamond needing a witness gets exactly one per (cluster, formula), which
 keeps saturation finite without an explicit duplicate-label merge.
 
-Scheduling is deterministic: oldest item first within a priority band, and
-non-branching rules before branching rules before modal rules.
+Each signed formula's rule is stated once, in ``_rule``: its band and, for
+a propositional or context rule, its cases. The band follows from the
+cases: one case (or none, which closes the branch) is alpha, several are
+beta. Scheduling is deterministic: oldest item first within a band, and
+alpha before beta before the modal bands (universal, then witness).
 
 The search records its proof log as raw data: each step as (sign, label,
 formula, rule), each closure as (label, formula), each branch point as its
@@ -92,7 +95,58 @@ def verdict_to_json(v: Verdict) -> dict:
     return {"valid": False, "model": v.model.to_json(), "world": v.world}
 
 
-_PRIO_ALPHA, _PRIO_BETA, _PRIO_UNIVERSAL, _PRIO_WITNESS = range(4)
+_ALPHA, _BETA, _UNIVERSAL, _WITNESS = range(4)
+
+
+def _rule(ctx: dict[str, ContextFormula], sign: bool, f: Formula):
+    """The one tableau rule for a signed formula: None for a plain atom,
+    (band, None, None) for Know/Poss, whose conclusions depend on the
+    cluster when the rule is applied, and (band, name, cases) otherwise.
+    Each case is the signed formulas the rule adds at the same label: one
+    case extends the branch, several split it, none closes it. The band is
+    beta exactly when there are several cases."""
+    match f:
+        case Atom(name):
+            body = ctx.get(name)
+            if body is None:
+                return None
+            name = f"context {name}"
+            lits = tuple((positive == sign, Atom(a)) for a, positive in body.literals)
+            if (body.is_bot if sign else body.is_top):
+                cases = ()
+            elif sign or len(lits) < 2:
+                cases = (lits,)
+            else:
+                cases = tuple((lit,) for lit in lits)
+        case Not(body):
+            name, cases = "negation", (((not sign, body),),)
+        case And(l, r):
+            name = "conjunction"
+            cases = (((True, l), (True, r)),) if sign else (((False, l),), ((False, r),))
+        case Or(l, r):
+            name = "disjunction"
+            cases = (((True, l),), ((True, r),)) if sign else (((False, l), (False, r)),)
+        case Imp(l, r):
+            name = "implication"
+            cases = (((False, l),), ((True, r),)) if sign else (((True, l), (False, r)),)
+        case Iff(l, r):
+            name = "equivalence"
+            cases = (
+                (((True, l), (True, r)), ((False, l), (False, r)))
+                if sign
+                else (((True, l), (False, r)), ((False, l), (True, r)))
+            )
+        case Know(_, _, _):
+            return (_UNIVERSAL if sign else _WITNESS), None, None
+        case Poss(_, _, _):
+            return (_WITNESS if sign else _UNIVERSAL), None, None
+        case Rel(_, _):
+            raise NonEpistemicFragmentError(
+                f"relativized subformula {render_formula(f)!r}"
+            )
+        case _:
+            raise TypeError(f"not a formula: {f!r}")
+    return (_BETA if len(cases) > 1 else _ALPHA), name, cases
 
 
 def _signed(sign: bool, label: int, f: Formula) -> str:
@@ -120,7 +174,8 @@ class _Branch:
     def __init__(self, ctx: dict[str, ContextFormula]):
         self.ctx = ctx
         self.facts: dict[tuple[int, Formula], bool] = {}
-        self.queue: list[tuple[int, int, int, bool, Formula]] = []
+        # (band, seq, label, sign, formula, _rule's result); seq is unique
+        self.queue: list[tuple] = []
         self.seq = 0
         self.nlabels = 1
         self.ncid = 0
@@ -143,33 +198,6 @@ class _Branch:
         b.witnesses = set(self.witnesses)
         return b
 
-    def priority(self, sign: bool, f: Formula) -> int | None:
-        match f:
-            case Atom(name):
-                if name not in self.ctx:
-                    return None
-                body = self.ctx[name]
-                if not sign and len(body.literals) > 1:
-                    return _PRIO_BETA
-                return _PRIO_ALPHA
-            case Not(_):
-                return _PRIO_ALPHA
-            case And(_, _):
-                return _PRIO_ALPHA if sign else _PRIO_BETA
-            case Or(_, _) | Imp(_, _):
-                return _PRIO_BETA if sign else _PRIO_ALPHA
-            case Iff(_, _):
-                return _PRIO_BETA
-            case Know(_, _, _):
-                return _PRIO_UNIVERSAL if sign else _PRIO_WITNESS
-            case Poss(_, _, _):
-                return _PRIO_WITNESS if sign else _PRIO_UNIVERSAL
-            case Rel(_, _):
-                raise NonEpistemicFragmentError(
-                    f"relativized subformula {render_formula(f)!r}"
-                )
-        raise TypeError(f"not a formula: {f!r}")
-
     def add(self, label: int, sign: bool, f: Formula):
         """Record a signed fact; returns the closing fact key on contradiction,
         None otherwise."""
@@ -178,9 +206,9 @@ class _Branch:
         if prior is not None:
             return key if prior != sign else None
         self.facts[key] = sign
-        prio = self.priority(sign, f)
-        if prio is not None:
-            heapq.heappush(self.queue, (prio, self.seq, label, sign, f))
+        rule = _rule(self.ctx, sign, f)
+        if rule is not None:
+            heapq.heappush(self.queue, (rule[0], self.seq, label, sign, f, rule))
             self.seq += 1
         return None
 
@@ -206,107 +234,47 @@ def _explore(branch: _Branch):
     """Expand to saturation; ('closed', raw log node) or ('open', branch)."""
     steps: list[tuple[bool, int, Formula, str]] = []
     while branch.queue:
-        _, _, label, sign, f = heapq.heappop(branch.queue)
-        additions: list[tuple[int, bool, Formula]] = []
-        alternatives: list[list[tuple[int, bool, Formula]]] | None = None
-        rule = ""
-        match f:
-            case Atom(name):
-                body = branch.ctx[name]
-                rule = f"context {name}"
-                if sign:
-                    if body.is_bot:
-                        steps.append((sign, label, f, rule))
-                        return "closed", (steps, (label, f))
-                    additions = [
-                        (label, positive, Atom(a)) for a, positive in body.literals
-                    ]
-                else:
-                    if body.is_top:
-                        steps.append((sign, label, f, rule))
-                        return "closed", (steps, (label, f))
-                    lits = [
-                        (label, not positive, Atom(a)) for a, positive in body.literals
-                    ]
-                    if len(lits) <= 1:
-                        additions = lits
-                    else:
-                        alternatives = [[lit] for lit in lits]
-            case Not(body):
-                rule = "negation"
-                additions = [(label, not sign, body)]
-            case And(l, r):
-                rule = "conjunction"
-                if sign:
-                    additions = [(label, True, l), (label, True, r)]
-                else:
-                    alternatives = [[(label, False, l)], [(label, False, r)]]
-            case Or(l, r):
-                rule = "disjunction"
-                if sign:
-                    alternatives = [[(label, True, l)], [(label, True, r)]]
-                else:
-                    additions = [(label, False, l), (label, False, r)]
-            case Imp(l, r):
-                rule = "implication"
-                if sign:
-                    alternatives = [[(label, False, l)], [(label, True, r)]]
-                else:
-                    additions = [(label, True, l), (label, False, r)]
-            case Iff(l, r):
-                rule = "equivalence"
-                if sign:
-                    alternatives = [
-                        [(label, True, l), (label, True, r)],
-                        [(label, False, l), (label, False, r)],
-                    ]
-                else:
-                    alternatives = [
-                        [(label, True, l), (label, False, r)],
-                        [(label, False, l), (label, True, r)],
-                    ]
-            case Know(agent, _, body) | Poss(agent, _, body):
-                universal = sign if isinstance(f, Know) else not sign
-                body_sign = sign
-                cid = branch.cluster_of(agent, label)
-                if universal:
-                    rule = f"{agent}-cluster universal"
-                    branch.universals[cid].append((body_sign, body))
-                    additions = [(m, body_sign, body) for m in branch.members[cid]]
-                else:
-                    rule = f"{agent}-cluster witness"
-                    wkey = (cid, body_sign, body)
-                    if wkey in branch.witnesses:
-                        continue
-                    branch.witnesses.add(wkey)
-                    new = branch.new_label(agent, cid)
-                    additions = [
-                        (new, usign, uf) for usign, uf in branch.universals[cid]
-                    ]
-                    additions.append((new, body_sign, body))
-        steps.append((sign, label, f, rule))
-        if alternatives is None:
-            for lab, sg, g in additions:
-                closed = branch.add(lab, sg, g)
-                if closed is not None:
-                    return "closed", (steps, closed)
-        else:
-            cases = []
-            for alt in alternatives:
-                child = branch.copy()
-                closed = None
-                for lab, sg, g in alt:
-                    closed = child.add(lab, sg, g)
-                    if closed is not None:
-                        cases.append(([], closed))
-                        break
-                if closed is not None:
+        _, _, label, sign, f, (band, name, cases) = heapq.heappop(branch.queue)
+        if cases is None:
+            agent, body = f.agent, f.body
+            cid = branch.cluster_of(agent, label)
+            if band == _UNIVERSAL:
+                name = f"{agent}-cluster universal"
+                branch.universals[cid].append((sign, body))
+                additions = [(m, sign, body) for m in branch.members[cid]]
+            else:
+                wkey = (cid, sign, body)
+                if wkey in branch.witnesses:
                     continue
-                status, payload = _explore(child)
-                if status == "open":
-                    return "open", payload
-                cases.append(payload)
-            return "closed", (steps, (sign, label, f), cases)
+                branch.witnesses.add(wkey)
+                name = f"{agent}-cluster witness"
+                new = branch.new_label(agent, cid)
+                additions = [(new, usign, uf) for usign, uf in branch.universals[cid]]
+                additions.append((new, sign, body))
+        steps.append((sign, label, f, name))
+        if cases is not None:
+            if not cases:
+                return "closed", (steps, (label, f))
+            if len(cases) > 1:
+                logs = []
+                for case in cases:
+                    child = branch.copy()
+                    for sg, g in case:
+                        closed = child.add(label, sg, g)
+                        if closed is not None:
+                            logs.append(([], closed))
+                            break
+                    else:
+                        status, payload = _explore(child)
+                        if status == "open":
+                            return "open", payload
+                        logs.append(payload)
+                return "closed", (steps, (sign, label, f), logs)
+            additions = [(label, sg, g) for sg, g in cases[0]]
+        for lab, sg, g in additions:
+            closed = branch.add(lab, sg, g)
+            if closed is not None:
+                return "closed", (steps, closed)
     return "open", branch
 
 

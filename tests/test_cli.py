@@ -220,27 +220,12 @@ class TestDialogue:
         assert out == ""
         assert err.startswith("error: search budget exhausted")
 
-    def test_budget_env_variable(self, capsys, monkeypatch):
-        monkeypatch.setenv("CEL_BUDGET", "3")
-        code, _, _ = run(capsys, "dialogue", "K{i,1.1} a -> K{i,1.1} K{i,1.1} a")
-        assert code == 3
-
     @pytest.mark.parametrize("budget", ["0", "-5"])
     def test_non_positive_budget_is_a_usage_error(self, capsys, budget):
         code, out, err = run(capsys, "dialogue", "--budget", budget, "p -> p")
         assert code == 2
         assert out == ""
         assert err == "error: --budget must be a positive integer\n"
-
-    @pytest.mark.parametrize("budget", ["0", "-5"])
-    def test_non_positive_budget_env_variable_is_a_usage_error(
-        self, capsys, monkeypatch, budget
-    ):
-        monkeypatch.setenv("CEL_BUDGET", budget)
-        code, out, err = run(capsys, "dialogue", "p -> p")
-        assert code == 2
-        assert out == ""
-        assert err == "error: CEL_BUDGET must be a positive integer\n"
 
 
 class TestOracle:

@@ -15,8 +15,6 @@ from celogic.dialogue import (
     _assertion_of_move,
     _attack_record_of_move,
     _check_assertable,
-    _cluster,
-    _fresh_successor,
     apply_move,
     game_form,
     has_winning_strategy,
@@ -585,9 +583,26 @@ class TestTranscript:
 
 
 def _reference_world_options(state, actor, agent, world):
-    options = sorted(_cluster(state.introduced, agent, world))
+    """The agent's cluster in closed form: the introduced labels that extend
+    the cluster's root (the world without the agent's trailing steps) by
+    steps of that agent only; then O's fresh successor, which takes the
+    least index no introduced child of the world uses for that agent."""
+    root = world
+    while root and root[-1][0] == agent:
+        root = root[:-1]
+    options = sorted(
+        v
+        for v in state.introduced
+        if v[: len(root)] == root and all(a == agent for a, _ in v[len(root) :])
+    )
     if actor == "O" and state.o_fresh < state.rules.fresh_cap:
-        options.append(_fresh_successor(state.introduced, agent, world))
+        used = {
+            v[-1][1]
+            for v in state.introduced
+            if len(v) == len(world) + 1 and v[:-1] == world and v[-1][0] == agent
+        }
+        index = min(set(range(1, len(used) + 2)) - used)
+        options.append(world + ((agent, index),))
     return options
 
 

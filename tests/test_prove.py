@@ -152,6 +152,34 @@ def test_prover_output_is_pinned():
     assert digest.hexdigest() == PROVER_OUTPUT_SHA256
 
 
+# Under ContextEnv() every context is a one-literal stand-in, so the pin
+# above never runs the context rule on a true or false body, or splits on a
+# body of several literals. These envs do: T on a false body and F on a true
+# body close the branch, F on a body of two or three literals splits it.
+BOUND_CONTEXT_ENVS = (
+    {"ci": "true", "cj": "true", "ck": "true"},
+    {"ci": "false", "cj": "false", "ck": "false"},
+    {"ci": "p & ~q", "cj": "~p & q", "ck": "a & q"},
+    {"ci": "p & q & ~a", "cj": "~p & ~q & a", "ck": "p & ~q & r"},
+)
+
+# sha256 over verdict_to_json(prove_cel(f, env)) for each env above and
+# each formula of the cross corpus and SUITE_ROWS, proof logs and
+# counter-models included, byte for byte.
+BOUND_CONTEXT_OUTPUT_SHA256 = "91bebdedaaf7367c6351d7c2ad9223f48d29461fcf19f06dd199a3bed358e845"
+
+
+def test_prover_output_under_bound_contexts_is_pinned():
+    formulas = cross_semantics_corpus()
+    formulas += [parse_formula(row.formula) for row in SUITE_ROWS]
+    digest = hashlib.sha256()
+    for bindings in BOUND_CONTEXT_ENVS:
+        env = ContextEnv.from_json(bindings)
+        for f in formulas:
+            digest.update(json.dumps(verdict_to_json(prove_cel(f, env))).encode())
+    assert digest.hexdigest() == BOUND_CONTEXT_OUTPUT_SHA256
+
+
 class TestLazyProofLog:
     THESIS = "(K{i,2.2} a)^ci -> (K{i,2.2} K{i,2.2} a)^cj"
 
