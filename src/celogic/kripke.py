@@ -8,7 +8,7 @@ subformula evaluates to an integer bitmask. Over one model (_ModelCtx) bit w
 is world w. Over one frame (_FrameCtx: a world count and a partition per
 agent) bit w*V + v is world w under the v-th of its V valuations, so the
 oracle evaluates each frame once instead of each model (bit-slicing), through
-the same compiled closures rather than a second semantics.
+the same compiled function rather than a second semantics.
 """
 
 from __future__ import annotations
@@ -214,16 +214,10 @@ class ContextEnv:
 
 
 def eval_context(model: KripkeModel, world: str, env: ContextEnv, name: str) -> bool:
-    """Truth of the context body bound to ``name`` at ``world``."""
-    cf = env.resolve(name)
-    if cf.is_top:
-        return True
-    if cf.is_bot:
-        return False
-    return all(
-        (world in model.valuation.get(atom, frozenset())) == positive
-        for atom, positive in cf.literals
-    )
+    """Truth of the context body bound to ``name`` at ``world``: ``name``
+    read as an atom, through ``satisfies``. A world not in the model raises
+    ModelError."""
+    return satisfies(model, world, env.completed([name]), Atom(name))
 
 
 # ---------------------------------------------------------------------------
@@ -273,6 +267,7 @@ class _FrameCtx:
     ANDs the class's V-bit slices and spreads the result back to each."""
 
     def __init__(self, worlds: tuple, V: int, val: dict[str, int], relations):
+        self.worlds, self.V, self.relations = worlds, V, relations
         self.slice = (1 << V) - 1
         self.full = (1 << len(worlds) * V) - 1
         self.val = val
@@ -302,23 +297,24 @@ def _mask_of(worlds, index) -> int:
     return m
 
 
-def _context_mask_fn(env: ContextEnv, name: str) -> Callable[[_ModelCtx], int]:
+def _context_expr(
+    env: ContextEnv, name: str, read: Callable[[str], str], emit: Callable[[str], str]
+) -> str:
+    """The operand holding the mask of the body bound to ``name``: ``full``
+    for true, ``0`` for false, otherwise the local ``emit`` assigns the AND
+    of its literals. ``read(atom)`` is the local holding that atom's
+    valuation mask. The AND is folded one literal per assignment, so a long
+    body never makes one deeply nested expression."""
     cf = env.resolve(name)
     if cf.is_top:
-        return lambda ctx: ctx.full
+        return "full"
     if cf.is_bot:
-        return lambda ctx: 0
-
-    lits = cf.literals
-
-    def run(ctx: _ModelCtx) -> int:
-        m = ctx.full
-        for atom, positive in lits:
-            vm = ctx.val.get(atom, 0)
-            m &= vm if positive else (ctx.full & ~vm)
-        return m
-
-    return run
+        return "0"
+    local = None
+    for atom, positive in cf.literals:
+        lit = read(atom) if positive else emit(f"full & ~{read(atom)}")
+        local = lit if local is None else emit(f"{local} & {lit}")
+    return local
 
 
 def compile_formula(f: Formula, env: ContextEnv) -> Callable[[_ModelCtx], int]:
@@ -328,84 +324,105 @@ def compile_formula(f: Formula, env: ContextEnv) -> Callable[[_ModelCtx], int]:
     An atom whose name is bound in the environment denotes its context body
     (this is how context names surviving reduction keep their meaning); all
     other atoms, body literals included, read the valuation.
+
+    The result is one generated function ``mask(ctx)``: each distinct
+    subformula is one assignment, in dependency order (equal expressions
+    share one), and the function returns the root's mask, so an evaluation
+    is one Python call. No name is spliced into its source: atom, agent and
+    context names reach it as values bound in the namespace it is compiled
+    in, and the source holds only generated identifiers, operators and the
+    constant 0. Each agent's classes are looked up first, in the preorder
+    of the agents' first occurrences, so a missing agent raises ModelError
+    naming the outermost one. Compiling the source dominates when the
+    function is evaluated only a few times; it pays off only where one
+    function is evaluated many times.
     """
-    memo: dict[Formula, Callable[[_ModelCtx], int]] = {}
+    names: dict[str, str] = {}  # name -> the identifier bound to it
+    classes: dict[str, str] = {}  # agent -> the local holding its classes
+    exprs: dict[str, str] = {}  # expression -> its local, in dependency order
+    memo: dict[Formula, str] = {}
 
-    def go(g: Formula) -> Callable[[_ModelCtx], int]:
-        fn = memo.get(g)
-        if fn is None:
-            fn = build(g)
-            memo[g] = fn
-        return fn
+    def name(value: str) -> str:
+        return names.setdefault(value, f"n{len(names)}")
 
-    def build(g: Formula) -> Callable[[_ModelCtx], int]:
+    def emit(expr: str) -> str:
+        return exprs.setdefault(expr, f"m{len(exprs)}")
+
+    def read(atom: str) -> str:
+        return emit(f"get({name(atom)}, 0)")
+
+    def agent_classes(agent: str) -> str:
+        return classes.setdefault(agent, f"k{len(classes)}")
+
+    def unguarded(c: str) -> str:
+        """The mask where context c's body fails."""
+        return emit(f"full & ~{_context_expr(env, c, read, emit)}")
+
+    def go(g: Formula) -> str:
+        local = memo.get(g)
+        if local is None:
+            local = memo[g] = build(g)
+        return local
+
+    def build(g: Formula) -> str:
         match g:
-            case Atom(name):
-                if name in env.bindings:
-                    return _context_mask_fn(env, name)
-                return lambda ctx: ctx.val.get(name, 0)
+            case Atom(atom):
+                if atom in env.bindings:
+                    return _context_expr(env, atom, read, emit)
+                return read(atom)
             case Not(body):
-                b = go(body)
-                return lambda ctx: ctx.full & ~b(ctx)
+                return emit(f"full & ~{go(body)}")
             case And(l, r):
-                a, b = go(l), go(r)
-                return lambda ctx: a(ctx) & b(ctx)
+                return emit(f"{go(l)} & {go(r)}")
             case Or(l, r):
-                a, b = go(l), go(r)
-                return lambda ctx: a(ctx) | b(ctx)
+                return emit(f"{go(l)} | {go(r)}")
             case Imp(l, r):
-                a, b = go(l), go(r)
-                return lambda ctx: (ctx.full & ~a(ctx)) | b(ctx)
+                return emit(f"(full & ~{go(l)}) | {go(r)}")
             case Iff(l, r):
-                a, b = go(l), go(r)
-                return lambda ctx: ctx.full & ~(a(ctx) ^ b(ctx))
+                return emit(f"full & ~({go(l)} ^ {go(r)})")
             case Know(agent, _, body):
-                b = go(body)
-                # classes first: a missing agent is reported outermost first
-                return lambda ctx: ctx.know(ctx.classes[agent], b(ctx))
+                return emit(f"ctx.know({agent_classes(agent)}, {go(body)})")
             case Poss(agent, _, body):
-                b = go(body)
-                return lambda ctx: ctx.poss(ctx.classes[agent], b(ctx))
+                return emit(f"ctx.poss({agent_classes(agent)}, {go(body)})")
             case Rel(body, context):
                 return build_rel(body, context)
         raise TypeError(f"not a formula: {g!r}")
 
-    def build_rel(body: Formula, c: str) -> Callable[[_ModelCtx], int]:
-        guard = _context_mask_fn(env, c)
+    def build_rel(body: Formula, c: str) -> str:
         match body:
-            case Atom(_):
-                b = go(body)
-                return lambda ctx: (ctx.full & ~guard(ctx)) | b(ctx)
-            case Rel(_, _):
-                b = go(body)
-                return lambda ctx: (ctx.full & ~guard(ctx)) | b(ctx)
+            case Atom(_) | Rel(_, _):
+                return emit(f"{unguarded(c)} | {go(body)}")
             case Not(inner):
-                b = go(Rel(inner, c))
-                return lambda ctx: (ctx.full & ~guard(ctx)) | (ctx.full & ~b(ctx))
+                return emit(f"{unguarded(c)} | (full & ~{go(Rel(inner, c))})")
             case And(l, r):
                 # As in the satisfaction table: no guard on conjunction.
-                a, b = go(Rel(l, c)), go(Rel(r, c))
-                return lambda ctx: a(ctx) & b(ctx)
+                return emit(f"{go(Rel(l, c))} & {go(Rel(r, c))}")
             case Or(l, r):
-                a, b = go(Rel(l, c)), go(Rel(r, c))
-                return lambda ctx: (ctx.full & ~guard(ctx)) | a(ctx) | b(ctx)
+                return emit(f"{unguarded(c)} | {go(Rel(l, c))} | {go(Rel(r, c))}")
             case Imp(l, r):
-                a, b = go(Rel(l, c)), go(Rel(r, c))
-                return lambda ctx: (ctx.full & ~guard(ctx)) | (
-                    (ctx.full & ~a(ctx)) | b(ctx)
+                return emit(
+                    f"{unguarded(c)} | (full & ~{go(Rel(l, c))}) | {go(Rel(r, c))}"
                 )
             case Iff(l, r):
                 return go(Rel(And(Imp(l, r), Imp(r, l)), c))
             case Know(agent, variant, inner):
                 cx, cy = variant_contexts_names(variant, c, agent)
-                gx = _context_mask_fn(env, cx)
                 k = go(Know(agent, variant, Rel(inner, cy)))
-                return lambda ctx: (ctx.full & ~gx(ctx)) | k(ctx)
+                return emit(f"{unguarded(cx)} | {k}")
             case Poss(agent, variant, inner):
                 return go(Rel(Not(Know(agent, variant, Not(inner))), c))
         raise TypeError(f"not a formula: {body!r}")
 
-    return go(f)
+    root = go(f)
+    source = "".join([
+        "def mask(ctx):\n    full = ctx.full\n    get = ctx.val.get\n",
+        *(f"    {k} = ctx.classes[{name(a)}]\n" for a, k in classes.items()),
+        *(f"    {m} = {expr}\n" for expr, m in exprs.items()),
+        f"    return {root}\n",
+    ])
+    ns = {ident: value for value, ident in names.items()}
+    exec(compile(source, "<compile_formula>", "exec"), ns)
+    return ns["mask"]
 
 
 def truth_mask(model: KripkeModel, env: ContextEnv, f: Formula) -> int:
@@ -535,6 +552,16 @@ def _atom_masks(n: int, atoms: list) -> tuple[int, dict[str, int]]:
     return V, val
 
 
+def _frame_contexts(max_worlds: int, agents: list, atoms: list) -> Iterator[_FrameCtx]:
+    """Every frame up to max_worlds worlds, in enumerate_models' order, each
+    over all the valuations of atoms in _frame_model's layout."""
+    for n in range(1, max_worlds + 1):
+        worlds = tuple(f"w{i + 1}" for i in range(n))
+        V, val = _atom_masks(n, atoms)
+        for relations in _frames(worlds, agents):
+            yield _FrameCtx(worlds, V, val, relations)
+
+
 def find_countermodel(
     f: Formula,
     env: ContextEnv | None = None,
@@ -571,16 +598,13 @@ def find_countermodel(
     agents, atoms = list(agents), list(atoms)
     fn = compile_formula(f, env)
     _check_space(max_worlds, agents, atoms, ceiling)
-    for n in range(1, max_worlds + 1):
-        worlds = tuple(f"w{i + 1}" for i in range(n))
-        V, val = _atom_masks(n, atoms)
-        for relations in _frames(worlds, agents):
-            ctx = _FrameCtx(worlds, V, val, relations)
-            fail = ctx.full & ~fn(ctx)
-            if fail:
-                # lowest failing valuation, then the lowest world failing in it
-                slices = [fail >> w * V & ctx.slice for w in range(n)]
-                v = min((s & -s).bit_length() - 1 for s in slices if s)
-                w = next(w for w, s in enumerate(slices) if s >> v & 1)
-                return _frame_model(worlds, relations, atoms, v), worlds[w]
+    for ctx in _frame_contexts(max_worlds, agents, atoms):
+        fail = ctx.full & ~fn(ctx)
+        if fail:
+            # lowest failing valuation, then the lowest world failing in it
+            worlds = ctx.worlds
+            slices = [fail >> w * ctx.V & ctx.slice for w in range(len(worlds))]
+            v = min((s & -s).bit_length() - 1 for s in slices if s)
+            w = next(w for w, s in enumerate(slices) if s >> v & 1)
+            return _frame_model(worlds, ctx.relations, atoms, v), worlds[w]
     return None

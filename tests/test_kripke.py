@@ -15,6 +15,7 @@ from celogic.kripke import (
     _FrameCtx,
     _ModelCtx,
     _atom_masks,
+    _frame_contexts,
     bell_number,
     check_model,
     compile_formula,
@@ -28,20 +29,30 @@ from celogic.kripke import (
 )
 from celogic.reduction import needed_context_names
 from celogic.syntax import (
+    And,
     Atom,
     BOT,
+    ContextFormula,
+    Formula,
+    Iff,
     Imp,
     Know,
     Not,
+    Or,
     Poss,
+    Rel,
     TOP,
+    agent_context,
     formula_info,
     parse_context,
     parse_formula,
+    variant_contexts_names,
 )
 
 from corpus import cross_semantics_corpus, random_formula
 import random
+import re
+from typing import Callable
 
 
 def single_world_model():
@@ -101,6 +112,11 @@ class TestEvalContext:
     def test_auto_bind_fresh_atom(self):
         m = KripkeModel(["w1"], {"i": [["w1"]]}, {"_ctx_ci": ["w1"]})
         assert eval_context(m, "w1", ContextEnv(), "ci")
+
+    def test_unknown_world_is_a_model_error(self):
+        env = ContextEnv({"ci": TOP})
+        with pytest.raises(ModelError, match="unknown world"):
+            eval_context(single_world_model(), "w9", env, "ci")
 
 
 class TestSatisfies:
@@ -235,6 +251,196 @@ def test_cross_semantics_spot_sample():
 
 
 # ---------------------------------------------------------------------------
+# The generated kernel against the closure compiler it replaced
+
+
+def reference_context_mask_fn(env: ContextEnv, name: str) -> Callable[[_ModelCtx], int]:
+    cf = env.resolve(name)
+    if cf.is_top:
+        return lambda ctx: ctx.full
+    if cf.is_bot:
+        return lambda ctx: 0
+
+    lits = cf.literals
+
+    def run(ctx: _ModelCtx) -> int:
+        m = ctx.full
+        for atom, positive in lits:
+            vm = ctx.val.get(atom, 0)
+            m &= vm if positive else (ctx.full & ~vm)
+        return m
+
+    return run
+
+
+def reference_compile_formula(f: Formula, env: ContextEnv) -> Callable[[_ModelCtx], int]:
+    """Compile a formula into a truth-mask function over evaluation contexts:
+    a _ModelCtx (one model) or a _FrameCtx (one frame, every valuation).
+
+    An atom whose name is bound in the environment denotes its context body
+    (this is how context names surviving reduction keep their meaning); all
+    other atoms, body literals included, read the valuation.
+    """
+    memo: dict[Formula, Callable[[_ModelCtx], int]] = {}
+
+    def go(g: Formula) -> Callable[[_ModelCtx], int]:
+        fn = memo.get(g)
+        if fn is None:
+            fn = build(g)
+            memo[g] = fn
+        return fn
+
+    def build(g: Formula) -> Callable[[_ModelCtx], int]:
+        match g:
+            case Atom(name):
+                if name in env.bindings:
+                    return reference_context_mask_fn(env, name)
+                return lambda ctx: ctx.val.get(name, 0)
+            case Not(body):
+                b = go(body)
+                return lambda ctx: ctx.full & ~b(ctx)
+            case And(l, r):
+                a, b = go(l), go(r)
+                return lambda ctx: a(ctx) & b(ctx)
+            case Or(l, r):
+                a, b = go(l), go(r)
+                return lambda ctx: a(ctx) | b(ctx)
+            case Imp(l, r):
+                a, b = go(l), go(r)
+                return lambda ctx: (ctx.full & ~a(ctx)) | b(ctx)
+            case Iff(l, r):
+                a, b = go(l), go(r)
+                return lambda ctx: ctx.full & ~(a(ctx) ^ b(ctx))
+            case Know(agent, _, body):
+                b = go(body)
+                # classes first: a missing agent is reported outermost first
+                return lambda ctx: ctx.know(ctx.classes[agent], b(ctx))
+            case Poss(agent, _, body):
+                b = go(body)
+                return lambda ctx: ctx.poss(ctx.classes[agent], b(ctx))
+            case Rel(body, context):
+                return build_rel(body, context)
+        raise TypeError(f"not a formula: {g!r}")
+
+    def build_rel(body: Formula, c: str) -> Callable[[_ModelCtx], int]:
+        guard = reference_context_mask_fn(env, c)
+        match body:
+            case Atom(_):
+                b = go(body)
+                return lambda ctx: (ctx.full & ~guard(ctx)) | b(ctx)
+            case Rel(_, _):
+                b = go(body)
+                return lambda ctx: (ctx.full & ~guard(ctx)) | b(ctx)
+            case Not(inner):
+                b = go(Rel(inner, c))
+                return lambda ctx: (ctx.full & ~guard(ctx)) | (ctx.full & ~b(ctx))
+            case And(l, r):
+                # As in the satisfaction table: no guard on conjunction.
+                a, b = go(Rel(l, c)), go(Rel(r, c))
+                return lambda ctx: a(ctx) & b(ctx)
+            case Or(l, r):
+                a, b = go(Rel(l, c)), go(Rel(r, c))
+                return lambda ctx: (ctx.full & ~guard(ctx)) | a(ctx) | b(ctx)
+            case Imp(l, r):
+                a, b = go(Rel(l, c)), go(Rel(r, c))
+                return lambda ctx: (ctx.full & ~guard(ctx)) | (
+                    (ctx.full & ~a(ctx)) | b(ctx)
+                )
+            case Iff(l, r):
+                return go(Rel(And(Imp(l, r), Imp(r, l)), c))
+            case Know(agent, variant, inner):
+                cx, cy = variant_contexts_names(variant, c, agent)
+                gx = reference_context_mask_fn(env, cx)
+                k = go(Know(agent, variant, Rel(inner, cy)))
+                return lambda ctx: (ctx.full & ~gx(ctx)) | k(ctx)
+            case Poss(agent, variant, inner):
+                return go(Rel(Not(Know(agent, variant, Not(inner))), c))
+        raise TypeError(f"not a formula: {body!r}")
+
+    return go(f)
+
+
+ENVS = [
+    ContextEnv(),
+    *(ContextEnv({"ci": parse_context(b)}) for b in ("true", "false", "~p", "p & ~q")),
+    ContextEnv({"ci": parse_context("~p"), "cj": parse_context("p & ~q")}),
+]
+
+
+def read_names(f, env):
+    """The valuation names the compiled f reads under env: its unbound
+    atoms, and the body literals of its bound atoms and of its guards (an
+    unbound guard's body is its fresh stand-in)."""
+    info = formula_info(f)
+    atoms = set(info.atoms - env.bindings.keys())
+    for name in needed_context_names(f) | (env.bindings.keys() & info.atoms):
+        atoms |= {a for a, _ in env.resolve(name).literals}
+    return sorted(atoms)
+
+
+def assert_same_masks(f, env, agents, max_worlds):
+    """The kernel and the reference agree on every model up to two worlds
+    and on every frame up to max_worlds worlds."""
+    fn, ref = compile_formula(f, env), reference_compile_formula(f, env)
+    atoms = read_names(f, env)
+    for model in enumerate_models(2, agents, atoms):
+        ctx = _ModelCtx(model)
+        assert fn(ctx) == ref(ctx)
+    for ctx in _frame_contexts(max_worlds, agents, atoms):
+        assert fn(ctx) == ref(ctx)
+    return fn
+
+
+@given(
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.integers(min_value=0, max_value=4),
+    st.sampled_from(ENVS),
+)
+@settings(max_examples=200, deadline=None)
+def test_the_kernel_matches_the_closure_compiler(seed, depth, env):
+    f = random_formula(random.Random(seed), depth, atoms=("p", "q", "ci", "cj"))
+    assert_same_masks(f, env, ["i", "j"], 3)
+
+
+def test_names_are_bound_values_not_source():
+    """Atom, agent and context names holding a quote, a newline, ')' or a
+    backslash evaluate as plain names; the generated code holds only
+    generated identifiers and the constant 0."""
+    p, q, i, c = "p'\n", 'q")', "i\\'", "c')\\\n"
+    f = Iff(
+        Rel(Know(i, "1.2", Imp(Atom(p), Poss(i, "2.1", Not(Atom(q))))), c),
+        Or(Atom(c), Rel(Atom(agent_context(i)), c)),
+    )
+    bodies = [ContextFormula(), ContextFormula(((p, True), (q, False)))]
+    for env in [ContextEnv()] + [ContextEnv({c: body}) for body in bodies]:
+        code = assert_same_masks(f, env, [i], 2).__code__
+        identifiers = code.co_names + code.co_varnames
+        assert all(re.fullmatch(r"[a-z]+[0-9]*", x) for x in identifiers)
+        assert set(code.co_consts) <= {None, 0}
+    model = KripkeModel(["w1"], {i: [["w1"]]}, {p: ["w1"]})
+    assert satisfies(model, "w1", ContextEnv(), Know(i, "1.1", Atom(p)))
+    assert not satisfies(model, "w1", ContextEnv(), Atom(q))
+
+
+def test_a_long_context_body_compiles():
+    """A body of thousands of literals is folded one literal per
+    assignment, so no generated expression nests deeper than the compiler
+    allows."""
+    atoms = [f"a{n}" for n in range(5000)]
+    body = ContextFormula(tuple((a, n % 2 == 0) for n, a in enumerate(atoms)))
+    env = ContextEnv({"ci": body})
+    f = And(Atom("ci"), Rel(Know("i", "1.1", Atom("p")), "ci"))
+    valuation = {a: ["w1", "w2"] for a in atoms[::2]}
+    model = KripkeModel(
+        ["w1", "w2", "w3"],
+        {"i": [["w1", "w2"], ["w3"]]},
+        {**valuation, "a1": ["w2"], "p": ["w1", "w2"]},
+    )
+    ctx = _ModelCtx(model)
+    assert compile_formula(f, env)(ctx) == reference_compile_formula(f, env)(ctx) == 0b001
+
+
+# ---------------------------------------------------------------------------
 # The frame scan against the model-by-model scan it replaced
 
 
@@ -277,7 +483,7 @@ def reference_find_countermodel(
     default_agents, default_atoms = oracle_signature(f, env)
     agents = default_agents if agents is None else agents
     atoms = default_atoms if atoms is None else atoms
-    fn = compile_formula(f, env.completed(needed_context_names(f)))
+    fn = reference_compile_formula(f, env.completed(needed_context_names(f)))
     for model in enumerate_models(max_worlds, agents, atoms, ceiling=ceiling):
         mask = fn(_ModelCtx(model))
         for i, w in enumerate(model.worlds):
