@@ -37,9 +37,10 @@ attack may name and a Poss defence may use come from the position.
 
 Each structural rule is stated once (``_attack_problem``,
 ``_defence_problem`` and ``_check_assertable``): ``legal_moves`` lists the
-particle rules' candidates that pass them, and ``validate_move`` raises what
-they find, naming the broken rule. So the two agree: ``validate_move``
-accepts exactly the moves that ``legal_moves`` lists.
+particle rules' candidates that pass them, making only the checks that can
+fail, and ``validate_move`` raises what they find, naming the broken rule.
+So the two agree: ``validate_move`` accepts exactly the moves that
+``legal_moves`` lists.
 
 Winning strategies are decided by AND-OR search over positions (sets of
 assertions, attack records and defence records), memoized on the position.
@@ -692,22 +693,32 @@ def legal_moves(state: GameState) -> list[Move]:
     The ledgers hold targets and attacks in the order of their moves, and
     the payload candidates come in payload order, so the moves are listed
     in that order without a sort.
+
+    Only the checks that can fail are made. O may assert anything, and
+    attacks an assertion or answers an attack at most once: so O's moves on
+    one target pass or fail together, on the check with a payload of None.
+    P's moves are checked one payload at a time, and a None payload never
+    fails for P, since no attack or defence is recorded with none.
     """
     actor = state.turn
     moves: list[Move] = []
 
     for target, index in state.assertion_index.items():
-        if target[0] == actor or _attack_problem(state, actor, target, None):
+        if target[0] == actor:
+            continue
+        if actor == O and _attack_problem(state, O, target, None):
             continue
         for payload in _attack_payloads(state, actor, target):
-            if not _attack_problem(state, actor, target, payload):
+            if actor == O or not _attack_problem(state, P, target, payload):
                 moves.append(Move(actor, "attack", index, payload))
 
     for attack, index in state.attack_index.items():
-        if attack[0] == actor or _defence_problem(state, actor, attack, None):
+        if attack[0] == actor:
+            continue
+        if actor == O and _defence_problem(state, O, attack, None):
             continue
         for payload in _defence_payloads(state, actor, attack):
-            if not _defence_problem(state, actor, attack, payload):
+            if actor == O or not _defence_problem(state, P, attack, payload):
                 moves.append(Move(actor, "defend", index, payload))
     return moves
 

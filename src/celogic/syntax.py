@@ -18,17 +18,23 @@ the context interaction mode.
 
 Every formula node has the same two methods, which structural walks are
 written over. ``f.children()`` is the tuple of f's immediate subformulas,
-left to right (``()`` for an atom). ``f.rebuild(*kids)`` is a node of f's
-kind, with f's agent, variant or context, over the given kids; when every
-kid is the old child itself it returns f, not a copy, so a walk that
-changes nothing gives back the very same tree.
+left to right (``()`` for an atom). ``f.rebuild(*kids)`` is the node of f's
+kind, with f's agent, variant or context, over the given kids.
+
+Formula nodes are hash-consed: building a node gives back the live node of
+the same kind with the same fields, if there is one. So equal formulas are
+one object, ``==`` is ``is``, and hashing or comparing a formula costs the
+same at any depth. In particular ``f.rebuild(*f.children()) is f``, so a
+walk that changes nothing gives back the very same tree.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, fields
-from operator import attrgetter
+from weakref import ref
+
+from _weakref import _remove_dead_weakref
 
 VARIANTS = ("1.1", "1.2", "2.1", "2.2")
 
@@ -80,48 +86,89 @@ def variant_contexts_names(
 # Formula AST
 
 
-@dataclass(frozen=True)
-class Formula:
+class _Entry(ref):
+    """A weak reference to an interned node that knows its own key."""
+
+    __slots__ = ("key",)
+
+
+# (class, *fields) -> the _Entry of the live node with those fields
+_INTERNED: dict = {}
+
+
+def _evict(entry: _Entry, table: dict = _INTERNED) -> None:
+    """A dead node's callback: drop its entry, but only while the entry
+    holds a dead reference, checked and dropped in one step (the helper
+    ``weakref.WeakValueDictionary`` uses). An equal node may have been built
+    between the death and the callback, and its entry must stay. ``table``
+    is bound here so that the callback works while the interpreter exits."""
+    _remove_dead_weakref(table, entry.key)
+
+
+class _Interning(type):
+    """The class of the formula node classes: calling one gives back the
+    live node of that class with the same fields if there is one, and else
+    builds it and enters it in ``_INTERNED`` (hash-consing: Filliâtre &
+    Conchon, "Type-safe modular hash-consing", 2006).
+
+    A key's child nodes hash and compare by identity, so a lookup costs the
+    same however deep the node. The table keeps no node alive: an entry goes
+    when its node dies, and its key holds only the node's own fields. Each
+    change to the table is one atomic dict operation that never replaces a
+    live entry, so threads building equal formulas at once get one node.
+    """
+
+    def __call__(cls, *args, **kwargs):
+        if kwargs:
+            args = _field_values(type.__call__(cls, *args, **kwargs))
+        key = (cls, *args)
+        entry = _INTERNED.get(key)
+        if entry is not None:
+            node = entry()
+            if node is not None:
+                return node
+        node = type.__call__(cls, *args)
+        entry = _Entry(node, _evict)
+        entry.key = key
+        while (found := _INTERNED.setdefault(key, entry)) is not entry:
+            built = found()
+            # entered since the lookup, by another thread or by a callback
+            # that ran while this node was built
+            if built is not None:
+                return built
+            _remove_dead_weakref(_INTERNED, key)
+        return node
+
+
+def _field_values(f: Formula) -> tuple:
+    return tuple(getattr(f, field.name) for field in fields(f))
+
+
+@dataclass(frozen=True, eq=False)
+class Formula(metaclass=_Interning):
     """A formula node; see the module docstring for ``children()`` and
     ``rebuild(*kids)``.
 
-    Nodes are slotted. Besides its fields a node has two slots, unset until
-    first use, for facts derived from it: ``_hash``, its hash once worked
-    out (see ``_node``), so the sets and memos that hold formulas do not
-    re-hash whole trees; and ``_normal``, kept by ``reduction.reduce_result``
-    (see there). Pickles and copies carry the fields only, through the
-    dataclass's own ``__getstate__``: string hashes are seeded per process,
-    and a kept normal form would drag its whole tree along.
+    Nodes are interned (see ``_Interning``): structurally equal formulas
+    are one object, so ``==`` and ``hash`` are the identity defaults of
+    ``object`` and never walk a tree. Pickles and copies carry the fields
+    only (``__reduce__``), and loading or copying gives back the interned
+    node. Besides its fields a node has a ``_normal`` slot, unset until
+    first use, where ``reduction.reduce_result`` keeps its normal form (see
+    there); equal subtrees, being one node, share it.
     """
 
-    __slots__ = ("_hash", "_normal")
+    __slots__ = ("_normal", "__weakref__")
+
+    def __reduce__(self):
+        return type(self), _field_values(self)
 
 
 def _node(cls):
-    """A frozen, slotted dataclass formula node whose hash, the dataclass's
-    hash of the field tuple, is worked out on first use and then kept.
-
-    The field tuple is read by ``attrgetter``, not by the dataclass's own
-    ``__hash__``, so a first hash costs one Python frame per tree level and
-    deep input meets the recursion limit no sooner than with a plain
-    dataclass hash.
-    """
-    cls = dataclass(frozen=True, slots=True)(cls)
-    names = [f.name for f in fields(cls)]
-    field_values = attrgetter(*names)
-    single = len(names) == 1
-
-    def __hash__(self):
-        try:
-            return self._hash
-        except AttributeError:
-            values = field_values(self)
-            h = hash((values,) if single else values)
-            object.__setattr__(self, "_hash", h)
-            return h
-
-    cls.__hash__ = __hash__
-    return cls
+    """A formula node class: a frozen, slotted dataclass whose equality and
+    hash are ``object``'s, by identity; interning makes identity structural
+    equality."""
+    return dataclass(frozen=True, slots=True, eq=False)(cls)
 
 
 @_node
@@ -143,7 +190,7 @@ class Not(Formula):
         return (self.body,)
 
     def rebuild(self, body: Formula) -> Formula:
-        return self if body is self.body else Not(body)
+        return Not(body)
 
 
 @_node
@@ -155,8 +202,6 @@ class _Binary(Formula):
         return (self.left, self.right)
 
     def rebuild(self, left: Formula, right: Formula) -> Formula:
-        if left is self.left and right is self.right:
-            return self
         return type(self)(left, right)
 
 
@@ -190,8 +235,6 @@ class _Modal(Formula):
         return (self.body,)
 
     def rebuild(self, body: Formula) -> Formula:
-        if body is self.body:
-            return self
         return type(self)(self.agent, self.variant, body)
 
 
@@ -216,7 +259,7 @@ class Rel(Formula):
         return (self.body,)
 
     def rebuild(self, body: Formula) -> Formula:
-        return self if body is self.body else Rel(body, self.context)
+        return Rel(body, self.context)
 
 
 # ---------------------------------------------------------------------------

@@ -155,6 +155,14 @@ class TestDeepInput:
         assert code == 3
         assert err == "error: formula nested too deeply\n"
 
+    @pytest.mark.parametrize(
+        "command", ["parse", "reduce", "prove", "oracle", "dialogue"]
+    )
+    def test_every_command_decides_450_negations_each_side(self, capsys, command):
+        side = "~" * 450 + "p"
+        code, _, err = run(capsys, command, f"{side} -> {side}")
+        assert (code, err) == (0, "")
+
 
 class TestDialogue:
     def test_winning_thesis(self, capsys):

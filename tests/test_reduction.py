@@ -37,7 +37,6 @@ from celogic.syntax import (
     parse_context,
     parse_formula,
     render_formula,
-    subformulas,
     variant_contexts_names,
 )
 
@@ -341,12 +340,10 @@ def test_reduce_result_matches_reduce_full_property(seed, depth):
 
 # ---------------------------------------------------------------------------
 # Kept normal forms: reduce_result keeps each finished node's normal form on
-# the node. A warmed tree must give what a fresh one gives, value or error.
-
-
-def _fresh(f):
-    """An equal tree that shares no node with f and keeps nothing."""
-    return pickle.loads(pickle.dumps(f))
+# the node. A warmed tree must give what a reduction that reads no kept form
+# gives, value or error. Equal trees are one node, so no copy of a tree comes
+# without its kept forms: the cold references are the trace pass, which
+# neither reads nor keeps them, and the reference reduction above.
 
 
 def _warming_order(f):
@@ -362,18 +359,17 @@ def _warming_order(f):
 
 
 def assert_kept_forms_exact(f):
-    """reduce_result on each warmed tree gives what it gives on a fresh
-    copy, and reduce_full after it gives the same trace: the trace path
+    """reduce_result on each warmed tree gives the reference's normal form,
+    and reduce_full after it gives the reference's trace: the trace path
     never reads a kept form."""
     targets = _warming_order(f)
     for g in targets:
-        fresh = _fresh(g)
         assert _outcome(lambda: reduce_result(g)) == _outcome(
-            lambda: reduce_result(fresh)
+            lambda: reference_reduce_full(g)[1]
         )
     for g in targets[:3]:
         assert _outcome(lambda: _step_tuples(reduce_full(g))) == _outcome(
-            lambda: _step_tuples(reduce_full(_fresh(g)))
+            lambda: reference_reduce_full(g)
         )
 
 
@@ -383,12 +379,11 @@ def assert_kept_forms_match_the_trace(f):
     step's before and after both reduce to the trace's result. Cheap
     enough for every step of long traces."""
     f, *targets = _warming_order(f)
-    assert _outcome(lambda: reduce_result(f)) == _outcome(
-        lambda: reduce_result(_fresh(f))
-    )
+    expected = _outcome(lambda: reduce_full(f).result)
+    assert _outcome(lambda: reduce_result(f)) == expected
     if not targets:
         return
-    result = reduce_full(_fresh(f)).result
+    result = expected[1]
     for iff, negated in zip(targets[::2], targets[1::2]):
         assert reduce_result(iff) == Iff(result, result)
         assert reduce_result(negated) == Not(result)
@@ -403,17 +398,18 @@ class TestKeptForms:
         suite = [parse_formula(row.formula) for row in SUITE_ROWS]
         for f in cross_semantics_corpus() + suite:
             assert_kept_forms_exact(f)
-            assert_kept_forms_match_the_trace(_fresh(f))
+            assert_kept_forms_match_the_trace(f)
 
-    def test_copies_keep_nothing(self):
+    def test_pickles_keep_nothing(self):
         f = parse_formula("(K{i,1.2} (p & q))^ci -> P{j,2.1} ~r <-> (s | t)^ck")
+        assert getattr(f, "_normal", None) is None
+        data = pickle.dumps(f)
         reduce_result(f)
         assert f._normal == reduce_full(f).result
-        shallow = copy.copy(f)
-        assert shallow == f and getattr(shallow, "_normal", None) is None
-        for copied in (_fresh(f), copy.deepcopy(f)):
-            assert copied == f
-            assert all(getattr(g, "_normal", None) is None for g in subformulas(copied))
+        # the kept form stays out of the pickle; a copy is the node itself
+        assert pickle.dumps(f) == data
+        for copied in (copy.copy(f), copy.deepcopy(f), pickle.loads(data)):
+            assert copied is f
 
     def test_relativization_free_is_read_off_a_kept_form(self, monkeypatch):
         f = parse_formula("(K{i,1.2} p)^ci -> q")
@@ -423,9 +419,9 @@ class TestKeptForms:
         assert is_relativization_free(reduced) and is_relativization_free(f.right)
         assert not is_relativization_free(f)
         monkeypatch.undo()
-        # a fresh copy keeps nothing, so it is walked
-        assert is_relativization_free(_fresh(reduced))
-        assert not is_relativization_free(_fresh(f))
+        # a tree no reduction has finished keeps nothing, so it is walked
+        assert is_relativization_free(Not(Atom("unreduced")))
+        assert not is_relativization_free(Rel(Atom("unreduced"), "ci"))
 
 
 @given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(0, 5))

@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import gc
 import hashlib
 import json
 import os
@@ -9,6 +10,8 @@ import random
 import re
 import subprocess
 import sys
+import threading
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -41,9 +44,9 @@ from celogic.syntax import (
 )
 
 import celogic
-from celogic import cli, dialogue
+from celogic import cli, dialogue, syntax
 from celogic.epistemology import PRESETS, SUITE_ROWS, apply_preset
-from celogic.reduction import reduce_full
+from celogic.reduction import reduce_full, reduce_result
 
 from corpus import cross_semantics_corpus, hygiene_corpus, random_formula
 
@@ -370,36 +373,14 @@ class TestNodeProtocol:
 
 
 # ---------------------------------------------------------------------------
-# The kept hash
+# Interning: equal formulas are one node
 
 
-class _Hashed:
-    """Stands in a tuple for a value whose hash is already known."""
-
-    def __init__(self, value: int):
-        self.value = value
-
-    def __hash__(self):
-        return self.value
-
-
-def reference_hash(f: Formula) -> int:
-    """The dataclass hash of f, the hash of its field tuple, worked out from
-    scratch: each child's hash is recomputed the same way, never read back."""
-    values = []
-    for field in dataclasses.fields(f):
-        value = getattr(f, field.name)
-        if isinstance(value, Formula):
-            value = _Hashed(reference_hash(value))
-        values.append(value)
-    return hash(tuple(values))
-
-
-def _fresh_copy(f: Formula) -> Formula:
-    """An equal tree built node by node, sharing no node with f."""
+def _rebuilt_from_fields(f: Formula) -> Formula:
+    """f built again node by node, from the leaves up, out of its fields."""
     return type(f)(
         *(
-            _fresh_copy(getattr(f, field.name))
+            _rebuilt_from_fields(getattr(f, field.name))
             if isinstance(getattr(f, field.name), Formula)
             else getattr(f, field.name)
             for field in dataclasses.fields(f)
@@ -418,30 +399,108 @@ print(hash("p"), hash(loaded) == hash(fresh), loaded in {fresh}, fresh in {loade
 """
 
 
-class TestKeptHash:
-    def test_every_subtree_hashes_as_its_field_tuple(self):
+def _chain(depth: int) -> Formula:
+    """A knowledge-and-negation chain ``depth`` operators deep, built
+    bottom-up."""
+    f = Atom("p")
+    for i in range(depth):
+        f = Not(f) if i % 2 else Know("i", "1.1", f)
+    return f
+
+
+class TestInterning:
+    def test_every_subtree_rebuilt_from_its_fields_is_itself(self):
         checked = 0
         for f in _pinned_corpus():
             for g in subformulas(f):
-                expected = reference_hash(g)
-                assert hash(g) == expected
-                assert hash(g) == expected
-                copy = _fresh_copy(g)
-                assert copy == g and copy is not g
-                assert hash(copy) == expected
+                assert _rebuilt_from_fields(g) is g
                 checked += 1
         assert checked > 10_000
 
-    def test_hash_is_kept_on_first_use_only(self):
-        f = parse_formula("K{i,1.1} (p & q) -> (p)^ci")
-        assert all(getattr(g, "_hash", None) is None for g in subformulas(f))
-        value = hash(f)
-        assert f._hash == value
-        # the kept hash is no field: equality and repr ignore it
-        assert f == _fresh_copy(f)
-        assert repr(f) == repr(_fresh_copy(f))
-        assert "_hash" not in [field.name for field in dataclasses.fields(f)]
+    def test_copies_and_pickles_are_the_node_itself(self):
+        f = parse_formula(_PICKLE_TEXT)
+        for copied in (copy.copy(f), copy.deepcopy(f), pickle.loads(pickle.dumps(f))):
+            assert copied is f
+        # equality and hash are identity, kept in no slot and no field
+        assert "__eq__" not in vars(type(f)) and "__hash__" not in vars(type(f))
+        assert not hasattr(f, "_hash")
+        assert repr(f) == repr(_rebuilt_from_fields(f))
 
+    def test_keyword_construction_is_interned(self):
+        body = Atom(name="p")
+        assert body is Atom("p")
+        assert Know(agent="i", variant="1.1", body=body) is Know("i", "1.1", body)
+        assert Rel(body, context="ci") is Rel(body, "ci")
+        assert dataclasses.replace(Not(body)) is Not(body)
+
+    def test_the_table_does_not_grow(self):
+        # atoms no other test builds, so every compound node of a pass is
+        # new and all of it dies when the pass is dropped
+        rng = random.Random(5)
+        texts = [
+            render_formula(random_formula(rng, 5, atoms=("interned_a", "interned_b")))
+            for _ in range(200)
+        ]
+        gc.collect()
+        before = len(syntax._INTERNED)
+        for _ in range(4):
+            formulas = [parse_formula(text) for text in texts]
+            reduced = [reduce_result(f) for f in formulas]
+            assert len(syntax._INTERNED) > before + 1_000
+            del formulas, reduced
+            gc.collect()
+            assert len(syntax._INTERNED) == before
+
+    def test_a_rebuilt_node_is_every_equal_node_built_after_it(self):
+        node = And(Atom("late_a"), Atom("late_b"))
+        rebuilt = []
+        # a callback registered after the table's runs before the table's
+        # own, so this rebuilds the node while its dead entry is still there
+        watcher = weakref.ref(
+            node, lambda _: rebuilt.append(And(Atom("late_a"), Atom("late_b")))
+        )
+        del node
+        assert watcher() is None and len(rebuilt) == 1
+        assert And(Atom("late_a"), Atom("late_b")) is rebuilt[0]
+        assert parse_formula("late_a & late_b") is rebuilt[0]
+
+    def test_threads_building_equal_formulas_get_one_node(self):
+        def build(start, texts, out):
+            start.wait(timeout=30)
+            out.extend(parse_formula(text) for text in texts)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for round_ in range(10):
+                # names no other round or test uses: every node is new
+                names = [f"t{round_}_{n}" for n in range(200)]
+                texts = [f"K{{i,1.1}} ({a} & ~{a}) -> ({a} | q)^ci" for a in names]
+                results = [[] for _ in range(4)]
+                start = threading.Barrier(len(results))
+                threads = [
+                    threading.Thread(target=build, args=(start, texts, out))
+                    for out in results
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+                assert not any(thread.is_alive() for thread in threads)
+                assert all(len(out) == len(texts) for out in results)
+                for built in zip(*results):
+                    assert all(f is built[0] for f in built)
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_a_deep_chain_hashes_and_compares_without_recursion(self):
+        f, g = _chain(5_000), _chain(5_000)
+        assert f is g and f == g and hash(f) == hash(g)
+        assert {f: "deep"}[g] == "deep"
+        assert f != _chain(4_999) and f in {g}
+
+
+class TestKeptHash:
     def test_copies_do_not_carry_the_kept_hash(self):
         f = parse_formula(_PICKLE_TEXT)
         hash(f)
