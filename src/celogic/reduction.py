@@ -30,7 +30,9 @@ a later call on a tree that shares the node (the next step of a trace, a
 biconditional of two steps) returns it at once. The result and every error,
 message included, are exactly those of a call on a fresh tree.
 ``reduce_full`` and ``reduce_once`` never read or keep these forms: a trace
-is never cached.
+is never cached. ``needed_context_names`` likewise keeps a node's context
+names on the node, so equal subtrees, being one node, share one set, and a
+call walks only the nodes no earlier call has finished.
 """
 
 from __future__ import annotations
@@ -255,24 +257,56 @@ def reduction_measure(f: Formula) -> int:
 def needed_context_names(f: Formula) -> frozenset[str]:
     """Context names that appear as guards somewhere along f's reduction.
 
-    Found in one walk that carries the relativizing context, without running
-    the reduction: every Rel's name, and under a Rel both context names a
-    knowledge or possibility operator's variant tag picks.
+    Found without running the reduction: every Rel's name, and under a Rel
+    both context names a knowledge or possibility operator's variant tag
+    picks. The set is kept in the ``_names`` slot of each node outside any
+    Rel and of each Rel, so a later call on a tree that shares the node (the
+    next step of a trace, a biconditional of two steps) reads it at once;
+    equal subtrees, being one node, share it. Outside any Rel a node's set
+    is the union of its children's: a one-child node reuses its child's
+    frozenset, and so does a binary node whose other side is empty. A Rel's
+    set is its name plus a walk of its body under it (``_names_under``),
+    which stops at each inner Rel and reads that Rel's set. An untagged
+    operator under a Rel raises UntaggedOperatorError, and nothing is kept
+    on that Rel or its ancestors, so every call raises the same error.
     """
-    out: set[str] = set()
+    kept = getattr(f, "_names", None)
+    if kept is not None:
+        return kept
+    if isinstance(f, Rel):
+        _names_under(f, f.context, set())
+        return f._names
+    kept = frozenset()
+    for child in f.children():
+        names = needed_context_names(child)
+        if not kept:
+            kept = names
+        elif names and names is not kept:
+            kept = kept | names
+    object.__setattr__(f, "_names", kept)
+    return kept
 
-    def go(g: Formula, current: str | None) -> None:
-        if isinstance(g, Rel):
-            out.add(g.context)
-            go(g.body, g.context)
-        elif current is not None and isinstance(g, (Know, Poss)):
-            cx, cy = variant_contexts_names(g.variant, current, g.agent)
-            out.add(cx)
-            out.add(cy)
-            go(g.body, cy)
-        else:
-            for child in g.children():
-                go(child, current)
 
-    go(f, None)
-    return frozenset(out)
+def _names_under(g: Formula, current: str, out: set[str]) -> None:
+    """Add to ``out`` the context names of g read under the relativizing
+    context ``current``. A knowledge or possibility operator adds both names
+    its variant tag picks and reads its body under the second. A Rel adds
+    its own set, kept on it: its name and its body read under it; a kept set
+    is read, not walked again. A Rel is handled here, not by a call to
+    ``needed_context_names``, so a chain of Rels takes one frame a node."""
+    if isinstance(g, Rel):
+        kept = getattr(g, "_names", None)
+        if kept is None:
+            names = {g.context}
+            _names_under(g.body, g.context, names)
+            kept = frozenset(names)
+            object.__setattr__(g, "_names", kept)
+        out |= kept
+    elif isinstance(g, (Know, Poss)):
+        cx, cy = variant_contexts_names(g.variant, current, g.agent)
+        out.add(cx)
+        out.add(cy)
+        _names_under(g.body, cy, out)
+    else:
+        for child in g.children():
+            _names_under(child, current, out)

@@ -163,6 +163,13 @@ class TestDeepInput:
         code, _, err = run(capsys, command, f"{side} -> {side}")
         assert (code, err) == (0, "")
 
+    def test_prove_decides_900_negations_each_side(self, capsys):
+        # under the default recursion limit: each walk behind prove, the
+        # kept context names' included, takes at most one frame a node
+        side = "~" * 900 + "p"
+        code, _, err = run(capsys, "prove", f"{side} -> {side}")
+        assert (code, err) == (0, "")
+
 
 class TestDialogue:
     def test_winning_thesis(self, capsys):

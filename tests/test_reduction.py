@@ -135,9 +135,18 @@ def assert_matches_reference(f):
     assert _outcome(lambda: reduce_once(f)) == _outcome(
         lambda: reference_reduce_once(f)
     )
+    assert_names_match_reference(f)
     if expected[0] == "value":
-        for before, _, _, _ in expected[1][0]:
+        # the step biconditionals in trace order, as criterion 4 reads them:
+        # each reads the sets the one before it kept
+        for before, _, _, after in expected[1][0]:
             assert reduce_once(before) == reference_reduce_once(before)
+            assert_names_match_reference(Iff(before, after))
+    # f warmed: its kept sets are read
+    assert_names_match_reference(f)
+
+
+def assert_names_match_reference(f):
     assert _outcome(lambda: needed_context_names(f)) == _outcome(
         lambda: reference_needed_context_names(f)
     )
@@ -403,10 +412,13 @@ class TestKeptForms:
     def test_pickles_keep_nothing(self):
         f = parse_formula("(K{i,1.2} (p & q))^ci -> P{j,2.1} ~r <-> (s | t)^ck")
         assert getattr(f, "_normal", None) is None
+        assert getattr(f, "_names", None) is None
         data = pickle.dumps(f)
         reduce_result(f)
         assert f._normal == reduce_full(f).result
-        # the kept form stays out of the pickle; a copy is the node itself
+        needed_context_names(f)
+        assert f._names == reference_needed_context_names(f)
+        # the kept form and names stay out of the pickle; a copy is the node
         assert pickle.dumps(f) == data
         for copied in (copy.copy(f), copy.deepcopy(f), pickle.loads(data)):
             assert copied is f
@@ -472,6 +484,38 @@ class TestProperties:
             before = formula_info(f)
             after = formula_info(reduce_full(f).result)
             assert after.atoms - before.atoms <= needed_context_names(f)
+
+
+class TestKeptNames:
+    def test_a_warmed_formula_is_not_walked_again(self, monkeypatch):
+        f = parse_formula("(K{i,1.2} P{j,2.1} (p)^ck)^ci -> K{j} q")
+        names = ContextEnv().for_formula(f).bindings.keys()
+        assert names == {"ci", "cj", "ck"} == f._names
+        no_walk = lambda *args: pytest.fail("walked a node with kept names")
+        monkeypatch.setattr(reduction, "variant_contexts_names", no_walk)
+        assert ContextEnv().for_formula(f).bindings.keys() == names
+        # a new formula that shares the warmed node reads its kept set
+        assert needed_context_names(Iff(f, Rel(Atom("r"), "cl"))) == names | {"cl"}
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "(K{i,1.2} p)^ci & (p & K{j} q)^ck",
+            "(K{i,1.2} p)^ci -> ((K{k,1.1} p)^cj & P{j} q)^ck",
+            "K{i} (p)^ci | (~(q)^cj -> ~K{k} r)^ck",
+        ],
+    )
+    def test_an_untagged_operator_raises_the_same_error_each_call(self, text):
+        f = parse_formula(text)
+        expected = _outcome(lambda: reference_needed_context_names(f))
+        assert expected[0] == "UntaggedOperatorError"
+        # the sibling operand warmed first, then the whole twice
+        assert_names_match_reference(f.left)
+        assert _outcome(lambda: needed_context_names(f)) == expected
+        assert _outcome(lambda: needed_context_names(f)) == expected
+        # nothing is kept on the failing Rel or on its ancestors
+        assert getattr(f, "_names", None) is None
+        assert getattr(f.right, "_names", None) is None
 
 
 class TestNeededContexts:

@@ -395,7 +395,7 @@ import pickle, sys
 from celogic.syntax import parse_formula
 loaded = pickle.loads(sys.stdin.buffer.read())
 fresh = parse_formula(sys.argv[1])
-print(hash("p"), hash(loaded) == hash(fresh), loaded in {fresh}, fresh in {loaded})
+print(hash("p"), loaded is fresh, loaded in {fresh}, fresh in {loaded})
 """
 
 
@@ -499,25 +499,10 @@ class TestInterning:
         assert {f: "deep"}[g] == "deep"
         assert f != _chain(4_999) and f in {g}
 
-
-class TestKeptHash:
-    def test_copies_do_not_carry_the_kept_hash(self):
-        f = parse_formula(_PICKLE_TEXT)
-        hash(f)
-        shallow = copy.copy(f)
-        assert shallow == f and getattr(shallow, "_hash", None) is None
-        assert hash(shallow) == hash(f)
-        for copied in (copy.deepcopy(f), pickle.loads(pickle.dumps(f))):
-            assert copied == f
-            assert all(getattr(g, "_hash", None) is None for g in subformulas(copied))
-            assert hash(copied) == hash(f)
-
-    def test_pickled_formula_hashes_afresh_under_another_seed(self):
-        # string hashes are seeded per process: a hash kept from this
-        # process would put the loaded formula in the wrong set bucket there
-        f = parse_formula(_PICKLE_TEXT)
-        hash(f)
-        data = pickle.dumps(f)
+    def test_a_pickle_loads_as_the_interned_node_under_another_seed(self):
+        # string hashes are seeded per process: the pickle carries fields
+        # only, so the child interns it as the node it parses itself
+        data = pickle.dumps(parse_formula(_PICKLE_TEXT))
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(
             [str(pathlib.Path(celogic.__file__).parent.parent)]
