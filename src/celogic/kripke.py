@@ -183,11 +183,12 @@ class ContextEnv:
 
     def for_formula(self, f: Formula) -> "ContextEnv":
         """The env every engine reads f under: it binds exactly f's context
-        names, its guards (``needed_context_names``, a set kept on each node
-        and shared by equal subtrees, so a formula that shares nodes with an
-        earlier one is walked only where it is new) and the bound names it
-        uses as atoms, to their bodies or fresh stand-ins. Every other name,
-        body literals included, is a plain atom. A body literal that is one
+        names, its guards (``needed_context_names``, read off f's reduction
+        as ``_rewrite_redex`` reports them and kept with the normal form on
+        each node, so a formula that shares nodes with an earlier one is
+        reduced only where it is new) and the bound names it uses as atoms,
+        to their bodies or fresh stand-ins. Every other name, body literals
+        included, is a plain atom. A body literal that is one
         of f's context names raises ValueError: the tableau and the game
         would expand it, ``compile_formula`` reads it from the valuation."""
         names = needed_context_names(f)

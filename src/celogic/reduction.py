@@ -25,14 +25,14 @@ the normal form, and ``reduce_once`` stops after one step. No redex is
 searched for from the root, so a recorded step costs time in the depth of
 the formula, not its size.
 
-``reduce_result`` keeps on each node it reduces that node's normal form, so
+``_rewrite_redex`` also reports the context names each step needs, so a
+formula's context names are read off its reduction. ``reduce_result`` keeps
+on each node it reduces that node's normal form with its context names, so
 a later call on a tree that shares the node (the next step of a trace, a
-biconditional of two steps) returns it at once. The result and every error,
-message included, are exactly those of a call on a fresh tree.
-``reduce_full`` and ``reduce_once`` never read or keep these forms: a trace
-is never cached. ``needed_context_names`` likewise keeps a node's context
-names on the node, so equal subtrees, being one node, share one set, and a
-call walks only the nodes no earlier call has finished.
+biconditional of two steps) returns them at once; ``needed_context_names``
+reads the names from there. The result and every error, message included,
+are exactly those of a call on a fresh tree. ``reduce_full`` and
+``reduce_once`` never read or keep these pairs: a trace is never cached.
 """
 
 from __future__ import annotations
@@ -103,28 +103,32 @@ def _replace(f: Formula, path: tuple[int, ...], replacement: Formula) -> Formula
     return f.rebuild(*kids)
 
 
-def _rewrite_redex(body: Formula, c: str) -> tuple[Formula, str]:
-    """One rewrite of Rel(body, c), with the schema name."""
+def _rewrite_redex(body: Formula, c: str) -> tuple[Formula, str, tuple[str, ...]]:
+    """One rewrite of Rel(body, c), with the schema name and the context
+    names the step needs: c itself and, for knowledge, the guard its variant
+    picks. The continuation name needs no report: it is the name of the new
+    inner Rel, which reports it when rewritten."""
     match body:
         case Atom(_):
-            return Imp(Atom(c), body), AXIOM_ATOMS
+            return Imp(Atom(c), body), AXIOM_ATOMS, (c,)
         case Rel(_, _):
-            return Imp(Atom(c), body), AXIOM_ITERATION
+            return Imp(Atom(c), body), AXIOM_ITERATION, (c,)
         case Not(inner):
-            return Imp(Atom(c), Not(Rel(inner, c))), AXIOM_NEGATION
+            return Imp(Atom(c), Not(Rel(inner, c))), AXIOM_NEGATION, (c,)
         case And(l, r):
-            return And(Rel(l, c), Rel(r, c)), AXIOM_CONJUNCTION
+            return And(Rel(l, c), Rel(r, c)), AXIOM_CONJUNCTION, (c,)
         case Know(agent, variant, inner):
             cx, cy = variant_contexts_names(variant, c, agent)
             return (
                 Imp(Atom(cx), Know(agent, variant, Rel(inner, cy))),
                 knowledge_axiom_name(variant),
+                (c, cx),
             )
         case Or(l, r) | Imp(l, r) | Iff(l, r):
             derived = f"derived-{type(body).__name__.lower()}"
-            return Imp(Atom(c), body.rebuild(Rel(l, c), Rel(r, c))), derived
+            return Imp(Atom(c), body.rebuild(Rel(l, c), Rel(r, c))), derived, (c,)
         case Poss():
-            return Rel(primitive_form(body), c), "derived-poss"
+            return Rel(primitive_form(body), c), "derived-poss", (c,)
     raise TypeError(f"not a formula: {body!r}")
 
 
@@ -140,8 +144,9 @@ def primitive_form(f: Formula) -> Formula:
     return f
 
 
-# kept by a Rel-free node: its normal form is itself
+# kept by a Rel-free node: its normal form is itself, and it needs no names
 _REL_FREE = object()
+_NO_NAMES: frozenset[str] = frozenset()
 
 
 def _reduce(
@@ -157,35 +162,46 @@ def _reduce(
     form, which takes at most ``4 * node_count(f)`` rewrites. Rel-free
     subtrees are shared, not copied.
 
-    Without a trace, each node the walk finishes keeps its normal form in
-    its ``_normal`` slot; a Rel-free node, each normal form included, keeps
-    ``_REL_FREE`` instead and so allocates nothing. A kept node is returned
-    at once. A normal form depends on the subtree alone, so the result is
-    that of a walk that kept nothing. Traces are never cached: the walk
-    with a trace records every step, so it neither reads nor keeps forms.
+    Without a trace, each node the walk finishes keeps in its ``_normal``
+    slot the pair of its normal form and its context names: the names its
+    own rewrites report and those its children kept (a child's frozenset is
+    reused when the rest is empty). A Rel-free node, each normal form
+    included, keeps ``_REL_FREE`` instead and so allocates nothing. A kept
+    node answers at once. Both depend on the subtree alone, so the result
+    is that of a walk that kept nothing; a rewrite that raises keeps
+    nothing on its Rel or the Rel's ancestors, so every call raises the
+    same error. Traces are never cached: the walk with a trace records
+    every step, so it neither reads nor keeps forms, and it gives no names.
     """
     if trace is None:
 
-        def go(g: Formula) -> Formula:
+        def go(g: Formula) -> tuple[Formula, frozenset[str]]:
             kept = getattr(g, "_normal", None)
             if kept is not None:
-                return g if kept is _REL_FREE else kept
-            h = g
+                return (g, _NO_NAMES) if kept is _REL_FREE else kept
+            h, names = g, _NO_NAMES
             while isinstance(h, Rel):
-                h, _ = _rewrite_redex(h.body, h.context)
-            out = h.rebuild(*map(go, h.children()))
+                h, _, needs = _rewrite_redex(h.body, h.context)
+                names = names.union(needs)
+            kids = []
+            for child in h.children():
+                normal, more = go(child)
+                kids.append(normal)
+                if more and more is not names:
+                    names = names | more if names else more
+            out = h.rebuild(*kids)
             if out is not g:
-                object.__setattr__(g, "_normal", out)
+                object.__setattr__(g, "_normal", (out, names))
             object.__setattr__(out, "_normal", _REL_FREE)
-            return out
+            return out, names
 
-        return go(f)
+        return go(f)[0]
 
     path: list[int] = []
 
     def record(g: Formula) -> None:
         while isinstance(g, Rel):
-            g, axiom = _rewrite_redex(g.body, g.context)
+            g, axiom, _ = _rewrite_redex(g.body, g.context)
             if len(trace) == step_budget:
                 raise ReductionBudgetError(f"no fixpoint within {step_budget} steps")
             before = trace[-1].after if trace else f
@@ -255,58 +271,12 @@ def reduction_measure(f: Formula) -> int:
 
 
 def needed_context_names(f: Formula) -> frozenset[str]:
-    """Context names that appear as guards somewhere along f's reduction.
-
-    Found without running the reduction: every Rel's name, and under a Rel
-    both context names a knowledge or possibility operator's variant tag
-    picks. The set is kept in the ``_names`` slot of each node outside any
-    Rel and of each Rel, so a later call on a tree that shares the node (the
-    next step of a trace, a biconditional of two steps) reads it at once;
-    equal subtrees, being one node, share it. Outside any Rel a node's set
-    is the union of its children's: a one-child node reuses its child's
-    frozenset, and so does a binary node whose other side is empty. A Rel's
-    set is its name plus a walk of its body under it (``_names_under``),
-    which stops at each inner Rel and reads that Rel's set. An untagged
-    operator under a Rel raises UntaggedOperatorError, and nothing is kept
-    on that Rel or its ancestors, so every call raises the same error.
-    """
-    kept = getattr(f, "_names", None)
-    if kept is not None:
-        return kept
-    if isinstance(f, Rel):
-        _names_under(f, f.context, set())
-        return f._names
-    kept = frozenset()
-    for child in f.children():
-        names = needed_context_names(child)
-        if not kept:
-            kept = names
-        elif names and names is not kept:
-            kept = kept | names
-    object.__setattr__(f, "_names", kept)
-    return kept
-
-
-def _names_under(g: Formula, current: str, out: set[str]) -> None:
-    """Add to ``out`` the context names of g read under the relativizing
-    context ``current``. A knowledge or possibility operator adds both names
-    its variant tag picks and reads its body under the second. A Rel adds
-    its own set, kept on it: its name and its body read under it; a kept set
-    is read, not walked again. A Rel is handled here, not by a call to
-    ``needed_context_names``, so a chain of Rels takes one frame a node."""
-    if isinstance(g, Rel):
-        kept = getattr(g, "_names", None)
-        if kept is None:
-            names = {g.context}
-            _names_under(g.body, g.context, names)
-            kept = frozenset(names)
-            object.__setattr__(g, "_names", kept)
-        out |= kept
-    elif isinstance(g, (Know, Poss)):
-        cx, cy = variant_contexts_names(g.variant, current, g.agent)
-        out.add(cx)
-        out.add(cy)
-        _names_under(g.body, cy, out)
-    else:
-        for child in g.children():
-            _names_under(child, current, out)
+    """Context names that appear as guards somewhere along f's reduction:
+    every Rel's name, and each knowledge guard a variant tag picks, as
+    ``_rewrite_redex`` reports them. Read off the pair ``reduce_result``
+    keeps on f, so a formula it has reduced answers at once; equal subtrees,
+    being one node, share one set. An untagged operator under a Rel raises
+    UntaggedOperatorError, the same error on every call."""
+    reduce_result(f)
+    kept = f._normal
+    return _NO_NAMES if kept is _REL_FREE else kept[1]

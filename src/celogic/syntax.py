@@ -153,13 +153,13 @@ class Formula(metaclass=_Interning):
     are one object, so ``==`` and ``hash`` are the identity defaults of
     ``object`` and never walk a tree. Pickles and copies carry the fields
     only (``__reduce__``), and loading or copying gives back the interned
-    node. Besides its fields a node has two slots, unset until first use:
-    ``_normal``, where ``reduction.reduce_result`` keeps its normal form,
-    and ``_names``, where ``reduction.needed_context_names`` keeps its
-    context names (see there). Equal subtrees, being one node, share both.
+    node. Besides its fields a node has one slot, unset until first use:
+    ``_normal``, where ``reduction.reduce_result`` keeps its normal form
+    and its context names (see there). Equal subtrees, being one node,
+    share it.
     """
 
-    __slots__ = ("_normal", "_names", "__weakref__")
+    __slots__ = ("_normal", "__weakref__")
 
     def __reduce__(self):
         return type(self), _field_values(self)

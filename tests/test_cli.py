@@ -165,10 +165,26 @@ class TestDeepInput:
 
     def test_prove_decides_900_negations_each_side(self, capsys):
         # under the default recursion limit: each walk behind prove, the
-        # kept context names' included, takes at most one frame a node
+        # reduction that also gives the context names included, takes at
+        # most one frame a node of a Rel-free formula
         side = "~" * 900 + "p"
         code, _, err = run(capsys, "prove", f"{side} -> {side}")
         assert (code, err) == (0, "")
+
+    @pytest.mark.parametrize(
+        "command, body",
+        [
+            ("dialogue", "~" * 450 + "p"),
+            ("dialogue", "K{i,1.1} " * 450 + "p"),
+            ("oracle", "~" * 300 + "p"),
+        ],
+        ids=["dialogue-negations", "dialogue-knowledge", "oracle-negations"],
+    )
+    def test_a_deep_relativized_body_is_decided(self, capsys, command, body):
+        # the context names are read off the reduction, whose walk takes
+        # the game's and the oracle's frames too
+        code, _, err = run(capsys, command, f"({body})^ci -> q")
+        assert (code, err) == (1, "")
 
 
 class TestDialogue:

@@ -66,7 +66,7 @@ def reference_reduce_once(f):
     if found is None:
         return None
     redex, path = found
-    rewritten, axiom = reduction._rewrite_redex(redex.body, redex.context)
+    rewritten, axiom, _ = reduction._rewrite_redex(redex.body, redex.context)
     return reduction._replace(f, path, rewritten), axiom, path
 
 
@@ -412,12 +412,9 @@ class TestKeptForms:
     def test_pickles_keep_nothing(self):
         f = parse_formula("(K{i,1.2} (p & q))^ci -> P{j,2.1} ~r <-> (s | t)^ck")
         assert getattr(f, "_normal", None) is None
-        assert getattr(f, "_names", None) is None
         data = pickle.dumps(f)
         reduce_result(f)
-        assert f._normal == reduce_full(f).result
-        needed_context_names(f)
-        assert f._names == reference_needed_context_names(f)
+        assert f._normal == (reduce_full(f).result, reference_needed_context_names(f))
         # the kept form and names stay out of the pickle; a copy is the node
         assert pickle.dumps(f) == data
         for copied in (copy.copy(f), copy.deepcopy(f), pickle.loads(data)):
@@ -490,7 +487,7 @@ class TestKeptNames:
     def test_a_warmed_formula_is_not_walked_again(self, monkeypatch):
         f = parse_formula("(K{i,1.2} P{j,2.1} (p)^ck)^ci -> K{j} q")
         names = ContextEnv().for_formula(f).bindings.keys()
-        assert names == {"ci", "cj", "ck"} == f._names
+        assert names == {"ci", "cj", "ck"} == f._normal[1]
         no_walk = lambda *args: pytest.fail("walked a node with kept names")
         monkeypatch.setattr(reduction, "variant_contexts_names", no_walk)
         assert ContextEnv().for_formula(f).bindings.keys() == names
@@ -514,14 +511,22 @@ class TestKeptNames:
         assert _outcome(lambda: needed_context_names(f)) == expected
         assert _outcome(lambda: needed_context_names(f)) == expected
         # nothing is kept on the failing Rel or on its ancestors
-        assert getattr(f, "_names", None) is None
-        assert getattr(f.right, "_names", None) is None
+        assert getattr(f, "_normal", None) is None
+        assert getattr(f.right, "_normal", None) is None
 
 
 class TestNeededContexts:
-    def test_variant_implied_contexts(self):
-        f = parse_formula("(K{k,2.2} p)^ci")
-        assert needed_context_names(f) >= {"ci", "ck"}
+    @pytest.mark.parametrize(
+        "text, names",
+        [
+            ("(K{k,2.2} p)^ci", {"ci", "ck"}),
+            # the Rel's own name counts although its rewrite guards on ci only
+            ("(K{i,2.2} p)^cj", {"ci", "cj"}),
+        ],
+        ids=["knowledge-guard", "own-name"],
+    )
+    def test_variant_implied_contexts(self, text, names):
+        assert needed_context_names(parse_formula(text)) == names
 
     def test_plain_formula_needs_nothing(self):
         assert needed_context_names(parse_formula("K{i,1.1} p -> p")) == frozenset()
