@@ -32,6 +32,7 @@ from .syntax import (
     Not,
     Poss,
     Rel,
+    VARIANTS,
     UntaggedOperatorError,
     parse_formula,
     render_formula,
@@ -213,7 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--default-variant",
         default="1.1",
-        choices=["1.1", "1.2", "2.1", "2.2"],
+        choices=VARIANTS,
         help="variant filled in for untagged K/P operators (default 1.1)",
     )
     parser.add_argument(

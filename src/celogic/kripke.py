@@ -496,13 +496,6 @@ def _check_space(max_worlds: int, agents: list, atoms: list, ceiling: int) -> No
         )
 
 
-def _frames(worlds: tuple, agents: list):
-    """Agent -> partition of worlds, each frame in the documented order."""
-    partitions = list(set_partitions(worlds))
-    for chosen in itertools.product(partitions, repeat=len(agents)):
-        yield dict(zip(agents, chosen))
-
-
 def _frame_model(worlds: tuple, relations: dict, atoms: list, v: int) -> KripkeModel:
     """Valuation v of a frame: atoms[i] holds at world w iff bit
     n*(k-1-i) + w of v is set, so atoms[0] varies slowest."""
@@ -529,11 +522,9 @@ def enumerate_models(
     agents = list(agents)
     atoms = list(atoms)
     _check_space(max_worlds, agents, atoms, ceiling)
-    for n in range(1, max_worlds + 1):
-        worlds = tuple(f"w{i + 1}" for i in range(n))
-        for relations in _frames(worlds, agents):
-            for v in range(1 << n * len(atoms)):
-                yield _frame_model(worlds, relations, atoms, v)
+    for ctx in _frame_contexts(max_worlds, agents, atoms):
+        for v in range(ctx.V):
+            yield _frame_model(ctx.worlds, ctx.relations, atoms, v)
 
 
 def _atom_masks(n: int, atoms: list) -> tuple[int, dict[str, int]]:
@@ -561,8 +552,9 @@ def _frame_contexts(max_worlds: int, agents: list, atoms: list) -> Iterator[_Fra
     for n in range(1, max_worlds + 1):
         worlds = tuple(f"w{i + 1}" for i in range(n))
         V, val = _atom_masks(n, atoms)
-        for relations in _frames(worlds, agents):
-            yield _FrameCtx(worlds, V, val, relations)
+        partitions = list(set_partitions(worlds))
+        for chosen in itertools.product(partitions, repeat=len(agents)):
+            yield _FrameCtx(worlds, V, val, dict(zip(agents, chosen)))
 
 
 def find_countermodel(

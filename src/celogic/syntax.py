@@ -3,13 +3,15 @@
 Concrete grammar (ASCII, with the listed unicode alternatives accepted on
 input):
 
-    formula := iff ;  iff := imp { "<->" imp } ;  imp := disj [ "->" imp ] ;
-    disj := conj { "|" conj } ;  conj := unary { "&" unary } ;
+    formula := unary { binary unary } ;  binary := "<->" | "->" | "|" | "&" ;
     unary := "~" unary | "K" "{" ident ["," variant] "}" unary
            | "P" "{" ident ["," variant] "}" unary | primary ;
     primary := atom | group ;  group := "(" formula ")" { "^" ident } ;
     variant := "1.1" | "1.2" | "2.1" | "2.2" ;  atom, ident := [a-z][a-zA-Z0-9_]* ;
     context := "true" | "false" | lit { "&" lit } ;  lit := atom | "~" atom ;
+
+The binary connectives are listed loosest first; ``->`` groups to the right,
+the others to the left. ``_BINARY`` states this once for parser and printer.
 
 A knowledge/possibility operator written without a variant tag parses as
 "untagged" (variant None) unless a default variant is supplied; untagged
@@ -36,11 +38,6 @@ from weakref import ref
 
 from _weakref import _remove_dead_weakref
 
-VARIANTS = ("1.1", "1.2", "2.1", "2.2")
-
-IDENT_RE = re.compile(r"[a-z][a-zA-Z0-9_]*")
-
-
 class FormulaSyntaxError(ValueError):
     """Raised on malformed formula or context input; carries the offset."""
 
@@ -64,6 +61,8 @@ _VARIANT_CONTEXTS = {
     "2.1": ("agent", "current"),
     "2.2": ("agent", "agent"),
 }
+
+VARIANTS = tuple(_VARIANT_CONTEXTS)
 
 
 def variant_contexts_names(
@@ -301,6 +300,26 @@ def make_context(literals) -> ContextFormula:
 
 
 # ---------------------------------------------------------------------------
+# Grammar
+
+# The binary connectives, loosest first: token kind, node class, printed
+# symbol, and whether it groups to the right. A row's index is its
+# precedence level; the unary operators bind tighter than every row.
+_BINARY = (
+    ("IFF", Iff, "<->", False),
+    ("IMP", Imp, "->", True),
+    ("OR", Or, "|", False),
+    ("AND", And, "&", False),
+)
+_BY_KIND = {
+    kind: (level, cls, right) for level, (kind, cls, _, right) in enumerate(_BINARY)
+}
+_BY_CLASS = {
+    cls: (level, sym, right) for level, (_, cls, sym, right) in enumerate(_BINARY)
+}
+_UNARY_LEVEL = len(_BINARY)
+
+# ---------------------------------------------------------------------------
 # Tokenizer
 
 _TOKEN_SPEC = [
@@ -369,33 +388,14 @@ class _Parser:
             raise FormulaSyntaxError(f"expected {what}", tok.pos)
         return self.next()
 
-    # formula := iff
-    def formula(self) -> Formula:
-        out = self.imp()
-        while self.peek().kind == "IFF":
-            self.next()
-            out = Iff(out, self.imp())
-        return out
-
-    def imp(self) -> Formula:
-        left = self.disj()
-        if self.peek().kind == "IMP":
-            self.next()
-            return Imp(left, self.imp())
-        return left
-
-    def disj(self) -> Formula:
-        out = self.conj()
-        while self.peek().kind == "OR":
-            self.next()
-            out = Or(out, self.conj())
-        return out
-
-    def conj(self) -> Formula:
+    def formula(self, level: int = 0) -> Formula:
+        """A formula whose connectives outside parentheses are all at
+        ``level`` or above (precedence climbing over ``_BINARY``)."""
         out = self.unary()
-        while self.peek().kind == "AND":
+        while (row := _BY_KIND.get(self.peek().kind)) and row[0] >= level:
             self.next()
-            out = And(out, self.unary())
+            op_level, cls, right = row
+            out = cls(out, self.formula(op_level if right else op_level + 1))
         return out
 
     def unary(self) -> Formula:
@@ -431,9 +431,8 @@ class _Parser:
             return Atom(tok.text)
         if tok.kind == "LPAR":
             self.next()
-            inner = self.formula()
+            out = self.formula()
             self.expect("RPAR", "')'")
-            out = inner
             while self.peek().kind == "CARET":
                 self.next()
                 out = Rel(out, self.expect("IDENT", "context name").text)
@@ -463,73 +462,45 @@ def parse_formula(text: str, default_variant: str | None = None) -> Formula:
     return out
 
 
+_CONTEXT_CONSTANTS = {"true": TOP, "⊤": TOP, "false": BOT, "⊥": BOT}
+
+
 def parse_context(text: str) -> ContextFormula:
     """Parse a context body: ``true``, ``false``, or a conjunction of literals."""
     if not text.strip():
         raise FormulaSyntaxError("empty input", 0)
-    tokens = _tokenize(text)
-
-    def _fail(tok: _Token):
+    parser = _Parser(text, None)
+    tok = parser.next()
+    body = _CONTEXT_CONSTANTS.get(tok.text)
+    literals = []
+    while body is None:
+        positive = tok.kind != "NOT"
+        if not positive:
+            tok = parser.next()
+        if tok.kind != "IDENT" or tok.text in _CONTEXT_CONSTANTS:
+            break
+        literals.append((tok.text, positive))
+        if parser.peek().kind == "AND":
+            parser.next()
+            tok = parser.next()
+        else:
+            body = make_context(literals)
+    # tok is the bad literal if the loop broke; else the body must end the input
+    if body is None or (tok := parser.peek()).kind != "EOF":
         raise FormulaSyntaxError(
             "context bodies are conjunctions of literals (or true/false)", tok.pos
         )
-
-    i = 0
-
-    def peek() -> _Token:
-        return tokens[i]
-
-    first = peek()
-    if first.kind == "TRUE" or (first.kind == "IDENT" and first.text == "true"):
-        if tokens[1].kind != "EOF":
-            _fail(tokens[1])
-        return TOP
-    if first.kind == "FALSE" or (first.kind == "IDENT" and first.text == "false"):
-        if tokens[1].kind != "EOF":
-            _fail(tokens[1])
-        return BOT
-
-    literals = []
-    while True:
-        tok = tokens[i]
-        positive = True
-        if tok.kind == "NOT":
-            positive = False
-            i += 1
-            tok = tokens[i]
-        if tok.kind != "IDENT" or tok.text in ("true", "false"):
-            _fail(tok)
-        literals.append((tok.text, positive))
-        i += 1
-        tok = tokens[i]
-        if tok.kind == "EOF":
-            break
-        if tok.kind != "AND":
-            _fail(tok)
-        i += 1
-    return make_context(literals)
+    return body
 
 
 # ---------------------------------------------------------------------------
 # Printers
 
-_LEVEL_IFF, _LEVEL_IMP, _LEVEL_OR, _LEVEL_AND, _LEVEL_UNARY, _LEVEL_ATOM = range(1, 7)
-
 
 def _level(f: Formula) -> int:
-    match f:
-        case Iff():
-            return _LEVEL_IFF
-        case Imp():
-            return _LEVEL_IMP
-        case Or():
-            return _LEVEL_OR
-        case And():
-            return _LEVEL_AND
-        case Not() | Know() | Poss():
-            return _LEVEL_UNARY
-        case _:
-            return _LEVEL_ATOM
+    if row := _BY_CLASS.get(type(f)):
+        return row[0]
+    return _UNARY_LEVEL if isinstance(f, (Not, _Modal)) else _UNARY_LEVEL + 1
 
 
 def _tag(agent: str, variant: str | None) -> str:
@@ -547,19 +518,13 @@ def render_formula(f: Formula) -> str:
         case Atom(name):
             return name
         case Not(body):
-            return "~" + wrap(body, _LEVEL_UNARY)
-        case And(l, r):
-            return f"{wrap(l, _LEVEL_AND)} & {wrap(r, _LEVEL_AND + 1)}"
-        case Or(l, r):
-            return f"{wrap(l, _LEVEL_OR)} | {wrap(r, _LEVEL_OR + 1)}"
-        case Imp(l, r):
-            return f"{wrap(l, _LEVEL_IMP + 1)} -> {wrap(r, _LEVEL_IMP)}"
-        case Iff(l, r):
-            return f"{wrap(l, _LEVEL_IFF)} <-> {wrap(r, _LEVEL_IFF + 1)}"
-        case Know(agent, variant, body):
-            return f"K{_tag(agent, variant)} " + wrap(body, _LEVEL_UNARY)
-        case Poss(agent, variant, body):
-            return f"P{_tag(agent, variant)} " + wrap(body, _LEVEL_UNARY)
+            return "~" + wrap(body, _UNARY_LEVEL)
+        case _Binary(l, r):
+            level, sym, right = _BY_CLASS[type(f)]
+            return f"{wrap(l, level + right)} {sym} {wrap(r, level + (not right))}"
+        case _Modal(agent, variant, body):
+            op = "K" if isinstance(f, Know) else "P"
+            return f"{op}{_tag(agent, variant)} " + wrap(body, _UNARY_LEVEL)
         case Rel(body, context):
             chain = [context]
             while isinstance(body, Rel):

@@ -171,6 +171,11 @@ class TestDeepInput:
         code, _, err = run(capsys, "prove", f"{side} -> {side}")
         assert (code, err) == (0, "")
 
+    def test_parse_reads_250_parentheses(self, capsys):
+        # the parser takes three frames per parenthesis level
+        code, _, err = run(capsys, "parse", "(" * 250 + "p" + ")" * 250)
+        assert (code, err) == (0, "")
+
     @pytest.mark.parametrize(
         "command, body",
         [

@@ -117,6 +117,31 @@ class TestParseFormula:
         with pytest.raises(FormulaSyntaxError, match="trailing"):
             parse_formula("p q")
 
+    @pytest.mark.parametrize(
+        "text, message, position",
+        [
+            ("p &", "expected a formula", 3),
+            ("p -> )", "expected a formula", 5),
+            ("(p", "expected ')'", 2),
+            ("p q", "unexpected trailing input 'q'", 2),
+            ("^ci", "relativization applied to nothing (use '(...)^name')", 0),
+            ("K{i,3.1} p", "unknown variant tag '3.1'", 4),
+            ("K i p", "expected '{' after modal operator", 2),
+        ],
+    )
+    def test_error_message_and_position(self, text, message, position):
+        with pytest.raises(FormulaSyntaxError) as err:
+            parse_formula(text)
+        assert str(err.value) == f"{message} (at position {position})"
+        assert err.value.position == position
+
+    def test_deep_parentheses(self):
+        # three frames per parenthesis level: formula, unary, primary
+        depth = 250
+        text = "(" * depth + "p" + ")" * depth
+        assert sys.getrecursionlimit() == 1000
+        assert parse_formula(text) is Atom("p")
+
 
 def _context_models(atoms):
     """All truth assignments over the atoms."""
@@ -155,6 +180,19 @@ class TestParseContext:
     def test_rejects_non_literal_structure(self, text):
         with pytest.raises(FormulaSyntaxError):
             parse_context(text)
+
+    @pytest.mark.parametrize(
+        "text, position",
+        [("p | q", 2), ("(p)", 0), ("true & p", 5), ("~~p", 1), ("p &", 3), ("~true", 1)],
+    )
+    def test_error_message_and_position(self, text, position):
+        with pytest.raises(FormulaSyntaxError) as err:
+            parse_context(text)
+        assert str(err.value) == (
+            "context bodies are conjunctions of literals (or true/false)"
+            f" (at position {position})"
+        )
+        assert err.value.position == position
 
     def test_render_round_trip(self):
         for text in ["true", "false", "p & ~q", "a1 & b & ~z9"]:
