@@ -34,6 +34,7 @@ from .syntax import (
     Rel,
     VARIANTS,
     UntaggedOperatorError,
+    fold,
     parse_formula,
     render_formula,
 )
@@ -70,35 +71,41 @@ def _load_model(path: str) -> KripkeModel:
     return model
 
 
-def _ast_dump(f: Formula, indent: int = 0) -> str:
-    match f:
-        case Atom(name):
-            head = f"Atom {name}"
-        case Know(agent, variant, _) | Poss(agent, variant, _):
-            head = f"{type(f).__name__} {agent} {variant or 'untagged'}"
-        case Rel(_, context):
-            head = f"Rel ^{context}"
-        case _:
-            head = type(f).__name__
-    lines = ["  " * indent + head]
-    lines += [_ast_dump(g, indent + 1) for g in f.children()]
+def _ast_dump(f: Formula) -> str:
+    lines, stack = [], [(f, 0)]
+    while stack:
+        g, depth = stack.pop()
+        match g:
+            case Atom(name):
+                head = f"Atom {name}"
+            case Know(agent, variant, _) | Poss(agent, variant, _):
+                head = f"{type(g).__name__} {agent} {variant or 'untagged'}"
+            case Rel(_, context):
+                head = f"Rel ^{context}"
+            case _:
+                head = type(g).__name__
+        lines.append("  " * depth + head)
+        stack.extend((k, depth + 1) for k in reversed(g.children()))
     return "\n".join(lines)
 
 
 def _ast_json(f: Formula) -> dict:
-    kids = [_ast_json(g) for g in f.children()]
-    match f:
-        case Atom(name):
-            value = name
-        case Not():
-            value = kids[0]
-        case Know(agent, variant, _) | Poss(agent, variant, _):
-            value = {"agent": agent, "variant": variant, "body": kids[0]}
-        case Rel(_, context):
-            value = {"context": context, "body": kids[0]}
-        case _:
-            value = kids
-    return {type(f).__name__.lower(): value}
+    def step(f: Formula):
+        kids = list((yield f.children()))
+        match f:
+            case Atom(name):
+                value = name
+            case Not():
+                value = kids[0]
+            case Know(agent, variant, _) | Poss(agent, variant, _):
+                value = {"agent": agent, "variant": variant, "body": kids[0]}
+            case Rel(_, context):
+                value = {"context": context, "body": kids[0]}
+            case _:
+                value = kids
+        return {type(f).__name__.lower(): value}
+
+    return fold(f, step)
 
 
 def _cmd_parse(args) -> int:
@@ -278,8 +285,8 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
     except RecursionError:
-        # the recursive walkers ran out of stack: a resource limit, which
-        # must not surface as exit 1 ("invalid")
+        # the parser's parentheses, the game search or the JSON encoder ran
+        # out of stack: a resource limit, not exit 1 ("invalid")
         print("error: formula nested too deeply", file=sys.stderr)
         return EXIT_BUDGET
     except (FormulaSyntaxError, UntaggedOperatorError, CliError, ValueError) as exc:

@@ -70,6 +70,7 @@ from .syntax import (
     Or,
     Poss,
     Rel,
+    fold,
     formula_info,
     parse_formula,
     render_formula,
@@ -218,13 +219,16 @@ def move_from_json(data: dict, agents: Iterable[str]) -> Move:
 
 
 def game_form(f: Formula) -> Formula:
-    g = f.rebuild(*map(game_form, f.children()))
-    match g:
-        case Iff():
-            return primitive_form(g)
-        case Rel(Poss() as body, context):
-            return Rel(primitive_form(body), context)
-    return g
+    def step(f: Formula):
+        g = f.rebuild(*(yield f.children()))
+        match g:
+            case Iff():
+                return primitive_form(g)
+            case Rel(Poss() as body, context):
+                return Rel(primitive_form(body), context)
+        return g
+
+    return fold(f, step)
 
 
 def _rel(body: Formula, context: str) -> Formula:

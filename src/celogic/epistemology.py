@@ -23,6 +23,7 @@ from .syntax import (
     Know,
     Poss,
     TOP,
+    fold,
     parse_formula,
     render_formula,
 )
@@ -52,10 +53,13 @@ DEFAULT_ANTI_BINDING = ContextFormula((("_anti", True),))
 
 
 def _retag(f: Formula, variant: str) -> Formula:
-    f = f.rebuild(*(_retag(g, variant) for g in f.children()))
-    if isinstance(f, (Know, Poss)) and f.variant is None:
-        return type(f)(f.agent, variant, f.body)
-    return f
+    def step(f: Formula):
+        f = f.rebuild(*(yield f.children()))
+        if isinstance(f, (Know, Poss)) and f.variant is None:
+            return type(f)(f.agent, variant, f.body)
+        return f
+
+    return fold(f, step)
 
 
 def context_implies(premise: ContextFormula, conclusion: ContextFormula) -> bool:

@@ -30,6 +30,7 @@ from .syntax import (
     Or,
     Poss,
     Rel,
+    fold,
     formula_info,
     parse_context,
     render_context,
@@ -343,7 +344,6 @@ def compile_formula(f: Formula, env: ContextEnv) -> Callable[[_ModelCtx], int]:
     names: dict[str, str] = {}  # name -> the identifier bound to it
     classes: dict[str, str] = {}  # agent -> the local holding its classes
     exprs: dict[str, str] = {}  # expression -> its local, in dependency order
-    memo: dict[Formula, str] = {}
 
     def name(value: str) -> str:
         return names.setdefault(value, f"n{len(names)}")
@@ -361,62 +361,53 @@ def compile_formula(f: Formula, env: ContextEnv) -> Callable[[_ModelCtx], int]:
         """The mask where context c's body fails."""
         return emit(f"full & ~{_context_expr(env, c, read, emit)}")
 
-    def go(g: Formula) -> str:
-        local = memo.get(g)
-        if local is None:
-            local = memo[g] = build(g)
-        return local
-
-    def build(g: Formula) -> str:
+    def step(g: Formula):
         match g:
             case Atom(atom):
                 if atom in env.bindings:
                     return _context_expr(env, atom, read, emit)
                 return read(atom)
             case Not(body):
-                return emit(f"full & ~{go(body)}")
+                return emit(f"full & ~{(yield body)}")
             case And(l, r):
-                return emit(f"{go(l)} & {go(r)}")
+                return emit(f"{(yield l)} & {(yield r)}")
             case Or(l, r):
-                return emit(f"{go(l)} | {go(r)}")
+                return emit(f"{(yield l)} | {(yield r)}")
             case Imp(l, r):
-                return emit(f"(full & ~{go(l)}) | {go(r)}")
+                return emit(f"(full & ~{(yield l)}) | {(yield r)}")
             case Iff(l, r):
-                return emit(f"full & ~({go(l)} ^ {go(r)})")
+                return emit(f"full & ~({(yield l)} ^ {(yield r)})")
             case Know(agent, _, body):
-                return emit(f"ctx.know({agent_classes(agent)}, {go(body)})")
+                return emit(f"ctx.know({agent_classes(agent)}, {(yield body)})")
             case Poss(agent, _, body):
-                return emit(f"ctx.poss({agent_classes(agent)}, {go(body)})")
-            case Rel(body, context):
-                return build_rel(body, context)
+                return emit(f"ctx.poss({agent_classes(agent)}, {(yield body)})")
+            case Rel(Atom() | Rel() as body, c):
+                return emit(f"{unguarded(c)} | {(yield body)}")
+            case Rel(Not(inner), c):
+                return emit(f"{unguarded(c)} | (full & ~{(yield Rel(inner, c))})")
+            case Rel(And(l, r), c):
+                # As in the satisfaction table: no guard on conjunction.
+                return emit(f"{(yield Rel(l, c))} & {(yield Rel(r, c))}")
+            case Rel(Or(l, r), c):
+                return emit(
+                    f"{unguarded(c)} | {(yield Rel(l, c))} | {(yield Rel(r, c))}"
+                )
+            case Rel(Imp(l, r), c):
+                return emit(
+                    f"{unguarded(c)} | (full & ~{(yield Rel(l, c))})"
+                    f" | {(yield Rel(r, c))}"
+                )
+            case Rel(Iff(l, r), c):
+                return (yield Rel(And(Imp(l, r), Imp(r, l)), c))
+            case Rel(Know(agent, variant, inner), c):
+                cx, cy = variant_contexts_names(variant, c, agent)
+                k = yield Know(agent, variant, Rel(inner, cy))
+                return emit(f"{unguarded(cx)} | {k}")
+            case Rel(Poss(agent, variant, inner), c):
+                return (yield Rel(Not(Know(agent, variant, Not(inner))), c))
         raise TypeError(f"not a formula: {g!r}")
 
-    def build_rel(body: Formula, c: str) -> str:
-        match body:
-            case Atom(_) | Rel(_, _):
-                return emit(f"{unguarded(c)} | {go(body)}")
-            case Not(inner):
-                return emit(f"{unguarded(c)} | (full & ~{go(Rel(inner, c))})")
-            case And(l, r):
-                # As in the satisfaction table: no guard on conjunction.
-                return emit(f"{go(Rel(l, c))} & {go(Rel(r, c))}")
-            case Or(l, r):
-                return emit(f"{unguarded(c)} | {go(Rel(l, c))} | {go(Rel(r, c))}")
-            case Imp(l, r):
-                return emit(
-                    f"{unguarded(c)} | (full & ~{go(Rel(l, c))}) | {go(Rel(r, c))}"
-                )
-            case Iff(l, r):
-                return go(Rel(And(Imp(l, r), Imp(r, l)), c))
-            case Know(agent, variant, inner):
-                cx, cy = variant_contexts_names(variant, c, agent)
-                k = go(Know(agent, variant, Rel(inner, cy)))
-                return emit(f"{unguarded(cx)} | {k}")
-            case Poss(agent, variant, inner):
-                return go(Rel(Not(Know(agent, variant, Not(inner))), c))
-        raise TypeError(f"not a formula: {body!r}")
-
-    root = go(f)
+    root = fold(f, step)
     source = "".join([
         "def mask(ctx):\n    full = ctx.full\n    get = ctx.val.get\n",
         *(f"    {k} = ctx.classes[{name(a)}]\n" for a, k in classes.items()),

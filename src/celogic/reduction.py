@@ -51,6 +51,7 @@ from .syntax import (
     Poss,
     Rel,
     UntaggedOperatorError,
+    fold,
     render_formula,
     subformulas,
     variant_contexts_names,
@@ -96,11 +97,15 @@ class ReductionTrace:
 
 
 def _replace(f: Formula, path: tuple[int, ...], replacement: Formula) -> Formula:
-    if not path:
-        return replacement
-    kids = list(f.children())
-    kids[path[0]] = _replace(kids[path[0]], path[1:], replacement)
-    return f.rebuild(*kids)
+    spine = []
+    for i in path:
+        spine.append((f, i))
+        f = f.children()[i]
+    for g, i in reversed(spine):
+        kids = list(g.children())
+        kids[i] = replacement
+        replacement = g.rebuild(*kids)
+    return replacement
 
 
 def _rewrite_redex(body: Formula, c: str) -> tuple[Formula, str, tuple[str, ...]]:
@@ -160,7 +165,7 @@ def _reduce(
     appended to ``trace`` if given, and more than ``step_budget`` of them
     raise ReductionBudgetError; with no budget the pass runs to the normal
     form, which takes at most ``4 * node_count(f)`` rewrites. Rel-free
-    subtrees are shared, not copied.
+    subtrees are shared, not copied. Both walks run on explicit stacks.
 
     Without a trace, each node the walk finishes keeps in its ``_normal``
     slot the pair of its normal form and its context names: the names its
@@ -174,45 +179,45 @@ def _reduce(
     every step, so it neither reads nor keeps forms, and it gives no names.
     """
     if trace is None:
+        stack: list = [f]  # nodes to reduce, and (g, h, names, kids) to finish
+        while stack:
+            g = stack.pop()
+            if type(g) is tuple:  # each child of h keeps its pair now
+                g, h, names, children = g
+                kids = []
+                for child in children:
+                    kept = child._normal
+                    normal, more = (child, _NO_NAMES) if kept is _REL_FREE else kept
+                    kids.append(normal)
+                    if more and more is not names:
+                        names = names | more if names else more
+                out = h.rebuild(*kids)
+                if out is not g:
+                    object.__setattr__(g, "_normal", (out, names))
+                object.__setattr__(out, "_normal", _REL_FREE)
+            elif getattr(g, "_normal", None) is None:
+                h, names = g, _NO_NAMES
+                while isinstance(h, Rel):
+                    h, _, needs = _rewrite_redex(h.body, h.context)
+                    names = names.union(needs)
+                kids = h.children()
+                stack.append((g, h, names, kids))
+                stack.extend(reversed(kids))
+        kept = f._normal
+        return f if kept is _REL_FREE else kept[0]
 
-        def go(g: Formula) -> tuple[Formula, frozenset[str]]:
-            kept = getattr(g, "_normal", None)
-            if kept is not None:
-                return (g, _NO_NAMES) if kept is _REL_FREE else kept
-            h, names = g, _NO_NAMES
-            while isinstance(h, Rel):
-                h, _, needs = _rewrite_redex(h.body, h.context)
-                names = names.union(needs)
-            kids = []
-            for child in h.children():
-                normal, more = go(child)
-                kids.append(normal)
-                if more and more is not names:
-                    names = names | more if names else more
-            out = h.rebuild(*kids)
-            if out is not g:
-                object.__setattr__(g, "_normal", (out, names))
-            object.__setattr__(out, "_normal", _REL_FREE)
-            return out, names
-
-        return go(f)[0]
-
-    path: list[int] = []
-
-    def record(g: Formula) -> None:
+    stack = [(f, ())]  # each node with its path from the root
+    while stack:
+        g, at = stack.pop()
         while isinstance(g, Rel):
             g, axiom, _ = _rewrite_redex(g.body, g.context)
             if len(trace) == step_budget:
                 raise ReductionBudgetError(f"no fixpoint within {step_budget} steps")
             before = trace[-1].after if trace else f
-            at = tuple(path)
             trace.append(ReductionStep(before, axiom, at, _replace(before, at, g)))
-        for i, child in enumerate(g.children()):
-            path.append(i)
-            record(child)
-            path.pop()
-
-    record(f)
+        kids = g.children()
+        for i in range(len(kids) - 1, -1, -1):
+            stack.append((kids[i], (*at, i)))
     return trace[-1].after if trace else f
 
 
@@ -256,18 +261,22 @@ def reduction_measure(f: Formula) -> int:
     Relativization multiplies its body's weight; the possibility operator
     is weighted for its pre-expansion step.
     """
-    match f:
-        case Atom(_):
-            return 1
-        case Not(body) | Know(_, _, body):
-            return 1 + reduction_measure(body)
-        case Poss(_, _, body):
-            return 4 + reduction_measure(body)
-        case And(l, r) | Or(l, r) | Imp(l, r) | Iff(l, r):
-            return 1 + reduction_measure(l) + reduction_measure(r)
-        case Rel(body, _):
-            return 5 * reduction_measure(body)
-    raise TypeError(f"not a formula: {f!r}")
+
+    def step(f: Formula):
+        match f:
+            case Atom(_):
+                return 1
+            case Not(body) | Know(_, _, body):
+                return 1 + (yield body)
+            case Poss(_, _, body):
+                return 4 + (yield body)
+            case And(l, r) | Or(l, r) | Imp(l, r) | Iff(l, r):
+                return 1 + (yield l) + (yield r)
+            case Rel(body, _):
+                return 5 * (yield body)
+        raise TypeError(f"not a formula: {f!r}")
+
+    return fold(f, step)
 
 
 def needed_context_names(f: Formula) -> frozenset[str]:

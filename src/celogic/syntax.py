@@ -21,7 +21,9 @@ the context interaction mode.
 Every formula node has the same two methods, which structural walks are
 written over. ``f.children()`` is the tuple of f's immediate subformulas,
 left to right (``()`` for an atom). ``f.rebuild(*kids)`` is the node of f's
-kind, with f's agent, variant or context, over the given kids.
+kind, with f's agent, variant or context, over the given kids. Bottom-up
+walks run on ``fold``'s explicit stack; only the parser recurses, into
+parentheses.
 
 Formula nodes are hash-consed: building a node gives back the live node of
 the same kind with the same fields, if there is one. So equal formulas are
@@ -262,6 +264,40 @@ class Rel(Formula):
         return Rel(body, self.context)
 
 
+def fold(f: Formula, step):
+    """f's value under ``step``: a bottom-up walk on an explicit stack.
+
+    ``step(g)`` is a generator that returns g's value. It yields each formula
+    whose value it needs, or a tuple of them such as ``g.children()``, and is
+    sent back that value or the tuple of values. So a walk reads as its
+    recursive form with ``go(x)`` spelled ``(yield x)``, and it may ask for
+    formulas that are not subformulas of f. Values are kept per node for one
+    call, so each distinct node is stepped once; exceptions pass through.
+    """
+
+    def each(nodes):
+        values = []
+        for g in nodes:
+            values.append((yield g))
+        return tuple(values)
+
+    done = {}
+    stack = [(f, step(f))]
+    sent = None
+    while stack:
+        g, walk = stack[-1]
+        try:
+            need = walk.send(sent)
+        except StopIteration as stop:
+            stack.pop()
+            sent = done[g] = stop.value
+            continue
+        if need not in done:  # stepped next, and started with None
+            stack.append((need, each(need) if type(need) is tuple else step(need)))
+        sent = done.get(need)
+    return done[f]
+
+
 # ---------------------------------------------------------------------------
 # Context formulas (conjunctions of literals, canonicalized)
 
@@ -318,6 +354,7 @@ _BY_CLASS = {
     cls: (level, sym, right) for level, (_, cls, sym, right) in enumerate(_BINARY)
 }
 _UNARY_LEVEL = len(_BINARY)
+_PREFIX = {"NOT": Not, "KOP": Know, "POP": Poss}
 
 # ---------------------------------------------------------------------------
 # Tokenizer
@@ -390,26 +427,30 @@ class _Parser:
 
     def formula(self, level: int = 0) -> Formula:
         """A formula whose connectives outside parentheses are all at
-        ``level`` or above (precedence climbing over ``_BINARY``)."""
+        ``level`` or above (precedence climbing over ``_BINARY``). A run of
+        one connective is read in a loop, then grouped as its row says."""
         out = self.unary()
-        while (row := _BY_KIND.get(self.peek().kind)) and row[0] >= level:
-            self.next()
+        while (row := _BY_KIND.get(kind := self.peek().kind)) and row[0] >= level:
             op_level, cls, right = row
-            out = cls(out, self.formula(op_level if right else op_level + 1))
+            run = [out]
+            while self.peek().kind == kind:
+                self.next()
+                run.append(self.formula(op_level + 1))
+            out = run.pop() if right else run.pop(0)
+            for g in reversed(run) if right else run:
+                out = cls(g, out) if right else cls(out, g)
         return out
 
     def unary(self) -> Formula:
-        tok = self.peek()
-        if tok.kind == "NOT":
+        """Prefix operators, read in a loop, over a primary."""
+        ops = []
+        while (cls := _PREFIX.get(self.peek().kind)) is not None:
             self.next()
-            return Not(self.unary())
-        if tok.kind in ("KOP", "POP"):
-            self.next()
-            agent, variant = self._operator_tag()
-            body = self.unary()
-            cls = Know if tok.kind == "KOP" else Poss
-            return cls(agent, variant, body)
-        return self.primary()
+            ops.append((cls,) if cls is Not else (cls, *self._operator_tag()))
+        out = self.primary()
+        for cls, *tag in reversed(ops):
+            out = cls(*tag, out)
+        return out
 
     def _operator_tag(self) -> tuple[str, str | None]:
         self.expect("LBRACE", "'{' after modal operator")
@@ -510,30 +551,32 @@ def _tag(agent: str, variant: str | None) -> str:
 def render_formula(f: Formula) -> str:
     """Minimal-parenthesis concrete syntax; parses back to the same AST."""
 
-    def wrap(g: Formula, minimum: int) -> str:
-        s = render_formula(g)
+    def wrap(g: Formula, minimum: int):
+        s = yield g
         return f"({s})" if _level(g) < minimum else s
 
-    match f:
-        case Atom(name):
-            return name
-        case Not(body):
-            return "~" + wrap(body, _UNARY_LEVEL)
-        case _Binary(l, r):
-            level, sym, right = _BY_CLASS[type(f)]
-            return f"{wrap(l, level + right)} {sym} {wrap(r, level + (not right))}"
-        case _Modal(agent, variant, body):
-            op = "K" if isinstance(f, Know) else "P"
-            return f"{op}{_tag(agent, variant)} " + wrap(body, _UNARY_LEVEL)
-        case Rel(body, context):
-            chain = [context]
-            while isinstance(body, Rel):
-                chain.append(body.context)
-                body = body.body
-            return f"({render_formula(body)})" + "".join(
-                f"^{c}" for c in reversed(chain)
-            )
-    raise TypeError(f"not a formula: {f!r}")
+    def step(f: Formula):
+        match f:
+            case Atom(name):
+                return name
+            case Not(body):
+                return "~" + (yield from wrap(body, _UNARY_LEVEL))
+            case _Binary(l, r):
+                level, sym, right = _BY_CLASS[type(f)]
+                l = yield from wrap(l, level + right)
+                return f"{l} {sym} " + (yield from wrap(r, level + (not right)))
+            case _Modal(agent, variant, body):
+                op = ("K" if isinstance(f, Know) else "P") + _tag(agent, variant)
+                return f"{op} " + (yield from wrap(body, _UNARY_LEVEL))
+            case Rel(body, context):
+                chain = [context]
+                while isinstance(body, Rel):
+                    chain.append(body.context)
+                    body = body.body
+                return f"({(yield body)})" + "".join(f"^{c}" for c in reversed(chain))
+        raise TypeError(f"not a formula: {f!r}")
+
+    return fold(f, step)
 
 
 def render_context(cf: ContextFormula) -> str:

@@ -165,8 +165,19 @@ def test_criterion_3_cross_semantics():
 
 def test_criterion_4_reduction_hygiene():
     """1000 reductions terminate within the documented 4 * node_count(f)
-    rewrites, land in the plain fragment, and every single step is a valid
-    biconditional."""
+    rewrites, land in the plain fragment, and every single step is sound.
+
+    Each step's redex, the subformula at its path, has no Rel above it, and
+    the biconditional of the redex with its rewrite holds on every model
+    with up to 3 worlds under the direct semantics (``compile_formula``).
+    Above the redex there are only connectives and modal operators, which
+    are congruent in S5, so this checks the whole step. ``prove_cel`` on
+    each step's whole biconditional shows only that the tableau closes on
+    it: the prover reduces both sides with the same rewrite table, so a
+    wrong schema would pass that check alone."""
+    env = ContextEnv().completed(["ci", "cj"])
+    contexts = list(_frame_contexts(3, ["i", "j"], ["p", "q", "_ctx_ci", "_ctx_cj"]))
+    sound: dict = {}  # redex biconditional -> whether it holds on every model
     corpus = hygiene_corpus()
     failures = []
     steps_checked = 0
@@ -178,18 +189,31 @@ def test_criterion_4_reduction_hygiene():
             continue
         for step in trace.steps:
             steps_checked += 1
+            redex, rewrite = step.before, step.after
+            for i in step.path:
+                if isinstance(redex, Rel):
+                    failures.append(f"redex under a Rel: {render_formula(step.before)}")
+                redex, rewrite = redex.children()[i], rewrite.children()[i]
+            biconditional = Iff(redex, rewrite)
+            if biconditional not in sound:
+                mask = compile_formula(biconditional, env)
+                sound[biconditional] = all(mask(c) == c.full for c in contexts)
+            if not isinstance(redex, Rel) or not sound[biconditional]:
+                failures.append(
+                    f"unsound step [{step.axiom}]: {render_formula(biconditional)}"
+                )
             verdict = prove_cel(Iff(step.before, step.after), ContextEnv())
             if not isinstance(verdict, Valid):
                 failures.append(
                     f"invalid step [{step.axiom}] on {render_formula(step.before)}"
                 )
-                break
     report(
         "criterion 4: reduction hygiene",
         not failures,
-        f"{len(corpus)} formulas, {steps_checked} steps"
+        f"{len(corpus)} formulas, {steps_checked} steps, "
+        f"{len(sound)} redex biconditionals"
         if not failures
-        else failures[0],
+        else f"{len(failures)} failures, the first: {failures[0]}",
     )
 
 

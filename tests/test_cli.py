@@ -141,19 +141,60 @@ class TestReduce:
         assert data["steps"][0]["axiom"] == "2.2-Contextual Knowledge"
 
 
+def _deep(body: str, d: int) -> str:
+    return body * d + "p"
+
+
+# the three 5,000-deep families, each command's exit code on it
+_DEEP_FAMILIES = {
+    "negations": f"{_deep('~', 5000)} -> {_deep('~', 5000)}",
+    "rel-negations": f"({_deep('~', 5000)})^ci -> q",
+    "rel-knowledge": f"({_deep('K{i,1.1} ', 5000)})^ci -> q",
+}
+_DEEP_VERDICTS = [
+    ("parse", "negations", 0),
+    ("reduce", "negations", 0),
+    ("prove", "negations", 0),
+    ("oracle", "negations", 0),
+    ("parse", "rel-negations", 0),
+    ("prove", "rel-negations", 1),
+    ("oracle", "rel-negations", 1),
+    ("parse", "rel-knowledge", 0),
+    ("prove", "rel-knowledge", 1),
+    ("oracle", "rel-knowledge", 1),
+]
+
+
 class TestDeepInput:
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ("prove", "(" + "~" * 300 + "p)^ci -> p"),
-            ("prove", "~" * 700 + "p"),
-            ("reduce", "~" * 700 + "p"),
-        ],
-    )
-    def test_nested_too_deeply_exits_three(self, capsys, argv):
-        code, _, err = run(capsys, *argv)
+    def test_nested_too_deeply_exits_three(self, capsys):
+        # the parser recurses once per parenthesis level
+        code, _, err = run(capsys, "parse", "(" * 2000 + "p" + ")" * 2000)
         assert code == 3
         assert err == "error: formula nested too deeply\n"
+
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            (("prove", "(" + "~" * 300 + "p)^ci -> p"), 1),
+            (("prove", "~" * 700 + "p"), 1),
+            (("reduce", "~" * 700 + "p"), 0),
+        ],
+        ids=["prove-rel-300", "prove-700", "reduce-700"],
+    )
+    def test_formerly_too_deep_input_gets_its_verdict(self, capsys, argv, expected):
+        code, _, err = run(capsys, *argv)
+        assert (code, err) == (expected, "")
+
+    @pytest.mark.parametrize(
+        "command, family, expected",
+        _DEEP_VERDICTS,
+        ids=[f"{command}-{family}" for command, family, _ in _DEEP_VERDICTS],
+    )
+    def test_5000_deep_families_are_decided(self, capsys, command, family, expected):
+        # at the default recursion limit: every walk behind these commands
+        # runs on an explicit stack
+        code, _, err = run(capsys, command, _DEEP_FAMILIES[family])
+        assert (code, err) == (expected, "")
 
     @pytest.mark.parametrize(
         "command", ["parse", "reduce", "prove", "oracle", "dialogue"]
@@ -164,9 +205,7 @@ class TestDeepInput:
         assert (code, err) == (0, "")
 
     def test_prove_decides_900_negations_each_side(self, capsys):
-        # under the default recursion limit: each walk behind prove, the
-        # reduction that also gives the context names included, takes at
-        # most one frame a node of a Rel-free formula
+        # at the default recursion limit
         side = "~" * 900 + "p"
         code, _, err = run(capsys, "prove", f"{side} -> {side}")
         assert (code, err) == (0, "")
@@ -186,8 +225,8 @@ class TestDeepInput:
         ids=["dialogue-negations", "dialogue-knowledge", "oracle-negations"],
     )
     def test_a_deep_relativized_body_is_decided(self, capsys, command, body):
-        # the context names are read off the reduction, whose walk takes
-        # the game's and the oracle's frames too
+        # the game search recurses once per ply, so dialogue stays shallower
+        # than the explicit-stack walks behind the other commands
         code, _, err = run(capsys, command, f"({body})^ci -> q")
         assert (code, err) == (1, "")
 

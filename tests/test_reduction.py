@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from celogic import reduction
 from celogic.epistemology import SUITE_ROWS
-from celogic.kripke import ContextEnv, enumerate_models, satisfies
+from celogic.kripke import ContextEnv, KripkeModel, enumerate_models, satisfies
 from celogic.prove import prove_cel
 from celogic.reduction import (
     AXIOM_ATOMS,
@@ -537,3 +537,28 @@ class TestNeededContexts:
             f = random_formula(rng, 4)
             guard_atoms = formula_info(reduce_full(f).result).atoms - formula_info(f).atoms
             assert guard_atoms <= needed_context_names(f)
+
+
+class TestDeepRelativizedInput:
+    """At the default recursion limit: the reduction and the mask compiler
+    walk on explicit stacks, however deep the body under a Rel."""
+
+    @staticmethod
+    def _negations(d: int):
+        f = Atom("p")
+        for _ in range(d):
+            f = Not(f)
+        return Rel(f, "ci")
+
+    def test_needed_context_names(self):
+        assert needed_context_names(self._negations(5000)) == {"ci"}
+
+    def test_satisfies(self):
+        # with ci true, (~x5000 p)^ci is p; with ci false, it holds
+        model = KripkeModel(
+            ["w1", "w2", "w3"], {}, {"p": ["w1", "w3"], "_ctx_ci": ["w1", "w2"]}
+        )
+        for d, expected in [(2, [True, False, True]), (5000, [True, False, True])]:
+            f = self._negations(d)
+            env = ContextEnv().for_formula(f)
+            assert [satisfies(model, w, env, f) for w in model.worlds] == expected

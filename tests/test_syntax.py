@@ -33,6 +33,7 @@ from celogic.syntax import (
     TOP,
     Formula,
     UntaggedOperatorError,
+    fold,
     formula_info,
     make_context,
     node_count,
@@ -141,6 +142,30 @@ class TestParseFormula:
         text = "(" * depth + "p" + ")" * depth
         assert sys.getrecursionlimit() == 1000
         assert parse_formula(text) is Atom("p")
+
+    @pytest.mark.parametrize(
+        "text, n, wrap",
+        [
+            ("~" * 5000 + "p", 5000, Not),
+            (
+                "K{i,1.2} P{j} " * 2500 + "p",
+                2500,
+                lambda f: Know("i", "1.2", Poss("j", None, f)),
+            ),
+            (" -> ".join(["p"] * 5000), 4999, lambda f: Imp(Atom("p"), f)),
+            (" & ".join(["p"] * 5000), 4999, lambda f: And(f, Atom("p"))),
+        ],
+        ids=["negations", "modal", "implications", "conjunctions"],
+    )
+    def test_deep_prefixes_and_runs(self, text, n, wrap):
+        # prefix operators and runs of one connective are read in loops
+        assert sys.getrecursionlimit() == 1000
+        expected = Atom("p")
+        for _ in range(n):
+            expected = wrap(expected)
+        f = parse_formula(text)
+        assert f is expected
+        assert render_formula(f) == text
 
 
 def _context_models(atoms):
@@ -276,6 +301,61 @@ class TestSubformulas:
         for _ in range(5000):
             f = Not(f)
         assert node_count(f) == 5001
+
+
+class TestFold:
+    def test_each_distinct_node_is_stepped_once(self):
+        x = Atom("p")
+        for _ in range(40):
+            x = And(x, x)
+        stepped = []  # ids: a failure must not print the DAG, 2**41 nodes
+
+        def size(g):
+            assert id(g) not in stepped  # fails at once, not after 2**41 steps
+            stepped.append(id(g))
+            return 1 + sum((yield g.children()))
+
+        assert fold(x, size) == 2**41 - 1
+        assert len(stepped) == 41
+
+    def test_a_step_may_ask_for_a_node_outside_the_formula(self):
+        p, q = Atom("p"), Atom("q")
+        expansion = And(Imp(p, q), Imp(q, p))
+
+        def expand(g):
+            if isinstance(g, Iff):
+                return (yield And(Imp(g.left, g.right), Imp(g.right, g.left)))
+            return g.rebuild(*(yield g.children()))
+
+        f = Not(Iff(p, q))
+        assert fold(f, expand) is Not(expansion)
+        assert expansion not in set(subformulas(f))
+
+    def test_an_exception_in_a_step_reaches_the_caller(self):
+        raised = []
+
+        def step(g):
+            if g is Atom("q"):
+                raised.append(LookupError("no value for q"))
+                raise raised[-1]
+            return len((yield g.children()))
+
+        f = Not(And(Atom("p"), Atom("q")))
+        for calls in (1, 2):
+            with pytest.raises(LookupError) as err:
+                fold(f, step)
+            assert len(raised) == calls
+            assert err.value is raised[-1]
+        assert str(raised[0]) == str(raised[1])
+
+    def test_deep_input_at_the_default_limit(self):
+        assert sys.getrecursionlimit() == 1000
+        f = Rel(_chain(5000), "ci")
+
+        def depth(g):
+            return 1 + max((yield g.children()), default=0)
+
+        assert fold(f, depth) == 5002
 
 
 def _modal_depth(f: Formula) -> int:
