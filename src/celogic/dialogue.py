@@ -44,15 +44,15 @@ So the two agree: ``validate_move`` accepts exactly the moves that
 
 Winning strategies are decided by AND-OR search over positions (sets of
 assertions, attack records and defence records), memoized on the position.
-The search steps through the moves ``legal_moves`` lists without validating
-them again; ``apply_move``, ``replay`` and ``replay_script`` validate every
-move.
+The search is a ``fold`` over positions, on the driver of the formula walks,
+and the strategy and the refutation read off its memo are loops too: no
+length of play is bounded by the recursion limit. The search steps through
+the moves ``legal_moves`` lists without validating them again;
+``apply_move``, ``replay`` and ``replay_script`` validate every move.
 """
 
 from __future__ import annotations
 
-import sys
-from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from functools import reduce
 from typing import Iterable
@@ -731,26 +731,15 @@ def legal_moves(state: GameState) -> list[Move]:
 # Strategy search
 
 
-@contextmanager
-def _deep_recursion():
-    """Room for the recursive search and strategy walk on long plays."""
-    limit = sys.getrecursionlimit()
-    if limit < 40_000:
-        sys.setrecursionlimit(40_000)
-    try:
-        yield
-    finally:
-        sys.setrecursionlimit(limit)
-
-
 @dataclass
 class StrategyResult:
     """Outcome of the game search.
 
     On a win, ``strategy`` is built from the search's memo the first time
     it is read and then cached; until then the result holds that search.
-    Reading it can raise BudgetExhaustedError when unfolding the tree meets
-    positions the search never visited and the budget runs out.
+    The tree is unfolded on an explicit stack, and a position it meets that
+    the search never visited is searched by the same ``fold``; so reading
+    it can raise BudgetExhaustedError when the budget runs out.
     """
 
     verdict: bool
@@ -763,8 +752,7 @@ class StrategyResult:
     @property
     def strategy(self) -> dict | None:
         if self._search is not None:
-            with _deep_recursion():
-                self._strategy = self._search.strategy_tree(self._root)
+            self._strategy = self._search.strategy_tree(self._root)
             self._search = self._root = None
         return self._strategy
 
@@ -794,61 +782,61 @@ class _Search:
 
     def win(self, state: GameState) -> bool:
         """True iff P has a winning strategy from this position."""
-        key = state.position_key()
-        cached = self.memo.get(key)
-        if cached is not None:
-            return cached
+        return fold(state, self._value, self.memo, GameState.position_key)
+
+    def _value(self, state: GameState):
+        """``fold``'s step over positions: P needs one move to a won
+        position, O one move to a lost one, and a player with no move
+        loses. Each position stepped counts against the budget."""
         self.positions += 1
         if self.positions > self.budget:
             raise BudgetExhaustedError(self.positions)
-        moves = self.moves(state)
-        if not moves:
-            result = state.turn == O
-        elif state.turn == P:
-            result = any(self.win(_step(state, m)) for m in moves)
-        else:
-            result = all(self.win(_step(state, m)) for m in moves)
-        self.memo[key] = result
-        return result
+        want = state.turn == P
+        for m in self.moves(state):
+            if (yield _step(state, m)) is want:
+                return want
+        return not want
+
+    def _first(self, state: GameState, moves: list[Move], value: bool):
+        """The first of the moves whose position has this value, and that
+        position."""
+        for m in moves:
+            child = _step(state, m)
+            if self.win(child) is value:
+                return m, child
+        raise AssertionError(f"no move to a position of value {value}")
 
     def strategy_tree(self, state: GameState) -> dict:
-        moves = self.moves(state)
-        if not moves:
-            return {"turn": state.turn, "end": "opponent cannot move"}
-        if state.turn == P:
-            for m in moves:
-                child = _step(state, m)
-                if self.win(child):
-                    return {
-                        "turn": P,
-                        "move": move_to_json(m),
-                        "next": self.strategy_tree(child),
-                    }
-            raise AssertionError("no winning move at a winning P position")
-        return {
-            "turn": O,
-            "children": [
-                {
-                    "move": move_to_json(m),
-                    "next": self.strategy_tree(_step(state, m)),
-                }
-                for m in moves
-            ],
-        }
+        """P's strategy from a won position, unfolded from the memo on an
+        explicit stack of (position, dict to fill), depth first."""
+        tree: dict = {}
+        stack = [(state, tree)]
+        while stack:
+            state, node = stack.pop()
+            moves = self.moves(state)
+            node["turn"] = state.turn
+            if not moves:
+                node["end"] = "opponent cannot move"
+            elif state.turn == P:
+                m, child = self._first(state, moves, True)
+                node["move"], node["next"] = move_to_json(m), {}
+                stack.append((child, node["next"]))
+            else:
+                kids = [{"move": move_to_json(m), "next": {}} for m in moves]
+                node["children"] = kids
+                for m, kid in reversed(list(zip(moves, kids))):
+                    stack.append((_step(state, m), kid["next"]))
+        return tree
 
     def refuting_play(self, state: GameState) -> tuple[Move, ...]:
         """O's first refuting move at each O turn and P's first move at each
         P turn, in legal_moves' order; every position on it is in the memo."""
-        moves = legal_moves(state)
-        if not moves:
-            return state.moves
-        if state.turn == O:
-            for m in moves:
-                child = _step(state, m)
-                if not self.win(child):
-                    return self.refuting_play(child)
-            raise AssertionError("no refuting move at a losing P position")
-        return self.refuting_play(_step(state, moves[0]))
+        while moves := legal_moves(state):
+            if state.turn == O:
+                state = self._first(state, moves, False)[1]
+            else:
+                state = _step(state, moves[0])
+        return state.moves
 
 
 DEFAULT_SEARCH_BUDGET = 500_000
@@ -875,10 +863,9 @@ def has_winning_strategy(
     if _check_assertable(replace(state, assertion_index={}), P, ROOT, state.thesis):
         return StrategyResult(False, state.moves, 1)
     search = _Search(budget)
-    with _deep_recursion():
-        if search.win(state):
-            return StrategyResult(True, None, search.positions, search, state)
-        return StrategyResult(False, search.refuting_play(state), search.positions)
+    if search.win(state):
+        return StrategyResult(True, None, search.positions, search, state)
+    return StrategyResult(False, search.refuting_play(state), search.positions)
 
 
 # ---------------------------------------------------------------------------
@@ -895,11 +882,9 @@ def replay_script(data: dict) -> GameState:
     """Run a JSON play script from its thesis; raises on any illegal move."""
     thesis = parse_formula(data["thesis"], data.get("default_variant"))
     env = ContextEnv.from_json(data.get("env", {}))
-    state = initial_state(thesis, env)
     agents = formula_info(game_form(thesis)).agents
-    for move_data in data["moves"]:
-        state = apply_move(state, move_from_json(move_data, agents))
-    return state
+    moves = (move_from_json(move_data, agents) for move_data in data["moves"])
+    return replay(initial_state(thesis, env), moves)
 
 
 def _transcript_rows(moves) -> list[list[str]]:

@@ -22,8 +22,8 @@ Every formula node has the same two methods, which structural walks are
 written over. ``f.children()`` is the tuple of f's immediate subformulas,
 left to right (``()`` for an atom). ``f.rebuild(*kids)`` is the node of f's
 kind, with f's agent, variant or context, over the given kids. Bottom-up
-walks run on ``fold``'s explicit stack; only the parser recurses, into
-parentheses.
+walks run on ``fold``'s explicit stack, which also drives the game search
+over positions; only the parser recurses, into parentheses.
 
 Formula nodes are hash-consed: building a node gives back the live node of
 the same kind with the same fields, if there is one. So equal formulas are
@@ -264,15 +264,18 @@ class Rel(Formula):
         return Rel(body, self.context)
 
 
-def fold(f: Formula, step):
+def fold(f, step, memo=None, key=None):
     """f's value under ``step``: a bottom-up walk on an explicit stack.
 
-    ``step(g)`` is a generator that returns g's value. It yields each formula
+    ``step(g)`` is a generator that returns g's value. It yields each node
     whose value it needs, or a tuple of them such as ``g.children()``, and is
     sent back that value or the tuple of values. So a walk reads as its
     recursive form with ``go(x)`` spelled ``(yield x)``, and it may ask for
-    formulas that are not subformulas of f. Values are kept per node for one
-    call, so each distinct node is stepped once; exceptions pass through.
+    nodes that are not subformulas of f. Nodes need not be formulas: the game
+    search folds over positions. Values are filed in ``memo`` (a fresh dict
+    by default) under ``key(g)`` (g itself by default), and a node whose key
+    is there is not stepped again, so each distinct key is stepped once per
+    memo; exceptions pass through.
     """
 
     def each(nodes):
@@ -281,21 +284,23 @@ def fold(f: Formula, step):
             values.append((yield g))
         return tuple(values)
 
-    done = {}
-    stack = [(f, step(f))]
+    done = {} if memo is None else memo
+    top = f if key is None else key(f)
+    stack = [] if top in done else [(top, step(f))]
     sent = None
     while stack:
-        g, walk = stack[-1]
+        k, walk = stack[-1]
         try:
             need = walk.send(sent)
         except StopIteration as stop:
             stack.pop()
-            sent = done[g] = stop.value
+            sent = done[k] = stop.value
             continue
-        if need not in done:  # stepped next, and started with None
-            stack.append((need, each(need) if type(need) is tuple else step(need)))
-        sent = done.get(need)
-    return done[f]
+        k = need if key is None or type(need) is tuple else key(need)
+        if k not in done:  # stepped next, and started with None
+            stack.append((k, each(need) if type(need) is tuple else step(need)))
+        sent = done.get(k)
+    return done[top]
 
 
 # ---------------------------------------------------------------------------

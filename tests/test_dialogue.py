@@ -2,6 +2,7 @@ import hashlib
 import json
 import pathlib
 import random
+import sys
 
 import pytest
 
@@ -370,6 +371,31 @@ class TestWinningStrategy:
         assert result.verdict is True and result.positions == spent
         with pytest.raises(BudgetExhaustedError):
             result.strategy
+
+
+class TestLongPlays:
+    @pytest.fixture(autouse=True)
+    def default_limit(self, monkeypatch):
+        # the search, the strategy and the refutation run on explicit stacks
+        def refuse(limit):
+            raise AssertionError(f"the recursion limit was set to {limit}")
+
+        assert sys.getrecursionlimit() == 1000
+        monkeypatch.setattr(sys, "setrecursionlimit", refuse)
+
+    def test_a_long_won_play_and_its_strategy(self):
+        result = has_winning_strategy(parse_formula("~" * 600 + "p -> p"))
+        assert result.verdict is True and result.positions == 603
+        node, moves = result.strategy, 0
+        while "end" not in node:
+            node = node["next"] if node["turn"] == "P" else node["children"][0]["next"]
+            moves += 1
+        assert moves == 602
+
+    def test_a_long_refutation(self):
+        result = has_winning_strategy(parse_formula("~" * 600 + "p -> q"))
+        assert result.verdict is False and result.positions == 602
+        assert len(result.refutation) == 602
 
 
 # Theses on which the game has disagreed with the tableau, with their

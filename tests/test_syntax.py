@@ -348,6 +348,36 @@ class TestFold:
             assert err.value is raised[-1]
         assert str(raised[0]) == str(raised[1])
 
+    def test_a_passed_memo_is_read_and_filled(self):
+        f = And(Not(Atom("p")), Atom("q"))
+        stepped = []
+
+        def size(g):
+            stepped.append(g)
+            return 1 + sum((yield g.children()))
+
+        memo = {Not(Atom("p")): 10}
+        assert fold(f, size, memo) == 12
+        assert stepped == [f, Atom("q")]
+        assert memo[f] == 12 and memo[Atom("q")] == 1
+        stepped.clear()
+        assert fold(f, size, memo) == 12
+        assert fold(Atom("q"), size, memo) == 1
+        assert stepped == []
+
+    def test_values_are_filed_under_the_key(self):
+        f = Or(Atom("p"), Not(Atom("p")))
+        memo = {}
+
+        def atoms(g):
+            if isinstance(g, Atom):
+                return {g.name}
+            return set().union(*(yield g.children()))
+
+        assert fold(f, atoms, memo, render_formula) == {"p"}
+        assert {"p | ~p", "p", "~p"} <= set(memo)
+        assert memo["~p"] == {"p"} and f not in memo
+
     def test_deep_input_at_the_default_limit(self):
         assert sys.getrecursionlimit() == 1000
         f = Rel(_chain(5000), "ci")
