@@ -193,7 +193,12 @@ def _cmd_oracle(args) -> int:
     env = _load_env(args.env)
     found = find_countermodel(f, env, max_worlds=args.max_worlds)
     if found is None:
-        print(f"no counter-model with up to {args.max_worlds} worlds")
+        # the found case's keys in JSON, a comment in dot, as prove prints
+        if args.format == "json":
+            print(json.dumps({"world": None, "model": None}, indent=2))
+        else:
+            prefix = "// " if args.format == "dot" else ""
+            print(f"{prefix}no counter-model with up to {args.max_worlds} worlds")
         return EXIT_OK
     model, world = found
     if args.format == "dot":

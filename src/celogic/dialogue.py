@@ -321,61 +321,45 @@ def initial_state(thesis: Formula, env: ContextEnv | None = None) -> GameState:
 # World bookkeeping
 
 
-def _cluster(introduced: frozenset[Label], agent: str, world: Label) -> set[Label]:
-    """Worlds reachable from ``world`` through steps of this agent: the
-    agent's equivalence class over the introduced labels."""
-    seen = {world}
-    frontier = [world]
-    while frontier:
-        w = frontier.pop()
-        if w and w[-1][0] == agent and w[:-1] in introduced and w[:-1] not in seen:
-            seen.add(w[:-1])
-            frontier.append(w[:-1])
-        for v in introduced:
-            if len(v) == len(w) + 1 and v[:-1] == w and v[-1][0] == agent:
-                if v not in seen:
-                    seen.add(v)
-                    frontier.append(v)
-    return seen
-
-
-def _fresh_successor(introduced: frozenset[Label], agent: str, world: Label) -> Label:
-    used = {
-        v[-1][1]
-        for v in introduced
-        if len(v) == len(world) + 1 and v[:-1] == world and v[-1][0] == agent
-    }
-    index = 1
-    while index in used:
-        index += 1
-    return world + ((agent, index),)
-
-
 def _world_options(state: GameState, actor: str, agent: str, world: Label):
-    """Worlds available for an agent-indexed choice at ``world``: the
-    introduced cluster, plus one fresh successor when O still may introduce,
-    in the order of their printed names (the order legal_moves lists them)."""
-    options = sorted(_cluster(state.introduced, agent, world))
+    """Worlds available for an agent-indexed choice at ``world``: the agent's
+    cluster, plus one fresh successor when O still may introduce, in the
+    order of their printed names (the order legal_moves lists them).
+
+    The cluster is the introduced labels that extend its root (``world``
+    without its trailing steps of the agent) by steps of the agent only:
+    labels are introduced one successor at a time, so these are the worlds
+    the agent's steps connect. The fresh successor takes the least index
+    that no child of ``world`` in the cluster uses."""
+    root = world
+    while root and root[-1][0] == agent:
+        root = root[:-1]
+    depth = len(root)
+    options = sorted(
+        v
+        for v in state.introduced
+        if v[:depth] == root and all(a == agent for a, _ in v[depth:])
+    )
     if actor == O and state.o_fresh < state.rules.fresh_cap:
-        options.append(_fresh_successor(state.introduced, agent, world))
+        used = {v[-1][1] for v in options if len(v) > len(world) and v[:-1] == world}
+        index = 1
+        while index in used:
+            index += 1
+        options.append(world + ((agent, index),))
     options.sort(key=render_label)
     return options
 
 
-def _granted_atoms(state: GameState, actor: str, world: Label) -> set[str]:
-    """Atoms the actor stands committed to at ``world``: directly asserted
-    atoms plus positive literals of contexts asserted there."""
-    bindings = state.rules.env.bindings
-    granted: set[str] = set()
-    for a, w, f in state.assertion_index:
-        if a != actor or w != world or not isinstance(f, Atom):
-            continue
-        granted.add(f.name)
-        if f.name in bindings:
-            for lit, positive in bindings[f.name].literals:
-                if positive:
-                    granted.add(lit)
-    return granted
+def _granted(state: GameState, world: Label, atom: Atom) -> bool:
+    """Whether O stands committed to the atom at ``world``: O stated it
+    there, or conceded there a context whose body has it as a positive
+    literal."""
+    index = state.assertion_index
+    return (O, world, atom) in index or any(
+        (O, world, Atom(name)) in index
+        for name, body in state.rules.env.bindings.items()
+        if (atom.name, True) in body.literals
+    )
 
 
 def _check_assertable(
@@ -402,7 +386,7 @@ def _check_assertable(
                     "ML-frc",
                     f"context {f.name} not introduced by O at {render_label(world)}",
                 )
-        elif actor == P and f.name not in _granted_atoms(state, O, world):
+        elif actor == P and not _granted(state, world, f):
             return (
                 "PL-3",
                 f"atom {f.name} not stated by O at {render_label(world)}",
@@ -659,19 +643,18 @@ def _step(state: GameState, move: Move) -> GameState:
         attack_index = {**attack_index, (move.actor, target, move.payload): index}
         if move.actor == O:
             rights_used = rights_used | {target}
-        if isinstance(move.payload, RequestPayload):
-            if move.payload.label is not None and move.payload.label not in introduced:
-                introduced = introduced | {move.payload.label}
     else:
         attack = _attack_record_of_move(state, move.target)
         defences = defences | {(attack, move.payload)}
         if attack not in answered:
             answered = answered | {attack}
 
+    # an assertion's world, or the world a ?_K request names
+    label = move.payload.label
+    if label is not None and label not in introduced:
+        introduced = introduced | {label}
     if isinstance(move.payload, AssertPayload):
-        if move.payload.label not in introduced:
-            introduced = introduced | {move.payload.label}
-        assertion = (move.actor, move.payload.label, move.payload.formula)
+        assertion = (move.actor, label, move.payload.formula)
         if assertion not in assertion_index:
             assertion_index = {**assertion_index, assertion: index}
 
@@ -888,39 +871,27 @@ def replay_script(data: dict) -> GameState:
 
 
 def _transcript_rows(moves) -> list[list[str]]:
-    """Rows of (o_num, o_text, o_ref, p_ref, p_text, p_num); a defence sits on
-    the row of the attack it answers, as in two-column play tables."""
+    """Rows of (o_num, o_text, o_ref, p_ref, p_text, p_num), one writer for
+    every move: a defence fills the free side of the row of the attack it
+    answers, as in two-column play tables; any other move opens a row, its
+    ref "" for the thesis, "n" for an attack on move n and "def n" for a
+    defence of attack n."""
     rows: list[list[str]] = []
-    row_of_attack: dict[int, int] = {}
+    row_of_attack: dict[int, list[str]] = {}
     for i, move in enumerate(moves):
-        text = render_payload(move.payload)
-        num = f"({i})"
-        if move.kind == "thesis":
-            rows.append(["", "", "", "", text, num])
-            continue
+        side = slice(0, 3) if move.actor == O else slice(3, 6)
+        row = row_of_attack.get(move.target) if move.kind == "defend" else None
+        ref = ""
+        if row is None or row[side][1]:
+            ref = {"attack": f"{move.target}", "defend": f"def {move.target}"}.get(
+                move.kind, ""
+            )
+            row = ["", "", "", "", "", ""]
+            rows.append(row)
         if move.kind == "attack":
-            row = ["", "", "", "", "", ""]
-            if move.actor == O:
-                row[0], row[1], row[2] = num, text, str(move.target)
-            else:
-                row[3], row[4], row[5] = str(move.target), text, num
-            row_of_attack[i] = len(rows)
-            rows.append(row)
-            continue
-        # defence: fill the opposite side of its attack's row if free
-        r = row_of_attack.get(move.target)
-        if r is not None and (rows[r][1] == "" if move.actor == O else rows[r][4] == ""):
-            if move.actor == O:
-                rows[r][0], rows[r][1] = num, text
-            else:
-                rows[r][4], rows[r][5] = text, num
-        else:
-            row = ["", "", "", "", "", ""]
-            if move.actor == O:
-                row[0], row[1], row[2] = num, text, f"def {move.target}"
-            else:
-                row[3], row[4], row[5] = f"def {move.target}", text, num
-            rows.append(row)
+            row_of_attack[i] = row
+        cells = [f"({i})", render_payload(move.payload), ref]
+        row[side] = cells if move.actor == O else cells[::-1]
     return rows
 
 

@@ -18,10 +18,11 @@ relativization, and a possibility operator costs at most four rewrites, so
 a reduction takes at most ``4 * node_count(f)`` rewrites and needs no
 budget. ``reduce_full`` still takes an explicit ``step_budget``.
 
-The schemata are stated once, in ``_rewrite_redex``. One top-down pass,
-``_reduce``, applies them for every entry point: ``reduce_full`` records the
-canonical step trace, ``reduce_result`` (used by ``prove_cel``) gives only
-the normal form, and ``reduce_once`` stops after one step. No redex is
+The schemata are stated once, in ``_rewrite_redex``, and applied in one
+top-down, leftmost-outermost order by two walks: ``_steps`` yields the
+canonical step trace one step at a time, which ``reduce_full`` collects and
+``reduce_once`` stops after the first of, and ``_reduce`` gives only the
+normal form, for ``reduce_result`` (used by ``prove_cel``). No redex is
 searched for from the root, so a recorded step costs time in the depth of
 the formula, not its size.
 
@@ -38,6 +39,7 @@ are exactly those of a call on a fresh tree. ``reduce_full`` and
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 from .syntax import (
     And,
@@ -50,7 +52,6 @@ from .syntax import (
     Or,
     Poss,
     Rel,
-    UntaggedOperatorError,
     fold,
     render_formula,
     subformulas,
@@ -154,85 +155,87 @@ _REL_FREE = object()
 _NO_NAMES: frozenset[str] = frozenset()
 
 
-def _reduce(
-    f: Formula, step_budget: int | None, trace: list[ReductionStep] | None
-) -> Formula:
-    """The normal form of f, in one leftmost-outermost pass.
+def _reduce(f: Formula) -> Formula:
+    """The normal form of f, in one leftmost-outermost pass on an explicit
+    stack.
 
     A Rel node is rewritten until it is not a Rel, then its children are
     reduced left to right; all that precedes a node in preorder is then
-    Rel-free, so each rewrite is at the leftmost-outermost redex. Steps are
-    appended to ``trace`` if given, and more than ``step_budget`` of them
-    raise ReductionBudgetError; with no budget the pass runs to the normal
-    form, which takes at most ``4 * node_count(f)`` rewrites. Rel-free
-    subtrees are shared, not copied. Both walks run on explicit stacks.
+    Rel-free, so each rewrite is at the leftmost-outermost redex. The pass
+    runs to the normal form, which takes at most ``4 * node_count(f)``
+    rewrites. Rel-free subtrees are shared, not copied.
 
-    Without a trace, each node the walk finishes keeps in its ``_normal``
-    slot the pair of its normal form and its context names: the names its
-    own rewrites report and those its children kept (a child's frozenset is
-    reused when the rest is empty). A Rel-free node, each normal form
-    included, keeps ``_REL_FREE`` instead and so allocates nothing. A kept
-    node answers at once. Both depend on the subtree alone, so the result
-    is that of a walk that kept nothing; a rewrite that raises keeps
-    nothing on its Rel or the Rel's ancestors, so every call raises the
-    same error. Traces are never cached: the walk with a trace records
-    every step, so it neither reads nor keeps forms, and it gives no names.
+    Each node the walk finishes keeps in its ``_normal`` slot the pair of
+    its normal form and its context names: the names its own rewrites
+    report and those its children kept (a child's frozenset is reused when
+    the rest is empty). A Rel-free node, each normal form included, keeps
+    ``_REL_FREE`` instead and so allocates nothing. A kept node answers at
+    once. Both depend on the subtree alone, so the result is that of a walk
+    that kept nothing; a rewrite that raises keeps nothing on its Rel or
+    the Rel's ancestors, so every call raises the same error.
     """
-    if trace is None:
-        stack: list = [f]  # nodes to reduce, and (g, h, names, kids) to finish
-        while stack:
-            g = stack.pop()
-            if type(g) is tuple:  # each child of h keeps its pair now
-                g, h, names, children = g
-                kids = []
-                for child in children:
-                    kept = child._normal
-                    normal, more = (child, _NO_NAMES) if kept is _REL_FREE else kept
-                    kids.append(normal)
-                    if more and more is not names:
-                        names = names | more if names else more
-                out = h.rebuild(*kids)
-                if out is not g:
-                    object.__setattr__(g, "_normal", (out, names))
-                object.__setattr__(out, "_normal", _REL_FREE)
-            elif getattr(g, "_normal", None) is None:
-                h, names = g, _NO_NAMES
-                while isinstance(h, Rel):
-                    h, _, needs = _rewrite_redex(h.body, h.context)
-                    names = names.union(needs)
-                kids = h.children()
-                stack.append((g, h, names, kids))
-                stack.extend(reversed(kids))
-        kept = f._normal
-        return f if kept is _REL_FREE else kept[0]
+    stack: list = [f]  # nodes to reduce, and (g, h, names, kids) to finish
+    while stack:
+        g = stack.pop()
+        if type(g) is tuple:  # each child of h keeps its pair now
+            g, h, names, children = g
+            kids = []
+            for child in children:
+                kept = child._normal
+                normal, more = (child, _NO_NAMES) if kept is _REL_FREE else kept
+                kids.append(normal)
+                if more and more is not names:
+                    names = names | more if names else more
+            out = h.rebuild(*kids)
+            if out is not g:
+                object.__setattr__(g, "_normal", (out, names))
+            object.__setattr__(out, "_normal", _REL_FREE)
+        elif getattr(g, "_normal", None) is None:
+            h, names = g, _NO_NAMES
+            while isinstance(h, Rel):
+                h, _, needs = _rewrite_redex(h.body, h.context)
+                names = names.union(needs)
+            kids = h.children()
+            stack.append((g, h, names, kids))
+            stack.extend(reversed(kids))
+    kept = f._normal
+    return f if kept is _REL_FREE else kept[0]
 
-    stack = [(f, ())]  # each node with its path from the root
+
+def _steps(f: Formula) -> Iterator[ReductionStep]:
+    """The steps of f's reduction, one at a time, in the order ``_reduce``
+    rewrites: each step's ``after`` is the next one's ``before``. Each node
+    goes on the stack with its path from the root. Steps are never cached,
+    so the walk neither reads nor keeps normal forms, and gives no names."""
+    before = f
+    stack = [(f, ())]
     while stack:
         g, at = stack.pop()
         while isinstance(g, Rel):
             g, axiom, _ = _rewrite_redex(g.body, g.context)
-            if len(trace) == step_budget:
-                raise ReductionBudgetError(f"no fixpoint within {step_budget} steps")
-            before = trace[-1].after if trace else f
-            trace.append(ReductionStep(before, axiom, at, _replace(before, at, g)))
+            after = _replace(before, at, g)
+            yield ReductionStep(before, axiom, at, after)
+            before = after
         kids = g.children()
         for i in range(len(kids) - 1, -1, -1):
             stack.append((kids[i], (*at, i)))
-    return trace[-1].after if trace else f
 
 
 def reduce_full(f: Formula, step_budget: int | None = None) -> ReductionTrace:
     """The relativization-free normal form of f, with its step trace; more
     than ``step_budget`` steps, if given, raise ReductionBudgetError."""
     steps: list[ReductionStep] = []
-    result = _reduce(f, step_budget, steps)
-    return ReductionTrace(tuple(steps), result)
+    for step in _steps(f):
+        if len(steps) == step_budget:
+            raise ReductionBudgetError(f"no fixpoint within {step_budget} steps")
+        steps.append(step)
+    return ReductionTrace(tuple(steps), steps[-1].after if steps else f)
 
 
 def reduce_result(f: Formula) -> Formula:
     """The normal form ``reduce_full(f).result``, without the trace; it
     raises the same errors."""
-    return _reduce(f, None, None)
+    return _reduce(f)
 
 
 def is_relativization_free(f: Formula) -> bool:
@@ -246,13 +249,8 @@ def is_relativization_free(f: Formula) -> bool:
 
 def reduce_once(f: Formula) -> tuple[Formula, str, tuple[int, ...]] | None:
     """Rewrite the leftmost-outermost relativization; None if f has none."""
-    steps: list[ReductionStep] = []
-    try:
-        _reduce(f, 1, steps)
-    except (ReductionBudgetError, UntaggedOperatorError):
-        if not steps:  # an error at the second redex is the next step's
-            raise
-    return (steps[0].after, steps[0].axiom, steps[0].path) if steps else None
+    step = next(_steps(f), None)
+    return None if step is None else (step.after, step.axiom, step.path)
 
 
 def reduction_measure(f: Formula) -> int:

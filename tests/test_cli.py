@@ -315,6 +315,14 @@ class TestOracle:
         assert code == 0
         assert "no counter-model" in out
 
+    def test_no_countermodel_follows_the_format(self, capsys):
+        code, out, _ = run(capsys, "--format", "json", "oracle", "a -> a")
+        assert code == 0
+        assert json.loads(out) == {"world": None, "model": None}
+        code, out, _ = run(capsys, "--format", "dot", "oracle", "a -> a")
+        assert code == 0
+        assert out == "// no counter-model with up to 3 worlds\n"
+
     def test_model_space_over_the_ceiling_exits_three(self, capsys):
         code, out, err = run(
             capsys, "oracle", "K{i,1.1} p & K{j,1.1} q & r -> s", "--max-worlds", "5"

@@ -15,7 +15,6 @@ from celogic.dialogue import (
     _Search,
     _assertion_of_move,
     _attack_record_of_move,
-    _check_assertable,
     apply_move,
     game_form,
     has_winning_strategy,
@@ -429,6 +428,19 @@ def test_game_agrees_with_the_tableau(thesis, bindings):
         assert result.refutation == initial_state(f, env).moves
 
 
+# P may state an atom that O granted by conceding a context whose body has it
+# as a positive literal; without that grant O wins the first thesis.
+_GRANT_ROWS = ["(p)^ci", "(K{i,1.1} p)^ci -> (p)^ci"]
+
+
+@pytest.mark.parametrize("thesis", _GRANT_ROWS)
+def test_p_uses_the_literals_of_a_conceded_context(thesis):
+    f = parse_formula(thesis)
+    env = ContextEnv.from_json({"ci": "p"})
+    assert has_winning_strategy(f, env).verdict is True
+    assert prove_cel(f, env).is_valid
+
+
 def _follow_strategy(thesis, tree, rng):
     """Play the strategy against a random O policy; P must leave O stuck."""
     state = initial_state(thesis)
@@ -601,26 +613,53 @@ class TestTranscript:
         assert "(20)" in row
 
 
+# sha256 over render_transcript of every recorded play, then of the
+# refutation of each of _game_theses() that O wins, byte for byte.
+TRANSCRIPT_SHA256 = "96385a80e43766c222104ee7655ba14b066aec8c72620e28b5a3b84089565c73"
+
+
+def test_transcripts_are_pinned():
+    digest = hashlib.sha256()
+    for path in PLAY_FILES:
+        text = render_transcript(replay_script(load_play(path)))
+        digest.update(text.encode() + b"\0")
+    for thesis in _game_theses():
+        refutation = has_winning_strategy(thesis).refutation
+        if refutation is not None:
+            text = render_transcript(refutation, winner="O")
+            digest.update(text.encode() + b"\0")
+    assert digest.hexdigest() == TRANSCRIPT_SHA256
+
+
 # ---------------------------------------------------------------------------
 # legal_moves against an uncached reference: the particle rules worked out
-# afresh at every position, every candidate filtered by the reference's own
-# repetition and restatement rules and by the formality rules, and the moves
-# sorted by their printed payloads.
+# afresh at every position, the worlds found by search, every candidate
+# filtered by the reference's own repetition, restatement and formality
+# rules, and the moves sorted by their printed payloads.
+
+
+def _reference_cluster(introduced, agent, world):
+    """The agent's cluster by search: the worlds reachable from ``world``
+    through steps of this agent over the introduced labels."""
+    seen = {world}
+    frontier = [world]
+    while frontier:
+        w = frontier.pop()
+        if w and w[-1][0] == agent and w[:-1] in introduced and w[:-1] not in seen:
+            seen.add(w[:-1])
+            frontier.append(w[:-1])
+        for v in introduced:
+            if len(v) == len(w) + 1 and v[:-1] == w and v[-1][0] == agent:
+                if v not in seen:
+                    seen.add(v)
+                    frontier.append(v)
+    return seen
 
 
 def _reference_world_options(state, actor, agent, world):
-    """The agent's cluster in closed form: the introduced labels that extend
-    the cluster's root (the world without the agent's trailing steps) by
-    steps of that agent only; then O's fresh successor, which takes the
-    least index no introduced child of the world uses for that agent."""
-    root = world
-    while root and root[-1][0] == agent:
-        root = root[:-1]
-    options = sorted(
-        v
-        for v in state.introduced
-        if v[: len(root)] == root and all(a == agent for a, _ in v[len(root) :])
-    )
+    """The agent's cluster, then O's fresh successor, which takes the least
+    index no introduced child of the world uses for that agent."""
+    options = sorted(_reference_cluster(state.introduced, agent, world))
     if actor == "O" and state.o_fresh < state.rules.fresh_cap:
         used = {
             v[-1][1]
@@ -745,12 +784,33 @@ def _reference_restates(state, actor, payload):
     )
 
 
+def _reference_granted_atoms(state, world):
+    """Atoms O stands committed to at ``world``: the atoms O stated there,
+    plus the positive literals of the contexts O stated there."""
+    bindings = state.rules.env.bindings
+    granted = set()
+    for actor, w, f in state.assertions:
+        if actor == "O" and w == world and isinstance(f, Atom):
+            granted.add(f.name)
+            if f.name in bindings:
+                granted |= {a for a, positive in bindings[f.name].literals if positive}
+    return granted
+
+
 def _reference_allowed(state, actor, payload):
+    """P may not restate a complex formula, may state a context name only
+    where O has stated it (ML-frc), and an atom only where O has granted it
+    (PL-3)."""
     if _reference_restates(state, actor, payload):
         return False
-    if isinstance(payload, AssertPayload):
-        return not _check_assertable(state, actor, payload.label, payload.formula)
-    return True
+    if actor == "O" or not isinstance(payload, AssertPayload):
+        return True
+    f = payload.formula
+    if not isinstance(f, Atom):
+        return True
+    if f.name in state.rules.env.bindings:
+        return ("O", payload.label, f) in state.assertions
+    return f.name in _reference_granted_atoms(state, payload.label)
 
 
 def reference_legal_moves(state):
