@@ -290,8 +290,9 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
     except RecursionError:
-        # the parser's parentheses or the JSON encoder ran out of stack: a
-        # resource limit, not exit 1 ("invalid")
+        # the parser (once per parenthesis level), the proof-log renderer
+        # (once per tableau branch point) or the JSON encoder (once per
+        # level) ran out of stack: a resource limit, not exit 1 ("invalid")
         print("error: formula nested too deeply", file=sys.stderr)
         return EXIT_BUDGET
     except (FormulaSyntaxError, UntaggedOperatorError, CliError, ValueError) as exc:

@@ -12,6 +12,8 @@ a propositional or context rule, its cases. The band follows from the
 cases: one case (or none, which closes the branch) is alpha, several are
 beta. Scheduling is deterministic: oldest item first within a band, and
 alpha before beta before the modal bands (universal, then witness).
+Branches are explored depth first on an explicit stack, so the number of
+splits in a row is bounded by memory, not by the recursion limit.
 
 The search records its proof log as raw data: each step as (sign, label,
 formula, rule), each closure as (label, formula), each branch point as its
@@ -178,10 +180,9 @@ class _Branch:
         self.queue: list[tuple] = []
         self.seq = 0
         self.nlabels = 1
-        self.ncid = 0
         self.cluster: dict[tuple[str, int], int] = {}
-        self.members: dict[int, list[int]] = {}
-        self.universals: dict[int, list[tuple[bool, Formula]]] = {}
+        # indexed by cluster id: (agent, labels, signed universals)
+        self.clusters: list[tuple[str, list[int], list[tuple[bool, Formula]]]] = []
         self.witnesses: set[tuple[int, bool, Formula]] = set()
 
     def copy(self) -> "_Branch":
@@ -191,107 +192,98 @@ class _Branch:
         b.queue = list(self.queue)
         b.seq = self.seq
         b.nlabels = self.nlabels
-        b.ncid = self.ncid
         b.cluster = dict(self.cluster)
-        b.members = {k: list(v) for k, v in self.members.items()}
-        b.universals = {k: list(v) for k, v in self.universals.items()}
+        b.clusters = [(a, list(ls), list(us)) for a, ls, us in self.clusters]
         b.witnesses = set(self.witnesses)
         return b
 
-    def add(self, label: int, sign: bool, f: Formula):
-        """Record a signed fact; returns the closing fact key on contradiction,
-        None otherwise."""
-        key = (label, f)
-        prior = self.facts.get(key)
-        if prior is not None:
-            return key if prior != sign else None
-        self.facts[key] = sign
-        rule = _rule(self.ctx, sign, f)
-        if rule is not None:
-            heapq.heappush(self.queue, (rule[0], self.seq, label, sign, f, rule))
-            self.seq += 1
+    def add(self, facts):
+        """Record signed facts (label, sign, formula) in order; returns the
+        first closing fact key on contradiction, None otherwise."""
+        for label, sign, f in facts:
+            key = (label, f)
+            prior = self.facts.get(key)
+            if prior is not None:
+                if prior != sign:
+                    return key
+                continue
+            self.facts[key] = sign
+            rule = _rule(self.ctx, sign, f)
+            if rule is not None:
+                heapq.heappush(self.queue, (rule[0], self.seq, label, sign, f, rule))
+                self.seq += 1
         return None
 
-    def cluster_of(self, agent: str, label: int) -> int:
-        cid = self.cluster.get((agent, label))
-        if cid is None:
-            cid = self.ncid
-            self.ncid += 1
-            self.cluster[(agent, label)] = cid
-            self.members[cid] = [label]
-            self.universals[cid] = []
-        return cid
 
-    def new_label(self, agent: str, cid: int) -> int:
-        label = self.nlabels
-        self.nlabels += 1
-        self.cluster[(agent, label)] = cid
-        self.members[cid].append(label)
-        return label
-
-
-def _explore(branch: _Branch):
-    """Expand to saturation; ('closed', raw log node) or ('open', branch)."""
-    steps: list[tuple[bool, int, Formula, str]] = []
-    while branch.queue:
-        _, _, label, sign, f, (band, name, cases) = heapq.heappop(branch.queue)
-        if cases is None:
-            agent, body = f.agent, f.body
-            cid = branch.cluster_of(agent, label)
-            if band == _UNIVERSAL:
-                name = f"{agent}-cluster universal"
-                branch.universals[cid].append((sign, body))
-                additions = [(m, sign, body) for m in branch.members[cid]]
+def _explore(branch: _Branch, facts):
+    """Expand depth first from ``facts``: the first open saturated branch,
+    or the raw log node of the closed tableau. Each stack entry is a branch,
+    the log list its node joins and the signed facts it opens with. A split
+    pushes its cases last-first: the first goes on with the branch itself,
+    each later one with a copy made at the split."""
+    root: list = []
+    stack = [(branch, root, facts)]
+    while stack:
+        branch, log, facts = stack.pop()
+        closed, steps = branch.add(facts), []
+        while closed is None:
+            if not branch.queue:
+                return branch
+            _, _, label, sign, f, (band, name, cases) = heapq.heappop(branch.queue)
+            if cases is None:
+                agent, body = f.agent, f.body
+                cid = branch.cluster.setdefault((agent, label), len(branch.clusters))
+                if cid == len(branch.clusters):
+                    branch.clusters.append((agent, [label], []))
+                _, labels, universals = branch.clusters[cid]
+                if band == _UNIVERSAL:
+                    name = f"{agent}-cluster universal"
+                    universals.append((sign, body))
+                    additions = [(m, sign, body) for m in labels]
+                else:
+                    wkey = (cid, sign, body)
+                    if wkey in branch.witnesses:
+                        continue
+                    branch.witnesses.add(wkey)
+                    name = f"{agent}-cluster witness"
+                    new = branch.nlabels
+                    branch.nlabels += 1
+                    branch.cluster[(agent, new)] = cid
+                    labels.append(new)
+                    additions = [(new, usign, uf) for usign, uf in universals]
+                    additions.append((new, sign, body))
+            steps.append((sign, label, f, name))
+            if cases is None:
+                closed = branch.add(additions)
+            elif len(cases) == 1:
+                closed = branch.add([(label, sg, g) for sg, g in cases[0]])
+            elif not cases:
+                closed = (label, f)
             else:
-                wkey = (cid, sign, body)
-                if wkey in branch.witnesses:
-                    continue
-                branch.witnesses.add(wkey)
-                name = f"{agent}-cluster witness"
-                new = branch.new_label(agent, cid)
-                additions = [(new, usign, uf) for usign, uf in branch.universals[cid]]
-                additions.append((new, sign, body))
-        steps.append((sign, label, f, name))
-        if cases is not None:
-            if not cases:
-                return "closed", (steps, (label, f))
-            if len(cases) > 1:
-                logs = []
-                for case in cases:
-                    child = branch.copy()
-                    for sg, g in case:
-                        closed = child.add(label, sg, g)
-                        if closed is not None:
-                            logs.append(([], closed))
-                            break
-                    else:
-                        status, payload = _explore(child)
-                        if status == "open":
-                            return "open", payload
-                        logs.append(payload)
-                return "closed", (steps, (sign, label, f), logs)
-            additions = [(label, sg, g) for sg, g in cases[0]]
-        for lab, sg, g in additions:
-            closed = branch.add(lab, sg, g)
-            if closed is not None:
-                return "closed", (steps, closed)
-    return "open", branch
+                split: list = []
+                log.append((steps, (sign, label, f), split))
+                for i in range(len(cases) - 1, -1, -1):
+                    case = [(label, sg, g) for sg, g in cases[i]]
+                    stack.append((branch.copy() if i else branch, split, case))
+                break
+        else:  # the branch closed; a split breaks out above
+            log.append((steps, closed))
+    return root[0]
 
 
 def _extract_model(branch: _Branch, agents) -> KripkeModel:
     worlds = tuple(f"w{i + 1}" for i in range(branch.nlabels))
     relations = {}
     for agent in sorted(agents):
-        by_cid: dict[int, list[str]] = {}
-        loose = []
-        for i in range(branch.nlabels):
-            cid = branch.cluster.get((agent, i))
-            if cid is None:
-                loose.append(worlds[i])
-            else:
-                by_cid.setdefault(cid, []).append(worlds[i])
-        classes = [frozenset(v) for _, v in sorted(by_cid.items())]
-        classes += [frozenset([w]) for w in loose]
+        classes = [
+            frozenset(worlds[m] for m in labels)
+            for a, labels, _ in branch.clusters
+            if a == agent
+        ]
+        classes += [
+            frozenset([w]) for i, w in enumerate(worlds)
+            if (agent, i) not in branch.cluster
+        ]
         relations[agent] = classes
     valuation: dict[str, set[str]] = {}
     for (label, f), sign in branch.facts.items():
@@ -314,12 +306,10 @@ def prove_el(
             "prove_el needs a relativization-free formula; reduce it first"
         )
     ctx = dict(context_bodies or {})
-    branch = _Branch(ctx)
-    branch.add(0, False, f)
-    status, payload = _explore(branch)
-    if status == "closed":
-        return Valid(goal=f, tableau=payload)
-    model = _extract_model(payload, formula_info(f).agents)
+    result = _explore(_Branch(ctx), [(0, False, f)])
+    if not isinstance(result, _Branch):
+        return Valid(goal=f, tableau=result)
+    model = _extract_model(result, formula_info(f).agents)
     world = "w1"
     env = ContextEnv(ctx)
     if satisfies(model, world, env, f):

@@ -23,7 +23,9 @@ written over. ``f.children()`` is the tuple of f's immediate subformulas,
 left to right (``()`` for an atom). ``f.rebuild(*kids)`` is the node of f's
 kind, with f's agent, variant or context, over the given kids. Bottom-up
 walks run on ``fold``'s explicit stack, which also drives the game search
-over positions; only the parser recurses, into parentheses.
+over positions, and the tableau runs on its own. What still recurses: the
+parser, into parentheses; ``prove._log_json``, once per branch point of the
+proof log it renders; and the standard JSON encoder, once per level.
 
 Formula nodes are hash-consed: building a node gives back the live node of
 the same kind with the same fields, if there is one. So equal formulas are

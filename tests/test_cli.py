@@ -210,6 +210,13 @@ class TestDeepInput:
         code, _, err = run(capsys, "prove", f"{side} -> {side}")
         assert (code, err) == (0, "")
 
+    def test_prove_decides_a_chain_of_1199_splits(self, capsys):
+        # at the default recursion limit: the tableau runs on an explicit stack
+        links = [f"(p{i} -> p{i + 1})" for i in range(1, 1200)]
+        chain = " & ".join(["p1", *links]) + " -> p1200"
+        code, out, err = run(capsys, "prove", chain)
+        assert (code, out, err) == (0, "valid\n", "")
+
     def test_parse_reads_250_parentheses(self, capsys):
         # the parser takes three frames per parenthesis level
         code, _, err = run(capsys, "parse", "(" * 250 + "p" + ")" * 250)
@@ -225,8 +232,9 @@ class TestDeepInput:
         ids=["dialogue-negations", "dialogue-knowledge", "oracle-negations"],
     )
     def test_a_deep_relativized_body_is_decided(self, capsys, command, body):
-        # the game search recurses once per ply, so dialogue stays shallower
-        # than the explicit-stack walks behind the other commands
+        # the game search runs on an explicit stack, but its time grows faster
+        # than the play's length, so dialogue is checked at 450 levels here;
+        # _DEEP_VERDICTS holds the oracle to 5,000
         code, _, err = run(capsys, command, f"({body})^ci -> q")
         assert (code, err) == (1, "")
 

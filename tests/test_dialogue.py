@@ -401,9 +401,15 @@ class TestLongPlays:
 # context bindings. Defect A: P won every atomic thesis, since O has no move
 # against an atom. Defect B: O wins each classical tautology below on tempo,
 # with a delayed defence that leaves P without an answer; a strict xfail
-# fails as soon as the game agrees.
+# fails as soon as the game agrees. Defect C: under a binding the game grants
+# O only a conceded context's positive literals, and lets P assert a context
+# name only after O has, so O wins theses that hold through a negative
+# literal, a false body or a true body.
 _DEFECT_B = pytest.mark.xfail(
     strict=True, reason="defect B: O wins some tautologies on tempo"
+)
+_DEFECT_C = pytest.mark.xfail(
+    strict=True, reason="defect C: the game reads a bound context apart"
 )
 _DISAGREEMENT_ROWS = [
     ("p", {}),
@@ -414,6 +420,11 @@ _DISAGREEMENT_ROWS = [
     pytest.param("((p -> q) -> p) -> p", {}, marks=_DEFECT_B),
     pytest.param("((q)^ci <-> ~q) -> (K{j,1.1} q)^ci", {}, marks=_DEFECT_B),
     pytest.param("(~p -> p) -> (q <-> q) -> P{j,2.1} p", {}, marks=_DEFECT_B),
+    pytest.param("(p)^ci", {"ci": "false"}, marks=_DEFECT_C),
+    pytest.param("(~p)^ci", {"ci": "~p"}, marks=_DEFECT_C),
+    pytest.param("(~q)^ci", {"ci": "p & ~q"}, marks=_DEFECT_C),
+    pytest.param("(p)^ci <-> p", {"ci": "true"}, marks=_DEFECT_C),
+    pytest.param("q -> ci", {"ci": "true"}, marks=_DEFECT_C),
 ]
 
 

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import sys
 
 import pytest
 
@@ -207,3 +208,32 @@ class TestLazyProofLog:
         assert rendered > 0
         assert v.proof is proof
         assert len(calls) == rendered
+
+
+def _implication_chain(n: int) -> str:
+    """p1 & (p1 -> p2) & ... & (p{n-1} -> pn) -> pn, the conjunction grouped
+    to the left: as deep as one implication, n - 1 splits long."""
+    links = [f"(p{i} -> p{i + 1})" for i in range(1, n)]
+    return " & ".join(["p1", *links]) + f" -> p{n}"
+
+
+class TestLongBranches:
+    @pytest.fixture(autouse=True)
+    def default_limit(self, monkeypatch):
+        # the tableau runs on an explicit stack
+        def refuse(limit):
+            raise AssertionError(f"the recursion limit was set to {limit}")
+
+        assert sys.getrecursionlimit() == 1000
+        monkeypatch.setattr(sys, "setrecursionlimit", refuse)
+
+    def test_1199_splits_in_a_row_close(self):
+        v = prove_cel(parse_formula(_implication_chain(1200)))
+        assert isinstance(v, Valid)
+        # each link splits, last link first; its second case closes at once
+        node, splits = v.tableau, 0
+        while len(node) == 3:
+            node, second = node[2]
+            assert second == ([], (0, parse_formula(f"p{1200 - splits}")))
+            splits += 1
+        assert splits == 1199
