@@ -35,15 +35,19 @@ formula, each way of attacking it with the defences that answer that
 attack. A game works out an assertion's table once; only the worlds a Know
 attack may name and a Poss defence may use come from the position.
 
-Each structural rule is stated once (``_attack_problem``,
-``_defence_problem`` and ``_check_assertable``): ``legal_moves`` lists the
+Each structural rule is stated once: the repetition rule in ``_problem``,
+what a player may assert in ``_check_assertable``. ``legal_moves`` lists the
 particle rules' candidates that pass them, making only the checks that can
 fail, and ``validate_move`` raises what they find, naming the broken rule.
 So the two agree: ``validate_move`` accepts exactly the moves that
 ``legal_moves`` lists.
 
-Winning strategies are decided by AND-OR search over positions (sets of
-assertions, attack records and defence records), memoized on the position.
+A position is the set of move records: each move after the thesis is one
+record (actor, the assertion it attacks or the attack record it answers,
+payload). Every assertion but the thesis is a record's payload, and every
+record is new, so the records fix the assertions, the attacks, the
+defences and whose turn it is. Winning strategies are decided by AND-OR
+search over positions, memoized on the records, which each state keeps.
 The search is a ``fold`` over positions, on the driver of the formula walks,
 and the strategy and the refutation read off its memo are loops too: no
 length of play is bounded by the recursion limit. The search steps through
@@ -109,28 +113,35 @@ def parse_label(text: str, agents: Iterable[str]) -> Label:
     """Parse a world name like ``1i1j2`` against the known agent names.
 
     Each step takes the longest agent name after which the rest still reads,
-    so with agents ``i`` and ``i1`` the name ``1i1`` is one step of ``i``."""
+    so with agents ``i`` and ``i1`` the name ``1i1`` is one step of ``i``.
+    One right-to-left pass finds, for each offset, whether the rest from
+    there reads and by which step, so the time is linear in the name's
+    length and nothing recurses."""
     if not text.startswith("1"):
         raise ValueError(f"world name must start with 1: {text!r}")
     names = sorted(agents, key=len, reverse=True)
-
-    def read(rest: str) -> Label | None:
-        if not rest:
-            return ()
-        for name in filter(rest.startswith, names):
-            end = len(name)
-            while end < len(rest) and rest[end].isdigit():
-                end += 1
-            if end > len(name):
-                later = read(rest[end:])
-                if later is not None:
-                    return ((name, int(rest[len(name):end])),) + later
-        return None
-
-    label = read(text[1:])
-    if label is None:
+    n = len(text)
+    digits_end = [n] * (n + 1)  # where the run of digits at each offset ends
+    # for each offset whose rest reads, the step read there: the agent and
+    # where its index starts and ends (the next step's offset); None at the end
+    steps: dict[int, tuple[str, int, int] | None] = {n: None}
+    for k in range(n - 1, 0, -1):
+        digits_end[k] = digits_end[k + 1] if text[k].isdigit() else k
+        for name in names:
+            start = k + len(name)
+            end = digits_end[start] if text.startswith(name, k) else start
+            if end > start and end in steps:
+                steps[k] = (name, start, end)
+                break
+    if 1 not in steps:
         raise ValueError(f"cannot read world name {text!r}")
-    return label
+    label = []
+    step = steps[1]
+    while step is not None:
+        name, start, end = step
+        label.append((name, int(text[start:end])))
+        step = steps[end]
+    return tuple(label)
 
 
 # ---------------------------------------------------------------------------
@@ -256,41 +267,38 @@ class GameRules:
 
 
 Assertion = tuple[str, Label, Formula]  # actor, world, formula
-AttackRecord = tuple[str, Assertion, Payload]  # attacker, target assertion, payload
-DefenceRecord = tuple[AttackRecord, AssertPayload]
+# A move after the thesis: its actor, the assertion it attacks or the attack
+# record it answers, and its payload. An attack record is a Record on an
+# Assertion, a defence record one on an attack record.
+Record = tuple[str, "Assertion | Record", Payload]
 
 
 @dataclass(frozen=True)
 class GameState:
     rules: GameRules
     moves: tuple[Move, ...]
-    defences: frozenset[DefenceRecord]
+    # The position: the record of every move after the thesis. Every
+    # assertion but the thesis is a record's payload, and the repetition
+    # rule makes every record new, so whose turn it is follows from their
+    # number.
+    records: frozenset[Record]
     introduced: frozenset[Label]
     turn: str
     # Ledgers kept move by move, so that legality never re-scans the
     # history. They follow from ``moves``: each assertion and each attack
-    # record with the index of its first move, the assertions O has
-    # attacked, and the attack records that have been answered.
+    # record with the index of its first move, and the assertions and
+    # attack records that O has acted on.
     assertion_index: dict[Assertion, int] = field(compare=False, repr=False)
-    attack_index: dict[AttackRecord, int] = field(compare=False, repr=False)
-    rights_used: frozenset[Assertion] = field(compare=False, repr=False)
-    answered: frozenset[AttackRecord] = field(compare=False, repr=False)
-
-    @property
-    def assertions(self) -> frozenset[Assertion]:
-        return frozenset(self.assertion_index)
-
-    @property
-    def attacks(self) -> frozenset[AttackRecord]:
-        return frozenset(self.attack_index)
+    attack_index: dict[Record, int] = field(compare=False, repr=False)
+    o_spent: frozenset[Assertion | Record] = field(compare=False, repr=False)
 
     @property
     def o_fresh(self) -> int:
         """Worlds O has introduced; only O introduces worlds."""
         return len(self.introduced) - 1
 
-    def position_key(self):
-        return (self.assertions, self.attacks, self.defences, self.turn)
+    def position_key(self) -> frozenset[Record]:
+        return self.records
 
     @property
     def thesis(self) -> Formula:
@@ -307,13 +315,12 @@ def initial_state(thesis: Formula, env: ContextEnv | None = None) -> GameState:
     return GameState(
         rules=rules,
         moves=(move,),
-        defences=frozenset(),
+        records=frozenset(),
         introduced=frozenset({ROOT}),
         turn=O,
         assertion_index={(P, ROOT, normalized): 0},
         attack_index={},
-        rights_used=frozenset(),
-        answered=frozenset(),
+        o_spent=frozenset(),
     )
 
 
@@ -474,7 +481,7 @@ def _attack_payloads(state: GameState, actor: str, target: Assertion):
     return _particle_rule(state.rules, target).keys()
 
 
-def _defence_payloads(state: GameState, actor: str, attack: AttackRecord):
+def _defence_payloads(state: GameState, actor: str, attack: Record):
     """Payload candidates for defending against the attack, in the order
     legal_moves lists them."""
     _, target, payload = attack
@@ -493,37 +500,34 @@ def _defence_payloads(state: GameState, actor: str, attack: AttackRecord):
 # Legality and application
 
 
-def _attack_problem(
-    state: GameState, actor: str, target: Assertion, payload: Payload | None
+# What the repetition rule says of a spent move, by kind: when its record is
+# in the position, and when O has already acted on its target.
+_SPENT = {
+    "attack": ("this attack was already made",) * 2,
+    "defend": ("this defence was already given", "O has already answered this attack"),
+}
+
+
+def _problem(
+    state: GameState,
+    actor: str,
+    kind: str,
+    target: Assertion | Record,
+    payload: Payload | None,
 ) -> tuple[str, str] | None:
-    """None if the actor may attack the target with this payload (one of
-    the target's particle-rule candidates); else (rule, reason). O attacks
-    a given assertion at most once, whatever the payload; P once per
-    distinct payload. A payload of None asks only what holds for every
-    payload."""
-    if actor == O:
-        spent = target in state.rights_used
-    else:
-        spent = (P, target, payload) in state.attack_index
-    if spent:
-        return ("PL-2", "this attack was already made")
+    """None if the actor may make a move of this kind on the target (the
+    assertion it attacks or the attack record it answers) with this payload,
+    one of the target's particle-rule candidates; else (rule, reason).
+
+    A move is spent when its record is in the position. O also acts on a
+    given target at most once, whatever the payload; P may return to it
+    with a new payload. A payload of None, which no record has, asks only
+    what holds for every payload."""
+    if payload is not None and (actor, target, payload) in state.records:
+        return ("PL-2", _SPENT[kind][0])
+    if actor == O and target in state.o_spent:
+        return ("PL-2", _SPENT[kind][1])
     if isinstance(payload, AssertPayload):
-        return _check_assertable(state, actor, payload.label, payload.formula)
-    return None
-
-
-def _defence_problem(
-    state: GameState, actor: str, attack: AttackRecord, payload: AssertPayload | None
-) -> tuple[str, str] | None:
-    """None if the actor may answer the attack with this payload (one of the
-    attack's particle-rule candidates); else (rule, reason). O answers a
-    given attack at most once; P may return to it with a new payload. A
-    payload of None asks only what holds for every payload."""
-    if (attack, payload) in state.defences:
-        return ("PL-2", "this defence was already given")
-    if actor == O and attack in state.answered:
-        return ("PL-2", "O has already answered this attack")
-    if payload is not None:
         return _check_assertable(state, actor, payload.label, payload.formula)
     return None
 
@@ -535,16 +539,12 @@ def _assertion_of_move(state: GameState, index: int) -> Assertion | None:
     return None
 
 
-def _attack_record_of_move(state: GameState, index: int) -> AttackRecord | None:
+def _attack_record_of_move(state: GameState, index: int) -> Record | None:
     move = state.moves[index]
     if move.kind != "attack":
         return None
     target = _assertion_of_move(state, move.target)
     return (move.actor, target, move.payload)
-
-
-def _opponent(actor: str) -> str:
-    return O if actor == P else P
 
 
 def validate_move(state: GameState, move: Move) -> None:
@@ -593,17 +593,12 @@ def validate_move(state: GameState, move: Move) -> None:
                 "particle mismatch",
                 f"{self_describing} does not attack {render_formula(target[2])}",
             )
-        problem = _attack_problem(state, move.actor, target, move.payload)
     else:
-        attack = _attack_record_of_move(state, move.target)
+        target = attack = _attack_record_of_move(state, move.target)
         if attack is None:
             raise IllegalMoveError("PL-0", "defences answer attacks")
-        if attack[0] != _opponent(move.actor):
+        if attack[0] == move.actor:
             raise IllegalMoveError("PL-0", "cannot defend against one's own attack")
-        if attack[1][0] != move.actor:
-            raise IllegalMoveError(
-                "PL-0", "that attack is not directed at this player"
-            )
         candidates = _defence_payloads(state, move.actor, attack)
         if not candidates:
             raise IllegalMoveError(
@@ -616,7 +611,7 @@ def validate_move(state: GameState, move: Move) -> None:
                 f"{render_payload(move.payload)} does not answer "
                 f"{render_payload(attack[2])} on {render_formula(attack[1][2])}",
             )
-        problem = _defence_problem(state, move.actor, attack, move.payload)
+    problem = _problem(state, move.actor, move.kind, target, move.payload)
     if problem:
         raise IllegalMoveError(*problem)
 
@@ -630,24 +625,18 @@ def apply_move(state: GameState, move: Move) -> GameState:
 def _step(state: GameState, move: Move) -> GameState:
     """Append a move that validate_move accepts, updating the ledgers."""
     index = len(state.moves)
-    defences = state.defences
     introduced = state.introduced
     assertion_index = state.assertion_index
     attack_index = state.attack_index
-    rights_used = state.rights_used
-    answered = state.answered
+    o_spent = state.o_spent
 
+    of_move = _assertion_of_move if move.kind == "attack" else _attack_record_of_move
+    target = of_move(state, move.target)
+    record = (move.actor, target, move.payload)
     if move.kind == "attack":
-        target = _assertion_of_move(state, move.target)
-        # the repetition rule makes every attack record new
-        attack_index = {**attack_index, (move.actor, target, move.payload): index}
-        if move.actor == O:
-            rights_used = rights_used | {target}
-    else:
-        attack = _attack_record_of_move(state, move.target)
-        defences = defences | {(attack, move.payload)}
-        if attack not in answered:
-            answered = answered | {attack}
+        attack_index = {**attack_index, record: index}
+    if move.actor == O:
+        o_spent = o_spent | {target}
 
     # an assertion's world, or the world a ?_K request names
     label = move.payload.label
@@ -661,13 +650,12 @@ def _step(state: GameState, move: Move) -> GameState:
     return GameState(
         rules=state.rules,
         moves=state.moves + (move,),
-        defences=defences,
+        records=state.records | {record},
         introduced=introduced,
-        turn=_opponent(state.turn),
+        turn=P if state.turn == O else O,
         assertion_index=assertion_index,
         attack_index=attack_index,
-        rights_used=rights_used,
-        answered=answered,
+        o_spent=o_spent,
     )
 
 
@@ -689,24 +677,18 @@ def legal_moves(state: GameState) -> list[Move]:
     """
     actor = state.turn
     moves: list[Move] = []
-
-    for target, index in state.assertion_index.items():
-        if target[0] == actor:
-            continue
-        if actor == O and _attack_problem(state, O, target, None):
-            continue
-        for payload in _attack_payloads(state, actor, target):
-            if actor == O or not _attack_problem(state, P, target, payload):
-                moves.append(Move(actor, "attack", index, payload))
-
-    for attack, index in state.attack_index.items():
-        if attack[0] == actor:
-            continue
-        if actor == O and _defence_problem(state, O, attack, None):
-            continue
-        for payload in _defence_payloads(state, actor, attack):
-            if actor == O or not _defence_problem(state, P, attack, payload):
-                moves.append(Move(actor, "defend", index, payload))
+    for kind, ledger, payloads in (
+        ("attack", state.assertion_index, _attack_payloads),
+        ("defend", state.attack_index, _defence_payloads),
+    ):
+        for target, index in ledger.items():
+            if target[0] == actor:
+                continue
+            if actor == O and _problem(state, O, kind, target, None):
+                continue
+            for payload in payloads(state, actor, target):
+                if actor == O or not _problem(state, P, kind, target, payload):
+                    moves.append(Move(actor, kind, index, payload))
     return moves
 
 

@@ -3,6 +3,7 @@ import json
 import pathlib
 import random
 import sys
+import time
 
 import pytest
 
@@ -60,6 +61,32 @@ def load_play(path):
     return json.loads(path.read_text())
 
 
+def _backtracking_parse_label(text, agents):
+    """The reader parse_label replaced, kept as its reference on short
+    labels: it backtracks, so its time is exponential in the worst case."""
+    if not text.startswith("1"):
+        raise ValueError(text)
+    names = sorted(agents, key=len, reverse=True)
+
+    def read(rest):
+        if not rest:
+            return ()
+        for name in filter(rest.startswith, names):
+            end = len(name)
+            while end < len(rest) and rest[end].isdigit():
+                end += 1
+            if end > len(name):
+                later = read(rest[end:])
+                if later is not None:
+                    return ((name, int(rest[len(name):end])),) + later
+        return None
+
+    label = read(text[1:])
+    if label is None:
+        raise ValueError(text)
+    return label
+
+
 class TestLabels:
     def test_render(self):
         assert render_label(()) == "1"
@@ -84,6 +111,45 @@ class TestLabels:
         # the longest name is kept wherever the rest reads after it
         assert parse_label("1i11", agents) == (("i1", 1),)
         assert parse_label("1i12", agents) == (("i1", 2),)
+
+    def test_parse_matches_the_backtracking_reader(self):
+        rng = random.Random(37)
+        agent_sets = [
+            ("i",), ("i", "j"), ("i", "i1"), ("i", "i1", "i11"), ("a", "ab", "b1")
+        ]
+        outcomes = set()
+        for _ in range(3000):
+            agents = rng.choice(agent_sets)
+            pieces = agents + ("0", "1", "2", "12", "x")
+            text = "1" + "".join(rng.choice(pieces) for _ in range(rng.randrange(9)))
+            try:
+                expected = _backtracking_parse_label(text, agents)
+            except ValueError:
+                with pytest.raises(ValueError):
+                    parse_label(text, agents)
+                outcomes.add("unreadable")
+            else:
+                assert parse_label(text, agents) == expected, (text, agents)
+                outcomes.add(len(expected) > 1)
+        assert outcomes == {"unreadable", True, False}
+
+    def test_parse_gives_up_on_an_unreadable_ambiguous_label_at_once(self):
+        # each "i11" reads as one step of i1 or as a step of i and the start
+        # of the next, so the backtracking reader took time 2**k here
+        text = "1" + "i11" * 60 + "x"
+        start = time.perf_counter()
+        with pytest.raises(ValueError):
+            parse_label(text, ["i", "i1"])
+        assert time.perf_counter() - start < 1.0
+
+    def test_parse_reads_a_long_label_without_recursing(self, monkeypatch):
+        def refuse(limit):
+            raise AssertionError(f"the recursion limit was set to {limit}")
+
+        monkeypatch.setattr(sys, "setrecursionlimit", refuse)
+        agents = ["i", "i1"]
+        label = tuple((agents[n % 2], n % 3 + 1) for n in range(5000))
+        assert parse_label(render_label(label), agents) == label
 
     def test_labels_of_random_plays_read_back(self):
         agents = ("i", "i1")
@@ -524,11 +590,11 @@ def test_game_output_is_pinned():
 
 
 def _scanned_ledgers(state):
-    """The reference for what apply_move keeps: the ledgers, the worlds, the
-    defences and the position from a full scan of the history."""
+    """The reference for what apply_move keeps: the ledgers, the worlds and
+    the position's records from a full scan of the history."""
     first_move_of_assertion = {}
     first_move_of_attack = {}
-    defences = set()
+    records = set()
     introduced = {()}
     o_fresh = 0
     for i, move in enumerate(state.moves):
@@ -538,8 +604,11 @@ def _scanned_ledgers(state):
         r = _attack_record_of_move(state, i)
         if r is not None and r not in first_move_of_attack:
             first_move_of_attack[r] = i
-        if move.kind == "defend":
-            defences.add((_attack_record_of_move(state, move.target), move.payload))
+        if move.kind == "attack":
+            records.add(r)
+        elif move.kind == "defend":
+            attack = _attack_record_of_move(state, move.target)
+            records.add((move.actor, attack, move.payload))
         label = move.payload.label
         if label is not None and label not in introduced:
             introduced.add(label)
@@ -547,18 +616,11 @@ def _scanned_ledgers(state):
     return {
         "assertion_index": first_move_of_assertion,
         "attack_index": first_move_of_attack,
-        # O's one right per target: the targets of O's attack records
-        "rights_used": {t for a, t, _ in first_move_of_attack if a == "O"},
-        "answered": {rec for rec, _ in defences},
-        "defences": defences,
+        "records": records,
+        # O's one right per target: what O's records act on
+        "o_spent": {target for actor, target, _ in records if actor == "O"},
         "introduced": introduced,
         "o_fresh": o_fresh,
-        "position_key": (
-            frozenset(first_move_of_assertion),
-            frozenset(first_move_of_attack),
-            frozenset(defences),
-            "O" if len(state.moves) % 2 else "P",
-        ),
     }
 
 
@@ -583,12 +645,24 @@ def test_ledgers_match_a_scan_of_the_history():
                 assert list(state.attack_index.items()) == list(
                     scan["attack_index"].items()
                 )
-                assert state.assertions == scan["assertion_index"].keys()
-                assert state.attacks == scan["attack_index"].keys()
-                for name in ("rights_used", "answered", "defences", "introduced"):
+                for name in ("records", "o_spent", "introduced", "o_fresh"):
                     assert getattr(state, name) == scan[name], name
-                assert state.o_fresh == scan["o_fresh"]
-                assert state.position_key() == scan["position_key"]
+                # the position is the records, kept as they are
+                assert state.position_key() is state.records
+                # every record is new, so the turn follows from their number
+                assert len(state.records) == len(state.moves) - 1
+                assert state.turn == ("O" if len(state.records) % 2 == 0 else "P")
+                # every assertion but the thesis is a record's payload
+                rebuilt = {("P", (), state.thesis)} | {
+                    (actor, p.label, p.formula)
+                    for actor, _, p in state.records
+                    if isinstance(p, AssertPayload)
+                }
+                assert rebuilt == state.assertion_index.keys()
+                # an attack's attacker never owns its target, so a defence
+                # is always made by the attacked player
+                for attacker, target, _ in state.attack_index:
+                    assert attacker != target[0]
                 checked += 1
                 moves = legal_moves(state)
                 if not moves:
@@ -777,30 +851,30 @@ def _reference_sort_key(move):
     return (move.kind, move.target, payload_key)
 
 
-def _reference_right_spent(state, actor, target, payload):
+def _reference_right_spent(scan, actor, target, payload):
     """O attacks an assertion once, whatever the payload; P once per payload."""
     return any(
         attacker == actor and attacked == target and (actor == "O" or p == payload)
-        for attacker, attacked, p in state.attacks
+        for attacker, attacked, p in scan["attack_index"]
     )
 
 
-def _reference_restates(state, actor, payload):
+def _reference_restates(scan, actor, payload):
     """P may not restate a complex formula already on P's record."""
     return (
         actor == "P"
         and isinstance(payload, AssertPayload)
         and not isinstance(payload.formula, Atom)
-        and ("P", payload.label, payload.formula) in state.assertions
+        and ("P", payload.label, payload.formula) in scan["assertion_index"]
     )
 
 
-def _reference_granted_atoms(state, world):
+def _reference_granted_atoms(state, scan, world):
     """Atoms O stands committed to at ``world``: the atoms O stated there,
     plus the positive literals of the contexts O stated there."""
     bindings = state.rules.env.bindings
     granted = set()
-    for actor, w, f in state.assertions:
+    for actor, w, f in scan["assertion_index"]:
         if actor == "O" and w == world and isinstance(f, Atom):
             granted.add(f.name)
             if f.name in bindings:
@@ -808,11 +882,11 @@ def _reference_granted_atoms(state, world):
     return granted
 
 
-def _reference_allowed(state, actor, payload):
+def _reference_allowed(state, scan, actor, payload):
     """P may not restate a complex formula, may state a context name only
     where O has stated it (ML-frc), and an atom only where O has granted it
     (PL-3)."""
-    if _reference_restates(state, actor, payload):
+    if _reference_restates(scan, actor, payload):
         return False
     if actor == "O" or not isinstance(payload, AssertPayload):
         return True
@@ -820,24 +894,28 @@ def _reference_allowed(state, actor, payload):
     if not isinstance(f, Atom):
         return True
     if f.name in state.rules.env.bindings:
-        return ("O", payload.label, f) in state.assertions
-    return f.name in _reference_granted_atoms(state, payload.label)
+        return ("O", payload.label, f) in scan["assertion_index"]
+    return f.name in _reference_granted_atoms(state, scan, payload.label)
 
 
 def reference_legal_moves(state):
+    """The moves from a scan of the history, not from the state's ledgers."""
+    scan = _scanned_ledgers(state)
     actor = state.turn
     opponent = "O" if actor == "P" else "P"
     moves = []
-    for target, index in state.assertion_index.items():
+    for target, index in scan["assertion_index"].items():
         if target[0] == actor:
             continue
         for payload in _reference_attack_payloads(state, actor, target):
-            if _reference_right_spent(state, actor, target, payload):
+            if _reference_right_spent(scan, actor, target, payload):
                 continue
-            if _reference_allowed(state, actor, payload):
+            if _reference_allowed(state, scan, actor, payload):
                 moves.append(Move(actor, "attack", index, payload))
-    answered = {rec for rec, _ in state.defences}
-    for attack, index in state.attack_index.items():
+    attacks = scan["attack_index"]
+    defences = {(attack, p) for _, attack, p in scan["records"] if attack in attacks}
+    answered = {attack for attack, _ in defences}
+    for attack, index in scan["attack_index"].items():
         if attack[0] != opponent or attack[1][0] != actor:
             continue
         if actor == "O" and attack in answered:
@@ -845,8 +923,8 @@ def reference_legal_moves(state):
         moves.extend(
             Move(actor, "defend", index, payload)
             for payload in _reference_defence_payloads(state, actor, attack)
-            if (attack, payload) not in state.defences
-            and _reference_allowed(state, actor, payload)
+            if (attack, payload) not in defences
+            and _reference_allowed(state, scan, actor, payload)
         )
     moves.sort(key=_reference_sort_key)
     return moves
