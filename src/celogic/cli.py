@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from json.encoder import encode_basestring_ascii
 
 from . import dialogue as dlg
 from .kripke import (
@@ -71,6 +72,46 @@ def _load_model(path: str) -> KripkeModel:
     return model
 
 
+def _json_text(doc) -> str:
+    """``json.dumps(doc, indent=2)``, byte for byte, for a document whose
+    keys are strings, written from an explicit stack: the standard encoder
+    recurses once per level, so it cannot write a document nested about a
+    thousand levels deep. The stack holds values still to write, each with
+    the indent of its line, and the text between them."""
+    parts: list[str] = []
+    stack: list = [(doc, "")]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            parts.append(item)
+            continue
+        value, indent = item
+        if isinstance(value, str):
+            parts.append(encode_basestring_ascii(value))
+        elif not isinstance(value, (dict, list, tuple)):
+            parts.append(json.dumps(value))  # a number, a bool or None
+        elif not value:
+            parts.append("{}" if isinstance(value, dict) else "[]")
+        else:
+            inner = indent + "  "
+            if isinstance(value, dict):
+                entries = [
+                    (f"\n{inner}{encode_basestring_ascii(key)}: ", v)
+                    for key, v in value.items()
+                ]
+                parts.append("{")
+                stack.append(f"\n{indent}}}")
+            else:
+                entries = [(f"\n{inner}", v) for v in value]
+                parts.append("[")
+                stack.append(f"\n{indent}]")
+            for n in range(len(entries) - 1, -1, -1):
+                prefix, v = entries[n]
+                stack.append((v, inner))
+                stack.append("," + prefix if n else prefix)
+    return "".join(parts)
+
+
 def _ast_dump(f: Formula) -> str:
     lines, stack = [], [(f, 0)]
     while stack:
@@ -111,7 +152,7 @@ def _ast_json(f: Formula) -> dict:
 def _cmd_parse(args) -> int:
     f = parse_formula(args.formula, args.default_variant)
     if args.format == "json":
-        print(json.dumps(_ast_json(f), indent=2))
+        print(_json_text(_ast_json(f)))
     else:
         print(_ast_dump(f))
     return EXIT_OK
@@ -133,7 +174,7 @@ def _cmd_reduce(args) -> int:
     f = parse_formula(args.formula, args.default_variant)
     trace = reduce_full(f)
     if args.format == "json":
-        print(json.dumps({"steps": trace.to_json(), "result": render_formula(trace.result)}, indent=2))
+        print(_json_text({"steps": trace.to_json(), "result": render_formula(trace.result)}))
     else:
         for i, step in enumerate(trace.steps):
             print(f"{i + 1}. [{step.axiom}] at {list(step.path)}")
@@ -148,7 +189,7 @@ def _cmd_prove(args) -> int:
     env = _load_env(args.env)
     verdict = prove_cel(f, env)
     if args.format == "json":
-        print(json.dumps(verdict_to_json(verdict), indent=2))
+        print(_json_text(verdict_to_json(verdict)))
     elif args.format == "dot":
         if isinstance(verdict, Invalid):
             print(verdict.model.to_dot(highlight=verdict.world))
@@ -159,7 +200,7 @@ def _cmd_prove(args) -> int:
             print("valid")
         else:
             print(f"invalid at {verdict.world}")
-            print(json.dumps(verdict.model.to_json(), indent=2))
+            print(_json_text(verdict.model.to_json()))
     return EXIT_OK if isinstance(verdict, Valid) else EXIT_NEGATIVE
 
 
@@ -179,7 +220,7 @@ def _cmd_dialogue(args) -> int:
                 "valid": False,
                 "refutation": [dlg.move_to_json(m) for m in result.refutation],
             }
-        print(json.dumps(doc, indent=2))
+        print(_json_text(doc))
     elif result.verdict:
         print("P has a winning strategy")
     else:
@@ -195,7 +236,7 @@ def _cmd_oracle(args) -> int:
     if found is None:
         # the found case's keys in JSON, a comment in dot, as prove prints
         if args.format == "json":
-            print(json.dumps({"world": None, "model": None}, indent=2))
+            print(_json_text({"world": None, "model": None}))
         else:
             prefix = "// " if args.format == "dot" else ""
             print(f"{prefix}no counter-model with up to {args.max_worlds} worlds")
@@ -204,14 +245,14 @@ def _cmd_oracle(args) -> int:
     if args.format == "dot":
         print(model.to_dot(highlight=world))
     else:
-        print(json.dumps({"world": world, "model": model.to_json()}, indent=2))
+        print(_json_text({"world": world, "model": model.to_json()}))
     return EXIT_NEGATIVE
 
 
 def _cmd_suite(args) -> int:
     report = run_suite(budget=args.budget)
     if args.format == "json":
-        print(json.dumps(report.to_json(), indent=2))
+        print(_json_text(report.to_json()))
     else:
         print(report.to_text())
     return EXIT_OK if report.ok else EXIT_NEGATIVE
@@ -290,9 +331,9 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
     except RecursionError:
-        # the parser (once per parenthesis level), the proof-log renderer
-        # (once per tableau branch point) or the JSON encoder (once per
-        # level) ran out of stack: a resource limit, not exit 1 ("invalid")
+        # the parser (once per parenthesis level) or the proof-log renderer
+        # (once per tableau branch point) ran out of stack: a resource
+        # limit, not exit 1 ("invalid")
         print("error: formula nested too deeply", file=sys.stderr)
         return EXIT_BUDGET
     except (FormulaSyntaxError, UntaggedOperatorError, CliError, ValueError) as exc:

@@ -42,6 +42,15 @@ fail, and ``validate_move`` raises what they find, naming the broken rule.
 So the two agree: ``validate_move`` accepts exactly the moves that
 ``legal_moves`` lists.
 
+Each state keeps each player's open targets: the other player's assertions
+that it may still attack and attack records that it may still answer. A
+move adds at most one assertion and one attack record, and uses up at most
+the one target it acts on, so ``_step`` keeps the lists and ``legal_moves``
+walks only the mover's, not every assertion and attack of the play. The
+lists hold targets, not moves: a target is used up only by a move on it,
+but what P may assert changes with every concession of O's and every
+assertion of P's, so P's payloads are still checked one at a time.
+
 A position is the set of move records: each move after the thesis is one
 record (actor, the assertion it attacks or the attack record it answers,
 payload). Every assertion but the thesis is a record's payload, and every
@@ -271,6 +280,12 @@ Assertion = tuple[str, Label, Formula]  # actor, world, formula
 # record it answers, and its payload. An attack record is a Record on an
 # Assertion, a defence record one on an attack record.
 Record = tuple[str, "Assertion | Record", Payload]
+# A player's open targets, each with the index of its first move, in that
+# order: the assertions it may still attack, and the attack records it may
+# still answer.
+OpenTargets = tuple[
+    tuple[tuple[Assertion, int], ...], tuple[tuple[Record, int], ...]
+]
 
 
 @dataclass(frozen=True)
@@ -285,12 +300,18 @@ class GameState:
     introduced: frozenset[Label]
     turn: str
     # Ledgers kept move by move, so that legality never re-scans the
-    # history. They follow from ``moves``: each assertion and each attack
-    # record with the index of its first move, and the assertions and
-    # attack records that O has acted on.
+    # history. They follow from ``moves``: each assertion with the index of
+    # its first move, and the assertions and attack records that O has
+    # acted on.
     assertion_index: dict[Assertion, int] = field(compare=False, repr=False)
-    attack_index: dict[Record, int] = field(compare=False, repr=False)
     o_spent: frozenset[Assertion | Record] = field(compare=False, repr=False)
+    # Each player's open targets: the other player's assertions that have an
+    # attack and attack records that have a defence, less those the player
+    # has used up. O acts on a target once; P uses one up when it has made
+    # every move on it, which only a target whose payloads are fixed allows
+    # (all but a Know's attacks and a Poss's defences, which grow with
+    # ``introduced``).
+    open_targets: dict[str, OpenTargets] = field(compare=False, repr=False)
 
     @property
     def o_fresh(self) -> int:
@@ -312,15 +333,19 @@ def initial_state(thesis: Formula, env: ContextEnv | None = None) -> GameState:
         fresh_cap=formula_info(normalized).modal_depth + 1,
     )
     move = Move(P, "thesis", None, AssertPayload(ROOT, normalized))
+    assertion = (P, ROOT, normalized)
     return GameState(
         rules=rules,
         moves=(move,),
         records=frozenset(),
         introduced=frozenset({ROOT}),
         turn=O,
-        assertion_index={(P, ROOT, normalized): 0},
-        attack_index={},
+        assertion_index={assertion: 0},
         o_spent=frozenset(),
+        open_targets={
+            O: (((assertion, 0),) if _attackable(rules, assertion) else (), ()),
+            P: ((), ()),
+        },
     )
 
 
@@ -496,6 +521,10 @@ def _defence_payloads(state: GameState, actor: str, attack: Record):
     return _particle_rule(state.rules, target)[payload]
 
 
+def _attackable(rules: GameRules, target: Assertion) -> bool:
+    return isinstance(target[2], Know) or bool(_particle_rule(rules, target))
+
+
 # ---------------------------------------------------------------------------
 # Legality and application
 
@@ -513,7 +542,7 @@ def _problem(
     actor: str,
     kind: str,
     target: Assertion | Record,
-    payload: Payload | None,
+    payload: Payload,
 ) -> tuple[str, str] | None:
     """None if the actor may make a move of this kind on the target (the
     assertion it attacks or the attack record it answers) with this payload,
@@ -521,9 +550,8 @@ def _problem(
 
     A move is spent when its record is in the position. O also acts on a
     given target at most once, whatever the payload; P may return to it
-    with a new payload. A payload of None, which no record has, asks only
-    what holds for every payload."""
-    if payload is not None and (actor, target, payload) in state.records:
+    with a new payload."""
+    if (actor, target, payload) in state.records:
         return ("PL-2", _SPENT[kind][0])
     if actor == O and target in state.o_spent:
         return ("PL-2", _SPENT[kind][1])
@@ -625,37 +653,68 @@ def apply_move(state: GameState, move: Move) -> GameState:
 def _step(state: GameState, move: Move) -> GameState:
     """Append a move that validate_move accepts, updating the ledgers."""
     index = len(state.moves)
+    rules = state.rules
+    actor = move.actor
+    other = P if actor == O else O
     introduced = state.introduced
     assertion_index = state.assertion_index
-    attack_index = state.attack_index
     o_spent = state.o_spent
+    attacks, defences = state.open_targets[actor]
+    other_attacks, other_defences = state.open_targets[other]
 
-    of_move = _assertion_of_move if move.kind == "attack" else _attack_record_of_move
-    target = of_move(state, move.target)
-    record = (move.actor, target, move.payload)
-    if move.kind == "attack":
-        attack_index = {**attack_index, record: index}
-    if move.actor == O:
+    attack = move.kind == "attack"
+    target = (_assertion_of_move if attack else _attack_record_of_move)(
+        state, move.target
+    )
+    record = (actor, target, move.payload)
+    records = state.records | {record}
+    if actor == O:
         o_spent = o_spent | {target}
+    # the mover uses the target up: O at once, P with the last move on a
+    # target whose payloads are fixed
+    f = (target if attack else target[1])[2]
+    if actor == O:
+        used_up = True
+    elif isinstance(f, Know if attack else Poss):
+        used_up = False
+    else:
+        payloads = (_attack_payloads if attack else _defence_payloads)(
+            state, P, target
+        )
+        used_up = all((P, target, p) in records for p in payloads)
+    if used_up:
+        if attack:
+            attacks = tuple(e for e in attacks if e[0] != target)
+        else:
+            defences = tuple(e for e in defences if e[0] != target)
+    if attack and (
+        isinstance(f, (Know, Poss)) or _particle_rule(rules, target)[move.payload]
+    ):
+        other_defences += ((record, index),)
 
     # an assertion's world, or the world a ?_K request names
     label = move.payload.label
     if label is not None and label not in introduced:
         introduced = introduced | {label}
     if isinstance(move.payload, AssertPayload):
-        assertion = (move.actor, label, move.payload.formula)
+        assertion = (actor, label, move.payload.formula)
         if assertion not in assertion_index:
             assertion_index = {**assertion_index, assertion: index}
+            if _attackable(rules, assertion):
+                other_attacks += ((assertion, index),)
 
     return GameState(
-        rules=state.rules,
+        rules=rules,
         moves=state.moves + (move,),
-        records=state.records | {record},
+        records=records,
         introduced=introduced,
-        turn=P if state.turn == O else O,
+        turn=other,
         assertion_index=assertion_index,
-        attack_index=attack_index,
         o_spent=o_spent,
+        open_targets={
+            actor: (attacks, defences),
+            other: (other_attacks, other_defences),
+        },
     )
 
 
@@ -665,27 +724,22 @@ def legal_moves(state: GameState) -> list[Move]:
     (its printed label and formula, or its request). These are exactly the
     moves validate_move accepts, each naming the first move of its target.
 
-    The ledgers hold targets and attacks in the order of their moves, and
-    the payload candidates come in payload order, so the moves are listed
-    in that order without a sort.
+    Only the player's open targets are walked. They are kept in the order
+    of their moves, and the payload candidates come in payload order, so
+    the moves are listed in that order without a sort.
 
-    Only the checks that can fail are made. O may assert anything, and
-    attacks an assertion or answers an attack at most once: so O's moves on
-    one target pass or fail together, on the check with a payload of None.
-    P's moves are checked one payload at a time, and a None payload never
-    fails for P, since no attack or defence is recorded with none.
+    Only the checks that can fail are made. O may assert anything, and its
+    open targets are those it has not acted on, so every candidate of O's
+    is listed. P's candidates are checked one payload at a time.
     """
     actor = state.turn
+    attacks, defences = state.open_targets[actor]
     moves: list[Move] = []
-    for kind, ledger, payloads in (
-        ("attack", state.assertion_index, _attack_payloads),
-        ("defend", state.attack_index, _defence_payloads),
+    for kind, targets, payloads in (
+        ("attack", attacks, _attack_payloads),
+        ("defend", defences, _defence_payloads),
     ):
-        for target, index in ledger.items():
-            if target[0] == actor:
-                continue
-            if actor == O and _problem(state, O, kind, target, None):
-                continue
+        for target, index in targets:
             for payload in payloads(state, actor, target):
                 if actor == O or not _problem(state, P, kind, target, payload):
                     moves.append(Move(actor, kind, index, payload))

@@ -24,8 +24,8 @@ left to right (``()`` for an atom). ``f.rebuild(*kids)`` is the node of f's
 kind, with f's agent, variant or context, over the given kids. Bottom-up
 walks run on ``fold``'s explicit stack, which also drives the game search
 over positions, and the tableau runs on its own. What still recurses: the
-parser, into parentheses; ``prove._log_json``, once per branch point of the
-proof log it renders; and the standard JSON encoder, once per level.
+parser, into parentheses, and ``prove._log_json``, once per branch point of
+the proof log it renders. The CLI writes JSON on its own stack.
 
 Formula nodes are hash-consed: building a node gives back the live node of
 the same kind with the same fields, if there is one. So equal formulas are

@@ -1,8 +1,11 @@
 import json
+import random
+import sys
 
 import pytest
 
-from celogic.cli import main
+from celogic.cli import _json_text, main
+from celogic.epistemology import run_suite
 
 
 @pytest.fixture
@@ -237,6 +240,59 @@ class TestDeepInput:
         # _DEEP_VERDICTS holds the oracle to 5,000
         code, _, err = run(capsys, command, f"({body})^ci -> q")
         assert (code, err) == (1, "")
+
+
+_JSON_SCALARS = [
+    "", "p & ~q", "caf\u00e9 \"\\\n\t\x01", "\U0001f600",
+    0, -7, 2**70, 1.5, -0.0, 1e300, float("inf"), float("nan"),
+    True, False, None,
+]
+_JSON_KEYS = ["a", "\u00e9", "", "p & ~q"]
+
+
+def _random_json_document(rng, depth):
+    kind = rng.randrange(4) if depth else 0
+    if kind == 0:
+        return rng.choice(_JSON_SCALARS)
+    items = [_random_json_document(rng, depth - 1) for _ in range(rng.randrange(4))]
+    if kind == 1:
+        return items
+    if kind == 2:
+        return tuple(items)
+    return {rng.choice(_JSON_KEYS): item for item in items}
+
+
+class TestJsonWriter:
+    def test_writes_what_json_dumps_writes(self):
+        rng = random.Random(7)
+        docs = [_random_json_document(rng, 5) for _ in range(300)]
+        docs.append(run_suite().to_json())
+        for doc in docs:
+            assert _json_text(doc) == json.dumps(doc, indent=2)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [("parse", "~" * 1000 + "p"), ("dialogue", "~" * 600 + "p -> p")],
+        ids=["parse-1000", "dialogue-600"],
+    )
+    def test_deep_documents_are_written(self, capsys, monkeypatch, argv):
+        # the standard encoder recurses once per level; these nest past the
+        # default recursion limit
+        def refuse(limit):
+            raise AssertionError(f"the recursion limit was set to {limit}")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(sys, "setrecursionlimit", refuse)
+            code, out, err = run(capsys, "--format", "json", *argv)
+        assert (code, err) == (0, "")
+        # the standard decoder recurses too, so it reads the document with
+        # room to
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(5000)
+        try:
+            json.loads(out)
+        finally:
+            sys.setrecursionlimit(limit)
 
 
 class TestDialogue:

@@ -7,6 +7,7 @@ import time
 
 import pytest
 
+from celogic import dialogue
 from celogic.dialogue import (
     AssertPayload,
     BudgetExhaustedError,
@@ -462,6 +463,27 @@ class TestLongPlays:
         assert result.verdict is False and result.positions == 602
         assert len(result.refutation) == 602
 
+    def test_legal_moves_walk_only_the_open_targets(self, monkeypatch):
+        # Deep into a long play each player has hundreds of targets, almost
+        # all used up: one listing works out the payloads of at most a few.
+        side = "~" * 600 + "p"
+        state = initial_state(parse_formula(f"{side} -> {side}"))
+        search = _Search(0)
+        while len(state.moves) < 600:
+            state = apply_move(state, search.moves(state)[0])
+        calls = []
+        for name in ("_attack_payloads", "_defence_payloads"):
+            payloads = getattr(dialogue, name)
+            monkeypatch.setattr(
+                dialogue, name, lambda *args, f=payloads: calls.append(1) or f(*args)
+            )
+        for _ in range(2):  # a position of P's, then one of O's
+            calls.clear()
+            moves = legal_moves(state)
+            assert moves
+            assert len(calls) <= 4
+            state = apply_move(state, moves[0])
+
 
 # Theses on which the game has disagreed with the tableau, with their
 # context bindings. Defect A: P won every atomic thesis, since O has no move
@@ -613,14 +635,52 @@ def _scanned_ledgers(state):
         if label is not None and label not in introduced:
             introduced.add(label)
             o_fresh += move.actor == "O"
+    # O's one right per target: what O's records act on
+    o_spent = {target for actor, target, _ in records if actor == "O"}
+
+    def still_open(player, target, payloads, fixed):
+        """Whether the player may still act on the target: it has a move
+        on it, O has not acted on it, and P has not made every move on it
+        if its moves are fixed."""
+        if not payloads:
+            return False
+        if player == "O":
+            return target not in o_spent
+        return not fixed or any(("P", target, p) not in records for p in payloads)
+
+    open_targets = {}
+    for player in ("O", "P"):
+        attacks = tuple(
+            (target, i)
+            for target, i in first_move_of_assertion.items()
+            if target[0] != player
+            and still_open(
+                player,
+                target,
+                _reference_attack_payloads(state, player, target),
+                not isinstance(target[2], Know),
+            )
+        )
+        defences = tuple(
+            (attack, i)
+            for attack, i in first_move_of_attack.items()
+            if attack[0] != player
+            and still_open(
+                player,
+                attack,
+                _reference_defence_payloads(state, player, attack),
+                not isinstance(attack[1][2], Poss),
+            )
+        )
+        open_targets[player] = (attacks, defences)
     return {
         "assertion_index": first_move_of_assertion,
         "attack_index": first_move_of_attack,
         "records": records,
-        # O's one right per target: what O's records act on
-        "o_spent": {target for actor, target, _ in records if actor == "O"},
+        "o_spent": o_spent,
         "introduced": introduced,
         "o_fresh": o_fresh,
+        "open_targets": open_targets,
     }
 
 
@@ -642,9 +702,9 @@ def test_ledgers_match_a_scan_of_the_history():
                 assert list(state.assertion_index.items()) == list(
                     scan["assertion_index"].items()
                 )
-                assert list(state.attack_index.items()) == list(
-                    scan["attack_index"].items()
-                )
+                # each player's open targets, in the order legal_moves
+                # walks them
+                assert state.open_targets == scan["open_targets"]
                 for name in ("records", "o_spent", "introduced", "o_fresh"):
                     assert getattr(state, name) == scan[name], name
                 # the position is the records, kept as they are
@@ -661,7 +721,7 @@ def test_ledgers_match_a_scan_of_the_history():
                 assert rebuilt == state.assertion_index.keys()
                 # an attack's attacker never owns its target, so a defence
                 # is always made by the attacked player
-                for attacker, target, _ in state.attack_index:
+                for attacker, target, _ in scan["attack_index"]:
                     assert attacker != target[0]
                 checked += 1
                 moves = legal_moves(state)
@@ -898,9 +958,9 @@ def _reference_allowed(state, scan, actor, payload):
     return f.name in _reference_granted_atoms(state, scan, payload.label)
 
 
-def reference_legal_moves(state):
+def reference_legal_moves(state, scan=None):
     """The moves from a scan of the history, not from the state's ledgers."""
-    scan = _scanned_ledgers(state)
+    scan = scan or _scanned_ledgers(state)
     actor = state.turn
     opponent = "O" if actor == "P" else "P"
     moves = []
@@ -930,11 +990,10 @@ def reference_legal_moves(state):
     return moves
 
 
-def _reference_search_order(state):
+def _reference_search_order(state, moves):
     """The reference's moves in the order the search tries them: at P's
     turn, P's defences of the latest attack that admits one come before P's
     other defences, each group in the reference's order."""
-    moves = reference_legal_moves(state)
     defences = [m for m in moves if m.kind == "defend"]
     if state.turn == "O" or not defences:
         return moves
@@ -948,16 +1007,19 @@ def _reference_search_order(state):
 
 def _play_against_reference(thesis, env, rng, plays):
     """Seeded random plays of the thesis; at every position both players'
-    move lists equal the reference's, and the search tries the same moves
-    in the order the reference gives. Returns the number of positions
-    checked."""
+    move lists and open targets equal the reference's, and the search tries
+    the same moves in the order the reference gives. Returns the number of
+    positions checked."""
     search = _Search(0)
     checked = 0
     for _ in range(plays):
         state = initial_state(thesis, env)
         while True:
-            assert legal_moves(state) == reference_legal_moves(state)
-            assert search.moves(state) == _reference_search_order(state)
+            scan = _scanned_ledgers(state)
+            reference = reference_legal_moves(state, scan)
+            assert legal_moves(state) == reference
+            assert search.moves(state) == _reference_search_order(state, reference)
+            assert state.open_targets == scan["open_targets"]
             checked += 1
             moves = legal_moves(state)
             if not moves:
@@ -978,6 +1040,19 @@ def test_legal_moves_match_the_uncached_reference():
         _play_against_reference(t, None, rng, REFERENCE_PLAYS_PER_THESIS)
         for t in theses
     )
+    assert checked > 10 * len(theses)
+
+
+REFERENCE_DEEP_THESES = 20
+
+
+def test_legal_moves_match_the_reference_under_bound_contexts():
+    # depth-4 theses, under bindings where a compound context is attacked
+    # by projections and one context's body names another's atom
+    env = ContextEnv.from_json({"ci": "p & ~q", "cj": "q"})
+    rng = random.Random(31)
+    theses = [random_formula(rng, 4) for _ in range(REFERENCE_DEEP_THESES)]
+    checked = sum(_play_against_reference(t, env, rng, 3) for t in theses)
     assert checked > 10 * len(theses)
 
 
@@ -1020,10 +1095,11 @@ def _candidate_moves(state):
     attack payload on every assertion and each defence payload against every
     attack, naming the first move of its target."""
     actor = state.turn
-    for target, index in state.assertion_index.items():
+    scan = _scanned_ledgers(state)
+    for target, index in scan["assertion_index"].items():
         for payload in _reference_attack_payloads(state, actor, target):
             yield Move(actor, "attack", index, payload)
-    for attack, index in state.attack_index.items():
+    for attack, index in scan["attack_index"].items():
         for payload in _reference_defence_payloads(state, actor, attack):
             yield Move(actor, "defend", index, payload)
 
