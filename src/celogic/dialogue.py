@@ -33,7 +33,9 @@ literals at that world.
 The particle rules are one table (``_particle_rule``): for each asserted
 formula, each way of attacking it with the defences that answer that
 attack. A game works out an assertion's table once; only the worlds a Know
-attack may name and a Poss defence may use come from the position.
+attack may name and a Poss defence may use come from the position, and the
+game works those out once per agent, world and set of introduced worlds
+(``GameRules.world_options``).
 
 Each structural rule is stated once: the repetition rule in ``_problem``,
 what a player may assert in ``_check_assertable``. ``legal_moves`` lists the
@@ -57,6 +59,10 @@ payload). Every assertion but the thesis is a record's payload, and every
 record is new, so the records fix the assertions, the attacks, the
 defences and whose turn it is. Winning strategies are decided by AND-OR
 search over positions, memoized on the records, which each state keeps.
+Moves, payloads and states are immutable named tuples, built and hashed in
+C. A state compares and hashes on its position (its rules, moves, records,
+worlds and turn), not on its ledgers. A plain tuple can equal a payload, so
+``validate_move`` checks a payload's type.
 The search is a ``fold`` over positions, on the driver of the formula walks,
 and the strategy and the refutation read off its memo are loops too: no
 length of play is bounded by the recursion limit. The search steps through
@@ -66,9 +72,9 @@ the moves ``legal_moves`` lists without validating them again;
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import reduce
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .kripke import ContextEnv
 from .reduction import primitive_form
@@ -157,24 +163,23 @@ def parse_label(text: str, agents: Iterable[str]) -> Label:
 # Moves
 
 
-@dataclass(frozen=True)
-class AssertPayload:
+class AssertPayload(NamedTuple):
     label: Label
     formula: Formula
 
 
-@dataclass(frozen=True)
-class RequestPayload:
+class RequestPayload(NamedTuple):
     kind: str  # "?", "?_L", "?_R", "?_K", "?_P"
     agent: str | None = None
     label: Label | None = None  # world named by a "?_K" request
 
 
+# The two never compare equal: they differ in length. A plain tuple may equal
+# either, so validate_move checks a payload's type.
 Payload = AssertPayload | RequestPayload
 
 
-@dataclass(frozen=True)
-class Move:
+class Move(NamedTuple):
     actor: str
     kind: str  # "thesis" | "attack" | "defend"
     target: int | None
@@ -268,11 +273,14 @@ class GameRules:
     name it uses as an atom; body literals are atoms) and O's fresh-world
     cap (one more than the thesis's modal depth). It also keeps what follows
     from the rules alone: each asserted formula's particle rule, one table
-    of its attacks with their defences."""
+    of its attacks with their defences, and the worlds an agent-indexed
+    choice may name, by (agent, world, introduced worlds, whether O may
+    still introduce one), each entry a tuple."""
 
     env: ContextEnv
     fresh_cap: int
     particle_rules: dict = field(default_factory=dict, repr=False)
+    world_options: dict = field(default_factory=dict, repr=False)
 
 
 Assertion = tuple[str, Label, Formula]  # actor, world, formula
@@ -288,8 +296,7 @@ OpenTargets = tuple[
 ]
 
 
-@dataclass(frozen=True)
-class GameState:
+class GameState(NamedTuple):
     rules: GameRules
     moves: tuple[Move, ...]
     # The position: the record of every move after the thesis. Every
@@ -300,18 +307,27 @@ class GameState:
     introduced: frozenset[Label]
     turn: str
     # Ledgers kept move by move, so that legality never re-scans the
-    # history. They follow from ``moves``: each assertion with the index of
-    # its first move, and the assertions and attack records that O has
-    # acted on.
-    assertion_index: dict[Assertion, int] = field(compare=False, repr=False)
-    o_spent: frozenset[Assertion | Record] = field(compare=False, repr=False)
+    # history; equality and hashing leave them out. They follow from
+    # ``moves``: each assertion with the index of its first move, and the
+    # assertions and attack records that O has acted on.
+    assertion_index: dict[Assertion, int]
+    o_spent: frozenset[Assertion | Record]
     # Each player's open targets: the other player's assertions that have an
     # attack and attack records that have a defence, less those the player
     # has used up. O acts on a target once; P uses one up when it has made
     # every move on it, which only a target whose payloads are fixed allows
     # (all but a Know's attacks and a Poss's defences, which grow with
     # ``introduced``).
-    open_targets: dict[str, OpenTargets] = field(compare=False, repr=False)
+    open_targets: dict[str, OpenTargets]
+
+    def __eq__(self, other):
+        # rules, moves, records, introduced, turn
+        return type(other) is GameState and self[:5] == other[:5]
+
+    __ne__ = object.__ne__  # the inverse of __eq__, not tuple's over every field
+
+    def __hash__(self):
+        return hash(self[:5])
 
     @property
     def o_fresh(self) -> int:
@@ -353,16 +369,25 @@ def initial_state(thesis: Formula, env: ContextEnv | None = None) -> GameState:
 # World bookkeeping
 
 
-def _world_options(state: GameState, actor: str, agent: str, world: Label):
+def _world_options(
+    state: GameState, actor: str, agent: str, world: Label
+) -> tuple[Label, ...]:
     """Worlds available for an agent-indexed choice at ``world``: the agent's
     cluster, plus one fresh successor when O still may introduce, in the
-    order of their printed names (the order legal_moves lists them).
+    order of their printed names (the order legal_moves lists them). They
+    depend on the actor only through whether it may introduce a world, and
+    each game works them out once (``GameRules.world_options``).
 
     The cluster is the introduced labels that extend its root (``world``
     without its trailing steps of the agent) by steps of the agent only:
     labels are introduced one successor at a time, so these are the worlds
     the agent's steps connect. The fresh successor takes the least index
     that no child of ``world`` in the cluster uses."""
+    fresh = actor == O and state.o_fresh < state.rules.fresh_cap
+    key = (agent, world, state.introduced, fresh)
+    options = state.rules.world_options.get(key)
+    if options is not None:
+        return options
     root = world
     while root and root[-1][0] == agent:
         root = root[:-1]
@@ -372,13 +397,14 @@ def _world_options(state: GameState, actor: str, agent: str, world: Label):
         for v in state.introduced
         if v[:depth] == root and all(a == agent for a, _ in v[depth:])
     )
-    if actor == O and state.o_fresh < state.rules.fresh_cap:
+    if fresh:
         used = {v[-1][1] for v in options if len(v) > len(world) and v[:-1] == world}
         index = 1
         while index in used:
             index += 1
         options.append(world + ((agent, index),))
     options.sort(key=render_label)
+    options = state.rules.world_options[key] = tuple(options)
     return options
 
 
@@ -586,6 +612,8 @@ def validate_move(state: GameState, move: Move) -> None:
         raise IllegalMoveError("PL-0", f"unknown move kind {move.kind!r}")
     if move.target is None or not 0 <= move.target < len(state.moves):
         raise IllegalMoveError("PL-0", "move must target an earlier move")
+    if not isinstance(move.payload, Payload):
+        raise IllegalMoveError("PL-0", f"not a payload: {move.payload!r}")
 
     if move.kind == "attack":
         target = _assertion_of_move(state, move.target)
@@ -704,17 +732,14 @@ def _step(state: GameState, move: Move) -> GameState:
                 other_attacks += ((assertion, index),)
 
     return GameState(
-        rules=rules,
-        moves=state.moves + (move,),
-        records=records,
-        introduced=introduced,
-        turn=other,
-        assertion_index=assertion_index,
-        o_spent=o_spent,
-        open_targets={
-            actor: (attacks, defences),
-            other: (other_attacks, other_defences),
-        },
+        rules,
+        state.moves + (move,),
+        records,
+        introduced,
+        other,
+        assertion_index,
+        o_spent,
+        {actor: (attacks, defences), other: (other_attacks, other_defences)},
     )
 
 
@@ -879,7 +904,7 @@ def has_winning_strategy(
     # the structural rules apply to the thesis too, at the position before
     # it: P may not state an atom or a context name that O has not, so O
     # wins an atomic thesis with the one-move play
-    if _check_assertable(replace(state, assertion_index={}), P, ROOT, state.thesis):
+    if _check_assertable(state._replace(assertion_index={}), P, ROOT, state.thesis):
         return StrategyResult(False, state.moves, 1)
     search = _Search(budget)
     if search.win(state):

@@ -271,7 +271,8 @@ def fold(f, step, memo=None, key=None):
 
     ``step(g)`` is a generator that returns g's value. It yields each node
     whose value it needs, or a tuple of them such as ``g.children()``, and is
-    sent back that value or the tuple of values. So a walk reads as its
+    sent back that value or the tuple of values. Only an exact ``tuple`` is
+    such a batch: a tuple subclass, such as a game state, is one node. So a walk reads as its
     recursive form with ``go(x)`` spelled ``(yield x)``, and it may ask for
     nodes that are not subformulas of f. Nodes need not be formulas: the game
     search folds over positions. Values are filed in ``memo`` (a fresh dict

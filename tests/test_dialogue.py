@@ -311,6 +311,16 @@ class TestApplyMove:
         with pytest.raises(IllegalMoveError, match="particle mismatch"):
             apply_move(s, Move("O", "attack", 0, RequestPayload("?_L")))
 
+    def test_a_tuple_that_is_not_a_payload_is_rejected(self):
+        # equal to RequestPayload("?_L") and AssertPayload((), p) as tuples
+        s = initial_state(parse_formula("p & q"))
+        with pytest.raises(IllegalMoveError, match="PL-0"):
+            apply_move(s, Move("O", "attack", 0, ("?_L", None, None)))
+        s = initial_state(parse_formula("p -> p"))
+        s = apply_move(s, Move("O", "attack", 0, AssertPayload((), Atom("p"))))
+        with pytest.raises(IllegalMoveError, match="PL-0"):
+            apply_move(s, Move("P", "defend", 1, ((), Atom("p"))))
+
     def test_world_rejections_are_pinned(self):
         def said(world, text):
             return AssertPayload(parse_label(world, ["i"]), parse_formula(text))
@@ -375,6 +385,57 @@ class TestApplyMove:
             with pytest.raises(IllegalMoveError) as exc:
                 apply_move(state, move)
             assert str(exc.value) == message
+
+
+class TestRecords:
+    def _play(self):
+        data = load_play(PLAYS_DIR / "cross-introspection-12.json")
+        thesis = parse_formula(data["thesis"], data.get("default_variant"))
+        state = initial_state(thesis, ContextEnv.from_json(data.get("env", {})))
+        agents = formula_info(state.thesis).agents
+        return state, [move_from_json(m, agents) for m in data["moves"]]
+
+    def test_states_reached_by_the_same_moves_are_equal(self):
+        start, moves = self._play()
+        a, b = dialogue.replay(start, moves), dialogue.replay(start, moves)
+        assert a is not b and a == b and not a != b and hash(a) == hash(b)
+        assert a != start and dialogue.replay(start, moves[:-1]) != a
+
+    def test_equality_leaves_the_ledgers_out(self):
+        start, moves = self._play()
+        a = dialogue.replay(start, moves)
+        b = a._replace(assertion_index={}, o_spent=frozenset(), open_targets={})
+        assert a == b and not a != b and hash(a) == hash(b)
+        assert a != tuple(a) and tuple(a) != a
+        assert a != a._replace(turn=dialogue.P if a.turn == dialogue.O else dialogue.O)
+
+    def test_records_are_immutable(self):
+        start, moves = self._play()
+        for record, name in (
+            (start, "turn"),
+            (moves[0], "target"),
+            (moves[0].payload, "label"),
+            (RequestPayload("?_L"), "kind"),
+        ):
+            with pytest.raises(AttributeError):
+                setattr(record, name, None)
+
+    def test_an_assertion_never_equals_a_request(self):
+        for label, formula in (((), Atom("p")), ("?_L", None), (None, None)):
+            said = AssertPayload(label, formula)
+            for asked in (RequestPayload(label, formula), RequestPayload("?_K", "i", ())):
+                assert said != asked and asked != said
+                assert asked not in {said: 0}
+
+    def test_reprs_name_the_fields(self):
+        move = Move("O", "attack", 0, RequestPayload("?_L"))
+        assert repr(move) == (
+            "Move(actor='O', kind='attack', target=0, "
+            "payload=RequestPayload(kind='?_L', agent=None, label=None))"
+        )
+        assert repr(AssertPayload((), Atom("p"))) == (
+            "AssertPayload(label=(), formula=Atom(name='p'))"
+        )
 
 
 class TestWinningStrategy:
@@ -814,6 +875,45 @@ def _reference_world_options(state, actor, agent, world):
         index = min(set(range(1, len(used) + 2)) - used)
         options.append(world + ((agent, index),))
     return options
+
+
+def test_world_table_matches_a_fresh_computation():
+    # At every position the SUITE_ROWS searches and the recorded plays visit,
+    # the table a game shares between its states gives what a fresh table does.
+    visited = []
+
+    class Recording(_Search):
+        def _value(self, state):
+            visited.append(state)
+            return super()._value(state)
+
+    for row in SUITE_ROWS:
+        Recording(dialogue.DEFAULT_SEARCH_BUDGET).win(
+            initial_state(parse_formula(row.formula))
+        )
+    for path in PLAY_FILES:
+        data = load_play(path)
+        thesis = parse_formula(data["thesis"], data.get("default_variant"))
+        state = initial_state(thesis, ContextEnv.from_json(data.get("env", {})))
+        agents = formula_info(state.thesis).agents
+        visited.append(state)
+        for move_data in data["moves"]:
+            state = apply_move(state, move_from_json(move_data, agents))
+            visited.append(state)
+    tables = {}
+    for state in visited:
+        rules = state.rules
+        tables[id(rules)] = rules.world_options
+        fresh = state._replace(rules=dialogue.GameRules(rules.env, rules.fresh_cap))
+        for actor in (dialogue.P, dialogue.O):
+            for agent in formula_info(state.thesis).agents:
+                for world in state.introduced:
+                    assert dialogue._world_options(
+                        state, actor, agent, world
+                    ) == dialogue._world_options(fresh, actor, agent, world)
+    entries = [options for table in tables.values() for options in table.values()]
+    assert len(visited) > 1000 and len(entries) > 100
+    assert all(type(options) is tuple for options in entries)
 
 
 def _reference_attack_payloads(state, actor, target):

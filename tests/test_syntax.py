@@ -12,6 +12,7 @@ import subprocess
 import sys
 import threading
 import weakref
+from typing import NamedTuple
 
 import pytest
 from hypothesis import given, settings
@@ -377,6 +378,27 @@ class TestFold:
         assert fold(f, atoms, memo, render_formula) == {"p"}
         assert {"p | ~p", "p", "~p"} <= set(memo)
         assert memo["~p"] == {"p"} and f not in memo
+
+    def test_only_an_exact_tuple_is_a_batch(self):
+        # A tuple subclass, such as a game state, is stepped as one node.
+        class Pair(NamedTuple):
+            left: str
+            right: str
+
+        def step(g):
+            if isinstance(g, Pair):
+                return ("pair", *g)
+            if g != "root":
+                return g.upper()
+            batch = yield (Pair("a", "b"), "c")
+            single = yield Pair("d", "e")
+            return batch, single
+
+        for key in (None, repr):
+            assert fold("root", step, key=key) == (
+                (("pair", "a", "b"), "C"),
+                ("pair", "d", "e"),
+            )
 
     def test_deep_input_at_the_default_limit(self):
         assert sys.getrecursionlimit() == 1000
