@@ -9,12 +9,19 @@ is world w. Over one frame (_FrameCtx: a world count and a partition per
 agent) bit w*V + v is world w under the v-th of its V valuations, so the
 oracle evaluates each frame once instead of each model (bit-slicing), through
 the same compiled function rather than a second semantics.
+
+The compiled function reads atoms and knowledge by subscript: an atom from
+the context's valuation, an agent's knowledge from its table. Over a model
+the table is a memo from mask to the union of the classes inside it, shared
+by every model over the same partition; over a frame it runs the slice-AND
+scan on each lookup.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import weakref
 from typing import Callable, Iterator
 
 from .reduction import needed_context_names
@@ -229,60 +236,80 @@ def eval_context(model: KripkeModel, world: str, env: ContextEnv, name: str) -> 
 
 
 class _Classes(dict):
-    """Agent -> equivalence classes; asking for a missing agent is an error."""
+    """Agent -> its knowledge table; asking for a missing agent is an error."""
 
     def __missing__(self, agent):
         raise ModelError(f"model lacks agent {agent!r}")
 
 
+class _Valuation(dict):
+    """Atom -> valuation mask; an atom the valuation omits is false everywhere."""
+
+    def __missing__(self, atom):
+        return 0
+
+
+class _Knowledge(dict):
+    """One agent's knowledge over one model: mask -> the union of the
+    agent's classes inside it, computed on the first lookup and kept. Every
+    model over the same classes shares one table (``_knowledge``)."""
+
+    def __init__(self, classes: tuple[int, ...]):
+        super().__init__()
+        self.classes = classes
+
+    def __missing__(self, bm):
+        out = 0
+        for cm in self.classes:
+            if bm & cm == cm:
+                out |= cm
+        self[bm] = out
+        return out
+
+
+# sorted class masks -> the live table over those classes
+_KNOWLEDGE: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+
+def _knowledge(classes: list[int]) -> _Knowledge:
+    """The shared table over these classes (a list the caller gives up, as
+    it is sorted in place); the table dies with its last model."""
+    classes.sort()
+    key = tuple(classes)
+    table = _KNOWLEDGE.get(key)
+    if table is None:
+        table = _KNOWLEDGE.setdefault(key, _Knowledge(key))
+    return table
+
+
 class _ModelCtx:
-    """Per-model evaluation tables: valuation masks and class masks."""
+    """Per-model evaluation tables: valuation masks and knowledge tables."""
 
     def __init__(self, model: KripkeModel):
         self.model = model
         index = model._index
         self.full = (1 << len(model.worlds)) - 1
-        self.val = {
+        self.val = _Valuation({
             atom: _mask_of(ws, index) for atom, ws in model.valuation.items()
-        }
+        })
         self.classes = _Classes({
-            agent: [_mask_of(cl, index) for cl in classes]
+            agent: _knowledge([_mask_of(cl, index) for cl in classes])
             for agent, classes in model.relations.items()
         })
 
-    def know(self, classes: list[int], bm: int) -> int:
+
+class _FrameKnowledge:
+    """One agent's knowledge over one frame: each class is held as the
+    offsets w*V of its worlds; a lookup ANDs the class's V-bit slices and
+    spreads the result back to each. Nothing is kept: a frame is scanned
+    once per formula."""
+
+    def __init__(self, classes: list[tuple[int, ...]], slice_mask: int):
+        self.classes, self.slice = classes, slice_mask
+
+    def __getitem__(self, bm: int) -> int:
         out = 0
-        for cm in classes:
-            if bm & cm == cm:
-                out |= cm
-        return out
-
-    def poss(self, classes: list[int], bm: int) -> int:
-        out = 0
-        for cm in classes:
-            if bm & cm:
-                out |= cm
-        return out
-
-
-class _FrameCtx:
-    """One frame under all its V valuations at once: bit w*V + v is world w
-    under valuation v. A class is held as the offsets w*V of its worlds; Know
-    ANDs the class's V-bit slices and spreads the result back to each."""
-
-    def __init__(self, worlds: tuple, V: int, val: dict[str, int], relations):
-        self.worlds, self.V, self.relations = worlds, V, relations
-        self.slice = (1 << V) - 1
-        self.full = (1 << len(worlds) * V) - 1
-        self.val = val
-        self.classes = _Classes({
-            agent: [tuple(worlds.index(w) * V for w in cl) for cl in classes]
-            for agent, classes in relations.items()
-        })
-
-    def know(self, classes: list[tuple[int, ...]], bm: int) -> int:
-        out = 0
-        for offsets in classes:
+        for offsets in self.classes:
             a = self.slice
             for o in offsets:
                 a &= bm >> o
@@ -290,8 +317,24 @@ class _FrameCtx:
                 out |= a << o
         return out
 
-    def poss(self, classes: list[tuple[int, ...]], bm: int) -> int:
-        return self.full & ~self.know(classes, self.full & ~bm)
+
+class _FrameCtx:
+    """One frame under all its V valuations at once: bit w*V + v is world w
+    under valuation v. Its atom masks come from ``_atom_masks``, and each
+    agent's knowledge is a _FrameKnowledge."""
+
+    def __init__(self, worlds: tuple, V: int, val: _Valuation, relations):
+        self.worlds, self.V, self.relations = worlds, V, relations
+        self.slice = (1 << V) - 1
+        self.full = (1 << len(worlds) * V) - 1
+        self.val = val
+        self.classes = _Classes({
+            agent: _FrameKnowledge(
+                [tuple(worlds.index(w) * V for w in cl) for cl in classes],
+                self.slice,
+            )
+            for agent, classes in relations.items()
+        })
 
 
 def _mask_of(worlds, index) -> int:
@@ -335,14 +378,18 @@ def compile_formula(f: Formula, env: ContextEnv) -> Callable[[_ModelCtx], int]:
     is one Python call. No name is spliced into its source: atom, agent and
     context names reach it as values bound in the namespace it is compiled
     in, and the source holds only generated identifiers, operators and the
-    constant 0. Each agent's classes are looked up first, in the preorder
-    of the agents' first occurrences, so a missing agent raises ModelError
-    naming the outermost one. Compiling the source dominates when the
-    function is evaluated only a few times; it pays off only where one
-    function is evaluated many times.
+    constant 0. An atom is read as ``val[n]``, a subscript of the
+    context's valuation, which is 0 for an atom it omits. ``Know`` is
+    ``k[m]``, a subscript of the agent's knowledge table, and ``Poss`` its
+    dual ``full & ~k[full & ~m]``, so the function makes no call of its own.
+    Each agent's table is looked up first, in the preorder of the agents'
+    first occurrences, so a missing agent raises ModelError naming the
+    outermost one. Compiling the source still dominates when the function
+    is evaluated only a few times, as in one ``satisfies`` call; it pays off
+    only where one function is evaluated many times.
     """
     names: dict[str, str] = {}  # name -> the identifier bound to it
-    classes: dict[str, str] = {}  # agent -> the local holding its classes
+    classes: dict[str, str] = {}  # agent -> the local holding its table
     exprs: dict[str, str] = {}  # expression -> its local, in dependency order
 
     def name(value: str) -> str:
@@ -352,7 +399,7 @@ def compile_formula(f: Formula, env: ContextEnv) -> Callable[[_ModelCtx], int]:
         return exprs.setdefault(expr, f"m{len(exprs)}")
 
     def read(atom: str) -> str:
-        return emit(f"get({name(atom)}, 0)")
+        return emit(f"val[{name(atom)}]")
 
     def agent_classes(agent: str) -> str:
         return classes.setdefault(agent, f"k{len(classes)}")
@@ -378,9 +425,11 @@ def compile_formula(f: Formula, env: ContextEnv) -> Callable[[_ModelCtx], int]:
             case Iff(l, r):
                 return emit(f"full & ~({(yield l)} ^ {(yield r)})")
             case Know(agent, _, body):
-                return emit(f"ctx.know({agent_classes(agent)}, {(yield body)})")
+                return emit(f"{agent_classes(agent)}[{(yield body)}]")
             case Poss(agent, _, body):
-                return emit(f"ctx.poss({agent_classes(agent)}, {(yield body)})")
+                # S5 duality over a partition: possible is not known not
+                k = agent_classes(agent)
+                return emit(f"full & ~{k}[{emit(f'full & ~{(yield body)}')}]")
             case Rel(Atom() | Rel() as body, c):
                 return emit(f"{unguarded(c)} | {(yield body)}")
             case Rel(Not(inner), c):
@@ -409,7 +458,7 @@ def compile_formula(f: Formula, env: ContextEnv) -> Callable[[_ModelCtx], int]:
 
     root = fold(f, step)
     source = "".join([
-        "def mask(ctx):\n    full = ctx.full\n    get = ctx.val.get\n",
+        "def mask(ctx):\n    full = ctx.full\n    val = ctx.val\n",
         *(f"    {k} = ctx.classes[{name(a)}]\n" for a, k in classes.items()),
         *(f"    {m} = {expr}\n" for expr, m in exprs.items()),
         f"    return {root}\n",
@@ -518,14 +567,14 @@ def enumerate_models(
             yield _frame_model(ctx.worlds, ctx.relations, atoms, v)
 
 
-def _atom_masks(n: int, atoms: list) -> tuple[int, dict[str, int]]:
+def _atom_masks(n: int, atoms: list) -> tuple[int, _Valuation]:
     """V = 2**(n*k) and each atom's _FrameCtx mask, in _frame_model's layout.
 
     Over v, bit b of v is runs of p = 2**b zeros then p ones: one period,
     doubled until it spans V bits.
     """
     V = 1 << n * len(atoms)
-    val = {}
+    val = _Valuation()
     for i, atom in enumerate(atoms):
         val[atom] = 0
         for w in range(n):
@@ -582,8 +631,8 @@ def find_countermodel(
             atom_set |= {a for a, _ in cf.literals}
         atoms = sorted(atom_set)
     agents, atoms = list(agents), list(atoms)
-    fn = compile_formula(f, env)
     _check_space(max_worlds, agents, atoms, ceiling)
+    fn = compile_formula(f, env)
     for ctx in _frame_contexts(max_worlds, agents, atoms):
         fail = ctx.full & ~fn(ctx)
         if fail:

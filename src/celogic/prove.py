@@ -157,19 +157,26 @@ def _signed(sign: bool, label: int, f: Formula) -> str:
 
 def _log_json(node: tuple) -> dict:
     """Render a raw log node: (steps, (label, formula)) closes on that fact,
-    (steps, (sign, label, formula), cases) branches on that signed formula."""
-    steps, *rest = node
-    out = {"steps": [f"{_signed(sg, lab, g)}  [{rule}]" for sg, lab, g, rule in steps]}
-    if len(rest) == 1:
-        label, f = rest[0]
-        out["closed"] = {"world": f"w{label + 1}", "on": render_formula(f)}
-    else:
-        (sign, label, f), cases = rest
-        out["branch"] = {
-            "on": _signed(sign, label, f),
-            "cases": [_log_json(case) for case in cases],
-        }
-    return out
+    (steps, (sign, label, formula), cases) branches on that signed formula.
+    Nodes are rendered from an explicit stack, each into the dict its parent
+    holds for it, so a proof with thousands of branch points in a row is
+    rendered whatever the recursion limit."""
+    root: dict = {}
+    stack = [(node, root)]
+    while stack:
+        (steps, *rest), out = stack.pop()
+        out["steps"] = [
+            f"{_signed(sg, lab, g)}  [{rule}]" for sg, lab, g, rule in steps
+        ]
+        if len(rest) == 1:
+            label, f = rest[0]
+            out["closed"] = {"world": f"w{label + 1}", "on": render_formula(f)}
+        else:
+            (sign, label, f), cases = rest
+            outs = [{} for _ in cases]
+            out["branch"] = {"on": _signed(sign, label, f), "cases": outs}
+            stack.extend(zip(cases, outs))
+    return root
 
 
 class _Branch:

@@ -272,8 +272,16 @@ class TestJsonWriter:
 
     @pytest.mark.parametrize(
         "argv",
-        [("parse", "~" * 1000 + "p"), ("dialogue", "~" * 600 + "p -> p")],
-        ids=["parse-1000", "dialogue-600"],
+        [
+            ("parse", "~" * 1000 + "p"),
+            ("dialogue", "~" * 600 + "p -> p"),
+            # the tableau branches once per link, each branch one level
+            # deeper in the proof
+            ("prove", " & ".join(
+                ["p1"] + [f"(p{n} -> p{n + 1})" for n in range(1, 600)]
+            ) + " -> p600"),
+        ],
+        ids=["parse-1000", "dialogue-600", "prove-chain-600"],
     )
     def test_deep_documents_are_written(self, capsys, monkeypatch, argv):
         # the standard encoder recurses once per level; these nest past the

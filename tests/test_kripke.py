@@ -1,3 +1,4 @@
+import gc
 import itertools
 import json
 
@@ -12,6 +13,7 @@ from celogic.kripke import (
     EnumerationCeilingError,
     KripkeModel,
     ModelError,
+    _KNOWLEDGE,
     _FrameCtx,
     _ModelCtx,
     _atom_masks,
@@ -273,6 +275,51 @@ def reference_context_mask_fn(env: ContextEnv, name: str) -> Callable[[_ModelCtx
     return run
 
 
+def reference_classes(ctx, agent: str) -> list[list[int]]:
+    """The agent's classes, read off the model or the frame, not off the
+    kernel's tables: over a model, as world indices; over a frame, as the
+    offsets w*V of their worlds."""
+    if isinstance(ctx, _ModelCtx):
+        relations, place = ctx.model.relations, ctx.model.world_index
+    else:
+        relations, place = ctx.relations, lambda w: ctx.worlds.index(w) * ctx.V
+    if agent not in relations:
+        raise ModelError(f"model lacks agent {agent!r}")
+    return [[place(w) for w in cl] for cl in relations[agent]]
+
+
+def reference_know(ctx, classes: list[list[int]], bm: int) -> int:
+    """Over a model, the union of the classes inside bm; over a frame, each
+    class's V-bit slices ANDed and spread back to each of its worlds."""
+    out = 0
+    if isinstance(ctx, _ModelCtx):
+        for cl in classes:
+            cm = sum(1 << i for i in cl)
+            if bm & cm == cm:
+                out |= cm
+        return out
+    for offsets in classes:
+        a = ctx.slice
+        for o in offsets:
+            a &= bm >> o
+        for o in offsets:
+            out |= a << o
+    return out
+
+
+def reference_poss(ctx, classes: list[list[int]], bm: int) -> int:
+    """Over a model, the union of the classes meeting bm; over a frame, the
+    dual of reference_know."""
+    if isinstance(ctx, _ModelCtx):
+        out = 0
+        for cl in classes:
+            cm = sum(1 << i for i in cl)
+            if bm & cm:
+                out |= cm
+        return out
+    return ctx.full & ~reference_know(ctx, classes, ctx.full & ~bm)
+
+
 def reference_compile_formula(f: Formula, env: ContextEnv) -> Callable[[_ModelCtx], int]:
     """Compile a formula into a truth-mask function over evaluation contexts:
     a _ModelCtx (one model) or a _FrameCtx (one frame, every valuation).
@@ -314,10 +361,14 @@ def reference_compile_formula(f: Formula, env: ContextEnv) -> Callable[[_ModelCt
             case Know(agent, _, body):
                 b = go(body)
                 # classes first: a missing agent is reported outermost first
-                return lambda ctx: ctx.know(ctx.classes[agent], b(ctx))
+                return lambda ctx: reference_know(
+                    ctx, reference_classes(ctx, agent), b(ctx)
+                )
             case Poss(agent, _, body):
                 b = go(body)
-                return lambda ctx: ctx.poss(ctx.classes[agent], b(ctx))
+                return lambda ctx: reference_poss(
+                    ctx, reference_classes(ctx, agent), b(ctx)
+                )
             case Rel(body, context):
                 return build_rel(body, context)
         raise TypeError(f"not a formula: {g!r}")
@@ -438,6 +489,55 @@ def test_a_long_context_body_compiles():
     )
     ctx = _ModelCtx(model)
     assert compile_formula(f, env)(ctx) == reference_compile_formula(f, env)(ctx) == 0b001
+
+
+class TestKnowledgeTable:
+    """The kernel's Know is a subscript of the agent's shared table, its
+    Poss the dual subscript."""
+
+    @staticmethod
+    def models(n):
+        worlds = tuple(f"w{i + 1}" for i in range(n))
+        for partition in set_partitions(worlds):
+            yield KripkeModel(worlds, {"i": partition}, {})
+
+    def test_the_table_is_the_class_loop_and_its_dual_the_meeting_classes(self):
+        checked = 0
+        for n in range(1, 5):
+            for model in self.models(n):
+                ctx = _ModelCtx(model)
+                classes = reference_classes(ctx, "i")
+                table, full = ctx.classes["i"], ctx.full
+                for m in range(full + 1):
+                    assert table[m] == reference_know(ctx, classes, m)
+                    meeting = reference_poss(ctx, classes, m)
+                    assert full & ~table[full & ~m] == meeting
+                    checked += 1
+        # 1*2 + 2*4 + 5*8 + 15*16 masks over the 23 partitions
+        assert checked == 290
+
+    def test_models_over_one_partition_share_one_table(self):
+        worlds = ["w1", "w2", "w3"]
+        a = KripkeModel(worlds, {"i": [["w1", "w3"], ["w2"]]}, {"p": ["w1"]})
+        b = KripkeModel(worlds, {"i": [["w2"], ["w3", "w1"]], "j": [worlds]}, {})
+        c = KripkeModel(worlds, {"i": [["w1"], ["w2", "w3"]]}, {})
+        tables = [_ModelCtx(m).classes["i"] for m in (a, b, c)]
+        assert tables[0] is tables[1]
+        assert tables[0] is not tables[2]
+
+    def test_a_table_dies_with_its_last_context(self):
+        # a partition no other test builds: eleven singleton classes
+        worlds = [f"w{n}" for n in range(11)]
+        key = tuple(1 << n for n in range(11))
+        ctx = _ModelCtx(KripkeModel(worlds, {"i": [[w] for w in worlds]}, {}))
+        assert _KNOWLEDGE[key] is ctx.classes["i"]
+        other = _ModelCtx(KripkeModel(worlds, {"j": [[w] for w in worlds]}, {}))
+        del ctx
+        gc.collect()
+        assert _KNOWLEDGE[key] is other.classes["j"]
+        del other
+        gc.collect()
+        assert key not in _KNOWLEDGE
 
 
 # ---------------------------------------------------------------------------
@@ -582,6 +682,11 @@ class TestOracleEdges:
             assert found == ("ModelError", f"model lacks agent {missing!r}")
         with pytest.raises(ModelError, match="'i'"):
             satisfies(KripkeModel(["w1"], {}, {}), "w1", ContextEnv(), f)
+        # a model with some of the agents: the outermost one it lacks
+        model = KripkeModel(["w1", "w2"], {"i": [["w1", "w2"]]}, {})
+        g = parse_formula("K{i,1.1} (P{j,1.1} K{k,1.1} p | K{k,1.1} q)")
+        with pytest.raises(ModelError, match="model lacks agent 'j'"):
+            truth_mask(model, ContextEnv(), g)
 
     def test_an_omitted_atom_is_false_everywhere(self):
         for text in ["q -> K{i,1.1} p", "p | ~q", "K{i,1.1} (p -> q)"]:
@@ -613,6 +718,19 @@ class TestOracleEdges:
             "EnumerationCeilingError",
             f"{size} models exceed the ceiling of {size - 1}",
         )
+
+
+def test_the_ceiling_is_checked_before_compiling(monkeypatch):
+    """An input over the ceiling stops before its kernel is compiled."""
+    import celogic.kripke
+
+    def refuse(f, env):
+        raise AssertionError("compiled a formula over the ceiling")
+
+    monkeypatch.setattr(celogic.kripke, "compile_formula", refuse)
+    f = parse_formula("K{i,1.1} p & K{j,1.1} q & r -> s")
+    with pytest.raises(EnumerationCeilingError):
+        find_countermodel(f, max_worlds=5)
 
 
 def test_frame_mask_layout():
