@@ -331,9 +331,8 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
     except RecursionError:
-        # the parser (once per parenthesis level) or the proof-log renderer
-        # (once per tableau branch point) ran out of stack: a resource
-        # limit, not exit 1 ("invalid")
+        # the JSON decoder, reading a deeply nested --env or --model file,
+        # ran out of stack: a resource limit, not exit 1 ("invalid")
         print("error: formula nested too deeply", file=sys.stderr)
         return EXIT_BUDGET
     except (FormulaSyntaxError, UntaggedOperatorError, CliError, ValueError) as exc:

@@ -14,7 +14,11 @@ The compiled function reads atoms and knowledge by subscript: an atom from
 the context's valuation, an agent's knowledge from its table. Over a model
 the table is a memo from mask to the union of the classes inside it, shared
 by every model over the same partition; over a frame it runs the slice-AND
-scan on each lookup.
+scan on each lookup. The compiler folds, as it emits, each operation that a
+Boolean identity decides (every mask is a subset of the all-worlds mask, so
+constants, double complements, ``x & ~x``, ``x <-> x`` and knowledge of all
+or no worlds decide themselves), and the function keeps only the lines its
+result depends on.
 """
 
 from __future__ import annotations
@@ -345,22 +349,24 @@ def _mask_of(worlds, index) -> int:
 
 
 def _context_expr(
-    env: ContextEnv, name: str, read: Callable[[str], str], emit: Callable[[str], str]
+    env: ContextEnv,
+    name: str,
+    read: Callable[[str], str],
+    and_: Callable[[str, str], str],
+    not_: Callable[[str], str],
 ) -> str:
-    """The operand holding the mask of the body bound to ``name``: ``full``
-    for true, ``0`` for false, otherwise the local ``emit`` assigns the AND
-    of its literals. ``read(atom)`` is the local holding that atom's
-    valuation mask. The AND is folded one literal per assignment, so a long
-    body never makes one deeply nested expression."""
+    """The operand holding the mask of the body bound to ``name``: ``0`` for
+    false, otherwise the AND of its literals, which is ``full`` for true.
+    ``read(atom)`` is the local holding that atom's valuation mask, and
+    ``and_``/``not_`` are the compiler's folding helpers. The AND is folded
+    one literal per assignment, so a long body never makes one deeply nested
+    expression."""
     cf = env.resolve(name)
-    if cf.is_top:
-        return "full"
     if cf.is_bot:
         return "0"
-    local = None
+    local = "full"
     for atom, positive in cf.literals:
-        lit = read(atom) if positive else emit(f"full & ~{read(atom)}")
-        local = lit if local is None else emit(f"{local} & {lit}")
+        local = and_(local, read(atom) if positive else not_(read(atom)))
     return local
 
 
@@ -382,85 +388,138 @@ def compile_formula(f: Formula, env: ContextEnv) -> Callable[[_ModelCtx], int]:
     context's valuation, which is 0 for an atom it omits. ``Know`` is
     ``k[m]``, a subscript of the agent's knowledge table, and ``Poss`` its
     dual ``full & ~k[full & ~m]``, so the function makes no call of its own.
-    Each agent's table is looked up first, in the preorder of the agents'
-    first occurrences, so a missing agent raises ModelError naming the
-    outermost one. Compiling the source still dominates when the function
-    is evaluated only a few times, as in one ``satisfies`` call; it pays off
-    only where one function is evaluated many times.
+
+    Every operation is emitted through a helper that first applies the
+    Boolean identities that hold because every mask is a subset of ``full``:
+    ``full`` and ``0`` absorb or drop out of ``&``, ``|`` and ``<->``, a
+    complement of a complement is its operand, ``x & x`` and ``x | x`` are
+    ``x``, ``x & ~x`` is ``0``, ``x | ~x`` and ``x <-> x`` are ``full``, and
+    knowledge of ``full`` or ``0`` is itself (every world is in a class), so
+    possibility is too. Every complement is ``full & ~x``, made in one
+    helper. Only the lines the root depends on are emitted, and ``full`` and
+    the valuation are read only if one of them does. Each agent's table is
+    still looked up first, in the preorder of the agents' first
+    occurrences, even where its operator folds away, so a missing agent
+    raises ModelError naming the outermost one. Compiling the source still
+    dominates when the function is evaluated only a few times, as in one
+    ``satisfies`` call; it pays off only where one function is evaluated
+    many times.
     """
     names: dict[str, str] = {}  # name -> the identifier bound to it
     classes: dict[str, str] = {}  # agent -> the local holding its table
     exprs: dict[str, str] = {}  # expression -> its local, in dependency order
+    reads: dict[str, tuple[str, ...]] = {}  # local -> what its line reads
+    complement: dict[str, str] = {}  # local -> its complement, both ways
 
     def name(value: str) -> str:
         return names.setdefault(value, f"n{len(names)}")
 
-    def emit(expr: str) -> str:
-        return exprs.setdefault(expr, f"m{len(exprs)}")
+    def emit(expr: str, *operands: str) -> str:
+        local = exprs.setdefault(expr, f"m{len(exprs)}")
+        reads[local] = operands
+        return local
 
     def read(atom: str) -> str:
-        return emit(f"val[{name(atom)}]")
+        return emit(f"val[{name(atom)}]", "val")
 
     def agent_classes(agent: str) -> str:
         return classes.setdefault(agent, f"k{len(classes)}")
 
+    def not_(x: str) -> str:
+        if x in ("full", "0"):
+            return "0" if x == "full" else "full"
+        if x not in complement:
+            m = emit(f"full & ~{x}", "full", x)
+            complement[x], complement[m] = m, x
+        return complement[x]
+
+    def and_(a: str, b: str) -> str:
+        if a == "0" or b == "0" or complement.get(a) == b:
+            return "0"
+        if a == "full" or a == b:
+            return b
+        return a if b == "full" else emit(f"{a} & {b}", a, b)
+
+    def or_(a: str, b: str) -> str:
+        if a == "full" or b == "full" or complement.get(a) == b:
+            return "full"
+        if a == "0" or a == b:
+            return b
+        return a if b == "0" else emit(f"{a} | {b}", a, b)
+
+    def iff(a: str, b: str) -> str:
+        if a == b:
+            return "full"
+        if a in ("full", "0"):
+            a, b = b, a
+        if b in ("full", "0"):
+            return a if b == "full" else not_(a)
+        if complement.get(a) == b:
+            return "0"
+        return not_(emit(f"{a} ^ {b}", a, b))
+
+    def know(k: str, x: str) -> str:
+        return x if x in ("full", "0") else emit(f"{k}[{x}]", x)
+
     def unguarded(c: str) -> str:
         """The mask where context c's body fails."""
-        return emit(f"full & ~{_context_expr(env, c, read, emit)}")
+        return not_(_context_expr(env, c, read, and_, not_))
 
     def step(g: Formula):
         match g:
             case Atom(atom):
                 if atom in env.bindings:
-                    return _context_expr(env, atom, read, emit)
+                    return _context_expr(env, atom, read, and_, not_)
                 return read(atom)
             case Not(body):
-                return emit(f"full & ~{(yield body)}")
+                return not_((yield body))
             case And(l, r):
-                return emit(f"{(yield l)} & {(yield r)}")
+                return and_((yield l), (yield r))
             case Or(l, r):
-                return emit(f"{(yield l)} | {(yield r)}")
+                return or_((yield l), (yield r))
             case Imp(l, r):
-                return emit(f"(full & ~{(yield l)}) | {(yield r)}")
+                return or_(not_((yield l)), (yield r))
             case Iff(l, r):
-                return emit(f"full & ~({(yield l)} ^ {(yield r)})")
+                return iff((yield l), (yield r))
             case Know(agent, _, body):
-                return emit(f"{agent_classes(agent)}[{(yield body)}]")
+                return know(agent_classes(agent), (yield body))
             case Poss(agent, _, body):
                 # S5 duality over a partition: possible is not known not
                 k = agent_classes(agent)
-                return emit(f"full & ~{k}[{emit(f'full & ~{(yield body)}')}]")
+                return not_(know(k, not_((yield body))))
             case Rel(Atom() | Rel() as body, c):
-                return emit(f"{unguarded(c)} | {(yield body)}")
+                return or_(unguarded(c), (yield body))
             case Rel(Not(inner), c):
-                return emit(f"{unguarded(c)} | (full & ~{(yield Rel(inner, c))})")
+                return or_(unguarded(c), not_((yield Rel(inner, c))))
             case Rel(And(l, r), c):
                 # As in the satisfaction table: no guard on conjunction.
-                return emit(f"{(yield Rel(l, c))} & {(yield Rel(r, c))}")
+                return and_((yield Rel(l, c)), (yield Rel(r, c)))
             case Rel(Or(l, r), c):
-                return emit(
-                    f"{unguarded(c)} | {(yield Rel(l, c))} | {(yield Rel(r, c))}"
-                )
+                return or_(or_(unguarded(c), (yield Rel(l, c))), (yield Rel(r, c)))
             case Rel(Imp(l, r), c):
-                return emit(
-                    f"{unguarded(c)} | (full & ~{(yield Rel(l, c))})"
-                    f" | {(yield Rel(r, c))}"
-                )
+                guard = or_(unguarded(c), not_((yield Rel(l, c))))
+                return or_(guard, (yield Rel(r, c)))
             case Rel(Iff(l, r), c):
                 return (yield Rel(And(Imp(l, r), Imp(r, l)), c))
             case Rel(Know(agent, variant, inner), c):
                 cx, cy = variant_contexts_names(variant, c, agent)
                 k = yield Know(agent, variant, Rel(inner, cy))
-                return emit(f"{unguarded(cx)} | {k}")
+                return or_(unguarded(cx), k)
             case Rel(Poss(agent, variant, inner), c):
                 return (yield Rel(Not(Know(agent, variant, Not(inner))), c))
         raise TypeError(f"not a formula: {g!r}")
 
     root = fold(f, step)
+    live = {root}  # the root and, line by line back, what the live lines read
+    for m in reversed(exprs.values()):
+        if m in live:
+            live.update(reads[m])
     source = "".join([
-        "def mask(ctx):\n    full = ctx.full\n    val = ctx.val\n",
+        "def mask(ctx):\n",
+        "    full = ctx.full\n" if "full" in live else "",
+        "    val = ctx.val\n" if "val" in live else "",
         *(f"    {k} = ctx.classes[{name(a)}]\n" for a, k in classes.items()),
-        *(f"    {m} = {expr}\n" for expr, m in exprs.items()),
+        *(f"    {m} = {expr}\n" for expr, m in exprs.items() if m in live),
         f"    return {root}\n",
     ])
     ns = {ident: value for value, ident in names.items()}

@@ -23,9 +23,9 @@ written over. ``f.children()`` is the tuple of f's immediate subformulas,
 left to right (``()`` for an atom). ``f.rebuild(*kids)`` is the node of f's
 kind, with f's agent, variant or context, over the given kids. Bottom-up
 walks run on ``fold``'s explicit stack, which also drives the game search
-over positions, and the tableau runs on its own. What still recurses: the
-parser, into parentheses, and ``prove._log_json``, once per branch point of
-the proof log it renders. The CLI writes JSON on its own stack.
+over positions, and the tableau runs on its own. The parser keeps open
+parentheses on a stack, ``prove._log_json`` renders the proof log from one,
+and the CLI writes JSON on its own, so nothing recurses per level of input.
 
 Formula nodes are hash-consed: building a node gives back the live node of
 the same kind with the same fields, if there is one. So equal formulas are
@@ -433,32 +433,61 @@ class _Parser:
             raise FormulaSyntaxError(f"expected {what}", tok.pos)
         return self.next()
 
-    def formula(self, level: int = 0) -> Formula:
-        """A formula whose connectives outside parentheses are all at
-        ``level`` or above (precedence climbing over ``_BINARY``). A run of
-        one connective is read in a loop, then grouped as its row says."""
-        out = self.unary()
-        while (row := _BY_KIND.get(kind := self.peek().kind)) and row[0] >= level:
-            op_level, cls, right = row
-            run = [out]
-            while self.peek().kind == kind:
-                self.next()
-                run.append(self.formula(op_level + 1))
-            out = run.pop() if right else run.pop(0)
-            for g in reversed(run) if right else run:
-                out = cls(g, out) if right else cls(out, g)
-        return out
+    def formula(self) -> Formula:
+        """A formula: precedence climbing over ``_BINARY`` on explicit
+        stacks. An operand is its prefix operators over an atom or a
+        parenthesised group. A connective first groups the pending ones that
+        bind at least as tightly (strictly more tightly, if it groups to the
+        right). Each open parenthesis keeps its prefix operators and the
+        enclosing operands and connectives on ``groups``, so no nesting
+        recurses."""
+        groups = []  # per open parenthesis: (prefixes, operands, pending)
+        operands: list[Formula] = []
+        pending: list[tuple] = []  # _BINARY rows not yet applied
 
-    def unary(self) -> Formula:
-        """Prefix operators, read in a loop, over a primary."""
+        def apply(level: int) -> None:
+            while pending and pending[-1][0] >= level:
+                _, cls, _ = pending.pop()
+                right = operands.pop()
+                operands.append(cls(operands.pop(), right))
+
+        while True:
+            prefixes = self.prefixes()
+            if self.peek().kind == "LPAR":
+                self.next()
+                groups.append((prefixes, operands, pending))
+                operands, pending = [], []
+                continue
+            out = self.atom()
+            # close every group that ends here, innermost first
+            while True:
+                for cls, *tag in reversed(prefixes):
+                    out = cls(*tag, out)
+                operands.append(out)
+                row = _BY_KIND.get(self.peek().kind)
+                if row is not None:
+                    break
+                apply(0)
+                out = operands.pop()
+                if not groups:
+                    return out
+                self.expect("RPAR", "')'")
+                while self.peek().kind == "CARET":
+                    self.next()
+                    out = Rel(out, self.expect("IDENT", "context name").text)
+                prefixes, operands, pending = groups.pop()
+            level, _, right = row
+            apply(level + right)
+            pending.append(row)
+            self.next()
+
+    def prefixes(self) -> list[tuple]:
+        """The prefix operators before an operand, outermost first."""
         ops = []
         while (cls := _PREFIX.get(self.peek().kind)) is not None:
             self.next()
             ops.append((cls,) if cls is Not else (cls, *self._operator_tag()))
-        out = self.primary()
-        for cls, *tag in reversed(ops):
-            out = cls(*tag, out)
-        return out
+        return ops
 
     def _operator_tag(self) -> tuple[str, str | None]:
         self.expect("LBRACE", "'{' after modal operator")
@@ -473,19 +502,11 @@ class _Parser:
         self.expect("RBRACE", "'}'")
         return agent, variant
 
-    def primary(self) -> Formula:
+    def atom(self) -> Formula:
         tok = self.peek()
         if tok.kind == "IDENT":
             self.next()
             return Atom(tok.text)
-        if tok.kind == "LPAR":
-            self.next()
-            out = self.formula()
-            self.expect("RPAR", "')'")
-            while self.peek().kind == "CARET":
-                self.next()
-                out = Rel(out, self.expect("IDENT", "context name").text)
-            return out
         if tok.kind == "CARET":
             raise FormulaSyntaxError(
                 "relativization applied to nothing (use '(...)^name')", tok.pos

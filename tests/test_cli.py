@@ -169,11 +169,18 @@ _DEEP_VERDICTS = [
 
 
 class TestDeepInput:
-    def test_nested_too_deeply_exits_three(self, capsys):
-        # the parser recurses once per parenthesis level
-        code, _, err = run(capsys, "parse", "(" * 2000 + "p" + ")" * 2000)
+    def test_nested_too_deeply_exits_three(self, capsys, tmp_path):
+        # the standard JSON decoder recurses once per level of an input file
+        path = tmp_path / "env.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        code, _, err = run(capsys, "oracle", "--env", str(path), "p")
         assert code == 3
         assert err == "error: formula nested too deeply\n"
+
+    def test_deep_parentheses_are_parsed(self, capsys):
+        # the parser keeps open parentheses on a stack
+        code, out, err = run(capsys, "parse", "(" * 2000 + "p" + ")" * 2000)
+        assert (code, out, err) == (0, "Atom p\n", "")
 
     @pytest.mark.parametrize(
         "argv, expected",

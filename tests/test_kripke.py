@@ -446,11 +446,34 @@ def assert_same_masks(f, env, agents, max_worlds):
     st.integers(min_value=0, max_value=2**32 - 1),
     st.integers(min_value=0, max_value=4),
     st.sampled_from(ENVS),
+    # over one atom and ci, x & ~x, x <-> x and double complements occur
+    st.sampled_from([("p", "q", "ci", "cj"), ("p", "ci")]),
 )
 @settings(max_examples=200, deadline=None)
-def test_the_kernel_matches_the_closure_compiler(seed, depth, env):
-    f = random_formula(random.Random(seed), depth, atoms=("p", "q", "ci", "cj"))
+def test_the_kernel_matches_the_closure_compiler(seed, depth, env, atoms):
+    f = random_formula(random.Random(seed), depth, atoms=atoms)
     assert_same_masks(f, env, ["i", "j"], 3)
+
+
+@pytest.mark.parametrize(
+    "text, body, local_names",
+    [
+        ("p | ~p", None, ("ctx", "full")),
+        ("p <-> ~~p", None, ("ctx", "full")),
+        ("q & (p & ~p)", None, ("ctx",)),
+        ("~~p", None, ("ctx", "val", "m0")),
+        ("K{i,1.1} (p | ~p)", None, ("ctx", "full", "k0")),
+        ("(K{i,1.2} p)^ci", "false", ("ctx", "full", "k0")),
+        ("(p)^ci", "true", ("ctx", "val", "m0")),
+    ],
+)
+def test_the_kernel_folds_identities_and_drops_dead_lines(text, body, local_names):
+    """An operation that an identity decides emits no line, a line the root
+    does not read is dropped, and full and the valuation are read only where
+    a line left uses them; an agent's table is looked up all the same."""
+    env = ContextEnv() if body is None else ContextEnv({"ci": parse_context(body)})
+    fn = assert_same_masks(parse_formula(text), env, ["i"], 2)
+    assert fn.__code__.co_varnames == local_names
 
 
 def test_names_are_bound_values_not_source():
@@ -687,6 +710,18 @@ class TestOracleEdges:
         g = parse_formula("K{i,1.1} (P{j,1.1} K{k,1.1} p | K{k,1.1} q)")
         with pytest.raises(ModelError, match="model lacks agent 'j'"):
             truth_mask(model, ContextEnv(), g)
+        # an operator that folds away still looks its agent's table up
+        false_ci = ContextEnv({"ci": BOT})
+        for text, env in [
+            ("K{k,1.1} (p | ~p)", ContextEnv()),
+            ("P{k,1.1} (p & ~p) -> q", ContextEnv()),
+            ("(K{k,1.2} p)^ci", false_ci),
+        ]:
+            g = parse_formula(text)
+            found = assert_same_as_reference(g, env=env, agents=[], max_worlds=2)
+            assert found == ("ModelError", "model lacks agent 'k'")
+            with pytest.raises(ModelError, match="model lacks agent 'k'"):
+                truth_mask(model, env.completed(needed_context_names(g)), g)
 
     def test_an_omitted_atom_is_false_everywhere(self):
         for text in ["q -> K{i,1.1} p", "p | ~q", "K{i,1.1} (p -> q)"]:

@@ -138,11 +138,35 @@ class TestParseFormula:
         assert err.value.position == position
 
     def test_deep_parentheses(self):
-        # three frames per parenthesis level: formula, unary, primary
         depth = 250
         text = "(" * depth + "p" + ")" * depth
         assert sys.getrecursionlimit() == 1000
         assert parse_formula(text) is Atom("p")
+
+    @pytest.mark.parametrize(
+        "opening, closing, wrap",
+        [
+            ("(", ")", lambda f: f),
+            ("~(p -> ", ")^ci", lambda f: Not(Rel(Imp(Atom("p"), f), "ci"))),
+            ("(p | (", ") & q)", lambda f: Or(Atom("p"), And(f, Atom("q")))),
+            ("K{i,1.1} (", " <-> p)", lambda f: Know("i", "1.1", Iff(f, Atom("p")))),
+        ],
+        ids=["bare", "prefixed", "precedence", "modal"],
+    )
+    def test_deep_parentheses_are_kept_on_a_stack(self, monkeypatch, opening, closing, wrap):
+        # the parser keeps each open parenthesis on its own stack; it never
+        # needs a higher recursion limit
+        def refuse(limit):
+            raise AssertionError(f"the recursion limit was set to {limit}")
+
+        monkeypatch.setattr(sys, "setrecursionlimit", refuse)
+        depth = 5000
+        expected = Atom("q")
+        for _ in range(depth):
+            expected = wrap(expected)
+        f = parse_formula(opening * depth + "q" + closing * depth)
+        assert f is expected
+        assert parse_formula(render_formula(f)) is f
 
     @pytest.mark.parametrize(
         "text, n, wrap",
