@@ -2,8 +2,8 @@
 
 Exit codes: 0 valid/true/agreement, 1 invalid/false/mismatch, 2 usage or
 input error, 3 search budget exhausted, oracle model space over its
-ceiling, formula nested too deeply, or a failed internal check. Errors
-go to stderr prefixed with ``error:``.
+ceiling, an ``--env`` or ``--model`` file nested too deeply, or a failed
+internal check. Errors go to stderr prefixed with ``error:``.
 """
 
 from __future__ import annotations
@@ -333,7 +333,7 @@ def main(argv=None) -> int:
     except RecursionError:
         # the JSON decoder, reading a deeply nested --env or --model file,
         # ran out of stack: a resource limit, not exit 1 ("invalid")
-        print("error: formula nested too deeply", file=sys.stderr)
+        print("error: input file nested too deeply", file=sys.stderr)
         return EXIT_BUDGET
     except (FormulaSyntaxError, UntaggedOperatorError, CliError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -206,15 +206,22 @@ class _Branch:
 
     def add(self, facts):
         """Record signed facts (label, sign, formula) in order; returns the
-        first closing fact key on contradiction, None otherwise."""
+        first closing fact key on contradiction, None otherwise. The rules
+        of the batch's new facts are queued, in order, only once the whole
+        batch is in and the branch stays open: a closed branch is never
+        expanded. So a ``_rule`` error on a fact of a closing batch is not
+        raised; ``prove_el`` rejects every formula that could raise one
+        before it builds the tableau."""
+        new = []
         for label, sign, f in facts:
             key = (label, f)
             prior = self.facts.get(key)
-            if prior is not None:
-                if prior != sign:
-                    return key
-                continue
-            self.facts[key] = sign
+            if prior is None:
+                self.facts[key] = sign
+                new.append((label, sign, f))
+            elif prior != sign:
+                return key
+        for label, sign, f in new:
             rule = _rule(self.ctx, sign, f)
             if rule is not None:
                 heapq.heappush(self.queue, (rule[0], self.seq, label, sign, f, rule))

@@ -33,7 +33,12 @@ a later call on a tree that shares the node (the next step of a trace, a
 biconditional of two steps) returns them at once; ``needed_context_names``
 reads the names from there. The result and every error, message included,
 are exactly those of a call on a fresh tree. ``reduce_full`` and
-``reduce_once`` never read or keep these pairs: a trace is never cached.
+``reduce_once`` never read these pairs, so a trace is never cached; but a
+finished trace knows the pair of every tree it built, so ``reduce_full``
+leaves it on each step's ``before``, and ``_REL_FREE`` on the result
+(Filliâtre & Conchon's pattern for hash-consed nodes: a value computed
+once per node is kept on the node). Proving a step's biconditional then
+walks one node.
 """
 
 from __future__ import annotations
@@ -202,19 +207,19 @@ def _reduce(f: Formula) -> Formula:
     return f if kept is _REL_FREE else kept[0]
 
 
-def _steps(f: Formula) -> Iterator[ReductionStep]:
+def _steps(f: Formula) -> Iterator[tuple[ReductionStep, tuple[str, ...]]]:
     """The steps of f's reduction, one at a time, in the order ``_reduce``
-    rewrites: each step's ``after`` is the next one's ``before``. Each node
-    goes on the stack with its path from the root. Steps are never cached,
-    so the walk neither reads nor keeps normal forms, and gives no names."""
+    rewrites, each with the context names its rewrite reports: each step's
+    ``after`` is the next one's ``before``. Each node goes on the stack with
+    its path from the root. The walk neither reads nor keeps normal forms."""
     before = f
     stack = [(f, ())]
     while stack:
         g, at = stack.pop()
         while isinstance(g, Rel):
-            g, axiom, _ = _rewrite_redex(g.body, g.context)
+            g, axiom, needs = _rewrite_redex(g.body, g.context)
             after = _replace(before, at, g)
-            yield ReductionStep(before, axiom, at, after)
+            yield ReductionStep(before, axiom, at, after), needs
             before = after
         kids = g.children()
         for i in range(len(kids) - 1, -1, -1):
@@ -223,13 +228,31 @@ def _steps(f: Formula) -> Iterator[ReductionStep]:
 
 def reduce_full(f: Formula, step_budget: int | None = None) -> ReductionTrace:
     """The relativization-free normal form of f, with its step trace; more
-    than ``step_budget`` steps, if given, raise ReductionBudgetError."""
+    than ``step_budget`` steps, if given, raise ReductionBudgetError.
+
+    The trace is recorded in full, reading no kept pair. Once it is, each
+    step's ``before`` that keeps nothing yet keeps the pair ``_reduce``
+    would give it: the trace's result, and the names reported by that step
+    and every later one (the steps from a ``before`` on are its own
+    reduction). The result keeps ``_REL_FREE``. So proving a step's
+    biconditional finds both sides reduced. A trace that raises keeps
+    nothing."""
     steps: list[ReductionStep] = []
-    for step in _steps(f):
+    reported: list[tuple[str, ...]] = []
+    for step, needs in _steps(f):
         if len(steps) == step_budget:
             raise ReductionBudgetError(f"no fixpoint within {step_budget} steps")
         steps.append(step)
-    return ReductionTrace(tuple(steps), steps[-1].after if steps else f)
+        reported.append(needs)
+    result = steps[-1].after if steps else f
+    names = _NO_NAMES
+    for step, needs in zip(reversed(steps), reversed(reported)):
+        if not names.issuperset(needs):
+            names = names.union(needs)
+        if getattr(step.before, "_normal", None) is None:
+            object.__setattr__(step.before, "_normal", (result, names))
+    object.__setattr__(result, "_normal", _REL_FREE)
+    return ReductionTrace(tuple(steps), result)
 
 
 def reduce_result(f: Formula) -> Formula:
@@ -239,8 +262,9 @@ def reduce_result(f: Formula) -> Formula:
 
 
 def is_relativization_free(f: Formula) -> bool:
-    """Whether f has no Rel node: read off the form ``reduce_result`` keeps
-    on f if it has finished f (a normal form keeps itself), else one walk."""
+    """Whether f has no Rel node: read off the form kept on f if
+    ``reduce_result`` or ``reduce_full`` has finished f (a normal form
+    keeps itself), else one walk."""
     kept = getattr(f, "_normal", None)
     if kept is not None:
         return kept is _REL_FREE
@@ -249,8 +273,9 @@ def is_relativization_free(f: Formula) -> bool:
 
 def reduce_once(f: Formula) -> tuple[Formula, str, tuple[int, ...]] | None:
     """Rewrite the leftmost-outermost relativization; None if f has none."""
-    step = next(_steps(f), None)
-    return None if step is None else (step.after, step.axiom, step.path)
+    for step, _ in _steps(f):
+        return step.after, step.axiom, step.path
+    return None
 
 
 def reduction_measure(f: Formula) -> int:

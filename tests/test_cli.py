@@ -175,7 +175,7 @@ class TestDeepInput:
         path.write_text("[" * 100_000 + "]" * 100_000)
         code, _, err = run(capsys, "oracle", "--env", str(path), "p")
         assert code == 3
-        assert err == "error: formula nested too deeply\n"
+        assert err == "error: input file nested too deeply\n"
 
     def test_deep_parentheses_are_parsed(self, capsys):
         # the parser keeps open parentheses on a stack

@@ -37,6 +37,7 @@ from celogic.syntax import (
     parse_context,
     parse_formula,
     render_formula,
+    subformulas,
     variant_contexts_names,
 )
 
@@ -513,6 +514,88 @@ class TestKeptNames:
         # nothing is kept on the failing Rel or on its ancestors
         assert getattr(f, "_normal", None) is None
         assert getattr(f.right, "_normal", None) is None
+
+
+# ---------------------------------------------------------------------------
+# A finished trace leaves on each tree it built the pair reduce_result would
+# keep there, so proving a step's biconditional reduces nothing again.
+
+
+def assert_trace_keeps_exact_pairs(f):
+    """After reduce_full(f), each step's before keeps the reference normal
+    form and context names, and the result keeps that it is Rel-free."""
+    trace = reduce_full(f)
+    for step in trace.steps:
+        before = step.before
+        assert before._normal == (
+            reference_reduce_full(before)[1],
+            reference_needed_context_names(before),
+        )
+    assert trace.result._normal is reduction._REL_FREE
+
+
+class TestTraceKeptPairs:
+    def test_hygiene_corpus(self):
+        for f in hygiene_corpus():
+            assert_trace_keeps_exact_pairs(f)
+
+    def test_cross_corpus_and_suite(self):
+        suite = [parse_formula(row.formula) for row in SUITE_ROWS]
+        for f in cross_semantics_corpus() + suite:
+            assert_trace_keeps_exact_pairs(f)
+
+    def test_proving_a_step_rewrites_nothing(self, monkeypatch):
+        traces = [reduce_full(f) for f in _corpora()]
+        no_rewrite = lambda *args: pytest.fail("rewrote a node of a finished trace")
+        monkeypatch.setattr(reduction, "_rewrite_redex", no_rewrite)
+        for trace in traces:
+            for step in trace.steps:
+                assert prove_cel(Iff(step.before, step.after)).is_valid
+
+    @pytest.mark.parametrize(
+        "f, budget, error",
+        [
+            # rewritten twice, then the untagged K{j} raises
+            (
+                Rel(And(Atom("kn_p"), Know("j", None, Atom("kn_q"))), "ckn"),
+                None,
+                UntaggedOperatorError,
+            ),
+            # four steps in full
+            (
+                Rel(Rel(And(Atom("kn_r"), Atom("kn_s")), "ckn_in"), "ckn_out"),
+                2,
+                ReductionBudgetError,
+            ),
+        ],
+        ids=["untagged", "budget"],
+    )
+    def test_a_trace_that_raises_keeps_nothing(self, f, budget, error):
+        # every tree the trace builds before it stops, held alive here; its
+        # names occur nowhere else, so no other reduction has kept a pair
+        trees = [f]
+        try:
+            while (once := reference_reduce_once(trees[-1])) is not None:
+                trees.append(once[0])
+        except UntaggedOperatorError:
+            pass
+        assert len(trees) > 2
+        with pytest.raises(error):
+            reduce_full(f, budget)
+        kept = [g for t in trees for g in subformulas(t) if hasattr(g, "_normal")]
+        assert kept == []
+
+    def test_reduce_once_keeps_nothing(self):
+        f = Rel(Not(Atom("once_p")), "conce")
+        after, _, _ = reduce_once(f)
+        kept = [g for t in (f, after) for g in subformulas(t) if hasattr(g, "_normal")]
+        assert kept == []
+
+
+@given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(0, 5))
+@settings(max_examples=150, deadline=None)
+def test_trace_keeps_exact_pairs_property(seed, depth):
+    assert_trace_keeps_exact_pairs(random_formula(random.Random(seed), depth))
 
 
 class TestNeededContexts:
