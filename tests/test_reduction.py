@@ -133,9 +133,12 @@ def _step_tuples(trace):
 def assert_matches_reference(f):
     expected = _outcome(lambda: reference_reduce_full(f))
     assert _outcome(lambda: _step_tuples(reduce_full(f))) == expected
+    if expected[0] == "value":
+        assert_trace_keeps_exact_pairs(*expected[1])
     assert _outcome(lambda: reduce_once(f)) == _outcome(
         lambda: reference_reduce_once(f)
     )
+    # the pairs the trace left are unset: f and its steps are cold again
     assert_names_match_reference(f)
     if expected[0] == "value":
         # the step biconditionals in trace order, as criterion 4 reads them:
@@ -151,6 +154,19 @@ def assert_names_match_reference(f):
     assert _outcome(lambda: needed_context_names(f)) == _outcome(
         lambda: reference_needed_context_names(f)
     )
+
+
+def assert_trace_keeps_exact_pairs(steps, result):
+    """After reduce_full, each step's before keeps the reference normal form
+    and context names, and the result keeps that it is Rel-free. The pairs
+    are then unset, so a later reduction of these trees runs ``_reduce`` as
+    on trees no trace has finished."""
+    befores = [before for before, _, _, _ in steps]
+    for before in befores:
+        assert before._normal == (result, reference_needed_context_names(before))
+    assert result._normal is reduction._REL_FREE
+    for g in befores + [result]:
+        object.__delattr__(g, "_normal")
 
 
 # nine p's under <->, one relativization: p, so the whole is ci -> p
@@ -310,12 +326,14 @@ class TestReduceResult:
         # reduce_full(Iff(a, b)).result is the Iff of the two normal forms
         # (the root is no redex, and every redex of a precedes those of b),
         # and every step's before and after share the trace's normal form,
-        # so the reference is Iff(result, result) without re-reducing.
+        # so the reference is Iff(result, result) without re-reducing. The
+        # steps come from the reference, which keeps no pair on them, so
+        # each reduce_result runs _reduce on a partly warmed step tree.
         for f in hygiene_corpus():
-            trace = reduce_full(f)
-            expected = Iff(trace.result, trace.result)
-            for step in trace.steps:
-                assert reduce_result(Iff(step.before, step.after)) == expected
+            steps, result = reference_reduce_full(f)
+            expected = Iff(result, result)
+            for before, _, _, after in steps:
+                assert reduce_result(Iff(before, after)) == expected
 
     def test_plain_input_is_returned_as_is(self):
         f = parse_formula("K{i,1.1} a -> a & ~b")
@@ -341,38 +359,43 @@ class TestReduceResult:
 @settings(max_examples=200, deadline=None)
 def test_reduce_result_matches_reduce_full_property(seed, depth):
     f = random_formula(random.Random(seed), depth)
-    trace = reduce_full(f)
-    assert reduce_result(f) == trace.result
-    for step in trace.steps:
-        g = Iff(step.before, step.after)
+    # the steps from the reference, which keeps no pair on them; f's own
+    # trace comes last, as it leaves each step's pair for reduce_result
+    steps, result = reference_reduce_full(f)
+    assert reduce_result(f) == result
+    for before, _, _, after in steps:
+        g = Iff(before, after)
         assert reduce_result(g) == reduce_full(g).result
+    assert reduce_full(f).result == result
 
 
 # ---------------------------------------------------------------------------
 # Kept normal forms: reduce_result keeps each finished node's normal form on
 # the node. A warmed tree must give what a reduction that reads no kept form
 # gives, value or error. Equal trees are one node, so no copy of a tree comes
-# without its kept forms: the cold references are the trace pass, which
-# neither reads nor keeps them, and the reference reduction above.
+# without its kept forms: the cold reference is the reference reduction
+# above, which neither reads nor keeps them. The trace pass reads none but
+# leaves them on the trees it builds, so it never builds the targets.
 
 
 def _warming_order(f):
-    """f, then each step's biconditional and negated result: each tree
-    shares nodes with those before it, so reducing them in this order
-    reads forms kept by the earlier reductions."""
+    """f's reference outcome, and the trees to reduce in order: f, then
+    each step's biconditional and negated result. Each tree shares nodes
+    with those before it, so reducing them in this order reads forms kept
+    by the earlier reductions."""
+    outcome = _outcome(lambda: reference_reduce_full(f))
     targets = [f]
-    trace = _outcome(lambda: reduce_full(f))
-    if trace[0] == "value":
-        for step in trace[1].steps:
-            targets += [Iff(step.before, step.after), Not(step.after)]
-    return targets
+    if outcome[0] == "value":
+        for before, _, _, after in outcome[1][0]:
+            targets += [Iff(before, after), Not(after)]
+    return outcome, targets
 
 
 def assert_kept_forms_exact(f):
     """reduce_result on each warmed tree gives the reference's normal form,
     and reduce_full after it gives the reference's trace: the trace path
     never reads a kept form."""
-    targets = _warming_order(f)
+    _, targets = _warming_order(f)
     for g in targets:
         assert _outcome(lambda: reduce_result(g)) == _outcome(
             lambda: reference_reduce_full(g)[1]
@@ -385,11 +408,11 @@ def assert_kept_forms_exact(f):
 
 def assert_kept_forms_match_the_trace(f):
     """As assert_kept_forms_exact's reduce_result half, with each step's
-    outcome worked out from f's trace instead of a fresh reduction: a
-    step's before and after both reduce to the trace's result. Cheap
-    enough for every step of long traces."""
-    f, *targets = _warming_order(f)
-    expected = _outcome(lambda: reduce_full(f).result)
+    outcome worked out from f's reference trace instead of a fresh
+    reduction: a step's before and after both reduce to the trace's result.
+    Cheap enough for every step of long traces."""
+    outcome, (f, *targets) = _warming_order(f)
+    expected = ("value", outcome[1][1]) if outcome[0] == "value" else outcome
     assert _outcome(lambda: reduce_result(f)) == expected
     if not targets:
         return
@@ -479,9 +502,11 @@ class TestProperties:
         rng = random.Random(56)
         for _ in range(200):
             f = random_formula(rng, 4)
+            # names first: the trace leaves its pair on f
+            names = needed_context_names(f)
             before = formula_info(f)
             after = formula_info(reduce_full(f).result)
-            assert after.atoms - before.atoms <= needed_context_names(f)
+            assert after.atoms - before.atoms <= names
 
 
 class TestKeptNames:
@@ -518,32 +543,12 @@ class TestKeptNames:
 
 # ---------------------------------------------------------------------------
 # A finished trace leaves on each tree it built the pair reduce_result would
-# keep there, so proving a step's biconditional reduces nothing again.
-
-
-def assert_trace_keeps_exact_pairs(f):
-    """After reduce_full(f), each step's before keeps the reference normal
-    form and context names, and the result keeps that it is Rel-free."""
-    trace = reduce_full(f)
-    for step in trace.steps:
-        before = step.before
-        assert before._normal == (
-            reference_reduce_full(before)[1],
-            reference_needed_context_names(before),
-        )
-    assert trace.result._normal is reduction._REL_FREE
+# keep there, so proving a step's biconditional reduces nothing again. The
+# pairs themselves are checked against the references in
+# assert_matches_reference.
 
 
 class TestTraceKeptPairs:
-    def test_hygiene_corpus(self):
-        for f in hygiene_corpus():
-            assert_trace_keeps_exact_pairs(f)
-
-    def test_cross_corpus_and_suite(self):
-        suite = [parse_formula(row.formula) for row in SUITE_ROWS]
-        for f in cross_semantics_corpus() + suite:
-            assert_trace_keeps_exact_pairs(f)
-
     def test_proving_a_step_rewrites_nothing(self, monkeypatch):
         traces = [reduce_full(f) for f in _corpora()]
         no_rewrite = lambda *args: pytest.fail("rewrote a node of a finished trace")
@@ -592,12 +597,6 @@ class TestTraceKeptPairs:
         assert kept == []
 
 
-@given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(0, 5))
-@settings(max_examples=150, deadline=None)
-def test_trace_keeps_exact_pairs_property(seed, depth):
-    assert_trace_keeps_exact_pairs(random_formula(random.Random(seed), depth))
-
-
 class TestNeededContexts:
     @pytest.mark.parametrize(
         "text, names",
@@ -618,8 +617,10 @@ class TestNeededContexts:
         rng = random.Random(57)
         for _ in range(200):
             f = random_formula(rng, 4)
+            # names first: the trace leaves its pair on f
+            names = needed_context_names(f)
             guard_atoms = formula_info(reduce_full(f).result).atoms - formula_info(f).atoms
-            assert guard_atoms <= needed_context_names(f)
+            assert guard_atoms <= names
 
 
 class TestDeepRelativizedInput:
