@@ -2,29 +2,37 @@
 bounded enumeration oracle.
 
 Relations are stored as partitions (one equivalence class list per agent), so
-reflexivity, symmetry and transitivity hold by construction. Satisfaction is
-evaluated by compiling a formula once into a truth-mask function: each
-subformula evaluates to an integer bitmask. Over one model (_ModelCtx) bit w
-is world w. Over one frame (_FrameCtx: a world count and a partition per
-agent) bit w*V + v is world w under the v-th of its V valuations, so the
-oracle evaluates each frame once instead of each model (bit-slicing), through
-the same compiled function rather than a second semantics.
+reflexivity, symmetry and transitivity hold by construction. Each subformula
+evaluates to an integer bitmask. Over one model (_ModelCtx) bit w is world w.
+Over one frame (_FrameCtx: a world count and a partition per agent) bit
+w*V + v is world w under the v-th of its V valuations, so the oracle
+evaluates each frame once instead of each model (bit-slicing).
 
-The compiled function reads atoms and knowledge by subscript: an atom from
-the context's valuation, an agent's knowledge from its table. Over a model
-the table is a memo from mask to the union of the classes inside it, shared
-by every model over the same partition; over a frame it runs the slice-AND
-scan on each lookup. The compiler folds, as it emits, each operation that a
-Boolean identity decides (every mask is a subset of the all-worlds mask, so
-constants, double complements, ``x & ~x``, ``x <-> x`` and knowledge of all
-or no worlds decide themselves), and the function keeps only the lines its
-result depends on.
+The satisfaction table is stated once, as a ``fold`` step over an abstract
+mask algebra (``_mask_rules``), and instantiated twice (the interpreter
+stated once and both run and compiled, as in Carette, Kiselyov & Shan,
+"Finally tagless, partially evaluated", 2009). ``truth_mask``, and so
+``satisfies`` and ``eval_context``, folds it over the integer masks of one
+model, with no code generated. ``compile_formula`` folds it over source
+lines into one truth-mask function for a caller that evaluates a formula
+many times, as the oracle does over every frame: the compiler folds, as it
+emits, each operation that a Boolean identity decides (every mask is a
+subset of the all-worlds mask, so constants, double complements,
+``x & ~x``, ``x <-> x`` and knowledge of all or no worlds decide
+themselves), and the function keeps only the lines its result depends on.
+
+Both read atoms and knowledge by subscript: an atom from the context's
+valuation, an agent's knowledge from its table. Over a model the table is a
+memo from mask to the union of the classes inside it, shared by every model
+over the same partition; over a frame it runs the slice-AND scan on each
+lookup.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import operator
 import weakref
 from typing import Callable, Iterator
 
@@ -287,10 +295,10 @@ def _knowledge(classes: list[int]) -> _Knowledge:
 
 
 class _ModelCtx:
-    """Per-model evaluation tables: valuation masks and knowledge tables."""
+    """Per-model evaluation tables: valuation masks and knowledge tables.
+    It does not hold the model, so a sweep keeps only the masks alive."""
 
     def __init__(self, model: KripkeModel):
-        self.model = model
         index = model._index
         self.full = (1 << len(model.worlds)) - 1
         self.val = _Valuation({
@@ -348,37 +356,90 @@ def _mask_of(worlds, index) -> int:
     return m
 
 
-def _context_expr(
-    env: ContextEnv,
-    name: str,
-    read: Callable[[str], str],
-    and_: Callable[[str, str], str],
-    not_: Callable[[str], str],
-) -> str:
-    """The operand holding the mask of the body bound to ``name``: ``0`` for
-    false, otherwise the AND of its literals, which is ``full`` for true.
-    ``read(atom)`` is the local holding that atom's valuation mask, and
-    ``and_``/``not_`` are the compiler's folding helpers. The AND is folded
-    one literal per assignment, so a long body never makes one deeply nested
-    expression."""
+def _context_expr(env: ContextEnv, name: str, read, and_, not_, full, none):
+    """The mask of the body bound to ``name``: ``none`` for false, otherwise
+    the AND of its literals, which is ``full`` for true. ``read(atom)`` is
+    that atom's valuation mask, and ``and_``/``not_`` are the algebra's. The
+    AND is taken one literal at a time, so a long body never makes one
+    deeply nested expression."""
     cf = env.resolve(name)
     if cf.is_bot:
-        return "0"
-    local = "full"
+        return none
+    mask = full
     for atom, positive in cf.literals:
-        local = and_(local, read(atom) if positive else not_(read(atom)))
-    return local
+        mask = and_(mask, read(atom) if positive else not_(read(atom)))
+    return mask
+
+
+def _mask_rules(env: ContextEnv, read, table, not_, and_, or_, iff, know, full, none):
+    """The satisfaction table as a ``fold`` step over one mask algebra.
+
+    ``read(atom)`` is the atom's valuation mask, ``table(agent)`` the
+    agent's knowledge table, ``know(table, x)`` the worlds where x is known,
+    ``not_``/``and_``/``or_``/``iff`` the Boolean operations and ``full``
+    and ``none`` the masks of all and of no worlds. An atom whose name is
+    bound in the environment denotes its context body (this is how context
+    names surviving reduction keep their meaning); all other atoms, body
+    literals included, read the valuation. Each agent's table is asked for
+    in the preorder of the agents' first occurrences."""
+
+    def unguarded(c: str):
+        """The mask where context c's body fails."""
+        return not_(_context_expr(env, c, read, and_, not_, full, none))
+
+    def step(g: Formula):
+        match g:
+            case Atom(atom):
+                if atom in env.bindings:
+                    return _context_expr(env, atom, read, and_, not_, full, none)
+                return read(atom)
+            case Not(body):
+                return not_((yield body))
+            case And(l, r):
+                return and_((yield l), (yield r))
+            case Or(l, r):
+                return or_((yield l), (yield r))
+            case Imp(l, r):
+                return or_(not_((yield l)), (yield r))
+            case Iff(l, r):
+                return iff((yield l), (yield r))
+            case Know(agent, _, body):
+                return know(table(agent), (yield body))
+            case Poss(agent, _, body):
+                # S5 duality over a partition: possible is not known not
+                k = table(agent)
+                return not_(know(k, not_((yield body))))
+            case Rel(Atom() | Rel() as body, c):
+                return or_(unguarded(c), (yield body))
+            case Rel(Not(inner), c):
+                return or_(unguarded(c), not_((yield Rel(inner, c))))
+            case Rel(And(l, r), c):
+                # As in the satisfaction table: no guard on conjunction.
+                return and_((yield Rel(l, c)), (yield Rel(r, c)))
+            case Rel(Or(l, r), c):
+                return or_(or_(unguarded(c), (yield Rel(l, c))), (yield Rel(r, c)))
+            case Rel(Imp(l, r), c):
+                guard = or_(unguarded(c), not_((yield Rel(l, c))))
+                return or_(guard, (yield Rel(r, c)))
+            case Rel(Iff(l, r), c):
+                return (yield Rel(And(Imp(l, r), Imp(r, l)), c))
+            case Rel(Know(agent, variant, inner), c):
+                cx, cy = variant_contexts_names(variant, c, agent)
+                k = yield Know(agent, variant, Rel(inner, cy))
+                return or_(unguarded(cx), k)
+            case Rel(Poss(agent, variant, inner), c):
+                return (yield Rel(Not(Know(agent, variant, Not(inner))), c))
+        raise TypeError(f"not a formula: {g!r}")
+
+    return step
 
 
 def compile_formula(f: Formula, env: ContextEnv) -> Callable[[_ModelCtx], int]:
     """Compile a formula into a truth-mask function over evaluation contexts:
     a _ModelCtx (one model) or a _FrameCtx (one frame, every valuation).
 
-    An atom whose name is bound in the environment denotes its context body
-    (this is how context names surviving reduction keep their meaning); all
-    other atoms, body literals included, read the valuation.
-
-    The result is one generated function ``mask(ctx)``: each distinct
+    The result is one generated function ``mask(ctx)``, the fold of
+    ``_mask_rules`` over an algebra of source lines: each distinct
     subformula is one assignment, in dependency order (equal expressions
     share one), and the function returns the root's mask, so an evaluation
     is one Python call. No name is spliced into its source: atom, agent and
@@ -387,7 +448,7 @@ def compile_formula(f: Formula, env: ContextEnv) -> Callable[[_ModelCtx], int]:
     constant 0. An atom is read as ``val[n]``, a subscript of the
     context's valuation, which is 0 for an atom it omits. ``Know`` is
     ``k[m]``, a subscript of the agent's knowledge table, and ``Poss`` its
-    dual ``full & ~k[full & ~m]``, so the function makes no call of its own.
+    dual ``full ^ k[full ^ m]``, so the function makes no call of its own.
 
     Every operation is emitted through a helper that first applies the
     Boolean identities that hold because every mask is a subset of ``full``:
@@ -395,15 +456,14 @@ def compile_formula(f: Formula, env: ContextEnv) -> Callable[[_ModelCtx], int]:
     complement of a complement is its operand, ``x & x`` and ``x | x`` are
     ``x``, ``x & ~x`` is ``0``, ``x | ~x`` and ``x <-> x`` are ``full``, and
     knowledge of ``full`` or ``0`` is itself (every world is in a class), so
-    possibility is too. Every complement is ``full & ~x``, made in one
+    possibility is too. Every complement is ``full ^ x``, made in one
     helper. Only the lines the root depends on are emitted, and ``full`` and
     the valuation are read only if one of them does. Each agent's table is
     still looked up first, in the preorder of the agents' first
     occurrences, even where its operator folds away, so a missing agent
-    raises ModelError naming the outermost one. Compiling the source still
-    dominates when the function is evaluated only a few times, as in one
-    ``satisfies`` call; it pays off only where one function is evaluated
-    many times.
+    raises ModelError naming the outermost one. Compiling pays off only
+    where one function is evaluated many times, as over every frame in
+    ``find_countermodel``; ``truth_mask`` evaluates once without it.
     """
     names: dict[str, str] = {}  # name -> the identifier bound to it
     classes: dict[str, str] = {}  # agent -> the local holding its table
@@ -422,14 +482,14 @@ def compile_formula(f: Formula, env: ContextEnv) -> Callable[[_ModelCtx], int]:
     def read(atom: str) -> str:
         return emit(f"val[{name(atom)}]", "val")
 
-    def agent_classes(agent: str) -> str:
+    def table(agent: str) -> str:
         return classes.setdefault(agent, f"k{len(classes)}")
 
     def not_(x: str) -> str:
         if x in ("full", "0"):
             return "0" if x == "full" else "full"
         if x not in complement:
-            m = emit(f"full & ~{x}", "full", x)
+            m = emit(f"full ^ {x}", "full", x)
             complement[x], complement[m] = m, x
         return complement[x]
 
@@ -461,54 +521,7 @@ def compile_formula(f: Formula, env: ContextEnv) -> Callable[[_ModelCtx], int]:
     def know(k: str, x: str) -> str:
         return x if x in ("full", "0") else emit(f"{k}[{x}]", x)
 
-    def unguarded(c: str) -> str:
-        """The mask where context c's body fails."""
-        return not_(_context_expr(env, c, read, and_, not_))
-
-    def step(g: Formula):
-        match g:
-            case Atom(atom):
-                if atom in env.bindings:
-                    return _context_expr(env, atom, read, and_, not_)
-                return read(atom)
-            case Not(body):
-                return not_((yield body))
-            case And(l, r):
-                return and_((yield l), (yield r))
-            case Or(l, r):
-                return or_((yield l), (yield r))
-            case Imp(l, r):
-                return or_(not_((yield l)), (yield r))
-            case Iff(l, r):
-                return iff((yield l), (yield r))
-            case Know(agent, _, body):
-                return know(agent_classes(agent), (yield body))
-            case Poss(agent, _, body):
-                # S5 duality over a partition: possible is not known not
-                k = agent_classes(agent)
-                return not_(know(k, not_((yield body))))
-            case Rel(Atom() | Rel() as body, c):
-                return or_(unguarded(c), (yield body))
-            case Rel(Not(inner), c):
-                return or_(unguarded(c), not_((yield Rel(inner, c))))
-            case Rel(And(l, r), c):
-                # As in the satisfaction table: no guard on conjunction.
-                return and_((yield Rel(l, c)), (yield Rel(r, c)))
-            case Rel(Or(l, r), c):
-                return or_(or_(unguarded(c), (yield Rel(l, c))), (yield Rel(r, c)))
-            case Rel(Imp(l, r), c):
-                guard = or_(unguarded(c), not_((yield Rel(l, c))))
-                return or_(guard, (yield Rel(r, c)))
-            case Rel(Iff(l, r), c):
-                return (yield Rel(And(Imp(l, r), Imp(r, l)), c))
-            case Rel(Know(agent, variant, inner), c):
-                cx, cy = variant_contexts_names(variant, c, agent)
-                k = yield Know(agent, variant, Rel(inner, cy))
-                return or_(unguarded(cx), k)
-            case Rel(Poss(agent, variant, inner), c):
-                return (yield Rel(Not(Know(agent, variant, Not(inner))), c))
-        raise TypeError(f"not a formula: {g!r}")
-
+    step = _mask_rules(env, read, table, not_, and_, or_, iff, know, "full", "0")
     root = fold(f, step)
     live = {root}  # the root and, line by line back, what the live lines read
     for m in reversed(exprs.values()):
@@ -528,7 +541,29 @@ def compile_formula(f: Formula, env: ContextEnv) -> Callable[[_ModelCtx], int]:
 
 
 def truth_mask(model: KripkeModel, env: ContextEnv, f: Formula) -> int:
-    return compile_formula(f, env)(_ModelCtx(model))
+    """The mask of the worlds of ``model`` where ``f`` holds, bit w for
+    world w: one fold of ``_mask_rules`` over integers, with no kernel
+    compiled. Errors are the kernel's: the walk raises what compiling
+    raises, and only then is a missing agent reported, the outermost one,
+    as the kernel's first lookup reports it."""
+    ctx = _ModelCtx(model)
+    full, tables = ctx.full, ctx.classes
+    lacking: list[str] = []  # agents the model lacks, in lookup order
+
+    def table(agent: str):
+        if agent not in tables:
+            lacking.append(agent)
+            return _Valuation()  # any mask it gives is thrown away below
+        return tables[agent]
+
+    step = _mask_rules(
+        env, ctx.val.__getitem__, table, full.__xor__, operator.and_,
+        operator.or_, lambda a, b: full ^ a ^ b, operator.getitem, full, 0,
+    )
+    mask = fold(f, step)
+    if lacking:
+        tables[lacking[0]]  # raises ModelError
+    return mask
 
 
 def satisfies(model: KripkeModel, world: str, env: ContextEnv, f: Formula) -> bool:
@@ -537,6 +572,8 @@ def satisfies(model: KripkeModel, world: str, env: ContextEnv, f: Formula) -> bo
     Preconditions: check_model(model) is empty and world is in the model.
     """
     return bool(truth_mask(model, env, f) >> model.world_index(world) & 1)
+
+
 
 
 # ---------------------------------------------------------------------------
@@ -693,7 +730,7 @@ def find_countermodel(
     _check_space(max_worlds, agents, atoms, ceiling)
     fn = compile_formula(f, env)
     for ctx in _frame_contexts(max_worlds, agents, atoms):
-        fail = ctx.full & ~fn(ctx)
+        fail = ctx.full ^ fn(ctx)
         if fail:
             # lowest failing valuation, then the lowest world failing in it
             worlds = ctx.worlds

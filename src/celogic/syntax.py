@@ -648,16 +648,23 @@ def node_count(f: Formula) -> int:
 
 
 def formula_info(f: Formula) -> FormulaInfo:
-    """One explicit-stack walk over f; each entry carries the number of
-    K/P operators above it, so the modal depth is the largest such count
-    at an atom."""
+    """One explicit-stack walk over f's DAG; each entry carries the number
+    of K/P operators above it, so the modal depth is the largest such count
+    at an atom. A shared node is walked again only when it is reached under
+    more operators than before, so a nest of subtrees shared twice, such as
+    ``game_form``'s expansion of an ``<->`` chain, costs its distinct nodes,
+    not its paths."""
     atoms: set[str] = set()
     agents: set[str] = set()
     contexts: set[str] = set()
     depth = 0
+    reached: dict[Formula, int] = {}  # node -> most operators seen above it
     stack = [(f, 0)]
     while stack:
         g, d = stack.pop()
+        if reached.get(g, -1) >= d:
+            continue
+        reached[g] = d
         match g:
             case Atom():
                 atoms.add(g.name)

@@ -459,6 +459,16 @@ class TestWinningStrategy:
         with pytest.raises(BudgetExhaustedError):
             has_winning_strategy(f, budget=5)
 
+    def test_a_deep_iff_chain_reaches_its_budget(self):
+        # game_form plays each <-> as both implications, so the thesis has
+        # 2**40 paths over its 121 distinct nodes; setting the game up
+        # walks the nodes, not the paths
+        f = Atom("p")
+        for n in range(40):
+            f = Iff(f, Atom("pq"[n % 2]))
+        with pytest.raises(BudgetExhaustedError):
+            has_winning_strategy(f, budget=50)
+
     @pytest.mark.parametrize(
         "text",
         [

@@ -44,6 +44,7 @@ from celogic.syntax import (
     Poss,
     Rel,
     TOP,
+    UntaggedOperatorError,
     agent_context,
     formula_info,
     parse_context,
@@ -256,6 +257,15 @@ def test_cross_semantics_spot_sample():
 # The generated kernel against the closure compiler it replaced
 
 
+class ModelCtx(_ModelCtx):
+    """A _ModelCtx that keeps its model, so the reference reads an agent's
+    classes off the model, not off the kernel's knowledge tables."""
+
+    def __init__(self, model: KripkeModel):
+        super().__init__(model)
+        self.model = model
+
+
 def reference_context_mask_fn(env: ContextEnv, name: str) -> Callable[[_ModelCtx], int]:
     cf = env.resolve(name)
     if cf.is_top:
@@ -430,13 +440,14 @@ def read_names(f, env):
 
 
 def assert_same_masks(f, env, agents, max_worlds):
-    """The kernel and the reference agree on every model up to two worlds
-    and on every frame up to max_worlds worlds."""
+    """The kernel, the reference and direct evaluation agree on every model
+    up to two worlds, and the kernel and the reference on every frame up to
+    max_worlds worlds."""
     fn, ref = compile_formula(f, env), reference_compile_formula(f, env)
     atoms = read_names(f, env)
     for model in enumerate_models(2, agents, atoms):
-        ctx = _ModelCtx(model)
-        assert fn(ctx) == ref(ctx)
+        ctx = ModelCtx(model)
+        assert truth_mask(model, env, f) == fn(ctx) == ref(ctx)
     for ctx in _frame_contexts(max_worlds, agents, atoms):
         assert fn(ctx) == ref(ctx)
     return fn
@@ -510,8 +521,133 @@ def test_a_long_context_body_compiles():
         {"i": [["w1", "w2"], ["w3"]]},
         {**valuation, "a1": ["w2"], "p": ["w1", "w2"]},
     )
-    ctx = _ModelCtx(model)
+    ctx = ModelCtx(model)
     assert compile_formula(f, env)(ctx) == reference_compile_formula(f, env)(ctx) == 0b001
+
+
+# ---------------------------------------------------------------------------
+# Direct evaluation: the same rules folded over one model's masks
+
+
+@pytest.fixture(scope="module")
+def models_up_to_three_worlds():
+    """Every model up to three worlds over p and q, per tuple of agents."""
+    by_agents = {}
+
+    def models(agents):
+        if agents not in by_agents:
+            by_agents[agents] = [
+                (m, ModelCtx(m)) for m in enumerate_models(3, agents, ["p", "q"])
+            ]
+        return by_agents[agents]
+
+    return models
+
+
+def test_truth_mask_matches_the_kernel_on_the_corpora(models_up_to_three_worlds):
+    """truth_mask, the kernel and the reference agree on every model up to
+    three worlds, each formula under one env of ENVS in turn, so every env
+    meets both corpora."""
+    formulas = [parse_formula(r.formula) for r in SUITE_ROWS]
+    formulas += cross_semantics_corpus()
+    for n, f in enumerate(formulas):
+        env = ENVS[n % len(ENVS)]
+        fn, ref = compile_formula(f, env), reference_compile_formula(f, env)
+        for model, ctx in models_up_to_three_worlds(tuple(sorted(formula_info(f).agents))):
+            assert truth_mask(model, env, f) == fn(ctx) == ref(ctx), (f, env)
+
+
+def test_direct_evaluation_compiles_nothing(monkeypatch):
+    """satisfies, eval_context and prove_cel's witness checks give the
+    kernel's answers without reaching compile_formula or, in the module that
+    generates kernels, compile()."""
+    import celogic.kripke
+    from celogic.prove import Invalid, prove_cel
+
+    model = KripkeModel(
+        ["w1", "w2", "w3"],
+        {"i": [["w1", "w2"], ["w3"]], "j": [["w1"], ["w2", "w3"]], "k": [["w1", "w2", "w3"]]},
+        {"p": ["w1"], "q": ["w2", "w3"], "a": ["w1", "w3"], "_ctx_ci": ["w1", "w2"]},
+    )
+    rows = [(parse_formula(r.formula), r.expected) for r in SUITE_ROWS]
+    envs = [ContextEnv().for_formula(f) for f, _ in rows]
+    kernel = [compile_formula(f, env)(_ModelCtx(model)) for (f, _), env in zip(rows, envs)]
+    bound = ContextEnv({"ci": parse_context("p & ~q")})
+    contexts = [eval_context(model, w, bound, "ci") for w in model.worlds]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("compiled a kernel")
+
+    monkeypatch.setattr(celogic.kripke, "compile_formula", refuse)
+    monkeypatch.setattr(celogic.kripke, "compile", refuse, raising=False)
+    for (f, _), env, mask in zip(rows, envs, kernel):
+        for n, w in enumerate(model.worlds):
+            assert satisfies(model, w, env, f) == bool(mask >> n & 1)
+    assert contexts == [True, False, False]
+    assert [eval_context(model, w, bound, "ci") for w in model.worlds] == contexts
+    invalid = [f for f, expected in rows if not expected]
+    assert invalid and all(isinstance(prove_cel(f), Invalid) for f in invalid)
+
+
+class TestDirectEvaluationErrors:
+    """truth_mask raises what compiling and then running the kernel raises."""
+
+    @staticmethod
+    def kernel_outcome(model, env, f):
+        try:
+            return compile_formula(f, env)(_ModelCtx(model))
+        except Exception as exc:
+            return type(exc), str(exc)
+
+    @staticmethod
+    def direct_outcome(model, env, f):
+        try:
+            return truth_mask(model, env, f)
+        except Exception as exc:
+            return type(exc), str(exc)
+
+    def test_a_missing_agent_is_named_as_the_kernel_names_it(self):
+        texts = [
+            "K{i,1.1} K{j,1.1} p | P{k,1.1} P{j,1.1} p",
+            "K{i,1.1} (P{j,1.1} K{k,1.1} p | K{k,1.1} q)",
+            "K{k,1.1} (p | ~p)",
+            "P{k,1.1} (p & ~p) -> q",
+            "(K{k,1.2} p)^ci",
+            "(K{j,2.1} P{k,1.2} p)^ci -> K{i,1.1} q",
+        ]
+        models = [
+            KripkeModel(["w1"], {}, {}),
+            KripkeModel(["w1", "w2"], {"i": [["w1", "w2"]]}, {}),
+            KripkeModel(["w1", "w2"], {"i": [["w1"], ["w2"]], "j": [["w1", "w2"]]}, {}),
+        ]
+        missing = 0
+        for text in texts:
+            f = parse_formula(text)
+            for env in (ContextEnv(), ContextEnv({"ci": BOT})):
+                env = env.completed(needed_context_names(f))
+                for model in models:
+                    expected = self.kernel_outcome(model, env, f)
+                    assert self.direct_outcome(model, env, f) == expected
+                    missing += isinstance(expected, tuple)
+        assert missing > 20
+
+    def test_an_untagged_operator_under_a_context_is_reported_first(self):
+        f = Or(Know("i", "1.1", Atom("p")), Rel(Know("j", None, Atom("p")), "ci"))
+        env = ContextEnv({"ci": TOP})
+        for model in (single_world_model(), KripkeModel(["w1"], {}, {})):
+            with pytest.raises(UntaggedOperatorError):
+                compile_formula(f, env)
+            with pytest.raises(UntaggedOperatorError):
+                truth_mask(model, env, f)
+            with pytest.raises(UntaggedOperatorError):
+                satisfies(model, "w9", env, f)
+
+    def test_an_unknown_world_is_a_model_error(self):
+        with pytest.raises(ModelError, match="unknown world 'w9'"):
+            satisfies(single_world_model(), "w9", ContextEnv(), parse_formula("a"))
+        # the formula is evaluated first: its missing agent is reported
+        with pytest.raises(ModelError, match="model lacks agent 'j'"):
+            satisfies(single_world_model(), "w9", ContextEnv(), parse_formula("K{j,1.1} a"))
 
 
 class TestKnowledgeTable:
@@ -528,7 +664,7 @@ class TestKnowledgeTable:
         checked = 0
         for n in range(1, 5):
             for model in self.models(n):
-                ctx = _ModelCtx(model)
+                ctx = ModelCtx(model)
                 classes = reference_classes(ctx, "i")
                 table, full = ctx.classes["i"], ctx.full
                 for m in range(full + 1):
@@ -608,7 +744,7 @@ def reference_find_countermodel(
     atoms = default_atoms if atoms is None else atoms
     fn = reference_compile_formula(f, env.completed(needed_context_names(f)))
     for model in enumerate_models(max_worlds, agents, atoms, ceiling=ceiling):
-        mask = fn(_ModelCtx(model))
+        mask = fn(ModelCtx(model))
         for i, w in enumerate(model.worlds):
             if not mask >> i & 1:
                 return model, w

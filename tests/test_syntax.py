@@ -468,6 +468,17 @@ class TestFormulaInfo:
         assert info.modal_depth == 2
         assert info.is_el
 
+    @pytest.mark.parametrize("depth", range(1, 13))
+    def test_shared_subtrees_are_walked_as_a_dag(self, depth):
+        from celogic.dialogue import game_form
+
+        for f in (iff_chain(depth), game_form(iff_chain(depth))):
+            info = formula_info(f)
+            atoms, agents, contexts, modal_depth = reference_formula_info(f)
+            assert (info.atoms, info.agents, info.contexts) == (atoms, agents, contexts)
+            assert info.modal_depth == modal_depth
+            assert info.is_el == (not contexts)
+
     def test_contexts_are_syntactic(self):
         f = Rel(Know("k", "2.2", Atom("p")), "ci")
         info = formula_info(f)
@@ -477,6 +488,44 @@ class TestFormulaInfo:
         from celogic.reduction import needed_context_names
 
         assert "ck" in needed_context_names(f)
+
+
+def reference_formula_info(f: Formula) -> tuple:
+    """(atoms, agents, contexts, modal depth) of f, by a fold that steps
+    each distinct node once and combines its children's values."""
+
+    def step(g: Formula):
+        kids = yield g.children()
+        atoms, agents, contexts = (
+            frozenset().union(*(kid[n] for kid in kids)) for n in range(3)
+        )
+        depth = max((kid[3] for kid in kids), default=0)
+        match g:
+            case Atom(name):
+                atoms |= {name}
+            case Know(agent, _, _) | Poss(agent, _, _):
+                agents, depth = agents | {agent}, depth + 1
+            case Rel(_, context):
+                contexts |= {context}
+        return atoms, agents, contexts, depth
+
+    return fold(f, step)
+
+
+def iff_chain(depth: int) -> Formula:
+    """A left-grouped ``<->`` chain whose links reach the chain below them
+    under 0, 1 and 2 modal operators, so one shared node is reached at
+    several depths."""
+    f = Atom("p")
+    for n in range(depth):
+        match n % 3:
+            case 0:
+                f = Iff(f, Atom("q"))
+            case 1:
+                f = Iff(Know("i", "1.1", f), f)
+            case 2:
+                f = Iff(f, Poss("j", "1.2", Rel(Know("i", "2.1", f), "ci")))
+    return f
 
 
 def _pinned_corpus() -> list[Formula]:
