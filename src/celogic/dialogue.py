@@ -51,7 +51,8 @@ the one target it acts on, so ``_step`` keeps the lists and ``legal_moves``
 walks only the mover's, not every assertion and attack of the play. The
 lists hold targets, not moves: a target is used up only by a move on it,
 but what P may assert changes with every concession of O's and every
-assertion of P's, so P's payloads are still checked one at a time.
+assertion of P's, so P's payloads are still checked one at a time. O's
+one move per target is checked against O's lists.
 
 A position is the set of move records: each move after the thesis is one
 record (actor, the assertion it attacks or the attack record it answers,
@@ -308,16 +309,14 @@ class GameState(NamedTuple):
     turn: str
     # Ledgers kept move by move, so that legality never re-scans the
     # history; equality and hashing leave them out. They follow from
-    # ``moves``: each assertion with the index of its first move, and the
-    # assertions and attack records that O has acted on.
-    assertion_index: dict[Assertion, int]
-    o_spent: frozenset[Assertion | Record]
-    # Each player's open targets: the other player's assertions that have an
-    # attack and attack records that have a defence, less those the player
-    # has used up. O acts on a target once; P uses one up when it has made
-    # every move on it, which only a target whose payloads are fixed allows
-    # (all but a Know's attacks and a Poss's defences, which grow with
-    # ``introduced``).
+    # ``moves``: every assertion made, and each player's open targets: the
+    # other player's assertions that have an attack and attack records that
+    # have a defence, less those the player has used up. O uses a target up
+    # by acting on it, so O's open targets are exactly those it has not
+    # acted on; P uses one up when it has made every move on it, which only
+    # a target whose payloads are fixed allows (all but a Know's attacks and
+    # a Poss's defences, which grow with ``introduced``).
+    assertions: frozenset[Assertion]
     open_targets: dict[str, OpenTargets]
 
     def __eq__(self, other):
@@ -356,8 +355,7 @@ def initial_state(thesis: Formula, env: ContextEnv | None = None) -> GameState:
         records=frozenset(),
         introduced=frozenset({ROOT}),
         turn=O,
-        assertion_index={assertion: 0},
-        o_spent=frozenset(),
+        assertions=frozenset({assertion}),
         open_targets={
             O: (((assertion, 0),) if _attackable(rules, assertion) else (), ()),
             P: ((), ()),
@@ -412,9 +410,9 @@ def _granted(state: GameState, world: Label, atom: Atom) -> bool:
     """Whether O stands committed to the atom at ``world``: O stated it
     there, or conceded there a context whose body has it as a positive
     literal."""
-    index = state.assertion_index
-    return (O, world, atom) in index or any(
-        (O, world, Atom(name)) in index
+    assertions = state.assertions
+    return (O, world, atom) in assertions or any(
+        (O, world, Atom(name)) in assertions
         for name, body in state.rules.env.bindings.items()
         if (atom.name, True) in body.literals
     )
@@ -435,11 +433,11 @@ def _check_assertable(
     with the same content is legitimate.
     """
     if actor == P and not isinstance(f, Atom):
-        if (P, world, f) in state.assertion_index:
+        if (P, world, f) in state.assertions:
             return ("PL-2", "restating one's own assertion changes nothing for P")
     if isinstance(f, Atom):
         if f.name in state.rules.env.bindings:
-            if actor == P and (O, world, f) not in state.assertion_index:
+            if actor == P and (O, world, f) not in state.assertions:
                 return (
                     "ML-frc",
                     f"context {f.name} not introduced by O at {render_label(world)}",
@@ -575,12 +573,15 @@ def _problem(
     one of the target's particle-rule candidates; else (rule, reason).
 
     A move is spent when its record is in the position. O also acts on a
-    given target at most once, whatever the payload; P may return to it
-    with a new payload."""
+    given target at most once, whatever the payload, so O may act only on
+    its open targets of the kind; P may return to a target with a new
+    payload."""
     if (actor, target, payload) in state.records:
         return ("PL-2", _SPENT[kind][0])
-    if actor == O and target in state.o_spent:
-        return ("PL-2", _SPENT[kind][1])
+    if actor == O:
+        open_targets = state.open_targets[O][kind == "defend"]
+        if target not in (t for t, _ in open_targets):
+            return ("PL-2", _SPENT[kind][1])
     if isinstance(payload, AssertPayload):
         return _check_assertable(state, actor, payload.label, payload.formula)
     return None
@@ -685,8 +686,7 @@ def _step(state: GameState, move: Move) -> GameState:
     actor = move.actor
     other = P if actor == O else O
     introduced = state.introduced
-    assertion_index = state.assertion_index
-    o_spent = state.o_spent
+    assertions = state.assertions
     attacks, defences = state.open_targets[actor]
     other_attacks, other_defences = state.open_targets[other]
 
@@ -696,8 +696,6 @@ def _step(state: GameState, move: Move) -> GameState:
     )
     record = (actor, target, move.payload)
     records = state.records | {record}
-    if actor == O:
-        o_spent = o_spent | {target}
     # the mover uses the target up: O at once, P with the last move on a
     # target whose payloads are fixed
     f = (target if attack else target[1])[2]
@@ -726,8 +724,8 @@ def _step(state: GameState, move: Move) -> GameState:
         introduced = introduced | {label}
     if isinstance(move.payload, AssertPayload):
         assertion = (actor, label, move.payload.formula)
-        if assertion not in assertion_index:
-            assertion_index = {**assertion_index, assertion: index}
+        if assertion not in assertions:
+            assertions = assertions | {assertion}
             if _attackable(rules, assertion):
                 other_attacks += ((assertion, index),)
 
@@ -737,8 +735,7 @@ def _step(state: GameState, move: Move) -> GameState:
         records,
         introduced,
         other,
-        assertion_index,
-        o_spent,
+        assertions,
         {actor: (attacks, defences), other: (other_attacks, other_defences)},
     )
 
@@ -904,7 +901,7 @@ def has_winning_strategy(
     # the structural rules apply to the thesis too, at the position before
     # it: P may not state an atom or a context name that O has not, so O
     # wins an atomic thesis with the one-move play
-    if _check_assertable(state._replace(assertion_index={}), P, ROOT, state.thesis):
+    if _check_assertable(state._replace(assertions=frozenset()), P, ROOT, state.thesis):
         return StrategyResult(False, state.moves, 1)
     search = _Search(budget)
     if search.win(state):

@@ -47,7 +47,6 @@ from .syntax import (
     Not,
     Or,
     Poss,
-    Rel,
     formula_info,
     render_formula,
 )
@@ -142,10 +141,6 @@ def _rule(ctx: dict[str, ContextFormula], sign: bool, f: Formula):
             return (_UNIVERSAL if sign else _WITNESS), None, None
         case Poss(_, _, _):
             return (_WITNESS if sign else _UNIVERSAL), None, None
-        case Rel(_, _):
-            raise NonEpistemicFragmentError(
-                f"relativized subformula {render_formula(f)!r}"
-            )
         case _:
             raise TypeError(f"not a formula: {f!r}")
     return (_BETA if len(cases) > 1 else _ALPHA), name, cases
@@ -209,9 +204,9 @@ class _Branch:
         first closing fact key on contradiction, None otherwise. The rules
         of the batch's new facts are queued, in order, only once the whole
         batch is in and the branch stays open: a closed branch is never
-        expanded. So a ``_rule`` error on a fact of a closing batch is not
-        raised; ``prove_el`` rejects every formula that could raise one
-        before it builds the tableau."""
+        expanded, and ``_rule`` never sees a fact of a closing batch.
+        ``_rule`` has no rule for a relativization: ``prove_el`` rejects
+        every relativized formula before it builds the tableau."""
         new = []
         for label, sign, f in facts:
             key = (label, f)

@@ -58,8 +58,8 @@ from .syntax import (
     Poss,
     Rel,
     fold,
+    formula_info,
     render_formula,
-    subformulas,
     variant_contexts_names,
 )
 
@@ -264,11 +264,11 @@ def reduce_result(f: Formula) -> Formula:
 def is_relativization_free(f: Formula) -> bool:
     """Whether f has no Rel node: read off the form kept on f if
     ``reduce_result`` or ``reduce_full`` has finished f (a normal form
-    keeps itself), else one walk."""
+    keeps itself), else ``formula_info``'s walk over f's DAG."""
     kept = getattr(f, "_normal", None)
     if kept is not None:
         return kept is _REL_FREE
-    return not any(isinstance(g, Rel) for g in subformulas(f))
+    return formula_info(f).is_el
 
 
 def reduce_once(f: Formula) -> tuple[Formula, str, tuple[int, ...]] | None:

@@ -404,7 +404,7 @@ class TestRecords:
     def test_equality_leaves_the_ledgers_out(self):
         start, moves = self._play()
         a = dialogue.replay(start, moves)
-        b = a._replace(assertion_index={}, o_spent=frozenset(), open_targets={})
+        b = a._replace(assertions=frozenset(), open_targets={})
         assert a == b and not a != b and hash(a) == hash(b)
         assert a != tuple(a) and tuple(a) != a
         assert a != a._replace(turn=dialogue.P if a.turn == dialogue.O else dialogue.O)
@@ -748,7 +748,6 @@ def _scanned_ledgers(state):
         "assertion_index": first_move_of_assertion,
         "attack_index": first_move_of_attack,
         "records": records,
-        "o_spent": o_spent,
         "introduced": introduced,
         "o_fresh": o_fresh,
         "open_targets": open_targets,
@@ -769,14 +768,11 @@ def test_ledgers_match_a_scan_of_the_history():
             state = initial_state(thesis)
             while True:
                 scan = _scanned_ledgers(state)
-                # insertion order too: legal_moves walks the ledgers in it
-                assert list(state.assertion_index.items()) == list(
-                    scan["assertion_index"].items()
-                )
+                assert state.assertions == scan["assertion_index"].keys()
                 # each player's open targets, in the order legal_moves
                 # walks them
                 assert state.open_targets == scan["open_targets"]
-                for name in ("records", "o_spent", "introduced", "o_fresh"):
+                for name in ("records", "introduced", "o_fresh"):
                     assert getattr(state, name) == scan[name], name
                 # the position is the records, kept as they are
                 assert state.position_key() is state.records
@@ -789,7 +785,7 @@ def test_ledgers_match_a_scan_of_the_history():
                     for actor, _, p in state.records
                     if isinstance(p, AssertPayload)
                 }
-                assert rebuilt == state.assertion_index.keys()
+                assert rebuilt == state.assertions
                 # an attack's attacker never owns its target, so a defence
                 # is always made by the attacked player
                 for attacker, target, _ in scan["attack_index"]:

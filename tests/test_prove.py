@@ -54,6 +54,12 @@ class TestProveEl:
         with pytest.raises(NonEpistemicFragmentError):
             prove_el(parse_formula("(p)^ci"))
 
+    def test_rejects_relativized_input_whose_tableau_closes_at_once(self):
+        # both relativizations come in the closing batch, which reaches no
+        # tableau rule, so only prove_el's check up front rejects them
+        with pytest.raises(NonEpistemicFragmentError):
+            prove_el(parse_formula("(p)^ci -> (p)^ci"))
+
     def test_untagged_operators_are_fine_without_contexts(self):
         assert isinstance(prove_el(parse_formula("K{i} a -> a")), Valid)
 

@@ -1,12 +1,14 @@
 import copy
 import pickle
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from celogic import reduction
+from celogic.dialogue import game_form
 from celogic.epistemology import SUITE_ROWS
 from celogic.kripke import ContextEnv, KripkeModel, enumerate_models, satisfies
 from celogic.prove import prove_cel
@@ -448,13 +450,26 @@ class TestKeptForms:
         f = parse_formula("(K{i,1.2} p)^ci -> q")
         reduced = reduce_result(f)
         no_walk = lambda g: pytest.fail("walked a tree with a kept form")
-        monkeypatch.setattr(reduction, "subformulas", no_walk)
+        monkeypatch.setattr(reduction, "formula_info", no_walk)
         assert is_relativization_free(reduced) and is_relativization_free(f.right)
         assert not is_relativization_free(f)
         monkeypatch.undo()
         # a tree no reduction has finished keeps nothing, so it is walked
         assert is_relativization_free(Not(Atom("unreduced")))
         assert not is_relativization_free(Rel(Atom("unreduced"), "ci"))
+
+    def test_relativization_free_walks_a_shared_dag_once(self):
+        # game_form plays each <-> as two implications over the same sides,
+        # so this 40-deep chain has 2**40 paths over 122 nodes
+        f = game_form(parse_formula("p" + "".join(" <-> " + x for x in "qp" * 20)))
+        start = time.perf_counter()
+        assert is_relativization_free(f) and not is_relativization_free(Rel(f, "ci"))
+        assert time.perf_counter() - start < 0.5
+
+    def test_relativization_free_agrees_with_a_walk_on_the_corpora(self):
+        for f in _corpora():
+            free = not any(isinstance(g, Rel) for g in subformulas(f))
+            assert is_relativization_free(f) == formula_info(f).is_el == free
 
 
 @given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(0, 5))
