@@ -1,7 +1,6 @@
 import copy
 import pickle
 import random
-import time
 
 import pytest
 from hypothesis import given, settings
@@ -460,11 +459,10 @@ class TestKeptForms:
 
     def test_relativization_free_walks_a_shared_dag_once(self):
         # game_form plays each <-> as two implications over the same sides,
-        # so this 40-deep chain has 2**40 paths over 122 nodes
+        # so this 40-deep chain has 2**40 paths over 122 nodes: a walk over
+        # every path would not finish, one over the nodes returns at once
         f = game_form(parse_formula("p" + "".join(" <-> " + x for x in "qp" * 20)))
-        start = time.perf_counter()
         assert is_relativization_free(f) and not is_relativization_free(Rel(f, "ci"))
-        assert time.perf_counter() - start < 0.5
 
     def test_relativization_free_agrees_with_a_walk_on_the_corpora(self):
         for f in _corpora():
