@@ -4,6 +4,11 @@ Exit codes: 0 valid/true/agreement, 1 invalid/false/mismatch, 2 usage or
 input error, 3 search budget exhausted, oracle model space over its
 ceiling, an ``--env`` or ``--model`` file nested too deeply, or a failed
 internal check. Errors go to stderr prefixed with ``error:``.
+
+``--format json`` prints each document with ``json.dumps``.
+The AST, the proof log and the strategy are flat lists of nodes that name
+each other by index, so no document nests more than a few levels, however
+deep the formula or long the proof or play.
 """
 
 from __future__ import annotations
@@ -11,7 +16,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from json.encoder import encode_basestring_ascii
 
 from . import dialogue as dlg
 from .kripke import (
@@ -72,46 +76,6 @@ def _load_model(path: str) -> KripkeModel:
     return model
 
 
-def _json_text(doc) -> str:
-    """``json.dumps(doc, indent=2)``, byte for byte, for a document whose
-    keys are strings, written from an explicit stack: the standard encoder
-    recurses once per level, so it cannot write a document nested about a
-    thousand levels deep. The stack holds values still to write, each with
-    the indent of its line, and the text between them."""
-    parts: list[str] = []
-    stack: list = [(doc, "")]
-    while stack:
-        item = stack.pop()
-        if isinstance(item, str):
-            parts.append(item)
-            continue
-        value, indent = item
-        if isinstance(value, str):
-            parts.append(encode_basestring_ascii(value))
-        elif not isinstance(value, (dict, list, tuple)):
-            parts.append(json.dumps(value))  # a number, a bool or None
-        elif not value:
-            parts.append("{}" if isinstance(value, dict) else "[]")
-        else:
-            inner = indent + "  "
-            if isinstance(value, dict):
-                entries = [
-                    (f"\n{inner}{encode_basestring_ascii(key)}: ", v)
-                    for key, v in value.items()
-                ]
-                parts.append("{")
-                stack.append(f"\n{indent}}}")
-            else:
-                entries = [(f"\n{inner}", v) for v in value]
-                parts.append("[")
-                stack.append(f"\n{indent}]")
-            for n in range(len(entries) - 1, -1, -1):
-                prefix, v = entries[n]
-                stack.append((v, inner))
-                stack.append("," + prefix if n else prefix)
-    return "".join(parts)
-
-
 def _ast_dump(f: Formula) -> str:
     lines, stack = [], [(f, 0)]
     while stack:
@@ -131,6 +95,10 @@ def _ast_dump(f: Formula) -> str:
 
 
 def _ast_json(f: Formula) -> dict:
+    """The AST as a node table: each distinct node once, children before
+    parents, each naming its children by index; f is the last node."""
+    nodes: list[dict] = []
+
     def step(f: Formula):
         kids = list((yield f.children()))
         match f:
@@ -144,15 +112,17 @@ def _ast_json(f: Formula) -> dict:
                 value = {"context": context, "body": kids[0]}
             case _:
                 value = kids
-        return {type(f).__name__.lower(): value}
+        nodes.append({type(f).__name__.lower(): value})
+        return len(nodes) - 1
 
-    return fold(f, step)
+    fold(f, step)
+    return {"nodes": nodes}
 
 
 def _cmd_parse(args) -> int:
     f = parse_formula(args.formula, args.default_variant)
     if args.format == "json":
-        print(_json_text(_ast_json(f)))
+        print(json.dumps(_ast_json(f), indent=2))
     else:
         print(_ast_dump(f))
     return EXIT_OK
@@ -174,7 +144,8 @@ def _cmd_reduce(args) -> int:
     f = parse_formula(args.formula, args.default_variant)
     trace = reduce_full(f)
     if args.format == "json":
-        print(_json_text({"steps": trace.to_json(), "result": render_formula(trace.result)}))
+        doc = {"steps": trace.to_json(), "result": render_formula(trace.result)}
+        print(json.dumps(doc, indent=2))
     else:
         for i, step in enumerate(trace.steps):
             print(f"{i + 1}. [{step.axiom}] at {list(step.path)}")
@@ -189,7 +160,7 @@ def _cmd_prove(args) -> int:
     env = _load_env(args.env)
     verdict = prove_cel(f, env)
     if args.format == "json":
-        print(_json_text(verdict_to_json(verdict)))
+        print(json.dumps(verdict_to_json(verdict), indent=2))
     elif args.format == "dot":
         if isinstance(verdict, Invalid):
             print(verdict.model.to_dot(highlight=verdict.world))
@@ -200,7 +171,7 @@ def _cmd_prove(args) -> int:
             print("valid")
         else:
             print(f"invalid at {verdict.world}")
-            print(_json_text(verdict.model.to_json()))
+            print(json.dumps(verdict.model.to_json(), indent=2))
     return EXIT_OK if isinstance(verdict, Valid) else EXIT_NEGATIVE
 
 
@@ -211,7 +182,7 @@ def _cmd_dialogue(args) -> int:
     result = dlg.has_winning_strategy(f, env, budget=budget)
     if args.format == "json":
         # one document, shaped like prove's: the verdict, then its witness.
-        # The tree is built on this read, which can still stop on the
+        # The strategy is built on this read, which can still stop on the
         # budget, so it is built before anything is printed.
         if result.verdict:
             doc = {"valid": True, "strategy": result.strategy}
@@ -220,7 +191,7 @@ def _cmd_dialogue(args) -> int:
                 "valid": False,
                 "refutation": [dlg.move_to_json(m) for m in result.refutation],
             }
-        print(_json_text(doc))
+        print(json.dumps(doc, indent=2))
     elif result.verdict:
         print("P has a winning strategy")
     else:
@@ -236,7 +207,7 @@ def _cmd_oracle(args) -> int:
     if found is None:
         # the found case's keys in JSON, a comment in dot, as prove prints
         if args.format == "json":
-            print(_json_text({"world": None, "model": None}))
+            print(json.dumps({"world": None, "model": None}, indent=2))
         else:
             prefix = "// " if args.format == "dot" else ""
             print(f"{prefix}no counter-model with up to {args.max_worlds} worlds")
@@ -245,14 +216,14 @@ def _cmd_oracle(args) -> int:
     if args.format == "dot":
         print(model.to_dot(highlight=world))
     else:
-        print(_json_text({"world": world, "model": model.to_json()}))
+        print(json.dumps({"world": world, "model": model.to_json()}, indent=2))
     return EXIT_NEGATIVE
 
 
 def _cmd_suite(args) -> int:
     report = run_suite(budget=args.budget)
     if args.format == "json":
-        print(_json_text(report.to_json()))
+        print(json.dumps(report.to_json(), indent=2))
     else:
         print(report.to_text())
     return EXIT_OK if report.ok else EXIT_NEGATIVE

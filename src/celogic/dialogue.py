@@ -778,9 +778,14 @@ class StrategyResult:
 
     On a win, ``strategy`` is built from the search's memo the first time
     it is read and then cached; until then the result holds that search.
-    The tree is unfolded on an explicit stack, and a position it meets that
-    the search never visited is searched by the same ``fold``; so reading
-    it can raise BudgetExhaustedError when the budget runs out.
+    It is the positions of P's strategy in preorder, each a dict: the index
+    of the position it follows (``"parent"``, None at the root), whose turn
+    it is, the move that reached it (absent at the root), and ``"end"``
+    where the mover cannot move. A P position has one child, for P's
+    chosen move; an O position one per O move, in ``legal_moves`` order.
+    The positions are unfolded on an explicit stack, and one that the
+    search never visited is searched by the same ``fold``; so reading the
+    strategy can raise BudgetExhaustedError when the budget runs out.
     """
 
     verdict: bool
@@ -788,12 +793,12 @@ class StrategyResult:
     positions: int
     _search: _Search | None = field(default=None, repr=False, compare=False)
     _root: GameState | None = field(default=None, repr=False, compare=False)
-    _strategy: dict | None = field(default=None, init=False, repr=False, compare=False)
+    _strategy: list | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
-    def strategy(self) -> dict | None:
+    def strategy(self) -> list[dict] | None:
         if self._search is not None:
-            self._strategy = self._search.strategy_tree(self._root)
+            self._strategy = self._search.strategy_nodes(self._root)
             self._search = self._root = None
         return self._strategy
 
@@ -847,27 +852,27 @@ class _Search:
                 return m, child
         raise AssertionError(f"no move to a position of value {value}")
 
-    def strategy_tree(self, state: GameState) -> dict:
-        """P's strategy from a won position, unfolded from the memo on an
-        explicit stack of (position, dict to fill), depth first."""
-        tree: dict = {}
-        stack = [(state, tree)]
+    def strategy_nodes(self, state: GameState) -> list[dict]:
+        """P's strategy from a won position, as ``StrategyResult.strategy``
+        lists it, unfolded from the memo on an explicit stack of (position,
+        parent index, move that reached it), depth first."""
+        nodes: list[dict] = []
+        stack: list = [(state, None, None)]
         while stack:
-            state, node = stack.pop()
-            moves = self.moves(state)
-            node["turn"] = state.turn
+            state, parent, move = stack.pop()
+            here, moves = len(nodes), self.moves(state)
+            node = {"parent": parent, "turn": state.turn}
+            if move is not None:
+                node["move"] = move_to_json(move)
+            nodes.append(node)
             if not moves:
                 node["end"] = "opponent cannot move"
             elif state.turn == P:
                 m, child = self._first(state, moves, True)
-                node["move"], node["next"] = move_to_json(m), {}
-                stack.append((child, node["next"]))
+                stack.append((child, here, m))
             else:
-                kids = [{"move": move_to_json(m), "next": {}} for m in moves]
-                node["children"] = kids
-                for m, kid in reversed(list(zip(moves, kids))):
-                    stack.append((_step(state, m), kid["next"]))
-        return tree
+                stack.extend((_step(state, m), here, m) for m in reversed(moves))
+        return nodes
 
     def refuting_play(self, state: GameState) -> tuple[Move, ...]:
         """O's first refuting move at each O turn and P's first move at each
@@ -890,10 +895,10 @@ def has_winning_strategy(
 ) -> StrategyResult:
     """AND-OR search: does P have a winning strategy for the thesis?
 
-    On a win the result's ``strategy`` is the strategy tree (P's choice at
-    every reachable O history). It is built when first read: until then the
+    On a win the result's ``strategy`` lists P's strategy: P's choice at
+    every reachable O history. It is built when first read: until then the
     result holds the search's memo, so a caller that needs only the verdict
-    never pays for the tree. Otherwise ``refutation`` is a play that O wins.
+    never pays for it. Otherwise ``refutation`` is a play that O wins.
     Raises BudgetExhaustedError when the position budget runs out; that
     outcome is unknown, never false.
     """

@@ -15,11 +15,14 @@ alpha before beta before the modal bands (universal, then witness).
 Branches are explored depth first on an explicit stack, so the number of
 splits in a row is bounded by memory, not by the recursion limit.
 
-The search records its proof log as raw data: each step as (sign, label,
-formula, rule), each closure as (label, formula), each branch point as its
-signed formula and its cases. Nothing is rendered while it runs; a Valid
-verdict renders the log to strings the first time its ``proof`` is read,
-so a caller that only wants the verdict never pays for the log.
+The search records its proof log as raw data, one node per branch segment
+in the depth-first order it explores them: the index of the branch point
+it is a case of, its steps as (sign, label, formula, rule), and the fact
+it ends on, a closure (label, formula) or a branch point's signed formula.
+A branch point's cases are the later nodes that name it. Nothing is
+rendered while it runs; a Valid verdict renders the log to strings the
+first time its ``proof`` is read, each distinct formula once, so a caller
+that only wants the verdict never pays for the log.
 """
 
 from __future__ import annotations
@@ -62,7 +65,8 @@ class ProverError(RuntimeError):
 
 @dataclass(frozen=True)
 class Valid:
-    """A closed tableau for ``goal``, kept as the search recorded it."""
+    """A closed tableau for ``goal``, kept as the search recorded it: its
+    raw log nodes in preorder."""
 
     goal: Formula
     tableau: tuple = field(repr=False)
@@ -74,7 +78,11 @@ class Valid:
     @cached_property
     def proof(self) -> dict:
         """The tableau log as JSON-ready data, rendered on first read."""
-        return {"goal": render_formula(self.goal), "tableau": _log_json(self.tableau)}
+        memo: dict = {}
+        return {
+            "goal": render_formula(self.goal, memo),
+            "tableau": _log_json(self.tableau, memo),
+        }
 
 
 @dataclass(frozen=True)
@@ -146,32 +154,27 @@ def _rule(ctx: dict[str, ContextFormula], sign: bool, f: Formula):
     return (_BETA if len(cases) > 1 else _ALPHA), name, cases
 
 
-def _signed(sign: bool, label: int, f: Formula) -> str:
-    return f"{'T' if sign else 'F'} w{label + 1}: {render_formula(f)}"
+def _signed(sign: bool, label: int, f: Formula, memo: dict) -> str:
+    return f"{'T' if sign else 'F'} w{label + 1}: {render_formula(f, memo)}"
 
 
-def _log_json(node: tuple) -> dict:
-    """Render a raw log node: (steps, (label, formula)) closes on that fact,
-    (steps, (sign, label, formula), cases) branches on that signed formula.
-    Nodes are rendered from an explicit stack, each into the dict its parent
-    holds for it, so a proof with thousands of branch points in a row is
-    rendered whatever the recursion limit."""
-    root: dict = {}
-    stack = [(node, root)]
-    while stack:
-        (steps, *rest), out = stack.pop()
-        out["steps"] = [
-            f"{_signed(sg, lab, g)}  [{rule}]" for sg, lab, g, rule in steps
+def _log_json(log: tuple, memo: dict) -> list[dict]:
+    """Render the raw log nodes, in order: (parent, steps, (label, formula))
+    closes on that fact, (parent, steps, (sign, label, formula)) branches on
+    that signed formula. Each formula is rendered once per ``memo``."""
+    nodes = []
+    for parent, steps, fact in log:
+        rendered = [
+            f"{_signed(sg, lab, g, memo)}  [{rule}]" for sg, lab, g, rule in steps
         ]
-        if len(rest) == 1:
-            label, f = rest[0]
-            out["closed"] = {"world": f"w{label + 1}", "on": render_formula(f)}
+        node: dict = {"parent": parent, "steps": rendered}
+        if len(fact) == 2:
+            label, f = fact
+            node["closed"] = {"world": f"w{label + 1}", "on": render_formula(f, memo)}
         else:
-            (sign, label, f), cases = rest
-            outs = [{} for _ in cases]
-            out["branch"] = {"on": _signed(sign, label, f), "cases": outs}
-            stack.extend(zip(cases, outs))
-    return root
+            node["branch"] = {"on": _signed(*fact, memo)}
+        nodes.append(node)
+    return nodes
 
 
 class _Branch:
@@ -226,14 +229,16 @@ class _Branch:
 
 def _explore(branch: _Branch, facts):
     """Expand depth first from ``facts``: the first open saturated branch,
-    or the raw log node of the closed tableau. Each stack entry is a branch,
-    the log list its node joins and the signed facts it opens with. A split
-    pushes its cases last-first: the first goes on with the branch itself,
-    each later one with a copy made at the split."""
-    root: list = []
-    stack = [(branch, root, facts)]
+    or the raw log of the closed tableau, its nodes in preorder. Each stack
+    entry is a branch, the index of the branch point it is a case of (None
+    at the root) and the signed facts it opens with. A split pushes its
+    cases last-first: the first goes on with the branch itself, each later
+    one with a copy made at the split. A node joins the log when its branch
+    closes or splits, before any case of it is explored."""
+    log: list = []
+    stack = [(branch, None, facts)]
     while stack:
-        branch, log, facts = stack.pop()
+        branch, parent, facts = stack.pop()
         closed, steps = branch.add(facts), []
         while closed is None:
             if not branch.queue:
@@ -269,15 +274,15 @@ def _explore(branch: _Branch, facts):
             elif not cases:
                 closed = (label, f)
             else:
-                split: list = []
-                log.append((steps, (sign, label, f), split))
+                split = len(log)
+                log.append((parent, steps, (sign, label, f)))
                 for i in range(len(cases) - 1, -1, -1):
                     case = [(label, sg, g) for sg, g in cases[i]]
                     stack.append((branch.copy() if i else branch, split, case))
                 break
         else:  # the branch closed; a split breaks out above
-            log.append((steps, closed))
-    return root[0]
+            log.append((parent, steps, closed))
+    return tuple(log)
 
 
 def _extract_model(branch: _Branch, agents) -> KripkeModel:

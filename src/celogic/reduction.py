@@ -21,10 +21,10 @@ budget. ``reduce_full`` still takes an explicit ``step_budget``.
 The schemata are stated once, in ``_rewrite_redex``, and applied in one
 top-down, leftmost-outermost order by two walks: ``_steps`` yields the
 canonical step trace one step at a time, which ``reduce_full`` collects and
-``reduce_once`` stops after the first of, and ``_reduce`` gives only the
-normal form, for ``reduce_result`` (used by ``prove_cel``). No redex is
-searched for from the root, so a recorded step costs time in the depth of
-the formula, not its size.
+``reduce_once`` stops after the first of, and ``reduce_result`` gives only
+the normal form (used by ``prove_cel``). No redex is searched for from the
+root, so a recorded step costs time in the depth of the formula, not its
+size.
 
 ``_rewrite_redex`` also reports the context names each step needs, so a
 formula's context names are read off its reduction. ``reduce_result`` keeps
@@ -160,9 +160,57 @@ _REL_FREE = object()
 _NO_NAMES: frozenset[str] = frozenset()
 
 
-def _reduce(f: Formula) -> Formula:
-    """The normal form of f, in one leftmost-outermost pass on an explicit
-    stack.
+def _steps(f: Formula) -> Iterator[tuple[ReductionStep, tuple[str, ...]]]:
+    """The steps of f's reduction, one at a time, in the order
+    ``reduce_result`` rewrites, each with the context names its rewrite
+    reports: each step's ``after`` is the next one's ``before``. Each node
+    goes on the stack with its path from the root. The walk neither reads nor keeps normal forms."""
+    before = f
+    stack = [(f, ())]
+    while stack:
+        g, at = stack.pop()
+        while isinstance(g, Rel):
+            g, axiom, needs = _rewrite_redex(g.body, g.context)
+            after = _replace(before, at, g)
+            yield ReductionStep(before, axiom, at, after), needs
+            before = after
+        kids = g.children()
+        for i in range(len(kids) - 1, -1, -1):
+            stack.append((kids[i], (*at, i)))
+
+
+def reduce_full(f: Formula, step_budget: int | None = None) -> ReductionTrace:
+    """The relativization-free normal form of f, with its step trace; more
+    than ``step_budget`` steps, if given, raise ReductionBudgetError.
+
+    The trace is recorded in full, reading no kept pair. Once it is, each
+    step's ``before`` that keeps nothing yet keeps the pair
+    ``reduce_result`` would give it: the trace's result, and the names
+    reported by that step and every later one (the steps from a ``before``
+    on are its own reduction). The result keeps ``_REL_FREE``. So proving a step's
+    biconditional finds both sides reduced. A trace that raises keeps
+    nothing."""
+    steps: list[ReductionStep] = []
+    reported: list[tuple[str, ...]] = []
+    for step, needs in _steps(f):
+        if len(steps) == step_budget:
+            raise ReductionBudgetError(f"no fixpoint within {step_budget} steps")
+        steps.append(step)
+        reported.append(needs)
+    result = steps[-1].after if steps else f
+    names = _NO_NAMES
+    for step, needs in zip(reversed(steps), reversed(reported)):
+        if not names.issuperset(needs):
+            names = names.union(needs)
+        if getattr(step.before, "_normal", None) is None:
+            object.__setattr__(step.before, "_normal", (result, names))
+    object.__setattr__(result, "_normal", _REL_FREE)
+    return ReductionTrace(tuple(steps), result)
+
+
+def reduce_result(f: Formula) -> Formula:
+    """The normal form ``reduce_full(f).result``, without the trace, in one
+    leftmost-outermost pass on an explicit stack; it raises the same errors.
 
     A Rel node is rewritten until it is not a Rel, then its children are
     reduced left to right; all that precedes a node in preorder is then
@@ -205,60 +253,6 @@ def _reduce(f: Formula) -> Formula:
             stack.extend(reversed(kids))
     kept = f._normal
     return f if kept is _REL_FREE else kept[0]
-
-
-def _steps(f: Formula) -> Iterator[tuple[ReductionStep, tuple[str, ...]]]:
-    """The steps of f's reduction, one at a time, in the order ``_reduce``
-    rewrites, each with the context names its rewrite reports: each step's
-    ``after`` is the next one's ``before``. Each node goes on the stack with
-    its path from the root. The walk neither reads nor keeps normal forms."""
-    before = f
-    stack = [(f, ())]
-    while stack:
-        g, at = stack.pop()
-        while isinstance(g, Rel):
-            g, axiom, needs = _rewrite_redex(g.body, g.context)
-            after = _replace(before, at, g)
-            yield ReductionStep(before, axiom, at, after), needs
-            before = after
-        kids = g.children()
-        for i in range(len(kids) - 1, -1, -1):
-            stack.append((kids[i], (*at, i)))
-
-
-def reduce_full(f: Formula, step_budget: int | None = None) -> ReductionTrace:
-    """The relativization-free normal form of f, with its step trace; more
-    than ``step_budget`` steps, if given, raise ReductionBudgetError.
-
-    The trace is recorded in full, reading no kept pair. Once it is, each
-    step's ``before`` that keeps nothing yet keeps the pair ``_reduce``
-    would give it: the trace's result, and the names reported by that step
-    and every later one (the steps from a ``before`` on are its own
-    reduction). The result keeps ``_REL_FREE``. So proving a step's
-    biconditional finds both sides reduced. A trace that raises keeps
-    nothing."""
-    steps: list[ReductionStep] = []
-    reported: list[tuple[str, ...]] = []
-    for step, needs in _steps(f):
-        if len(steps) == step_budget:
-            raise ReductionBudgetError(f"no fixpoint within {step_budget} steps")
-        steps.append(step)
-        reported.append(needs)
-    result = steps[-1].after if steps else f
-    names = _NO_NAMES
-    for step, needs in zip(reversed(steps), reversed(reported)):
-        if not names.issuperset(needs):
-            names = names.union(needs)
-        if getattr(step.before, "_normal", None) is None:
-            object.__setattr__(step.before, "_normal", (result, names))
-    object.__setattr__(result, "_normal", _REL_FREE)
-    return ReductionTrace(tuple(steps), result)
-
-
-def reduce_result(f: Formula) -> Formula:
-    """The normal form ``reduce_full(f).result``, without the trace; it
-    raises the same errors."""
-    return _reduce(f)
 
 
 def is_relativization_free(f: Formula) -> bool:

@@ -24,8 +24,10 @@ left to right (``()`` for an atom). ``f.rebuild(*kids)`` is the node of f's
 kind, with f's agent, variant or context, over the given kids. Bottom-up
 walks run on ``fold``'s explicit stack, which also drives the game search
 over positions, and the tableau runs on its own. The parser keeps open
-parentheses on a stack, ``prove._log_json`` renders the proof log from one,
-and the CLI writes JSON on its own, so nothing recurses per level of input.
+parentheses on a stack, so nothing recurses per level of input. Every JSON
+document (the AST, the proof log, the strategy) is a flat list of nodes
+that name each other by index, so it nests a few levels at any depth of
+input.
 
 Formula nodes are hash-consed: building a node gives back the live node of
 the same kind with the same fields, if there is one. So equal formulas are
@@ -577,8 +579,9 @@ def _tag(agent: str, variant: str | None) -> str:
     return f"{{{agent},{variant}}}" if variant else f"{{{agent}}}"
 
 
-def render_formula(f: Formula) -> str:
-    """Minimal-parenthesis concrete syntax; parses back to the same AST."""
+def render_formula(f: Formula, memo: dict | None = None) -> str:
+    """Minimal-parenthesis concrete syntax; parses back to the same AST.
+    Calls that share a ``memo`` render each node once between them."""
 
     def wrap(g: Formula, minimum: int):
         s = yield g
@@ -605,7 +608,7 @@ def render_formula(f: Formula) -> str:
                 return f"({(yield body)})" + "".join(f"^{c}" for c in reversed(chain))
         raise TypeError(f"not a formula: {f!r}")
 
-    return fold(f, step)
+    return fold(f, step, memo)
 
 
 def render_context(cf: ContextFormula) -> str:

@@ -1,11 +1,15 @@
 import json
-import random
 import sys
 
 import pytest
 
-from celogic.cli import _json_text, main
+from celogic.cli import main
 from celogic.epistemology import run_suite
+from celogic.kripke import ContextEnv, find_countermodel
+from celogic.reduction import reduce_full
+from celogic.syntax import parse_formula, render_formula
+
+from nested import json_depth
 
 
 @pytest.fixture
@@ -86,11 +90,11 @@ class TestParse:
     def test_default_variant_fills_untagged(self, capsys):
         code, out, _ = run(capsys, "--format", "json", "parse", "K{i} a")
         assert code == 0
-        assert json.loads(out)["know"]["variant"] == "1.1"
+        assert json.loads(out)["nodes"][-1]["know"]["variant"] == "1.1"
         code, out, _ = run(
             capsys, "--default-variant", "2.2", "--format", "json", "parse", "K{i} a"
         )
-        assert json.loads(out)["know"]["variant"] == "2.2"
+        assert json.loads(out)["nodes"][-1]["know"]["variant"] == "2.2"
 
 
 class TestEval:
@@ -249,41 +253,13 @@ class TestDeepInput:
         assert (code, err) == (1, "")
 
 
-_JSON_SCALARS = [
-    "", "p & ~q", "caf\u00e9 \"\\\n\t\x01", "\U0001f600",
-    0, -7, 2**70, 1.5, -0.0, 1e300, float("inf"), float("nan"),
-    True, False, None,
-]
-_JSON_KEYS = ["a", "\u00e9", "", "p & ~q"]
-
-
-def _random_json_document(rng, depth):
-    kind = rng.randrange(4) if depth else 0
-    if kind == 0:
-        return rng.choice(_JSON_SCALARS)
-    items = [_random_json_document(rng, depth - 1) for _ in range(rng.randrange(4))]
-    if kind == 1:
-        return items
-    if kind == 2:
-        return tuple(items)
-    return {rng.choice(_JSON_KEYS): item for item in items}
-
-
 class TestJsonWriter:
-    def test_writes_what_json_dumps_writes(self):
-        rng = random.Random(7)
-        docs = [_random_json_document(rng, 5) for _ in range(300)]
-        docs.append(run_suite().to_json())
-        for doc in docs:
-            assert _json_text(doc) == json.dumps(doc, indent=2)
-
     @pytest.mark.parametrize(
         "argv",
         [
             ("parse", "~" * 1000 + "p"),
             ("dialogue", "~" * 600 + "p -> p"),
-            # the tableau branches once per link, each branch one level
-            # deeper in the proof
+            # the tableau branches once per link, 599 splits in a row
             ("prove", " & ".join(
                 ["p1"] + [f"(p{n} -> p{n + 1})" for n in range(1, 600)]
             ) + " -> p600"),
@@ -291,23 +267,43 @@ class TestJsonWriter:
         ids=["parse-1000", "dialogue-600", "prove-chain-600"],
     )
     def test_deep_documents_are_written(self, capsys, monkeypatch, argv):
-        # the standard encoder recurses once per level; these nest past the
-        # default recursion limit
+        # the AST, the strategy and the proof log are flat lists of nodes,
+        # so the standard encoder and decoder, which recurse once per
+        # level, write and read them at the default recursion limit
         def refuse(limit):
             raise AssertionError(f"the recursion limit was set to {limit}")
 
         with monkeypatch.context() as patch:
             patch.setattr(sys, "setrecursionlimit", refuse)
             code, out, err = run(capsys, "--format", "json", *argv)
+            doc = json.loads(out)
         assert (code, err) == (0, "")
-        # the standard decoder recurses too, so it reads the document with
-        # room to
-        limit = sys.getrecursionlimit()
-        sys.setrecursionlimit(5000)
-        try:
-            json.loads(out)
-        finally:
-            sys.setrecursionlimit(limit)
+        assert json_depth(doc) <= 8
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("reduce", "(K{j,2.2} P{i,1.2} (p & q))^ci"),
+            ("oracle", "a -> K{i,1.1} a"),
+            ("oracle", "a -> a"),
+            ("suite",),
+        ],
+        ids=["reduce", "oracle", "oracle-none", "suite"],
+    )
+    def test_documents_are_json_dumps_of_the_library_data(self, capsys, argv):
+        command, *formula = argv
+        if command == "reduce":
+            trace = reduce_full(parse_formula(formula[0]))
+            doc = {"steps": trace.to_json(), "result": render_formula(trace.result)}
+        elif command == "oracle":
+            found = find_countermodel(parse_formula(formula[0]), ContextEnv())
+            doc = {"world": None, "model": None}
+            if found is not None:
+                doc = {"world": found[1], "model": found[0].to_json()}
+        else:
+            doc = run_suite().to_json()
+        _, out, err = run(capsys, "--format", "json", *argv)
+        assert (out, err) == (json.dumps(doc, indent=2) + "\n", "")
 
 
 class TestDialogue:
@@ -342,7 +338,7 @@ class TestDialogue:
         )
         assert code == 0
         data = json.loads(out)
-        assert data["valid"] is True and data["strategy"]["turn"] == "O"
+        assert data["valid"] is True and data["strategy"][0]["turn"] == "O"
 
     def test_json_losing_thesis_is_one_document(self, capsys):
         code, out, _ = run(
@@ -365,7 +361,7 @@ class TestDialogue:
         assert err.startswith("error:")
 
     def test_budget_stop_while_building_the_strategy_prints_no_verdict(self, capsys):
-        # the search wins within 124 positions; unfolding its tree needs more
+        # the search wins within 124 positions; unfolding its strategy needs more
         thesis = "((K{j,1.1} p & K{j,1.1} (p -> q)) -> K{j,1.1} q)^ci"
         code, out, err = run(
             capsys, "--format", "json", "dialogue", "--budget", "124", thesis

@@ -53,6 +53,7 @@ from celogic.syntax import (
 )
 
 from corpus import random_formula
+from nested import nested_strategy
 
 PLAYS_DIR = pathlib.Path(__file__).parent / "data" / "plays"
 PLAY_FILES = sorted(PLAYS_DIR.glob("*.json"))
@@ -494,9 +495,9 @@ class TestWinningStrategy:
             parse_formula("K{i,1.1} a -> K{i,1.1} K{i,1.1} a")
         )
         positions = result.positions
-        tree = result.strategy
-        assert tree["turn"] == "O"
-        assert result.strategy is tree
+        nodes = result.strategy
+        assert nodes[0] == {"parent": None, "turn": "O"}
+        assert result.strategy is nodes
         assert result.positions == positions
 
     def test_strategy_past_the_budget_raises_on_read(self):
@@ -523,9 +524,10 @@ class TestLongPlays:
     def test_a_long_won_play_and_its_strategy(self):
         result = has_winning_strategy(parse_formula("~" * 600 + "p -> p"))
         assert result.verdict is True and result.positions == 603
-        node, moves = result.strategy, 0
-        while "end" not in node:
-            node = node["next"] if node["turn"] == "P" else node["children"][0]["next"]
+        # in preorder each position's first child comes right after it
+        nodes, moves = result.strategy, 0
+        while "end" not in nodes[moves]:
+            assert nodes[moves + 1]["parent"] == moves
             moves += 1
         assert moves == 602
 
@@ -611,17 +613,19 @@ def test_p_uses_the_literals_of_a_conceded_context(thesis):
     assert prove_cel(f, env).is_valid
 
 
-def _follow_strategy(thesis, tree, rng):
+def _follow_strategy(thesis, nodes, rng):
     """Play the strategy against a random O policy; P must leave O stuck."""
-    state = initial_state(thesis)
-    node = tree
+    children = [[] for _ in nodes]
+    for i, node in enumerate(nodes[1:], 1):
+        children[node["parent"]].append(i)
+    agents = formula_info(game_form(thesis)).agents
+    state, at = initial_state(thesis), 0
     for _ in range(400):
+        node = nodes[at]
         if state.turn == "P":
             assert node["turn"] == "P", "strategy out of sync"
-            agents = formula_info(game_form(thesis)).agents
-            move = move_from_json(node["move"], agents)
-            state = apply_move(state, move)
-            node = node["next"]
+            (at,) = children[at]
+            state = apply_move(state, move_from_json(nodes[at]["move"], agents))
             continue
         moves = legal_moves(state)
         if not moves:
@@ -630,9 +634,9 @@ def _follow_strategy(thesis, tree, rng):
         assert node["turn"] == "O"
         move = rng.choice(moves)
         key = json.dumps(move_to_json(move), sort_keys=True)
-        for child in node["children"]:
-            if json.dumps(child["move"], sort_keys=True) == key:
-                node = child["next"]
+        for child in children[at]:
+            if json.dumps(nodes[child]["move"], sort_keys=True) == key:
+                at = child
                 break
         else:
             raise AssertionError("strategy misses an O move")
@@ -650,8 +654,8 @@ def test_strategy_beats_random_opponents():
     rng = random.Random(2024)
     plans = [(t, has_winning_strategy(t).strategy) for t in theses]
     for round_index in range(250):
-        for thesis, tree in plans:
-            _follow_strategy(thesis, tree, rng)
+        for thesis, nodes in plans:
+            _follow_strategy(thesis, nodes, rng)
 
 
 def _game_theses():
@@ -664,22 +668,29 @@ def _game_theses():
 
 
 # sha256 over the game's whole output on _game_theses(): verdict, positions
-# searched, the strategy tree and the refutation, byte for byte. A change to
-# the search's speed may move only the positions searched.
+# searched, the strategy and the refutation, byte for byte. A change to the
+# search's speed may move only the positions searched. The first pin was
+# recorded when the strategy nested one level per move, and checks the
+# strategy re-nested by the test decoder; the second pins the flat list.
 GAME_OUTPUT_SHA256 = "0ea31de80c665f544784b768b57595267655683d70525d39bf0d8396507bbae6"
+FLAT_GAME_OUTPUT_SHA256 = "1693d45f00efcdedbd215332ccb8ac94a3fbde1582cabe63de50ec5a272de8de"
 
 
 def test_game_output_is_pinned():
-    digest = hashlib.sha256()
+    flat, nested = hashlib.sha256(), hashlib.sha256()
     for thesis in _game_theses():
         result = has_winning_strategy(thesis)
         refutation = result.refutation
         if refutation is not None:
             refutation = [move_to_json(m) for m in refutation]
-        strategy = json.dumps(result.strategy)
-        record = [result.verdict, result.positions, strategy, refutation]
-        digest.update(json.dumps(record).encode())
-    assert digest.hexdigest() == GAME_OUTPUT_SHA256
+        for digest, strategy in [
+            (flat, result.strategy), (nested, nested_strategy(result.strategy))
+        ]:
+            record = [result.verdict, result.positions, json.dumps(strategy), refutation]
+            digest.update(json.dumps(record).encode())
+    assert (flat.hexdigest(), nested.hexdigest()) == (
+        FLAT_GAME_OUTPUT_SHA256, GAME_OUTPUT_SHA256
+    )
 
 
 def _scanned_ledgers(state):

@@ -19,6 +19,7 @@ from celogic.reduction import needed_context_names, reduce_full
 from celogic.syntax import Iff, parse_context, parse_formula
 
 from corpus import cross_semantics_corpus, hygiene_corpus
+from nested import nested_verdict
 
 
 class TestProveEl:
@@ -148,15 +149,25 @@ def _pinned_formulas():
 
 # sha256 over verdict_to_json(prove_cel(f)) on _pinned_formulas(), proof
 # logs and counter-models included, byte for byte. A change to the
-# prover's speed must leave it as it is.
+# prover's speed must leave it as it is. The first pin was recorded when
+# the proof log nested one level per split, and checks the log re-nested
+# by the test decoder; the second pins the flat log as it is written.
 PROVER_OUTPUT_SHA256 = "3d5b4b8122b2cf59fd8a8a22b3b8f95727f1175df68d4960ee85dae995940412"
+FLAT_PROVER_OUTPUT_SHA256 = "812d9b18d39a04a37b7ba63b7bf5ba25be9b36e8e58d9f66536e19dc513c98f7"
+
+
+def _pin_digests(docs):
+    """The sha256 of the documents as written and of their nested forms."""
+    flat, nested = hashlib.sha256(), hashlib.sha256()
+    for doc in docs:
+        flat.update(json.dumps(doc).encode())
+        nested.update(json.dumps(nested_verdict(doc)).encode())
+    return flat.hexdigest(), nested.hexdigest()
 
 
 def test_prover_output_is_pinned():
-    digest = hashlib.sha256()
-    for f in _pinned_formulas():
-        digest.update(json.dumps(verdict_to_json(prove_cel(f, ContextEnv()))).encode())
-    assert digest.hexdigest() == PROVER_OUTPUT_SHA256
+    docs = (verdict_to_json(prove_cel(f, ContextEnv())) for f in _pinned_formulas())
+    assert _pin_digests(docs) == (FLAT_PROVER_OUTPUT_SHA256, PROVER_OUTPUT_SHA256)
 
 
 # Under ContextEnv() every context is a one-literal stand-in, so the pin
@@ -172,19 +183,20 @@ BOUND_CONTEXT_ENVS = (
 
 # sha256 over verdict_to_json(prove_cel(f, env)) for each env above and
 # each formula of the cross corpus and SUITE_ROWS, proof logs and
-# counter-models included, byte for byte.
+# counter-models included, byte for byte: re-nested and as written, as
+# for the pins above.
 BOUND_CONTEXT_OUTPUT_SHA256 = "91bebdedaaf7367c6351d7c2ad9223f48d29461fcf19f06dd199a3bed358e845"
+FLAT_BOUND_CONTEXT_OUTPUT_SHA256 = "413fd93dd0a3c204883b26337f9a33992f58561ba1a7d171e6b282832333df40"
 
 
 def test_prover_output_under_bound_contexts_is_pinned():
     formulas = cross_semantics_corpus()
     formulas += [parse_formula(row.formula) for row in SUITE_ROWS]
-    digest = hashlib.sha256()
-    for bindings in BOUND_CONTEXT_ENVS:
-        env = ContextEnv.from_json(bindings)
-        for f in formulas:
-            digest.update(json.dumps(verdict_to_json(prove_cel(f, env))).encode())
-    assert digest.hexdigest() == BOUND_CONTEXT_OUTPUT_SHA256
+    envs = [ContextEnv.from_json(bindings) for bindings in BOUND_CONTEXT_ENVS]
+    docs = (verdict_to_json(prove_cel(f, env)) for env in envs for f in formulas)
+    assert _pin_digests(docs) == (
+        FLAT_BOUND_CONTEXT_OUTPUT_SHA256, BOUND_CONTEXT_OUTPUT_SHA256
+    )
 
 
 class TestLazyProofLog:
@@ -194,9 +206,9 @@ class TestLazyProofLog:
         calls = []
         render = prove.render_formula
 
-        def counted(f):
-            calls.append(f)
-            return render(f)
+        def counted(f, memo=None):
+            calls.append((f, memo))
+            return render(f, memo)
 
         monkeypatch.setattr(prove, "render_formula", counted)
         return calls
@@ -214,6 +226,15 @@ class TestLazyProofLog:
         assert rendered > 0
         assert v.proof is proof
         assert len(calls) == rendered
+
+    def test_one_memo_renders_the_whole_log(self, monkeypatch):
+        # each distinct formula is rendered once per document, so the
+        # rest of a left-grouped conjunction is not rendered at every step
+        calls = self._count_renders(monkeypatch)
+        prove_cel(parse_formula(_implication_chain(20))).proof
+        memos = [memo for _, memo in calls]
+        assert len(memos) > 40 and memos[0] is not None
+        assert all(memo is memos[0] for memo in memos)
 
 
 def _implication_chain(n: int) -> str:
@@ -237,9 +258,12 @@ class TestLongBranches:
         v = prove_cel(parse_formula(_implication_chain(1200)))
         assert isinstance(v, Valid)
         # each link splits, last link first; its second case closes at once
-        node, splits = v.tableau, 0
-        while len(node) == 3:
-            node, second = node[2]
-            assert second == ([], (0, parse_formula(f"p{1200 - splits}")))
-            splits += 1
+        log, cases = v.tableau, {}
+        for i, (parent, _, _) in enumerate(log):
+            cases.setdefault(parent, []).append(i)
+        at, splits = 0, 0
+        while len(log[at][2]) == 3:
+            first, second = cases[at]
+            assert log[second] == (at, [], (0, parse_formula(f"p{1200 - splits}")))
+            at, splits = first, splits + 1
         assert splits == 1199

@@ -160,8 +160,8 @@ def assert_names_match_reference(f):
 def assert_trace_keeps_exact_pairs(steps, result):
     """After reduce_full, each step's before keeps the reference normal form
     and context names, and the result keeps that it is Rel-free. The pairs
-    are then unset, so a later reduction of these trees runs ``_reduce`` as
-    on trees no trace has finished."""
+    are then unset, so a later ``reduce_result`` on these trees walks them as
+    trees no trace has finished."""
     befores = [before for before, _, _, _ in steps]
     for before in befores:
         assert before._normal == (result, reference_needed_context_names(before))
@@ -329,7 +329,7 @@ class TestReduceResult:
         # and every step's before and after share the trace's normal form,
         # so the reference is Iff(result, result) without re-reducing. The
         # steps come from the reference, which keeps no pair on them, so
-        # each reduce_result runs _reduce on a partly warmed step tree.
+        # each reduce_result walks a partly warmed step tree.
         for f in hygiene_corpus():
             steps, result = reference_reduce_full(f)
             expected = Iff(result, result)

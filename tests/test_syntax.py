@@ -51,6 +51,7 @@ from celogic.epistemology import PRESETS, SUITE_ROWS, apply_preset
 from celogic.reduction import reduce_full, reduce_result
 
 from corpus import cross_semantics_corpus, hygiene_corpus, random_formula
+from nested import nested_ast
 
 
 class TestParseFormula:
@@ -559,15 +560,24 @@ def _walk_record(f: Formula) -> list:
 
 # sha256 over json.dumps(_walk_record(f)) on _pinned_corpus(): the outputs
 # of every structural walker (reduction trace, AST dumps, game form, preset
-# retagging, the untagged-under-relativization check), byte for byte.
+# retagging, the untagged-under-relativization check), byte for byte. The
+# first pin was recorded when the JSON AST nested one level per node, and
+# checks the node table re-nested by the test decoder; the second pins the
+# node table as it is written.
 STRUCTURAL_WALKS_SHA256 = "9e1fd51e5a8ad87b1884341d92d88d972667a32f2f33161b1304873549a1fe06"
+FLAT_STRUCTURAL_WALKS_SHA256 = "4ee6e8c32382d477962e7a12384a4e94cba4f592effe0bd25a04e23d4b129cfb"
 
 
 def test_structural_walks_are_pinned():
-    digest = hashlib.sha256()
+    flat, nested = hashlib.sha256(), hashlib.sha256()
     for f in _pinned_corpus():
-        digest.update(json.dumps(_walk_record(f)).encode())
-    assert digest.hexdigest() == STRUCTURAL_WALKS_SHA256
+        record = _walk_record(f)
+        flat.update(json.dumps(record).encode())
+        record[2] = nested_ast(record[2])
+        nested.update(json.dumps(record).encode())
+    assert (flat.hexdigest(), nested.hexdigest()) == (
+        FLAT_STRUCTURAL_WALKS_SHA256, STRUCTURAL_WALKS_SHA256
+    )
 
 
 _P, _Q, _R = Atom("p"), Atom("q"), Atom("r")
