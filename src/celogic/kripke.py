@@ -104,6 +104,9 @@ class KripkeModel:
             and self.valuation == other.valuation
         )
 
+    def __hash__(self):
+        return hash(self.worlds)
+
     def to_json(self) -> dict:
         return {
             "worlds": list(self.worlds),
@@ -119,9 +122,25 @@ class KripkeModel:
 
     @classmethod
     def from_json(cls, data) -> "KripkeModel":
+        """Read to_json's shape; any other shape raises ValueError, so that a
+        string is never split into its characters."""
         if isinstance(data, str):
             data = json.loads(data)
-        return cls(data["worlds"], data.get("agents", {}), data.get("valuation", {}))
+        worlds = data["worlds"]
+        agents, valuation = data.get("agents", {}), data.get("valuation", {})
+        if not (isinstance(agents, dict) and isinstance(valuation, dict)):
+            raise ValueError("agents and valuation must be objects")
+        lists = [worlds, *valuation.values()]
+        for classes in agents.values():
+            lists += classes if isinstance(classes, list) else [classes]
+        if not all(
+            isinstance(ws, list) and all(isinstance(w, str) for w in ws)
+            for ws in lists
+        ):
+            raise ValueError(
+                "worlds, each class and each valuation entry must be lists of strings"
+            )
+        return cls(worlds, agents, valuation)
 
     def to_dot(self, highlight: str | None = None) -> str:
         """Graphviz export: worlds as nodes listing their atoms, one labeled
@@ -592,11 +611,16 @@ def bell_number(n: int) -> int:
     return row[-1]
 
 
-def model_space_size(max_worlds: int, n_agents: int, n_atoms: int) -> int:
-    return sum(
+def _model_counts(max_worlds: int, n_agents: int, n_atoms: int):
+    """The number of models of each world count, from 1 to max_worlds."""
+    return (
         bell_number(n) ** n_agents * 2 ** (n * n_atoms)
         for n in range(1, max_worlds + 1)
     )
+
+
+def model_space_size(max_worlds: int, n_agents: int, n_atoms: int) -> int:
+    return sum(_model_counts(max_worlds, n_agents, n_atoms))
 
 
 def set_partitions(items: tuple):
@@ -625,11 +649,15 @@ def set_partitions(items: tuple):
 def _check_space(max_worlds: int, agents: list, atoms: list, ceiling: int) -> None:
     if max_worlds < 1:
         raise ValueError("max_worlds must be at least 1")
-    total = model_space_size(max_worlds, len(agents), len(atoms))
-    if total > ceiling:
-        raise EnumerationCeilingError(
-            f"{total} models exceed the ceiling of {ceiling}"
-        )
+    # stop at the first partial sum over the ceiling: the exact count can be
+    # thousands of digits long and take cubic time to work out
+    counts = _model_counts(max_worlds, len(agents), len(atoms))
+    for n, total in enumerate(itertools.accumulate(counts), start=1):
+        if total > ceiling:
+            bound = "" if n == max_worlds else "at least "
+            raise EnumerationCeilingError(
+                f"{bound}{total} models exceed the ceiling of {ceiling}"
+            )
 
 
 def _frame_model(worlds: tuple, relations: dict, atoms: list, v: int) -> KripkeModel:

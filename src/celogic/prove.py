@@ -275,13 +275,13 @@ def _explore(branch: _Branch, facts):
                 closed = (label, f)
             else:
                 split = len(log)
-                log.append((parent, steps, (sign, label, f)))
+                log.append((parent, tuple(steps), (sign, label, f)))
                 for i in range(len(cases) - 1, -1, -1):
                     case = [(label, sg, g) for sg, g in cases[i]]
                     stack.append((branch.copy() if i else branch, split, case))
                 break
         else:  # the branch closed; a split breaks out above
-            log.append((parent, steps, closed))
+            log.append((parent, tuple(steps), closed))
     return tuple(log)
 
 

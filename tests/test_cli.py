@@ -485,3 +485,28 @@ class TestInputErrors:
         assert out == ""
         assert err.startswith("error: cannot read ")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "model",
+        [
+            {"worlds": "ab", "agents": {"i": ["ab"]}, "valuation": {"p": "a"}},
+            {"worlds": ["a"], "agents": {"i": ["a"]}},
+            {"worlds": ["a"], "agents": {"i": "a"}},
+            {"worlds": ["a"], "agents": [["a"]]},
+            {"worlds": ["a"], "valuation": {"p": [1]}},
+            {"worlds": ["a"], "valuation": [["p"]]},
+        ],
+        ids=[
+            "strings", "class-string", "classes-string", "agents-list",
+            "valuation-number", "valuation-list",
+        ],
+    )
+    def test_model_lists_of_another_shape_exit_two(self, capsys, tmp_path, model):
+        # a string where a list belongs is not split into its characters
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(model))
+        argv = ["eval", "--model", str(path), "--world", "a", "K{i,1.1} p"]
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: cannot read model file ")

@@ -256,8 +256,17 @@ class TestLegalMoves:
 class TestApplyMove:
     @pytest.mark.parametrize("path", PLAY_FILES, ids=lambda p: p.stem)
     def test_scripts_replay(self, path):
-        state = replay_script(load_play(path))
-        assert len(state.moves) == len(load_play(path)["moves"]) + 1
+        text = path.read_text()
+        data = json.loads(text)
+        state = replay_script(data)
+        assert len(state.moves) == len(data["moves"]) + 1
+        # the files are the only statement of the plays: each is its moves
+        # as move_to_json writes them, byte for byte, under its own name
+        agents = formula_info(game_form(parse_formula(data["thesis"]))).agents
+        moves = [move_from_json(m, agents) for m in data["moves"]]
+        moves_json = [move_to_json(m) for m in moves]
+        assert json.dumps({**data, "moves": moves_json}, indent=1) == text
+        assert path.stem == data["name"]
 
     def test_winning_plays_end_with_opponent_stuck(self):
         for path in PLAY_FILES:

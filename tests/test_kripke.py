@@ -904,6 +904,25 @@ def test_the_ceiling_is_checked_before_compiling(monkeypatch):
         find_countermodel(f, max_worlds=5)
 
 
+def test_the_ceiling_check_stops_once_the_count_passes_it(monkeypatch):
+    """The count stops at the first world count that passes the ceiling,
+    not at max_worlds: the exact count of 5,000 worlds is thousands of
+    digits long."""
+    import celogic.kripke
+
+    calls = []
+
+    def counted_bell_number(n):
+        calls.append(n)
+        if len(calls) == 40:
+            raise AssertionError("counted the models of 40 world counts")
+        return bell_number(n)
+
+    monkeypatch.setattr(celogic.kripke, "bell_number", counted_bell_number)
+    with pytest.raises(EnumerationCeilingError, match="^at least "):
+        find_countermodel(parse_formula("p -> q"), max_worlds=5000)
+
+
 def test_frame_mask_layout():
     """Bit w*V + v of a frame's mask is bit w of the v-th model's mask."""
     f = parse_formula(

@@ -123,6 +123,13 @@ class TestProveCel:
         assert isinstance(prove_cel(parse_formula("ci -> p"), env), Valid)
         assert isinstance(prove_cel(parse_formula("p -> ci"), env), Invalid)
 
+    @pytest.mark.parametrize("text", ["p -> p", "p -> q"])
+    def test_equal_verdicts_hash_equal(self, text):
+        first, second = (prove_cel(parse_formula(text)) for _ in range(2))
+        assert first == second and first is not second
+        assert hash(first) == hash(second)
+        assert len({first, second}) == 1
+
     def test_verdict_json_round_trip(self):
         f = parse_formula("(K{i,1.2} a)^ci -> (K{i,1.2} K{i,1.2} a)^cj")
         data = verdict_to_json(prove_cel(f))
@@ -264,6 +271,6 @@ class TestLongBranches:
         at, splits = 0, 0
         while len(log[at][2]) == 3:
             first, second = cases[at]
-            assert log[second] == (at, [], (0, parse_formula(f"p{1200 - splits}")))
+            assert log[second] == (at, (), (0, parse_formula(f"p{1200 - splits}")))
             at, splits = first, splits + 1
         assert splits == 1199
