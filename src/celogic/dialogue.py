@@ -67,7 +67,8 @@ worlds and turn), not on its ledgers. A plain tuple can equal a payload, so
 The search is a ``fold`` over positions, on the driver of the formula walks,
 and the strategy and the refutation read off its memo are loops too: no
 length of play is bounded by the recursion limit. The search steps through
-the moves ``legal_moves`` lists without validating them again;
+the moves ``legal_moves`` lists, each on the target it was found on, so it
+neither validates a move again nor looks its target up in the history;
 ``apply_move``, ``replay`` and ``replay_script`` validate every move.
 """
 
@@ -75,6 +76,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import reduce
+from operator import itemgetter
 from typing import Iterable, NamedTuple
 
 from .kripke import ContextEnv
@@ -103,6 +105,8 @@ O = "O"
 Label = tuple[tuple[str, int], ...]
 
 ROOT: Label = ()
+
+_new = tuple.__new__  # a named tuple from its fields, in C: no Python frame
 
 
 class IllegalMoveError(ValueError):
@@ -455,6 +459,7 @@ def _check_assertable(
 
 
 ParticleRule = dict[Payload, tuple[AssertPayload, ...]]
+_LEFT, _RIGHT, _EITHER = (RequestPayload(kind) for kind in ("?_L", "?_R", "?"))
 
 
 def _particle_rule(rules: GameRules, target: Assertion) -> ParticleRule:
@@ -471,27 +476,26 @@ def _particle_rule(rules: GameRules, target: Assertion) -> ParticleRule:
 
 def _particle_table(rules: GameRules, target: Assertion) -> ParticleRule:
     _, world, f = target
+    if isinstance(f, Atom) and f.name not in rules.env.bindings:
+        return {}  # a plain atom, the commonest assertion
 
     def said(*formulas: Formula) -> tuple[AssertPayload, ...]:
         return tuple(AssertPayload(world, g) for g in formulas)
 
-    left, right = RequestPayload("?_L"), RequestPayload("?_R")
     match f:
-        case Atom(name) if name in rules.env.bindings:
+        case Atom(name):
             # a compound context is played as the conjunction of its literals
             literals = rules.env.bindings[name].literals
             lits = [Atom(a) if positive else Not(Atom(a)) for a, positive in literals]
             if len(lits) < 2:
                 return {}
-            return {left: said(lits[0]), right: said(reduce(And, lits[1:]))}
-        case Atom():
-            return {}
+            return {_LEFT: said(lits[0]), _RIGHT: said(reduce(And, lits[1:]))}
         case Not(body):
             return {AssertPayload(world, body): ()}
         case And(l, r):
-            return {left: said(l), right: said(r)}
+            return {_LEFT: said(l), _RIGHT: said(r)}
         case Or(l, r):
-            return {RequestPayload("?"): said(*sorted((l, r), key=render_formula))}
+            return {_EITHER: said(*sorted((l, r), key=render_formula))}
         case Imp(l, r):
             return {AssertPayload(world, l): said(r)}
         case Know():
@@ -499,7 +503,7 @@ def _particle_table(rules: GameRules, target: Assertion) -> ParticleRule:
         case Poss(agent, _, _):
             return {RequestPayload("?_P", agent): ()}
         case Rel(And(l, r), c):
-            return {left: said(_rel(l, c)), right: said(_rel(r, c))}
+            return {_LEFT: said(_rel(l, c)), _RIGHT: said(_rel(r, c))}
         case Rel(Know(agent, variant, inner), c):
             cx, cy = variant_contexts_names(variant, c, agent)
             answer = Know(agent, variant, _rel(inner, cy))
@@ -676,26 +680,22 @@ def validate_move(state: GameState, move: Move) -> None:
 def apply_move(state: GameState, move: Move) -> GameState:
     """Validate and append a move, updating commitments and ledgers."""
     validate_move(state, move)
-    return _step(state, move)
+    of_move = _assertion_of_move if move.kind == "attack" else _attack_record_of_move
+    return _step(state, move, of_move(state, move.target))
 
 
-def _step(state: GameState, move: Move) -> GameState:
-    """Append a move that validate_move accepts, updating the ledgers."""
-    index = len(state.moves)
-    rules = state.rules
-    actor = move.actor
+def _step(state: GameState, move: Move, target: Assertion | Record) -> GameState:
+    """Append a move that validate_move accepts, on its target (the assertion
+    it attacks or the attack record it answers), updating the ledgers."""
+    rules, moves, records, introduced, _, assertions, open_targets = state
+    actor, kind, _, payload = move
     other = P if actor == O else O
-    introduced = state.introduced
-    assertions = state.assertions
-    attacks, defences = state.open_targets[actor]
-    other_attacks, other_defences = state.open_targets[other]
+    attacks, defences = open_targets[actor]
+    other_attacks, other_defences = open_targets[other]
 
-    attack = move.kind == "attack"
-    target = (_assertion_of_move if attack else _attack_record_of_move)(
-        state, move.target
-    )
-    record = (actor, target, move.payload)
-    records = state.records | {record}
+    attack = kind == "attack"
+    record = (actor, target, payload)
+    records = records | {record}
     # the mover uses the target up: O at once, P with the last move on a
     # target whose payloads are fixed
     f = (target if attack else target[1])[2]
@@ -714,30 +714,24 @@ def _step(state: GameState, move: Move) -> GameState:
         else:
             defences = tuple(e for e in defences if e[0] != target)
     if attack and (
-        isinstance(f, (Know, Poss)) or _particle_rule(rules, target)[move.payload]
+        isinstance(f, (Know, Poss)) or _particle_rule(rules, target)[payload]
     ):
-        other_defences += ((record, index),)
+        other_defences += ((record, len(moves)),)
 
     # an assertion's world, or the world a ?_K request names
-    label = move.payload.label
+    label = payload.label
     if label is not None and label not in introduced:
         introduced = introduced | {label}
-    if isinstance(move.payload, AssertPayload):
-        assertion = (actor, label, move.payload.formula)
+    if isinstance(payload, AssertPayload):
+        assertion = (actor, label, payload.formula)
         if assertion not in assertions:
             assertions = assertions | {assertion}
             if _attackable(rules, assertion):
-                other_attacks += ((assertion, index),)
+                other_attacks += ((assertion, len(moves)),)
 
-    return GameState(
-        rules,
-        state.moves + (move,),
-        records,
-        introduced,
-        other,
-        assertions,
-        {actor: (attacks, defences), other: (other_attacks, other_defences)},
-    )
+    ledgers = {actor: (attacks, defences), other: (other_attacks, other_defences)}
+    fields = (rules, moves + (move,), records, introduced, other, assertions, ledgers)
+    return _new(GameState, fields)
 
 
 def legal_moves(state: GameState) -> list[Move]:
@@ -754,9 +748,14 @@ def legal_moves(state: GameState) -> list[Move]:
     open targets are those it has not acted on, so every candidate of O's
     is listed. P's candidates are checked one payload at a time.
     """
+    return [move for move, _ in _candidates(state)]
+
+
+def _candidates(state: GameState) -> list[tuple[Move, Assertion | Record]]:
+    """legal_moves' moves, each with its target: the search steps with both."""
     actor = state.turn
     attacks, defences = state.open_targets[actor]
-    moves: list[Move] = []
+    pairs: list = []
     for kind, targets, payloads in (
         ("attack", attacks, _attack_payloads),
         ("defend", defences, _defence_payloads),
@@ -764,8 +763,8 @@ def legal_moves(state: GameState) -> list[Move]:
         for target, index in targets:
             for payload in payloads(state, actor, target):
                 if actor == O or not _problem(state, P, kind, target, payload):
-                    moves.append(Move(actor, kind, index, payload))
-    return moves
+                    pairs.append((_new(Move, (actor, kind, index, payload)), target))
+    return pairs
 
 
 # ---------------------------------------------------------------------------
@@ -805,30 +804,31 @@ class StrategyResult:
 
 class _Search:
     """AND-OR search over positions, memoized on the position. It steps
-    through the moves legal_moves lists without validating them again:
-    they are exactly the moves validate_move accepts."""
+    through the moves legal_moves lists, on the targets it found, without
+    validating them again: they are exactly the moves validate_move accepts."""
 
     def __init__(self, budget: int):
         self.budget = budget
         self.positions = 0
         self.memo: dict = {}
 
-    def moves(self, state: GameState) -> list[Move]:
-        """The legal moves in the order the search tries them: at P's turn,
-        P's defences of the latest attack that admits one come before P's
-        other defences, since P's wins mostly answer the latest attack. No
-        move is dropped, so no position's value depends on the order.
-        Defences come last, by the index of the attack they answer, so the
-        last move names that attack."""
-        moves = legal_moves(state)
-        if state.turn == P and moves and moves[-1].kind == "defend":
-            last = moves[-1].target
-            moves.sort(key=lambda m: m.kind == "defend" and m.target != last)
+    def moves(self, state: GameState) -> list[tuple[Move, Assertion | Record]]:
+        """The legal moves with their targets, in the order the search tries
+        them: at P's turn, P's defences of the latest attack that admits one
+        come before P's other defences, since P's wins mostly answer the
+        latest attack. No move is dropped, so no position's value depends on
+        the order. Defences come last, by the index of the attack they
+        answer, so the last move names that attack."""
+        moves = _candidates(state)
+        if state.turn == P and moves and moves[-1][0].kind == "defend":
+            last = moves[-1][0].target
+            moves.sort(key=lambda c: c[0].kind == "defend" and c[0].target != last)
         return moves
 
     def win(self, state: GameState) -> bool:
         """True iff P has a winning strategy from this position."""
-        return fold(state, self._value, self.memo, GameState.position_key)
+        # memoized on the position: a state's records, read in C
+        return fold(state, self._value, self.memo, itemgetter(2))
 
     def _value(self, state: GameState):
         """``fold``'s step over positions: P needs one move to a won
@@ -838,16 +838,15 @@ class _Search:
         if self.positions > self.budget:
             raise BudgetExhaustedError(self.positions)
         want = state.turn == P
-        for m in self.moves(state):
-            if (yield _step(state, m)) is want:
+        for m, target in self.moves(state):
+            if (yield _step(state, m, target)) is want:
                 return want
         return not want
 
-    def _first(self, state: GameState, moves: list[Move], value: bool):
-        """The first of the moves whose position has this value, and that
-        position."""
-        for m in moves:
-            child = _step(state, m)
+    def _first(self, state: GameState, moves: list, value: bool):
+        """The first move whose position has this value, and that position."""
+        for m, target in moves:
+            child = _step(state, m, target)
             if self.win(child) is value:
                 return m, child
         raise AssertionError(f"no move to a position of value {value}")
@@ -871,17 +870,17 @@ class _Search:
                 m, child = self._first(state, moves, True)
                 stack.append((child, here, m))
             else:
-                stack.extend((_step(state, m), here, m) for m in reversed(moves))
+                stack.extend((_step(state, m, t), here, m) for m, t in reversed(moves))
         return nodes
 
     def refuting_play(self, state: GameState) -> tuple[Move, ...]:
         """O's first refuting move at each O turn and P's first move at each
         P turn, in legal_moves' order; every position on it is in the memo."""
-        while moves := legal_moves(state):
+        while moves := _candidates(state):
             if state.turn == O:
                 state = self._first(state, moves, False)[1]
             else:
-                state = _step(state, moves[0])
+                state = _step(state, *moves[0])
         return state.moves
 
 

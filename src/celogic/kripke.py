@@ -30,6 +30,7 @@ lookup.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import operator
@@ -195,6 +196,14 @@ def check_model(model: KripkeModel) -> list[str]:
     return violations
 
 
+@functools.lru_cache(maxsize=1024)
+def _stand_in(name: str) -> ContextFormula:
+    """The fresh atom an unbound context name resolves to, built once per
+    name and shared: a ContextFormula is frozen. The cache is bounded, so a
+    process that meets ever new names does not grow with them."""
+    return ContextFormula(((FRESH_CONTEXT_PREFIX + name, True),))
+
+
 class ContextEnv:
     """Binding of context names to context formulas.
 
@@ -211,7 +220,7 @@ class ContextEnv:
     def resolve(self, name: str) -> ContextFormula:
         if name in self.bindings:
             return self.bindings[name]
-        return ContextFormula(((FRESH_CONTEXT_PREFIX + name, True),))
+        return _stand_in(name)
 
     def completed(self, names) -> "ContextEnv":
         """Explicit env binding every listed name (auto names get frozen in)."""
@@ -591,8 +600,6 @@ def satisfies(model: KripkeModel, world: str, env: ContextEnv, f: Formula) -> bo
     Preconditions: check_model(model) is empty and world is in the model.
     """
     return bool(truth_mask(model, env, f) >> model.world_index(world) & 1)
-
-
 
 
 # ---------------------------------------------------------------------------

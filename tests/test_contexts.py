@@ -12,6 +12,7 @@ import random
 
 import pytest
 
+from celogic import kripke
 from celogic.dialogue import has_winning_strategy
 from celogic.kripke import ContextEnv, find_countermodel
 from celogic.prove import Invalid, Valid, prove_cel
@@ -33,6 +34,26 @@ class TestForFormula:
     def test_unbound_guards_get_their_fresh_stand_in(self):
         got = ContextEnv().for_formula(parse_formula("(K{i,1.2} p)^ck -> cj"))
         assert got.to_json() == {"ci": "_ctx_ci", "ck": "_ctx_ck"}
+
+    def test_an_unbound_name_shares_one_stand_in(self, monkeypatch):
+        env = ContextEnv.from_json({"ci": "p"})
+        assert env.resolve("cj") is ContextEnv().resolve("cj")
+        assert env.resolve("cj") is not env.resolve("ck")
+        texts = ["(K{i,1.2} p)^cj -> cj", "(p)^ck -> ck -> p", "cj -> (q)^ci"]
+        verdicts = [self.verdicts(env, parse_formula(text)) for text in texts]
+        # a fresh stand-in on every call, as before sharing
+        monkeypatch.setattr(kripke, "_stand_in", kripke._stand_in.__wrapped__)
+        assert env.resolve("cj") is not env.resolve("cj")
+        assert verdicts == [self.verdicts(env, parse_formula(text)) for text in texts]
+        assert verdicts == [(False,) * 3, (True,) * 3, (False,) * 3]
+
+    @staticmethod
+    def verdicts(env, f):
+        return (
+            isinstance(prove_cel(f, env), Valid),
+            find_countermodel(f, env) is None,
+            has_winning_strategy(f, env).verdict,
+        )
 
     def test_a_bound_body_literal_not_used_by_the_formula_is_an_atom(self):
         env = ContextEnv.from_json(NESTED)

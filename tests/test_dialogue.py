@@ -552,7 +552,7 @@ class TestLongPlays:
         state = initial_state(parse_formula(f"{side} -> {side}"))
         search = _Search(0)
         while len(state.moves) < 600:
-            state = apply_move(state, search.moves(state)[0])
+            state = apply_move(state, search.moves(state)[0][0])
         calls = []
         for name in ("_attack_payloads", "_defence_payloads"):
             payloads = getattr(dialogue, name)
@@ -903,14 +903,19 @@ def _reference_world_options(state, actor, agent, world):
     return options
 
 
-def test_world_table_matches_a_fresh_computation():
-    # At every position the SUITE_ROWS searches and the recorded plays visit,
-    # the table a game shares between its states gives what a fresh table does.
+def _searched_and_replayed_positions(check=lambda state: None):
+    """Every position the SUITE_ROWS searches step and the recorded plays
+    pass through, each handed to ``check`` when it is reached, before the
+    search or the play moves on from it."""
     visited = []
+
+    def reach(state):
+        check(state)
+        visited.append(state)
 
     class Recording(_Search):
         def _value(self, state):
-            visited.append(state)
+            reach(state)
             return super()._value(state)
 
     for row in SUITE_ROWS:
@@ -922,10 +927,32 @@ def test_world_table_matches_a_fresh_computation():
         thesis = parse_formula(data["thesis"], data.get("default_variant"))
         state = initial_state(thesis, ContextEnv.from_json(data.get("env", {})))
         agents = formula_info(state.thesis).agents
-        visited.append(state)
+        reach(state)
         for move_data in data["moves"]:
             state = apply_move(state, move_from_json(move_data, agents))
-            visited.append(state)
+            reach(state)
+    return visited
+
+
+def _assert_steps_agree_with_apply_move(state):
+    """The search steps each legal move on the target legal_moves found for
+    it; that gives what apply_move gives, on all seven fields, the
+    assertions and open_targets ledgers included."""
+    for move, target in dialogue._candidates(state):
+        assert tuple(dialogue._step(state, move, target)) == tuple(
+            apply_move(state, move)
+        )
+
+
+def test_the_search_steps_each_move_as_apply_move_does():
+    visited = _searched_and_replayed_positions(_assert_steps_agree_with_apply_move)
+    assert len(visited) > 1000
+
+
+def test_world_table_matches_a_fresh_computation():
+    # At every position the SUITE_ROWS searches and the recorded plays visit,
+    # the table a game shares between its states gives what a fresh table does.
+    visited = _searched_and_replayed_positions()
     tables = {}
     for state in visited:
         rules = state.rules
@@ -1133,9 +1160,9 @@ def _reference_search_order(state, moves):
 
 def _play_against_reference(thesis, env, rng, plays):
     """Seeded random plays of the thesis; at every position both players'
-    move lists and open targets equal the reference's, and the search tries
-    the same moves in the order the reference gives. Returns the number of
-    positions checked."""
+    move lists and open targets equal the reference's, the search tries the
+    same moves in the order the reference gives, and steps each as
+    apply_move does. Returns the number of positions checked."""
     search = _Search(0)
     checked = 0
     for _ in range(plays):
@@ -1144,8 +1171,10 @@ def _play_against_reference(thesis, env, rng, plays):
             scan = _scanned_ledgers(state)
             reference = reference_legal_moves(state, scan)
             assert legal_moves(state) == reference
-            assert search.moves(state) == _reference_search_order(state, reference)
+            tried = [move for move, _ in search.moves(state)]
+            assert tried == _reference_search_order(state, reference)
             assert state.open_targets == scan["open_targets"]
+            _assert_steps_agree_with_apply_move(state)
             checked += 1
             moves = legal_moves(state)
             if not moves:
