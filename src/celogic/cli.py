@@ -2,8 +2,8 @@
 
 Exit codes: 0 valid/true/agreement, 1 invalid/false/mismatch, 2 usage or
 input error, 3 search budget exhausted, oracle model space over its
-ceiling, an ``--env`` or ``--model`` file nested too deeply, or a failed
-internal check. Errors go to stderr prefixed with ``error:``.
+ceiling, an ``--env`` or ``--model`` file nested too deeply, out of memory,
+or a failed internal check. Errors go to stderr prefixed with ``error:``.
 
 ``--format json`` prints each document with ``json.dumps``.
 The AST, the proof log and the strategy are flat lists of nodes that name
@@ -305,6 +305,10 @@ def main(argv=None) -> int:
         # the JSON decoder, reading a deeply nested --env or --model file,
         # ran out of stack: a resource limit, not exit 1 ("invalid")
         print("error: input file nested too deeply", file=sys.stderr)
+        return EXIT_BUDGET
+    except MemoryError:
+        # a resource limit too: exit 1 would read as "invalid"
+        print("error: out of memory", file=sys.stderr)
         return EXIT_BUDGET
     except (FormulaSyntaxError, UntaggedOperatorError, CliError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -32,10 +32,11 @@ literals at that world.
 
 The particle rules are one table (``_particle_rule``): for each asserted
 formula, each way of attacking it with the defences that answer that
-attack. A game works out an assertion's table once; only the worlds a Know
-attack may name and a Poss defence may use come from the position, and the
-game works those out once per agent, world and set of introduced worlds
-(``GameRules.world_options``).
+attack. A game works out the table of a formula at a world once, whichever
+player asserts it; only the worlds a Know attack may name and a Poss
+defence may use come from the position, and the game builds those attacks
+and defences once per formula, world and set of introduced worlds
+(``GameRules.world_payloads``).
 
 Each structural rule is stated once: the repetition rule in ``_problem``,
 what a player may assert in ``_check_assertable``. ``legal_moves`` lists the
@@ -58,12 +59,16 @@ A position is the set of move records: each move after the thesis is one
 record (actor, the assertion it attacks or the attack record it answers,
 payload). Every assertion but the thesis is a record's payload, and every
 record is new, so the records fix the assertions, the attacks, the
-defences and whose turn it is. Winning strategies are decided by AND-OR
-search over positions, memoized on the records, which each state keeps.
-Moves, payloads and states are immutable named tuples, built and hashed in
-C. A state compares and hashes on its position (its rules, moves, records,
-worlds and turn), not on its ledgers. A plain tuple can equal a payload, so
-``validate_move`` checks a payload's type.
+defences and whose turn it is. Each game numbers every record and every
+assertion the first time it meets one (``GameRules.bits``), and a state
+keeps its records and its assertions as int bitsets over that numbering:
+a move grows them by one ``|``, without copying a set, and two plays that
+reach the same records in another order reach the same int. Winning
+strategies are decided by AND-OR search over positions, memoized on the
+records' bitset. Moves, payloads and states are immutable named tuples,
+built in C. A state compares and hashes on its position (its rules, moves,
+records, worlds and turn), not on its ledgers. A plain tuple can equal a
+payload, so ``validate_move`` checks a payload's type.
 The search is a ``fold`` over positions, on the driver of the formula walks,
 and the strategy and the refutation read off its memo are loops too: no
 length of play is bounded by the recursion limit. The search steps through
@@ -270,22 +275,36 @@ def _rel(body: Formula, context: str) -> Formula:
 # Game state
 
 
+class _Numbering(dict):
+    """A game's numbering of records and assertions: ``table[key]`` is the
+    key's bit, and a key met for the first time gets the next one. A record
+    never equals an assertion: the one's second field is a target, the
+    other's a world. ``table.get(key, 0) & bits`` asks whether a bitset
+    holds the key, and numbers nothing."""
+
+    def __missing__(self, key) -> int:
+        bit = self[key] = 1 << len(self)
+        return bit
+
+
 @dataclass(frozen=True, eq=False)
 class GameRules:
     """One game's rules, shared by all its states: the context bindings
     (``ContextEnv.for_formula``'s env for the thesis, so an atom is a
     context name exactly when bound there: a guard of the thesis or a bound
     name it uses as an atom; body literals are atoms) and O's fresh-world
-    cap (one more than the thesis's modal depth). It also keeps what follows
-    from the rules alone: each asserted formula's particle rule, one table
-    of its attacks with their defences, and the worlds an agent-indexed
-    choice may name, by (agent, world, introduced worlds, whether O may
-    still introduce one), each entry a tuple."""
+    cap (one more than the thesis's modal depth). It also keeps the game's
+    numbering of records and assertions, and what follows from the rules
+    alone: the particle rule of each formula at each world, one table of
+    its attacks with their defences, and the Know attacks and Poss defences
+    that name a world, by (formula, world, introduced worlds, whether O may
+    still introduce one), each entry a tuple. No table outlives its game."""
 
     env: ContextEnv
     fresh_cap: int
+    bits: _Numbering = field(default_factory=_Numbering, repr=False)
     particle_rules: dict = field(default_factory=dict, repr=False)
-    world_options: dict = field(default_factory=dict, repr=False)
+    world_payloads: dict = field(default_factory=dict, repr=False)
 
 
 Assertion = tuple[str, Label, Formula]  # actor, world, formula
@@ -304,23 +323,24 @@ OpenTargets = tuple[
 class GameState(NamedTuple):
     rules: GameRules
     moves: tuple[Move, ...]
-    # The position: the record of every move after the thesis. Every
-    # assertion but the thesis is a record's payload, and the repetition
-    # rule makes every record new, so whose turn it is follows from their
-    # number.
-    records: frozenset[Record]
+    # The position: the record of every move after the thesis, as the
+    # bitset of their numbers in ``rules.bits``. Every assertion but the
+    # thesis is a record's payload, and the repetition rule makes every
+    # record new, so whose turn it is follows from their number.
+    records: int
     introduced: frozenset[Label]
     turn: str
     # Ledgers kept move by move, so that legality never re-scans the
     # history; equality and hashing leave them out. They follow from
-    # ``moves``: every assertion made, and each player's open targets: the
-    # other player's assertions that have an attack and attack records that
-    # have a defence, less those the player has used up. O uses a target up
+    # ``moves``: every assertion made, a bitset as ``records`` is, and each
+    # player's open targets: the other player's assertions that have an
+    # attack and attack records that have a defence, less those the player
+    # has used up. O uses a target up
     # by acting on it, so O's open targets are exactly those it has not
     # acted on; P uses one up when it has made every move on it, which only
     # a target whose payloads are fixed allows (all but a Know's attacks and
     # a Poss's defences, which grow with ``introduced``).
-    assertions: frozenset[Assertion]
+    assertions: int
     open_targets: dict[str, OpenTargets]
 
     def __eq__(self, other):
@@ -337,7 +357,7 @@ class GameState(NamedTuple):
         """Worlds O has introduced; only O introduces worlds."""
         return len(self.introduced) - 1
 
-    def position_key(self) -> frozenset[Record]:
+    def position_key(self) -> int:
         return self.records
 
     @property
@@ -356,10 +376,10 @@ def initial_state(thesis: Formula, env: ContextEnv | None = None) -> GameState:
     return GameState(
         rules=rules,
         moves=(move,),
-        records=frozenset(),
+        records=0,
         introduced=frozenset({ROOT}),
         turn=O,
-        assertions=frozenset({assertion}),
+        assertions=rules.bits[assertion],
         open_targets={
             O: (((assertion, 0),) if _attackable(rules, assertion) else (), ()),
             P: ((), ()),
@@ -371,14 +391,16 @@ def initial_state(thesis: Formula, env: ContextEnv | None = None) -> GameState:
 # World bookkeeping
 
 
-def _world_options(
-    state: GameState, actor: str, agent: str, world: Label
-) -> tuple[Label, ...]:
-    """Worlds available for an agent-indexed choice at ``world``: the agent's
-    cluster, plus one fresh successor when O still may introduce, in the
-    order of their printed names (the order legal_moves lists them). They
-    depend on the actor only through whether it may introduce a world, and
-    each game works them out once (``GameRules.world_options``).
+def _world_payloads(
+    state: GameState, actor: str, f: Know | Poss, world: Label
+) -> tuple[Payload, ...]:
+    """The payloads that choose a world for ``f`` asserted at ``world``: a
+    Know's attacks, one ``?_K`` request per world, or a Poss's defences, its
+    body at each world. The worlds are the agent's cluster, plus one fresh
+    successor when O still may introduce one, in the order of their printed
+    names (the order legal_moves lists them). The payloads depend on the
+    actor only through whether it may introduce a world, and each game
+    builds them once (``GameRules.world_payloads``).
 
     The cluster is the introduced labels that extend its root (``world``
     without its trailing steps of the agent) by steps of the agent only:
@@ -386,11 +408,11 @@ def _world_options(
     the agent's steps connect. The fresh successor takes the least index
     that no child of ``world`` in the cluster uses."""
     fresh = actor == O and state.o_fresh < state.rules.fresh_cap
-    key = (agent, world, state.introduced, fresh)
-    options = state.rules.world_options.get(key)
-    if options is not None:
-        return options
-    root = world
+    key = (f, world, state.introduced, fresh)
+    payloads = state.rules.world_payloads.get(key)
+    if payloads is not None:
+        return payloads
+    agent, root = f.agent, world
     while root and root[-1][0] == agent:
         root = root[:-1]
     depth = len(root)
@@ -406,17 +428,21 @@ def _world_options(
             index += 1
         options.append(world + ((agent, index),))
     options.sort(key=render_label)
-    options = state.rules.world_options[key] = tuple(options)
-    return options
+    if isinstance(f, Know):
+        payloads = tuple(RequestPayload("?_K", agent, w) for w in options)
+    else:
+        payloads = tuple(AssertPayload(w, f.body) for w in options)
+    state.rules.world_payloads[key] = payloads
+    return payloads
 
 
 def _granted(state: GameState, world: Label, atom: Atom) -> bool:
     """Whether O stands committed to the atom at ``world``: O stated it
     there, or conceded there a context whose body has it as a positive
     literal."""
-    assertions = state.assertions
-    return (O, world, atom) in assertions or any(
-        (O, world, Atom(name)) in assertions
+    bits, assertions = state.rules.bits, state.assertions
+    return bool(bits.get((O, world, atom), 0) & assertions) or any(
+        bits.get((O, world, Atom(name)), 0) & assertions
         for name, body in state.rules.env.bindings.items()
         if (atom.name, True) in body.literals
     )
@@ -436,12 +462,13 @@ def _check_assertable(
     may always restate: answering a second projection of the same demand
     with the same content is legitimate.
     """
+    bits, assertions = state.rules.bits, state.assertions
     if actor == P and not isinstance(f, Atom):
-        if (P, world, f) in state.assertions:
+        if bits.get((P, world, f), 0) & assertions:
             return ("PL-2", "restating one's own assertion changes nothing for P")
     if isinstance(f, Atom):
         if f.name in state.rules.env.bindings:
-            if actor == P and (O, world, f) not in state.assertions:
+            if actor == P and not bits.get((O, world, f), 0) & assertions:
                 return (
                     "ML-frc",
                     f"context {f.name} not introduced by O at {render_label(world)}",
@@ -463,19 +490,19 @@ _LEFT, _RIGHT, _EITHER = (RequestPayload(kind) for kind in ("?_L", "?_R", "?"))
 
 
 def _particle_rule(rules: GameRules, target: Assertion) -> ParticleRule:
-    """The target's particle rule, worked out once per game: each attack
-    payload, in payload order, mapped to the defence payloads that answer
-    it, in payload order. Only a Know's attacks and a Poss's defences depend
-    on the position: the table leaves them empty, and ``_attack_payloads``
-    and ``_defence_payloads`` work them out per call."""
-    rule = rules.particle_rules.get(target)
+    """The target's particle rule, worked out once per game for each world
+    and formula, whoever asserts it: each attack payload, in payload order,
+    mapped to the defence payloads that answer it, in payload order. Only a
+    Know's attacks and a Poss's defences depend on the position: the table
+    leaves them empty, and ``_world_payloads`` builds them."""
+    key = target[1:]
+    rule = rules.particle_rules.get(key)
     if rule is None:
-        rule = rules.particle_rules[target] = _particle_table(rules, target)
+        rule = rules.particle_rules[key] = _particle_table(rules, *key)
     return rule
 
 
-def _particle_table(rules: GameRules, target: Assertion) -> ParticleRule:
-    _, world, f = target
+def _particle_table(rules: GameRules, world: Label, f: Formula) -> ParticleRule:
     if isinstance(f, Atom) and f.name not in rules.env.bindings:
         return {}  # a plain atom, the commonest assertion
 
@@ -527,10 +554,7 @@ def _attack_payloads(state: GameState, actor: str, target: Assertion):
     them."""
     _, world, f = target
     if isinstance(f, Know):
-        return [
-            RequestPayload("?_K", f.agent, w)
-            for w in _world_options(state, actor, f.agent, world)
-        ]
+        return _world_payloads(state, actor, f, world)
     return _particle_rule(state.rules, target).keys()
 
 
@@ -542,10 +566,7 @@ def _defence_payloads(state: GameState, actor: str, attack: Record):
     if isinstance(f, Know):
         return (AssertPayload(payload.label, f.body),)
     if isinstance(f, Poss):
-        return [
-            AssertPayload(w, f.body)
-            for w in _world_options(state, actor, f.agent, world)
-        ]
+        return _world_payloads(state, actor, f, world)
     return _particle_rule(state.rules, target)[payload]
 
 
@@ -580,7 +601,7 @@ def _problem(
     given target at most once, whatever the payload, so O may act only on
     its open targets of the kind; P may return to a target with a new
     payload."""
-    if (actor, target, payload) in state.records:
+    if state.rules.bits.get((actor, target, payload), 0) & state.records:
         return ("PL-2", _SPENT[kind][0])
     if actor == O:
         open_targets = state.open_targets[O][kind == "defend"]
@@ -693,9 +714,10 @@ def _step(state: GameState, move: Move, target: Assertion | Record) -> GameState
     attacks, defences = open_targets[actor]
     other_attacks, other_defences = open_targets[other]
 
+    bits = rules.bits
     attack = kind == "attack"
     record = (actor, target, payload)
-    records = records | {record}
+    records |= bits[record]
     # the mover uses the target up: O at once, P with the last move on a
     # target whose payloads are fixed
     f = (target if attack else target[1])[2]
@@ -707,7 +729,7 @@ def _step(state: GameState, move: Move, target: Assertion | Record) -> GameState
         payloads = (_attack_payloads if attack else _defence_payloads)(
             state, P, target
         )
-        used_up = all((P, target, p) in records for p in payloads)
+        used_up = all(bits.get((P, target, p), 0) & records for p in payloads)
     if used_up:
         if attack:
             attacks = tuple(e for e in attacks if e[0] != target)
@@ -724,8 +746,9 @@ def _step(state: GameState, move: Move, target: Assertion | Record) -> GameState
         introduced = introduced | {label}
     if isinstance(payload, AssertPayload):
         assertion = (actor, label, payload.formula)
-        if assertion not in assertions:
-            assertions = assertions | {assertion}
+        bit = bits[assertion]
+        if not bit & assertions:
+            assertions |= bit
             if _attackable(rules, assertion):
                 other_attacks += ((assertion, len(moves)),)
 
@@ -827,7 +850,7 @@ class _Search:
 
     def win(self, state: GameState) -> bool:
         """True iff P has a winning strategy from this position."""
-        # memoized on the position: a state's records, read in C
+        # memoized on the position: a state's records bitset, read in C
         return fold(state, self._value, self.memo, itemgetter(2))
 
     def _value(self, state: GameState):
@@ -905,7 +928,7 @@ def has_winning_strategy(
     # the structural rules apply to the thesis too, at the position before
     # it: P may not state an atom or a context name that O has not, so O
     # wins an atomic thesis with the one-move play
-    if _check_assertable(state._replace(assertions=frozenset()), P, ROOT, state.thesis):
+    if _check_assertable(state._replace(assertions=0), P, ROOT, state.thesis):
         return StrategyResult(False, state.moves, 1)
     search = _Search(budget)
     if search.win(state):

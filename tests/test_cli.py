@@ -370,6 +370,17 @@ class TestDialogue:
         assert out == ""
         assert err.startswith("error: search budget exhausted")
 
+    def test_running_out_of_memory_exits_three(self, capsys, monkeypatch):
+        # exit 1 would say O wins: a resource limit says nothing of the thesis
+        def exhausted(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr("celogic.dialogue.has_winning_strategy", exhausted)
+        code, out, err = run(capsys, "dialogue", "p -> p")
+        assert code == 3
+        assert out == ""
+        assert err == "error: out of memory\n"
+
     @pytest.mark.parametrize("budget", ["0", "-5"])
     def test_non_positive_budget_is_a_usage_error(self, capsys, budget):
         code, out, err = run(capsys, "dialogue", "--budget", budget, "p -> p")

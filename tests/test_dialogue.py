@@ -4,6 +4,7 @@ import pathlib
 import random
 import sys
 import time
+import tracemalloc
 
 import pytest
 
@@ -414,7 +415,7 @@ class TestRecords:
     def test_equality_leaves_the_ledgers_out(self):
         start, moves = self._play()
         a = dialogue.replay(start, moves)
-        b = a._replace(assertions=frozenset(), open_targets={})
+        b = a._replace(assertions=0, open_targets={})
         assert a == b and not a != b and hash(a) == hash(b)
         assert a != tuple(a) and tuple(a) != a
         assert a != a._replace(turn=dialogue.P if a.turn == dialogue.O else dialogue.O)
@@ -544,6 +545,19 @@ class TestLongPlays:
         result = has_winning_strategy(parse_formula("~" * 600 + "p -> q"))
         assert result.verdict is False and result.positions == 602
         assert len(result.refutation) == 602
+
+    def test_a_long_play_fits_in_20_mib(self):
+        # 1,203 positions, each keeping its records and its assertions as
+        # int bitsets, which a move grows by one bit: no set is copied
+        side = "~" * 600 + "p"
+        tracemalloc.start()
+        try:
+            result = has_winning_strategy(parse_formula(f"{side} -> {side}"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.verdict is True and result.positions == 1203
+        assert peak < 20 * 2**20, peak
 
     def test_legal_moves_walk_only_the_open_targets(self, monkeypatch):
         # Deep into a long play each player has hundreds of targets, almost
@@ -778,6 +792,17 @@ LEDGER_RANDOM_THESES = 40
 LEDGER_PLAYS_PER_THESIS = 3
 
 
+def _decoded(state, bits):
+    """The records or assertions whose bits are set in ``bits``, read back
+    through the game's numbering table; every bit set must number one."""
+    table = state.rules.bits
+    # the table gives each key its own bit: 1, 2, 4, ... in order met
+    assert sorted(table.values()) == [1 << i for i in range(len(table))]
+    keys = {key for key, bit in table.items() if bit & bits}
+    assert sum(table[key] for key in keys) == bits
+    return keys
+
+
 def test_ledgers_match_a_scan_of_the_history():
     rng = random.Random(11)
     theses = [parse_formula(row.formula) for row in SUITE_ROWS]
@@ -788,24 +813,27 @@ def test_ledgers_match_a_scan_of_the_history():
             state = initial_state(thesis)
             while True:
                 scan = _scanned_ledgers(state)
-                assert state.assertions == scan["assertion_index"].keys()
+                records = _decoded(state, state.records)
+                assertions = _decoded(state, state.assertions)
+                assert assertions == scan["assertion_index"].keys()
                 # each player's open targets, in the order legal_moves
                 # walks them
                 assert state.open_targets == scan["open_targets"]
-                for name in ("records", "introduced", "o_fresh"):
+                assert records == scan["records"]
+                for name in ("introduced", "o_fresh"):
                     assert getattr(state, name) == scan[name], name
-                # the position is the records, kept as they are
+                # the position is the records' bitset, kept as it is
                 assert state.position_key() is state.records
                 # every record is new, so the turn follows from their number
-                assert len(state.records) == len(state.moves) - 1
-                assert state.turn == ("O" if len(state.records) % 2 == 0 else "P")
+                assert len(records) == len(state.moves) - 1
+                assert state.turn == ("O" if len(records) % 2 == 0 else "P")
                 # every assertion but the thesis is a record's payload
                 rebuilt = {("P", (), state.thesis)} | {
                     (actor, p.label, p.formula)
-                    for actor, _, p in state.records
+                    for actor, _, p in records
                     if isinstance(p, AssertPayload)
                 }
-                assert rebuilt == state.assertions
+                assert rebuilt == assertions
                 # an attack's attacker never owns its target, so a defence
                 # is always made by the attacked player
                 for attacker, target, _ in scan["attack_index"]:
@@ -816,6 +844,34 @@ def test_ledgers_match_a_scan_of_the_history():
                     break
                 state = apply_move(state, rng.choice(moves))
     assert checked > 10 * len(theses)
+
+
+def test_move_orders_that_reach_the_same_records_share_a_position():
+    # P asks for each conjunct of O's concession, in either order; O answers
+    said = lambda f: AssertPayload((), parse_formula(f))
+    start = apply_move(
+        initial_state(parse_formula("(p & q) -> (q & p)")),
+        Move("O", "attack", 0, said("p & q")),
+    )
+    left, right = RequestPayload("?_L"), RequestPayload("?_R")
+    a = dialogue.replay(start, [
+        Move("P", "attack", 1, left), Move("O", "defend", 2, said("p")),
+        Move("P", "attack", 1, right), Move("O", "defend", 4, said("q")),
+    ])
+    b = dialogue.replay(start, [
+        Move("P", "attack", 1, right), Move("O", "defend", 2, said("q")),
+        Move("P", "attack", 1, left), Move("O", "defend", 4, said("p")),
+    ])
+    assert a.moves != b.moves and a != b
+    assert type(a.position_key()) is int
+    assert a.position_key() == b.position_key()
+    assert a.assertions == b.assertions
+    assert a.position_key() != start.position_key()
+    # so the search meets b's position in its memo and steps it no more
+    search = _Search(dialogue.DEFAULT_SEARCH_BUDGET)
+    value = search.win(a)
+    positions = search.positions
+    assert search.win(b) is value and search.positions == positions
 
 
 class TestTranscript:
@@ -951,22 +1007,34 @@ def test_the_search_steps_each_move_as_apply_move_does():
 
 def test_world_table_matches_a_fresh_computation():
     # At every position the SUITE_ROWS searches and the recorded plays visit,
-    # the table a game shares between its states gives what a fresh table does.
+    # the Know attacks and Poss defences the game's shared table gives are
+    # those the reference works out afresh from the position.
     visited = _searched_and_replayed_positions()
     tables = {}
     for state in visited:
-        rules = state.rules
-        tables[id(rules)] = rules.world_options
-        fresh = state._replace(rules=dialogue.GameRules(rules.env, rules.fresh_cap))
+        tables[id(state.rules)] = state.rules.world_payloads
         for actor in (dialogue.P, dialogue.O):
-            for agent in formula_info(state.thesis).agents:
-                for world in state.introduced:
-                    assert dialogue._world_options(
-                        state, actor, agent, world
-                    ) == dialogue._world_options(fresh, actor, agent, world)
-    entries = [options for table in tables.values() for options in table.values()]
+            for move in state.moves:
+                if not isinstance(move.payload, AssertPayload):
+                    continue
+                world, f = move.payload
+                if isinstance(f, Know):
+                    expected = [
+                        RequestPayload("?_K", f.agent, w)
+                        for w in _reference_world_options(state, actor, f.agent, world)
+                    ]
+                elif isinstance(f, Poss):
+                    expected = [
+                        AssertPayload(w, f.body)
+                        for w in _reference_world_options(state, actor, f.agent, world)
+                    ]
+                else:
+                    continue
+                payloads = dialogue._world_payloads(state, actor, f, world)
+                assert list(payloads) == expected
+    entries = [payloads for table in tables.values() for payloads in table.values()]
     assert len(visited) > 1000 and len(entries) > 100
-    assert all(type(options) is tuple for options in entries)
+    assert all(type(payloads) is tuple for payloads in entries)
 
 
 def _reference_attack_payloads(state, actor, target):
