@@ -33,27 +33,33 @@ literals at that world.
 The particle rules are one table (``_particle_rule``): for each asserted
 formula, each way of attacking it with the defences that answer that
 attack. A game works out the table of a formula at a world once, whichever
-player asserts it; only the worlds a Know attack may name and a Poss
-defence may use come from the position, and the game builds those attacks
-and defences once per formula, world and set of introduced worlds
-(``GameRules.world_payloads``).
+player asserts it.
 
 Each structural rule is stated once: the repetition rule in ``_problem``,
-what a player may assert in ``_check_assertable``. ``legal_moves`` lists the
+what a player may assert in ``_assertable``. ``legal_moves`` lists the
 particle rules' candidates that pass them, making only the checks that can
 fail, and ``validate_move`` raises what they find, naming the broken rule.
 So the two agree: ``validate_move`` accepts exactly the moves that
 ``legal_moves`` lists.
 
 Each state keeps each player's open targets: the other player's assertions
-that it may still attack and attack records that it may still answer. A
-move adds at most one assertion and one attack record, and uses up at most
-the one target it acts on, so ``_step`` keeps the lists and ``legal_moves``
-walks only the mover's, not every assertion and attack of the play. The
-lists hold targets, not moves: a target is used up only by a move on it,
-but what P may assert changes with every concession of O's and every
-assertion of P's, so P's payloads are still checked one at a time. O's
-one move per target is checked against O's lists.
+that it may still attack and attack records that it may still answer, each
+with the index of its first move and its bit in ``GameRules.bits``. A move
+adds at most one assertion and one attack record, and uses up at most the
+one target it acts on, so ``_step`` keeps the lists and ``legal_moves``
+walks only the mover's, not every assertion and attack of the play.
+
+Everything about a target's moves but the position is fixed per game, so
+each game keeps one move table per target (``_move_table``): the moves the
+particle rules give the player on it, in listing order, each an ``_Option``
+holding its record's bit, what it opens for the other player, and what
+P's making it asks of the position as two masks over ``GameRules.bits``.
+A fixed target's table is built at its first listing and found through
+its bit; a Know's attacks and a Poss's defences choose a world, so theirs
+are built once per target and set of introduced worlds. A listing tests
+each of P's options with three int operations; O's open targets are those
+it has not acted on, so every option of O's is listed. A step reads what
+the move adds off its option.
 
 A position is the set of move records: each move after the thesis is one
 record (actor, the assertion it attacks or the attack record it answers,
@@ -72,8 +78,8 @@ payload, so ``validate_move`` checks a payload's type.
 The search is a ``fold`` over positions, on the driver of the formula walks,
 and the strategy and the refutation read off its memo are loops too: no
 length of play is bounded by the recursion limit. The search steps through
-the moves ``legal_moves`` lists, each on the target it was found on, so it
-neither validates a move again nor looks its target up in the history;
+the moves ``legal_moves`` lists, each with the option it was found as, so
+it neither validates a move again nor looks its target up in the history;
 ``apply_move``, ``replay`` and ``replay_script`` validate every move.
 """
 
@@ -296,15 +302,16 @@ class GameRules:
     cap (one more than the thesis's modal depth). It also keeps the game's
     numbering of records and assertions, and what follows from the rules
     alone: the particle rule of each formula at each world, one table of
-    its attacks with their defences, and the Know attacks and Poss defences
-    that name a world, by (formula, world, introduced worlds, whether O may
-    still introduce one), each entry a tuple. No table outlives its game."""
+    its attacks with their defences, and the move table of each target the
+    game lists (``_move_table``), under the length of the target's bit, or
+    for a Know's attacks and a Poss's defences under (that length,
+    introduced worlds). No table outlives its game."""
 
     env: ContextEnv
     fresh_cap: int
     bits: _Numbering = field(default_factory=_Numbering, repr=False)
     particle_rules: dict = field(default_factory=dict, repr=False)
-    world_payloads: dict = field(default_factory=dict, repr=False)
+    move_tables: dict = field(default_factory=dict, repr=False)
 
 
 Assertion = tuple[str, Label, Formula]  # actor, world, formula
@@ -312,11 +319,11 @@ Assertion = tuple[str, Label, Formula]  # actor, world, formula
 # record it answers, and its payload. An attack record is a Record on an
 # Assertion, a defence record one on an attack record.
 Record = tuple[str, "Assertion | Record", Payload]
-# A player's open targets, each with the index of its first move, in that
-# order: the assertions it may still attack, and the attack records it may
-# still answer.
+# A player's open targets, each with the index of its first move and its bit
+# in ``GameRules.bits``, in that order: the assertions it may still attack,
+# and the attack records it may still answer.
 OpenTargets = tuple[
-    tuple[tuple[Assertion, int], ...], tuple[tuple[Record, int], ...]
+    tuple[tuple[Assertion, int, int], ...], tuple[tuple[Record, int, int], ...]
 ]
 
 
@@ -373,15 +380,16 @@ def initial_state(thesis: Formula, env: ContextEnv | None = None) -> GameState:
     )
     move = Move(P, "thesis", None, AssertPayload(ROOT, normalized))
     assertion = (P, ROOT, normalized)
+    bit = rules.bits[assertion]
     return GameState(
         rules=rules,
         moves=(move,),
         records=0,
         introduced=frozenset({ROOT}),
         turn=O,
-        assertions=rules.bits[assertion],
+        assertions=bit,
         open_targets={
-            O: (((assertion, 0),) if _attackable(rules, assertion) else (), ()),
+            O: (((assertion, 0, bit),) if _attackable(rules, assertion) else (), ()),
             P: ((), ()),
         },
     )
@@ -399,19 +407,13 @@ def _world_payloads(
     body at each world. The worlds are the agent's cluster, plus one fresh
     successor when O still may introduce one, in the order of their printed
     names (the order legal_moves lists them). The payloads depend on the
-    actor only through whether it may introduce a world, and each game
-    builds them once (``GameRules.world_payloads``).
+    actor only through whether it may introduce a world.
 
     The cluster is the introduced labels that extend its root (``world``
     without its trailing steps of the agent) by steps of the agent only:
     labels are introduced one successor at a time, so these are the worlds
     the agent's steps connect. The fresh successor takes the least index
     that no child of ``world`` in the cluster uses."""
-    fresh = actor == O and state.o_fresh < state.rules.fresh_cap
-    key = (f, world, state.introduced, fresh)
-    payloads = state.rules.world_payloads.get(key)
-    if payloads is not None:
-        return payloads
     agent, root = f.agent, world
     while root and root[-1][0] == agent:
         root = root[:-1]
@@ -421,7 +423,7 @@ def _world_payloads(
         for v in state.introduced
         if v[:depth] == root and all(a == agent for a, _ in v[depth:])
     )
-    if fresh:
+    if actor == O and state.o_fresh < state.rules.fresh_cap:
         used = {v[-1][1] for v in options if len(v) > len(world) and v[:-1] == world}
         index = 1
         while index in used:
@@ -429,56 +431,42 @@ def _world_payloads(
         options.append(world + ((agent, index),))
     options.sort(key=render_label)
     if isinstance(f, Know):
-        payloads = tuple(RequestPayload("?_K", agent, w) for w in options)
-    else:
-        payloads = tuple(AssertPayload(w, f.body) for w in options)
-    state.rules.world_payloads[key] = payloads
-    return payloads
+        return tuple(RequestPayload("?_K", agent, w) for w in options)
+    return tuple(AssertPayload(w, f.body) for w in options)
 
 
-def _granted(state: GameState, world: Label, atom: Atom) -> bool:
-    """Whether O stands committed to the atom at ``world``: O stated it
-    there, or conceded there a context whose body has it as a positive
-    literal."""
-    bits, assertions = state.rules.bits, state.assertions
-    return bool(bits.get((O, world, atom), 0) & assertions) or any(
-        bits.get((O, world, Atom(name)), 0) & assertions
-        for name, body in state.rules.env.bindings.items()
-        if (atom.name, True) in body.literals
-    )
+def _assertable(
+    rules: GameRules, actor: str, world: Label, f: Formula
+) -> tuple[int, int]:
+    """What the actor's asserting f at world asks of the position, as two
+    masks over ``rules.bits``, (forbid, grant): the position may hold no
+    assertion in ``forbid`` and, unless ``grant`` is 0, must hold one in
+    ``grant``. O may assert anything: (0, 0).
 
+    P may not restate a complex formula already on P's record (PL-2).
+    Commitments are kept as sets, so a restatement would not open a fresh
+    line of attack for O the way a fresh utterance does; letting P repeat
+    complex content shields demands that are already pending. Atoms and
+    context names are exempt (they cannot be attacked, so nothing is
+    shielded, and P may genuinely have to point at a conceded atom twice:
+    once per demand). O may always restate: answering a second projection
+    of the same demand with the same content is legitimate.
 
-def _check_assertable(
-    state: GameState, actor: str, world: Label, f: Formula
-) -> tuple[str, str] | None:
-    """None if the actor may assert f at world; else (rule, reason).
-
-    P may not restate a complex formula already on P's record. Commitments
-    are kept as sets, so a restatement would not open a fresh line of attack
-    for O the way a fresh utterance does; letting P repeat complex content
-    shields demands that are already pending. Atoms and context names are
-    exempt (they cannot be attacked, so nothing is shielded, and P may
-    genuinely have to point at a conceded atom twice: once per demand). O
-    may always restate: answering a second projection of the same demand
-    with the same content is legitimate.
+    P may state a context name only where O has stated it (ML-frc), and an
+    atom only where O stands committed to it (PL-3): O stated it there, or
+    conceded there a context whose body has it as a positive literal.
     """
-    bits, assertions = state.rules.bits, state.assertions
-    if actor == P and not isinstance(f, Atom):
-        if bits.get((P, world, f), 0) & assertions:
-            return ("PL-2", "restating one's own assertion changes nothing for P")
-    if isinstance(f, Atom):
-        if f.name in state.rules.env.bindings:
-            if actor == P and not bits.get((O, world, f), 0) & assertions:
-                return (
-                    "ML-frc",
-                    f"context {f.name} not introduced by O at {render_label(world)}",
-                )
-        elif actor == P and not _granted(state, world, f):
-            return (
-                "PL-3",
-                f"atom {f.name} not stated by O at {render_label(world)}",
-            )
-    return None
+    if actor == O:
+        return 0, 0
+    bits, bindings = rules.bits, rules.env.bindings
+    if not isinstance(f, Atom):
+        return bits[(P, world, f)], 0
+    grant = bits[(O, world, f)]
+    if f.name not in bindings:
+        for name, body in bindings.items():
+            if (f.name, True) in body.literals:
+                grant |= bits[(O, world, Atom(name))]
+    return 0, grant
 
 
 # ---------------------------------------------------------------------------
@@ -548,30 +536,93 @@ def _particle_table(rules: GameRules, world: Label, f: Formula) -> ParticleRule:
     return {AssertPayload(world, Atom(c)): said(answer)}
 
 
-def _attack_payloads(state: GameState, actor: str, target: Assertion):
-    """Payload candidates for attacking the target assertion (before the
-    per-record and assertability filters), in the order legal_moves lists
-    them."""
-    _, world, f = target
-    if isinstance(f, Know):
-        return _world_payloads(state, actor, f, world)
-    return _particle_rule(state.rules, target).keys()
-
-
-def _defence_payloads(state: GameState, actor: str, attack: Record):
-    """Payload candidates for defending against the attack, in the order
-    legal_moves lists them."""
-    _, target, payload = attack
-    _, world, f = target
-    if isinstance(f, Know):
-        return (AssertPayload(payload.label, f.body),)
-    if isinstance(f, Poss):
-        return _world_payloads(state, actor, f, world)
-    return _particle_rule(state.rules, target)[payload]
-
-
 def _attackable(rules: GameRules, target: Assertion) -> bool:
     return isinstance(target[2], Know) or bool(_particle_rule(rules, target))
+
+
+# ---------------------------------------------------------------------------
+# Move tables
+
+
+class _Option(NamedTuple):
+    """One move that the particle rules give a player on a target, as the
+    target's move table lists it: what the move adds to a position, and
+    what P's making it asks of the position. Bits and masks are over the
+    game's ``GameRules.bits``."""
+
+    payload: Payload
+    record: Record
+    bit: int  # the record's
+    target_bit: int
+    # the records that, once all made, use the target up for the mover: none
+    # for O, who acts on a target once; all of the table's for P on a fixed
+    # target; -1, whose bits no position holds all of, for P on a Know's
+    # attacks or a Poss's defences, which grow with the introduced worlds
+    uses_up: int
+    answerable: bool  # an attack the other player may answer
+    assertion: Assertion | None  # the assertion the payload makes
+    assertion_bit: int  # its bit; 0 for a request
+    attackable: bool  # the other player may attack that assertion
+    fresh: Label | None  # the world the move introduces, if any
+    forbid: int  # ``_assertable``'s masks, (0, 0) for O and for a request
+    grant: int
+
+
+def _move_table(
+    state: GameState, kind: str, target: Assertion | Record, bit: int
+) -> tuple[_Option, ...]:
+    """The moves of this kind that the particle rules give on the target
+    (the assertion attacked or the attack record answered, ``bit`` its
+    bit), in the order legal_moves lists them. The mover is the player who
+    does not own the target: players attack the other's assertions and
+    answer the other's attacks.
+
+    A game builds a target's table once, under its bit's length: a bit is a
+    power of two, and those hash to only 61 values. A Know's attacks and a
+    Poss's defences choose a world, so theirs is built once per (length,
+    introduced worlds), which also fix whether O may still introduce one."""
+    rules = state.rules
+    actor = O if target[0] == P else P
+    attack = kind == "attack"
+    assertion = target if attack else target[1]
+    _, world, f = assertion
+    fixed = not isinstance(f, Know if attack else Poss)
+    length = bit.bit_length()
+    key = length if fixed else (length, state.introduced)
+    table = rules.move_tables.get(key)
+    if table is not None:
+        return table
+    if not fixed:
+        payloads = _world_payloads(state, actor, f, world)
+    elif not attack and isinstance(f, Know):
+        payloads = (AssertPayload(target[2].label, f.body),)
+    else:
+        rule = _particle_rule(rules, assertion)
+        payloads = rule if attack else rule[target[2]]
+    bits, rows = rules.bits, []
+    for payload in payloads:
+        record = (actor, target, payload)
+        # the other player may answer an attack on a Know or a Poss, and
+        # any other attack that its particle rule's row answers
+        answerable = attack and (isinstance(f, (Know, Poss)) or bool(rule[payload]))
+        if isinstance(payload, AssertPayload):
+            said = (actor, *payload)
+            asserted = (said, bits[said], _attackable(rules, said))
+            masks = _assertable(rules, *said)
+        else:
+            asserted, masks = (None, 0, False), (0, 0)
+        # only a Know's attack or a Poss's defence may name a world not yet
+        # introduced, O's fresh one: any other payload's world is its
+        # target's, or the one a ?_K named when the attack was made
+        fresh = None if fixed or payload.label in state.introduced else payload.label
+        row = [payload, record, bits[record], bit, 0, answerable]
+        rows.append([*row, *asserted, fresh, *masks])
+    if actor == P:  # see _Option.uses_up; O's is 0
+        uses_up = reduce(int.__or__, (row[2] for row in rows), 0) if fixed else -1
+        for row in rows:
+            row[4] = uses_up
+    table = rules.move_tables[key] = tuple(_new(_Option, row) for row in rows)
+    return table
 
 
 # ---------------------------------------------------------------------------
@@ -586,29 +637,31 @@ _SPENT = {
 }
 
 
-def _problem(
-    state: GameState,
-    actor: str,
-    kind: str,
-    target: Assertion | Record,
-    payload: Payload,
-) -> tuple[str, str] | None:
-    """None if the actor may make a move of this kind on the target (the
-    assertion it attacks or the attack record it answers) with this payload,
-    one of the target's particle-rule candidates; else (rule, reason).
+def _problem(state: GameState, kind: str, option: _Option) -> tuple[str, str] | None:
+    """None if the option's move of this kind may be made in this state;
+    else (rule, reason).
 
     A move is spent when its record is in the position. O also acts on a
     given target at most once, whatever the payload, so O may act only on
     its open targets of the kind; P may return to a target with a new
-    payload."""
-    if state.rules.bits.get((actor, target, payload), 0) & state.records:
+    payload. Then the payload must be assertable (``_assertable``)."""
+    records, assertions = state.records, state.assertions
+    if records & option.bit:
         return ("PL-2", _SPENT[kind][0])
-    if actor == O:
+    if option.record[0] == O:
         open_targets = state.open_targets[O][kind == "defend"]
-        if target not in (t for t, _ in open_targets):
+        if option.target_bit not in (bit for _, _, bit in open_targets):
             return ("PL-2", _SPENT[kind][1])
-    if isinstance(payload, AssertPayload):
-        return _check_assertable(state, actor, payload.label, payload.formula)
+    if assertions & option.forbid:
+        return ("PL-2", "restating one's own assertion changes nothing for P")
+    if option.grant and not assertions & option.grant:
+        world, f = option.payload
+        if f.name in state.rules.env.bindings:
+            return (
+                "ML-frc",
+                f"context {f.name} not introduced by O at {render_label(world)}",
+            )
+        return ("PL-3", f"atom {f.name} not stated by O at {render_label(world)}")
     return None
 
 
@@ -630,6 +683,13 @@ def _attack_record_of_move(state: GameState, index: int) -> Record | None:
 def validate_move(state: GameState, move: Move) -> None:
     """Raise IllegalMoveError naming the violated rule if the move is not
     permitted in this state."""
+    _legal_option(state, move)
+
+
+def _legal_option(state: GameState, move: Move) -> _Option:
+    """The option of its target's move table that the move makes, if the
+    move is permitted in this state; else raise IllegalMoveError naming the
+    violated rule."""
     if move.actor != state.turn:
         raise IllegalMoveError("PL-0", f"it is {state.turn}'s turn")
     if move.kind == "thesis":
@@ -641,6 +701,8 @@ def validate_move(state: GameState, move: Move) -> None:
     if not isinstance(move.payload, Payload):
         raise IllegalMoveError("PL-0", f"not a payload: {move.payload!r}")
 
+    # every assertion and attack record made is numbered, so looking the
+    # target's bit up numbers nothing
     if move.kind == "attack":
         target = _assertion_of_move(state, move.target)
         if target is None:
@@ -651,10 +713,11 @@ def validate_move(state: GameState, move: Move) -> None:
             raise IllegalMoveError(
                 "PL-0", "players attack the other player's assertions"
             )
-        candidates = _attack_payloads(state, move.actor, target)
-        if isinstance(target[2], Atom) and not candidates:
+        table = _move_table(state, "attack", target, state.rules.bits[target])
+        if isinstance(target[2], Atom) and not table:
             raise IllegalMoveError("PL-3", "atomic statements cannot be attacked")
-        if move.payload not in candidates:
+        option = next((o for o in table if o.payload == move.payload), None)
+        if option is None:
             self_describing = render_payload(move.payload)
             # A ?_K naming a non-introduced world is a world introduction.
             if (
@@ -676,81 +739,60 @@ def validate_move(state: GameState, move: Move) -> None:
                 f"{self_describing} does not attack {render_formula(target[2])}",
             )
     else:
-        target = attack = _attack_record_of_move(state, move.target)
+        attack = _attack_record_of_move(state, move.target)
         if attack is None:
             raise IllegalMoveError("PL-0", "defences answer attacks")
         if attack[0] == move.actor:
             raise IllegalMoveError("PL-0", "cannot defend against one's own attack")
-        candidates = _defence_payloads(state, move.actor, attack)
-        if not candidates:
+        table = _move_table(state, "defend", attack, state.rules.bits[attack])
+        if not table:
             raise IllegalMoveError(
                 "particle mismatch",
                 f"{render_formula(attack[1][2])} admits no defence",
             )
-        if move.payload not in candidates:
+        option = next((o for o in table if o.payload == move.payload), None)
+        if option is None:
             raise IllegalMoveError(
                 "particle mismatch",
                 f"{render_payload(move.payload)} does not answer "
                 f"{render_payload(attack[2])} on {render_formula(attack[1][2])}",
             )
-    problem = _problem(state, move.actor, move.kind, target, move.payload)
+    problem = _problem(state, move.kind, option)
     if problem:
         raise IllegalMoveError(*problem)
+    return option
 
 
 def apply_move(state: GameState, move: Move) -> GameState:
     """Validate and append a move, updating commitments and ledgers."""
-    validate_move(state, move)
-    of_move = _assertion_of_move if move.kind == "attack" else _attack_record_of_move
-    return _step(state, move, of_move(state, move.target))
+    return _step(state, move, _legal_option(state, move))
 
 
-def _step(state: GameState, move: Move, target: Assertion | Record) -> GameState:
-    """Append a move that validate_move accepts, on its target (the assertion
-    it attacks or the attack record it answers), updating the ledgers."""
+def _step(state: GameState, move: Move, option: _Option) -> GameState:
+    """Append a move that validate_move accepts, made by this option of its
+    target's move table, updating the ledgers."""
     rules, moves, records, introduced, _, assertions, open_targets = state
-    actor, kind, _, payload = move
+    actor, kind, _, _ = move
+    (_, record, bit, target_bit, uses_up, answerable, assertion, assertion_bit,
+     attackable, fresh, _, _) = option
     other = P if actor == O else O
     attacks, defences = open_targets[actor]
     other_attacks, other_defences = open_targets[other]
 
-    bits = rules.bits
-    attack = kind == "attack"
-    record = (actor, target, payload)
-    records |= bits[record]
-    # the mover uses the target up: O at once, P with the last move on a
-    # target whose payloads are fixed
-    f = (target if attack else target[1])[2]
-    if actor == O:
-        used_up = True
-    elif isinstance(f, Know if attack else Poss):
-        used_up = False
-    else:
-        payloads = (_attack_payloads if attack else _defence_payloads)(
-            state, P, target
-        )
-        used_up = all(bits.get((P, target, p), 0) & records for p in payloads)
-    if used_up:
-        if attack:
-            attacks = tuple(e for e in attacks if e[0] != target)
+    records |= bit
+    if records & uses_up == uses_up:
+        if kind == "attack":
+            attacks = tuple([e for e in attacks if e[2] != target_bit])
         else:
-            defences = tuple(e for e in defences if e[0] != target)
-    if attack and (
-        isinstance(f, (Know, Poss)) or _particle_rule(rules, target)[payload]
-    ):
-        other_defences += ((record, len(moves)),)
-
-    # an assertion's world, or the world a ?_K request names
-    label = payload.label
-    if label is not None and label not in introduced:
-        introduced = introduced | {label}
-    if isinstance(payload, AssertPayload):
-        assertion = (actor, label, payload.formula)
-        bit = bits[assertion]
-        if not bit & assertions:
-            assertions |= bit
-            if _attackable(rules, assertion):
-                other_attacks += ((assertion, len(moves)),)
+            defences = tuple([e for e in defences if e[2] != target_bit])
+    if answerable:
+        other_defences += ((record, len(moves), bit),)
+    if fresh is not None:
+        introduced = introduced | {fresh}
+    if assertion_bit and not assertion_bit & assertions:
+        assertions |= assertion_bit
+        if attackable:
+            other_attacks += ((assertion, len(moves), assertion_bit),)
 
     ledgers = {actor: (attacks, defences), other: (other_attacks, other_defences)}
     fields = (rules, moves + (move,), records, introduced, other, assertions, ledgers)
@@ -764,29 +806,37 @@ def legal_moves(state: GameState) -> list[Move]:
     moves validate_move accepts, each naming the first move of its target.
 
     Only the player's open targets are walked. They are kept in the order
-    of their moves, and the payload candidates come in payload order, so
-    the moves are listed in that order without a sort.
+    of their moves, and each target's move table lists its options in
+    payload order, so the moves are listed in that order without a sort.
 
     Only the checks that can fail are made. O may assert anything, and its
-    open targets are those it has not acted on, so every candidate of O's
-    is listed. P's candidates are checked one payload at a time.
+    open targets are those it has not acted on, so every option of O's is
+    listed. P's are tested against the position's bitsets.
     """
     return [move for move, _ in _candidates(state)]
 
 
-def _candidates(state: GameState) -> list[tuple[Move, Assertion | Record]]:
-    """legal_moves' moves, each with its target: the search steps with both."""
-    actor = state.turn
-    attacks, defences = state.open_targets[actor]
+def _candidates(state: GameState) -> list[tuple[Move, _Option]]:
+    """legal_moves' moves, each with its option: the search steps with both.
+    The tests on P's options are ``_problem``'s, those that can fail."""
+    actor, records, assertions = state.turn, state.records, state.assertions
+    tables, introduced = state.rules.move_tables, state.introduced
     pairs: list = []
-    for kind, targets, payloads in (
-        ("attack", attacks, _attack_payloads),
-        ("defend", defences, _defence_payloads),
-    ):
-        for target, index in targets:
-            for payload in payloads(state, actor, target):
-                if actor == O or not _problem(state, P, kind, target, payload):
-                    pairs.append((_new(Move, (actor, kind, index, payload)), target))
+    for kind, targets in zip(("attack", "defend"), state.open_targets[actor]):
+        for target, index, bit in targets:
+            length = bit.bit_length()  # what _move_table files the table under
+            table = tables.get(length)
+            if table is None:
+                table = tables.get((length, introduced))
+                if table is None:
+                    table = _move_table(state, kind, target, bit)
+            for o in table:
+                if actor == O or not (
+                    records & o.bit
+                    or assertions & o.forbid
+                    or o.grant and not assertions & o.grant
+                ):
+                    pairs.append((_new(Move, (actor, kind, index, o.payload)), o))
     return pairs
 
 
@@ -835,8 +885,8 @@ class _Search:
         self.positions = 0
         self.memo: dict = {}
 
-    def moves(self, state: GameState) -> list[tuple[Move, Assertion | Record]]:
-        """The legal moves with their targets, in the order the search tries
+    def moves(self, state: GameState) -> list[tuple[Move, _Option]]:
+        """The legal moves with their options, in the order the search tries
         them: at P's turn, P's defences of the latest attack that admits one
         come before P's other defences, since P's wins mostly answer the
         latest attack. No move is dropped, so no position's value depends on
@@ -861,15 +911,15 @@ class _Search:
         if self.positions > self.budget:
             raise BudgetExhaustedError(self.positions)
         want = state.turn == P
-        for m, target in self.moves(state):
-            if (yield _step(state, m, target)) is want:
+        for m, option in self.moves(state):
+            if (yield _step(state, m, option)) is want:
                 return want
         return not want
 
     def _first(self, state: GameState, moves: list, value: bool):
         """The first move whose position has this value, and that position."""
-        for m, target in moves:
-            child = _step(state, m, target)
+        for m, option in moves:
+            child = _step(state, m, option)
             if self.win(child) is value:
                 return m, child
         raise AssertionError(f"no move to a position of value {value}")
@@ -893,7 +943,7 @@ class _Search:
                 m, child = self._first(state, moves, True)
                 stack.append((child, here, m))
             else:
-                stack.extend((_step(state, m, t), here, m) for m, t in reversed(moves))
+                stack.extend((_step(state, m, o), here, m) for m, o in reversed(moves))
         return nodes
 
     def refuting_play(self, state: GameState) -> tuple[Move, ...]:
@@ -926,9 +976,9 @@ def has_winning_strategy(
     """
     state = initial_state(thesis, env)
     # the structural rules apply to the thesis too, at the position before
-    # it: P may not state an atom or a context name that O has not, so O
-    # wins an atomic thesis with the one-move play
-    if _check_assertable(state._replace(assertions=0), P, ROOT, state.thesis):
+    # it, which holds no assertion: P may not state an atom or a context
+    # name that O has not, so O wins an atomic thesis with the one-move play
+    if _assertable(state.rules, P, ROOT, state.thesis)[1]:
         return StrategyResult(False, state.moves, 1)
     search = _Search(budget)
     if search.win(state):

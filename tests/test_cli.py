@@ -1,9 +1,16 @@
+import contextlib
 import json
+import os
+import pathlib
+import signal
+import subprocess
 import sys
 
 import pytest
 
+import celogic
 from celogic.cli import main
+from celogic.dialogue import legal_moves, replay_script
 from celogic.epistemology import run_suite
 from celogic.kripke import ContextEnv, find_countermodel
 from celogic.reduction import reduce_full
@@ -306,7 +313,111 @@ class TestJsonWriter:
         assert (out, err) == (json.dumps(doc, indent=2) + "\n", "")
 
 
+@contextlib.contextmanager
+def _time_limit(seconds):
+    """Fail the block if it runs longer than ``seconds`` of wall time."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def _last_line_is(text):
+    def check(out, err):
+        assert out.splitlines()[-1] == text
+
+    return check
+
+
+def _error_starts_with(text):
+    def check(out, err):
+        assert err.startswith(text)
+
+    return check
+
+
+def _refutation_replays(thesis, length):
+    """The JSON refutation replays move by move to a position where P, to
+    move, has none."""
+
+    def check(out, err):
+        refutation = json.loads(out)["refutation"]
+        state = replay_script({"thesis": thesis, "moves": refutation[1:]})
+        assert len(state.moves) == len(refutation) == length
+        assert state.turn == "P" and not legal_moves(state)
+
+    return check
+
+
+_SIDE_600 = "~" * 600 + "p"
+_SIDE_900 = "~" * 900 + "p"
+# a 26-deep <-> chain: the game plays each <-> as two implications over the
+# same sides, so its thesis has 2**26 paths over 79 nodes
+_IFF_CHAIN = "p" + "".join(" <-> " + x for x in "qp" * 13)
+
+# argv, exit code, check of the standard output and error
+_LONG_DIALOGUES = [
+    (("dialogue", f"{_SIDE_600} -> q"), 1, _last_line_is("O wins the play")),
+    (
+        ("--format", "json", "dialogue", f"{_SIDE_600} -> q"),
+        1,
+        _refutation_replays(f"{_SIDE_600} -> q", 602),
+    ),
+    (("dialogue", f"{_SIDE_900} -> {_SIDE_900}"), 0, None),
+    (
+        ("dialogue", "--budget", "5000", _IFF_CHAIN),
+        3,
+        _error_starts_with("error: search budget exhausted"),
+    ),
+]
+
+
 class TestDialogue:
+    @pytest.mark.parametrize(
+        "argv, expected, check",
+        _LONG_DIALOGUES,
+        ids=["refutation-600", "refutation-600-json", "won-900", "iff-chain-26"],
+    )
+    def test_long_plays_and_deep_chains(self, capsys, argv, expected, check):
+        # the 26-deep chain stops at its budget, without a verdict, well
+        # within a minute
+        with _time_limit(60):
+            code, out, err = run(capsys, *argv)
+        assert code == expected
+        if check:
+            check(out, err)
+
+    @pytest.mark.parametrize(
+        "thesis, expected",
+        [
+            ("K{i,1.1} a -> K{i,1.1} K{i,1.1} a", 0),  # prints P's strategy
+            ("(K{i,1.2} a)^ci -> (K{i,1.2} K{i,1.2} a)^cj", 1),  # O's refutation
+        ],
+    )
+    def test_output_does_not_depend_on_hash_order(self, thesis, expected):
+        # string hashes, and so the order of sets of strings, are seeded per
+        # interpreter: each seed needs a fresh one
+        source = str(pathlib.Path(celogic.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [source, os.environ.get("PYTHONPATH")]))
+        outputs = []
+        for seed in ("0", "1"):
+            done = subprocess.run(
+                [sys.executable, "-m", "celogic.cli", "--format", "json", "dialogue", thesis],
+                env={**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": path},
+                capture_output=True,
+                timeout=60,
+            )
+            assert (done.returncode, done.stderr) == (expected, b"")
+            outputs.append(done.stdout)
+        assert outputs[0] == outputs[1] and outputs[0]
+
     def test_winning_thesis(self, capsys):
         code, out, _ = run(capsys, "dialogue", "K{i,1.1} a -> K{i,1.1} K{i,1.1} a")
         assert code == 0

@@ -559,25 +559,28 @@ class TestLongPlays:
         assert result.verdict is True and result.positions == 1203
         assert peak < 20 * 2**20, peak
 
-    def test_legal_moves_walk_only_the_open_targets(self, monkeypatch):
+    def test_legal_moves_walk_only_the_open_targets(self):
         # Deep into a long play each player has hundreds of targets, almost
-        # all used up: one listing works out the payloads of at most a few.
+        # all used up: one listing looks up the move tables of at most a few.
         side = "~" * 600 + "p"
         state = initial_state(parse_formula(f"{side} -> {side}"))
         search = _Search(0)
         while len(state.moves) < 600:
             state = apply_move(state, search.moves(state)[0][0])
-        calls = []
-        for name in ("_attack_payloads", "_defence_payloads"):
-            payloads = getattr(dialogue, name)
-            monkeypatch.setattr(
-                dialogue, name, lambda *args, f=payloads: calls.append(1) or f(*args)
-            )
+        lookups = []
+
+        class Counted(dict):
+            def get(self, key, default=None):
+                lookups.append(key)
+                return super().get(key, default)
+
+        tables = Counted(state.rules.move_tables)
+        object.__setattr__(state.rules, "move_tables", tables)  # a frozen field
         for _ in range(2):  # a position of P's, then one of O's
-            calls.clear()
+            lookups.clear()
             moves = legal_moves(state)
             assert moves
-            assert len(calls) <= 4
+            assert 0 < len(lookups) <= 4
             state = apply_move(state, moves[0])
 
 
@@ -716,6 +719,21 @@ def test_game_output_is_pinned():
     )
 
 
+def _bit(state, key):
+    """The key's bit in the game's numbering, which must already hold it:
+    reading it numbers nothing."""
+    assert key in state.rules.bits, key
+    return state.rules.bits[key]
+
+
+def _mask(state, keys):
+    """The bitset of the keys, which the game's numbering must hold."""
+    mask = 0
+    for key in keys:
+        mask |= _bit(state, key)
+    return mask
+
+
 def _scanned_ledgers(state):
     """The reference for what apply_move keeps: the ledgers, the worlds and
     the position's records from a full scan of the history."""
@@ -756,7 +774,7 @@ def _scanned_ledgers(state):
     open_targets = {}
     for player in ("O", "P"):
         attacks = tuple(
-            (target, i)
+            (target, i, _bit(state, target))
             for target, i in first_move_of_assertion.items()
             if target[0] != player
             and still_open(
@@ -767,7 +785,7 @@ def _scanned_ledgers(state):
             )
         )
         defences = tuple(
-            (attack, i)
+            (attack, i, _bit(state, attack))
             for attack, i in first_move_of_attack.items()
             if attack[0] != player
             and still_open(
@@ -840,6 +858,7 @@ def test_ledgers_match_a_scan_of_the_history():
                     assert attacker != target[0]
                 checked += 1
                 moves = legal_moves(state)
+                _assert_tables_match_the_particle_rules(state)
                 if not moves:
                     break
                 state = apply_move(state, rng.choice(moves))
@@ -990,12 +1009,33 @@ def _searched_and_replayed_positions(check=lambda state: None):
     return visited
 
 
+def _assert_tables_match_the_particle_rules(state):
+    """Each of the mover's open targets has the move table that the
+    reference works out afresh from the particle rules, found through the
+    target's bit as a listing finds it. Returns the tables by (kind,
+    target)."""
+    tables = {}
+    for kind, targets in zip(("attack", "defend"), state.open_targets[state.turn]):
+        for target, _, bit in targets:
+            table = [tuple(o) for o in dialogue._move_table(state, kind, target, bit)]
+            assert table == _reference_table(state, kind, target)
+            tables[kind, target] = table
+    return tables
+
+
 def _assert_steps_agree_with_apply_move(state):
-    """The search steps each legal move on the target legal_moves found for
-    it; that gives what apply_move gives, on all seven fields, the
-    assertions and open_targets ledgers included."""
-    for move, target in dialogue._candidates(state):
-        assert tuple(dialogue._step(state, move, target)) == tuple(
+    """The search steps each legal move with the option that the listing
+    found for it in its target's move table; that gives what apply_move
+    gives, on all seven fields, the assertions and open_targets ledgers
+    included. Each option is one of its target's table, which is the one
+    worked out afresh from the particle rules, and makes its move's record."""
+    tables = _assert_tables_match_the_particle_rules(state)
+    for move, option in dialogue._candidates(state):
+        of_move = _assertion_of_move if move.kind == "attack" else _attack_record_of_move
+        target = of_move(state, move.target)
+        assert tuple(option) in tables[move.kind, target]
+        assert option.record == (move.actor, target, move.payload)
+        assert tuple(dialogue._step(state, move, option)) == tuple(
             apply_move(state, move)
         )
 
@@ -1007,34 +1047,84 @@ def test_the_search_steps_each_move_as_apply_move_does():
 
 def test_world_table_matches_a_fresh_computation():
     # At every position the SUITE_ROWS searches and the recorded plays visit,
-    # the Know attacks and Poss defences the game's shared table gives are
-    # those the reference works out afresh from the position.
+    # the Know attacks and Poss defences are those the reference works out
+    # afresh from the position; and so is every move table the game keeps
+    # for them, by target and introduced worlds.
     visited = _searched_and_replayed_positions()
-    tables = {}
+    games = {}
     for state in visited:
-        tables[id(state.rules)] = state.rules.world_payloads
+        games[id(state.rules)] = state
         for actor in (dialogue.P, dialogue.O):
             for move in state.moves:
                 if not isinstance(move.payload, AssertPayload):
                     continue
                 world, f = move.payload
-                if isinstance(f, Know):
-                    expected = [
-                        RequestPayload("?_K", f.agent, w)
-                        for w in _reference_world_options(state, actor, f.agent, world)
-                    ]
-                elif isinstance(f, Poss):
-                    expected = [
-                        AssertPayload(w, f.body)
-                        for w in _reference_world_options(state, actor, f.agent, world)
-                    ]
-                else:
-                    continue
-                payloads = dialogue._world_payloads(state, actor, f, world)
-                assert list(payloads) == expected
-    entries = [payloads for table in tables.values() for payloads in table.values()]
-    assert len(visited) > 1000 and len(entries) > 100
-    assert all(type(payloads) is tuple for payloads in entries)
+                if isinstance(f, (Know, Poss)):
+                    expected = _reference_world_payloads(state, actor, f, world)
+                    assert list(dialogue._world_payloads(state, actor, f, world)) == expected
+    tables = 0
+    for state in games.values():
+        for key, table in state.rules.move_tables.items():
+            if type(key) is not tuple:
+                continue
+            length, introduced = key  # of the target's bit
+            actor, target, _ = table[0].record
+            assertion = target if isinstance(target[2], Know) else target[1]
+            _, world, f = assertion
+            at = state._replace(introduced=introduced)
+            assert type(table) is tuple
+            assert {o.target_bit for o in table} == {_bit(state, target)}
+            assert _bit(state, target).bit_length() == length
+            expected = _reference_world_payloads(at, actor, f, world)
+            assert [o.payload for o in table] == expected
+            tables += 1
+    assert len(visited) > 1000 and tables > 80
+
+
+def test_a_game_builds_each_move_table_once(monkeypatch):
+    # One pass over SUITE_ROWS. A game builds the move table of a target the
+    # first time a listing walks it, and finds it through the target's bit
+    # at every later listing; a Know's attacks and a Poss's defences, once
+    # per set of introduced worlds. So the builds are exactly the distinct
+    # targets walked, and a listing that bypassed the game's tables would
+    # build some twice.
+    games, built, walked = [], {}, set()
+
+    def table_key(state, kind, target, bit):
+        f = (target if kind == "attack" else target[1])[2]
+        grows = isinstance(f, Know if kind == "attack" else Poss)
+        return (id(state.rules), bit, state.introduced if grows else None)
+
+    def candidates(state, original=dialogue._candidates):
+        games.append(state.rules)  # alive, so that no two games share an id
+        for kind, targets in zip(("attack", "defend"), state.open_targets[state.turn]):
+            for target, _, bit in targets:
+                walked.add(table_key(state, kind, target, bit))
+        return original(state)
+
+    def move_table(state, kind, target, bit, original=dialogue._move_table):
+        table = original(state, kind, target, bit)
+        if id(table) not in built:  # each table is kept, so its id is its own
+            built[id(table)] = (table, table_key(state, kind, target, bit))
+        return table
+
+    monkeypatch.setattr(dialogue, "_candidates", candidates)
+    monkeypatch.setattr(dialogue, "_move_table", move_table)
+    for row in SUITE_ROWS:
+        has_winning_strategy(parse_formula(row.formula))
+    keys = [key for _, key in built.values()]
+    assert len(set(keys)) == len(keys)
+    assert set(keys) == walked
+    assert len(keys) == 600
+
+
+def _reference_world_payloads(state, actor, f, world):
+    """A Know's attacks, one ?_K request per world, or a Poss's defences,
+    its body at each world."""
+    worlds = _reference_world_options(state, actor, f.agent, world)
+    if isinstance(f, Know):
+        return [RequestPayload("?_K", f.agent, w) for w in worlds]
+    return [AssertPayload(w, f.body) for w in worlds]
 
 
 def _reference_attack_payloads(state, actor, target):
@@ -1123,13 +1213,69 @@ def _reference_defence_payloads(state, actor, attack):
             return [AssertPayload(world, body)]
 
 
-def _reference_sort_key(move):
-    p = move.payload
+def _reference_payload_key(p):
     if isinstance(p, AssertPayload):
-        payload_key = (0, render_label(p.label), render_formula(p.formula))
+        return (0, render_label(p.label), render_formula(p.formula))
+    return (1, p.kind, p.agent or "", render_label(p.label or ()))
+
+
+def _reference_sort_key(move):
+    return (move.kind, move.target, _reference_payload_key(move.payload))
+
+
+def _reference_table(state, kind, target):
+    """The target's move table worked out afresh, as tuples of the option
+    fields: the payloads the reference particle rules give the player who
+    does not own the target, in payload order, each with what its move adds
+    to a position and what P's making it asks, every key's bit read from
+    the game's numbering."""
+    actor, other = ("O", "P") if target[0] == "P" else ("P", "O")
+    if kind == "attack":
+        payloads = _reference_attack_payloads(state, actor, target)
+        grows = isinstance(target[2], Know)
     else:
-        payload_key = (1, p.kind, p.agent or "", render_label(p.label or ()))
-    return (move.kind, move.target, payload_key)
+        payloads = _reference_defence_payloads(state, actor, target)
+        grows = isinstance(target[1][2], Poss)
+    payloads = sorted(payloads, key=_reference_payload_key)
+    records = [(actor, target, payload) for payload in payloads]
+    # P uses a target up with every move on it, unless its moves grow with
+    # the worlds; O with any one
+    if actor == "O":
+        uses_up = 0
+    else:
+        uses_up = -1 if grows else _mask(state, records)
+    bindings = state.rules.env.bindings
+    table = []
+    for payload, record in zip(payloads, records):
+        answerable = kind == "attack" and bool(
+            _reference_defence_payloads(state, other, record)
+        )
+        said, said_bit, attackable, forbid, grant = None, 0, False, 0, 0
+        if isinstance(payload, AssertPayload):
+            world, f = payload
+            said = (actor, world, f)
+            said_bit = _bit(state, said)
+            attackable = bool(_reference_attack_payloads(state, other, said))
+            if actor == "P" and not isinstance(f, Atom):
+                forbid = said_bit  # P may not restate it
+            elif actor == "P":
+                # a context name O has stated there; an atom O has stated
+                # there, or granted by stating a context that has it
+                grants = {("O", world, f)}
+                if f.name not in bindings:
+                    grants |= {
+                        ("O", world, Atom(name))
+                        for name, body in bindings.items()
+                        if (f.name, True) in body.literals
+                    }
+                grant = _mask(state, grants)
+        label = payload.label
+        fresh = label if label is not None and label not in state.introduced else None
+        table.append((
+            payload, record, _bit(state, record), _bit(state, target), uses_up,
+            answerable, said, said_bit, attackable, fresh, forbid, grant,
+        ))
+    return table
 
 
 def _reference_right_spent(scan, actor, target, payload):
