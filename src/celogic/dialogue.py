@@ -33,7 +33,9 @@ literals at that world.
 The particle rules are one table (``_particle_rule``): for each asserted
 formula, each way of attacking it with the defences that answer that
 attack. A game works out the table of a formula at a world once, whichever
-player asserts it.
+player asserts it: at its assertion's first attack, or at its first listing
+as a target. Whether an assertion may be attacked at all is read off its
+formula (``_attackable``), so no table is built for one nobody attacks.
 
 Each structural rule is stated once: the repetition rule in ``_problem``,
 what a player may assert in ``_assertable``. ``legal_moves`` lists the
@@ -299,7 +301,9 @@ class GameRules:
     (``ContextEnv.for_formula``'s env for the thesis, so an atom is a
     context name exactly when bound there: a guard of the thesis or a bound
     name it uses as an atom; body literals are atoms) and O's fresh-world
-    cap (one more than the thesis's modal depth). It also keeps the game's
+    cap (one more than the thesis's modal depth). Both are read off the
+    thesis as given, not off its game form, which has the same context
+    names and modal depth. It also keeps the game's
     numbering of records and assertions, and what follows from the rules
     alone: the particle rule of each formula at each world, one table of
     its attacks with their defences, and the move table of each target the
@@ -373,10 +377,15 @@ class GameState(NamedTuple):
 
 
 def initial_state(thesis: Formula, env: ContextEnv | None = None) -> GameState:
+    """The position after P asserts the thesis's game form at world 1. The
+    env and the world cap are read off the thesis itself: its game form has
+    the same context names and modal depth, and a thesis the tableau has
+    reduced already keeps its names on its node, while its game form is a
+    fresh formula each game."""
     normalized = game_form(thesis)
     rules = GameRules(
-        env=(env or ContextEnv()).for_formula(normalized),
-        fresh_cap=formula_info(normalized).modal_depth + 1,
+        env=(env or ContextEnv()).for_formula(thesis),
+        fresh_cap=formula_info(thesis).modal_depth + 1,
     )
     move = Move(P, "thesis", None, AssertPayload(ROOT, normalized))
     assertion = (P, ROOT, normalized)
@@ -431,8 +440,8 @@ def _world_payloads(
         options.append(world + ((agent, index),))
     options.sort(key=render_label)
     if isinstance(f, Know):
-        return tuple(RequestPayload("?_K", agent, w) for w in options)
-    return tuple(AssertPayload(w, f.body) for w in options)
+        return tuple([_new(RequestPayload, ("?_K", agent, w)) for w in options])
+    return tuple([_new(AssertPayload, (w, f.body)) for w in options])
 
 
 def _assertable(
@@ -491,38 +500,36 @@ def _particle_rule(rules: GameRules, target: Assertion) -> ParticleRule:
 
 
 def _particle_table(rules: GameRules, world: Label, f: Formula) -> ParticleRule:
-    if isinstance(f, Atom) and f.name not in rules.env.bindings:
-        return {}  # a plain atom, the commonest assertion
-
     def said(*formulas: Formula) -> tuple[AssertPayload, ...]:
-        return tuple(AssertPayload(world, g) for g in formulas)
+        return tuple([_new(AssertPayload, (world, g)) for g in formulas])
 
     match f:
         case Atom(name):
-            # a compound context is played as the conjunction of its literals
+            if not _compound_context(rules, name):
+                return {}
             literals = rules.env.bindings[name].literals
             lits = [Atom(a) if positive else Not(Atom(a)) for a, positive in literals]
-            if len(lits) < 2:
-                return {}
             return {_LEFT: said(lits[0]), _RIGHT: said(reduce(And, lits[1:]))}
         case Not(body):
-            return {AssertPayload(world, body): ()}
+            return {_new(AssertPayload, (world, body)): ()}
         case And(l, r):
             return {_LEFT: said(l), _RIGHT: said(r)}
         case Or(l, r):
-            return {_EITHER: said(*sorted((l, r), key=render_formula))}
+            # X | X is defended once: its two defences are one payload
+            defences = (l,) if l is r else sorted((l, r), key=render_formula)
+            return {_EITHER: said(*defences)}
         case Imp(l, r):
-            return {AssertPayload(world, l): said(r)}
+            return {_new(AssertPayload, (world, l)): said(r)}
         case Know():
             return {}
         case Poss(agent, _, _):
-            return {RequestPayload("?_P", agent): ()}
+            return {_new(RequestPayload, ("?_P", agent, None)): ()}
         case Rel(And(l, r), c):
             return {_LEFT: said(_rel(l, c)), _RIGHT: said(_rel(r, c))}
         case Rel(Know(agent, variant, inner), c):
             cx, cy = variant_contexts_names(variant, c, agent)
             answer = Know(agent, variant, _rel(inner, cy))
-            return {AssertPayload(world, Atom(cx)): said(answer)}
+            return {_new(AssertPayload, (world, Atom(cx))): said(answer)}
         case Rel(Atom() | Rel() as body, c):
             answer = body
         case Rel(Not(inner), c):
@@ -533,11 +540,25 @@ def _particle_table(rules: GameRules, world: Label, f: Formula) -> ParticleRule:
             answer = Imp(_rel(l, c), _rel(r, c))
         case _:
             raise TypeError(f"not a game formula: {f!r}")
-    return {AssertPayload(world, Atom(c)): said(answer)}
+    return {_new(AssertPayload, (world, Atom(c))): said(answer)}
+
+
+def _compound_context(rules: GameRules, name: str) -> bool:
+    """Whether the atom is a context whose body has two or more literals:
+    it is played as their conjunction. No other atom can be attacked."""
+    body = rules.env.bindings.get(name)
+    return body is not None and len(body.literals) > 1
 
 
 def _attackable(rules: GameRules, target: Assertion) -> bool:
-    return isinstance(target[2], Know) or bool(_particle_rule(rules, target))
+    """Whether the target has an attack, without building its particle
+    table: every compound game formula has, a Know through ``_world_payloads``
+    and any other through its non-empty table, and an atom has one only as
+    a compound context. So a table is built at its assertion's first attack,
+    or at its first listing as a target, and never for an assertion nobody
+    attacks."""
+    f = target[2]
+    return not isinstance(f, Atom) or _compound_context(rules, f.name)
 
 
 # ---------------------------------------------------------------------------
@@ -599,29 +620,31 @@ def _move_table(
     else:
         rule = _particle_rule(rules, assertion)
         payloads = rule if attack else rule[target[2]]
-    bits, rows = rules.bits, []
-    for payload in payloads:
-        record = (actor, target, payload)
+    bits = rules.bits
+    records = [(actor, target, payload) for payload in payloads]
+    record_bits = [bits[record] for record in records]
+    uses_up = 0  # see _Option.uses_up
+    if actor == P:
+        uses_up = reduce(int.__or__, record_bits, 0) if fixed else -1
+    options = []
+    for payload, record, record_bit in zip(payloads, records, record_bits):
         # the other player may answer an attack on a Know or a Poss, and
         # any other attack that its particle rule's row answers
         answerable = attack and (isinstance(f, (Know, Poss)) or bool(rule[payload]))
+        said, said_bit, attackable, forbid, grant = None, 0, False, 0, 0
         if isinstance(payload, AssertPayload):
             said = (actor, *payload)
-            asserted = (said, bits[said], _attackable(rules, said))
-            masks = _assertable(rules, *said)
-        else:
-            asserted, masks = (None, 0, False), (0, 0)
+            said_bit, attackable = bits[said], _attackable(rules, said)
+            forbid, grant = _assertable(rules, *said)
         # only a Know's attack or a Poss's defence may name a world not yet
         # introduced, O's fresh one: any other payload's world is its
         # target's, or the one a ?_K named when the attack was made
         fresh = None if fixed or payload.label in state.introduced else payload.label
-        row = [payload, record, bits[record], bit, 0, answerable]
-        rows.append([*row, *asserted, fresh, *masks])
-    if actor == P:  # see _Option.uses_up; O's is 0
-        uses_up = reduce(int.__or__, (row[2] for row in rows), 0) if fixed else -1
-        for row in rows:
-            row[4] = uses_up
-    table = rules.move_tables[key] = tuple(_new(_Option, row) for row in rows)
+        options.append(_new(_Option, (
+            payload, record, record_bit, bit, uses_up, answerable,
+            said, said_bit, attackable, fresh, forbid, grant,
+        )))
+    table = rules.move_tables[key] = tuple(options)
     return table
 
 

@@ -313,6 +313,19 @@ class TestJsonWriter:
         assert (out, err) == (json.dumps(doc, indent=2) + "\n", "")
 
 
+def _fresh_interpreter(argv, timeout, **environ):
+    """Run the CLI in a fresh interpreter on this checkout's source, with
+    these extra environment variables, killed after ``timeout`` seconds."""
+    source = str(pathlib.Path(celogic.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [source, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "celogic.cli", *argv],
+        env={**os.environ, **environ, "PYTHONPATH": path},
+        capture_output=True,
+        timeout=timeout,
+    )
+
+
 @contextlib.contextmanager
 def _time_limit(seconds):
     """Fail the block if it runs longer than ``seconds`` of wall time."""
@@ -404,15 +417,10 @@ class TestDialogue:
     def test_output_does_not_depend_on_hash_order(self, thesis, expected):
         # string hashes, and so the order of sets of strings, are seeded per
         # interpreter: each seed needs a fresh one
-        source = str(pathlib.Path(celogic.__file__).resolve().parents[1])
-        path = os.pathsep.join(filter(None, [source, os.environ.get("PYTHONPATH")]))
         outputs = []
         for seed in ("0", "1"):
-            done = subprocess.run(
-                [sys.executable, "-m", "celogic.cli", "--format", "json", "dialogue", thesis],
-                env={**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": path},
-                capture_output=True,
-                timeout=60,
+            done = _fresh_interpreter(
+                ["--format", "json", "dialogue", thesis], 60, PYTHONHASHSEED=seed
             )
             assert (done.returncode, done.stderr) == (expected, b"")
             outputs.append(done.stdout)
@@ -500,7 +508,70 @@ class TestDialogue:
         assert err == "error: --budget must be a positive integer\n"
 
 
+_TWO_WORLDS = {
+    "worlds": ["w1", "w2"],
+    "agents": {"i": [["w1", "w2"]]},
+    "valuation": {"p": ["w1"]},
+}
+
+# argv, in which a dict is JSON written to a file and passed by its path,
+# and the exit code
+_ORACLE_AND_EVAL = [
+    (("oracle", "a -> K{i,1.1} a", "--max-worlds", "3"), 1),
+    (("oracle", "--env", {"ci": "false"}, "(p)^ci"), 0),
+    (("oracle", "--env", {"ci": "true"}, "(p)^ci"), 1),
+    (("oracle", "K{i,1.1} (p | ~p)"), 0),
+    (("eval", "--model", _TWO_WORLDS, "--world", "w1", "p"), 0),
+    (("eval", "--model", _TWO_WORLDS, "--world", "w1", "K{i,1.1} p"), 1),
+    (
+        ("eval", "--model", _TWO_WORLDS, "--world", "w1",
+         f"({_deep('~', 5000)})^ci -> {_deep('~', 5000)}"),
+        0,
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    _ORACLE_AND_EVAL,
+    ids=[
+        "countermodel", "false-context", "true-context", "known-tautology",
+        "eval-atom", "eval-knowledge", "eval-5000-deep",
+    ],
+)
+def test_oracle_and_eval_exit_codes(capsys, tmp_path, argv, expected):
+    args = []
+    for arg in argv:
+        if isinstance(arg, dict):
+            path = tmp_path / f"{len(args)}.json"
+            path.write_text(json.dumps(arg))
+            arg = str(path)
+        args.append(arg)
+    code, _, err = run(capsys, *args)
+    assert (code, err) == (expected, "")
+
+
 class TestOracle:
+    def test_a_model_space_far_over_the_ceiling_exits_three_at_once(self):
+        # counting the model space must not enumerate it: this would hang
+        done = _fresh_interpreter(["oracle", "--max-worlds", "5000", "p -> q"], 20)
+        assert done.returncode == 3
+        assert done.stderr.startswith(b"error: ") and b"exceed the ceiling" in done.stderr
+
+    def test_each_reduction_step_is_a_valid_biconditional(self, capsys):
+        # criterion 4 through the CLI, by the tableau and by the oracle,
+        # which reads Rel directly and shares no rewrite with the reducer
+        code, out, _ = run(
+            capsys, "--format", "json", "reduce", "(K{j,2.2} P{i,1.2} (p & q))^ci"
+        )
+        steps = json.loads(out)["steps"]
+        assert (code, len(steps)) == (0, 8)
+        for step in steps:
+            biconditional = f"({step['before']}) <-> ({step['after']})"
+            for command in ("prove", "oracle"):
+                code, _, err = run(capsys, command, biconditional)
+                assert (code, err) == (0, ""), (command, biconditional)
+
     def test_found_countermodel_exits_one(self, capsys):
         code, out, _ = run(capsys, "oracle", "a -> K{i,1.1} a", "--max-worlds", "2")
         assert code == 1

@@ -33,7 +33,7 @@ from celogic.dialogue import (
     validate_move,
 )
 from celogic.epistemology import SUITE_ROWS
-from celogic.kripke import ContextEnv
+from celogic.kripke import ContextEnv, find_countermodel
 from celogic.prove import prove_cel
 from celogic.syntax import (
     And,
@@ -53,7 +53,12 @@ from celogic.syntax import (
     variant_contexts_names,
 )
 
-from corpus import random_formula
+from corpus import (
+    all_formulas,
+    cross_semantics_corpus,
+    hygiene_corpus,
+    random_formula,
+)
 from nested import nested_strategy
 
 PLAYS_DIR = pathlib.Path(__file__).parent / "data" / "plays"
@@ -612,6 +617,8 @@ _DISAGREEMENT_ROWS = [
     pytest.param("(~q)^ci", {"ci": "p & ~q"}, marks=_DEFECT_C),
     pytest.param("(p)^ci <-> p", {"ci": "true"}, marks=_DEFECT_C),
     pytest.param("q -> ci", {"ci": "true"}, marks=_DEFECT_C),
+    # the census's smallest defect-C row: one node
+    pytest.param("ci", {"ci": "true"}, marks=_DEFECT_C),
 ]
 
 
@@ -624,6 +631,29 @@ def test_game_agrees_with_the_tableau(thesis, bindings):
     if isinstance(f, Atom):
         # the formal rule refutes an atomic thesis with the one-move play
         assert result.refutation == initial_state(f, env).moves
+
+
+CENSUS_NODES = 4
+CENSUS_BUDGET = 20_000
+CENSUS_WORLDS = 3
+
+
+def test_the_three_engines_agree_on_every_small_formula():
+    # the census of every formula of up to 4 nodes under no env: the tableau,
+    # the game and the oracle give one verdict on each of 1,461 formulas
+    env = ContextEnv()
+    disagreements, formulas = [], 0
+    for f in all_formulas(CENSUS_NODES):
+        formulas += 1
+        verdicts = (
+            prove_cel(f, env).is_valid,
+            has_winning_strategy(f, env, budget=CENSUS_BUDGET).verdict,
+            find_countermodel(f, env, max_worlds=CENSUS_WORLDS) is None,
+        )
+        if len(set(verdicts)) > 1:
+            disagreements.append((render_formula(f), verdicts))
+    assert formulas == 1461
+    assert disagreements == []
 
 
 # P may state an atom that O granted by conceding a context whose body has it
@@ -865,6 +895,16 @@ def test_ledgers_match_a_scan_of_the_history():
     assert checked > 10 * len(theses)
 
 
+def test_a_disjunction_of_one_formula_is_defended_once():
+    # after P asks which disjunct of O's q | q holds, O may answer q once
+    said = lambda f: AssertPayload((), parse_formula(f))
+    state = dialogue.replay(initial_state(parse_formula("(q | q) -> q")), [
+        Move("O", "attack", 0, said("q | q")),
+        Move("P", "attack", 1, RequestPayload("?")),
+    ])
+    assert legal_moves(state) == [Move("O", "defend", 2, said("q"))]
+
+
 def test_move_orders_that_reach_the_same_records_share_a_position():
     # P asks for each conjunct of O's concession, in either order; O answers
     said = lambda f: AssertPayload((), parse_formula(f))
@@ -978,10 +1018,11 @@ def _reference_world_options(state, actor, agent, world):
     return options
 
 
-def _searched_and_replayed_positions(check=lambda state: None):
+def _searched_and_replayed_positions(check=lambda state: None, games=()):
     """Every position the SUITE_ROWS searches step and the recorded plays
-    pass through, each handed to ``check`` when it is reached, before the
-    search or the play moves on from it."""
+    pass through, and those the searches of ``games``, (thesis, env) pairs,
+    step, each handed to ``check`` when it is reached, before the search or
+    the play moves on from it."""
     visited = []
 
     def reach(state):
@@ -993,10 +1034,9 @@ def _searched_and_replayed_positions(check=lambda state: None):
             reach(state)
             return super()._value(state)
 
-    for row in SUITE_ROWS:
-        Recording(dialogue.DEFAULT_SEARCH_BUDGET).win(
-            initial_state(parse_formula(row.formula))
-        )
+    searches = [(parse_formula(row.formula), None) for row in SUITE_ROWS]
+    for thesis, env in searches + list(games):
+        Recording(dialogue.DEFAULT_SEARCH_BUDGET).win(initial_state(thesis, env))
     for path in PLAY_FILES:
         data = load_play(path)
         thesis = parse_formula(data["thesis"], data.get("default_variant"))
@@ -1043,6 +1083,76 @@ def _assert_steps_agree_with_apply_move(state):
 def test_the_search_steps_each_move_as_apply_move_does():
     visited = _searched_and_replayed_positions(_assert_steps_agree_with_apply_move)
     assert len(visited) > 1000
+
+
+# games where O concedes a compound context, which P may attack, and a
+# single-literal one, which nobody may
+_CONCEDED_CONTEXTS = [
+    (parse_formula(thesis), ContextEnv.from_json({"ci": "p & ~q", "cj": "q"}))
+    for thesis in ("(p)^ci", "(~q)^ci -> (q)^cj", "(K{i,1.1} p)^ci -> (p)^ci")
+]
+
+
+def test_attackable_reads_the_particle_table():
+    # _attackable answers without building a particle table; at every
+    # assertion of every position reached, its answer is the table's
+    answers = {}
+
+    def check(state):
+        rules = state.rules
+        for i in range(len(state.moves)):
+            assertion = _assertion_of_move(state, i)
+            if assertion is None or (id(rules), assertion) in answers:
+                continue
+            _, world, f = assertion
+            expected = isinstance(f, Know) or bool(
+                dialogue._particle_table(rules, world, f)
+            )
+            assert dialogue._attackable(rules, assertion) is expected, assertion
+            answers[id(rules), assertion] = (type(f), expected)
+
+    visited = _searched_and_replayed_positions(check, _CONCEDED_CONTEXTS)
+    assert len(visited) > 1000
+    # atoms both ways, a compound context among the attackable ones
+    assert {(Atom, True), (Atom, False), (Know, True), (Imp, True)} <= set(
+        answers.values()
+    )
+
+
+# no binding, compound and one-literal bodies, constant and negative ones,
+# and a body literal that is a context name, which for_formula refuses
+_FOUR_ENVS = [
+    {},
+    {"ci": "p & ~q", "cj": "q"},
+    {"ci": "true", "cj": "~p"},
+    {"ci": "cj & p", "cj": "false"},
+]
+
+
+def _env_for(env, f):
+    """``env.for_formula(f)``'s bindings, or the error it raises."""
+    try:
+        return env.for_formula(f).to_json()
+    except ValueError as exc:  # compared by type and message
+        return type(exc), str(exc)
+
+
+def test_a_thesis_and_its_game_form_fix_the_same_env_and_world_cap():
+    # initial_state reads both off the thesis, not off its game form
+    envs = [ContextEnv.from_json(bindings) for bindings in _FOUR_ENVS]
+    theses = [parse_formula(row.formula) for row in SUITE_ROWS]
+    theses += cross_semantics_corpus() + hygiene_corpus()
+    errors = changed = 0
+    for thesis in theses:
+        form = game_form(thesis)
+        changed += form is not thesis
+        assert formula_info(form).modal_depth == formula_info(thesis).modal_depth
+        for env in envs:
+            bindings = _env_for(env, thesis)
+            assert _env_for(env, form) == bindings, render_formula(thesis)
+            errors += type(bindings) is tuple
+    # the game form differs on many theses, and some envs raise
+    assert changed > 100 and errors > 0
 
 
 def test_world_table_matches_a_fresh_computation():
@@ -1185,7 +1295,8 @@ def _reference_defence_payloads(state, actor, attack):
         case And(l, r):
             return [AssertPayload(world, l if left else r)]
         case Or(l, r):
-            return [AssertPayload(world, l), AssertPayload(world, r)]
+            # each distinct disjunct once: X | X is defended once
+            return [AssertPayload(world, g) for g in dict.fromkeys((l, r))]
         case Imp(_, r):
             return [AssertPayload(world, r)]
         case Know(_, _, body):
