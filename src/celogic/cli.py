@@ -187,10 +187,9 @@ def _cmd_dialogue(args) -> int:
         if result.verdict:
             doc = {"valid": True, "strategy": result.strategy}
         else:
-            doc = {
-                "valid": False,
-                "refutation": [dlg.move_to_json(m) for m in result.refutation],
-            }
+            memo: dict = {}
+            moves = [dlg.move_to_json(m, memo) for m in result.refutation]
+            doc = {"valid": False, "refutation": moves}
         print(json.dumps(doc, indent=2))
     elif result.verdict:
         print("P has a winning strategy")

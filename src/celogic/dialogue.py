@@ -87,7 +87,6 @@ it neither validates a move again nor looks its target up in the history;
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import reduce
 from operator import itemgetter
 from typing import Iterable, NamedTuple
@@ -214,7 +213,9 @@ def render_payload(payload: Payload) -> str:
     return payload.kind
 
 
-def move_to_json(move: Move) -> dict:
+def move_to_json(move: Move, memo: dict | None = None) -> dict:
+    """A move as JSON-ready data. Calls that share a ``memo`` render each
+    formula node once between them (see ``render_formula``)."""
     data: dict = {"actor": move.actor, "kind": move.kind}
     if move.target is not None:
         data["target"] = move.target
@@ -222,7 +223,7 @@ def move_to_json(move: Move) -> dict:
         data["payload"] = {
             "assert": {
                 "label": render_label(move.payload.label),
-                "formula": render_formula(move.payload.formula),
+                "formula": render_formula(move.payload.formula, memo),
             }
         }
     else:
@@ -295,7 +296,6 @@ class _Numbering(dict):
         return bit
 
 
-@dataclass(frozen=True, eq=False)
 class GameRules:
     """One game's rules, shared by all its states: the context bindings
     (``ContextEnv.for_formula``'s env for the thesis, so an atom is a
@@ -309,13 +309,17 @@ class GameRules:
     its attacks with their defences, and the move table of each target the
     game lists (``_move_table``), under the length of the target's bit, or
     for a Know's attacks and a Poss's defences under (that length,
-    introduced worlds). No table outlives its game."""
+    introduced worlds). No table outlives its game. Rules compare by
+    identity."""
 
-    env: ContextEnv
-    fresh_cap: int
-    bits: _Numbering = field(default_factory=_Numbering, repr=False)
-    particle_rules: dict = field(default_factory=dict, repr=False)
-    move_tables: dict = field(default_factory=dict, repr=False)
+    __slots__ = ("env", "fresh_cap", "bits", "particle_rules", "move_tables")
+
+    def __init__(self, env: ContextEnv, fresh_cap: int):
+        self.env, self.fresh_cap = env, fresh_cap
+        self.bits, self.particle_rules, self.move_tables = _Numbering(), {}, {}
+
+    def __repr__(self) -> str:
+        return f"GameRules(env={self.env!r}, fresh_cap={self.fresh_cap!r})"
 
 
 Assertion = tuple[str, Label, Formula]  # actor, world, formula
@@ -867,7 +871,6 @@ def _candidates(state: GameState) -> list[tuple[Move, _Option]]:
 # Strategy search
 
 
-@dataclass
 class StrategyResult:
     """Outcome of the game search.
 
@@ -881,14 +884,28 @@ class StrategyResult:
     The positions are unfolded on an explicit stack, and one that the
     search never visited is searched by the same ``fold``; so reading the
     strategy can raise BudgetExhaustedError when the budget runs out.
+    Results compare on their verdict, refutation and position count, and
+    are unhashable.
     """
 
-    verdict: bool
-    refutation: tuple[Move, ...] | None
-    positions: int
-    _search: _Search | None = field(default=None, repr=False, compare=False)
-    _root: GameState | None = field(default=None, repr=False, compare=False)
-    _strategy: list | None = field(default=None, init=False, repr=False, compare=False)
+    __slots__ = ("verdict", "refutation", "positions", "_search", "_root", "_strategy")
+    __hash__ = None
+
+    def __init__(self, verdict, refutation, positions, search=None, root=None):
+        self.verdict, self.refutation, self.positions = verdict, refutation, positions
+        self._search, self._root, self._strategy = search, root, None
+
+    def __eq__(self, other):
+        if type(other) is not StrategyResult:
+            return NotImplemented
+        fields = self.verdict, self.refutation, self.positions
+        return fields == (other.verdict, other.refutation, other.positions)
+
+    def __repr__(self) -> str:
+        return (
+            f"StrategyResult(verdict={self.verdict!r}, "
+            f"refutation={self.refutation!r}, positions={self.positions!r})"
+        )
 
     @property
     def strategy(self) -> list[dict] | None:
@@ -952,13 +969,14 @@ class _Search:
         lists it, unfolded from the memo on an explicit stack of (position,
         parent index, move that reached it), depth first."""
         nodes: list[dict] = []
+        memo: dict = {}  # render_formula's, shared by every move
         stack: list = [(state, None, None)]
         while stack:
             state, parent, move = stack.pop()
             here, moves = len(nodes), self.moves(state)
             node = {"parent": parent, "turn": state.turn}
             if move is not None:
-                node["move"] = move_to_json(move)
+                node["move"] = move_to_json(move, memo)
             nodes.append(node)
             if not moves:
                 node["end"] = "opponent cannot move"

@@ -11,7 +11,7 @@ machinery but carries no named preset.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .dialogue import DEFAULT_SEARCH_BUDGET, has_winning_strategy
 from .kripke import ContextEnv
@@ -33,8 +33,7 @@ class PresetConstraintError(ValueError):
     """A preset's context bindings violate its defining constraint."""
 
 
-@dataclass(frozen=True)
-class PositionPreset:
+class PositionPreset(NamedTuple):
     name: str
     variant: str
     context_policy: str  # "top" | "anti" | "fresh"
@@ -110,8 +109,7 @@ def apply_preset(
 # Verdict suite
 
 
-@dataclass(frozen=True)
-class SuiteRow:
+class SuiteRow(NamedTuple):
     anchor: str
     formula: str
     expected: bool
@@ -201,8 +199,7 @@ SUITE_ROWS: tuple[SuiteRow, ...] = (
 )
 
 
-@dataclass(frozen=True)
-class SuiteReport:
+class SuiteReport(NamedTuple):
     rows: tuple[dict, ...]
 
     @property

@@ -28,8 +28,7 @@ that only wants the verdict never pays for the log.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
-from functools import cached_property
+from typing import NamedTuple
 
 from .kripke import ContextEnv, KripkeModel, satisfies
 # reduce_full is not called here; it stays a module attribute because
@@ -63,30 +62,53 @@ class ProverError(RuntimeError):
     """Internal invariant failed (e.g. an unverifiable counter-model)."""
 
 
-@dataclass(frozen=True)
 class Valid:
     """A closed tableau for ``goal``, kept as the search recorded it: its
-    raw log nodes in preorder."""
+    raw log nodes in preorder. Two verdicts are equal when their goals and
+    tableaux are; neither field may be assigned."""
 
-    goal: Formula
-    tableau: tuple = field(repr=False)
+    __slots__ = ("goal", "tableau", "_proof")
+
+    def __init__(self, goal: Formula, tableau: tuple):
+        object.__setattr__(self, "goal", goal)
+        object.__setattr__(self, "tableau", tableau)
+        object.__setattr__(self, "_proof", None)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"verdicts are immutable: cannot set {name!r}")
+
+    def __reduce__(self):
+        return Valid, (self.goal, self.tableau)
+
+    def __eq__(self, other):
+        if type(other) is not Valid:
+            return NotImplemented
+        return (self.goal, self.tableau) == (other.goal, other.tableau)
+
+    def __hash__(self) -> int:
+        return hash((self.goal, self.tableau))
+
+    def __repr__(self) -> str:
+        return f"Valid(goal={self.goal!r})"
 
     @property
     def is_valid(self) -> bool:
         return True
 
-    @cached_property
+    @property
     def proof(self) -> dict:
         """The tableau log as JSON-ready data, rendered on first read."""
-        memo: dict = {}
-        return {
-            "goal": render_formula(self.goal, memo),
-            "tableau": _log_json(self.tableau, memo),
-        }
+        if self._proof is None:
+            memo: dict = {}
+            proof = {
+                "goal": render_formula(self.goal, memo),
+                "tableau": _log_json(self.tableau, memo),
+            }
+            object.__setattr__(self, "_proof", proof)
+        return self._proof
 
 
-@dataclass(frozen=True)
-class Invalid:
+class Invalid(NamedTuple):
     model: KripkeModel
     world: str
 

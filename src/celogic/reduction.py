@@ -43,8 +43,7 @@ walks one node.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .syntax import (
     And,
@@ -77,8 +76,7 @@ class ReductionBudgetError(RuntimeError):
     """The rewrite loop exceeded its step budget: a resource limit."""
 
 
-@dataclass(frozen=True)
-class ReductionStep:
+class ReductionStep(NamedTuple):
     before: Formula
     axiom: str
     path: tuple[int, ...]
@@ -93,8 +91,7 @@ class ReductionStep:
         }
 
 
-@dataclass(frozen=True)
-class ReductionTrace:
+class ReductionTrace(NamedTuple):
     steps: tuple[ReductionStep, ...]
     result: Formula
 

@@ -39,7 +39,7 @@ walk that changes nothing gives back the very same tree.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, fields
+from typing import NamedTuple
 from weakref import ref
 
 from _weakref import _remove_dead_weakref
@@ -114,7 +114,9 @@ class _Interning(type):
     """The class of the formula node classes: calling one gives back the
     live node of that class with the same fields if there is one, and else
     builds it and enters it in ``_INTERNED`` (hash-consing: Filliâtre &
-    Conchon, "Type-safe modular hash-consing", 2006).
+    Conchon, "Type-safe modular hash-consing", 2006). A new node is
+    filled through its class's slot setters, one per name in its
+    ``__match_args__``; keyword arguments are mapped through those names.
 
     A key's child nodes hash and compare by identity, so a lookup costs the
     same however deep the node. The table keeps no node alive: an entry goes
@@ -123,16 +125,28 @@ class _Interning(type):
     live entry, so threads building equal formulas at once get one node.
     """
 
+    def __init__(cls, name, bases, namespace):
+        super().__init__(name, bases, namespace)
+        # each field's slot setter, in field order, to fill a new node
+        cls._setters = tuple(getattr(cls, f).__set__ for f in cls.__match_args__)
+
     def __call__(cls, *args, **kwargs):
         if kwargs:
-            args = _field_values(type.__call__(cls, *args, **kwargs))
+            args = _positional(cls, args, kwargs)
         key = (cls, *args)
         entry = _INTERNED.get(key)
         if entry is not None:
             node = entry()
             if node is not None:
                 return node
-        node = type.__call__(cls, *args)
+        setters = cls._setters
+        if len(args) != len(setters):
+            raise TypeError(
+                f"{cls.__name__}() takes {len(setters)} fields, {len(args)} given"
+            )
+        node = object.__new__(cls)
+        for put, value in zip(setters, args):
+            put(node, value)
         entry = _Entry(node, _evict)
         entry.key = key
         while (found := _INTERNED.setdefault(key, entry)) is not entry:
@@ -145,41 +159,51 @@ class _Interning(type):
         return node
 
 
-def _field_values(f: Formula) -> tuple:
-    return tuple(getattr(f, field.name) for field in fields(f))
+def _positional(cls, args: tuple, kwargs: dict) -> tuple:
+    """The fields of a node built with keyword arguments, in field order."""
+    names = cls.__match_args__
+    rest = names[len(args):]
+    if kwargs.keys() != set(rest):
+        raise TypeError(f"{cls.__name__}() takes {', '.join(names)}")
+    return (*args, *(kwargs[name] for name in rest))
 
 
-@dataclass(frozen=True, eq=False)
 class Formula(metaclass=_Interning):
     """A formula node; see the module docstring for ``children()`` and
     ``rebuild(*kids)``.
 
-    Nodes are interned (see ``_Interning``): structurally equal formulas
-    are one object, so ``==`` and ``hash`` are the identity defaults of
-    ``object`` and never walk a tree. Pickles and copies carry the fields
-    only (``__reduce__``), and loading or copying gives back the interned
-    node. Besides its fields a node has one slot, unset until first use:
-    ``_normal``, where ``reduction.reduce_result`` keeps its normal form
-    and its context names (see there). Equal subtrees, being one node,
+    Each node class names its own fields once, as its ``__slots__``, which
+    are also its ``__match_args__``; a subclass that adds no field inherits
+    its parent's. Nodes are immutable: assigning or deleting an attribute
+    raises. Nodes are interned (see ``_Interning``): structurally equal
+    formulas are one object, so ``==`` and ``hash`` are the identity
+    defaults of ``object`` and never walk a tree. Pickles and copies carry
+    the fields only (``__reduce__``), and loading or copying gives back the
+    interned node. Besides its fields a node has one slot, unset until first
+    use: ``_normal``, where ``reduction.reduce_result`` keeps its normal
+    form and its context names (see there). Equal subtrees, being one node,
     share it.
     """
 
     __slots__ = ("_normal", "__weakref__")
+    __match_args__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"formula nodes are immutable: cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"formula nodes are immutable: cannot delete {name!r}")
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self.__match_args__)
+        return f"{type(self).__qualname__}({fields})"
 
     def __reduce__(self):
-        return type(self), _field_values(self)
+        return type(self), tuple(getattr(self, n) for n in self.__match_args__)
 
 
-def _node(cls):
-    """A formula node class: a frozen, slotted dataclass whose equality and
-    hash are ``object``'s, by identity; interning makes identity structural
-    equality."""
-    return dataclass(frozen=True, slots=True, eq=False)(cls)
-
-
-@_node
 class Atom(Formula):
-    name: str
+    __slots__ = __match_args__ = ("name",)
 
     def children(self) -> tuple[Formula, ...]:
         return ()
@@ -188,9 +212,8 @@ class Atom(Formula):
         return self
 
 
-@_node
 class Not(Formula):
-    body: Formula
+    __slots__ = __match_args__ = ("body",)
 
     def children(self) -> tuple[Formula, ...]:
         return (self.body,)
@@ -199,10 +222,8 @@ class Not(Formula):
         return Not(body)
 
 
-@_node
 class _Binary(Formula):
-    left: Formula
-    right: Formula
+    __slots__ = __match_args__ = ("left", "right")
 
     def children(self) -> tuple[Formula, ...]:
         return (self.left, self.right)
@@ -211,31 +232,24 @@ class _Binary(Formula):
         return type(self)(left, right)
 
 
-@_node
 class And(_Binary):
-    pass
+    __slots__ = ()
 
 
-@_node
 class Or(_Binary):
-    pass
+    __slots__ = ()
 
 
-@_node
 class Imp(_Binary):
-    pass
+    __slots__ = ()
 
 
-@_node
 class Iff(_Binary):
-    pass
+    __slots__ = ()
 
 
-@_node
 class _Modal(Formula):
-    agent: str
-    variant: str | None
-    body: Formula
+    __slots__ = __match_args__ = ("agent", "variant", "body")
 
     def children(self) -> tuple[Formula, ...]:
         return (self.body,)
@@ -244,22 +258,18 @@ class _Modal(Formula):
         return type(self)(self.agent, self.variant, body)
 
 
-@_node
 class Know(_Modal):
-    pass
+    __slots__ = ()
 
 
-@_node
 class Poss(_Modal):
-    pass
+    __slots__ = ()
 
 
-@_node
 class Rel(Formula):
     """Context relativization: the body read against the named context."""
 
-    body: Formula
-    context: str
+    __slots__ = __match_args__ = ("body", "context")
 
     def children(self) -> tuple[Formula, ...]:
         return (self.body,)
@@ -312,8 +322,7 @@ def fold(f, step, memo=None, key=None):
 # Context formulas (conjunctions of literals, canonicalized)
 
 
-@dataclass(frozen=True)
-class ContextFormula:
+class ContextFormula(NamedTuple):
     """Canonical conjunction of literals; () is top, contradictory is bottom.
 
     ``literals`` is a sorted, duplicate-free tuple of (atom, positive) pairs.
@@ -393,8 +402,7 @@ _TOKEN_SPEC = [
 _TOKEN_RE = re.compile("|".join(f"(?P<{name}>{pat})" for name, pat in _TOKEN_SPEC))
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str
     text: str
     pos: int
@@ -623,8 +631,7 @@ def render_context(cf: ContextFormula) -> str:
 # Structure report
 
 
-@dataclass(frozen=True)
-class FormulaInfo:
+class FormulaInfo(NamedTuple):
     atoms: frozenset[str]
     agents: frozenset[str]
     contexts: frozenset[str]

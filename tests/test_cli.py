@@ -316,14 +316,31 @@ class TestJsonWriter:
 def _fresh_interpreter(argv, timeout, **environ):
     """Run the CLI in a fresh interpreter on this checkout's source, with
     these extra environment variables, killed after ``timeout`` seconds."""
+    return _python(["-m", "celogic.cli", *argv], timeout, **environ)
+
+
+def _python(args, timeout, **environ):
+    """Run a fresh interpreter with these arguments, as _fresh_interpreter."""
     source = str(pathlib.Path(celogic.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [source, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, "-m", "celogic.cli", *argv],
+        [sys.executable, *args],
         env={**os.environ, **environ, "PYTHONPATH": path},
         capture_output=True,
         timeout=timeout,
     )
+
+
+def _same_under_two_hash_seeds(argv, expected):
+    """The CLI exits ``expected`` on argv and prints the same non-empty
+    output under two string-hash seeds. String hashes, and so the order of
+    sets of strings, are seeded per interpreter: each seed needs a fresh one."""
+    outputs = []
+    for seed in ("0", "1"):
+        done = _fresh_interpreter(argv, 60, PYTHONHASHSEED=seed)
+        assert (done.returncode, done.stderr) == (expected, b"")
+        outputs.append(done.stdout)
+    assert outputs[0] == outputs[1] and outputs[0]
 
 
 @contextlib.contextmanager
@@ -415,16 +432,7 @@ class TestDialogue:
         ],
     )
     def test_output_does_not_depend_on_hash_order(self, thesis, expected):
-        # string hashes, and so the order of sets of strings, are seeded per
-        # interpreter: each seed needs a fresh one
-        outputs = []
-        for seed in ("0", "1"):
-            done = _fresh_interpreter(
-                ["--format", "json", "dialogue", thesis], 60, PYTHONHASHSEED=seed
-            )
-            assert (done.returncode, done.stderr) == (expected, b"")
-            outputs.append(done.stdout)
-        assert outputs[0] == outputs[1] and outputs[0]
+        _same_under_two_hash_seeds(["--format", "json", "dialogue", thesis], expected)
 
     def test_winning_thesis(self, capsys):
         code, out, _ = run(capsys, "dialogue", "K{i,1.1} a -> K{i,1.1} K{i,1.1} a")
@@ -540,6 +548,12 @@ _ORACLE_AND_EVAL = [
     ],
 )
 def test_oracle_and_eval_exit_codes(capsys, tmp_path, argv, expected):
+    code, _, err = run(capsys, *_with_files(tmp_path, argv))
+    assert (code, err) == (expected, "")
+
+
+def _with_files(tmp_path, argv):
+    """argv with each dict written as JSON to a file and passed by its path."""
     args = []
     for arg in argv:
         if isinstance(arg, dict):
@@ -547,8 +561,59 @@ def test_oracle_and_eval_exit_codes(capsys, tmp_path, argv, expected):
             path.write_text(json.dumps(arg))
             arg = str(path)
         args.append(arg)
-    code, _, err = run(capsys, *args)
-    assert (code, err) == (expected, "")
+    return args
+
+
+def _is_json(out, err):
+    json.loads(out)
+
+
+_CHAIN_1200 = " & ".join(
+    ["p1"] + [f"(p{i} -> p{i + 1})" for i in range(1, 1200)]
+) + " -> p1200"
+_SCHEMA_THESIS = "(p & q)^ci <-> ((p)^ci & (q)^ci)"
+_CROSS_THESIS = "(K{i,1.2} a)^ci -> (K{i,1.2} K{i,1.2} a)^cj"
+
+# argv, in which a dict is JSON written to a file and passed by its path,
+# the exit code, and a check of the standard output and error
+_CONSOLE_LINES = [
+    (("--format", "json", "parse", "(K{i,1.2} p)^ci"), 0, _is_json),
+    (("reduce", "((p & q)^ck)^ci"), 0, None),
+    (("--format", "json", "reduce", "(K{j,2.2} p)^ci"), 0, _is_json),
+    (("dialogue", _SCHEMA_THESIS), 0, None),
+    (("dialogue", _CROSS_THESIS), 1, None),
+    (("dialogue", "--env", {"ci": "p"}, "(p)^ci"), 0, None),
+    (
+        ("prove", "--env", {"ci": "cj & p", "cj": "q"}, "(~(p)^cj)^ci"),
+        2,
+        _error_starts_with("error: "),
+    ),
+    (("prove", "--env", {"ci": "false"}, "(p)^ci"), 0, None),
+    (("prove", "--env", {"ci": "true"}, "ci"), 0, None),
+    (("prove", "--env", {"ci": "true"}, "(p)^ci"), 1, None),
+    (("prove", "--env", {"ci": "p & ~q"}, "ci -> p & ~q"), 0, None),
+    (("prove", "--env", {"ci": "p & ~q"}, "p -> ci"), 1, None),
+    (("--format", "json", "prove", _CHAIN_1200), 0, _is_json),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, expected, check",
+    _CONSOLE_LINES,
+    ids=[
+        "parse-json", "reduce-iteration", "reduce-json", "dialogue-schema",
+        "dialogue-cross", "dialogue-env", "prove-env-cycle", "prove-false-context",
+        "prove-true-context-name", "prove-true-context", "prove-context-body",
+        "prove-context-converse", "prove-chain-1200-json",
+    ],
+)
+def test_console_lines(capsys, tmp_path, argv, expected, check):
+    code, out, err = run(capsys, *_with_files(tmp_path, argv))
+    assert code == expected
+    if expected != 2:
+        assert err == ""
+    if check:
+        check(out, err)
 
 
 class TestOracle:
@@ -624,6 +689,19 @@ class TestSuite:
         assert code == 0
         rows = json.loads(out)
         assert all(row["agree"] for row in rows)
+
+    def test_output_does_not_depend_on_hash_order(self):
+        _same_under_two_hash_seeds(["--format", "json", "suite"], 0)
+
+
+def test_importing_the_package_loads_no_dataclass_machinery():
+    # every command and every benchmark worker imports the package first,
+    # and loading dataclasses (with inspect) and running its decorators took
+    # about half of that import. -S keeps site's own imports out.
+    names = "dataclasses", "inspect"
+    code = f"import celogic, sys; print([n for n in {names!r} if n in sys.modules])"
+    done = _python(["-S", "-c", code], 20)
+    assert (done.returncode, done.stdout, done.stderr) == (0, b"[]\n", b"")
 
 
 class TestContextNames:

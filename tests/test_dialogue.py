@@ -1,6 +1,8 @@
+import copy
 import hashlib
 import json
 import pathlib
+import pickle
 import random
 import sys
 import time
@@ -435,6 +437,14 @@ class TestRecords:
         ):
             with pytest.raises(AttributeError):
                 setattr(record, name, None)
+
+    def test_a_state_survives_deep_copies_and_pickles(self):
+        start, moves = self._play()
+        state = dialogue.replay(start, moves)
+        for loaded in (copy.deepcopy(state), pickle.loads(pickle.dumps(state))):
+            assert (loaded.moves, loaded.records) == (state.moves, state.records)
+            assert dict(loaded.rules.bits) == dict(state.rules.bits)
+            assert loaded.rules.fresh_cap == state.rules.fresh_cap
 
     def test_an_assertion_never_equals_a_request(self):
         for label, formula in (((), Atom("p")), ("?_L", None), (None, None)):

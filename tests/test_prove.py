@@ -1,5 +1,7 @@
+import copy
 import hashlib
 import json
+import pickle
 import sys
 
 import pytest
@@ -129,6 +131,14 @@ class TestProveCel:
         assert first == second and first is not second
         assert hash(first) == hash(second)
         assert len({first, second}) == 1
+
+    @pytest.mark.parametrize("text, field", [("p -> p", "goal"), ("p -> q", "model")])
+    def test_copies_and_pickles_are_equal_verdicts(self, text, field):
+        v = prove_cel(parse_formula(text))
+        for copied in (copy.copy(v), copy.deepcopy(v), pickle.loads(pickle.dumps(v))):
+            assert type(copied) is type(v) and copied == v
+        with pytest.raises(AttributeError):
+            setattr(v, field, None)
 
     def test_verdict_json_round_trip(self):
         f = parse_formula("(K{i,1.2} a)^ci -> (K{i,1.2} K{i,1.2} a)^cj")

@@ -1,5 +1,4 @@
 import copy
-import dataclasses
 import gc
 import hashlib
 import json
@@ -595,12 +594,13 @@ _REBUILDS = [
     (Rel(_P, "ci"), 0, Rel(_R, "ci")),
 ]
 _KINDS = [type(c[0]).__name__ for c in _REBUILDS]
+_EVERY_KIND = pytest.mark.parametrize(
+    "node", [_P] + [c[0] for c in _REBUILDS], ids=["Atom"] + _KINDS
+)
 
 
 class TestNodeProtocol:
-    @pytest.mark.parametrize(
-        "node", [_P] + [c[0] for c in _REBUILDS], ids=["Atom"] + _KINDS
-    )
+    @_EVERY_KIND
     def test_rebuild_from_its_own_children_is_the_node(self, node):
         assert node.rebuild(*node.children()) is node
 
@@ -612,9 +612,9 @@ class TestNodeProtocol:
         assert type(new) is type(node)
         assert new == expected
         assert new.children() == tuple(kids)
-        for field in dataclasses.fields(node):
-            if not isinstance(getattr(node, field.name), Formula):
-                assert getattr(new, field.name) == getattr(node, field.name)
+        for name in node.__match_args__:
+            if not isinstance(getattr(node, name), Formula):
+                assert getattr(new, name) == getattr(node, name)
 
     def test_atom_has_no_children(self):
         assert _P.children() == ()
@@ -633,10 +633,10 @@ def _rebuilt_from_fields(f: Formula) -> Formula:
     """f built again node by node, from the leaves up, out of its fields."""
     return type(f)(
         *(
-            _rebuilt_from_fields(getattr(f, field.name))
-            if isinstance(getattr(f, field.name), Formula)
-            else getattr(f, field.name)
-            for field in dataclasses.fields(f)
+            _rebuilt_from_fields(getattr(f, name))
+            if isinstance(getattr(f, name), Formula)
+            else getattr(f, name)
+            for name in f.__match_args__
         )
     )
 
@@ -684,7 +684,38 @@ class TestInterning:
         assert body is Atom("p")
         assert Know(agent="i", variant="1.1", body=body) is Know("i", "1.1", body)
         assert Rel(body, context="ci") is Rel(body, "ci")
-        assert dataclasses.replace(Not(body)) is Not(body)
+
+    @_EVERY_KIND
+    def test_every_node_class_takes_its_fields_by_keyword(self, node):
+        fields = {name: getattr(node, name) for name in node.__match_args__}
+        assert type(node)(**fields) is node
+        first, *rest = node.__match_args__
+        assert type(node)(fields[first], **{n: fields[n] for n in rest}) is node
+
+    @_EVERY_KIND
+    def test_a_field_cannot_be_assigned_or_deleted(self, node):
+        values = [getattr(node, name) for name in node.__match_args__]
+        for name in (*node.__match_args__, "_normal", "other"):
+            with pytest.raises(AttributeError):
+                setattr(node, name, _R)
+            with pytest.raises(AttributeError):
+                delattr(node, name)
+        assert [getattr(node, name) for name in node.__match_args__] == values
+
+    @_EVERY_KIND
+    def test_a_wrong_arity_raises_type_error(self, node):
+        cls, names = type(node), node.__match_args__
+        values = [getattr(node, name) for name in names]
+        fields = dict(zip(names, values))
+        for args, kwargs in (
+            (values[:-1], {}),  # a field short
+            (values + [_R], {}),  # a field too many
+            (values, {names[0]: values[0]}),  # a field given twice
+            ((), {**fields, "extra": _R}),  # a keyword that names no field
+            ((), dict(list(fields.items())[1:])),  # a keyword missing
+        ):
+            with pytest.raises(TypeError):
+                cls(*args, **kwargs)
 
     def test_the_table_does_not_grow(self):
         # atoms no other test builds, so every compound node of a pass is
