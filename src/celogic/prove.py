@@ -23,10 +23,20 @@ A branch point's cases are the later nodes that name it. Nothing is
 rendered while it runs; a Valid verdict renders the log to strings the
 first time its ``proof`` is read, each distinct formula once, so a caller
 that only wants the verdict never pays for the log.
+
+``prove_el`` keeps the raw outcome of its last ``MEMO_SIZE`` distinct
+(goal, context bodies) pairs in a bounded LRU memo: the closed tableau's
+log, or the counter-model and its world. Every step biconditional of one
+reduction trace reduces to the same goal, so the steps of a trace share
+their tableaux. The relativization check runs before the memo is read, a
+ProverError is never kept, and each call builds a verdict of its own, so
+callers never share a ``proof`` (they do share the immutable log and
+counter-model).
 """
 
 from __future__ import annotations
 
+import functools
 import heapq
 from typing import NamedTuple
 
@@ -328,6 +338,27 @@ def _extract_model(branch: _Branch, agents) -> KripkeModel:
     return KripkeModel(worlds, relations, valuation)
 
 
+# How many (goal, context bodies) pairs prove_el keeps the outcome of.
+MEMO_SIZE = 256
+
+
+@functools.lru_cache(maxsize=MEMO_SIZE)
+def _decide(f: Formula, bodies: tuple) -> tuple:
+    """The raw outcome of the tableau for ``f`` with the context bodies
+    ``bodies``, its (name, body) pairs in name order: (log, None) for a
+    closed tableau, (None, (model, world)) for a counter-model, checked to
+    falsify ``f`` at that world. A ProverError is raised, not kept."""
+    ctx = dict(bodies)
+    result = _explore(_Branch(ctx), [(0, False, f)])
+    if not isinstance(result, _Branch):
+        return result, None
+    model = _extract_model(result, formula_info(f).agents)
+    world = "w1"
+    if satisfies(model, world, ContextEnv(ctx), f):
+        raise ProverError("open branch produced a non-falsifying model")
+    return None, (model, world)
+
+
 def prove_el(
     f: Formula, context_bodies: dict[str, ContextFormula] | None = None
 ) -> Verdict:
@@ -335,22 +366,18 @@ def prove_el(
 
     ``context_bodies`` lets atoms standing for contexts expand to their
     literal conjunctions inside the tableau (the reduce-then-prove pipeline
-    uses this; plain callers can ignore it).
+    uses this; plain callers can ignore it). The outcome is kept in a memo
+    of the last ``MEMO_SIZE`` distinct (goal, bodies) pairs; each call gets
+    a verdict object of its own.
     """
     if not is_relativization_free(f):
         raise NonEpistemicFragmentError(
             "prove_el needs a relativization-free formula; reduce it first"
         )
-    ctx = dict(context_bodies or {})
-    result = _explore(_Branch(ctx), [(0, False, f)])
-    if not isinstance(result, _Branch):
-        return Valid(goal=f, tableau=result)
-    model = _extract_model(result, formula_info(f).agents)
-    world = "w1"
-    env = ContextEnv(ctx)
-    if satisfies(model, world, env, f):
-        raise ProverError("open branch produced a non-falsifying model")
-    return Invalid(model=model, world=world)
+    tableau, counter = _decide(f, tuple(sorted((context_bodies or {}).items())))
+    if counter is None:
+        return Valid(goal=f, tableau=tableau)
+    return Invalid(*counter)
 
 
 def prove_cel(f: Formula, env: ContextEnv | None = None) -> Verdict:

@@ -56,7 +56,6 @@ from .syntax import (
     Or,
     Poss,
     Rel,
-    fold,
     formula_info,
     render_formula,
     variant_contexts_names,
@@ -267,30 +266,6 @@ def reduce_once(f: Formula) -> tuple[Formula, str, tuple[int, ...]] | None:
     for step, _ in _steps(f):
         return step.after, step.axiom, step.path
     return None
-
-
-def reduction_measure(f: Formula) -> int:
-    """Termination measure: strictly decreases at every rewrite step.
-
-    Relativization multiplies its body's weight; the possibility operator
-    is weighted for its pre-expansion step.
-    """
-
-    def step(f: Formula):
-        match f:
-            case Atom(_):
-                return 1
-            case Not(body) | Know(_, _, body):
-                return 1 + (yield body)
-            case Poss(_, _, body):
-                return 4 + (yield body)
-            case And(l, r) | Or(l, r) | Imp(l, r) | Iff(l, r):
-                return 1 + (yield l) + (yield r)
-            case Rel(body, _):
-                return 5 * (yield body)
-        raise TypeError(f"not a formula: {f!r}")
-
-    return fold(f, step)
 
 
 def needed_context_names(f: Formula) -> frozenset[str]:

@@ -24,7 +24,6 @@ from celogic.kripke import (
     enumerate_models,
     eval_context,
     find_countermodel,
-    model_space_size,
     satisfies,
     set_partitions,
     truth_mask,
@@ -56,6 +55,16 @@ from corpus import cross_semantics_corpus, random_formula
 import random
 import re
 from typing import Callable
+
+
+def model_space_size(max_worlds: int, n_agents: int, n_atoms: int) -> int:
+    """The number of models with 1 to max_worlds worlds: per world count n,
+    a partition of the worlds per agent (the Bell number B(n) of them) and
+    a set of worlds per atom."""
+    return sum(
+        bell_number(n) ** n_agents * 2 ** (n * n_atoms)
+        for n in range(1, max_worlds + 1)
+    )
 
 
 def single_world_model():
@@ -523,6 +532,24 @@ def test_a_long_context_body_compiles():
     )
     ctx = ModelCtx(model)
     assert compile_formula(f, env)(ctx) == reference_compile_formula(f, env)(ctx) == 0b001
+
+
+def test_kernels_of_one_shape_share_their_code():
+    """Names reach a kernel through its namespace, never its source, so two
+    formulas of one shape over other atoms and agents compile to one code
+    object, and each kernel still reads its own names."""
+    f = parse_formula("K{i,1.1} (p -> q) | P{j,1.1} ~p")
+    g = parse_formula("K{j,1.1} (q -> r) | P{i,1.1} ~q")
+    env = ContextEnv()
+    kf, kg = compile_formula(f, env), compile_formula(g, env)
+    assert kf is not kg and kf.__code__ is kg.__code__
+    masks = set()
+    for model in enumerate_models(2, ["i", "j"], ["p", "q", "r"]):
+        ctx = _ModelCtx(model)
+        assert kf(ctx) == truth_mask(model, env, f)
+        assert kg(ctx) == truth_mask(model, env, g)
+        masks.add((kf(ctx), kg(ctx)))
+    assert len({a for a, _ in masks}) > 1 and any(a != b for a, b in masks)
 
 
 # ---------------------------------------------------------------------------

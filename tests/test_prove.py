@@ -12,12 +12,13 @@ from celogic.kripke import ContextEnv, check_model, find_countermodel, satisfies
 from celogic.prove import (
     Invalid,
     NonEpistemicFragmentError,
+    ProverError,
     Valid,
     prove_cel,
     prove_el,
     verdict_to_json,
 )
-from celogic.reduction import needed_context_names, reduce_full
+from celogic.reduction import needed_context_names, reduce_full, reduce_result
 from celogic.syntax import Iff, parse_context, parse_formula
 
 from corpus import cross_semantics_corpus, hygiene_corpus
@@ -150,17 +151,85 @@ class TestProveCel:
         assert data["world"] in model.worlds
 
 
+class TestMemo:
+    @pytest.fixture(autouse=True)
+    def cold(self):
+        prove._decide.cache_clear()
+
+    def test_a_changed_proof_is_not_the_next_calls(self):
+        f = parse_formula("(p -> q) & p -> q")
+        expected = prove_el(f).proof
+        first = prove_el(f)
+        first.proof["goal"] = "changed"
+        first.proof["tableau"][0]["steps"].append("changed")
+        second = prove_el(f)
+        assert second is not first and second.tableau is first.tableau
+        assert second.proof == expected and second.proof is not first.proof
+
+    def test_one_goal_under_two_bodies_is_two_entries(self):
+        f = parse_formula("ci -> p")
+        bodies = ({"ci": parse_context("p")}, {})
+        cold = []
+        for b in bodies:
+            prove._decide.cache_clear()
+            cold.append(verdict_to_json(prove_el(f, b)))
+        prove._decide.cache_clear()
+        bound, free = (prove_el(f, b) for b in bodies)
+        assert isinstance(bound, Valid) and isinstance(free, Invalid)
+        assert prove._decide.cache_info().currsize == 2
+        assert [verdict_to_json(prove_el(f, b)) for b in bodies] == cold
+        assert prove._decide.cache_info().hits == 2
+
+    def test_a_relativized_input_is_refused_after_a_hit(self):
+        f = parse_formula("(p -> p)^ci")
+        env = ContextEnv().for_formula(f)
+        for _ in range(2):
+            assert isinstance(prove_cel(f), Valid)
+        info = prove._decide.cache_info()
+        assert (info.hits, info.misses) == (1, 1)
+        for bodies in (None, env.bindings):
+            with pytest.raises(NonEpistemicFragmentError):
+                prove_el(f, bodies)
+        assert prove._decide.cache_info() == info
+        assert prove_el(reduce_result(f), env.bindings) == prove_cel(f)
+
+    def test_a_prover_error_is_not_kept(self, monkeypatch):
+        f = parse_formula("a -> K{i,1.1} a")
+        monkeypatch.setattr(prove, "satisfies", lambda *args: True)
+        with pytest.raises(ProverError):
+            prove_el(f)
+        monkeypatch.undo()
+        assert isinstance(prove_el(f), Invalid)
+        assert prove._decide.cache_info().currsize == 1
+
+    def test_the_memo_keeps_at_most_its_bound(self):
+        assert prove._decide.cache_info().maxsize == prove.MEMO_SIZE
+        goals = [parse_formula(f"p{n} -> p{n} | q") for n in range(prove.MEMO_SIZE + 20)]
+        for goal in goals:
+            prove_el(goal)
+            assert prove._decide.cache_info().currsize <= prove.MEMO_SIZE
+        assert prove._decide.cache_info().currsize == prove.MEMO_SIZE
+        prove_el(goals[0])  # the oldest entry was evicted: a miss
+        assert prove._decide.cache_info().hits == 0
+
+
 PINNED_STEP_TRACES = 150
+
+
+def _step_goals(traces: int):
+    """The step biconditionals of the first ``traces`` hygiene traces, as
+    acceptance criterion 4 proves them."""
+    for f in hygiene_corpus()[:traces]:
+        for step in reduce_full(f).steps:
+            yield Iff(step.before, step.after)
 
 
 def _pinned_formulas():
     """The hygiene corpus, the cross corpus, every SUITE_ROWS thesis, then
     the step biconditionals of the first PINNED_STEP_TRACES hygiene traces."""
-    hygiene = hygiene_corpus()
-    formulas = hygiene + cross_semantics_corpus()
+    formulas = hygiene_corpus() + cross_semantics_corpus()
     formulas += [parse_formula(row.formula) for row in SUITE_ROWS]
-    for f in hygiene[:PINNED_STEP_TRACES]:
-        formulas += [Iff(s.before, s.after) for s in reduce_full(f).steps]
+    formulas += _step_goals(PINNED_STEP_TRACES)
     return formulas
 
 
@@ -182,9 +251,24 @@ def _pin_digests(docs):
     return flat.hexdigest(), nested.hexdigest()
 
 
+def _cold_and_warm(pairs):
+    """The documents of prove_cel over the (formula, env) pairs, twice:
+    cold, with the memo cleared first, then warm, each verdict taken from
+    a memo hit (its pair is proved once more just before)."""
+
+    def warm(f, env):
+        prove_cel(f, env)
+        return prove_cel(f, env)
+
+    prove._decide.cache_clear()
+    yield (verdict_to_json(prove_cel(f, env)) for f, env in pairs)
+    yield (verdict_to_json(warm(f, env)) for f, env in pairs)
+
+
 def test_prover_output_is_pinned():
-    docs = (verdict_to_json(prove_cel(f, ContextEnv())) for f in _pinned_formulas())
-    assert _pin_digests(docs) == (FLAT_PROVER_OUTPUT_SHA256, PROVER_OUTPUT_SHA256)
+    pairs = [(f, ContextEnv()) for f in _pinned_formulas()]
+    for docs in _cold_and_warm(pairs):
+        assert _pin_digests(docs) == (FLAT_PROVER_OUTPUT_SHA256, PROVER_OUTPUT_SHA256)
 
 
 # Under ContextEnv() every context is a one-literal stand-in, so the pin
@@ -210,10 +294,44 @@ def test_prover_output_under_bound_contexts_is_pinned():
     formulas = cross_semantics_corpus()
     formulas += [parse_formula(row.formula) for row in SUITE_ROWS]
     envs = [ContextEnv.from_json(bindings) for bindings in BOUND_CONTEXT_ENVS]
-    docs = (verdict_to_json(prove_cel(f, env)) for env in envs for f in formulas)
-    assert _pin_digests(docs) == (
-        FLAT_BOUND_CONTEXT_OUTPUT_SHA256, BOUND_CONTEXT_OUTPUT_SHA256
-    )
+    for docs in _cold_and_warm([(f, env) for env in envs for f in formulas]):
+        assert _pin_digests(docs) == (
+            FLAT_BOUND_CONTEXT_OUTPUT_SHA256, BOUND_CONTEXT_OUTPUT_SHA256
+        )
+
+
+def _count_tableaux(monkeypatch, traces: int):
+    """Prove the step biconditionals of the first ``traces`` hygiene traces
+    with the memo cleared first: the number of step proofs, of distinct
+    (goal, context bodies) pairs the tableau is asked, and of tableaux run."""
+    prove._decide.cache_clear()
+    runs = []
+    explore = prove._explore
+
+    def counted(branch, facts):
+        runs.append(branch)
+        return explore(branch, facts)
+
+    monkeypatch.setattr(prove, "_explore", counted)
+    keys, steps = set(), 0
+    for goal in _step_goals(traces):
+        bodies = ContextEnv().for_formula(goal).bindings
+        keys.add((reduce_result(goal), tuple(sorted(bodies.items()))))
+        assert isinstance(prove_cel(goal, ContextEnv()), Valid)
+        steps += 1
+    return steps, len(keys), len(runs)
+
+
+def test_each_distinct_step_goal_runs_one_tableau(monkeypatch):
+    steps, distinct, runs = _count_tableaux(monkeypatch, PINNED_STEP_TRACES)
+    assert runs == distinct < steps
+
+
+def test_criterion_4_runs_a_tableau_per_distinct_goal(monkeypatch):
+    # every step of a trace reduces to one goal, so the 3,633 step proofs
+    # over the first 600 hygiene traces ask 720 distinct (goal, bodies)
+    # pairs; two of them come back after MEMO_SIZE others evicted them
+    assert _count_tableaux(monkeypatch, 600) == (3633, 720, 722)
 
 
 class TestLazyProofLog:

@@ -20,7 +20,6 @@ from celogic.reduction import (
     reduce_full,
     reduce_once,
     reduce_result,
-    reduction_measure,
 )
 from celogic.syntax import (
     And,
@@ -33,6 +32,7 @@ from celogic.syntax import (
     Poss,
     Rel,
     UntaggedOperatorError,
+    fold,
     formula_info,
     node_count,
     parse_context,
@@ -117,6 +117,30 @@ def reference_needed_context_names(f):
 
     go(f)
     return frozenset(out)
+
+
+def reduction_measure(f):
+    """Termination measure: strictly decreases at every rewrite step.
+
+    Relativization multiplies its body's weight; the possibility operator
+    is weighted for its pre-expansion step.
+    """
+
+    def step(f):
+        match f:
+            case Atom(_):
+                return 1
+            case Not(body) | Know(_, _, body):
+                return 1 + (yield body)
+            case Poss(_, _, body):
+                return 4 + (yield body)
+            case And(l, r) | Or(l, r) | Imp(l, r) | Iff(l, r):
+                return 1 + (yield l) + (yield r)
+            case Rel(body, _):
+                return 5 * (yield body)
+        raise TypeError(f"not a formula: {f!r}")
+
+    return fold(f, step)
 
 
 def _outcome(fn):
