@@ -495,7 +495,10 @@ def _particle_rule(rules: GameRules, target: Assertion) -> ParticleRule:
     and formula, whoever asserts it: each attack payload, in payload order,
     mapped to the defence payloads that answer it, in payload order. Only a
     Know's attacks and a Poss's defences depend on the position: the table
-    leaves them empty, and ``_world_payloads`` builds them."""
+    leaves a Poss's defences empty, and ``_world_payloads`` builds them. A
+    Know has no table: ``_move_table`` builds its attacks with
+    ``_world_payloads`` and answers its ``?_K`` from the request's label,
+    and ``_attackable`` answers for it without one."""
     key = target[1:]
     rule = rules.particle_rules.get(key)
     if rule is None:
@@ -524,8 +527,6 @@ def _particle_table(rules: GameRules, world: Label, f: Formula) -> ParticleRule:
             return {_EITHER: said(*defences)}
         case Imp(l, r):
             return {_new(AssertPayload, (world, l)): said(r)}
-        case Know():
-            return {}
         case Poss(agent, _, _):
             return {_new(RequestPayload, ("?_P", agent, None)): ()}
         case Rel(And(l, r), c):
@@ -1041,7 +1042,7 @@ def replay_script(data: dict) -> GameState:
     """Run a JSON play script from its thesis; raises on any illegal move."""
     thesis = parse_formula(data["thesis"], data.get("default_variant"))
     env = ContextEnv.from_json(data.get("env", {}))
-    agents = formula_info(game_form(thesis)).agents
+    agents = formula_info(thesis).agents
     moves = (move_from_json(move_data, agents) for move_data in data["moves"])
     return replay(initial_state(thesis, env), moves)
 

@@ -619,8 +619,6 @@ def satisfies(model: KripkeModel, world: str, env: ContextEnv, f: Formula) -> bo
 
 
 def bell_number(n: int) -> int:
-    if n == 0:
-        return 1
     row = [1]
     for _ in range(n - 1):
         nxt = [row[-1]]

@@ -20,18 +20,18 @@ in the depth-first order it explores them: the index of the branch point
 it is a case of, its steps as (sign, label, formula, rule), and the fact
 it ends on, a closure (label, formula) or a branch point's signed formula.
 A branch point's cases are the later nodes that name it. Nothing is
-rendered while it runs; a Valid verdict renders the log to strings the
-first time its ``proof`` is read, each distinct formula once, so a caller
-that only wants the verdict never pays for the log.
+rendered while it runs; a Valid verdict renders the log to strings each
+time its ``proof`` is read, not cached, each distinct formula once per
+read, so a caller that only wants the verdict never pays for the log.
 
 ``prove_el`` keeps the raw outcome of its last ``MEMO_SIZE`` distinct
 (goal, context bodies) pairs in a bounded LRU memo: the closed tableau's
 log, or the counter-model and its world. Every step biconditional of one
 reduction trace reduces to the same goal, so the steps of a trace share
 their tableaux. The relativization check runs before the memo is read, a
-ProverError is never kept, and each call builds a verdict of its own, so
-callers never share a ``proof`` (they do share the immutable log and
-counter-model).
+ProverError is never kept, and each call still builds a new verdict (a
+named tuple, like ``Invalid``) around the shared, immutable log or
+counter-model.
 """
 
 from __future__ import annotations
@@ -72,33 +72,15 @@ class ProverError(RuntimeError):
     """Internal invariant failed (e.g. an unverifiable counter-model)."""
 
 
-class Valid:
+class Valid(NamedTuple):
     """A closed tableau for ``goal``, kept as the search recorded it: its
-    raw log nodes in preorder. Two verdicts are equal when their goals and
-    tableaux are; neither field may be assigned."""
+    raw log nodes in preorder."""
 
-    __slots__ = ("goal", "tableau", "_proof")
-
-    def __init__(self, goal: Formula, tableau: tuple):
-        object.__setattr__(self, "goal", goal)
-        object.__setattr__(self, "tableau", tableau)
-        object.__setattr__(self, "_proof", None)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"verdicts are immutable: cannot set {name!r}")
-
-    def __reduce__(self):
-        return Valid, (self.goal, self.tableau)
-
-    def __eq__(self, other):
-        if type(other) is not Valid:
-            return NotImplemented
-        return (self.goal, self.tableau) == (other.goal, other.tableau)
-
-    def __hash__(self) -> int:
-        return hash((self.goal, self.tableau))
+    goal: Formula
+    tableau: tuple
 
     def __repr__(self) -> str:
+        # the tableau of a long proof runs to megabytes
         return f"Valid(goal={self.goal!r})"
 
     @property
@@ -107,15 +89,12 @@ class Valid:
 
     @property
     def proof(self) -> dict:
-        """The tableau log as JSON-ready data, rendered on first read."""
-        if self._proof is None:
-            memo: dict = {}
-            proof = {
-                "goal": render_formula(self.goal, memo),
-                "tableau": _log_json(self.tableau, memo),
-            }
-            object.__setattr__(self, "_proof", proof)
-        return self._proof
+        """The tableau log as JSON-ready data, rendered anew on each read."""
+        memo: dict = {}
+        return {
+            "goal": render_formula(self.goal, memo),
+            "tableau": _log_json(self.tableau, memo),
+        }
 
 
 class Invalid(NamedTuple):

@@ -568,11 +568,21 @@ def _is_json(out, err):
     json.loads(out)
 
 
+def _out_starts_with(text):
+    def check(out, err):
+        assert out.startswith(text)
+
+    return check
+
+
 _CHAIN_1200 = " & ".join(
     ["p1"] + [f"(p{i} -> p{i + 1})" for i in range(1, 1200)]
 ) + " -> p1200"
 _SCHEMA_THESIS = "(p & q)^ci <-> ((p)^ci & (q)^ci)"
 _CROSS_THESIS = "(K{i,1.2} a)^ci -> (K{i,1.2} K{i,1.2} a)^cj"
+_ONE_WORLD = {"worlds": ["w1"], "agents": {"i": [["w1"]]}, "valuation": {"p": ["w1"]}}
+# w2 is in both of i's classes
+_TWO_CLASSES = {"worlds": ["w1", "w2"], "agents": {"i": [["w1", "w2"], ["w2"]]}}
 
 # argv, in which a dict is JSON written to a file and passed by its path,
 # the exit code, and a check of the standard output and error
@@ -594,6 +604,24 @@ _CONSOLE_LINES = [
     (("prove", "--env", {"ci": "p & ~q"}, "ci -> p & ~q"), 0, None),
     (("prove", "--env", {"ci": "p & ~q"}, "p -> ci"), 1, None),
     (("--format", "json", "prove", _CHAIN_1200), 0, _is_json),
+    (("--help",), 0, _out_starts_with("usage: celogic ")),
+    (
+        ("--format", "json", "eval", "p", "--model", _ONE_WORLD, "--world", "w1"),
+        0,
+        _last_line_is('{"world": "w1", "value": true}'),
+    ),
+    (
+        ("--format", "dot", "prove", "p -> p"),
+        0,
+        _last_line_is("// valid: no counter-model to draw"),
+    ),
+    (("--format", "dot", "oracle", "p"), 1, _out_starts_with("graph model {")),
+    (
+        ("eval", "p", "--model", _TWO_CLASSES, "--world", "w1"),
+        2,
+        _error_starts_with("error: model is not well-formed: "),
+    ),
+    (("oracle", "--max-worlds", "0", "p"), 2, _error_starts_with("error: ")),
 ]
 
 
@@ -604,7 +632,9 @@ _CONSOLE_LINES = [
         "parse-json", "reduce-iteration", "reduce-json", "dialogue-schema",
         "dialogue-cross", "dialogue-env", "prove-env-cycle", "prove-false-context",
         "prove-true-context-name", "prove-true-context", "prove-context-body",
-        "prove-context-converse", "prove-chain-1200-json",
+        "prove-context-converse", "prove-chain-1200-json", "help",
+        "eval-json", "prove-valid-dot", "oracle-dot", "eval-ill-formed-model",
+        "oracle-no-worlds",
     ],
 )
 def test_console_lines(capsys, tmp_path, argv, expected, check):

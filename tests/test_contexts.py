@@ -8,6 +8,7 @@ disagreements between the engines that came from each deciding this its own
 way.
 """
 
+import json
 import random
 
 import pytest
@@ -30,6 +31,9 @@ class TestForFormula:
         got = env.for_formula(parse_formula("cj -> (p)^ci"))
         assert got.to_json() == {"ci": "p", "cj": "q"}
         assert len(env.bindings) == 3
+        # JSON text reads as the object it encodes
+        text = json.dumps({"ci": "p", "cj": "q", "ck": "r"})
+        assert ContextEnv.from_json(text).to_json() == env.to_json()
 
     def test_unbound_guards_get_their_fresh_stand_in(self):
         got = ContextEnv().for_formula(parse_formula("(K{i,1.2} p)^ck -> cj"))

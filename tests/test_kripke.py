@@ -89,6 +89,27 @@ class TestCheckModel:
         m = KripkeModel(["w1", "w2"], {"i": [["w1"]]}, {})
         assert any("not covered" in v for v in check_model(m))
 
+    @pytest.mark.parametrize(
+        "worlds, relations, violation",
+        [
+            ([], {}, "model has no worlds"),
+            (["w1", "w1"], {"i": [["w1"]]}, "duplicate world ids"),
+            (["w1"], {"i": [["w1"], []]}, "agent i: empty equivalence class"),
+            (
+                ["w1"],
+                {"i": [["w1", "w9"]]},
+                "agent i: classes mention unknown worlds ['w9']",
+            ),
+        ],
+        ids=["no-worlds", "duplicate-ids", "empty-class", "unknown-world-in-class"],
+    )
+    def test_each_violation_is_named(self, worlds, relations, violation):
+        assert check_model(KripkeModel(worlds, relations, {})) == [violation]
+
+    def test_repr_names_the_worlds(self):
+        m = KripkeModel(["w1", "w2"], {"i": [["w1", "w2"]]}, {"p": ["w1"]})
+        assert repr(m) == "KripkeModel(worlds=('w1', 'w2'))"
+
     def test_enumerated_models_always_pass(self):
         for m in enumerate_models(3, ["i"], ["p"]):
             assert check_model(m) == []
@@ -192,7 +213,8 @@ class TestEnumeration:
         assert len(models) == 10
 
     def test_counts_three_world_stratum_two_agents_two_atoms(self):
-        assert bell_number(3) == 5
+        # the empty set has one partition, the empty one
+        assert [bell_number(n) for n in range(4)] == [1, 1, 2, 5]
         models = list(enumerate_models(3, ["i", "j"], ["p", "q"]))
         stratum = [m for m in models if len(m.worlds) == 3]
         assert len(stratum) == 5 * 5 * 2**6

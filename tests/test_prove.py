@@ -138,8 +138,14 @@ class TestProveCel:
         v = prove_cel(parse_formula(text))
         for copied in (copy.copy(v), copy.deepcopy(v), pickle.loads(pickle.dumps(v))):
             assert type(copied) is type(v) and copied == v
+        assert v == tuple(v) and hash(v) == hash(tuple(v))
         with pytest.raises(AttributeError):
             setattr(v, field, None)
+
+    def test_a_valid_verdict_prints_its_goal_only(self):
+        # the tableau of a long proof runs to megabytes
+        v = prove_cel(parse_formula("p -> p"))
+        assert repr(v) == "Valid(goal=Imp(left=Atom(name='p'), right=Atom(name='p')))"
 
     def test_verdict_json_round_trip(self):
         f = parse_formula("(K{i,1.2} a)^ci -> (K{i,1.2} K{i,1.2} a)^cj")
@@ -353,14 +359,20 @@ class TestLazyProofLog:
         assert isinstance(prove_cel(parse_formula(self.THESIS)), Valid)
         assert calls == []
 
-    def test_the_log_is_built_once_on_read(self, monkeypatch):
+    def test_each_read_renders_the_log_anew(self, monkeypatch):
+        # the log is not cached: each read renders all of it with one memo
+        # of its own and returns an equal, new document
         calls = self._count_renders(monkeypatch)
         v = prove_cel(parse_formula(self.THESIS))
         proof = v.proof
-        rendered = len(calls)
-        assert rendered > 0
-        assert v.proof is proof
-        assert len(calls) == rendered
+        first = list(calls)
+        assert first and all(memo is first[0][1] for _, memo in first)
+        again = v.proof
+        second = calls[len(first):]
+        assert [f for f, _ in second] == [f for f, _ in first]
+        assert all(memo is second[0][1] for _, memo in second)
+        assert second[0][1] is not first[0][1]
+        assert again == proof and again is not proof
 
     def test_one_memo_renders_the_whole_log(self, monkeypatch):
         # each distinct formula is rendered once per document, so the

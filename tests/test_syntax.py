@@ -106,6 +106,10 @@ class TestParseFormula:
     def test_unknown_variant(self):
         with pytest.raises(FormulaSyntaxError, match="unknown variant"):
             parse_formula("K{i,3.1} a")
+        # a bad default is the caller's error, not the text's
+        with pytest.raises(ValueError, match="unknown default variant '3.3'") as err:
+            parse_formula("p", "3.3")
+        assert not isinstance(err.value, FormulaSyntaxError)
 
     def test_dangling_relativization(self):
         with pytest.raises(FormulaSyntaxError, match="relativization"):
@@ -129,6 +133,7 @@ class TestParseFormula:
             ("^ci", "relativization applied to nothing (use '(...)^name')", 0),
             ("K{i,3.1} p", "unknown variant tag '3.1'", 4),
             ("K i p", "expected '{' after modal operator", 2),
+            ("p $ q", "unexpected character '$'", 2),
         ],
     )
     def test_error_message_and_position(self, text, message, position):
@@ -223,6 +228,11 @@ class TestParseContext:
 
     def test_duplicates_removed(self):
         assert parse_context("p & p & ~q") == parse_context("~q & p")
+
+    def test_empty_input(self):
+        with pytest.raises(FormulaSyntaxError) as err:
+            parse_context("  ")
+        assert str(err.value) == "empty input (at position 0)"
 
     @pytest.mark.parametrize(
         "text", ["p | q", "(p)", "K{i,1.1} p", "p -> q", "true & p", "~~p"]
