@@ -25,6 +25,12 @@ and defended) with the structural rules:
   may be chosen;
 - P may only assert a context name at a world where O has asserted it first.
 
+A world is a label: the steps from world 1, each an agent and an index.
+Its name (``render_label``) is ``1`` followed by each step as agent, ``.``,
+index, so ``1i.1j.2`` is the second j-successor of the first i-successor of
+1. Agent names hold no ``.``, so every label has its own name, and
+``parse_label`` reads one back without knowing the thesis's agents.
+
 Context names (``GameRules.env``) behave like atoms for assertion
 bookkeeping but live under the context formality rule rather than the atom
 rule; asserting a compound context additionally grants its positive
@@ -87,6 +93,7 @@ it neither validates a move again nor looks its target up in the history;
 
 from __future__ import annotations
 
+import re
 from functools import reduce
 from operator import itemgetter
 from typing import Iterable, NamedTuple
@@ -94,6 +101,7 @@ from typing import Iterable, NamedTuple
 from .kripke import ContextEnv
 from .reduction import primitive_form
 from .syntax import (
+    IDENT_PATTERN,
     And,
     Atom,
     Formula,
@@ -137,43 +145,22 @@ class BudgetExhaustedError(RuntimeError):
         self.nodes = nodes
 
 
+_STEP = re.compile(rf"({IDENT_PATTERN})\.([1-9][0-9]*)")
+_WORLD_NAME = re.compile(f"1(?:{_STEP.pattern})*")
+
+
 def render_label(label: Label) -> str:
-    return "1" + "".join(f"{agent}{index}" for agent, index in label)
+    return "1" + "".join(f"{agent}.{index}" for agent, index in label)
 
 
-def parse_label(text: str, agents: Iterable[str]) -> Label:
-    """Parse a world name like ``1i1j2`` against the known agent names.
-
-    Each step takes the longest agent name after which the rest still reads,
-    so with agents ``i`` and ``i1`` the name ``1i1`` is one step of ``i``.
-    One right-to-left pass finds, for each offset, whether the rest from
-    there reads and by which step, so the time is linear in the name's
-    length and nothing recurses."""
-    if not text.startswith("1"):
-        raise ValueError(f"world name must start with 1: {text!r}")
-    names = sorted(agents, key=len, reverse=True)
-    n = len(text)
-    digits_end = [n] * (n + 1)  # where the run of digits at each offset ends
-    # for each offset whose rest reads, the step read there: the agent and
-    # where its index starts and ends (the next step's offset); None at the end
-    steps: dict[int, tuple[str, int, int] | None] = {n: None}
-    for k in range(n - 1, 0, -1):
-        digits_end[k] = digits_end[k + 1] if text[k].isdigit() else k
-        for name in names:
-            start = k + len(name)
-            end = digits_end[start] if text.startswith(name, k) else start
-            if end > start and end in steps:
-                steps[k] = (name, start, end)
-                break
-    if 1 not in steps:
+def parse_label(text: str) -> Label:
+    """Read a world name as ``render_label`` prints it, like ``1i.1j.2``:
+    ``1``, then each step as its agent, ``.`` and its index. An agent name
+    holds no ``.`` and starts with a letter, and an index has no leading
+    zero, so every name reads one way and only a printed name reads."""
+    if _WORLD_NAME.fullmatch(text) is None:
         raise ValueError(f"cannot read world name {text!r}")
-    label = []
-    step = steps[1]
-    while step is not None:
-        name, start, end = step
-        label.append((name, int(text[start:end])))
-        step = steps[end]
-    return tuple(label)
+    return tuple([(agent, int(index)) for agent, index in _STEP.findall(text)])
 
 
 # ---------------------------------------------------------------------------
@@ -236,19 +223,19 @@ def move_to_json(move: Move, memo: dict | None = None) -> dict:
     return data
 
 
-def move_from_json(data: dict, agents: Iterable[str]) -> Move:
+def move_from_json(data: dict) -> Move:
     payload_data = data["payload"]
     if "assert" in payload_data:
         a = payload_data["assert"]
         payload: Payload = AssertPayload(
-            parse_label(a["label"], agents), parse_formula(a["formula"])
+            parse_label(a["label"]), parse_formula(a["formula"])
         )
     else:
         r = payload_data["request"]
         payload = RequestPayload(
             r["kind"],
             r.get("agent"),
-            parse_label(r["label"], agents) if "label" in r else None,
+            parse_label(r["label"]) if "label" in r else None,
         )
     return Move(data["actor"], data["kind"], data.get("target"), payload)
 
@@ -1042,8 +1029,7 @@ def replay_script(data: dict) -> GameState:
     """Run a JSON play script from its thesis; raises on any illegal move."""
     thesis = parse_formula(data["thesis"], data.get("default_variant"))
     env = ContextEnv.from_json(data.get("env", {}))
-    agents = formula_info(thesis).agents
-    moves = (move_from_json(move_data, agents) for move_data in data["moves"])
+    moves = (move_from_json(move_data) for move_data in data["moves"])
     return replay(initial_state(thesis, env), moves)
 
 

@@ -235,7 +235,7 @@ def run_suite(budget: int | None = None) -> SuiteReport:
     Every row runs under the fresh-atom context policy, so each verdict is a
     schema verdict. Mismatches are reported, not raised.
     """
-    budget = budget or DEFAULT_SEARCH_BUDGET
+    budget = DEFAULT_SEARCH_BUDGET if budget is None else budget
     rows = []
     for row in SUITE_ROWS:
         f = parse_formula(row.formula)

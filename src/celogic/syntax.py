@@ -378,6 +378,8 @@ _PREFIX = {"NOT": Not, "KOP": Know, "POP": Poss}
 # ---------------------------------------------------------------------------
 # Tokenizer
 
+# an atom, agent or context name: none holds a "." (world names rely on it)
+IDENT_PATTERN = r"[a-z][a-zA-Z0-9_]*"
 _TOKEN_SPEC = [
     ("IFF", r"<->|↔"),
     ("IMP", r"->|→"),
@@ -396,7 +398,7 @@ _TOKEN_SPEC = [
     ("CARET", r"\^"),
     ("TRUE", r"⊤"),
     ("FALSE", r"⊥"),
-    ("IDENT", r"[a-z][a-zA-Z0-9_]*"),
+    ("IDENT", IDENT_PATTERN),
     ("WS", r"\s+"),
 ]
 _TOKEN_RE = re.compile("|".join(f"(?P<{name}>{pat})" for name, pat in _TOKEN_SPEC))

@@ -9,7 +9,6 @@ import random
 import pytest
 
 from celogic.dialogue import (
-    game_form,
     has_winning_strategy,
     legal_moves,
     move_from_json,
@@ -114,11 +113,10 @@ def test_criterion_2_transcript_replay():
     for path in paths:
         data = json.loads(path.read_text())
         thesis = parse_formula(data["thesis"])
-        agents = formula_info(game_form(thesis)).agents
         state = initial_state(thesis)
         try:
             for move_data in data["moves"]:
-                state = apply_move(state, move_from_json(move_data, agents))
+                state = apply_move(state, move_from_json(move_data))
         except Exception as exc:
             problems.append(f"{path.stem}: rejected ({exc})")
             continue

@@ -575,6 +575,13 @@ def _out_starts_with(text):
     return check
 
 
+def _out_has(text):
+    def check(out, err):
+        assert text in out
+
+    return check
+
+
 _CHAIN_1200 = " & ".join(
     ["p1"] + [f"(p{i} -> p{i + 1})" for i in range(1, 1200)]
 ) + " -> p1200"
@@ -593,6 +600,14 @@ _CONSOLE_LINES = [
     (("dialogue", _SCHEMA_THESIS), 0, None),
     (("dialogue", _CROSS_THESIS), 1, None),
     (("dialogue", "--env", {"ci": "p"}, "(p)^ci"), 0, None),
+    # O asks for i's world 1i.1 where agent i1 is in play too
+    (("dialogue", "a & K{i1,1.1} a -> K{i,1.1} a"), 1, _out_has("?_K{i}/1i.1")),
+    # only prove and oracle draw under dot; the others print their text form
+    (
+        ("--format", "dot", "dialogue", "p -> p"),
+        0,
+        _last_line_is("P has a winning strategy"),
+    ),
     (
         ("prove", "--env", {"ci": "cj & p", "cj": "q"}, "(~(p)^cj)^ci"),
         2,
@@ -630,7 +645,8 @@ _CONSOLE_LINES = [
     _CONSOLE_LINES,
     ids=[
         "parse-json", "reduce-iteration", "reduce-json", "dialogue-schema",
-        "dialogue-cross", "dialogue-env", "prove-env-cycle", "prove-false-context",
+        "dialogue-cross", "dialogue-env", "dialogue-shorter-agent", "dialogue-dot",
+        "prove-env-cycle", "prove-false-context",
         "prove-true-context-name", "prove-true-context", "prove-context-body",
         "prove-context-converse", "prove-chain-1200-json", "help",
         "eval-json", "prove-valid-dot", "oracle-dot", "eval-ill-formed-model",

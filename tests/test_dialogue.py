@@ -5,10 +5,11 @@ import pathlib
 import pickle
 import random
 import sys
-import time
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from celogic import dialogue
 from celogic.dialogue import (
@@ -71,106 +72,78 @@ def load_play(path):
     return json.loads(path.read_text())
 
 
-def _backtracking_parse_label(text, agents):
-    """The reader parse_label replaced, kept as its reference on short
-    labels: it backtracks, so its time is exponential in the worst case."""
-    if not text.startswith("1"):
-        raise ValueError(text)
-    names = sorted(agents, key=len, reverse=True)
+# Agent names for the label properties: some are others followed by digits
+# (i1, i11), by a letter (ab, iA) or by "_" (i_).
+_AGENT_POOL = ("i", "i1", "i11", "a", "ab", "b1", "i_", "iA")
 
-    def read(rest):
-        if not rest:
-            return ()
-        for name in filter(rest.startswith, names):
-            end = len(name)
-            while end < len(rest) and rest[end].isdigit():
-                end += 1
-            if end > len(name):
-                later = read(rest[end:])
-                if later is not None:
-                    return ((name, int(rest[len(name):end])),) + later
-        return None
 
-    label = read(text[1:])
-    if label is None:
-        raise ValueError(text)
-    return label
+def _unseparated_name(label):
+    """A label's name as it was printed before steps had a separator."""
+    return "1" + "".join(f"{a}{n}" for a, n in label)
+
+
+def _digit_suffixed(agents):
+    """Whether one agent's name is another's followed by a digit: then the
+    unseparated names collide, and order some labels differently."""
+    return any(
+        b.startswith(a) and b[len(a)].isdigit()
+        for a in agents
+        for b in agents
+        if len(b) > len(a)
+    )
 
 
 class TestLabels:
     def test_render(self):
         assert render_label(()) == "1"
-        assert render_label((("i", 1), ("j", 2))) == "1i1j2"
+        assert render_label((("i", 1), ("j", 2))) == "1i.1j.2"
 
     @pytest.mark.parametrize(
-        "agents, first, second",
+        "first, second",
         [
-            (["i", "j"], (("i", 1), ("j", 2)), (("i", 12),)),
-            # one agent's name is another's followed by digits: both labels
-            # print as 1i11, which reads back as the second
-            pytest.param(
-                ["i", "i1"], (("i", 11),), (("i1", 1),),
-                marks=pytest.mark.xfail(
-                    strict=True, reason="a label step has no separator"
-                ),
-            ),
+            ((("i", 1), ("j", 2)), (("i", 12),)),
+            # one agent's name is another's followed by digits: without a
+            # separator both labels printed as 1i11
+            ((("i", 11),), (("i1", 1),)),
         ],
         ids=["two-agents", "digit-suffixed-agent"],
     )
-    def test_distinct_labels_render_apart(self, agents, first, second):
+    def test_distinct_labels_render_apart(self, first, second):
         assert render_label(first) != render_label(second)
         for label in (first, second):
-            assert parse_label(render_label(label), agents) == label
+            assert parse_label(render_label(label)) == label
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_names_read_back_apart_and_keep_their_order(self, data):
+        agents = data.draw(
+            st.lists(st.sampled_from(_AGENT_POOL), min_size=1, unique=True)
+        )
+        step = st.tuples(st.sampled_from(agents), st.integers(1, 120))
+        shared = data.draw(st.lists(step, max_size=8))
+        first, second = (
+            tuple(shared + data.draw(st.lists(step, max_size=8 - len(shared))))
+            for _ in range(2)
+        )
+        for label in (first, second):
+            assert parse_label(render_label(label)) == label
+        if first != second:
+            assert render_label(first) != render_label(second)
+        old = _unseparated_name(first), _unseparated_name(second)
+        if old[0] != old[1] and not _digit_suffixed(agents):
+            assert (old[0] < old[1]) == (render_label(first) < render_label(second))
 
     def test_parse(self):
-        assert parse_label("1", ["i"]) == ()
-        assert parse_label("1i1j2", ["i", "j"]) == (("i", 1), ("j", 2))
+        assert parse_label("1") == ()
+        assert parse_label("1i.1j.2") == (("i", 1), ("j", 2))
+        assert parse_label("1i1.12i.1") == (("i1", 12), ("i", 1))
 
     def test_parse_rejects_garbage(self):
-        with pytest.raises(ValueError):
-            parse_label("2i1", ["i"])
-        with pytest.raises(ValueError):
-            parse_label("1x1", ["i"])
-        with pytest.raises(ValueError):
-            parse_label("1i1i", ["i", "i1"])
-
-    def test_parse_falls_back_to_a_shorter_agent_name(self):
-        agents = ["i", "i1"]
-        assert parse_label("1i1", agents) == (("i", 1),)
-        assert parse_label("1i1i11", agents) == (("i", 1), ("i1", 1))
-        # the longest name is kept wherever the rest reads after it
-        assert parse_label("1i11", agents) == (("i1", 1),)
-        assert parse_label("1i12", agents) == (("i1", 2),)
-
-    def test_parse_matches_the_backtracking_reader(self):
-        rng = random.Random(37)
-        agent_sets = [
-            ("i",), ("i", "j"), ("i", "i1"), ("i", "i1", "i11"), ("a", "ab", "b1")
-        ]
-        outcomes = set()
-        for _ in range(3000):
-            agents = rng.choice(agent_sets)
-            pieces = agents + ("0", "1", "2", "12", "x")
-            text = "1" + "".join(rng.choice(pieces) for _ in range(rng.randrange(9)))
-            try:
-                expected = _backtracking_parse_label(text, agents)
-            except ValueError:
-                with pytest.raises(ValueError):
-                    parse_label(text, agents)
-                outcomes.add("unreadable")
-            else:
-                assert parse_label(text, agents) == expected, (text, agents)
-                outcomes.add(len(expected) > 1)
-        assert outcomes == {"unreadable", True, False}
-
-    def test_parse_gives_up_on_an_unreadable_ambiguous_label_at_once(self):
-        # each "i11" reads as one step of i1 or as a step of i and the start
-        # of the next, so the backtracking reader took time 2**k here
-        text = "1" + "i11" * 60 + "x"
-        start = time.perf_counter()
-        with pytest.raises(ValueError):
-            parse_label(text, ["i", "i1"])
-        assert time.perf_counter() - start < 1.0
+        # what render_label never prints: no leading 1, a step without its
+        # ".", index or agent, an index 0 or with a leading zero
+        for text in ["2i.1", "1x", "1i.1i", "1i1", "1i.0", "1i.01", "1i.", "1.i1"]:
+            with pytest.raises(ValueError):
+                parse_label(text)
 
     def test_parse_reads_a_long_label_without_recursing(self, monkeypatch):
         def refuse(limit):
@@ -179,7 +152,9 @@ class TestLabels:
         monkeypatch.setattr(sys, "setrecursionlimit", refuse)
         agents = ["i", "i1"]
         label = tuple((agents[n % 2], n % 3 + 1) for n in range(5000))
-        assert parse_label(render_label(label), agents) == label
+        assert parse_label(render_label(label)) == label
+        with pytest.raises(ValueError):
+            parse_label(render_label(label) + ".")
 
     def test_labels_of_random_plays_read_back(self):
         agents = ("i", "i1")
@@ -193,14 +168,15 @@ class TestLabels:
             labels |= state.introduced
         assert {agent for label in labels for agent, _ in label} == set(agents)
         for label in labels:
-            assert parse_label(render_label(label), agents) == label
+            assert parse_label(render_label(label)) == label
 
     def test_refutation_naming_a_shorter_agent_replays(self):
         thesis = "a & K{i1,1.1} a -> K{i,1.1} a"
         result = has_winning_strategy(parse_formula(thesis))
         assert result.verdict is False
         moves = [move_to_json(m) for m in result.refutation[1:]]
-        assert any(m["payload"].get("request", {}).get("label") == "1i1" for m in moves)
+        labels = [m["payload"].get("request", {}).get("label") for m in moves]
+        assert "1i.1" in labels
         state = replay_script({"thesis": thesis, "moves": moves})
         assert state.moves == result.refutation
 
@@ -245,20 +221,16 @@ class TestLegalMoves:
     def _example_one_prefix(self):
         data = load_play(PLAYS_DIR / "introspection-absolute.json")
         thesis = parse_formula(data["thesis"])
-        agents = formula_info(game_form(thesis)).agents
         state = initial_state(thesis)
         for move_data in data["moves"][:4]:
-            state = apply_move(state, move_from_json(move_data, agents))
-        return state, agents
+            state = apply_move(state, move_from_json(move_data))
+        return state
 
     def test_fresh_world_attack_available(self):
         # after P restates knowledge at the new world, O may dig one deeper
-        state, agents = self._example_one_prefix()
+        state = self._example_one_prefix()
         wanted = Move(
-            "O",
-            "attack",
-            4,
-            RequestPayload("?_K", "i", parse_label("1i1i1", agents)),
+            "O", "attack", 4, RequestPayload("?_K", "i", parse_label("1i.1i.1"))
         )
         assert wanted in legal_moves(state)
 
@@ -270,10 +242,9 @@ class TestLegalMoves:
     def test_single_literal_context_cannot_be_attacked(self):
         data = load_play(PLAYS_DIR / "cross-introspection-12.json")
         thesis = parse_formula(data["thesis"])
-        agents = formula_info(game_form(thesis)).agents
         state = initial_state(thesis)
         for move_data in data["moves"][:3]:
-            state = apply_move(state, move_from_json(move_data, agents))
+            state = apply_move(state, move_from_json(move_data))
         # O asserted cj at world 1 in move 3; P cannot attack it
         for move in legal_moves(state):
             target = state.moves[move.target]
@@ -290,8 +261,7 @@ class TestApplyMove:
         assert len(state.moves) == len(data["moves"]) + 1
         # the files are the only statement of the plays: each is its moves
         # as move_to_json writes them, byte for byte, under its own name
-        agents = formula_info(game_form(parse_formula(data["thesis"]))).agents
-        moves = [move_from_json(m, agents) for m in data["moves"]]
+        moves = [move_from_json(m) for m in data["moves"]]
         moves_json = [move_to_json(m) for m in moves]
         assert json.dumps({**data, "moves": moves_json}, indent=1) == text
         assert path.stem == data["name"]
@@ -324,7 +294,7 @@ class TestApplyMove:
         s = apply_move(
             s, Move("O", "attack", 0, AssertPayload((), parse_formula("K{i,1.1} a")))
         )
-        fresh = parse_label("1i1", ["i"])
+        fresh = parse_label("1i.1")
         with pytest.raises(IllegalMoveError, match="ML-frw"):
             apply_move(s, Move("P", "attack", 1, RequestPayload("?_K", "i", fresh)))
 
@@ -361,10 +331,10 @@ class TestApplyMove:
 
     def test_world_rejections_are_pinned(self):
         def said(world, text):
-            return AssertPayload(parse_label(world, ["i"]), parse_formula(text))
+            return AssertPayload(parse_label(world), parse_formula(text))
 
         def ask(world):
-            return RequestPayload("?_K", "i", parse_label(world, ["i"]))
+            return RequestPayload("?_K", "i", parse_label(world))
 
         # Depth 1 gives O two fresh worlds. P's two K defences of the
         # disjunction let O spend both, by ?_K or by answering ?_P{i}.
@@ -376,42 +346,42 @@ class TestApplyMove:
         ]
         cap_spent_before_k = opening + [
             Move("P", "defend", 3, said("1", "K{i,1.1} b")),
-            Move("O", "attack", 4, ask("1i1")),
+            Move("O", "attack", 4, ask("1i.1")),
             Move("P", "attack", 1, RequestPayload("?_P", "i")),
-            Move("O", "defend", 6, said("1i2", "a")),
+            Move("O", "defend", 6, said("1i.2", "a")),
             Move("P", "defend", 3, said("1", "K{i,1.1} c")),
         ]
         cap_spent_before_p = opening + [
             Move("P", "defend", 3, said("1", "K{i,1.1} c")),
-            Move("O", "attack", 4, ask("1i1")),
+            Move("O", "attack", 4, ask("1i.1")),
             Move("P", "defend", 3, said("1", "K{i,1.1} b")),
-            Move("O", "attack", 6, ask("1i2")),
+            Move("O", "attack", 6, ask("1i.2")),
             Move("P", "attack", 1, RequestPayload("?_P", "i")),
         ]
         cases = [
             (
                 "K{i,1.1} a -> K{i,1.1} a",
                 [Move("O", "attack", 0, said("1", "K{i,1.1} a"))],
-                Move("P", "attack", 1, ask("1i1")),
-                "ML-frw: P cannot introduce ?_K{i}/1i1",
+                Move("P", "attack", 1, ask("1i.1")),
+                "ML-frw: P cannot introduce ?_K{i}/1i.1",
             ),
             (
                 thesis,
                 cap_spent_before_k,
-                Move("O", "attack", 8, ask("1i3")),
+                Move("O", "attack", 8, ask("1i.3")),
                 "world cap: O's fresh-world budget is spent",
             ),
             (
                 "P{i,1.1} a",
                 [Move("O", "attack", 0, RequestPayload("?_P", "i"))],
-                Move("P", "defend", 1, said("1i1", "a")),
-                "particle mismatch: 1i1: a does not answer ?_P{i} on P{i,1.1} a",
+                Move("P", "defend", 1, said("1i.1", "a")),
+                "particle mismatch: 1i.1: a does not answer ?_P{i} on P{i,1.1} a",
             ),
             (
                 thesis,
                 cap_spent_before_p,
-                Move("O", "defend", 8, said("1i3", "a")),
-                "particle mismatch: 1i3: a does not answer ?_P{i} on P{i,1.1} a",
+                Move("O", "defend", 8, said("1i.3", "a")),
+                "particle mismatch: 1i.3: a does not answer ?_P{i} on P{i,1.1} a",
             ),
             # moves of the wrong kind or on the wrong target, which no play lists
             (
@@ -476,8 +446,7 @@ class TestRecords:
         data = load_play(PLAYS_DIR / "cross-introspection-12.json")
         thesis = parse_formula(data["thesis"], data.get("default_variant"))
         state = initial_state(thesis, ContextEnv.from_json(data.get("env", {})))
-        agents = formula_info(state.thesis).agents
-        return state, [move_from_json(m, agents) for m in data["moves"]]
+        return state, [move_from_json(m) for m in data["moves"]]
 
     def test_states_reached_by_the_same_moves_are_equal(self):
         start, moves = self._play()
@@ -761,14 +730,13 @@ def _follow_strategy(thesis, nodes, rng):
     children = [[] for _ in nodes]
     for i, node in enumerate(nodes[1:], 1):
         children[node["parent"]].append(i)
-    agents = formula_info(game_form(thesis)).agents
     state, at = initial_state(thesis), 0
     for _ in range(400):
         node = nodes[at]
         if state.turn == "P":
             assert node["turn"] == "P", "strategy out of sync"
             (at,) = children[at]
-            state = apply_move(state, move_from_json(nodes[at]["move"], agents))
+            state = apply_move(state, move_from_json(nodes[at]["move"]))
             continue
         moves = legal_moves(state)
         if not moves:
@@ -815,8 +783,8 @@ def _game_theses():
 # search's speed may move only the positions searched. The first pin was
 # recorded when the strategy nested one level per move, and checks the
 # strategy re-nested by the test decoder; the second pins the flat list.
-GAME_OUTPUT_SHA256 = "0ea31de80c665f544784b768b57595267655683d70525d39bf0d8396507bbae6"
-FLAT_GAME_OUTPUT_SHA256 = "1693d45f00efcdedbd215332ccb8ac94a3fbde1582cabe63de50ec5a272de8de"
+GAME_OUTPUT_SHA256 = "b982fe1d753f69d468c6a40bcd17e568fca6371951cd11f30fabd69a692b74bc"
+FLAT_GAME_OUTPUT_SHA256 = "3f2ddc4beace1019bcfddfcc208563da10fe2ecc986157dd6db9f29c7c35e33f"
 
 
 def test_game_output_is_pinned():
@@ -1028,7 +996,7 @@ class TestTranscript:
         lines = text.splitlines()
         assert "O" in lines[0] and "P" in lines[0]
         assert "1: K{i,1.1} a -> K{i,1.1} K{i,1.1} a" in text
-        assert "?_K{i}/1i1i1" in text
+        assert "?_K{i}/1i.1i.1" in text
         assert text.endswith("P wins the play")
         # nine moves pair into five rows: thesis plus four attack rows
         body = [l for l in lines[2:] if l.strip() and "wins" not in l]
@@ -1049,7 +1017,7 @@ class TestTranscript:
 
 # sha256 over render_transcript of every recorded play, then of the
 # refutation of each of _game_theses() that O wins, byte for byte.
-TRANSCRIPT_SHA256 = "96385a80e43766c222104ee7655ba14b066aec8c72620e28b5a3b84089565c73"
+TRANSCRIPT_SHA256 = "e8ba1b53a48efad9a11b9f6df9987da8693866505c94213937a80884ca0b3d08"
 
 
 def test_transcripts_are_pinned():
@@ -1128,10 +1096,9 @@ def _searched_and_replayed_positions(check=lambda state: None, games=()):
         data = load_play(path)
         thesis = parse_formula(data["thesis"], data.get("default_variant"))
         state = initial_state(thesis, ContextEnv.from_json(data.get("env", {})))
-        agents = formula_info(state.thesis).agents
         reach(state)
         for move_data in data["moves"]:
-            state = apply_move(state, move_from_json(move_data, agents))
+            state = apply_move(state, move_from_json(move_data))
             reach(state)
     return visited
 

@@ -2,6 +2,8 @@ import itertools
 
 import pytest
 
+from celogic import epistemology
+from celogic.dialogue import BudgetExhaustedError, has_winning_strategy
 from celogic.epistemology import (
     ANTI_SCEPTIC,
     CONTEXTUALIST,
@@ -171,3 +173,18 @@ class TestSuite:
     def test_text_rendering(self):
         text = run_suite().to_text()
         assert "all verdicts agree" in text
+
+    def test_a_zero_budget_stops_the_search(self):
+        with pytest.raises(BudgetExhaustedError):
+            run_suite(budget=0)
+
+    def test_no_budget_is_the_search_default(self, monkeypatch):
+        budgets = []
+
+        def search(f, env, budget):
+            budgets.append(budget)
+            return has_winning_strategy(f, env, budget=budget)
+
+        monkeypatch.setattr(epistemology, "has_winning_strategy", search)
+        assert run_suite().ok
+        assert set(budgets) == {500_000}
