@@ -50,12 +50,13 @@ fail, and ``validate_move`` raises what they find, naming the broken rule.
 So the two agree: ``validate_move`` accepts exactly the moves that
 ``legal_moves`` lists.
 
-Each state keeps each player's open targets: the other player's assertions
-that it may still attack and attack records that it may still answer, each
-with the index of its first move and its bit in ``GameRules.bits``. A move
-adds at most one assertion and one attack record, and uses up at most the
-one target it acts on, so ``_step`` keeps the lists and ``legal_moves``
-walks only the mover's, not every assertion and attack of the play.
+Each state keeps each player's open targets, the mover's first: the other
+player's assertions that it may still attack and attack records that it may
+still answer, each with the index of its first move and its bit in
+``GameRules.bits``. A move adds at most one assertion and one attack record,
+and uses up at most the one target it acts on, so ``_step`` keeps the lists,
+swapping the pair, and ``legal_moves`` walks only the mover's, not every
+assertion and attack of the play.
 
 Everything about a target's moves but the position is fixed per game, so
 each game keeps one move table per target (``_move_table``): the moves the
@@ -80,9 +81,10 @@ a move grows them by one ``|``, without copying a set, and two plays that
 reach the same records in another order reach the same int. Winning
 strategies are decided by AND-OR search over positions, memoized on the
 records' bitset. Moves, payloads and states are immutable named tuples,
-built in C. A state compares and hashes on its position (its rules, moves,
-records, worlds and turn), not on its ledgers. A plain tuple can equal a
-payload, so ``validate_move`` checks a payload's type.
+built in C. A state compares and hashes as its tuple: its ledgers follow
+from its rules and moves, so two states reached by the same moves of one
+game are equal. A plain tuple can equal a payload, so ``validate_move``
+checks a payload's type.
 The search is a ``fold`` over positions, on the driver of the formula walks,
 and the strategy and the refutation read off its memo are loops too: no
 length of play is bounded by the recursion limit. The search steps through
@@ -333,34 +335,22 @@ class GameState(NamedTuple):
     introduced: frozenset[Label]
     turn: str
     # Ledgers kept move by move, so that legality never re-scans the
-    # history; equality and hashing leave them out. They follow from
-    # ``moves``: every assertion made, a bitset as ``records`` is, and each
-    # player's open targets: the other player's assertions that have an
-    # attack and attack records that have a defence, less those the player
-    # has used up. O uses a target up
-    # by acting on it, so O's open targets are exactly those it has not
-    # acted on; P uses one up when it has made every move on it, which only
-    # a target whose payloads are fixed allows (all but a Know's attacks and
-    # a Poss's defences, which grow with ``introduced``).
+    # history. They follow from ``(rules, moves)``, so a state compares and
+    # hashes as its tuple. ``assertions`` is every assertion made, a bitset
+    # as ``records`` is; ``open_targets`` each player's open targets, the
+    # mover's first: the other player's assertions that have an attack and
+    # attack records that have a defence, less those the player has used
+    # up by making every move on them. O acts on a target once, so its open
+    # targets are exactly those it has not acted on; P can use up only a
+    # target whose moves are fixed (not a Know's attacks or a Poss's
+    # defences, which grow with ``introduced``).
     assertions: int
-    open_targets: dict[str, OpenTargets]
-
-    def __eq__(self, other):
-        # rules, moves, records, introduced, turn
-        return type(other) is GameState and self[:5] == other[:5]
-
-    __ne__ = object.__ne__  # the inverse of __eq__, not tuple's over every field
-
-    def __hash__(self):
-        return hash(self[:5])
+    open_targets: tuple[OpenTargets, OpenTargets]  # the mover's, the other's
 
     @property
     def o_fresh(self) -> int:
         """Worlds O has introduced; only O introduces worlds."""
         return len(self.introduced) - 1
-
-    def position_key(self) -> int:
-        return self.records
 
     @property
     def thesis(self) -> Formula:
@@ -388,10 +378,10 @@ def initial_state(thesis: Formula, env: ContextEnv | None = None) -> GameState:
         introduced=frozenset({ROOT}),
         turn=O,
         assertions=bit,
-        open_targets={
-            O: (((assertion, 0, bit),) if _attackable(rules, assertion) else (), ()),
-            P: ((), ()),
-        },
+        open_targets=(
+            (((assertion, 0, bit),) if _attackable(rules, assertion) else (), ()),
+            ((), ()),
+        ),
     )
 
 
@@ -418,11 +408,11 @@ def _world_payloads(
     while root and root[-1][0] == agent:
         root = root[:-1]
     depth = len(root)
-    options = sorted(
+    options = [
         v
         for v in state.introduced
         if v[:depth] == root and all(a == agent for a, _ in v[depth:])
-    )
+    ]
     if actor == O and state.o_fresh < state.rules.fresh_cap:
         used = {v[-1][1] for v in options if len(v) > len(world) and v[:-1] == world}
         index = 1
@@ -645,7 +635,8 @@ def _move_table(
 
 
 # What the repetition rule says of a spent move, by kind: when its record is
-# in the position, and when O has already acted on its target.
+# in the position, and when its target is not open to the mover, which only
+# O's moves meet (O has already acted on the target).
 _SPENT = {
     "attack": ("this attack was already made",) * 2,
     "defend": ("this defence was already given", "O has already answered this attack"),
@@ -656,17 +647,18 @@ def _problem(state: GameState, kind: str, option: _Option) -> tuple[str, str] | 
     """None if the option's move of this kind may be made in this state;
     else (rule, reason).
 
-    A move is spent when its record is in the position. O also acts on a
-    given target at most once, whatever the payload, so O may act only on
-    its open targets of the kind; P may return to a target with a new
-    payload. Then the payload must be assertable (``_assertable``)."""
+    A move is spent when its record is in the position, and the mover may
+    act only on its open targets of the kind. O acts on a given target at
+    most once, whatever the payload, so that check is O's repetition rule;
+    P may return to a target with a new payload, and a target closes to P
+    only once P has made every move on it. Then the payload must be
+    assertable (``_assertable``)."""
     records, assertions = state.records, state.assertions
     if records & option.bit:
         return ("PL-2", _SPENT[kind][0])
-    if option.record[0] == O:
-        open_targets = state.open_targets[O][kind == "defend"]
-        if option.target_bit not in (bit for _, _, bit in open_targets):
-            return ("PL-2", _SPENT[kind][1])
+    open_targets = state.open_targets[0][kind == "defend"]
+    if option.target_bit not in (bit for _, _, bit in open_targets):
+        return ("PL-2", _SPENT[kind][1])
     if assertions & option.forbid:
         return ("PL-2", "restating one's own assertion changes nothing for P")
     if option.grant and not assertions & option.grant:
@@ -701,6 +693,20 @@ def validate_move(state: GameState, move: Move) -> None:
     _legal_option(state, move)
 
 
+# What _legal_option says of a move's target, by the move's kind: when the
+# move it names is not a target of the kind, and when it is the mover's own.
+_BAD_TARGET = {
+    "attack": (
+        ("particle mismatch", "only assertions can be attacked"),
+        ("PL-0", "players attack the other player's assertions"),
+    ),
+    "defend": (
+        ("PL-0", "defences answer attacks"),
+        ("PL-0", "cannot defend against one's own attack"),
+    ),
+}
+
+
 def _legal_option(state: GameState, move: Move) -> _Option:
     """The option of its target's move table that the move makes, if the
     move is permitted in this state; else raise IllegalMoveError naming the
@@ -716,62 +722,43 @@ def _legal_option(state: GameState, move: Move) -> _Option:
     if not isinstance(move.payload, Payload):
         raise IllegalMoveError("PL-0", f"not a payload: {move.payload!r}")
 
+    attack = move.kind == "attack"
+    target = (_assertion_of_move if attack else _attack_record_of_move)(
+        state, move.target
+    )
+    if target is None:
+        raise IllegalMoveError(*_BAD_TARGET[move.kind][0])
+    if target[0] == move.actor:
+        raise IllegalMoveError(*_BAD_TARGET[move.kind][1])
     # every assertion and attack record made is numbered, so looking the
     # target's bit up numbers nothing
-    if move.kind == "attack":
-        target = _assertion_of_move(state, move.target)
-        if target is None:
-            raise IllegalMoveError(
-                "particle mismatch", "only assertions can be attacked"
-            )
-        if target[0] == move.actor:
-            raise IllegalMoveError(
-                "PL-0", "players attack the other player's assertions"
-            )
-        table = _move_table(state, "attack", target, state.rules.bits[target])
-        if isinstance(target[2], Atom) and not table:
+    table = _move_table(state, move.kind, target, state.rules.bits[target])
+    f = (target if attack else target[1])[2]
+    if not table:
+        if attack:  # only an atom's attack table is empty
             raise IllegalMoveError("PL-3", "atomic statements cannot be attacked")
-        option = next((o for o in table if o.payload == move.payload), None)
-        if option is None:
-            self_describing = render_payload(move.payload)
-            # A ?_K naming a non-introduced world is a world introduction.
-            if (
-                isinstance(move.payload, RequestPayload)
-                and move.payload.kind == "?_K"
-                and move.payload.label is not None
-                and move.payload.label not in state.introduced
-            ):
-                if move.actor == P:
-                    raise IllegalMoveError(
-                        "ML-frw", f"P cannot introduce {self_describing}"
-                    )
-                if state.o_fresh >= state.rules.fresh_cap:
-                    raise IllegalMoveError(
-                        "world cap", "O's fresh-world budget is spent"
-                    )
-            raise IllegalMoveError(
-                "particle mismatch",
-                f"{self_describing} does not attack {render_formula(target[2])}",
-            )
-    else:
-        attack = _attack_record_of_move(state, move.target)
-        if attack is None:
-            raise IllegalMoveError("PL-0", "defences answer attacks")
-        if attack[0] == move.actor:
-            raise IllegalMoveError("PL-0", "cannot defend against one's own attack")
-        table = _move_table(state, "defend", attack, state.rules.bits[attack])
-        if not table:
-            raise IllegalMoveError(
-                "particle mismatch",
-                f"{render_formula(attack[1][2])} admits no defence",
-            )
-        option = next((o for o in table if o.payload == move.payload), None)
-        if option is None:
-            raise IllegalMoveError(
-                "particle mismatch",
-                f"{render_payload(move.payload)} does not answer "
-                f"{render_payload(attack[2])} on {render_formula(attack[1][2])}",
-            )
+        raise IllegalMoveError(
+            "particle mismatch", f"{render_formula(f)} admits no defence"
+        )
+    option = next((o for o in table if o.payload == move.payload), None)
+    if option is None:
+        payload, said = move.payload, render_payload(move.payload)
+        # A ?_K naming a non-introduced world is a world introduction.
+        if (
+            attack
+            and isinstance(payload, RequestPayload)
+            and payload.kind == "?_K"
+            and payload.label is not None
+            and payload.label not in state.introduced
+        ):
+            if move.actor == P:
+                raise IllegalMoveError("ML-frw", f"P cannot introduce {said}")
+            if state.o_fresh >= state.rules.fresh_cap:
+                raise IllegalMoveError("world cap", "O's fresh-world budget is spent")
+        answers = "attack" if attack else f"answer {render_payload(target[2])} on"
+        raise IllegalMoveError(
+            "particle mismatch", f"{said} does not {answers} {render_formula(f)}"
+        )
     problem = _problem(state, move.kind, option)
     if problem:
         raise IllegalMoveError(*problem)
@@ -790,9 +777,7 @@ def _step(state: GameState, move: Move, option: _Option) -> GameState:
     actor, kind, _, _ = move
     (_, record, bit, target_bit, uses_up, answerable, assertion, assertion_bit,
      attackable, fresh, _, _) = option
-    other = P if actor == O else O
-    attacks, defences = open_targets[actor]
-    other_attacks, other_defences = open_targets[other]
+    (attacks, defences), (other_attacks, other_defences) = open_targets
 
     records |= bit
     if records & uses_up == uses_up:
@@ -809,7 +794,8 @@ def _step(state: GameState, move: Move, option: _Option) -> GameState:
         if attackable:
             other_attacks += ((assertion, len(moves), assertion_bit),)
 
-    ledgers = {actor: (attacks, defences), other: (other_attacks, other_defences)}
+    ledgers = ((other_attacks, other_defences), (attacks, defences))
+    other = P if actor == O else O
     fields = (rules, moves + (move,), records, introduced, other, assertions, ledgers)
     return _new(GameState, fields)
 
@@ -837,7 +823,7 @@ def _candidates(state: GameState) -> list[tuple[Move, _Option]]:
     actor, records, assertions = state.turn, state.records, state.assertions
     tables, introduced = state.rules.move_tables, state.introduced
     pairs: list = []
-    for kind, targets in zip(("attack", "defend"), state.open_targets[actor]):
+    for kind, targets in zip(("attack", "defend"), state.open_targets[0]):
         for target, index, bit in targets:
             length = bit.bit_length()  # what _move_table files the table under
             table = tables.get(length)

@@ -454,13 +454,21 @@ class TestRecords:
         assert a is not b and a == b and not a != b and hash(a) == hash(b)
         assert a != start and dialogue.replay(start, moves[:-1]) != a
 
-    def test_equality_leaves_the_ledgers_out(self):
+    def test_states_compare_as_their_tuples(self):
+        # the ledgers follow from (rules, moves), so two states that differ
+        # in one list different moves, and compare unequal
         start, moves = self._play()
         a = dialogue.replay(start, moves)
-        b = a._replace(assertions=0, open_targets={})
-        assert a == b and not a != b and hash(a) == hash(b)
-        assert a != tuple(a) and tuple(a) != a
+        assert a == tuple(a) and hash(a) == hash(tuple(a))
+        assert a.open_targets != ((), ()) and a.assertions != 0
+        for b in (a._replace(open_targets=((), ())), a._replace(assertions=0)):
+            assert a != b and not a == b
         assert a != a._replace(turn=dialogue.P if a.turn == dialogue.O else dialogue.O)
+        # rules compare by identity, so the same moves replayed in a second
+        # game of the same thesis reach a state equal in every other field
+        again = dialogue.replay(self._play()[0], moves)
+        assert again.rules is not a.rules and again[1:] == a[1:]
+        assert again != a and not again == a
 
     def test_records_are_immutable(self):
         start, moves = self._play()
@@ -856,8 +864,8 @@ def _scanned_ledgers(state):
             return target not in o_spent
         return not fixed or any(("P", target, p) not in records for p in payloads)
 
-    open_targets = {}
-    for player in ("O", "P"):
+    open_targets = []  # in turn order: the mover's, then the other player's
+    for player in (state.turn, "P" if state.turn == "O" else "O"):
         attacks = tuple(
             (target, i, _bit(state, target))
             for target, i in first_move_of_assertion.items()
@@ -880,14 +888,14 @@ def _scanned_ledgers(state):
                 not isinstance(attack[1][2], Poss),
             )
         )
-        open_targets[player] = (attacks, defences)
+        open_targets.append((attacks, defences))
     return {
         "assertion_index": first_move_of_assertion,
         "attack_index": first_move_of_attack,
         "records": records,
         "introduced": introduced,
         "o_fresh": o_fresh,
-        "open_targets": open_targets,
+        "open_targets": tuple(open_targets),
     }
 
 
@@ -919,14 +927,12 @@ def test_ledgers_match_a_scan_of_the_history():
                 records = _decoded(state, state.records)
                 assertions = _decoded(state, state.assertions)
                 assert assertions == scan["assertion_index"].keys()
-                # each player's open targets, in the order legal_moves
-                # walks them
+                # each player's open targets, the mover's first, in the
+                # order legal_moves walks them
                 assert state.open_targets == scan["open_targets"]
                 assert records == scan["records"]
                 for name in ("introduced", "o_fresh"):
                     assert getattr(state, name) == scan[name], name
-                # the position is the records' bitset, kept as it is
-                assert state.position_key() is state.records
                 # every record is new, so the turn follows from their number
                 assert len(records) == len(state.moves) - 1
                 assert state.turn == ("O" if len(records) % 2 == 0 else "P")
@@ -977,10 +983,10 @@ def test_move_orders_that_reach_the_same_records_share_a_position():
         Move("P", "attack", 1, left), Move("O", "defend", 4, said("p")),
     ])
     assert a.moves != b.moves and a != b
-    assert type(a.position_key()) is int
-    assert a.position_key() == b.position_key()
+    assert type(a.records) is int
+    assert a.records == b.records
     assert a.assertions == b.assertions
-    assert a.position_key() != start.position_key()
+    assert a.records != start.records
     # so the search meets b's position in its memo and steps it no more
     search = _Search(dialogue.DEFAULT_SEARCH_BUDGET)
     value = search.win(a)
@@ -1109,7 +1115,7 @@ def _assert_tables_match_the_particle_rules(state):
     target's bit as a listing finds it. Returns the tables by (kind,
     target)."""
     tables = {}
-    for kind, targets in zip(("attack", "defend"), state.open_targets[state.turn]):
+    for kind, targets in zip(("attack", "defend"), state.open_targets[0]):
         for target, _, bit in targets:
             table = [tuple(o) for o in dialogue._move_table(state, kind, target, bit)]
             assert table == _reference_table(state, kind, target)
@@ -1261,7 +1267,7 @@ def test_a_game_builds_each_move_table_once(monkeypatch):
 
     def candidates(state, original=dialogue._candidates):
         games.append(state.rules)  # alive, so that no two games share an id
-        for kind, targets in zip(("attack", "defend"), state.open_targets[state.turn]):
+        for kind, targets in zip(("attack", "defend"), state.open_targets[0]):
             for target, _, bit in targets:
                 walked.add(table_key(state, kind, target, bit))
         return original(state)
