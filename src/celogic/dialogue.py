@@ -425,13 +425,11 @@ def _world_payloads(
     return tuple([_new(AssertPayload, (w, f.body)) for w in options])
 
 
-def _assertable(
-    rules: GameRules, actor: str, world: Label, f: Formula
-) -> tuple[int, int]:
-    """What the actor's asserting f at world asks of the position, as two
-    masks over ``rules.bits``, (forbid, grant): the position may hold no
-    assertion in ``forbid`` and, unless ``grant`` is 0, must hold one in
-    ``grant``. O may assert anything: (0, 0).
+def _assertable(rules: GameRules, world: Label, f: Formula) -> tuple[int, int]:
+    """What P's asserting f at world asks of the position, as two masks over
+    ``rules.bits``, (forbid, grant): the position may hold no assertion in
+    ``forbid`` and, unless ``grant`` is 0, must hold one in ``grant``. O may
+    assert anything, so no move of O's asks this.
 
     P may not restate a complex formula already on P's record (PL-2).
     Commitments are kept as sets, so a restatement would not open a fresh
@@ -446,8 +444,6 @@ def _assertable(
     atom only where O stands committed to it (PL-3): O stated it there, or
     conceded there a context whose body has it as a positive literal.
     """
-    if actor == O:
-        return 0, 0
     bits, bindings = rules.bits, rules.env.bindings
     if not isinstance(f, Atom):
         return bits[(P, world, f)], 0
@@ -484,6 +480,9 @@ def _particle_rule(rules: GameRules, target: Assertion) -> ParticleRule:
 
 
 def _particle_table(rules: GameRules, world: Label, f: Formula) -> ParticleRule:
+    """``_particle_rule``'s table of f at world. A relativized formula is
+    matched as ``Rel`` once, and its body picks the row."""
+
     def said(*formulas: Formula) -> tuple[AssertPayload, ...]:
         return tuple([_new(AssertPayload, (world, g)) for g in formulas])
 
@@ -506,23 +505,26 @@ def _particle_table(rules: GameRules, world: Label, f: Formula) -> ParticleRule:
             return {_new(AssertPayload, (world, l)): said(r)}
         case Poss(agent, _, _):
             return {_new(RequestPayload, ("?_P", agent, None)): ()}
-        case Rel(And(l, r), c):
-            return {_LEFT: said(_rel(l, c)), _RIGHT: said(_rel(r, c))}
-        case Rel(Know(agent, variant, inner), c):
-            cx, cy = variant_contexts_names(variant, c, agent)
-            answer = Know(agent, variant, _rel(inner, cy))
-            return {_new(AssertPayload, (world, Atom(cx))): said(answer)}
-        case Rel(Atom() | Rel() as body, c):
-            answer = body
-        case Rel(Not(inner), c):
-            answer = Not(_rel(inner, c))
-        case Rel(Or(l, r), c):
-            answer = Or(_rel(l, c), _rel(r, c))
-        case Rel(Imp(l, r), c):
-            answer = Imp(_rel(l, c), _rel(r, c))
-        case _:
-            raise TypeError(f"not a game formula: {f!r}")
-    return {_new(AssertPayload, (world, Atom(c))): said(answer)}
+        case Rel(body, c):
+            match body:
+                case And(l, r):
+                    return {_LEFT: said(_rel(l, c)), _RIGHT: said(_rel(r, c))}
+                case Know(agent, variant, inner):
+                    cx, cy = variant_contexts_names(variant, c, agent)
+                    answer = Know(agent, variant, _rel(inner, cy))
+                    return {_new(AssertPayload, (world, Atom(cx))): said(answer)}
+                case Atom() | Rel():
+                    answer = body
+                case Not(inner):
+                    answer = Not(_rel(inner, c))
+                case Or(l, r):
+                    answer = Or(_rel(l, c), _rel(r, c))
+                case Imp(l, r):
+                    answer = Imp(_rel(l, c), _rel(r, c))
+                case _:
+                    raise TypeError(f"not a game formula: {f!r}")
+            return {_new(AssertPayload, (world, Atom(c))): said(answer)}
+    raise TypeError(f"not a game formula: {f!r}")
 
 
 def _compound_context(rules: GameRules, name: str) -> bool:
@@ -583,7 +585,14 @@ def _move_table(
     A game builds a target's table once, under its bit's length: a bit is a
     power of two, and those hash to only 61 values. A Know's attacks and a
     Poss's defences choose a world, so theirs is built once per (length,
-    introduced worlds), which also fix whether O may still introduce one."""
+    introduced worlds), which also fix whether O may still introduce one.
+
+    One loop over the payloads builds the options: each payload's record
+    and its bit, whether the other player may answer it and, for an asserted
+    payload, the assertion, its bit, whether it may be attacked and, for P
+    only, ``_assertable``'s masks; O's are (0, 0), so O's options make no
+    call. Every option holds ``uses_up``, which P's fixed tables know only
+    once each record is numbered, so for them a first loop ORs the bits."""
     rules = state.rules
     actor = O if target[0] == P else P
     attack = kind == "attack"
@@ -602,14 +611,15 @@ def _move_table(
     else:
         rule = _particle_rule(rules, assertion)
         payloads = rule if attack else rule[target[2]]
-    bits = rules.bits
-    records = [(actor, target, payload) for payload in payloads]
-    record_bits = [bits[record] for record in records]
-    uses_up = 0  # see _Option.uses_up
-    if actor == P:
-        uses_up = reduce(int.__or__, record_bits, 0) if fixed else -1
+    bits, introduced = rules.bits, state.introduced
+    uses_up = 0 if actor == O else -1  # see _Option.uses_up
+    if actor == P and fixed:
+        uses_up = 0
+        for payload in payloads:
+            uses_up |= bits[actor, target, payload]
     options = []
-    for payload, record, record_bit in zip(payloads, records, record_bits):
+    for payload in payloads:
+        record = (actor, target, payload)
         # the other player may answer an attack on a Know or a Poss, and
         # any other attack that its particle rule's row answers
         answerable = attack and (isinstance(f, (Know, Poss)) or bool(rule[payload]))
@@ -617,13 +627,14 @@ def _move_table(
         if isinstance(payload, AssertPayload):
             said = (actor, *payload)
             said_bit, attackable = bits[said], _attackable(rules, said)
-            forbid, grant = _assertable(rules, *said)
+            if actor == P:
+                forbid, grant = _assertable(rules, *payload)
         # only a Know's attack or a Poss's defence may name a world not yet
         # introduced, O's fresh one: any other payload's world is its
         # target's, or the one a ?_K named when the attack was made
-        fresh = None if fixed or payload.label in state.introduced else payload.label
+        fresh = None if fixed or payload.label in introduced else payload.label
         options.append(_new(_Option, (
-            payload, record, record_bit, bit, uses_up, answerable,
+            payload, record, bits[record], bit, uses_up, answerable,
             said, said_bit, attackable, fresh, forbid, grant,
         )))
     table = rules.move_tables[key] = tuple(options)
@@ -993,7 +1004,7 @@ def has_winning_strategy(
     # the structural rules apply to the thesis too, at the position before
     # it, which holds no assertion: P may not state an atom or a context
     # name that O has not, so O wins an atomic thesis with the one-move play
-    if _assertable(state.rules, P, ROOT, state.thesis)[1]:
+    if _assertable(state.rules, ROOT, state.thesis)[1]:
         return StrategyResult(False, state.moves, 1)
     search = _Search(budget)
     if search.win(state):

@@ -302,6 +302,7 @@ def fold(f, step, memo=None, key=None):
     done = {} if memo is None else memo
     top = f if key is None else key(f)
     stack = [] if top in done else [(top, step(f))]
+    missing = object()  # no step returns it, so a falsy value is read back
     sent = None
     while stack:
         k, walk = stack[-1]
@@ -312,9 +313,10 @@ def fold(f, step, memo=None, key=None):
             sent = done[k] = stop.value
             continue
         k = need if key is None or type(need) is tuple else key(need)
-        if k not in done:  # stepped next, and started with None
+        sent = done.get(k, missing)
+        if sent is missing:  # stepped next, and started with None
             stack.append((k, each(need) if type(need) is tuple else step(need)))
-        sent = done.get(k)
+            sent = None
     return done[top]
 
 

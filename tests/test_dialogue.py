@@ -1128,7 +1128,8 @@ def _assert_steps_agree_with_apply_move(state):
     found for it in its target's move table; that gives what apply_move
     gives, on all seven fields, the assertions and open_targets ledgers
     included. Each option is one of its target's table, which is the one
-    worked out afresh from the particle rules, and makes its move's record."""
+    worked out afresh from the particle rules, and makes its move's record.
+    Returns the tables by (kind, target)."""
     tables = _assert_tables_match_the_particle_rules(state)
     for move, option in dialogue._candidates(state):
         of_move = _assertion_of_move if move.kind == "attack" else _attack_record_of_move
@@ -1138,19 +1139,38 @@ def _assert_steps_agree_with_apply_move(state):
         assert tuple(dialogue._step(state, move, option)) == tuple(
             apply_move(state, move)
         )
+    return tables
 
 
-def test_the_search_steps_each_move_as_apply_move_does():
-    visited = _searched_and_replayed_positions(_assert_steps_agree_with_apply_move)
-    assert len(visited) > 1000
-
-
+# a compound context and a single-literal one
+_BOUND = ContextEnv.from_json({"ci": "p & ~q", "cj": "q"})
 # games where O concedes a compound context, which P may attack, and a
 # single-literal one, which nobody may
 _CONCEDED_CONTEXTS = [
-    (parse_formula(thesis), ContextEnv.from_json({"ci": "p & ~q", "cj": "q"}))
+    (parse_formula(thesis), _BOUND)
     for thesis in ("(p)^ci", "(~q)^ci -> (q)^cj", "(K{i,1.1} p)^ci -> (p)^ci")
 ]
+
+
+def test_the_search_steps_each_move_as_apply_move_does():
+    # also under bound contexts: there an atom may be a compound context,
+    # which has attacks, and P's grant masks hold granted literals
+    seen = set()
+
+    def check(state):
+        tables = _assert_steps_agree_with_apply_move(state)
+        for (kind, target), table in tables.items():
+            if kind == "attack" and isinstance(target[2], Atom) and table:
+                seen.add("an attack on a compound context")
+            # a grant mask of two bits or more: the atom as O's statement,
+            # and a context O may state whose body grants it
+            if any(grant & (grant - 1) for *_, grant in table):
+                seen.add("a granted literal")
+
+    bound = [(parse_formula(row.formula), _BOUND) for row in SUITE_ROWS]
+    visited = _searched_and_replayed_positions(check, _CONCEDED_CONTEXTS + bound)
+    assert len(visited) > 10000
+    assert seen == {"an attack on a compound context", "a granted literal"}
 
 
 def test_attackable_reads_the_particle_table():
@@ -1257,8 +1277,9 @@ def test_a_game_builds_each_move_table_once(monkeypatch):
     # at every later listing; a Know's attacks and a Poss's defences, once
     # per set of introduced worlds. So the builds are exactly the distinct
     # targets walked, and a listing that bypassed the game's tables would
-    # build some twice.
-    games, built, walked = [], {}, set()
+    # build some twice. A particle table is built only at its assertion's
+    # first attack or listing, so the same pass builds 160 of them.
+    games, built, walked, particle_tables = [], {}, set(), []
 
     def table_key(state, kind, target, bit):
         f = (target if kind == "attack" else target[1])[2]
@@ -1278,14 +1299,20 @@ def test_a_game_builds_each_move_table_once(monkeypatch):
             built[id(table)] = (table, table_key(state, kind, target, bit))
         return table
 
+    def particle_table(rules, world, f, original=dialogue._particle_table):
+        particle_tables.append((id(rules), world, f))
+        return original(rules, world, f)
+
     monkeypatch.setattr(dialogue, "_candidates", candidates)
     monkeypatch.setattr(dialogue, "_move_table", move_table)
+    monkeypatch.setattr(dialogue, "_particle_table", particle_table)
     for row in SUITE_ROWS:
         has_winning_strategy(parse_formula(row.formula))
     keys = [key for _, key in built.values()]
     assert len(set(keys)) == len(keys)
     assert set(keys) == walked
     assert len(keys) == 600
+    assert len(set(particle_tables)) == len(particle_tables) == 160
 
 
 def _reference_world_payloads(state, actor, f, world):

@@ -353,6 +353,24 @@ class TestFold:
         assert fold(x, size) == 2**41 - 1
         assert len(stepped) == 41
 
+    @pytest.mark.parametrize("value", [None, 0, False, ()], ids=repr)
+    def test_a_falsy_value_is_stepped_once(self, value):
+        # each child of And(p, p) is needed twice; the second read of p finds
+        # its falsy value in the memo and does not step p again
+        p = Atom("p")
+        stepped = []
+
+        def step(g):
+            stepped.append(g)
+            if g is p:
+                return value
+            return (yield g.children())
+
+        memo = {}
+        assert fold(And(p, p), step, memo) == (value, value)
+        assert stepped == [And(p, p), p]
+        assert memo[p] is value
+
     def test_a_step_may_ask_for_a_node_outside_the_formula(self):
         p, q = Atom("p"), Atom("q")
         expansion = And(Imp(p, q), Imp(q, p))
