@@ -1056,9 +1056,7 @@ def _transcript_rows(moves) -> list[list[str]]:
 
 
 def render_transcript(moves, winner: str | None = None) -> str:
-    """Aligned two-column text table of a play."""
-    if isinstance(moves, GameState):
-        moves = moves.moves
+    """Aligned two-column text table of a play's moves."""
     rows = _transcript_rows(moves)
     header = ["", "O", "", "", "P", ""]
     widths = [

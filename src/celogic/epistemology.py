@@ -85,9 +85,9 @@ def apply_preset(
     names = set(needed_context_names(tagged))
     if preset.context_policy == "top":
         return tagged, ContextEnv({name: TOP for name in names})
-    # anti-sceptic: a fixed nonempty presupposition set, strictly laxer than
-    # the sceptic's trivial context (the implication must not reverse unless
-    # the bindings coincide).
+    # anti-sceptic: a fixed nonempty presupposition set that implies the
+    # sceptic's context (trivial by default). Between canonical bodies the
+    # implication reverses only where the bindings coincide, which is allowed.
     anti = anti_binding if anti_binding is not None else DEFAULT_ANTI_BINDING
     scep = scep_binding if scep_binding is not None else TOP
     if anti.is_top:
@@ -95,10 +95,6 @@ def apply_preset(
     if not context_implies(anti, scep):
         raise PresetConstraintError(
             "the anti-sceptic context must imply the sceptic one"
-        )
-    if context_implies(scep, anti) and scep != anti:
-        raise PresetConstraintError(
-            "the sceptic context must not imply the anti-sceptic one"
         )
     env = ContextEnv({name: anti for name in names})
     env.bindings["cscep"] = scep

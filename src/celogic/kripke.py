@@ -631,13 +631,13 @@ def bell_number(n: int) -> int:
 def _model_counts(max_worlds: int, n_agents: int, n_atoms: int):
     """The number of models of each world count, from 1 to max_worlds."""
     return (
-        bell_number(n) ** n_agents * 2 ** (n * n_atoms)
+        (bell_number(n) ** n_agents if n_agents else 1) * 2 ** (n * n_atoms)
         for n in range(1, max_worlds + 1)
     )
 
 
 def set_partitions(items: tuple):
-    """All partitions of items, in restricted-growth-string order."""
+    """All partitions of nonempty items, in restricted-growth-string order."""
     n = len(items)
     rgs = [0] * n
 
@@ -653,9 +653,6 @@ def set_partitions(items: tuple):
             rgs[i] = v
             yield from rec(i + 1, max(maxval, v))
 
-    if n == 0:
-        yield ()
-        return
     yield from rec(1, 0)
 
 
@@ -729,7 +726,7 @@ def _frame_contexts(max_worlds: int, agents: list, atoms: list) -> Iterator[_Fra
     for n in range(1, max_worlds + 1):
         worlds = tuple(f"w{i + 1}" for i in range(n))
         V, val = _atom_masks(n, atoms)
-        partitions = list(set_partitions(worlds))
+        partitions = list(set_partitions(worlds)) if agents else []
         for chosen in itertools.product(partitions, repeat=len(agents)):
             yield _FrameCtx(worlds, V, val, dict(zip(agents, chosen)))
 
@@ -738,8 +735,6 @@ def find_countermodel(
     f: Formula,
     env: ContextEnv | None = None,
     max_worlds: int = 3,
-    agents=None,
-    atoms=None,
     ceiling: int = DEFAULT_ENUMERATION_CEILING,
 ) -> tuple[KripkeModel, str] | None:
     """First (model, world) falsifying f in enumerate_models' order.
@@ -753,21 +748,17 @@ def find_countermodel(
     None means no counter-model within the bound; that does not certify
     validity. f is read under ``env.for_formula(f)``: its guards and the
     bound names it uses as atoms are its context names, a body literal that
-    is one of them raises ValueError. Agents default to those of the
-    formula; atoms to its atoms that are not context names (those are read
-    as their bodies, never from the valuation), plus the literals of the
-    context names' bodies.
+    is one of them raises ValueError. The scan is over the formula's agents
+    and its atoms that are not context names (those are read as their
+    bodies, never from the valuation), plus the literals of the context
+    names' bodies.
     """
     env = (env or ContextEnv()).for_formula(f)
     info = formula_info(f)
-    if agents is None:
-        agents = sorted(info.agents)
-    if atoms is None:
-        atom_set = info.atoms - env.bindings.keys()
-        for cf in env.bindings.values():
-            atom_set |= {a for a, _ in cf.literals}
-        atoms = sorted(atom_set)
-    agents, atoms = list(agents), list(atoms)
+    atom_set = info.atoms - env.bindings.keys()
+    for cf in env.bindings.values():
+        atom_set |= {a for a, _ in cf.literals}
+    agents, atoms = sorted(info.agents), sorted(atom_set)
     _check_space(max_worlds, agents, atoms, ceiling)
     fn = compile_formula(f, env)
     for ctx in _frame_contexts(max_worlds, agents, atoms):

@@ -116,7 +116,7 @@ class _Interning(type):
     builds it and enters it in ``_INTERNED`` (hash-consing: Filliâtre &
     Conchon, "Type-safe modular hash-consing", 2006). A new node is
     filled through its class's slot setters, one per name in its
-    ``__match_args__``; keyword arguments are mapped through those names.
+    ``__match_args__``; its fields are given by position only.
 
     A key's child nodes hash and compare by identity, so a lookup costs the
     same however deep the node. The table keeps no node alive: an entry goes
@@ -130,9 +130,7 @@ class _Interning(type):
         # each field's slot setter, in field order, to fill a new node
         cls._setters = tuple(getattr(cls, f).__set__ for f in cls.__match_args__)
 
-    def __call__(cls, *args, **kwargs):
-        if kwargs:
-            args = _positional(cls, args, kwargs)
+    def __call__(cls, *args):
         key = (cls, *args)
         entry = _INTERNED.get(key)
         if entry is not None:
@@ -157,15 +155,6 @@ class _Interning(type):
                 return built
             _remove_dead_weakref(_INTERNED, key)
         return node
-
-
-def _positional(cls, args: tuple, kwargs: dict) -> tuple:
-    """The fields of a node built with keyword arguments, in field order."""
-    names = cls.__match_args__
-    rest = names[len(args):]
-    if kwargs.keys() != set(rest):
-        raise TypeError(f"{cls.__name__}() takes {', '.join(names)}")
-    return (*args, *(kwargs[name] for name in rest))
 
 
 class Formula(metaclass=_Interning):

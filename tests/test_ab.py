@@ -96,3 +96,36 @@ def test_the_benchmarks_own_metrics_are_summarized():
     summaries = ab.summarize(metrics, [line], [line])
     assert [s.name for s in summaries] == [m["name"] for m in metrics]
     assert all(s.in_bound and s.wins == 0 for s in summaries)
+
+
+def test_a_record_holds_the_runs_and_the_summary(tmp_path):
+    args = ab.argparse.Namespace(
+        against="HEAD~1", workload="suite", pairs=2, seed=3, seconds=20.0, record=45
+    )
+    runs = [
+        (1, "parent", _line(1000, 0.60)),
+        (1, "change", _line(1100, 0.55)),
+        (2, "change", _line(1090, 0.56)),
+        (2, "parent", _line(1010, 0.61)),
+    ]
+    summaries = ab.summarize(_METRICS, [runs[0][2], runs[3][2]], [runs[1][2], runs[2][2]])
+    record = ab.build_record(args, "a" * 40, ("b" * 40, True), runs, summaries)
+    assert (record["seed"], record["seconds"], record["pairs"]) == (3, 20.0, 2)
+    assert record["parent"] == {"rev": "HEAD~1", "sha": "a" * 40}
+    assert record["change"] == {"sha": "b" * 40, "dirty": True}
+    assert record["python"] == ab.sys.version
+    assert record["reference_s"] > 0
+    assert [(r["pair"], r["side"]) for r in record["runs"]] == [p[:2] for p in runs]
+    assert record["runs"][1]["result"]["metrics"]["formulas_per_s"]["value"] == 1100
+    assert [s["name"] for s in record["summary"]] == ["formulas_per_s", "latency_p50_ms"]
+    assert record["summary"][0]["parent"] == (1002.5, 1005, 1007.5)
+
+    # one file keyed by workload: a second workload joins the first
+    path = tmp_path / "BENCH_45.json"
+    ab.save_record(path, "suite", record)
+    ab.save_record(path, "models", record)
+    ab.save_record(path, "suite", record)
+    saved = json.loads(path.read_text())
+    assert list(saved) == ["suite", "models"]
+    assert saved["suite"]["summary"][0]["parent"] == [1002.5, 1005, 1007.5]
+    assert saved["models"]["runs"] == json.loads(json.dumps(record["runs"]))

@@ -421,6 +421,12 @@ class TestApplyMove:
                 "PL-0: defences answer attacks",
             ),
             (
+                "~p",
+                [Move("O", "attack", 0, said("1", "p"))],
+                Move("P", "defend", 1, said("1", "p")),
+                "particle mismatch: ~p admits no defence",
+            ),
+            (
                 "p & q -> p",
                 [
                     Move("O", "attack", 0, said("1", "p & q")),
@@ -998,7 +1004,7 @@ class TestTranscript:
     def test_example_table_layout(self):
         data = load_play(PLAYS_DIR / "introspection-absolute.json")
         state = replay_script(data)
-        text = render_transcript(state, winner="P")
+        text = render_transcript(state.moves, winner="P")
         lines = text.splitlines()
         assert "O" in lines[0] and "P" in lines[0]
         assert "1: K{i,1.1} a -> K{i,1.1} K{i,1.1} a" in text
@@ -1010,13 +1016,13 @@ class TestTranscript:
 
     def test_single_move_play(self):
         state = initial_state(Atom("p"))
-        text = render_transcript(state)
+        text = render_transcript(state.moves)
         assert "(0)" in text and "1: p" in text
 
     def test_deferred_defence_sits_on_attack_row(self):
         data = load_play(PLAYS_DIR / "factivity-11.json")
         state = replay_script(data)
-        text = render_transcript(state)
+        text = render_transcript(state.moves)
         row = next(l for l in text.splitlines() if l.startswith("(9)"))
         assert "(20)" in row
 
@@ -1029,7 +1035,7 @@ TRANSCRIPT_SHA256 = "e8ba1b53a48efad9a11b9f6df9987da8693866505c94213937a80884ca0
 def test_transcripts_are_pinned():
     digest = hashlib.sha256()
     for path in PLAY_FILES:
-        text = render_transcript(replay_script(load_play(path)))
+        text = render_transcript(replay_script(load_play(path)).moves)
         digest.update(text.encode() + b"\0")
     for thesis in _game_theses():
         refutation = has_winning_strategy(thesis).refutation

@@ -19,6 +19,7 @@ from celogic.kripke import ContextEnv
 from celogic.prove import Valid, prove_cel
 from celogic.syntax import (
     BOT,
+    ContextFormula,
     Iff,
     Know,
     Rel,
@@ -117,6 +118,17 @@ class TestPresets:
                 anti_binding=parse_context("p"),
                 scep_binding=parse_context("p & q"),
             )
+
+    def test_coinciding_non_canonical_bindings_accepted(self):
+        # the same literals in two orders: each implies the other
+        anti = ContextFormula((("b", True), ("a", True)))
+        scep = ContextFormula((("a", True), ("b", True)))
+        assert anti != scep
+        tagged, env = apply_preset(
+            parse_formula("K{i} p"), ANTI_SCEPTIC, anti_binding=anti, scep_binding=scep
+        )
+        assert tagged == parse_formula("K{i,1.1} p")
+        assert env.bindings == {"cscep": scep}
 
 
 class TestContextImplies:

@@ -772,7 +772,7 @@ def reference_models(max_worlds, agents, atoms):
 
 
 def oracle_signature(f, env):
-    """The agents and atoms find_countermodel scans by default: f's atoms
+    """The agents and atoms find_countermodel scans: f's atoms
     that are not its context names, and the literals of those names' bodies."""
     info = formula_info(f)
     names = needed_context_names(f) | (env.bindings.keys() & info.atoms)
@@ -783,13 +783,12 @@ def oracle_signature(f, env):
 
 
 def reference_find_countermodel(
-    f, env=None, max_worlds=3, agents=None, atoms=None,
-    ceiling=DEFAULT_ENUMERATION_CEILING,
+    f, env=None, max_worlds=3, atoms=None, ceiling=DEFAULT_ENUMERATION_CEILING
 ):
-    """The per-model scan: every model in order, the lowest failing world."""
+    """The per-model scan: every model in order, the lowest failing world,
+    over f's agents and over its signature's atoms or, if given, ``atoms``."""
     env = env or ContextEnv()
-    default_agents, default_atoms = oracle_signature(f, env)
-    agents = default_agents if agents is None else agents
+    agents, default_atoms = oracle_signature(f, env)
     atoms = default_atoms if atoms is None else atoms
     fn = reference_compile_formula(f, env.completed(needed_context_names(f)))
     for model in enumerate_models(max_worlds, agents, atoms, ceiling=ceiling):
@@ -849,9 +848,9 @@ def test_oracle_matches_the_model_scan_property(seed):
 
 
 def test_scanning_context_names_finds_the_same_model():
-    """A context name is read as its body, never from the valuation, so
-    scanning it too finds the same first counter-model, with one all-false
-    entry more per name: a name's bits are 0 in the lowest failing
+    """A context name is read as its body, never from the valuation, so a
+    model scan over it too finds the oracle's first counter-model, with one
+    all-false entry more per name: a name's bits are 0 in the lowest failing
     valuation."""
     bound = ContextEnv({"ci": parse_context("p"), "cj": parse_context("q & ~p")})
     rng = random.Random(13)
@@ -862,7 +861,7 @@ def test_scanning_context_names_finds_the_same_model():
             names = env.for_formula(f).bindings.keys() & formula_info(f).atoms
             found = find_countermodel(f, env, max_worlds=2)
             _, atoms = oracle_signature(f, env)
-            wide = find_countermodel(
+            wide = reference_find_countermodel(
                 f, env, max_worlds=2, atoms=sorted(set(atoms) | names)
             )
             if found is None:
@@ -877,17 +876,34 @@ def test_scanning_context_names_finds_the_same_model():
 
 
 class TestOracleEdges:
+    @staticmethod
+    def lacked(f, model, env=None):
+        """The ModelError that the kernel, the reference kernel and
+        truth_mask all raise on f over a model lacking one of its agents."""
+        env = (env or ContextEnv()).for_formula(f)
+        errors = set()
+        for evaluate in (
+            lambda: compile_formula(f, env)(ModelCtx(model)),
+            lambda: reference_compile_formula(f, env)(ModelCtx(model)),
+            lambda: truth_mask(model, env, f),
+        ):
+            with pytest.raises(ModelError) as exc:
+                evaluate()
+            errors.add(str(exc.value))
+        (error,) = errors
+        return error
+
     def test_an_omitted_agent_is_a_model_error(self):
         f = parse_formula("K{i,1.1} p -> P{j,1.1} p")
-        found = assert_same_as_reference(f, agents=["i"], max_worlds=2)
-        assert found == ("ModelError", "model lacks agent 'j'")
+        for model in enumerate_models(2, ["i"], ["p"]):
+            assert self.lacked(f, model) == "model lacks agent 'j'"
 
     def test_the_outermost_missing_agent_is_named(self):
         f = parse_formula("K{i,1.1} K{j,1.1} p | P{k,1.1} P{j,1.1} p")
         cases = [([], "i"), (["j"], "i"), (["i"], "j"), (["i", "j"], "k")]
         for agents, missing in cases:
-            found = assert_same_as_reference(f, agents=agents, max_worlds=2)
-            assert found == ("ModelError", f"model lacks agent {missing!r}")
+            for model in enumerate_models(2, agents, ["p"]):
+                assert self.lacked(f, model) == f"model lacks agent {missing!r}"
         with pytest.raises(ModelError, match="'i'"):
             satisfies(KripkeModel(["w1"], {}, {}), "w1", ContextEnv(), f)
         # a model with some of the agents: the outermost one it lacks
@@ -903,14 +919,24 @@ class TestOracleEdges:
             ("(K{k,1.2} p)^ci", false_ci),
         ]:
             g = parse_formula(text)
-            found = assert_same_as_reference(g, env=env, agents=[], max_worlds=2)
-            assert found == ("ModelError", "model lacks agent 'k'")
+            for bare in enumerate_models(2, [], ["p", "q"]):
+                assert self.lacked(g, bare, env) == "model lacks agent 'k'"
             with pytest.raises(ModelError, match="model lacks agent 'k'"):
                 truth_mask(model, env.completed(needed_context_names(g)), g)
 
     def test_an_omitted_atom_is_false_everywhere(self):
         for text in ["q -> K{i,1.1} p", "p | ~q", "K{i,1.1} (p -> q)"]:
-            assert_same_as_reference(parse_formula(text), atoms=["p"])
+            f = parse_formula(text)
+            env = ContextEnv().for_formula(f)
+            kernel, reference = compile_formula(f, env), reference_compile_formula(f, env)
+            for model in enumerate_models(2, ["i"], ["p"]):
+                padded = KripkeModel(
+                    model.worlds, model.relations, {**model.valuation, "q": []}
+                )
+                mask = kernel(ModelCtx(padded))
+                assert kernel(ModelCtx(model)) == mask
+                assert reference(ModelCtx(model)) == mask
+                assert truth_mask(model, env, f) == mask
 
     def test_zero_agents(self):
         assert assert_same_as_reference(parse_formula("p & q -> p")) is None
@@ -918,10 +944,10 @@ class TestOracleEdges:
         assert world == "w1" and model["agents"] == {}
 
     def test_no_atoms(self):
-        f = parse_formula("K{i,1.1} p -> p")
-        assert assert_same_as_reference(f, atoms=[]) is None
-        model, world = assert_same_as_reference(parse_formula("P{i,1.1} p"), atoms=())
-        assert model["valuation"] == {}
+        env = ContextEnv({"c": BOT})
+        assert assert_same_as_reference(parse_formula("K{i,1.1} c -> c"), env=env) is None
+        model, world = assert_same_as_reference(parse_formula("P{i,1.1} c"), env=env)
+        assert model["valuation"] == {} and model["agents"] == {"i": [["w1"]]}
         assert assert_same_as_reference(Atom("c"), env=ContextEnv({"c": TOP})) is None
         # a context name is read as its body, never from the valuation, so
         # it is not scanned
@@ -968,8 +994,27 @@ def test_the_ceiling_check_stops_once_the_count_passes_it(monkeypatch):
         return bell_number(n)
 
     monkeypatch.setattr(celogic.kripke, "bell_number", counted_bell_number)
-    with pytest.raises(EnumerationCeilingError, match="^at least "):
-        find_countermodel(parse_formula("p -> q"), max_worlds=5000)
+    with pytest.raises(EnumerationCeilingError, match="^at least 15257700 models "):
+        find_countermodel(parse_formula("K{i,1.1} p -> q"), max_worlds=5000)
+    assert calls == [1, 2, 3, 4, 5, 6, 7]
+
+
+def test_a_formula_without_agents_lists_no_partitions(monkeypatch):
+    """With no agent a frame is its worlds alone: neither the ceiling check
+    nor the scan asks for a partition or a Bell number."""
+    import celogic.kripke
+
+    wide = parse_formula("p -> q | r")
+    expected = outcome(reference_find_countermodel, wide)
+
+    def refuse(*args):
+        raise AssertionError("partitioned the worlds of a formula without agents")
+
+    monkeypatch.setattr(celogic.kripke, "set_partitions", refuse)
+    monkeypatch.setattr(celogic.kripke, "bell_number", refuse)
+    assert find_countermodel(parse_formula("p -> p"), max_worlds=12) is None
+    assert outcome(find_countermodel, wide) == expected
+    assert len(list(enumerate_models(3, [], ["p"]))) == 2 + 4 + 8
 
 
 def test_frame_mask_layout():

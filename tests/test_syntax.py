@@ -707,18 +707,15 @@ class TestInterning:
         assert not hasattr(f, "_hash")
         assert repr(f) == repr(_rebuilt_from_fields(f))
 
-    def test_keyword_construction_is_interned(self):
-        body = Atom(name="p")
-        assert body is Atom("p")
-        assert Know(agent="i", variant="1.1", body=body) is Know("i", "1.1", body)
-        assert Rel(body, context="ci") is Rel(body, "ci")
-
     @_EVERY_KIND
-    def test_every_node_class_takes_its_fields_by_keyword(self, node):
+    def test_a_node_takes_its_fields_by_position_only(self, node):
         fields = {name: getattr(node, name) for name in node.__match_args__}
-        assert type(node)(**fields) is node
-        first, *rest = node.__match_args__
-        assert type(node)(fields[first], **{n: fields[n] for n in rest}) is node
+        assert type(node)(*fields.values()) is node
+        *init, last = node.__match_args__
+        with pytest.raises(TypeError):
+            type(node)(**fields)
+        with pytest.raises(TypeError):
+            type(node)(*(fields[n] for n in init), **{last: fields[last]})
 
     @_EVERY_KIND
     def test_a_field_cannot_be_assigned_or_deleted(self, node):

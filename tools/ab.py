@@ -1,8 +1,10 @@
 """Run the benchmark on a commit and on the working tree, in alternating pairs.
 
     python3 tools/ab.py --against REV --workload W [--pairs 10] [--seed 1] [--seconds 20]
+                        [--record N]
 
-REV is checked out in a temporary detached ``git worktree``, removed on exit.
+REV's committed files are unpacked (``git archive``) into a temporary
+directory, removed on exit.
 Each pair runs ``perfbench/run.py --workload W --seed S --seconds T --trace 0``
 in that tree (the parent) and in the working tree (the change), the parent
 first in odd pairs and the change first in even ones, so that a drift in the
@@ -15,11 +17,19 @@ sides' medians and quartiles, the pairs the change wins (the direction from
 the metric's ``better``; a tie counts for neither side), whether the medians
 are further apart than the parent's quartiles, and whether the change's
 median is within the metric's ``bound``, a fraction of the parent's median.
+
+With ``--record N`` it also writes the workload's record into
+``BENCH_<N>.json`` at the repo root, a JSON object keyed by workload, so
+that one file holds every workload a change measured: the seed, seconds and
+pair count, both commits (REV resolved, and HEAD with whether the working
+tree differs from it), the Python version, ``perfbench/calibrate.py``'s
+``REFERENCE_S``, every run's pair, side and last line, and the summary.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
 import statistics
 import subprocess
@@ -96,6 +106,56 @@ def render(summaries: list[Summary]) -> str:
     )
 
 
+def _reference_s() -> float:
+    """``REFERENCE_S`` of the working tree's ``perfbench/calibrate.py``."""
+    spec = importlib.util.spec_from_file_location(
+        "calibrate", ROOT / "perfbench" / "calibrate.py"
+    )
+    calibrate = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(calibrate)
+    return calibrate.REFERENCE_S
+
+
+def build_record(
+    args: argparse.Namespace,
+    parent_sha: str,
+    head: tuple[str, bool],
+    runs: list[tuple[int, str, str]],
+    summaries: list[Summary],
+) -> dict:
+    """One workload's record: ``head`` is HEAD's SHA and whether the working
+    tree differs from it, ``runs`` each run's (pair, side, last line) in the
+    order they ran."""
+    return {
+        "seed": args.seed,
+        "seconds": args.seconds,
+        "pairs": args.pairs,
+        "parent": {"rev": args.against, "sha": parent_sha},
+        "change": {"sha": head[0], "dirty": head[1]},
+        "python": sys.version,
+        "reference_s": _reference_s(),
+        "runs": [
+            {"pair": pair, "side": side, "result": json.loads(line)}
+            for pair, side, line in runs
+        ],
+        "summary": [s._asdict() for s in summaries],
+    }
+
+
+def save_record(path: Path, workload: str, record: dict) -> None:
+    """Enter ``record`` under ``workload`` in the JSON object at ``path``,
+    keeping the other workloads' records."""
+    records = json.loads(path.read_text()) if path.exists() else {}
+    records[workload] = record
+    path.write_text(json.dumps(records, indent=2) + "\n")
+
+
+def _git(*args: str) -> str:
+    return subprocess.run(
+        ["git", "-C", str(ROOT), *args], capture_output=True, text=True, check=True
+    ).stdout.strip()
+
+
 def run_once(tree: Path, args: argparse.Namespace) -> str | None:
     """One benchmark run in ``tree``: its last line of output if the run
     exited 0 and is ``correct``, else None after printing why."""
@@ -123,36 +183,46 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--seconds", type=float, default=20)
+    parser.add_argument("--record", type=int, metavar="N")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
     end_to_end = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    try:
+        parent_sha = _git("rev-parse", "--verify", f"{args.against}^{{commit}}")
+    except subprocess.CalledProcessError:
+        print(f"error: cannot resolve {args.against}", file=sys.stderr)
+        return 2
 
+    runs: list[tuple[int, str, str]] = []  # (pair, side, last line)
     with tempfile.TemporaryDirectory(prefix="ab-") as scratch:
-        parent_tree = Path(scratch) / "tree"
-        git = ["git", "-C", str(ROOT)]
-        add = ["worktree", "add", "--quiet", "--detach", str(parent_tree), args.against]
-        if subprocess.run(git + add).returncode:
-            print(f"error: cannot check out {args.against}", file=sys.stderr)
+        archive = subprocess.run(
+            ["git", "-C", str(ROOT), "archive", parent_sha], capture_output=True
+        )
+        untar = subprocess.run(["tar", "-x", "-C", scratch], input=archive.stdout)
+        if archive.returncode or untar.returncode:
+            print(f"error: cannot unpack {args.against}", file=sys.stderr)
             return 2
-        try:
-            runs: dict[str, list[str]] = {"parent": [], "change": []}
-            trees = {"parent": parent_tree, "change": ROOT}
-            for pair in range(args.pairs):
-                order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
-                for side in order:
-                    line = run_once(trees[side], args)
-                    if line is None:
-                        return 2
-                    runs[side].append(line)
-                    print(f"pair {pair + 1} {side}: {line}", flush=True)
-        finally:
-            subprocess.run(git + ["worktree", "remove", "--force", str(parent_tree)])
-            subprocess.run(git + ["worktree", "prune"])
+        trees = {"parent": Path(scratch), "change": ROOT}
+        for pair in range(1, args.pairs + 1):
+            order = ("parent", "change") if pair % 2 else ("change", "parent")
+            for side in order:
+                line = run_once(trees[side], args)
+                if line is None:
+                    return 2
+                runs.append((pair, side, line))
+                print(f"pair {pair} {side}: {line}", flush=True)
 
     print(f"{args.workload}, seed {args.seed}, {args.seconds:g} s a run, "
           f"{args.against} (parent) against the working tree (change)")
-    print(render(summarize(end_to_end, runs["parent"], runs["change"])))
+    lines = {side: [line for _, s, line in runs if s == side] for side in trees}
+    summaries = summarize(end_to_end, lines["parent"], lines["change"])
+    print(render(summaries))
+    if args.record is not None:
+        head = (_git("rev-parse", "HEAD"), bool(_git("status", "--porcelain")))
+        path = ROOT / f"BENCH_{args.record}.json"
+        save_record(path, args.workload, build_record(args, parent_sha, head, runs, summaries))
+        print(f"recorded in {path.name}")
     return 0
 
 
