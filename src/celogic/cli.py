@@ -3,7 +3,8 @@
 Exit codes: 0 valid/true/agreement, 1 invalid/false/mismatch, 2 usage or
 input error, 3 search budget exhausted, oracle model space over its
 ceiling, an ``--env`` or ``--model`` file nested too deeply, out of memory,
-or a failed internal check. Errors go to stderr prefixed with ``error:``.
+a failed internal check, or an output pipe its reader closed. Errors go to
+stderr prefixed with ``error:``.
 
 ``--format json`` prints each document with ``json.dumps``.
 The AST, the proof log and the strategy are flat lists of nodes that name
@@ -15,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import dialogue as dlg
@@ -294,7 +296,15 @@ def main(argv=None) -> int:
         print("error: --budget must be a positive integer", file=sys.stderr)
         return EXIT_USAGE
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # so that a closed pipe raises here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout (``| head``): the output is cut short, so
+        # neither verdict stands. Point stdout at devnull so that the
+        # interpreter's final flush does not raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BUDGET
     except (
         dlg.BudgetExhaustedError, EnumerationCeilingError, ProverError
     ) as exc:

@@ -15,17 +15,18 @@ stated once and both run and compiled, as in Carette, Kiselyov & Shan,
 ``satisfies`` and ``eval_context``, folds it over the integer masks of one
 model, with no code generated. ``compile_formula`` folds it over source
 lines into one truth-mask function for a caller that evaluates a formula
-many times, as the oracle does over every frame: the compiler folds, as it
-emits, each operation that a Boolean identity decides (every mask is a
-subset of the all-worlds mask, so constants, double complements,
-``x & ~x``, ``x <-> x`` and knowledge of all or no worlds decide
-themselves), and the function keeps only the lines its result depends on.
+many times, as the oracle does over every frame: each line carries, as it
+is emitted, its truth table over the kernel's leaves (atom reads and
+knowledge lookups), so a line of constant meaning is that constant and a
+line meaning what an earlier one means is that line; Boolean identities
+decide only the lines past the leaf cap (``LEAF_CAP``). The function keeps
+only the lines its result depends on.
 
-Both read atoms and knowledge by subscript: an atom from the context's
-valuation, an agent's knowledge from its table. Over a model the table is a
-memo from mask to the union of the classes inside it, shared by every model
-over the same partition; over a frame it runs the slice-AND scan on each
-lookup.
+Both read atoms and knowledge by subscript of plain dicts: an atom from the
+context's valuation, an agent's knowledge from its table. Over a model the
+table is a memo from mask to the union of the classes inside it, shared by
+every model over the same partition; over a frame it runs the slice-AND
+scan on each lookup.
 """
 
 from __future__ import annotations
@@ -275,18 +276,8 @@ def eval_context(model: KripkeModel, world: str, env: ContextEnv, name: str) -> 
 # Mask-compiled satisfaction
 
 
-class _Classes(dict):
-    """Agent -> its knowledge table; asking for a missing agent is an error."""
-
-    def __missing__(self, agent):
-        raise ModelError(f"model lacks agent {agent!r}")
-
-
-class _Valuation(dict):
-    """Atom -> valuation mask; an atom the valuation omits is false everywhere."""
-
-    def __missing__(self, atom):
-        return 0
+def _lacks(agent: str) -> ModelError:
+    return ModelError(f"model lacks agent {agent!r}")
 
 
 class _Knowledge(dict):
@@ -323,19 +314,19 @@ def _knowledge(classes: list[int]) -> _Knowledge:
 
 
 class _ModelCtx:
-    """Per-model evaluation tables: valuation masks and knowledge tables.
-    It does not hold the model, so a sweep keeps only the masks alive."""
+    """Per-model evaluation tables, plain dicts: atom -> valuation mask (an
+    atom it omits is false everywhere) and agent -> knowledge table (an
+    agent it omits is a ModelError). It does not hold the model, so a sweep
+    keeps only the masks alive."""
 
     def __init__(self, model: KripkeModel):
         index = model._index
         self.full = (1 << len(model.worlds)) - 1
-        self.val = _Valuation({
-            atom: _mask_of(ws, index) for atom, ws in model.valuation.items()
-        })
-        self.classes = _Classes({
+        self.val = {atom: _mask_of(ws, index) for atom, ws in model.valuation.items()}
+        self.classes = {
             agent: _knowledge([_mask_of(cl, index) for cl in classes])
             for agent, classes in model.relations.items()
-        })
+        }
 
 
 class _FrameKnowledge:
@@ -363,18 +354,18 @@ class _FrameCtx:
     under valuation v. Its atom masks come from ``_atom_masks``, and each
     agent's knowledge is a _FrameKnowledge."""
 
-    def __init__(self, worlds: tuple, V: int, val: _Valuation, relations):
+    def __init__(self, worlds: tuple, V: int, val: dict[str, int], relations):
         self.worlds, self.V, self.relations = worlds, V, relations
         self.slice = (1 << V) - 1
         self.full = (1 << len(worlds) * V) - 1
         self.val = val
-        self.classes = _Classes({
+        self.classes = {
             agent: _FrameKnowledge(
                 [tuple(worlds.index(w) * V for w in cl) for cl in classes],
                 self.slice,
             )
             for agent, classes in relations.items()
-        })
+        }
 
 
 def _mask_of(worlds, index) -> int:
@@ -411,9 +402,13 @@ def _mask_rules(env: ContextEnv, read, table, not_, and_, or_, iff, know, full, 
     literals included, read the valuation. Each agent's table is asked for
     in the preorder of the agents' first occurrences."""
 
+    guards: dict = {}  # context name -> the mask where its body fails
+
     def unguarded(c: str):
-        """The mask where context c's body fails."""
-        return not_(_context_expr(env, c, read, and_, not_, full, none))
+        """The mask where context c's body fails, worked out once per name."""
+        if c not in guards:
+            guards[c] = not_(_context_expr(env, c, read, and_, not_, full, none))
+        return guards[c]
 
     def step(g: Formula):
         match g:
@@ -472,64 +467,104 @@ def _kernel_code(source: str):
     return compile(source, "<compile_formula>", "exec")
 
 
+LEAF_CAP = 8
+"""The most leaves (valuation reads and knowledge lookups) a kernel gives a
+truth table to: a table is an int of 2**LEAF_CAP bits, bit a its value
+under the assignment a of the leaves, leaf i being bit i of a. Every one of
+the 423 kernels of one ``models`` pass has at most 7 leaves, and 97% have at
+most 4."""
+
+_FULL_TABLE = (1 << (1 << LEAF_CAP)) - 1
+# leaf i's table: set exactly under the assignments that set bit i
+_LEAF_TABLES = tuple(
+    sum(1 << a for a in range(1 << LEAF_CAP) if a >> i & 1) for i in range(LEAF_CAP)
+)
+
+
 def compile_formula(f: Formula, env: ContextEnv) -> Callable[[_ModelCtx], int]:
     """Compile a formula into a truth-mask function over evaluation contexts:
     a _ModelCtx (one model) or a _FrameCtx (one frame, every valuation).
 
     The result is one generated function ``mask(ctx)``, the fold of
-    ``_mask_rules`` over an algebra of source lines: each distinct
-    subformula is one assignment, in dependency order (equal expressions
-    share one), and the function returns the root's mask, so an evaluation
-    is one Python call. No name is spliced into its source: atom, agent and
-    context names reach it as values bound in the namespace it is compiled
-    in, and the source holds only generated identifiers, operators and the
-    constant 0. An atom is read as ``val[n]``, a subscript of the
-    context's valuation, which is 0 for an atom it omits. ``Know`` is
-    ``k[m]``, a subscript of the agent's knowledge table, and ``Poss`` its
-    dual ``full ^ k[full ^ m]``, so the function makes no call of its own.
+    ``_mask_rules`` over an algebra of source lines: each assignment
+    computes a distinct mask, in dependency order, and the function returns
+    the root's, so an evaluation is one Python call. No name is spliced into
+    its source: atom, agent and context names reach it as values bound in
+    the namespace it is compiled in, and the source holds only generated
+    identifiers, operators and the constant 0. An atom is ``val[n]``, a
+    subscript of the context's valuation in a ``try`` that reads 0 for an
+    atom it omits; ``Know`` is ``k[m]``, a subscript of the agent's
+    knowledge table, and ``Poss`` its dual ``full ^ k[full ^ m]``.
 
-    Every operation is emitted through a helper that first applies the
-    Boolean identities that hold because every mask is a subset of ``full``:
-    ``full`` and ``0`` absorb or drop out of ``&``, ``|`` and ``<->``, a
-    complement of a complement is its operand, ``x & x`` and ``x | x`` are
-    ``x``, ``x & ~x`` is ``0``, ``x | ~x`` and ``x <-> x`` are ``full``, and
-    knowledge of ``full`` or ``0`` is itself (every world is in a class), so
-    possibility is too. Every complement is ``full ^ x``, made in one
-    helper. Only the lines the root depends on are emitted, and ``full`` and
-    the valuation are read only if one of them does. Each agent's table is
-    still looked up first, in the preorder of the agents' first
-    occurrences, even where its operator folds away, so a missing agent
-    raises ModelError naming the outermost one. The source is compiled
-    once per distinct text (``_kernel_code``), and each call runs that code
-    in a namespace of its own. Compiling pays off only where one function
-    is evaluated many times, as over every frame in ``find_countermodel``;
-    ``truth_mask`` evaluates once without it.
+    Lines are shared by meaning (functional reduction, as in FRAIGs:
+    Mishchenko, Chatterjee, Jiang & Brayton, 2005). The leaves are the atom
+    reads and the knowledge lookups, a lookup keyed by its agent's table
+    and its argument's truth table; each of the first ``LEAF_CAP`` leaves
+    has a truth table, and a line computed from tabled lines carries the
+    table its operation makes of theirs. A line whose table is constant is
+    ``full`` or ``0``, and one whose table an earlier line has is that line.
+    This is sound: every mask is a subset of ``full`` and ``&``, ``|`` and
+    ``^`` act world by world, so two lines with equal tables have equal
+    masks in every context; ``k[x]`` depends only on x's mask; and
+    knowledge of ``full`` is ``full`` and of ``0`` is ``0``, because an
+    agent's classes cover all the worlds.
+
+    A line that reads a leaf past the cap has no table. For it the helpers
+    apply the identities that hold because every mask is a subset of
+    ``full``: ``full`` and ``0`` absorb or drop out of ``&``, ``|`` and
+    ``<->``, a complement of a complement is its operand, ``x & x`` and
+    ``x | x`` are ``x``, ``x & ~x`` is ``0``, ``x | ~x`` and ``x <-> x``
+    are ``full``, and equal expressions share one line. Only the lines the
+    root depends on are emitted, and ``full`` and the valuation are read
+    only if one of them does. Each agent's table is still looked up first,
+    in the preorder of the agents' first occurrences, even where its
+    operator folds away, so a missing agent raises ModelError naming the
+    outermost one. The source is compiled once per distinct text
+    (``_kernel_code``), and each call runs that code in a namespace of its
+    own. Compiling pays off only where one function is evaluated many
+    times, as over every frame in ``find_countermodel``; ``truth_mask``
+    evaluates once without it.
     """
     names: dict[str, str] = {}  # name -> the identifier bound to it
     classes: dict[str, str] = {}  # agent -> the local holding its table
     exprs: dict[str, str] = {}  # expression -> its local, in dependency order
     reads: dict[str, tuple[str, ...]] = {}  # local -> what its line reads
-    complement: dict[str, str] = {}  # local -> its complement, both ways
+    complement = {"full": "0", "0": "full"}  # local -> its complement, both ways
+    tables = {"full": _FULL_TABLE, "0": 0}  # local -> its table, None past the cap
+    by_table = {_FULL_TABLE: "full", 0: "0"}  # table -> the local that has it
+    leaves: dict = {}  # atom, or (agent's local, argument's table) -> leaf table
+    atoms: dict[str, str] = {}  # atom -> the local reading it
 
     def name(value: str) -> str:
         return names.setdefault(value, f"n{len(names)}")
 
-    def emit(expr: str, *operands: str) -> str:
+    def emit(expr: str, table: int | None, operands: tuple[str, ...]) -> str:
+        if table in by_table:
+            return by_table[table]
         local = exprs.setdefault(expr, f"m{len(exprs)}")
-        reads[local] = operands
+        reads[local], tables[local] = operands, table
+        if table is not None:
+            by_table[table] = local
         return local
 
+    def leaf(key, expr: str, operands: tuple[str, ...]) -> str:
+        table = leaves.get(key)
+        if table is None and len(leaves) < LEAF_CAP:
+            table = leaves[key] = _LEAF_TABLES[len(leaves)]
+        return emit(expr, table, operands)
+
     def read(atom: str) -> str:
-        return emit(f"val[{name(atom)}]", "val")
+        if atom not in atoms:
+            atoms[atom] = leaf(atom, f"val[{name(atom)}]", ("val",))
+        return atoms[atom]
 
     def table(agent: str) -> str:
         return classes.setdefault(agent, f"k{len(classes)}")
 
     def not_(x: str) -> str:
-        if x in ("full", "0"):
-            return "0" if x == "full" else "full"
         if x not in complement:
-            m = emit(f"full ^ {x}", "full", x)
+            t = tables[x]
+            m = emit(f"full ^ {x}", None if t is None else _FULL_TABLE ^ t, ("full", x))
             complement[x], complement[m] = m, x
         return complement[x]
 
@@ -538,14 +573,22 @@ def compile_formula(f: Formula, env: ContextEnv) -> Callable[[_ModelCtx], int]:
             return "0"
         if a == "full" or a == b:
             return b
-        return a if b == "full" else emit(f"{a} & {b}", a, b)
+        if b == "full":
+            return a
+        ta, tb = tables[a], tables[b]
+        t = None if ta is None or tb is None else ta & tb
+        return emit(f"{a} & {b}", t, (a, b))
 
     def or_(a: str, b: str) -> str:
         if a == "full" or b == "full" or complement.get(a) == b:
             return "full"
         if a == "0" or a == b:
             return b
-        return a if b == "0" else emit(f"{a} | {b}", a, b)
+        if b == "0":
+            return a
+        ta, tb = tables[a], tables[b]
+        t = None if ta is None or tb is None else ta | tb
+        return emit(f"{a} | {b}", t, (a, b))
 
     def iff(a: str, b: str) -> str:
         if a == b:
@@ -556,10 +599,17 @@ def compile_formula(f: Formula, env: ContextEnv) -> Callable[[_ModelCtx], int]:
             return a if b == "full" else not_(a)
         if complement.get(a) == b:
             return "0"
-        return not_(emit(f"{a} ^ {b}", a, b))
+        ta, tb = tables[a], tables[b]
+        t = None if ta is None or tb is None else ta ^ tb
+        return not_(emit(f"{a} ^ {b}", t, (a, b)))
 
     def know(k: str, x: str) -> str:
-        return x if x in ("full", "0") else emit(f"{k}[{x}]", x)
+        if x in ("full", "0"):
+            return x
+        t = tables[x]
+        if t is None:
+            return emit(f"{k}[{x}]", None, (x,))
+        return leaf((k, t), f"{k}[{x}]", (x,))
 
     step = _mask_rules(env, read, table, not_, and_, or_, iff, know, "full", "0")
     root = fold(f, step)
@@ -567,16 +617,31 @@ def compile_formula(f: Formula, env: ContextEnv) -> Callable[[_ModelCtx], int]:
     for m in reversed(exprs.values()):
         if m in live:
             live.update(reads[m])
-    source = "".join([
-        "def mask(ctx):\n",
-        "    full = ctx.full\n" if "full" in live else "",
-        "    val = ctx.val\n" if "val" in live else "",
-        *(f"    {k} = ctx.classes[{name(a)}]\n" for a, k in classes.items()),
-        *(f"    {m} = {expr}\n" for expr, m in exprs.items() if m in live),
-        f"    return {root}\n",
-    ])
+    lines = ["def mask(ctx):\n"]
+    if "full" in live:
+        lines.append("    full = ctx.full\n")
+    if "val" in live:
+        lines.append("    val = ctx.val\n")
+    for a, k in classes.items():
+        n = name(a)
+        lines.append(
+            f"    try:\n        {k} = ctx.classes[{n}]\n"
+            f"    except absent:\n        raise lacks({n}) from None\n"
+        )
+    for expr, m in exprs.items():
+        if m not in live:
+            continue
+        if expr.startswith("val["):
+            lines.append(
+                f"    try:\n        {m} = {expr}\n"
+                f"    except absent:\n        {m} = 0\n"
+            )
+        else:
+            lines.append(f"    {m} = {expr}\n")
+    lines.append(f"    return {root}\n")
     ns = {ident: value for value, ident in names.items()}
-    exec(_kernel_code(source), ns)
+    ns["absent"], ns["lacks"] = KeyError, _lacks
+    exec(_kernel_code("".join(lines)), ns)
     return ns["mask"]
 
 
@@ -593,16 +658,17 @@ def truth_mask(model: KripkeModel, env: ContextEnv, f: Formula) -> int:
     def table(agent: str):
         if agent not in tables:
             lacking.append(agent)
-            return _Valuation()  # any mask it gives is thrown away below
+            return _Knowledge(())  # any mask it gives is thrown away below
         return tables[agent]
 
+    val = ctx.val
     step = _mask_rules(
-        env, ctx.val.__getitem__, table, full.__xor__, operator.and_,
+        env, lambda atom: val.get(atom, 0), table, full.__xor__, operator.and_,
         operator.or_, lambda a, b: full ^ a ^ b, operator.getitem, full, 0,
     )
     mask = fold(f, step)
     if lacking:
-        tables[lacking[0]]  # raises ModelError
+        raise _lacks(lacking[0])
     return mask
 
 
@@ -701,14 +767,14 @@ def enumerate_models(
             yield _frame_model(ctx.worlds, ctx.relations, atoms, v)
 
 
-def _atom_masks(n: int, atoms: list) -> tuple[int, _Valuation]:
+def _atom_masks(n: int, atoms: list) -> tuple[int, dict[str, int]]:
     """V = 2**(n*k) and each atom's _FrameCtx mask, in _frame_model's layout.
 
     Over v, bit b of v is runs of p = 2**b zeros then p ones: one period,
     doubled until it spans V bits.
     """
     V = 1 << n * len(atoms)
-    val = _Valuation()
+    val = {}
     for i, atom in enumerate(atoms):
         val[atom] = 0
         for w in range(n):

@@ -129,3 +129,26 @@ def test_a_record_holds_the_runs_and_the_summary(tmp_path):
     assert list(saved) == ["suite", "models"]
     assert saved["suite"]["summary"][0]["parent"] == [1002.5, 1005, 1007.5]
     assert saved["models"]["runs"] == json.loads(json.dumps(record["runs"]))
+
+
+def test_the_change_side_is_a_copy_of_the_working_trees_files(tmp_path):
+    # tracked and untracked files as they are on disk; ignored files and a
+    # tracked file deleted from the disk stay behind
+    repo, dest = tmp_path / "repo", tmp_path / "copy"
+    (repo / "src" / "pkg").mkdir(parents=True)
+    (repo / ".gitignore").write_text("build/\n*.pyc\n")
+    (repo / "src" / "pkg" / "kept.py").write_text("committed\n")
+    (repo / "src" / "pkg" / "gone.py").write_text("deleted later\n")
+    ab.subprocess.run(["git", "init", "-q", str(repo)], check=True)
+    ab.subprocess.run(["git", "-C", str(repo), "add", "-A"], check=True)
+    (repo / "src" / "pkg" / "kept.py").write_text("edited, not staged\n")
+    (repo / "src" / "pkg" / "gone.py").unlink()
+    (repo / "src" / "pkg" / "new.py").write_text("untracked\n")
+    (repo / "src" / "pkg" / "cached.pyc").write_text("ignored\n")
+    (repo / "build").mkdir()
+    (repo / "build" / "out.txt").write_text("ignored\n")
+
+    ab.copy_working_tree(repo, dest)
+    files = sorted(str(p.relative_to(dest)) for p in dest.rglob("*") if p.is_file())
+    assert files == [".gitignore", "src/pkg/kept.py", "src/pkg/new.py"]
+    assert (dest / "src" / "pkg" / "kept.py").read_text() == "edited, not staged\n"

@@ -508,6 +508,34 @@ class TestDialogue:
         assert out == ""
         assert err == "error: out of memory\n"
 
+    @pytest.mark.parametrize(
+        "thesis",
+        [
+            # valid: its proof runs to about 380 kB of JSON
+            " & ".join(["p1", *(f"(p{i} -> p{i + 1})" for i in range(1, 200))])
+            + " -> p200",
+            # invalid: its counter-model's valuation runs to about 190 kB
+            " & ".join(f"p{i}" for i in range(1, 5001)) + " -> q",
+        ],
+        ids=["valid", "invalid"],
+    )
+    def test_a_closed_output_pipe_exits_three(self, thesis):
+        # as `celogic --format json prove F | head -c 100`: the output is
+        # larger than a pipe holds, so the write fails once the reader is gone
+        source = str(pathlib.Path(celogic.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [source, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "celogic.cli", "--format", "json", "prove", thesis],
+            env={**os.environ, "PYTHONPATH": path},
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        )
+        assert len(proc.stdout.read(100)) == 100
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 3
+        assert b"Traceback" not in err and err == b""
+
     @pytest.mark.parametrize("budget", ["0", "-5"])
     def test_non_positive_budget_is_a_usage_error(self, capsys, budget):
         code, out, err = run(capsys, "dialogue", "--budget", budget, "p -> p")

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from celogic.epistemology import SUITE_ROWS
 from celogic.kripke import (
     DEFAULT_ENUMERATION_CEILING,
+    LEAF_CAP,
     ContextEnv,
     EnumerationCeilingError,
     KripkeModel,
@@ -470,13 +471,13 @@ def read_names(f, env):
     return sorted(atoms)
 
 
-def assert_same_masks(f, env, agents, max_worlds):
+def assert_same_masks(f, env, agents, max_worlds, model_worlds=2):
     """The kernel, the reference and direct evaluation agree on every model
-    up to two worlds, and the kernel and the reference on every frame up to
-    max_worlds worlds."""
+    up to model_worlds worlds, and the kernel and the reference on every
+    frame up to max_worlds worlds."""
     fn, ref = compile_formula(f, env), reference_compile_formula(f, env)
     atoms = read_names(f, env)
-    for model in enumerate_models(2, agents, atoms):
+    for model in enumerate_models(model_worlds, agents, atoms):
         ctx = ModelCtx(model)
         assert truth_mask(model, env, f) == fn(ctx) == ref(ctx)
     for ctx in _frame_contexts(max_worlds, agents, atoms):
@@ -507,6 +508,10 @@ def test_the_kernel_matches_the_closure_compiler(seed, depth, env, atoms):
         ("K{i,1.1} (p | ~p)", None, ("ctx", "full", "k0")),
         ("(K{i,1.2} p)^ci", "false", ("ctx", "full", "k0")),
         ("(p)^ci", "true", ("ctx", "val", "m0")),
+        # valid by their truth tables, which no textual identity sees
+        ("(p -> q) | (q -> p)", None, ("ctx", "full")),
+        ("K{i,1.1} (p & q) <-> K{i,1.1} (q & p)", None, ("ctx", "full", "k0")),
+        ("P{i,1.1} (p & ~q) -> P{i,1.1} (~q & p)", None, ("ctx", "full", "k0")),
     ],
 )
 def test_the_kernel_folds_identities_and_drops_dead_lines(text, body, local_names):
@@ -516,6 +521,23 @@ def test_the_kernel_folds_identities_and_drops_dead_lines(text, body, local_name
     env = ContextEnv() if body is None else ContextEnv({"ci": parse_context(body)})
     fn = assert_same_masks(parse_formula(text), env, ["i"], 2)
     assert fn.__code__.co_varnames == local_names
+
+
+def test_leaves_past_the_cap_keep_the_textual_identities():
+    """A leaf past LEAF_CAP gets no truth table, so a line that reads it is
+    shared by its text and decided by the Boolean identities alone: here
+    ``K (a9 & ~a9)`` folds away, ``a9 <-> ~a1`` stays, and the kernel still
+    agrees with the reference on a value that is not constant."""
+    atoms = [f"a{n}" for n in range(1, LEAF_CAP + 2)]
+    first, last = atoms[0], atoms[-1]
+    f = parse_formula(
+        f"({' & '.join(atoms[:-1])}) | ({last} <-> ~{first})"
+        f" | K{{i,1.1}} ({last} & ~{last})"
+    )
+    fn = assert_same_masks(f, ContextEnv(), ["i"], 2, model_worlds=1)
+    assert "k0" in fn.__code__.co_varnames  # looked up, though K folds away
+    values = {fn(ModelCtx(m)) for m in enumerate_models(1, ["i"], atoms)}
+    assert values == {0, 1}
 
 
 def test_names_are_bound_values_not_source():

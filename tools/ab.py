@@ -3,10 +3,13 @@
     python3 tools/ab.py --against REV --workload W [--pairs 10] [--seed 1] [--seconds 20]
                         [--record N]
 
-REV's committed files are unpacked (``git archive``) into a temporary
-directory, removed on exit.
-Each pair runs ``perfbench/run.py --workload W --seed S --seconds T --trace 0``
-in that tree (the parent) and in the working tree (the change), the parent
+REV's committed files are unpacked (``git archive``) into one temporary
+directory and the working tree's files (``git ls-files -co
+--exclude-standard``: tracked and untracked, not ignored) are copied into
+another, so that both sides run from fresh copies alike; both are removed on
+exit. Each pair runs
+``perfbench/run.py --workload W --seed S --seconds T --trace 0`` in the
+first (the parent) and in the second (the change), the parent
 first in odd pairs and the change first in even ones, so that a drift in the
 machine's speed does not favour one side. Each run's last line of output is
 its JSON result. The script exits 2 as soon as a run fails or is not
@@ -31,6 +34,7 @@ from __future__ import annotations
 import argparse
 import importlib.util
 import json
+import shutil
 import statistics
 import subprocess
 import sys
@@ -156,6 +160,20 @@ def _git(*args: str) -> str:
     ).stdout.strip()
 
 
+def copy_working_tree(root: Path, dest: Path) -> None:
+    """Copy the working tree of the git repo at ``root`` into ``dest``: its
+    tracked and untracked files that are not ignored, as they are on disk.
+    A tracked file deleted from the disk is skipped."""
+    listed = subprocess.run(
+        ["git", "-C", str(root), "ls-files", "-co", "--exclude-standard", "-z"],
+        capture_output=True, text=True, check=True,
+    ).stdout.split("\0")
+    for name in filter(None, listed):
+        if (root / name).is_file():
+            (dest / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(root / name, dest / name)
+
+
 def run_once(tree: Path, args: argparse.Namespace) -> str | None:
     """One benchmark run in ``tree``: its last line of output if the run
     exited 0 and is ``correct``, else None after printing why."""
@@ -196,14 +214,18 @@ def main(argv: list[str] | None = None) -> int:
 
     runs: list[tuple[int, str, str]] = []  # (pair, side, last line)
     with tempfile.TemporaryDirectory(prefix="ab-") as scratch:
+        trees = {"parent": Path(scratch, "parent"), "change": Path(scratch, "change")}
+        trees["parent"].mkdir()
         archive = subprocess.run(
             ["git", "-C", str(ROOT), "archive", parent_sha], capture_output=True
         )
-        untar = subprocess.run(["tar", "-x", "-C", scratch], input=archive.stdout)
+        untar = subprocess.run(
+            ["tar", "-x", "-C", str(trees["parent"])], input=archive.stdout
+        )
         if archive.returncode or untar.returncode:
             print(f"error: cannot unpack {args.against}", file=sys.stderr)
             return 2
-        trees = {"parent": Path(scratch), "change": ROOT}
+        copy_working_tree(ROOT, trees["change"])
         for pair in range(1, args.pairs + 1):
             order = ("parent", "change") if pair % 2 else ("change", "parent")
             for side in order:
