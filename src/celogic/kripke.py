@@ -18,9 +18,9 @@ lines into one truth-mask function for a caller that evaluates a formula
 many times, as the oracle does over every frame: each line carries, as it
 is emitted, its truth table over the kernel's leaves (atom reads and
 knowledge lookups), so a line of constant meaning is that constant and a
-line meaning what an earlier one means is that line; Boolean identities
-decide only the lines past the leaf cap (``LEAF_CAP``). The function keeps
-only the lines its result depends on.
+line meaning what an earlier one means is that line; past the leaf cap
+(``LEAF_CAP``) a line is shared by its text. The function keeps only the
+lines its result depends on.
 
 Both read atoms and knowledge by subscript of plain dicts: an atom from the
 context's valuation, an agent's knowledge from its table. Over a model the
@@ -494,7 +494,8 @@ def compile_formula(f: Formula, env: ContextEnv) -> Callable[[_ModelCtx], int]:
     identifiers, operators and the constant 0. An atom is ``val[n]``, a
     subscript of the context's valuation in a ``try`` that reads 0 for an
     atom it omits; ``Know`` is ``k[m]``, a subscript of the agent's
-    knowledge table, and ``Poss`` its dual ``full ^ k[full ^ m]``.
+    knowledge table, ``~x`` is ``full ^ x``, ``x <-> y`` is
+    ``full ^ (x ^ y)`` and ``Poss`` is ``full ^ k[full ^ m]``.
 
     Lines are shared by meaning (functional reduction, as in FRAIGs:
     Mishchenko, Chatterjee, Jiang & Brayton, 2005). The leaves are the atom
@@ -507,109 +508,82 @@ def compile_formula(f: Formula, env: ContextEnv) -> Callable[[_ModelCtx], int]:
     ``^`` act world by world, so two lines with equal tables have equal
     masks in every context; ``k[x]`` depends only on x's mask; and
     knowledge of ``full`` is ``full`` and of ``0`` is ``0``, because an
-    agent's classes cover all the worlds.
+    agent's classes cover all the worlds. That last rule reads no table,
+    and it is the only one that holds past the cap too.
 
-    A line that reads a leaf past the cap has no table. For it the helpers
-    apply the identities that hold because every mask is a subset of
-    ``full``: ``full`` and ``0`` absorb or drop out of ``&``, ``|`` and
-    ``<->``, a complement of a complement is its operand, ``x & x`` and
-    ``x | x`` are ``x``, ``x & ~x`` is ``0``, ``x | ~x`` and ``x <-> x``
-    are ``full``, and equal expressions share one line. Only the lines the
-    root depends on are emitted, and ``full`` and the valuation are read
-    only if one of them does. Each agent's table is still looked up first,
-    in the preorder of the agents' first occurrences, even where its
-    operator folds away, so a missing agent raises ModelError naming the
-    outermost one. The source is compiled once per distinct text
-    (``_kernel_code``), and each call runs that code in a namespace of its
-    own. Compiling pays off only where one function is evaluated many
-    times, as over every frame in ``find_countermodel``; ``truth_mask``
-    evaluates once without it.
+    Past the cap a line is shared by its text: a line that reads a leaf
+    past the cap has no table, and equal expressions share one line. Only
+    the lines the root depends on are emitted, and ``full`` and the
+    valuation are read only if one of them does. Each agent's table is
+    still looked up first, in the preorder of the agents' first
+    occurrences, even where its operator folds away, so a missing agent
+    raises ModelError naming the outermost one. The source is compiled once
+    per distinct text (``_kernel_code``), and each call runs that code in a
+    namespace of its own. Compiling pays off only where one function is
+    evaluated many times, as over every frame in ``find_countermodel``;
+    ``truth_mask`` evaluates once without it.
     """
     names: dict[str, str] = {}  # name -> the identifier bound to it
     classes: dict[str, str] = {}  # agent -> the local holding its table
     exprs: dict[str, str] = {}  # expression -> its local, in dependency order
     reads: dict[str, tuple[str, ...]] = {}  # local -> what its line reads
-    complement = {"full": "0", "0": "full"}  # local -> its complement, both ways
     tables = {"full": _FULL_TABLE, "0": 0}  # local -> its table, None past the cap
     by_table = {_FULL_TABLE: "full", 0: "0"}  # table -> the local that has it
     leaves: dict = {}  # atom, or (agent's local, argument's table) -> leaf table
-    atoms: dict[str, str] = {}  # atom -> the local reading it
 
     def name(value: str) -> str:
         return names.setdefault(value, f"n{len(names)}")
 
     def emit(expr: str, table: int | None, operands: tuple[str, ...]) -> str:
-        if table in by_table:
-            return by_table[table]
+        """The local of ``expr``, a line whose table no earlier line has: the
+        line of its text, added if new. Each caller looks a table up first,
+        so no text is formatted for a line that is already there."""
         local = exprs.setdefault(expr, f"m{len(exprs)}")
         reads[local], tables[local] = operands, table
         if table is not None:
             by_table[table] = local
         return local
 
-    def leaf(key, expr: str, operands: tuple[str, ...]) -> str:
+    def leaf(key, base: str, index: str) -> str:
+        """The line ``base[index]``, a leaf: the next leaf table while fewer
+        than LEAF_CAP leaves have one, and after that none."""
         table = leaves.get(key)
         if table is None and len(leaves) < LEAF_CAP:
             table = leaves[key] = _LEAF_TABLES[len(leaves)]
-        return emit(expr, table, operands)
+        return by_table.get(table) or emit(f"{base}[{index}]", table, (base, index))
 
     def read(atom: str) -> str:
-        if atom not in atoms:
-            atoms[atom] = leaf(atom, f"val[{name(atom)}]", ("val",))
-        return atoms[atom]
+        return leaf(atom, "val", name(atom))
 
     def table(agent: str) -> str:
         return classes.setdefault(agent, f"k{len(classes)}")
 
+    def binary(operation, symbol: str):
+        """The line ``a symbol b``, one of ``&``, ``|`` and ``^``, its table
+        worked out from its operands' tables by ``operation``."""
+
+        def line(a: str, b: str) -> str:
+            ta, tb = tables[a], tables[b]
+            t = None if ta is None or tb is None else operation(ta, tb)
+            return by_table.get(t) or emit(f"{a} {symbol} {b}", t, (a, b))
+
+        return line
+
+    and_ = binary(operator.and_, "&")
+    or_ = binary(operator.or_, "|")
+    xor = binary(operator.xor, "^")
+
     def not_(x: str) -> str:
-        if x not in complement:
-            t = tables[x]
-            m = emit(f"full ^ {x}", None if t is None else _FULL_TABLE ^ t, ("full", x))
-            complement[x], complement[m] = m, x
-        return complement[x]
-
-    def and_(a: str, b: str) -> str:
-        if a == "0" or b == "0" or complement.get(a) == b:
-            return "0"
-        if a == "full" or a == b:
-            return b
-        if b == "full":
-            return a
-        ta, tb = tables[a], tables[b]
-        t = None if ta is None or tb is None else ta & tb
-        return emit(f"{a} & {b}", t, (a, b))
-
-    def or_(a: str, b: str) -> str:
-        if a == "full" or b == "full" or complement.get(a) == b:
-            return "full"
-        if a == "0" or a == b:
-            return b
-        if b == "0":
-            return a
-        ta, tb = tables[a], tables[b]
-        t = None if ta is None or tb is None else ta | tb
-        return emit(f"{a} | {b}", t, (a, b))
+        return xor("full", x)
 
     def iff(a: str, b: str) -> str:
-        if a == b:
-            return "full"
-        if a in ("full", "0"):
-            a, b = b, a
-        if b in ("full", "0"):
-            return a if b == "full" else not_(a)
-        if complement.get(a) == b:
-            return "0"
-        ta, tb = tables[a], tables[b]
-        t = None if ta is None or tb is None else ta ^ tb
-        return not_(emit(f"{a} ^ {b}", t, (a, b)))
+        return not_(xor(a, b))
 
     def know(k: str, x: str) -> str:
         if x in ("full", "0"):
             return x
-        t = tables[x]
-        if t is None:
-            return emit(f"{k}[{x}]", None, (x,))
-        return leaf((k, t), f"{k}[{x}]", (x,))
+        # an argument with no table is past the cap, where a new key gets none
+        return leaf((k, tables[x]), k, x)
 
     step = _mask_rules(env, read, table, not_, and_, or_, iff, know, "full", "0")
     root = fold(f, step)

@@ -18,10 +18,14 @@ from celogic.dialogue import (
 from celogic.epistemology import SCEPTIC, apply_preset
 from celogic.kripke import (
     ContextEnv,
+    KripkeModel,
+    _ModelCtx,
     _frame_contexts,
     compile_formula,
+    enumerate_models,
     find_countermodel,
     satisfies,
+    truth_mask,
 )
 from celogic.prove import Invalid, Valid, prove_cel
 from celogic.reduction import needed_context_names, reduce_full
@@ -38,6 +42,23 @@ from celogic.syntax import (
 from corpus import cross_semantics_corpus, hygiene_corpus
 
 PLAYS_DIR = pathlib.Path(__file__).parent / "data" / "plays"
+
+
+def _small_models() -> tuple[KripkeModel, int]:
+    """Every model up to 2 worlds over atoms p, q and agents i, j, side by
+    side as one model, and their count (68). Each class lies inside one of
+    them, so a formula's mask over the whole is theirs side by side, and
+    one evaluation checks a kernel against ``truth_mask``, which compiles
+    nothing, on all of them."""
+    models = list(enumerate_models(2, ["i", "j"], ["p", "q"]))
+    worlds, relations, valuation = [], {"i": [], "j": []}, {"p": [], "q": []}
+    for n, model in enumerate(models):
+        worlds += [f"{w}.{n}" for w in model.worlds]
+        for agent, classes in model.relations.items():
+            relations[agent] += [[f"{w}.{n}" for w in c] for c in classes]
+        for atom, ws in model.valuation.items():
+            valuation[atom] += [f"{w}.{n}" for w in ws]
+    return KripkeModel(worlds, relations, valuation), len(models)
 
 
 def report(criterion: str, ok: bool, detail: str = ""):
@@ -136,7 +157,10 @@ def test_criterion_2_transcript_replay():
 def test_criterion_3_cross_semantics():
     """Direct satisfaction equals satisfaction of the compiled form on every
     model with up to 4 worlds over 2 agents and 2 atoms, on 200 formulas:
-    each of the 255 frames is evaluated once over all its valuations."""
+    each of the 255 frames is evaluated once over all its valuations. Each
+    formula's kernel also equals ``truth_mask`` on every model up to 2
+    worlds, so a fault of ``compile_formula`` that both sides would share
+    still shows."""
     env = ContextEnv(
         {
             "ci": parse_context("p"),
@@ -145,19 +169,23 @@ def test_criterion_3_cross_semantics():
         }
     )
     contexts = list(_frame_contexts(4, ["i", "j"], ["p", "q"]))
+    union, models = _small_models()
+    ctx = _ModelCtx(union)
     corpus = cross_semantics_corpus()
     discrepancies = 0
     for f in corpus:
         direct = compile_formula(f, env)
         compiled = compile_formula(reduce_full(f).result, env)
-        for ctx in contexts:
-            if direct(ctx) != compiled(ctx):
-                discrepancies += 1
-                break
+        if direct(ctx) != truth_mask(union, env, f) or any(
+            direct(c) != compiled(c) for c in contexts
+        ):
+            discrepancies += 1
     report(
         "criterion 3: cross-semantics equivalence",
-        discrepancies == 0 and len(contexts) == 255,
-        f"{len(corpus)} formulas x {len(contexts)} frames",
+        discrepancies == 0 and len(contexts) == 255 and models == 68,
+        f"{len(corpus)} formulas x {len(contexts)} frames and {models} models"
+        if discrepancies == 0
+        else f"{discrepancies} formulas differ",
     )
 
 
@@ -167,7 +195,8 @@ def test_criterion_4_reduction_hygiene():
 
     Each step's redex, the subformula at its path, has no Rel above it, and
     the biconditional of the redex with its rewrite holds on every model
-    with up to 3 worlds under the direct semantics (``compile_formula``).
+    with up to 3 worlds under the direct semantics (``compile_formula``),
+    whose kernel equals ``truth_mask`` on every model up to 2 worlds.
     Above the redex there are only connectives and modal operators, which
     are congruent in S5, so this checks the whole step. ``prove_cel`` on
     each step's whole biconditional shows only that the tableau closes on
@@ -175,6 +204,8 @@ def test_criterion_4_reduction_hygiene():
     wrong schema would pass that check alone."""
     env = ContextEnv().completed(["ci", "cj"])
     contexts = list(_frame_contexts(3, ["i", "j"], ["p", "q", "_ctx_ci", "_ctx_cj"]))
+    union, _ = _small_models()
+    ctx = _ModelCtx(union)
     sound: dict = {}  # redex biconditional -> whether it holds on every model
     corpus = hygiene_corpus()
     failures = []
@@ -196,6 +227,10 @@ def test_criterion_4_reduction_hygiene():
             if biconditional not in sound:
                 mask = compile_formula(biconditional, env)
                 sound[biconditional] = all(mask(c) == c.full for c in contexts)
+                if mask(ctx) != truth_mask(union, env, biconditional):
+                    failures.append(
+                        f"kernel differs from truth_mask: {render_formula(biconditional)}"
+                    )
             if not isinstance(redex, Rel) or not sound[biconditional]:
                 failures.append(
                     f"unsound step [{step.axiom}]: {render_formula(biconditional)}"

@@ -487,15 +487,26 @@ def assert_same_masks(f, env, agents, max_worlds, model_worlds=2):
 
 @given(
     st.integers(min_value=0, max_value=2**32 - 1),
-    st.integers(min_value=0, max_value=4),
     st.sampled_from(ENVS),
-    # over one atom and ci, x & ~x, x <-> x and double complements occur
-    st.sampled_from([("p", "q", "ci", "cj"), ("p", "ci")]),
+    st.one_of(
+        # (depth, atoms, frame worlds, model worlds); over one atom and ci,
+        # x & ~x, x <-> x and double complements occur
+        st.tuples(
+            st.integers(min_value=0, max_value=4),
+            st.sampled_from([("p", "q", "ci", "cj"), ("p", "ci")]),
+            st.just(3),
+            st.just(2),
+        ),
+        # about one in ten of these reaches past LEAF_CAP, where lines are
+        # shared by their text alone
+        st.just((4, tuple(f"a{n}" for n in range(10)), 2, 1)),
+    ),
 )
 @settings(max_examples=200, deadline=None)
-def test_the_kernel_matches_the_closure_compiler(seed, depth, env, atoms):
+def test_the_kernel_matches_the_closure_compiler(seed, env, shape):
+    depth, atoms, max_worlds, model_worlds = shape
     f = random_formula(random.Random(seed), depth, atoms=atoms)
-    assert_same_masks(f, env, ["i", "j"], 3)
+    assert_same_masks(f, env, ["i", "j"], max_worlds, model_worlds)
 
 
 @pytest.mark.parametrize(
@@ -515,28 +526,33 @@ def test_the_kernel_matches_the_closure_compiler(seed, depth, env, atoms):
     ],
 )
 def test_the_kernel_folds_identities_and_drops_dead_lines(text, body, local_names):
-    """An operation that an identity decides emits no line, a line the root
-    does not read is dropped, and full and the valuation are read only where
-    a line left uses them; an agent's table is looked up all the same."""
+    """An operation whose truth table is constant or an earlier line's emits
+    no line, a line the root does not read is dropped, and full and the
+    valuation are read only where a line left uses them; an agent's table is
+    looked up all the same."""
     env = ContextEnv() if body is None else ContextEnv({"ci": parse_context(body)})
     fn = assert_same_masks(parse_formula(text), env, ["i"], 2)
     assert fn.__code__.co_varnames == local_names
 
 
-def test_leaves_past_the_cap_keep_the_textual_identities():
+def test_leaves_past_the_cap_share_lines_by_text():
     """A leaf past LEAF_CAP gets no truth table, so a line that reads it is
-    shared by its text and decided by the Boolean identities alone: here
-    ``K (a9 & ~a9)`` folds away, ``a9 <-> ~a1`` stays, and the kernel still
-    agrees with the reference on a value that is not constant."""
+    shared by its text alone: ``~(a9 -> a1)`` and ``~(~a9 | a1)`` are two
+    formulas of one text, so the second K adds only the ``|`` that joins
+    it. The kernel agrees with the reference on ``a9 <-> ~a1``, and on a
+    value that is not constant."""
     atoms = [f"a{n}" for n in range(1, LEAF_CAP + 2)]
     first, last = atoms[0], atoms[-1]
-    f = parse_formula(
+    once = (
         f"({' & '.join(atoms[:-1])}) | ({last} <-> ~{first})"
-        f" | K{{i,1.1}} ({last} & ~{last})"
+        f" | K{{i,1.1}} ~({last} -> {first})"
     )
-    fn = assert_same_masks(f, ContextEnv(), ["i"], 2, model_worlds=1)
-    assert "k0" in fn.__code__.co_varnames  # looked up, though K folds away
-    values = {fn(ModelCtx(m)) for m in enumerate_models(1, ["i"], atoms)}
+    once, twice = (
+        assert_same_masks(parse_formula(t), ContextEnv(), ["i"], 2, model_worlds=1)
+        for t in (once, f"{once} | K{{i,1.1}} ~(~{last} | {first})")
+    )
+    assert len(twice.__code__.co_varnames) == len(once.__code__.co_varnames) + 1
+    values = {once(ModelCtx(m)) for m in enumerate_models(1, ["i"], atoms)}
     assert values == {0, 1}
 
 
