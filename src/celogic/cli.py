@@ -34,13 +34,11 @@ from .epistemology import run_suite
 from .syntax import (
     Atom,
     Formula,
-    FormulaSyntaxError,
     Know,
     Not,
     Poss,
     Rel,
     VARIANTS,
-    UntaggedOperatorError,
     fold,
     parse_formula,
     render_formula,
@@ -56,22 +54,24 @@ class CliError(Exception):
     pass
 
 
+def _read_json(path: str, what: str, build):
+    """``build`` applied to the JSON document in the file at ``path``; any
+    failure to open, decode or build it is a CliError naming the file."""
+    try:
+        with open(path) as fh:
+            return build(json.load(fh))
+    except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
+        raise CliError(f"cannot read {what} file {path}: {exc}") from exc
+
+
 def _load_env(path: str | None) -> ContextEnv:
     if path is None:
         return ContextEnv()
-    try:
-        with open(path) as fh:
-            return ContextEnv.from_json(json.load(fh))
-    except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
-        raise CliError(f"cannot read context file {path}: {exc}") from exc
+    return _read_json(path, "context", ContextEnv.from_json)
 
 
 def _load_model(path: str) -> KripkeModel:
-    try:
-        with open(path) as fh:
-            model = KripkeModel.from_json(json.load(fh))
-    except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
-        raise CliError(f"cannot read model file {path}: {exc}") from exc
+    model = _read_json(path, "model", KripkeModel.from_json)
     violations = check_model(model)
     if violations:
         raise CliError("model is not well-formed: " + "; ".join(violations))
@@ -121,8 +121,7 @@ def _ast_json(f: Formula) -> dict:
     return {"nodes": nodes}
 
 
-def _cmd_parse(args) -> int:
-    f = parse_formula(args.formula, args.default_variant)
+def _cmd_parse(f: Formula, args) -> int:
     if args.format == "json":
         print(json.dumps(_ast_json(f), indent=2))
     else:
@@ -130,8 +129,7 @@ def _cmd_parse(args) -> int:
     return EXIT_OK
 
 
-def _cmd_eval(args) -> int:
-    f = parse_formula(args.formula, args.default_variant)
+def _cmd_eval(f: Formula, args) -> int:
     model = _load_model(args.model)
     env = _load_env(args.env)
     value = satisfies(model, args.world, env.for_formula(f), f)
@@ -142,8 +140,7 @@ def _cmd_eval(args) -> int:
     return EXIT_OK if value else EXIT_NEGATIVE
 
 
-def _cmd_reduce(args) -> int:
-    f = parse_formula(args.formula, args.default_variant)
+def _cmd_reduce(f: Formula, args) -> int:
     trace = reduce_full(f)
     if args.format == "json":
         doc = {"steps": trace.to_json(), "result": render_formula(trace.result)}
@@ -157,8 +154,7 @@ def _cmd_reduce(args) -> int:
     return EXIT_OK
 
 
-def _cmd_prove(args) -> int:
-    f = parse_formula(args.formula, args.default_variant)
+def _cmd_prove(f: Formula, args) -> int:
     env = _load_env(args.env)
     verdict = prove_cel(f, env)
     if args.format == "json":
@@ -177,8 +173,7 @@ def _cmd_prove(args) -> int:
     return EXIT_OK if isinstance(verdict, Valid) else EXIT_NEGATIVE
 
 
-def _cmd_dialogue(args) -> int:
-    f = parse_formula(args.formula, args.default_variant)
+def _cmd_dialogue(f: Formula, args) -> int:
     env = _load_env(args.env)
     budget = args.budget or dlg.DEFAULT_SEARCH_BUDGET
     result = dlg.has_winning_strategy(f, env, budget=budget)
@@ -201,8 +196,7 @@ def _cmd_dialogue(args) -> int:
     return EXIT_OK if result.verdict else EXIT_NEGATIVE
 
 
-def _cmd_oracle(args) -> int:
-    f = parse_formula(args.formula, args.default_variant)
+def _cmd_oracle(f: Formula, args) -> int:
     env = _load_env(args.env)
     found = find_countermodel(f, env, max_worlds=args.max_worlds)
     if found is None:
@@ -221,7 +215,7 @@ def _cmd_oracle(args) -> int:
     return EXIT_NEGATIVE
 
 
-def _cmd_suite(args) -> int:
+def _cmd_suite(_: None, args) -> int:
     report = run_suite(budget=args.budget)
     if args.format == "json":
         print(json.dumps(report.to_json(), indent=2))
@@ -296,7 +290,9 @@ def main(argv=None) -> int:
         print("error: --budget must be a positive integer", file=sys.stderr)
         return EXIT_USAGE
     try:
-        code = args.fn(args)
+        # every command but suite reads its formula first, before any file
+        f = parse_formula(args.formula, args.default_variant) if "formula" in args else None
+        code = args.fn(f, args)
         sys.stdout.flush()  # so that a closed pipe raises here, not at exit
         return code
     except BrokenPipeError:
@@ -319,7 +315,7 @@ def main(argv=None) -> int:
         # a resource limit too: exit 1 would read as "invalid"
         print("error: out of memory", file=sys.stderr)
         return EXIT_BUDGET
-    except (FormulaSyntaxError, UntaggedOperatorError, CliError, ValueError) as exc:
+    except (CliError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

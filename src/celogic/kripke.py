@@ -375,21 +375,6 @@ def _mask_of(worlds, index) -> int:
     return m
 
 
-def _context_expr(env: ContextEnv, name: str, read, and_, not_, full, none):
-    """The mask of the body bound to ``name``: ``none`` for false, otherwise
-    the AND of its literals, which is ``full`` for true. ``read(atom)`` is
-    that atom's valuation mask, and ``and_``/``not_`` are the algebra's. The
-    AND is taken one literal at a time, so a long body never makes one
-    deeply nested expression."""
-    cf = env.resolve(name)
-    if cf.is_bot:
-        return none
-    mask = full
-    for atom, positive in cf.literals:
-        mask = and_(mask, read(atom) if positive else not_(read(atom)))
-    return mask
-
-
 def _mask_rules(env: ContextEnv, read, table, not_, and_, or_, iff, know, full, none):
     """The satisfaction table as a ``fold`` step over one mask algebra.
 
@@ -402,20 +387,28 @@ def _mask_rules(env: ContextEnv, read, table, not_, and_, or_, iff, know, full, 
     literals included, read the valuation. Each agent's table is asked for
     in the preorder of the agents' first occurrences."""
 
-    guards: dict = {}  # context name -> the mask where its body fails
+    contexts: dict = {}  # context name -> the mask of its body
+
+    def context(c: str):
+        """The mask of context c's body, worked out once per name: ``none``
+        for false, otherwise the AND of its literals, which is ``full`` for
+        true (a false body has no literals). The AND is taken one literal at
+        a time, so a long body never makes one deeply nested expression."""
+        if c not in contexts:
+            cf, mask = env.resolve(c), full
+            for atom, positive in cf.literals:
+                mask = and_(mask, read(atom) if positive else not_(read(atom)))
+            contexts[c] = none if cf.is_bot else mask
+        return contexts[c]
 
     def unguarded(c: str):
-        """The mask where context c's body fails, worked out once per name."""
-        if c not in guards:
-            guards[c] = not_(_context_expr(env, c, read, and_, not_, full, none))
-        return guards[c]
+        """The mask where context c's body fails."""
+        return not_(context(c))
 
     def step(g: Formula):
         match g:
             case Atom(atom):
-                if atom in env.bindings:
-                    return _context_expr(env, atom, read, and_, not_, full, none)
-                return read(atom)
+                return context(atom) if atom in env.bindings else read(atom)
             case Not(body):
                 return not_((yield body))
             case And(l, r):

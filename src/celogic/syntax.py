@@ -418,6 +418,8 @@ def _tokenize(text: str) -> list[_Token]:
 
 class _Parser:
     def __init__(self, text: str, default_variant: str | None):
+        if not text.strip():
+            raise FormulaSyntaxError("empty input", 0)
         self.tokens = _tokenize(text)
         self.i = 0
         self.default_variant = default_variant
@@ -525,8 +527,6 @@ def parse_formula(text: str, default_variant: str | None = None) -> Formula:
     """
     if default_variant is not None and default_variant not in VARIANTS:
         raise ValueError(f"unknown default variant {default_variant!r}")
-    if not text.strip():
-        raise FormulaSyntaxError("empty input", 0)
     parser = _Parser(text, default_variant)
     out = parser.formula()
     tok = parser.peek()
@@ -540,8 +540,6 @@ _CONTEXT_CONSTANTS = {"true": TOP, "⊤": TOP, "false": BOT, "⊥": BOT}
 
 def parse_context(text: str) -> ContextFormula:
     """Parse a context body: ``true``, ``false``, or a conjunction of literals."""
-    if not text.strip():
-        raise FormulaSyntaxError("empty input", 0)
     parser = _Parser(text, None)
     tok = parser.next()
     body = _CONTEXT_CONSTANTS.get(tok.text)

@@ -16,7 +16,19 @@ from celogic.kripke import ContextEnv, find_countermodel
 from celogic.reduction import reduce_full
 from celogic.syntax import parse_formula, render_formula
 
-from nested import json_depth
+
+def json_depth(doc) -> int:
+    """How many levels a JSON value nests: 1 for a scalar or an empty
+    container, one more than its deepest item for any other container."""
+    depth, stack = 1, [(doc, 1)]
+    while stack:
+        value, d = stack.pop()
+        depth = max(depth, d)
+        if isinstance(value, dict):
+            stack.extend((item, d + 1) for item in value.values())
+        elif isinstance(value, list):
+            stack.extend((item, d + 1) for item in value)
+    return depth
 
 
 @pytest.fixture
@@ -855,3 +867,29 @@ class TestInputErrors:
         assert code == 2
         assert out == ""
         assert err.startswith("error: cannot read model file ")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("prove", "--env"),
+            ("dialogue", "--env"),
+            ("oracle", "--env"),
+            ("eval", "--world", "w1", "--model"),
+        ],
+        ids=["prove", "dialogue", "oracle", "eval"],
+    )
+    def test_the_formula_is_read_before_any_file(self, capsys, tmp_path, argv):
+        missing = str(tmp_path / "missing.json")
+        code, out, err = run(capsys, argv[0], "p &", *argv[1:], missing)
+        assert (code, out) == (2, "")
+        assert err == "error: expected a formula (at position 3)\n"
+
+    def test_eval_reads_the_model_before_the_env(self, capsys, tmp_path):
+        model, env = tmp_path / "model.json", tmp_path / "env.json"
+        model.write_text("[1]")
+        env.write_text("[1]")
+        argv = ["eval", "p", "--world", "w1", "--model", str(model), "--env", str(env)]
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: cannot read model file {model}: ")
+        assert err.count("\n") == 1

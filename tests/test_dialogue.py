@@ -62,7 +62,6 @@ from corpus import (
     hygiene_corpus,
     random_formula,
 )
-from nested import nested_strategy
 
 PLAYS_DIR = pathlib.Path(__file__).parent / "data" / "plays"
 PLAY_FILES = sorted(PLAYS_DIR.glob("*.json"))
@@ -809,28 +808,21 @@ def _game_theses():
 
 # sha256 over the game's whole output on _game_theses(): verdict, positions
 # searched, the strategy and the refutation, byte for byte. A change to the
-# search's speed may move only the positions searched. The first pin was
-# recorded when the strategy nested one level per move, and checks the
-# strategy re-nested by the test decoder; the second pins the flat list.
-GAME_OUTPUT_SHA256 = "b982fe1d753f69d468c6a40bcd17e568fca6371951cd11f30fabd69a692b74bc"
+# search's speed may move only the positions searched.
 FLAT_GAME_OUTPUT_SHA256 = "3f2ddc4beace1019bcfddfcc208563da10fe2ecc986157dd6db9f29c7c35e33f"
 
 
 def test_game_output_is_pinned():
-    flat, nested = hashlib.sha256(), hashlib.sha256()
+    digest = hashlib.sha256()
     for thesis in _game_theses():
         result = has_winning_strategy(thesis)
         refutation = result.refutation
         if refutation is not None:
             refutation = [move_to_json(m) for m in refutation]
-        for digest, strategy in [
-            (flat, result.strategy), (nested, nested_strategy(result.strategy))
-        ]:
-            record = [result.verdict, result.positions, json.dumps(strategy), refutation]
-            digest.update(json.dumps(record).encode())
-    assert (flat.hexdigest(), nested.hexdigest()) == (
-        FLAT_GAME_OUTPUT_SHA256, GAME_OUTPUT_SHA256
-    )
+        strategy = json.dumps(result.strategy)
+        record = [result.verdict, result.positions, strategy, refutation]
+        digest.update(json.dumps(record).encode())
+    assert digest.hexdigest() == FLAT_GAME_OUTPUT_SHA256
 
 
 def _bit(state, key):

@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import itertools
 import json
 
@@ -610,6 +611,37 @@ def test_kernels_of_one_shape_share_their_code():
         assert kg(ctx) == truth_mask(model, env, g)
         masks.add((kf(ctx), kg(ctx)))
     assert len({a for a, _ in masks}) > 1 and any(a != b for a, b in masks)
+
+
+# sha256 over the source of every kernel compile_formula builds for
+# SUITE_ROWS, the cross corpus and their reductions, under each env below
+# in turn: 1,338 kernels, byte for byte. A change to how the mask algebra
+# is stated must leave every line and its order as it is.
+KERNEL_SOURCES_SHA256 = "961dfe99473b81fb98746de15a89de4f114d0eab5705c11d0b54f7c9641a0eb1"
+
+
+def test_kernel_sources_are_pinned(monkeypatch):
+    import celogic.kripke
+    from celogic.reduction import reduce_full
+
+    formulas = [parse_formula(r.formula) for r in SUITE_ROWS] + cross_semantics_corpus()
+    formulas += [reduce_full(f).result for f in formulas]
+    envs = [
+        ContextEnv(),
+        ContextEnv.from_json({"ci": "p", "cj": "q & ~p", "ck": "true"}),
+        ContextEnv.from_json(dict.fromkeys(("ci", "cj", "ck"), "false")),
+    ]
+    digest, kernel_code = hashlib.sha256(), celogic.kripke._kernel_code
+
+    def record(source):
+        digest.update(source.encode())
+        return kernel_code(source)
+
+    monkeypatch.setattr(celogic.kripke, "_kernel_code", record)
+    for env in envs:
+        for f in formulas:
+            compile_formula(f, env.for_formula(f))
+    assert digest.hexdigest() == KERNEL_SOURCES_SHA256
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,6 @@ from celogic.reduction import needed_context_names, reduce_full, reduce_result
 from celogic.syntax import Iff, parse_context, parse_formula
 
 from corpus import cross_semantics_corpus, hygiene_corpus
-from nested import nested_verdict
 
 
 class TestProveEl:
@@ -241,20 +240,16 @@ def _pinned_formulas():
 
 # sha256 over verdict_to_json(prove_cel(f)) on _pinned_formulas(), proof
 # logs and counter-models included, byte for byte. A change to the
-# prover's speed must leave it as it is. The first pin was recorded when
-# the proof log nested one level per split, and checks the log re-nested
-# by the test decoder; the second pins the flat log as it is written.
-PROVER_OUTPUT_SHA256 = "3d5b4b8122b2cf59fd8a8a22b3b8f95727f1175df68d4960ee85dae995940412"
+# prover's speed must leave it as it is.
 FLAT_PROVER_OUTPUT_SHA256 = "812d9b18d39a04a37b7ba63b7bf5ba25be9b36e8e58d9f66536e19dc513c98f7"
 
 
-def _pin_digests(docs):
-    """The sha256 of the documents as written and of their nested forms."""
-    flat, nested = hashlib.sha256(), hashlib.sha256()
+def _pin_digest(docs):
+    """The sha256 of the documents as written."""
+    digest = hashlib.sha256()
     for doc in docs:
-        flat.update(json.dumps(doc).encode())
-        nested.update(json.dumps(nested_verdict(doc)).encode())
-    return flat.hexdigest(), nested.hexdigest()
+        digest.update(json.dumps(doc).encode())
+    return digest.hexdigest()
 
 
 def _cold_and_warm(pairs):
@@ -274,7 +269,7 @@ def _cold_and_warm(pairs):
 def test_prover_output_is_pinned():
     pairs = [(f, ContextEnv()) for f in _pinned_formulas()]
     for docs in _cold_and_warm(pairs):
-        assert _pin_digests(docs) == (FLAT_PROVER_OUTPUT_SHA256, PROVER_OUTPUT_SHA256)
+        assert _pin_digest(docs) == FLAT_PROVER_OUTPUT_SHA256
 
 
 # Under ContextEnv() every context is a one-literal stand-in, so the pin
@@ -290,9 +285,7 @@ BOUND_CONTEXT_ENVS = (
 
 # sha256 over verdict_to_json(prove_cel(f, env)) for each env above and
 # each formula of the cross corpus and SUITE_ROWS, proof logs and
-# counter-models included, byte for byte: re-nested and as written, as
-# for the pins above.
-BOUND_CONTEXT_OUTPUT_SHA256 = "91bebdedaaf7367c6351d7c2ad9223f48d29461fcf19f06dd199a3bed358e845"
+# counter-models included, byte for byte.
 FLAT_BOUND_CONTEXT_OUTPUT_SHA256 = "413fd93dd0a3c204883b26337f9a33992f58561ba1a7d171e6b282832333df40"
 
 
@@ -301,9 +294,7 @@ def test_prover_output_under_bound_contexts_is_pinned():
     formulas += [parse_formula(row.formula) for row in SUITE_ROWS]
     envs = [ContextEnv.from_json(bindings) for bindings in BOUND_CONTEXT_ENVS]
     for docs in _cold_and_warm([(f, env) for env in envs for f in formulas]):
-        assert _pin_digests(docs) == (
-            FLAT_BOUND_CONTEXT_OUTPUT_SHA256, BOUND_CONTEXT_OUTPUT_SHA256
-        )
+        assert _pin_digest(docs) == FLAT_BOUND_CONTEXT_OUTPUT_SHA256
 
 
 def _count_tableaux(monkeypatch, traces: int):
