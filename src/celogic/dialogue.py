@@ -38,10 +38,11 @@ literals at that world.
 
 The particle rules are one table (``_particle_rule``): for each asserted
 formula, each way of attacking it with the defences that answer that
-attack. A game works out the table of a formula at a world once, whichever
-player asserts it: at its assertion's first attack, or at its first listing
-as a target. Whether an assertion may be attacked at all is read off its
-formula (``_attackable``), so no table is built for one nobody attacks.
+attack. The games of a thesis and env work out the table of a formula at a
+world once, whichever player asserts it: at its assertion's first attack,
+or at its first listing as a target. Whether an assertion may be attacked
+at all is read off its formula (``_attackable``), so no table is built for
+one nobody attacks.
 
 Each structural rule is stated once: the repetition rule in ``_problem``,
 what a player may assert in ``_assertable``. ``legal_moves`` lists the
@@ -58,9 +59,10 @@ and uses up at most the one target it acts on, so ``_step`` keeps the lists,
 swapping the pair, and ``legal_moves`` walks only the mover's, not every
 assertion and attack of the play.
 
-Everything about a target's moves but the position is fixed per game, so
-each game keeps one move table per target (``_move_table``): the moves the
-particle rules give the player on it, in listing order, each an ``_Option``
+Everything about a target's moves but the position is fixed by the thesis
+and env, so their games keep one move table per target (``_move_table``,
+built by the first game that lists the target): the moves the particle
+rules give the player on it, in listing order, each an ``_Option``
 holding its record's bit, what it opens for the other player, and what
 P's making it asks of the position as two masks over ``GameRules.bits``.
 A fixed target's table is built at its first listing and found through
@@ -74,11 +76,12 @@ A position is the set of move records: each move after the thesis is one
 record (actor, the assertion it attacks or the attack record it answers,
 payload). Every assertion but the thesis is a record's payload, and every
 record is new, so the records fix the assertions, the attacks, the
-defences and whose turn it is. Each game numbers every record and every
-assertion the first time it meets one (``GameRules.bits``), and a state
-keeps its records and its assertions as int bitsets over that numbering:
-a move grows them by one ``|``, without copying a set, and two plays that
-reach the same records in another order reach the same int. Winning
+defences and whose turn it is. The games of a thesis and env share one
+numbering (``GameRules.bits``), which gives each record and assertion its
+bit the first time a game meets it, and a state keeps its records and its
+assertions as int bitsets over that numbering: a move grows them by one
+``|``, without copying a set, and two plays that reach the same records in
+another order reach the same int. Winning
 strategies are decided by AND-OR search over positions, memoized on the
 records' bitset. Moves, payloads and states are immutable named tuples,
 built in C. A state compares and hashes as its tuple: its ledgers follow
@@ -96,7 +99,8 @@ it neither validates a move again nor looks its target up in the history;
 from __future__ import annotations
 
 import re
-from functools import reduce
+from _thread import allocate_lock
+from functools import lru_cache, reduce
 from operator import itemgetter
 from typing import Iterable, NamedTuple
 
@@ -273,16 +277,29 @@ def _rel(body: Formula, context: str) -> Formula:
 # Game state
 
 
+# Held while a numbering gives a key its bit. It is one lock for every
+# numbering: a lock kept on the numbering would not survive copy.deepcopy or
+# pickle of a state. It comes from the built-in ``_thread``, the module
+# behind ``threading.Lock``, so importing the package loads no module for it.
+_NUMBERING = allocate_lock()
+
+
 class _Numbering(dict):
-    """A game's numbering of records and assertions: ``table[key]`` is the
-    key's bit, and a key met for the first time gets the next one. A record
-    never equals an assertion: the one's second field is a target, the
-    other's a world. ``table.get(key, 0) & bits`` asks whether a bitset
-    holds the key, and numbers nothing."""
+    """The numbering of records and assertions that the games of one thesis
+    and env share: ``table[key]`` is the key's bit, and a key met for the
+    first time gets the next one, under ``_NUMBERING``, so two threads that
+    play one thesis never give two keys one bit. A record never equals an
+    assertion: the one's second field is a target, the other's a world.
+    ``table.get(key, 0) & bits`` asks whether a bitset holds the key, and
+    numbers nothing."""
 
     def __missing__(self, key) -> int:
-        bit = self[key] = 1 << len(self)
-        return bit
+        _NUMBERING.acquire()  # cheaper than ``with`` on the first game's path
+        try:
+            # another thread may have numbered the key since it was missed
+            return self.setdefault(key, 1 << len(self))
+        finally:
+            _NUMBERING.release()
 
 
 class GameRules:
@@ -292,20 +309,25 @@ class GameRules:
     name it uses as an atom; body literals are atoms) and O's fresh-world
     cap (one more than the thesis's modal depth). Both are read off the
     thesis as given, not off its game form, which has the same context
-    names and modal depth. It also keeps the game's
-    numbering of records and assertions, and what follows from the rules
-    alone: the particle rule of each formula at each world, one table of
-    its attacks with their defences, and the move table of each target the
-    game lists (``_move_table``), under the length of the target's bit, or
-    for a Know's attacks and a Poss's defences under (that length,
-    introduced worlds). No table outlives its game. Rules compare by
-    identity."""
+    names and modal depth. It also holds the numbering of records and
+    assertions, and what follows from the rules alone: the particle rule of
+    each formula at each world, one table of its attacks with their
+    defences, and the move table of each target a game lists
+    (``_move_table``), under the length of the target's bit, or for a
+    Know's attacks and a Poss's defences under (that length, introduced
+    worlds). These tables are kept per (thesis, env), not per game: every
+    game of the pair holds the same ones (``_tables``), so a repeat builds
+    none of them again. Each game has rules of its own, and rules compare
+    by identity."""
 
     __slots__ = ("env", "fresh_cap", "bits", "particle_rules", "move_tables")
 
-    def __init__(self, env: ContextEnv, fresh_cap: int):
-        self.env, self.fresh_cap = env, fresh_cap
-        self.bits, self.particle_rules, self.move_tables = _Numbering(), {}, {}
+    def __init__(
+        self, env: ContextEnv, fresh_cap: int, bits: _Numbering,
+        particle_rules: dict, move_tables: dict,
+    ):
+        self.env, self.fresh_cap, self.bits = env, fresh_cap, bits
+        self.particle_rules, self.move_tables = particle_rules, move_tables
 
     def __repr__(self) -> str:
         return f"GameRules(env={self.env!r}, fresh_cap={self.fresh_cap!r})"
@@ -357,17 +379,33 @@ class GameState(NamedTuple):
         return self.moves[0].payload.formula
 
 
+# How many (thesis, bindings) pairs keep their game tables (``_tables``).
+MEMO_SIZE = 256
+
+
+@lru_cache(maxsize=MEMO_SIZE)
+def _tables(thesis: Formula, bindings: tuple) -> tuple:
+    """What every game of the thesis under these bindings (an env's
+    (name, body) pairs in name order) shares: the thesis's game form, then
+    ``GameRules``' fields: the env, the world cap, and the numbering,
+    particle tables and move tables, empty until a game fills them. The env
+    and the world cap are read off the thesis itself: its game form has the
+    same context names and modal depth, and a thesis the tableau has
+    reduced already keeps its names on its node. The last ``MEMO_SIZE``
+    pairs are kept."""
+    fresh_cap = formula_info(thesis).modal_depth + 1
+    env = ContextEnv(dict(bindings))
+    return game_form(thesis), env, fresh_cap, _Numbering(), {}, {}
+
+
 def initial_state(thesis: Formula, env: ContextEnv | None = None) -> GameState:
-    """The position after P asserts the thesis's game form at world 1. The
-    env and the world cap are read off the thesis itself: its game form has
-    the same context names and modal depth, and a thesis the tableau has
-    reduced already keeps its names on its node, while its game form is a
-    fresh formula each game."""
-    normalized = game_form(thesis)
-    rules = GameRules(
-        env=(env or ContextEnv()).for_formula(thesis),
-        fresh_cap=formula_info(thesis).modal_depth + 1,
-    )
+    """The position after P asserts the thesis's game form at world 1. Its
+    rules are the game's own, over the tables ``_tables`` keeps for the
+    thesis and ``env.for_formula(thesis)``'s bindings: the first game of
+    the pair fills them, and each later one plays on them."""
+    bindings = (env or ContextEnv()).for_formula(thesis).bindings
+    normalized, *tables = _tables(thesis, tuple(bindings.items()))
+    rules = GameRules(*tables)
     move = Move(P, "thesis", None, AssertPayload(ROOT, normalized))
     assertion = (P, ROOT, normalized)
     bit = rules.bits[assertion]
@@ -464,14 +502,15 @@ _LEFT, _RIGHT, _EITHER = (RequestPayload(kind) for kind in ("?_L", "?_R", "?"))
 
 
 def _particle_rule(rules: GameRules, target: Assertion) -> ParticleRule:
-    """The target's particle rule, worked out once per game for each world
-    and formula, whoever asserts it: each attack payload, in payload order,
-    mapped to the defence payloads that answer it, in payload order. Only a
-    Know's attacks and a Poss's defences depend on the position: the table
-    leaves a Poss's defences empty, and ``_world_payloads`` builds them. A
-    Know has no table: ``_move_table`` builds its attacks with
-    ``_world_payloads`` and answers its ``?_K`` from the request's label,
-    and ``_attackable`` answers for it without one."""
+    """The target's particle rule, worked out once per thesis and env for
+    each world and formula, whoever asserts it: each attack payload, in
+    payload order, mapped to the defence payloads that answer it, in
+    payload order. Only a Know's attacks and a Poss's defences depend on
+    the position: the table leaves a Poss's defences empty, and
+    ``_world_payloads`` builds them. A Know has no table: ``_move_table``
+    builds its attacks with ``_world_payloads`` and answers its ``?_K``
+    from the request's label, and ``_attackable`` answers for it without
+    one."""
     key = target[1:]
     rule = rules.particle_rules.get(key)
     if rule is None:
@@ -582,10 +621,11 @@ def _move_table(
     does not own the target: players attack the other's assertions and
     answer the other's attacks.
 
-    A game builds a target's table once, under its bit's length: a bit is a
-    power of two, and those hash to only 61 values. A Know's attacks and a
-    Poss's defences choose a world, so theirs is built once per (length,
-    introduced worlds), which also fix whether O may still introduce one.
+    The games of a thesis and env build a target's table once, under its
+    bit's length: a bit is a power of two, and those hash to only 61
+    values. A Know's attacks and a Poss's defences choose a world, so theirs
+    is built once per (length, introduced worlds), which also fix whether O
+    may still introduce one.
 
     One loop over the payloads builds the options: each payload's record
     and its bit, whether the other player may answer it and, for an asserted

@@ -5,6 +5,7 @@ import pathlib
 import pickle
 import random
 import sys
+import threading
 import tracemalloc
 
 import pytest
@@ -12,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from celogic import dialogue
+from celogic.cli import main
 from celogic.dialogue import (
     AssertPayload,
     BudgetExhaustedError,
@@ -1292,6 +1294,7 @@ def test_a_game_builds_each_move_table_once(monkeypatch):
     # targets walked, and a listing that bypassed the game's tables would
     # build some twice. A particle table is built only at its assertion's
     # first attack or listing, so the same pass builds 160 of them.
+    dialogue._tables.cache_clear()
     games, built, walked, particle_tables = [], {}, set(), []
 
     def table_key(state, kind, target, bit):
@@ -1326,6 +1329,150 @@ def test_a_game_builds_each_move_table_once(monkeypatch):
     assert set(keys) == walked
     assert len(keys) == 600
     assert len(set(particle_tables)) == len(particle_tables) == 160
+
+
+# The SUITE_ROWS games under _BOUND whose strategy unfolds past 50,000
+# nodes: the first two past any memory (ROADMAP item 32), the third to
+# 85,573 nodes, 23 MB of JSON in 3 s. Each is won by P, and is checked by
+# what `celogic dialogue` prints in text and by its verdict and positions.
+_UNFOLDS_PAST_50000 = {
+    "(K{i,2.2} a)^ci -> (K{i,2.2} K{i,2.2} a)^cj",
+    "((K{j,1.1} p & K{j,1.1} (p -> q)) -> K{j,1.1} q)^ci",
+    "(K{j,1.1} p)^ci <-> (ci -> K{j,1.1} (p)^ci)",
+}
+
+
+def _played(thesis, env=None, **kwargs):
+    """A game's result, and its strategy as JSON text."""
+    result = has_winning_strategy(thesis, env, **kwargs)
+    return result, json.dumps(result.strategy)
+
+
+class TestTablesPerThesisAndEnv:
+    """The games of one thesis and env share the tables the first of them
+    built (``dialogue._tables``); each still searches every position."""
+
+    @pytest.fixture(autouse=True)
+    def cold(self):
+        dialogue._tables.cache_clear()
+
+    @pytest.mark.parametrize("bindings", [None, _BOUND.to_json()], ids=["none", "bound"])
+    def test_a_warm_game_prints_what_a_cold_one_does(
+        self, bindings, capsys, monkeypatch, tmp_path
+    ):
+        # Each row is played with the memo cleared, then again: the second
+        # game prints the same document byte for byte, searches as many
+        # positions, and builds no move table and no particle table.
+        argv = []
+        if bindings is not None:
+            path = tmp_path / "env.json"
+            path.write_text(json.dumps(bindings))
+            argv = ["--env", str(path)]
+        results, built, particle_tables = [], set(), []
+
+        def search(*args, original=dialogue.has_winning_strategy, **kwargs):
+            results.append(original(*args, **kwargs))
+            return results[-1]
+
+        def move_table(state, kind, target, bit, original=dialogue._move_table):
+            table = original(state, kind, target, bit)
+            built.add(id(table))  # each table is kept, so its id is its own
+            return table
+
+        def particle_table(rules, world, f, original=dialogue._particle_table):
+            particle_tables.append((world, f))
+            return original(rules, world, f)
+
+        monkeypatch.setattr(dialogue, "has_winning_strategy", search)
+        monkeypatch.setattr(dialogue, "_move_table", move_table)
+        monkeypatch.setattr(dialogue, "_particle_table", particle_table)
+        unfolds = set()
+        for row in SUITE_ROWS:
+            text = bindings is not None and row.formula in _UNFOLDS_PAST_50000
+            if text:
+                unfolds.add(row.formula)
+            command = ["--format", "text" if text else "json", "dialogue"]
+            dialogue._tables.cache_clear()
+            outputs = []
+            for _ in ("cold", "warm"):
+                counts = len(built), len(particle_tables)
+                code = main([*command, *argv, row.formula])
+                outputs.append((code, capsys.readouterr(), results[-1]))
+            assert outputs[1] == outputs[0], row.formula
+            assert (len(built), len(particle_tables)) == counts, row.formula
+        assert unfolds == (_UNFOLDS_PAST_50000 if bindings else set())
+        assert len(built) > 100 and len(particle_tables) > 100
+        assert dialogue._tables.cache_info().currsize == 1
+
+    def test_a_game_after_a_budget_stop_is_the_cold_game(self):
+        thesis = parse_formula("(K{i,2.2} a)^ci -> (K{i,2.2} K{i,2.2} a)^cj")
+        cold = _played(thesis)
+        assert cold[0].positions > 20
+        dialogue._tables.cache_clear()
+        with pytest.raises(BudgetExhaustedError):
+            has_winning_strategy(thesis, budget=20)
+        assert dialogue._tables.cache_info().currsize == 1
+        assert _played(thesis) == cold
+
+    def test_one_thesis_under_two_envs_is_two_entries(self):
+        # the memo is keyed by the thesis and its bindings: a compound ci
+        # is attacked and granted, an unbound one is a stand-in
+        thesis = parse_formula("(p)^ci")
+        envs = [ContextEnv.from_json({"ci": "p & q"}), None]
+        cold = []
+        for env in envs:
+            dialogue._tables.cache_clear()
+            cold.append(_played(thesis, env))
+        assert cold[0][0].verdict is True and cold[1][0].verdict is False
+        for order in (0, 1), (1, 0):
+            dialogue._tables.cache_clear()
+            for i in order:
+                assert _played(thesis, envs[i]) == cold[i]
+            assert dialogue._tables.cache_info().currsize == 2
+
+    def test_threads_playing_one_thesis_number_each_key_once(self):
+        # The games share one numbering, so every key they meet must get a
+        # bit of its own however the threads interleave. The tables are
+        # made before the threads start, so that all four fill the same.
+        thesis = parse_formula("(K{i,1.2} a)^ci -> (K{i,1.2} K{i,1.2} a)^cj")
+        cold = _played(thesis, _BOUND)
+        assert cold[0].positions > 400
+
+        def play(start, out):
+            start.wait(timeout=30)
+            out.append(_played(thesis, _BOUND))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                dialogue._tables.cache_clear()
+                bits = initial_state(thesis, _BOUND).rules.bits
+                results = [[] for _ in range(4)]
+                start = threading.Barrier(len(results))
+                threads = [
+                    threading.Thread(target=play, args=(start, out)) for out in results
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+                assert not any(thread.is_alive() for thread in threads)
+                assert results == [[cold]] * len(results)
+                assert initial_state(thesis, _BOUND).rules.bits is bits
+                assert sorted(bits.values()) == [1 << n for n in range(len(bits))]
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_the_memo_keeps_at_most_its_bound(self):
+        assert dialogue._tables.cache_info().maxsize == dialogue.MEMO_SIZE
+        theses = [parse_formula(f"p{n} -> p{n}") for n in range(dialogue.MEMO_SIZE + 20)]
+        for thesis in theses:
+            assert has_winning_strategy(thesis).verdict is True
+            assert dialogue._tables.cache_info().currsize <= dialogue.MEMO_SIZE
+        assert dialogue._tables.cache_info().currsize == dialogue.MEMO_SIZE
+        has_winning_strategy(theses[0])  # the oldest entry was evicted: a miss
+        assert dialogue._tables.cache_info().hits == 0
 
 
 def _reference_world_payloads(state, actor, f, world):
