@@ -38,11 +38,10 @@ literals at that world.
 
 The particle rules are one table (``_particle_rule``): for each asserted
 formula, each way of attacking it with the defences that answer that
-attack. The games of a thesis and env work out the table of a formula at a
-world once, whichever player asserts it: at its assertion's first attack,
-or at its first listing as a target. Whether an assertion may be attacked
-at all is read off its formula (``_attackable``), so no table is built for
-one nobody attacks.
+attack. A game works out the table of a formula at a world once, whichever
+player asserts it: at its assertion's first attack, or at its first listing
+as a target. Whether an assertion may be attacked at all is read off its
+formula (``_attackable``), so no table is built for one nobody attacks.
 
 Each structural rule is stated once: the repetition rule in ``_problem``,
 what a player may assert in ``_assertable``. ``legal_moves`` lists the
@@ -59,10 +58,9 @@ and uses up at most the one target it acts on, so ``_step`` keeps the lists,
 swapping the pair, and ``legal_moves`` walks only the mover's, not every
 assertion and attack of the play.
 
-Everything about a target's moves but the position is fixed by the thesis
-and env, so their games keep one move table per target (``_move_table``,
-built by the first game that lists the target): the moves the particle
-rules give the player on it, in listing order, each an ``_Option``
+Everything about a target's moves but the position is fixed per game, so
+each game keeps one move table per target (``_move_table``): the moves the
+particle rules give the player on it, in listing order, each an ``_Option``
 holding its record's bit, what it opens for the other player, and what
 P's making it asks of the position as two masks over ``GameRules.bits``.
 A fixed target's table is built at its first listing and found through
@@ -76,12 +74,11 @@ A position is the set of move records: each move after the thesis is one
 record (actor, the assertion it attacks or the attack record it answers,
 payload). Every assertion but the thesis is a record's payload, and every
 record is new, so the records fix the assertions, the attacks, the
-defences and whose turn it is. The games of a thesis and env share one
-numbering (``GameRules.bits``), which gives each record and assertion its
-bit the first time a game meets it, and a state keeps its records and its
-assertions as int bitsets over that numbering: a move grows them by one
-``|``, without copying a set, and two plays that reach the same records in
-another order reach the same int. Winning
+defences and whose turn it is. Each game numbers every record and every
+assertion the first time it meets one (``GameRules.bits``), and a state
+keeps its records and its assertions as int bitsets over that numbering:
+a move grows them by one ``|``, without copying a set, and two plays that
+reach the same records in another order reach the same int. Winning
 strategies are decided by AND-OR search over positions, memoized on the
 records' bitset. Moves, payloads and states are immutable named tuples,
 built in C. A state compares and hashes as its tuple: its ledgers follow
@@ -94,17 +91,26 @@ length of play is bounded by the recursion limit. The search steps through
 the moves ``legal_moves`` lists, each with the option it was found as, so
 it neither validates a move again nor looks its target up in the history;
 ``apply_move``, ``replay`` and ``replay_script`` validate every move.
+
+A game's numbering and move tables follow from its thesis and env alone,
+so ``has_winning_strategy`` keeps those of a game that ran to its end
+(``_KEPT``), and a later game of the same thesis and env starts from copies
+of them: it builds no table that the first one built, and still searches
+every position. Keeping them has a cost: they are long-lived objects, which
+the cyclic garbage collector walks, so a thesis played only once runs a
+little slower than if nothing were kept.
 """
 
 from __future__ import annotations
 
 import re
-from _thread import allocate_lock
-from functools import lru_cache, reduce
+import threading
+from functools import reduce
 from operator import itemgetter
 from typing import Iterable, NamedTuple
 
 from .kripke import ContextEnv
+from .prove import MEMO_SIZE
 from .reduction import primitive_form
 from .syntax import (
     IDENT_PATTERN,
@@ -277,29 +283,16 @@ def _rel(body: Formula, context: str) -> Formula:
 # Game state
 
 
-# Held while a numbering gives a key its bit. It is one lock for every
-# numbering: a lock kept on the numbering would not survive copy.deepcopy or
-# pickle of a state. It comes from the built-in ``_thread``, the module
-# behind ``threading.Lock``, so importing the package loads no module for it.
-_NUMBERING = allocate_lock()
-
-
 class _Numbering(dict):
-    """The numbering of records and assertions that the games of one thesis
-    and env share: ``table[key]`` is the key's bit, and a key met for the
-    first time gets the next one, under ``_NUMBERING``, so two threads that
-    play one thesis never give two keys one bit. A record never equals an
-    assertion: the one's second field is a target, the other's a world.
-    ``table.get(key, 0) & bits`` asks whether a bitset holds the key, and
-    numbers nothing."""
+    """A game's numbering of records and assertions: ``table[key]`` is the
+    key's bit, and a key met for the first time gets the next one. A record
+    never equals an assertion: the one's second field is a target, the
+    other's a world. ``table.get(key, 0) & bits`` asks whether a bitset
+    holds the key, and numbers nothing."""
 
     def __missing__(self, key) -> int:
-        _NUMBERING.acquire()  # cheaper than ``with`` on the first game's path
-        try:
-            # another thread may have numbered the key since it was missed
-            return self.setdefault(key, 1 << len(self))
-        finally:
-            _NUMBERING.release()
+        bit = self[key] = 1 << len(self)
+        return bit
 
 
 class GameRules:
@@ -309,25 +302,22 @@ class GameRules:
     name it uses as an atom; body literals are atoms) and O's fresh-world
     cap (one more than the thesis's modal depth). Both are read off the
     thesis as given, not off its game form, which has the same context
-    names and modal depth. It also holds the numbering of records and
-    assertions, and what follows from the rules alone: the particle rule of
-    each formula at each world, one table of its attacks with their
-    defences, and the move table of each target a game lists
-    (``_move_table``), under the length of the target's bit, or for a
-    Know's attacks and a Poss's defences under (that length, introduced
-    worlds). These tables are kept per (thesis, env), not per game: every
-    game of the pair holds the same ones (``_tables``), so a repeat builds
-    none of them again. Each game has rules of its own, and rules compare
-    by identity."""
+    names and modal depth. It also keeps the game's
+    numbering of records and assertions, and what follows from the rules
+    alone: the particle rule of each formula at each world, one table of
+    its attacks with their defences, and the move table of each target the
+    game lists (``_move_table``), under the length of the target's bit, or
+    for a Know's attacks and a Poss's defences under (that length,
+    introduced worlds). The numbering and the move tables start empty, or
+    as copies of those that a finished game of the same thesis and env left
+    (``_KEPT``): copies, so that no two games ever number into one table.
+    Rules compare by identity."""
 
     __slots__ = ("env", "fresh_cap", "bits", "particle_rules", "move_tables")
 
-    def __init__(
-        self, env: ContextEnv, fresh_cap: int, bits: _Numbering,
-        particle_rules: dict, move_tables: dict,
-    ):
-        self.env, self.fresh_cap, self.bits = env, fresh_cap, bits
-        self.particle_rules, self.move_tables = particle_rules, move_tables
+    def __init__(self, env: ContextEnv, fresh_cap: int, bits=(), move_tables=()):
+        self.env, self.fresh_cap, self.particle_rules = env, fresh_cap, {}
+        self.bits, self.move_tables = _Numbering(bits), dict(move_tables)
 
     def __repr__(self) -> str:
         return f"GameRules(env={self.env!r}, fresh_cap={self.fresh_cap!r})"
@@ -379,33 +369,22 @@ class GameState(NamedTuple):
         return self.moves[0].payload.formula
 
 
-# How many (thesis, bindings) pairs keep their game tables (``_tables``).
-MEMO_SIZE = 256
-
-
-@lru_cache(maxsize=MEMO_SIZE)
-def _tables(thesis: Formula, bindings: tuple) -> tuple:
-    """What every game of the thesis under these bindings (an env's
-    (name, body) pairs in name order) shares: the thesis's game form, then
-    ``GameRules``' fields: the env, the world cap, and the numbering,
-    particle tables and move tables, empty until a game fills them. The env
-    and the world cap are read off the thesis itself: its game form has the
-    same context names and modal depth, and a thesis the tableau has
-    reduced already keeps its names on its node. The last ``MEMO_SIZE``
-    pairs are kept."""
-    fresh_cap = formula_info(thesis).modal_depth + 1
-    env = ContextEnv(dict(bindings))
-    return game_form(thesis), env, fresh_cap, _Numbering(), {}, {}
-
-
 def initial_state(thesis: Formula, env: ContextEnv | None = None) -> GameState:
-    """The position after P asserts the thesis's game form at world 1. Its
-    rules are the game's own, over the tables ``_tables`` keeps for the
-    thesis and ``env.for_formula(thesis)``'s bindings: the first game of
-    the pair fills them, and each later one plays on them."""
-    bindings = (env or ContextEnv()).for_formula(thesis).bindings
-    normalized, *tables = _tables(thesis, tuple(bindings.items()))
-    rules = GameRules(*tables)
+    """The position after P asserts the thesis's game form at world 1. The
+    env and the world cap are read off the thesis itself: its game form has
+    the same context names and modal depth, and a thesis the tableau has
+    reduced already keeps its names on its node, while its game form is a
+    fresh formula each game."""
+    return _opening((env or ContextEnv()).for_formula(thesis), thesis)
+
+
+def _opening(env: ContextEnv, thesis: Formula, kept: tuple | None = None) -> GameState:
+    """``initial_state``'s position under the thesis's env, or the one that
+    a ``_KEPT`` entry of the thesis starts from."""
+    if kept is None:
+        kept = game_form(thesis), formula_info(thesis).modal_depth + 1
+    normalized, fresh_cap, *tables = kept
+    rules = GameRules(env, fresh_cap, *tables)
     move = Move(P, "thesis", None, AssertPayload(ROOT, normalized))
     assertion = (P, ROOT, normalized)
     bit = rules.bits[assertion]
@@ -502,15 +481,14 @@ _LEFT, _RIGHT, _EITHER = (RequestPayload(kind) for kind in ("?_L", "?_R", "?"))
 
 
 def _particle_rule(rules: GameRules, target: Assertion) -> ParticleRule:
-    """The target's particle rule, worked out once per thesis and env for
-    each world and formula, whoever asserts it: each attack payload, in
-    payload order, mapped to the defence payloads that answer it, in
-    payload order. Only a Know's attacks and a Poss's defences depend on
-    the position: the table leaves a Poss's defences empty, and
-    ``_world_payloads`` builds them. A Know has no table: ``_move_table``
-    builds its attacks with ``_world_payloads`` and answers its ``?_K``
-    from the request's label, and ``_attackable`` answers for it without
-    one."""
+    """The target's particle rule, worked out once per game for each world
+    and formula, whoever asserts it: each attack payload, in payload order,
+    mapped to the defence payloads that answer it, in payload order. Only a
+    Know's attacks and a Poss's defences depend on the position: the table
+    leaves a Poss's defences empty, and ``_world_payloads`` builds them. A
+    Know has no table: ``_move_table`` builds its attacks with
+    ``_world_payloads`` and answers its ``?_K`` from the request's label,
+    and ``_attackable`` answers for it without one."""
     key = target[1:]
     rule = rules.particle_rules.get(key)
     if rule is None:
@@ -621,11 +599,10 @@ def _move_table(
     does not own the target: players attack the other's assertions and
     answer the other's attacks.
 
-    The games of a thesis and env build a target's table once, under its
-    bit's length: a bit is a power of two, and those hash to only 61
-    values. A Know's attacks and a Poss's defences choose a world, so theirs
-    is built once per (length, introduced worlds), which also fix whether O
-    may still introduce one.
+    A game builds a target's table once, under its bit's length: a bit is a
+    power of two, and those hash to only 61 values. A Know's attacks and a
+    Poss's defences choose a world, so theirs is built once per (length,
+    introduced worlds), which also fix whether O may still introduce one.
 
     One loop over the payloads builds the options: each payload's record
     and its bit, whether the other player may answer it and, for an asserted
@@ -1025,6 +1002,49 @@ class _Search:
 
 DEFAULT_SEARCH_BUDGET = 500_000
 
+# The most numbered keys that ``_KEPT`` holds over all its pairs. A key,
+# with its share of the move tables, takes 400-650 bytes: under 3 MB in all.
+KEPT_KEYS = 1 << 12
+
+
+class _Kept(dict):
+    """``has_winning_strategy``'s memo: for each (thesis, bindings) pair
+    whose game ran to its end, what a later game of the pair starts from:
+    the thesis's game form, its world cap, and copies of the numbering and
+    the move tables that the game left. Copies, so that nothing a game
+    builds later changes them; a later game that builds no move table
+    needs no particle table either. A game that numbered more
+    than ``KEPT_KEYS`` keys is not kept, and the pairs kept first are
+    dropped first while more than ``MEMO_SIZE`` pairs or ``KEPT_KEYS``
+    keys are kept. Reading needs no lock: an entry never changes."""
+
+    def __init__(self):
+        super().__init__()
+        self.numbered = 0  # keys over all the pairs kept
+        self.lock = threading.Lock()
+
+    def keep(self, pair: tuple, state: GameState) -> None:
+        rules = state.rules
+        size = len(rules.bits)
+        if size > KEPT_KEYS:
+            return
+        entry = state.thesis, rules.fresh_cap, dict(rules.bits), dict(rules.move_tables)
+        with self.lock:
+            if pair in self:  # another thread's game of the pair ended first
+                return
+            self[pair] = entry
+            self.numbered += size
+            while len(self) > MEMO_SIZE or self.numbered > KEPT_KEYS:
+                self.numbered -= len(self.pop(next(iter(self)))[2])
+
+    def clear(self) -> None:
+        with self.lock:
+            super().clear()
+            self.numbered = 0
+
+
+_KEPT = _Kept()
+
 
 def has_winning_strategy(
     thesis: Formula,
@@ -1037,10 +1057,15 @@ def has_winning_strategy(
     every reachable O history. It is built when first read: until then the
     result holds the search's memo, so a caller that needs only the verdict
     never pays for it. Otherwise ``refutation`` is a play that O wins.
+    A game that ends leaves its tables for the next game of the thesis and
+    env (``_KEPT``), which then builds none of them again.
     Raises BudgetExhaustedError when the position budget runs out; that
     outcome is unknown, never false.
     """
-    state = initial_state(thesis, env)
+    env = (env or ContextEnv()).for_formula(thesis)
+    pair = thesis, tuple(env.bindings.items())
+    kept = _KEPT.get(pair)
+    state = _opening(env, thesis, kept)
     # the structural rules apply to the thesis too, at the position before
     # it, which holds no assertion: P may not state an atom or a context
     # name that O has not, so O wins an atomic thesis with the one-move play
@@ -1048,8 +1073,12 @@ def has_winning_strategy(
         return StrategyResult(False, state.moves, 1)
     search = _Search(budget)
     if search.win(state):
-        return StrategyResult(True, None, search.positions, search, state)
-    return StrategyResult(False, search.refuting_play(state), search.positions)
+        result = StrategyResult(True, None, search.positions, search, state)
+    else:
+        result = StrategyResult(False, search.refuting_play(state), search.positions)
+    if kept is None:
+        _KEPT.keep(pair, state)
+    return result
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import copy
+import gc
 import hashlib
 import json
 import pathlib
@@ -1294,7 +1295,7 @@ def test_a_game_builds_each_move_table_once(monkeypatch):
     # targets walked, and a listing that bypassed the game's tables would
     # build some twice. A particle table is built only at its assertion's
     # first attack or listing, so the same pass builds 160 of them.
-    dialogue._tables.cache_clear()
+    dialogue._KEPT.clear()
     games, built, walked, particle_tables = [], {}, set(), []
 
     def table_key(state, kind, target, bit):
@@ -1348,13 +1349,14 @@ def _played(thesis, env=None, **kwargs):
     return result, json.dumps(result.strategy)
 
 
-class TestTablesPerThesisAndEnv:
-    """The games of one thesis and env share the tables the first of them
-    built (``dialogue._tables``); each still searches every position."""
+class TestKeptTables:
+    """A game that ends leaves its numbering and move tables for the next
+    game of its thesis and env (``dialogue._KEPT``), which starts from
+    copies of them and still searches every position."""
 
     @pytest.fixture(autouse=True)
     def cold(self):
-        dialogue._tables.cache_clear()
+        dialogue._KEPT.clear()
 
     @pytest.mark.parametrize("bindings", [None, _BOUND.to_json()], ids=["none", "bound"])
     def test_a_warm_game_prints_what_a_cold_one_does(
@@ -1368,7 +1370,7 @@ class TestTablesPerThesisAndEnv:
             path = tmp_path / "env.json"
             path.write_text(json.dumps(bindings))
             argv = ["--env", str(path)]
-        results, built, particle_tables = [], set(), []
+        results, built, particle_tables = [], {}, []
 
         def search(*args, original=dialogue.has_winning_strategy, **kwargs):
             results.append(original(*args, **kwargs))
@@ -1376,7 +1378,7 @@ class TestTablesPerThesisAndEnv:
 
         def move_table(state, kind, target, bit, original=dialogue._move_table):
             table = original(state, kind, target, bit)
-            built.add(id(table))  # each table is kept, so its id is its own
+            built[id(table)] = table  # held, so that no two tables share an id
             return table
 
         def particle_table(rules, world, f, original=dialogue._particle_table):
@@ -1392,7 +1394,7 @@ class TestTablesPerThesisAndEnv:
             if text:
                 unfolds.add(row.formula)
             command = ["--format", "text" if text else "json", "dialogue"]
-            dialogue._tables.cache_clear()
+            dialogue._KEPT.clear()
             outputs = []
             for _ in ("cold", "warm"):
                 counts = len(built), len(particle_tables)
@@ -1402,16 +1404,18 @@ class TestTablesPerThesisAndEnv:
             assert (len(built), len(particle_tables)) == counts, row.formula
         assert unfolds == (_UNFOLDS_PAST_50000 if bindings else set())
         assert len(built) > 100 and len(particle_tables) > 100
-        assert dialogue._tables.cache_info().currsize == 1
+        assert len(dialogue._KEPT) == 1
 
     def test_a_game_after_a_budget_stop_is_the_cold_game(self):
         thesis = parse_formula("(K{i,2.2} a)^ci -> (K{i,2.2} K{i,2.2} a)^cj")
         cold = _played(thesis)
         assert cold[0].positions > 20
-        dialogue._tables.cache_clear()
+        dialogue._KEPT.clear()
         with pytest.raises(BudgetExhaustedError):
             has_winning_strategy(thesis, budget=20)
-        assert dialogue._tables.cache_info().currsize == 1
+        assert len(dialogue._KEPT) == 0  # a stopped game leaves nothing
+        assert _played(thesis) == cold
+        assert len(dialogue._KEPT) == 1
         assert _played(thesis) == cold
 
     def test_one_thesis_under_two_envs_is_two_entries(self):
@@ -1421,19 +1425,21 @@ class TestTablesPerThesisAndEnv:
         envs = [ContextEnv.from_json({"ci": "p & q"}), None]
         cold = []
         for env in envs:
-            dialogue._tables.cache_clear()
+            dialogue._KEPT.clear()
             cold.append(_played(thesis, env))
         assert cold[0][0].verdict is True and cold[1][0].verdict is False
         for order in (0, 1), (1, 0):
-            dialogue._tables.cache_clear()
+            dialogue._KEPT.clear()
             for i in order:
                 assert _played(thesis, envs[i]) == cold[i]
-            assert dialogue._tables.cache_info().currsize == 2
+            assert len(dialogue._KEPT) == 2
+            for i in order:
+                assert _played(thesis, envs[i]) == cold[i]
 
-    def test_threads_playing_one_thesis_number_each_key_once(self):
-        # The games share one numbering, so every key they meet must get a
-        # bit of its own however the threads interleave. The tables are
-        # made before the threads start, so that all four fill the same.
+    def test_threads_playing_one_thesis_keep_one_numbering(self):
+        # Four games of one thesis at once, cold and then warm: each gives
+        # the one-thread result, the pair is kept once, with a bit of its
+        # own for each key, and no warm game writes into what is kept.
         thesis = parse_formula("(K{i,1.2} a)^ci -> (K{i,1.2} K{i,1.2} a)^cj")
         cold = _played(thesis, _BOUND)
         assert cold[0].positions > 400
@@ -1442,37 +1448,93 @@ class TestTablesPerThesisAndEnv:
             start.wait(timeout=30)
             out.append(_played(thesis, _BOUND))
 
+        def play_at_once():
+            results = [[] for _ in range(4)]
+            start = threading.Barrier(len(results))
+            threads = [threading.Thread(target=play, args=(start, out)) for out in results]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+            assert results == [[cold]] * len(results)
+
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            for _ in range(5):
-                dialogue._tables.cache_clear()
-                bits = initial_state(thesis, _BOUND).rules.bits
-                results = [[] for _ in range(4)]
-                start = threading.Barrier(len(results))
-                threads = [
-                    threading.Thread(target=play, args=(start, out)) for out in results
-                ]
-                for thread in threads:
-                    thread.start()
-                for thread in threads:
-                    thread.join(timeout=60)
-                assert not any(thread.is_alive() for thread in threads)
-                assert results == [[cold]] * len(results)
-                assert initial_state(thesis, _BOUND).rules.bits is bits
+            for _ in range(3):
+                dialogue._KEPT.clear()
+                play_at_once()
+                [(_, _, bits, move_tables)] = dialogue._KEPT.values()
                 assert sorted(bits.values()) == [1 << n for n in range(len(bits))]
+                assert dialogue._KEPT.numbered == len(bits)
+                kept = dict(bits), dict(move_tables)
+                play_at_once()
+                assert [*dialogue._KEPT.values()][0][2:] == kept
         finally:
             sys.setswitchinterval(interval)
 
-    def test_the_memo_keeps_at_most_its_bound(self):
-        assert dialogue._tables.cache_info().maxsize == dialogue.MEMO_SIZE
+    def test_a_warm_game_numbers_into_a_copy(self):
+        # A key that a warm game meets first gets the next bit of the
+        # game's own numbering; what the first game left is not changed,
+        # and the next game starts from it.
+        thesis = parse_formula("(K{i,2.2} a)^ci -> (K{i,2.2} K{i,2.2} a)^cj")
+        cold = _played(thesis)
+        [(_, _, bits, move_tables)] = dialogue._KEPT.values()
+        kept = dict(bits), dict(move_tables)
+        warm = has_winning_strategy(thesis)
+        numbering = warm._root.rules.bits
+        assert numbering == bits and numbering is not bits
+        assert numbering[("O", (), Atom("unmet"))] == 1 << len(bits)
+        assert [*dialogue._KEPT.values()][0][2:] == kept
+        assert _played(thesis) == cold
+
+    def test_the_memo_keeps_at_most_its_bound_of_pairs(self):
         theses = [parse_formula(f"p{n} -> p{n}") for n in range(dialogue.MEMO_SIZE + 20)]
         for thesis in theses:
             assert has_winning_strategy(thesis).verdict is True
-            assert dialogue._tables.cache_info().currsize <= dialogue.MEMO_SIZE
-        assert dialogue._tables.cache_info().currsize == dialogue.MEMO_SIZE
-        has_winning_strategy(theses[0])  # the oldest entry was evicted: a miss
-        assert dialogue._tables.cache_info().hits == 0
+            assert len(dialogue._KEPT) <= dialogue.MEMO_SIZE
+        assert len(dialogue._KEPT) == dialogue.MEMO_SIZE
+        # the pairs kept first were dropped first
+        assert [pair[0] for pair in dialogue._KEPT] == theses[20:]
+
+    def test_the_memo_keeps_at_most_its_bound_of_keys(self, monkeypatch):
+        monkeypatch.setattr(dialogue, "KEPT_KEYS", 40)
+        theses = [parse_formula(f"p{n} -> p{n}") for n in range(20)]
+        for thesis in theses:
+            has_winning_strategy(thesis)
+            sizes = [len(bits) for _, _, bits, _ in dialogue._KEPT.values()]
+            assert dialogue._KEPT.numbered == sum(sizes) <= 40
+        assert 1 < len(dialogue._KEPT) < 20
+        assert [pair[0] for pair in dialogue._KEPT] == theses[-len(dialogue._KEPT):]
+        # a game that numbers more keys than the bound is not kept, and
+        # drops none of the pairs kept before it
+        before = [*dialogue._KEPT]
+        long = parse_formula("~~~~~~~~~~p -> ~~~~~~~~~~p")
+        has_winning_strategy(long)
+        assert [*dialogue._KEPT] == before
+
+    def test_a_long_thesis_does_not_stay_resident(self):
+        # ~x1100 p -> ~x1100 p numbers more keys than KEPT_KEYS: its tables,
+        # MBs of them, are freed with its game, and the memo keeps nothing.
+        # What the thesis keeps on its own nodes is made before measuring.
+        side = "~" * 1100 + "p"
+        thesis = parse_formula(f"{side} -> {side}")
+        initial_state(thesis)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            result = has_winning_strategy(thesis)
+            assert result.verdict is True
+            assert len(result._root.rules.bits) > dialogue.KEPT_KEYS
+            held = tracemalloc.get_traced_memory()[0] - before
+            del result
+            gc.collect()  # which also empties the free lists of freed tuples
+            left = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(dialogue._KEPT) == 0 and dialogue._KEPT.numbered == 0
+        assert held > 2_000_000 and left < 100_000
 
 
 def _reference_world_payloads(state, actor, f, world):
